@@ -78,7 +78,12 @@
 // format, partitioning each window's decisions contiguously across
 // whichever shards are in sync — a shard that falls out of sync (or
 // crashes and comes back empty) is rebuilt from the full window, so
-// shard failover is a re-sync, not an error.
+// shard failover is a re-sync, not an error. Each shard decides its
+// contiguous slice with dist.DecideRange, the same view-grouped batch
+// the in-process directory runs (DecideAll is its whole-window case):
+// devices sharing a 4r view share one characterizer, so a mass event
+// is enumerated once per shard, not once per device, and a networked
+// window costs the in-process decision plus the wire.
 //
 // Every request carries a deadline (DirectoryConfig.RequestTimeout);
 // a transport failure is retried up to MaxRetries times with
@@ -268,8 +273,9 @@
 //     later tiny component's lease. At m = 200k all-abnormal the fleet
 //     characterizes in ~1.9 s and ~0.35 GB allocated, from ~128 s and
 //     29.5 GB before the decomposition, and the latency scaling
-//     exponent across m = 10k -> 200k drops from 1.69 to ~1.2
-//     (BENCH_7.json; the m = 50k point is gated in CI). A parity suite
+//     exponent across m = 10k -> 200k fell from 1.69; the BENCH_*.json
+//     files record its current value (0.92 in BENCH_10.json), and the
+//     m = 50k point is gated in CI. A parity suite
 //     pins verdicts, sets and cost counters bit-identical to the
 //     whole-graph-universe reference across placement families,
 //     adjacency representations and exact modes, serial and parallel
@@ -282,7 +288,8 @@
 //   - The distributed directory rides the same flat index: occupied
 //     cells live in the index's key-sorted slab annotated with their
 //     owning shard, the 4r block cache is one atomic pointer per cell
-//     (no side maps, no string keys), and the batched DecideAll
+//     (no side maps, no string keys), and the batched DecideRange —
+//     DecideAll's whole window, or one networked shard's slice —
 //     assembles views through a recycled scratch buffer, materializing
 //     a view only when it opens a new characterizer group.
 //   - The spatial index and directory survive across windows instead of

@@ -209,6 +209,79 @@ func sameDecisions(t *testing.T, got, want []dist.Decision, wantTotal, gotTotal 
 
 var testCfg = core.Config{R: 0.05, Tau: 3, Exact: true}
 
+// clusteredWindow builds one window over n devices in d = 2, grouped
+// into contiguous-id clusters of size devices, each within r/2 (uniform
+// norm) of a uniform centre — restriction R2's r-consistent clique. The
+// first faulty clusters shift coherently by 0.06-0.1 per axis and form
+// the sorted abnormal set; the rest stay put.
+func clusteredWindow(tb testing.TB, n, size, faulty int, r float64, seed int64) (*motion.Pair, []int) {
+	tb.Helper()
+	rng := stats.NewRNG(seed)
+	prev, err := space.NewState(n, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cur := prev.Clone()
+	var abnormal []int
+	p, q := make(space.Point, 2), make(space.Point, 2)
+	for lo := 0; lo < n; lo += size {
+		centre := [2]float64{0.05 + 0.75*rng.Float64(), 0.05 + 0.75*rng.Float64()}
+		var shift [2]float64
+		if lo/size < faulty {
+			shift = [2]float64{0.06 + 0.04*rng.Float64(), 0.06 + 0.04*rng.Float64()}
+		}
+		for j := lo; j < min(lo+size, n); j++ {
+			for c := range p {
+				p[c] = centre[c] + (rng.Float64()-0.5)*r
+				q[c] = p[c] + shift[c]
+			}
+			if err := prev.Set(j, p); err != nil {
+				tb.Fatal(err)
+			}
+			if err := cur.Set(j, q); err != nil {
+				tb.Fatal(err)
+			}
+			if lo/size < faulty {
+				abnormal = append(abnormal, j)
+			}
+		}
+	}
+	pair, err := motion.NewPair(prev, cur)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pair, abnormal
+}
+
+// TestMassEventDecidesWithinDeadline: a window whose abnormal set is
+// one 500-device r-consistent cluster — a large DSLAM fault — decides
+// over two shards at the default request deadline with no retry and no
+// failure, verdict-identical to the in-process directory. Each shard's
+// 250-device slice shares one 4r view, so it must be decided as one
+// characterizer group to fit the deadline.
+func TestMassEventDecidesWithinDeadline(t *testing.T) {
+	addrs := []string{"s0", "s1"}
+	pn := newPipeNet(addrs...)
+	c := testClient(t, pn, addrs, func(cfg *Config) { cfg.RequestTimeout = 0 })
+	cfg := core.Config{R: 0.01, Tau: 3, Exact: true}
+	pair, abnormal := clusteredWindow(t, 5000, 500, 1, cfg.R, 7)
+	got, gotTotal, err := c.DecideWindow(pair, abnormal, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Retries != 0 || st.Failures != 0 {
+		t.Fatalf("mass event counted wire faults: %+v", st)
+	}
+	o := &oracle{r: cfg.R}
+	want, wantTotal := o.decide(t, pair, abnormal, cfg)
+	sameDecisions(t, got, want, wantTotal, gotTotal)
+	for _, dec := range got {
+		if dec.Result.Class != core.ClassMassive {
+			t.Fatalf("device %d: %v, want massive", dec.Result.Device, dec.Result.Class)
+		}
+	}
+}
+
 func TestDecideWindowParityMultiShard(t *testing.T) {
 	addrs := []string{"s0", "s1", "s2"}
 	pn := newPipeNet(addrs...)

@@ -18,7 +18,11 @@ import (
 // window's abnormal trajectories from the wire (sparse n-row states —
 // only abnormal rows are ever read by the decision path), keeps the
 // dist.Directory alive across windows so msgAdvance patches instead of
-// rebuilding, and answers decision and view queries against it.
+// rebuilding, and answers decision and view queries against it. A
+// shard's slice of a window — positions [from, to) of the sorted
+// abnormal set — is decided by dist.DecideRange, the same view-grouped
+// parallel batch the in-process directory runs, so devices sharing a 4r
+// view share one characterizer on the server too.
 //
 // A server that restarts — or that never saw the client's last window
 // — answers statusNeedInit, and the client re-seeds it with msgInit:
@@ -293,21 +297,14 @@ func (s *Server) respondDecideAll(out []byte, c *cursor) []byte {
 	if dir == nil {
 		return append(out, statusNeedInit)
 	}
-	abnormal := dir.Abnormal()
-	if m.from < 0 || m.to < m.from || m.to > len(abnormal) {
-		return appendErr(out, fmt.Errorf("decide range [%d, %d) over %d abnormal devices", m.from, m.to, len(abnormal)))
+	decs, _, err := dist.DecideRange(dir, m.cfg, m.from, m.to)
+	if err != nil {
+		return appendErr(out, err)
 	}
-	start := len(out)
 	out = append(out, statusOK)
-	out = appendU32(out, uint32(m.to-m.from))
-	for _, j := range abnormal[m.from:m.to] {
-		dec, st, err := dist.Decide(dir, j, m.cfg)
-		if err != nil {
-			// Discard the partial response: an error mid-slice becomes one
-			// whole statusErr frame.
-			return appendErr(out[:start], err)
-		}
-		out = appendDecision(out, dist.Decision{Result: dec, Stats: st})
+	out = appendU32(out, uint32(len(decs)))
+	for _, dec := range decs {
+		out = appendDecision(out, dec)
 	}
 	return out
 }

@@ -56,21 +56,40 @@ type Decision struct {
 	Stats  Stats
 }
 
-// DecideAll characterizes every indexed abnormal device, batching the
-// work a window at a time: views are fetched through the shared block
-// cache into one recycled scratch buffer (a view only materializes when
-// it opens a new group), devices with identical views (the common case
-// for a compact massive event) share one characterizer so each
-// neighbourhood is enumerated once, and the view groups run on parallel
-// workers writing disjoint slots of the result slice. Decisions come
-// back in device order with the summed Stats; every per-device Result
-// and Stats is identical to a standalone Decide call. The whole batch
-// runs against one window snapshot taken at entry: a concurrent Advance
-// never mixes two windows into one batch.
+// DecideAll characterizes every indexed abnormal device of the current
+// window: DecideRange over the whole sorted abnormal set.
 func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
 	w := d.win.Load()
+	return d.decideRange(w, cfg, 0, len(w.abnormal))
+}
+
+// DecideRange characterizes positions [from, to) of the current
+// window's sorted abnormal set — the contiguous slice one directory
+// shard serves — batching the work: views are fetched through the
+// shared block cache into one recycled scratch buffer (a view only
+// materializes when it opens a new group), devices with identical views
+// (the common case for a compact massive event) share one characterizer
+// so each neighbourhood is enumerated once, and the view groups run on
+// parallel workers writing disjoint slots of the result slice. Slot
+// pos-from holds the decision for device abnormal[pos], so decisions
+// come back in device order, with the range's summed Stats; every
+// per-device Result and Stats is identical to a standalone Decide call,
+// so the outputs of contiguous ranges concatenate to DecideAll's. The
+// whole batch runs against one window snapshot taken at entry: a
+// concurrent Advance never mixes two windows into one batch. When
+// devices fail to characterize, the error is the lowest failing
+// position's, whatever the worker count or schedule.
+func DecideRange(d *Directory, cfg core.Config, from, to int) ([]Decision, Stats, error) {
+	w := d.win.Load()
+	if from < 0 || to < from || to > len(w.abnormal) {
+		return nil, Stats{}, fmt.Errorf("decide range [%d, %d) over %d abnormal devices", from, to, len(w.abnormal))
+	}
+	return d.decideRange(w, cfg, from, to)
+}
+
+func (d *Directory) decideRange(w *window, cfg core.Config, from, to int) ([]Decision, Stats, error) {
 	// Validate the configuration up front: the per-group characterizers
-	// only exist when there are devices to decide, and an empty window
+	// only exist when there are devices to decide, and an empty range
 	// must reject a bad config exactly like the centralized path does.
 	if _, err := core.New(w.pair, nil, cfg); err != nil {
 		return nil, Stats{}, err
@@ -79,17 +98,17 @@ func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
 		return nil, Stats{}, err
 	}
 	type group struct {
-		view      []int
-		positions []int32 // into the sorted abnormal set (= result slots)
-		stats     []Stats
+		view  []int
+		slots []int32 // result slots (position - from), ascending
+		stats []Stats
 	}
 	groups := make(map[string]*group)
 	order := make([]*group, 0)
 	var scratch []int
 	var keyBuf []byte
-	for pos, j := range w.abnormal {
+	for pos := from; pos < to; pos++ {
 		var st Stats
-		scratch, st = d.viewInto(w, j, pos, scratch[:0])
+		scratch, st = d.viewInto(w, w.abnormal[pos], pos, scratch[:0])
 		// Views are sorted id sets, so the shared grid encoding is a
 		// collision-free group key; the map probe converts in place and
 		// the string only materializes for a new group.
@@ -100,13 +119,24 @@ func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
 			groups[string(keyBuf)] = g
 			order = append(order, g)
 		}
-		g.positions = append(g.positions, int32(pos))
+		g.slots = append(g.slots, int32(pos-from))
 		g.stats = append(g.stats, st)
 	}
 
-	out := make([]Decision, len(w.abnormal))
+	out := make([]Decision, to-from)
+	// A worker stops a group at its first failure, which is the group's
+	// lowest failing slot because slots ascend; keeping the minimum over
+	// groups makes the reported error independent of the schedule.
 	var mu sync.Mutex
-	var firstErr error
+	errSlot := len(out)
+	var lowestErr error
+	fail := func(slot int32, err error) {
+		mu.Lock()
+		if int(slot) < errSlot {
+			errSlot, lowestErr = int(slot), err
+		}
+		mu.Unlock()
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(order) {
 		workers = len(order)
@@ -123,25 +153,17 @@ func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
 			for g := range work {
 				c, err := core.New(w.pair, g.view, cfg)
 				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
+					fail(g.slots[0], err)
 					continue
 				}
-				for i, pos := range g.positions {
-					j := w.abnormal[pos]
+				for i, slot := range g.slots {
+					j := w.abnormal[from+int(slot)]
 					res, err := c.Characterize(j)
 					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("device %d: %w", j, err)
-						}
-						mu.Unlock()
+						fail(slot, fmt.Errorf("device %d: %w", j, err))
 						break
 					}
-					out[pos] = Decision{Result: res, Stats: g.stats[i]}
+					out[slot] = Decision{Result: res, Stats: g.stats[i]}
 				}
 			}
 		}()
@@ -151,8 +173,8 @@ func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
 	}
 	close(work)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, Stats{}, firstErr
+	if lowestErr != nil {
+		return nil, Stats{}, lowestErr
 	}
 
 	// Positions follow sorted device ids, so out is already in device

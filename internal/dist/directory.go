@@ -411,7 +411,7 @@ func (d *Directory) scanBlock(w *window, center []int, b *block) {
 
 // viewInto appends the 4r view of abnormal device j — known to sit at
 // position pos of window w's sorted abnormal set — to dst and returns
-// the extended slice with the communication bill. The batched DecideAll
+// the extended slice with the communication bill. The batched DecideRange
 // passes a recycled scratch buffer; View passes nil and gets a fresh
 // slice sized to the candidate block.
 func (d *Directory) viewInto(w *window, j, pos int, dst []int) ([]int, Stats) {

@@ -25,8 +25,9 @@
 // the next window still warm.
 //
 // Decide is the per-device entry point and Stats its communication
-// bill; DecideAll batches a whole window, deduplicating identical views
-// so co-impacted devices share one characterizer. The cost study
+// bill; DecideRange batches a contiguous slice of a window (DecideAll
+// the whole of it), deduplicating identical views so co-impacted
+// devices share one characterizer. The cost study
 // consuming these numbers is experiments.DistCost.
 package dist
 

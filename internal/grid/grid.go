@@ -87,7 +87,7 @@ func (g Params) Coords(p space.Point, dst []int) []int {
 // degenerate radii with Res > 2^32 cannot alias cells) to dst and
 // returns the extended slice. Keys of equal-dimension vectors compare
 // lexicographically exactly like the vectors themselves. The same
-// encoding serves sorted device-id sets (dist.DecideAll's view keys);
+// encoding serves sorted device-id sets (dist.DecideRange's view keys);
 // the Index itself stores tighter packed keys (see keyCodec) with the
 // same ordering property.
 func AppendKey(dst []byte, coords []int) []byte {

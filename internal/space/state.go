@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrIndex is returned for device indices outside [0, n).
@@ -17,10 +18,14 @@ var ErrNonFinite = errors.New("space: non-finite coordinate")
 
 // State is the system state S_k of Section III-A: the positions of n
 // devices in E at one discrete time. Device identifiers are 0-based
-// indices (the paper uses 1..n).
+// indices (the paper uses 1..n). Positions live in one flat row-major
+// slab — device j owns coords[j*dim : (j+1)*dim] — so a state carries
+// no per-device slice headers: n*d floats and nothing for the GC to
+// scan.
 type State struct {
-	dim int
-	pts []Point
+	dim    int
+	n      int
+	coords []float64
 }
 
 // NewState returns a state for n devices in d dimensions with all devices
@@ -32,12 +37,7 @@ func NewState(n, d int) (*State, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("n = %d: %w", n, ErrIndex)
 	}
-	pts := make([]Point, n)
-	backing := make([]float64, n*d)
-	for i := range pts {
-		pts[i] = Point(backing[i*d : (i+1)*d : (i+1)*d])
-	}
-	return &State{dim: d, pts: pts}, nil
+	return &State{dim: d, n: n, coords: make([]float64, n*d)}, nil
 }
 
 // StateFromPoints builds a state from raw coordinates, copying them. All
@@ -60,30 +60,34 @@ func StateFromPoints(coords [][]float64) (*State, error) {
 				return nil, fmt.Errorf("device %d coordinate %d: %v: %w", i, c, x, ErrNonFinite)
 			}
 		}
-		copy(s.pts[i], row)
+		copy(s.At(i), row)
 	}
 	return s, nil
 }
 
 // Len returns the number of devices n.
-func (s *State) Len() int { return len(s.pts) }
+func (s *State) Len() int { return s.n }
 
 // Dim returns the dimension d of the QoS space.
 func (s *State) Dim() int { return s.dim }
 
 // At returns the position of device j. The returned slice aliases the
-// state; treat it as read-only or use AtClone.
-func (s *State) At(j int) Point { return s.pts[j] }
+// state, and its capacity is capped at d so an append can never spill
+// into the next device; treat it as read-only or use AtClone.
+func (s *State) At(j int) Point {
+	lo, hi := j*s.dim, (j+1)*s.dim
+	return s.coords[lo:hi:hi]
+}
 
 // AtClone returns an independent copy of the position of device j.
-func (s *State) AtClone(j int) Point { return s.pts[j].Clone() }
+func (s *State) AtClone(j int) Point { return s.At(j).Clone() }
 
 // Set overwrites the position of device j, clamping into [0,1]^d.
 // Non-finite coordinates are rejected (ErrNonFinite) with the state
 // untouched.
 func (s *State) Set(j int, p Point) error {
-	if j < 0 || j >= len(s.pts) {
-		return fmt.Errorf("device %d of %d: %w", j, len(s.pts), ErrIndex)
+	if j < 0 || j >= s.n {
+		return fmt.Errorf("device %d of %d: %w", j, s.n, ErrIndex)
 	}
 	if len(p) != s.dim {
 		return fmt.Errorf("point dim %d, state dim %d: %w", len(p), s.dim, ErrDimension)
@@ -93,30 +97,25 @@ func (s *State) Set(j int, p Point) error {
 			return fmt.Errorf("device %d coordinate %d: %v: %w", j, c, x, ErrNonFinite)
 		}
 	}
-	copy(s.pts[j], p)
-	s.pts[j].Clamp()
+	row := s.At(j)
+	copy(row, p)
+	row.Clamp()
 	return nil
 }
 
 // Clone returns a deep copy of the state.
 func (s *State) Clone() *State {
-	c, _ := NewState(len(s.pts), s.dim) // dimensions already validated
-	for i, p := range s.pts {
-		copy(c.pts[i], p)
-	}
-	return c
+	return &State{dim: s.dim, n: s.n, coords: slices.Clone(s.coords)}
 }
 
 // Dist returns the uniform-norm distance between devices i and j.
-func (s *State) Dist(i, j int) float64 { return Dist(s.pts[i], s.pts[j]) }
+func (s *State) Dist(i, j int) float64 { return Dist(s.At(i), s.At(j)) }
 
 // Uniform fills the state with positions drawn uniformly from [0,1]^d
 // using the given source of uniform [0,1) samples (the initial
-// distribution S_0 of Section VII-A).
+// distribution S_0 of Section VII-A), device by device.
 func (s *State) Uniform(next func() float64) {
-	for _, p := range s.pts {
-		for i := range p {
-			p[i] = next()
-		}
+	for i := range s.coords {
+		s.coords[i] = next()
 	}
 }

@@ -70,7 +70,8 @@ type Report struct {
 	// "theorem7", "corollary8", or "none" (cheap mode fallback).
 	Rule string `json:"rule"`
 	// DenseMotions lists the maximal τ-dense motions containing the
-	// device (sorted device indices).
+	// device (sorted device indices). Reports of devices with the same
+	// motions share the slice and its elements; treat them as read-only.
 	DenseMotions [][]int `json:"dense_motions,omitempty"`
 	// Cost is the decision cost.
 	Cost Cost `json:"cost"`

@@ -249,37 +249,34 @@
 //     degree), so enumeration scratch is O(Δ^2/64) bits from the same
 //     recycled pool and results are property-tested identical to the
 //     dense representation.
-//   - Characterization is component-local. The motion graph is
-//     decomposed into connected components once per window, and every
-//     rule of Theorems 5-7 is local to a component — a maximal motion
-//     is a clique, D_k(j) unions motions containing j, and J_k/L_k
-//     split D_k(j), so none of them crosses a component boundary. Each
-//     decision therefore works on bitsets over component ranks: the
-//     D_k union, the J_k/L_k split and the Theorem-6 intersection test
-//     are word-parallel over O(|C|/64) words for a |C|-member
-//     component instead of O(m/64) over the whole abnormal universe,
-//     and device-id slices materialize only at the Result boundary.
-//     Maximal motions are enumerated once per component — a single
-//     Bron-Kerbosch over the densified component subgraph, falling
-//     back to Δ-bounded anchored per-vertex enumeration when a
-//     CSR-mode component exceeds the dense crossover (dense-row graphs
-//     densify whatever the component size: that scratch never exceeds
-//     the adjacency they already carry) — and every member reads
-//     its family out of the shared sorted result, so an adversarial
-//     window in which all m devices are abnormal pays enumeration per
-//     component, not per device. Decision scratch is leased from
-//     size-class-bucketed pools (power-of-two word classes), so a
-//     mass-event-sized decision never hands its giant buffer to a
-//     later tiny component's lease. At m = 200k all-abnormal the fleet
-//     characterizes in ~1.9 s and ~0.35 GB allocated, from ~128 s and
-//     29.5 GB before the decomposition, and the latency scaling
-//     exponent across m = 10k -> 200k fell from 1.69; the BENCH_*.json
-//     files record its current value (0.92 in BENCH_10.json), and the
-//     m = 50k point is gated in CI. A parity suite
-//     pins verdicts, sets and cost counters bit-identical to the
+//   - Characterization is component-local and decides once per dense
+//     family. The motion graph is decomposed into connected components
+//     once per window, and every rule of Theorems 5-7 is local to a
+//     component — a maximal motion is a clique, D_k(j) unions motions
+//     containing j, and J_k/L_k split D_k(j), so none of them crosses a
+//     component boundary. Maximal motions are enumerated once per
+//     component — a single Bron-Kerbosch over the densified component
+//     subgraph, falling back to Δ-bounded anchored per-vertex
+//     enumeration when a CSR-mode component exceeds the dense crossover
+//     (dense-row graphs densify whatever the component size: that
+//     scratch never exceeds the adjacency they already carry). The same
+//     pass interns the component's distinct families W̄_k: since W̄_k(ℓ)
+//     is exactly the set of maximal dense motions containing ℓ,
+//     ℓ ∈ J_k(j) iff W̄_k(ℓ) ⊆ W̄_k(j), so D_k, the J_k/L_k split and
+//     Theorems 5 and 6 depend on j only through its family and are
+//     decided once per family, with word-parallel algebra over
+//     O(|C|/64) words for a |C|-member component. Every member of an R2
+//     mass event shares one family, so a cluster costs one split, not
+//     one per member, and its members' Results share the family's
+//     Dense, J and L slices read-only. Only the exact Theorem 7 /
+//     Corollary 8 search runs per device. The BENCH_*.json files record
+//     the all-abnormal fleet curve (m = 10k -> 200k) and its scaling
+//     exponent, and CI gates the m = 50k point. A parity suite pins
+//     verdicts, sets and cost counters bit-identical to the
 //     whole-graph-universe reference across placement families,
 //     adjacency representations and exact modes, serial and parallel
-//     under the race detector.
+//     under the race detector, and a transcription of the earlier
+//     per-neighbour split pins the family path to it.
 //   - Monitor recycles the displaced snapshot as the next window's
 //     buffer and reuses the abnormal-id slice, so steady-state
 //     observation does not grow the heap per snapshot; the detector

@@ -1,86 +1,40 @@
 package core
 
-import (
-	"fmt"
-
-	"anomalia/internal/sets"
-)
+import "fmt"
 
 // Characterize classifies device j, running the paper's Algorithm 3 and,
 // when Config.Exact is set and Theorem 6 is inconclusive, Algorithm 4/5.
+// Theorems 5 and 6 are read off j's family, decided when its component
+// was enumerated; only the exact search runs per device.
 func (c *Characterizer) Characterize(j int) (Result, error) {
-	if !sets.ContainsInt(c.abnormal, j) {
+	lj, ok := c.graph.Local(j)
+	if !ok {
 		return Result{}, fmt.Errorf("device %d: %w", j, ErrNotAbnormal)
 	}
-	res := Result{Device: j}
 
 	// Line 2-3 of Algorithm 3: maximal motions of j, then W̄_k(j).
-	ent := c.denseMotionsOf(j)
+	ent := c.familyOf(lj)
+	f := ent.fam
+	res := Result{Device: j, Dense: f.ids}
 	res.Cost.MaximalMotions = ent.total
-	res.Cost.DenseMotions = len(ent.ids)
-	res.Dense = ent.ids
+	res.Cost.DenseMotions = len(f.ids)
 
 	// Theorem 5: no dense motion -> isolated.
-	if len(ent.ids) == 0 {
+	if len(f.ids) == 0 {
 		res.Class = ClassIsolated
 		res.Rule = RuleTheorem5
 		return res, nil
 	}
 
-	// Build D_k(j) and split it into J_k(j) / L_k(j), all as bitsets over
-	// j's component-local indices: the motions are cached in that
-	// representation, so the D_k union, the membership probes of the
-	// split and the Theorem-6 intersection are pure word operations with
-	// no id translation; device-id slices are materialized only at the
-	// Result boundary. Component-local indices follow sorted device ids,
-	// so iteration and the appended slices come out in id order, exactly
-	// as the full-graph implementation produced them. The working bitsets
-	// come from the characterizer's size-bucketed pool, leased at the
-	// component's universe: a fleet pass reuses one set per worker and
-	// size class, and the word algebra costs O(|component|/64) per
-	// operation instead of O(m/64).
-	lj, _ := c.graph.Local(j)
-	comp := c.comps.Of(lj)
-	verts := c.comps.Verts(comp)
-	rj := c.comps.Rank(lj)
-	sc := c.getScratch(len(verts))
-	defer c.putScratch(sc)
-	dkB, jB, lB := sc.dk, sc.j, sc.l
-	for _, mo := range ent.bits {
-		dkB.Or(mo)
-	}
-	dkB.ForEach(func(ri int) bool {
-		l := c.graph.IDOf(int(verts[ri]))
-		lEnt := c.denseMotionsOf(l)
-		if l != j {
-			res.Cost.NeighborsScanned++
-		}
-		inL := false
-		for _, mo := range lEnt.bits {
-			if !mo.Has(rj) {
-				inL = true
-				break
-			}
-		}
-		if inL {
-			lB.Add(ri)
-		} else {
-			jB.Add(ri)
-		}
-		return true
-	})
-	res.J = c.comps.AppendIds(jB, comp, make([]int, 0, jB.Len()))
-	res.L = c.comps.AppendIds(lB, comp, make([]int, 0, lB.Len()))
+	// D_k(j) = J_k(j) ∪ L_k(j) holds j itself and its neighbours.
+	res.J, res.L = f.j, f.l
+	res.Cost.NeighborsScanned = len(f.j) + len(f.l) - 1
 
-	// Theorem 6 (lines 17-18 of Algorithm 3): a dense motion of j inside
-	// J_k(j) proves massive. |M ∩ J| > τ suffices because M ∩ J is itself
-	// a motion (subset of the clique M) containing j.
-	for _, mo := range ent.bits {
-		if mo.IntersectionLen(jB) > c.cfg.Tau {
-			res.Class = ClassMassive
-			res.Rule = RuleTheorem6
-			return res, nil
-		}
+	// Theorem 6 (lines 17-18 of Algorithm 3), decided per family.
+	if f.massive {
+		res.Class = ClassMassive
+		res.Rule = RuleTheorem6
+		return res, nil
 	}
 
 	if !c.cfg.Exact {
@@ -90,11 +44,8 @@ func (c *Characterizer) Characterize(j int) (Result, error) {
 	}
 
 	// Algorithms 4/5: exhaustive collection search deciding between
-	// Theorem 7 (massive) and Corollary 8 (unresolved). The search works
-	// on sorted id slices; D_k is materialized into pooled scratch (the
-	// search reads it only for the duration of the call).
-	sc.dkIds = c.comps.AppendIds(dkB, comp, sc.dkIds[:0])
-	violating, tested, err := c.searchViolating(j, sc.dkIds, res.L)
+	// Theorem 7 (massive) and Corollary 8 (unresolved).
+	violating, tested, err := c.searchViolating(j, f.dk, f.l, c.blockerMotions(f))
 	res.Cost.CollectionsTested = tested
 	if err != nil {
 		return res, err

@@ -232,48 +232,6 @@ func TestComponentLocalParityDenseOversized(t *testing.T) {
 	runParity(t, "dense-oversized/all-abnormal", pair, allIds(n), Config{R: r, Tau: 2})
 }
 
-// TestScratchPoolSizeClasses pins the retention fix: a lease after a
-// mass-event-sized decision must not hand back the mass-event buffer for
-// a tiny component, and each size class recycles its own buffers.
-func TestScratchPoolSizeClasses(t *testing.T) {
-	var c Characterizer
-	big := c.getScratch(200_000)
-	if big.dk.Universe() != 200_000 {
-		t.Fatalf("big universe = %d", big.dk.Universe())
-	}
-	c.putScratch(big)
-	small := c.getScratch(40)
-	if small == big {
-		t.Fatal("40-bit lease returned the 200k-bit scratch")
-	}
-	if small.dk.Universe() != 40 || small.j.Universe() != 40 || small.l.Universe() != 40 {
-		t.Fatalf("small universes = %d/%d/%d", small.dk.Universe(), small.j.Universe(), small.l.Universe())
-	}
-	c.putScratch(small)
-	if again := c.getScratch(60); again != small {
-		t.Error("same-class lease did not recycle the pooled scratch")
-	}
-	if again := c.getScratch(200_000); again != big {
-		t.Error("mass-event-class lease did not recycle its own pooled scratch")
-	}
-}
-
-// TestScratchClassBoundaries pins the size-class function at its word
-// boundaries: leases resize strictly within the class they came from.
-func TestScratchClassBoundaries(t *testing.T) {
-	t.Parallel()
-
-	cases := []struct{ n, class int }{
-		{0, 0}, {1, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2},
-		{4096, 6}, {4097, 7},
-	}
-	for _, tc := range cases {
-		if got := scratchClass(tc.n); got != tc.class {
-			t.Errorf("scratchClass(%d) = %d, want %d", tc.n, got, tc.class)
-		}
-	}
-}
-
 // TestMixedWindowAllocFootprint is the alloc-footprint regression test
 // for the scratch-retention fix: a window mixing one mass-event cluster
 // with many small clusters must characterize within a byte budget that

@@ -21,8 +21,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
-	"sync"
 
 	"anomalia/internal/motion"
 	"anomalia/internal/sets"
@@ -128,8 +126,8 @@ type Cost struct {
 	MaximalMotions int
 	// DenseMotions is |W̄_k(j)|.
 	DenseMotions int
-	// NeighborsScanned counts devices ℓ whose own maximal dense motions
-	// were computed to build J_k(j)/L_k(j).
+	// NeighborsScanned is |D_k(j)| - 1, the neighbours ℓ ≠ j that the
+	// J_k(j)/L_k(j) split classifies.
 	NeighborsScanned int
 	// CollectionsTested counts the candidate collections examined by the
 	// Theorem 7 / Corollary 8 search (0 when the search never ran).
@@ -137,6 +135,10 @@ type Cost struct {
 }
 
 // Result is the outcome of characterizing one device.
+//
+// Dense, J and L are shared read-only with every device of the same
+// family — the devices whose W̄_k coincide (see Characterizer) — so
+// callers must copy them before modifying.
 type Result struct {
 	// Device is the device id.
 	Device int
@@ -146,15 +148,27 @@ type Result struct {
 	Rule Rule
 	// Dense is W̄_k(j), the maximal τ-dense motions containing the device.
 	Dense [][]int
-	// J and L are the neighbourhood split of Section V-B.
+	// J and L are the neighbourhood split of Section V-B: J_k(j) holds
+	// the devices ℓ of D_k(j) whose every maximal dense motion contains
+	// j — equivalently W̄_k(ℓ) ⊆ W̄_k(j) — and L_k(j) the rest of D_k(j).
 	J, L []int
 	// Cost is the decision cost.
 	Cost Cost
 }
 
 // Characterizer runs the local decision procedures over one observation
-// window. It caches per-device motion enumerations so that a fleet-wide
-// pass costs each neighbourhood once.
+// window.
+//
+// W̄_k(ℓ) is exactly the set of maximal dense motions containing ℓ, so
+// ℓ ∈ J_k(j) iff W̄_k(ℓ) ⊆ W̄_k(j). D_k(j), the J_k/L_k split and the
+// Theorem 6 test therefore depend on j only through its family W̄_k(j).
+// The characterizer enumerates each connected component of the motion
+// graph once, interns the component's distinct families, and decides the
+// split and Theorems 5 and 6 once per family; every member of an R2
+// cluster shares one. A device's decision is then a lookup. Only the
+// exact Theorem 7 / Corollary 8 search runs per device, because it
+// depends on j itself (adjacency to j, j ∉ B). The Results of one
+// family share their Dense, J and L slices read-only.
 type Characterizer struct {
 	pair     *motion.Pair
 	abnormal []int
@@ -162,94 +176,48 @@ type Characterizer struct {
 	graph    *motion.Graph
 	// comps is the connected-component decomposition of the motion graph.
 	// Every set a decision for device j consults lives inside j's
-	// component, so all per-decision bitsets are sized to the component's
-	// compact renumbering instead of the full vertex universe.
+	// component, so the motion and split bitsets are sized to the
+	// component's compact renumbering instead of the full vertex universe.
 	comps *motion.Components
-	// denseCache memoizes W̄_k(ℓ) per device, in both representations.
-	denseCache map[int]denseEntry
-	// scratch pools the per-decision working sets of Characterize so a
-	// fleet-wide pass reuses a handful of bitsets instead of allocating
-	// three per device; pooling keeps the parallel pass safe. Pools are
-	// bucketed by universe size class so decisions in a 40-device
-	// component never inherit (or retain) bitsets sized for a 200k-device
-	// mass event.
-	scratch scratchPools
+	// memo holds every graph-local vertex's family and |M(ℓ)|, filled a
+	// whole component at a time. total == 0 marks a vertex whose
+	// component is not enumerated yet: every vertex lies in at least one
+	// maximal motion, so a filled slot has total >= 1.
+	memo []memoEntry
 }
 
-// denseEntry is the memoized enumeration for one device ℓ: the maximal
-// τ-dense motions W̄_k(ℓ) as sorted device-id sets (shared with
-// Result.Dense) and as bitsets over ℓ's component-local indices
-// (element i of both slices is the same motion — the hot path does its
-// set algebra on the bitsets with no id translation), plus |M(ℓ)|
-// before density filtering for cost reporting. The graph guarantees the
-// bitset representation in both of its adjacency modes: sparse-mode
-// (CSR) windows enumerate inside densified neighbourhood subgraphs and
-// project the reported cliques, so the D_k/J_k/L_k word algebra below
-// is representation-blind.
-type denseEntry struct {
-	ids   [][]int
-	bits  []*sets.Bits
+// memoEntry is the memoized enumeration of one device ℓ: its family
+// W̄_k(ℓ) and |M(ℓ)|, the maximal motions containing ℓ before density
+// filtering, for cost reporting.
+type memoEntry struct {
+	fam   *family
 	total int
 }
 
-// charScratch is the reusable working set of one Characterize call:
-// bitsets over component-local indices for D_k(j), J_k(j) and L_k(j),
-// plus a buffer for materializing D_k ids.
-type charScratch struct {
-	dk, j, l *sets.Bits
-	dkIds    []int
+// family is one distinct W̄_k of a component together with everything
+// Theorems 5 and 6 derive from it. It is built once at enumeration and
+// shared read-only by the family's members and their Results.
+type family struct {
+	// ids are the maximal dense motions as sorted device-id sets, bits
+	// the same motions as bitsets over component ranks (element i of
+	// both is the same motion; the graph guarantees the bitsets in both
+	// adjacency modes), and idx their positions in the component's
+	// motion list. That list is in lexicographic order, so all three
+	// are too.
+	ids  [][]int
+	bits []*sets.Bits
+	idx  []int
+	// j and l are J_k and L_k as sorted device ids. dk is D_k, kept only
+	// when the exact search can run (Config.Exact, Theorem 6
+	// inconclusive).
+	j, l, dk []int
+	// massive is the Theorem 6 outcome.
+	massive bool
 }
 
-// scratchPools buckets pooled charScratch values by universe size class:
-// pools[k] serves universes of up to 64<<k bits (word counts in
-// (2^(k-1), 2^k]). Leases resize within the class they came from, so a
-// scratch never migrates classes and Put-time classification by current
-// universe is exact. Bucketing is what makes pooling safe across mixed
-// component sizes — without it, one mass-event decision would seed the
-// pool with full-window bitsets that every later 40-device decision
-// drags around (and pins in memory) for the life of the characterizer.
-type scratchPools struct {
-	pools [scratchClasses]sync.Pool
-}
-
-// scratchClasses covers word counts up to 2^31 — universes far beyond
-// any device population; larger requests clamp into the last class.
-const scratchClasses = 32
-
-// scratchClass returns the pool bucket for a universe of n bits.
-func scratchClass(n int) int {
-	words := (n + 63) / 64
-	if words <= 1 {
-		return 0
-	}
-	k := bits.Len(uint(words - 1))
-	if k >= scratchClasses {
-		k = scratchClasses - 1
-	}
-	return k
-}
-
-// getScratch leases a cleared working set over the universe [0, n);
-// return it with putScratch.
-func (c *Characterizer) getScratch(n int) *charScratch {
-	sc, _ := c.scratch.pools[scratchClass(n)].Get().(*charScratch)
-	if sc == nil {
-		return &charScratch{
-			dk: sets.NewBits(n),
-			j:  sets.NewBits(n),
-			l:  sets.NewBits(n),
-		}
-	}
-	sc.dk.Resize(n)
-	sc.j.Resize(n)
-	sc.l.Resize(n)
-	sc.dkIds = sc.dkIds[:0]
-	return sc
-}
-
-func (c *Characterizer) putScratch(sc *charScratch) {
-	c.scratch.pools[scratchClass(sc.dk.Universe())].Put(sc)
-}
+// isolatedFamily is the empty W̄_k of every device that no dense motion
+// contains (Theorem 5).
+var isolatedFamily = &family{}
 
 // New builds a characterizer for the window described by pair, the
 // abnormal set A_k, and the configuration.
@@ -285,12 +253,12 @@ func newCharacterizer(pair *motion.Pair, ids []int, cfg Config, g *motion.Graph)
 // universes — the pre-component reference behaviour.
 func newCharacterizerComps(pair *motion.Pair, ids []int, cfg Config, g *motion.Graph, cs *motion.Components) *Characterizer {
 	return &Characterizer{
-		pair:       pair,
-		abnormal:   ids,
-		cfg:        cfg,
-		graph:      g,
-		comps:      cs,
-		denseCache: make(map[int]denseEntry, len(ids)),
+		pair:     pair,
+		abnormal: ids,
+		cfg:      cfg,
+		graph:    g,
+		comps:    cs,
+		memo:     make([]memoEntry, len(ids)),
 	}
 }
 
@@ -300,50 +268,150 @@ func newCharacterizerComps(pair *motion.Pair, ids []int, cfg Config, g *motion.G
 // callers must treat it as read-only and copy before modifying.
 func (c *Characterizer) Abnormal() []int { return c.abnormal }
 
-// enumerateComponent enumerates component comp's maximal motions once
-// and folds them into a denseEntry per member: entry i (component rank
-// i) holds W̄_k of the i-th member — the dense motions that include it,
-// in lexicographic order because the component family is sorted and a
-// member's family is a subsequence of it — plus its |M(ℓ)| count. One
-// Bron–Kerbosch run serves every device of the component, instead of
-// each member re-enumerating its own neighbourhood; motion id-slices
-// and bitsets are shared across the members' entries (all read-only).
-func (c *Characterizer) enumerateComponent(comp int) []denseEntry {
+// trieNode is a node of enumerateComponent's family trie. The path from
+// the root spells an ascending sequence of dense-motion indices ending
+// in motion; members whose W̄_k is that sequence end on the node.
+type trieNode struct {
+	parent, motion, depth int32
+	// child is the node's child for motion via-1, cached while that
+	// motion moves its members down the trie.
+	via, child int32
+	// fam numbers, from 1, the family of the members that end here;
+	// 0 for nodes no member ends on.
+	fam int32
+}
+
+// enumerateComponent enumerates component comp's maximal motions once,
+// interns its members' distinct families W̄_k, decides each family's
+// D_k/J_k/L_k split and Theorem 6 outcome, and fills every member's memo
+// slot. One Bron–Kerbosch run serves the whole component, and each split
+// is computed once however many members share the family. Motion slices
+// and families are shared across the members (all read-only). Only the
+// members' own memo slots are written, so distinct components may be
+// enumerated concurrently.
+func (c *Characterizer) enumerateComponent(comp int) {
+	verts := c.comps.Verts(comp)
+	if len(verts) == 1 {
+		// A lone vertex's only maximal motion is itself, which τ >= 1
+		// never lets be dense.
+		c.memo[verts[0]] = memoEntry{fam: isolatedFamily, total: 1}
+		return
+	}
 	moIds, moBits := c.graph.MaximalMotionsOfComponent(comp, c.comps)
-	entries := make([]denseEntry, c.comps.Size(comp))
+
+	// Partition refinement over the trie: at[ri] is member ri's node.
+	// Each dense motion, in index order, moves its members one step down
+	// to the child for that motion, so members that end on one node have
+	// the same W̄_k.
+	at := make([]int32, len(verts))
+	trie := []trieNode{{}}
 	for mi, mo := range moIds {
 		dense := motion.Dense(len(mo), c.cfg.Tau)
-		bits := moBits[mi]
-		bits.ForEach(func(ri int) bool {
-			e := &entries[ri]
-			e.total++
+		moBits[mi].ForEach(func(ri int) bool {
+			c.memo[verts[ri]].total++
 			if dense {
-				e.ids = append(e.ids, mo)
-				e.bits = append(e.bits, bits)
+				p := at[ri]
+				if trie[p].via != int32(mi)+1 {
+					trie = append(trie, trieNode{parent: p, motion: int32(mi), depth: trie[p].depth + 1})
+					trie[p].via, trie[p].child = int32(mi)+1, int32(len(trie)-1)
+				}
+				at[ri] = trie[p].child
 			}
 			return true
 		})
 	}
-	return entries
+
+	// Number the families and lay their motion lists out in shared
+	// arenas, read back along each family node's path.
+	nf, depth := int32(0), 0
+	for _, n := range at {
+		if n != 0 && trie[n].fam == 0 {
+			nf++
+			trie[n].fam = nf
+			depth += int(trie[n].depth)
+		}
+	}
+	fams := make([]family, nf)
+	idx := make([]int, depth)
+	ids := make([][]int, depth)
+	bits := make([]*sets.Bits, depth)
+	off := 0
+	for n := range trie {
+		if trie[n].fam == 0 {
+			continue
+		}
+		f := &fams[trie[n].fam-1]
+		d := int(trie[n].depth)
+		f.idx = idx[off : off+d : off+d]
+		f.ids = ids[off : off+d : off+d]
+		f.bits = bits[off : off+d : off+d]
+		off += d
+		for k, p := d-1, int32(n); k >= 0; k, p = k-1, trie[p].parent {
+			mi := int(trie[p].motion)
+			f.idx[k], f.ids[k], f.bits[k] = mi, moIds[mi], moBits[mi]
+		}
+	}
+	famOf := func(ri int) *family {
+		if fi := trie[at[ri]].fam; fi != 0 {
+			return &fams[fi-1]
+		}
+		return isolatedFamily
+	}
+	for ri, v := range verts {
+		c.memo[v].fam = famOf(ri)
+	}
+	if nf > 0 {
+		c.splitFamilies(comp, fams, famOf)
+	}
 }
 
-// cacheComponent memoizes every member entry of component comp and
-// returns the entries (indexed by component rank).
-func (c *Characterizer) cacheComponent(comp int) []denseEntry {
-	entries := c.enumerateComponent(comp)
-	for i, v := range c.comps.Verts(comp) {
-		c.denseCache[c.graph.IDOf(int(v))] = entries[i]
+// splitFamilies builds D_k and its J_k/L_k split for every family of
+// component comp and decides Theorem 6 on it. All of it is word algebra
+// over component ranks, which follow sorted device ids, so the id slices
+// come out sorted.
+func (c *Characterizer) splitFamilies(comp int, fams []family, famOf func(ri int) *family) {
+	scratch := sets.NewBitsRows(3, c.comps.Size(comp))
+	dk, jb, lb := scratch[0], scratch[1], scratch[2]
+	for fi := range fams {
+		f := &fams[fi]
+		dk.Clear()
+		jb.Clear()
+		lb.Clear()
+		for _, mo := range f.bits {
+			dk.Or(mo)
+		}
+		// ℓ ∈ J_k iff W̄_k(ℓ) ⊆ W̄_k(j), tested on motion indices.
+		dk.ForEach(func(ri int) bool {
+			if g := famOf(ri); g == f || sets.SubsetInts(g.idx, f.idx) {
+				jb.Add(ri)
+			} else {
+				lb.Add(ri)
+			}
+			return true
+		})
+		f.j = c.comps.AppendIds(jb, comp, make([]int, 0, jb.Len()))
+		f.l = c.comps.AppendIds(lb, comp, make([]int, 0, lb.Len()))
+
+		// Theorem 6 (lines 17-18 of Algorithm 3): a dense motion of j
+		// inside J_k(j) proves massive. |M ∩ J| > τ suffices because
+		// M ∩ J is itself a motion (subset of the clique M) containing j.
+		for _, mo := range f.bits {
+			if mo.IntersectionLen(jb) > c.cfg.Tau {
+				f.massive = true
+				break
+			}
+		}
+		if c.cfg.Exact && !f.massive {
+			f.dk = c.comps.AppendIds(dk, comp, make([]int, 0, dk.Len()))
+		}
 	}
-	return entries
 }
 
-// denseMotionsOf returns the memoized W̄_k(ℓ), enumerating ℓ's whole
-// component on a miss.
-func (c *Characterizer) denseMotionsOf(l int) denseEntry {
-	if cached, ok := c.denseCache[l]; ok {
-		return cached
+// familyOf returns the memoized family and |M(ℓ)| of graph-local vertex
+// li, enumerating li's whole component on a miss.
+func (c *Characterizer) familyOf(li int) memoEntry {
+	if c.memo[li].total == 0 {
+		c.enumerateComponent(c.comps.Of(li))
 	}
-	ll, _ := c.graph.Local(l)
-	entries := c.cacheComponent(c.comps.Of(ll))
-	return entries[c.comps.Rank(ll)]
+	return c.memo[li]
 }

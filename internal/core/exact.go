@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"anomalia/internal/sets"
@@ -28,33 +30,12 @@ const maxSubsetGround = 20
 // to j (otherwise B ∪ {j} would be a dense motion and relation (5) would
 // hold). Every such B is a subset of some maximal dense motion M ∈ W̄_k(ℓ)
 // with ℓ ∈ L_k(j) and j ∉ M, so the search enumerates subsets of that
-// maximal family.
-func (c *Characterizer) searchViolating(j int, dk, L []int) (bool, int, error) {
+// maximal family, passed as ms (see blockerMotions).
+func (c *Characterizer) searchViolating(j int, dk, L []int, ms [][]int) (bool, int, error) {
 	budget := c.cfg.Budget
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-
-	// Assemble the deduplicated family MS of maximal dense motions
-	// anchored at L and excluding j.
-	seen := make(map[string]struct{})
-	var ms [][]int
-	for _, l := range L {
-		lDense := c.denseMotionsOf(l).ids
-		for _, m := range lDense {
-			if sets.ContainsInt(m, j) {
-				continue
-			}
-			key := fmt.Sprint(m)
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			ms = append(ms, m)
-		}
-	}
-	sets.SortSets(ms)
-
 	s := &violSearch{
 		c:      c,
 		j:      j,
@@ -65,6 +46,45 @@ func (c *Characterizer) searchViolating(j int, dk, L []int) (bool, int, error) {
 	}
 	found, err := s.dfs(0, nil)
 	return found, s.tested, err
+}
+
+// blockerMotions assembles the family searchViolating draws blockers
+// from for a device j of family f: the maximal dense motions anchored
+// at L_k(j) that exclude j,
+//
+//	{M ∈ W̄_k(ℓ) | ℓ ∈ L_k(j), j ∉ M},
+//
+// deduplicated and in lexicographic order. The motions are shared by
+// every family of the component, so they dedupe by their index in the
+// component's motion list, whose order is lexicographic. A dense motion
+// contains j iff it belongs to W̄_k(j), so that test is on indices too.
+func (c *Characterizer) blockerMotions(f *family) [][]int {
+	type motionRef struct {
+		idx int
+		ids []int
+	}
+	var refs []motionRef
+	var prev *family
+	for _, l := range f.l {
+		ll, _ := c.graph.Local(l)
+		g := c.memo[ll].fam
+		if g == prev {
+			continue
+		}
+		prev = g
+		for k, mi := range g.idx {
+			if !sets.ContainsInt(f.idx, mi) {
+				refs = append(refs, motionRef{mi, g.ids[k]})
+			}
+		}
+	}
+	slices.SortFunc(refs, func(a, b motionRef) int { return cmp.Compare(a.idx, b.idx) })
+	refs = slices.CompactFunc(refs, func(a, b motionRef) bool { return a.idx == b.idx })
+	ms := make([][]int, len(refs))
+	for i, r := range refs {
+		ms[i] = r.ids
+	}
+	return ms
 }
 
 type violSearch struct {

@@ -10,18 +10,19 @@ import (
 // of workers, producing exactly the results of CharacterizeAll in device
 // order. workers <= 0 selects GOMAXPROCS.
 //
-// The computation has two phases: first the per-device maximal-motion
-// enumerations — the shared memo every decision reads — are filled in
-// parallel; then the decisions themselves run in parallel against the
-// read-only cache. This mirrors the deployment reality that each device
-// decides independently once trajectories are exchanged.
+// The computation has two phases: first the per-component enumerations
+// — the shared memo of families, splits and Theorem 6 outcomes every
+// decision reads — are filled in parallel; then the decisions themselves
+// run in parallel against the read-only memo. This mirrors the
+// deployment reality that each device decides independently once
+// trajectories are exchanged.
 //
 // Work is partitioned along the component decomposition: each task is a
 // contiguous range of the component member slab, cut at component
 // boundaries (oversized components are split). A worker therefore works
-// through whole components at a time, touching one compact universe's
-// scratch and memo entries before moving on, instead of hopping between
-// components on every device.
+// through whole components at a time, touching one component's memo
+// entries before moving on, instead of hopping between components on
+// every device.
 //
 // Worth knowing: per-device decisions are microseconds at the paper's
 // density, so the pool only pays off on windows with expensive exact
@@ -45,37 +46,23 @@ func (c *Characterizer) CharacterizeAllParallel(workers int) ([]Result, error) {
 	slab := c.comps.AllVerts()
 	ranges := c.componentRanges(workers)
 
-	// Phase 1: fill the motion memo in parallel, one enumeration per
-	// component (components are the memo's natural unit — one
-	// Bron–Kerbosch run yields every member's entry). Each worker
-	// computes into its own shard; shards merge into the shared cache
-	// before any decision reads it.
-	type compEntries struct {
-		comp    int
-		entries []denseEntry
-	}
+	// Phase 1: fill the memo in parallel, one enumeration per component
+	// (components are the memo's natural unit — one Bron–Kerbosch run
+	// yields every member's family, split and Theorem 6 outcome). Each
+	// enumeration writes only its own members' slots.
 	var (
 		wg    sync.WaitGroup
-		mu    sync.Mutex
 		tasks = make(chan [2]int)
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local []compEntries
 			for r := range tasks {
 				for ci := r[0]; ci < r[1]; ci++ {
-					local = append(local, compEntries{comp: ci, entries: c.enumerateComponent(ci)})
+					c.enumerateComponent(ci)
 				}
 			}
-			mu.Lock()
-			for _, ce := range local {
-				for i, v := range c.comps.Verts(ce.comp) {
-					c.denseCache[c.graph.IDOf(int(v))] = ce.entries[i]
-				}
-			}
-			mu.Unlock()
 		}()
 	}
 	for _, r := range c.componentIndexRanges(workers) {
@@ -84,7 +71,7 @@ func (c *Characterizer) CharacterizeAllParallel(workers int) ([]Result, error) {
 	close(tasks)
 	wg.Wait()
 
-	// Phase 2: decide in parallel against the warm, now read-only cache.
+	// Phase 2: decide in parallel against the warm, now read-only memo.
 	results := make([]Result, len(c.abnormal))
 	errs := make([]error, len(c.abnormal))
 	tasks2 := make(chan [2]int)

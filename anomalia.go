@@ -72,6 +72,9 @@ type Report struct {
 	// DenseMotions lists the maximal τ-dense motions containing the
 	// device (sorted device indices). Reports of devices with the same
 	// motions share the slice and its elements; treat them as read-only.
+	// A Report marshalled alone writes them inline; inside an Outcome's
+	// record they are indices into the window's motion table (see
+	// Outcome.MarshalJSON).
 	DenseMotions [][]int `json:"dense_motions,omitempty"`
 	// Cost is the decision cost.
 	Cost Cost `json:"cost"`
@@ -90,7 +93,10 @@ type DistStats struct {
 	ViewSize int `json:"view_size"`
 }
 
-// Outcome is the fleet-wide result of one observation window.
+// Outcome is the fleet-wide result of one observation window. Its JSON
+// form is the window record of MarshalJSON and UnmarshalJSON: reports
+// refer to a window-level table of dense motions, so a motion shared by
+// many devices is written once.
 type Outcome struct {
 	// Reports holds one entry per abnormal device, in device order.
 	Reports []Report `json:"reports"`

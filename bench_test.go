@@ -10,6 +10,7 @@ package anomalia
 // or regenerate the human-readable tables with cmd/anomalia-experiments.
 
 import (
+	"encoding/json"
 	"io"
 	"net"
 	"testing"
@@ -278,6 +279,62 @@ func benchLargeWindow(b *testing.B) (prev, cur [][]float64, abnormal []int) {
 		cur[j] = step.Pair.Cur.At(j)
 	}
 	return prev, cur, step.Abnormal
+}
+
+// BenchmarkEncodeOutcome measures the JSON window record of a storm-like
+// window: six 500-device R2 clusters, each one shared dense family, plus
+// 20 lone gateway faults, n=200k in exact mode (the shape of
+// internal/core's BenchmarkCharacterizeMassEvent). It reports the
+// record's size as record-bytes.
+func BenchmarkEncodeOutcome(b *testing.B) {
+	const (
+		n       = 200_000
+		d       = 2
+		r       = 0.002
+		cluster = 500
+	)
+	rng := stats.NewRNG(200)
+	flatPrev := make([]float64, n*d)
+	flatCur := make([]float64, n*d)
+	for i := range flatPrev {
+		flatPrev[i] = rng.Float64()
+		flatCur[i] = rng.Float64()
+	}
+	place := func(dev int, x, y, sx, sy float64) {
+		flatPrev[dev*d], flatPrev[dev*d+1] = x, y
+		flatCur[dev*d], flatCur[dev*d+1] = x+sx, y+sy
+	}
+	var abnormal []int
+	for c := 0; c < 6; c++ {
+		cx, cy := 0.1+0.8*rng.Float64(), 0.1+0.8*rng.Float64()
+		sx, sy := (rng.Float64()-0.5)*r, (rng.Float64()-0.5)*r
+		for dev := c * 30_000; dev < c*30_000+cluster; dev++ {
+			ox, oy := (rng.Float64()-0.5)*r/2, (rng.Float64()-0.5)*r/2
+			place(dev, cx+ox, cy+oy, sx, sy)
+			abnormal = append(abnormal, dev)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		x, y := 0.1+0.8*rng.Float64(), 0.1+0.8*rng.Float64()
+		place(190_000+500*i, x, y, (rng.Float64()-0.5)*r, (rng.Float64()-0.5)*r)
+		abnormal = append(abnormal, 190_000+500*i)
+	}
+	out, err := Characterize(snapio.Rows(flatPrev, nil, d), snapio.Rows(flatCur, nil, d), abnormal, WithRadius(r))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(out.Massive) != 6*cluster {
+		b.Fatalf("%d massive devices, want %d", len(out.Massive), 6*cluster)
+	}
+	var data []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if data, err = json.Marshal(out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(data)), "record-bytes")
 }
 
 // BenchmarkMonitorObserve measures the full streaming path: detection

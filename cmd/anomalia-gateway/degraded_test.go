@@ -238,3 +238,42 @@ func TestGatewayHealthFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayFaultLineBeyondDetail pins the exact diagnostic line of a
+// tick with more faults than maxFaultDetail, per source: the first four
+// are spelled out with their positions, the rest are counted.
+func TestGatewayFaultLineBeyondDetail(t *testing.T) {
+	t.Parallel()
+
+	csvData := "0.9,0.9,0.9,0.9,0.9,0.9\nx,1.5,NaN,y,-2,0.9\n"
+	var diag bytes.Buffer
+	if err := run([]string{"-devices", "6"}, strings.NewReader(csvData), io.Discard, &diag); err != nil {
+		t.Fatal(err)
+	}
+	want := `snapshot 1: 5 fault(s): [device 0, line 2: service 0: strconv.ParseFloat: parsing "x": invalid syntax]` +
+		` [device 3, line 2: service 0: strconv.ParseFloat: parsing "y": invalid syntax]` +
+		` [device 1, line 2: service 0: QoS 1.5 outside [0,1]]` +
+		` [device 2, line 2: service 0: non-finite QoS NaN] ... and 1 more` + "\n"
+	if got, _, _ := strings.Cut(diag.String(), "degraded stream"); got != want {
+		t.Errorf("CSV fault line:\n got %q\nwant %q", got, want)
+	}
+
+	// Frames are 4+48 = 52 bytes; frame 1's device d sits at byte
+	// 52+4+8d.
+	inf := math.Inf(1)
+	frames := buildFrames(t, [][]float64{
+		{0.9, 0.9, 0.9, 0.9, 0.9, 0.9},
+		{math.NaN(), 1.5, inf, 0.9, -2, 7},
+	})
+	diag.Reset()
+	if err := run([]string{"-devices", "6", "-format", "bin"}, bytes.NewReader(frames), io.Discard, &diag); err != nil {
+		t.Fatal(err)
+	}
+	want = `snapshot 1: 5 fault(s): [device 0, frame 1 at byte 56: service 0: non-finite QoS NaN]` +
+		` [device 1, frame 1 at byte 64: service 0: QoS 1.5 outside [0,1]]` +
+		` [device 2, frame 1 at byte 72: service 0: non-finite QoS +Inf]` +
+		` [device 4, frame 1 at byte 88: service 0: QoS -2 outside [0,1]] ... and 1 more` + "\n"
+	if got, _, _ := strings.Cut(diag.String(), "degraded stream"); got != want {
+		t.Errorf("binary fault line:\n got %q\nwant %q", got, want)
+	}
+}

@@ -80,6 +80,23 @@
 // anomalia_gateway_snapshots_total and
 // anomalia_gateway_recovered_errors_total.
 //
+// With -json each anomalous window is one line {"t":...,"outcome":...},
+// the outcome in the anomalia package's window record:
+//
+//	{"reports":[{"device":17,"class":"massive","rule":"theorem6",
+//	  "motion_refs":[0],"cost":{...}}, ...],
+//	 "massive":[...],"isolated":[...],"unresolved":[...],
+//	 "motions":[[17,18,...], ...],"dist":{...}}
+//
+// "motions" lists each distinct maximal dense motion of the window once,
+// in first-appearance order (reports in device order, each report's
+// motions in order), and a report's "motion_refs" are indices into it;
+// both are omitted when empty, as are the three verdict sets, and
+// "dist" appears only with -distributed or -directory. The record
+// depends only on the outcome's value: equal outcomes write equal
+// bytes, whichever decision path built them and however it shared
+// memory between reports.
+//
 // At end of stream, -json emits one final summary record after the
 // window records: {"summary":{"snapshots":..., "health":{...},
 // "dir":{...}}}. health carries the degraded-ingestion counters (live,
@@ -179,11 +196,28 @@ func detectorFactory(name string) (func(int, int) (anomalia.Detector, error), er
 
 // fault is one recovered ingest diagnostic: which device of the tick
 // was lost (-1: the whole tick), where in the input it happened, and
-// why. Sources reuse the backing slice across ticks.
+// why. The position stays numeric until reportFaults spells the fault
+// out, which it does for at most maxFaultDetail per tick. Sources reuse
+// the backing slice across ticks.
 type fault struct {
-	device int    // offending device, -1 when the whole tick is lost
-	pos    string // "line 17" (CSV) or "frame 4 at byte 130052" (binary)
+	device int   // offending device, -1 when the whole tick is lost
+	frame  int   // binary frame index; -1 for a CSV fault
+	offset int64 // byte offset of the bad value in a binary stream
+	line   int   // CSV line; 0 when the reader could not tell
 	reason string
+}
+
+// pos renders the fault's position: "line 17" (CSV) or "frame 4 at
+// byte 130052" (binary).
+func (f fault) pos() string {
+	switch {
+	case f.frame >= 0:
+		return fmt.Sprintf("frame %d at byte %d", f.frame, f.offset)
+	case f.line > 0:
+		return fmt.Sprintf("line %d", f.line)
+	default:
+		return "unknown line"
+	}
 }
 
 // tickSource yields one snapshot per discrete time and io.EOF at the
@@ -259,16 +293,16 @@ func (s *csvSource) Next() ([][]float64, []fault, error) {
 		if s.strict {
 			return nil, nil, err // csv.ParseError already carries the line
 		}
-		pos := "unknown line"
+		line := 0
 		var pe *csv.ParseError
 		if errors.As(err, &pe) {
-			pos = fmt.Sprintf("line %d", pe.Line)
+			line = pe.Line
 		}
 		for dev := range s.rows {
 			s.rows[dev] = nil
 		}
 		s.dirty = true
-		s.faults = append(s.faults[:0], fault{device: -1, pos: pos, reason: err.Error()})
+		s.faults = append(s.faults[:0], fault{device: -1, frame: -1, line: line, reason: err.Error()})
 		return s.rows, s.faults, nil
 	}
 
@@ -278,11 +312,7 @@ func (s *csvSource) Next() ([][]float64, []fault, error) {
 		if s.strict {
 			return fmt.Errorf("line %d column %d: device %d: %s", line, col, dev, reason)
 		}
-		s.faults = append(s.faults, fault{
-			device: dev,
-			pos:    fmt.Sprintf("line %d", line),
-			reason: reason,
-		})
+		s.faults = append(s.faults, fault{device: dev, frame: -1, line: line, reason: reason})
 		return nil
 	}
 	for dev := 0; dev < s.devices; dev++ {
@@ -378,7 +408,8 @@ func (s *binSource) Next() ([][]float64, []fault, error) {
 		}
 		s.faults = append(s.faults, fault{
 			device: dev,
-			pos:    fmt.Sprintf("frame %d at byte %d", frame, start+int64(4+8*(dev*s.services+svc))),
+			frame:  frame,
+			offset: start + int64(4+8*(dev*s.services+svc)),
 			reason: reason,
 		})
 	}
@@ -446,9 +477,9 @@ func reportFaults(w io.Writer, tick int, faults []fault) {
 			break
 		}
 		if f.device < 0 {
-			fmt.Fprintf(w, " [tick lost, %s: %s]", f.pos, f.reason)
+			fmt.Fprintf(w, " [tick lost, %s: %s]", f.pos(), f.reason)
 		} else {
-			fmt.Fprintf(w, " [device %d, %s: %s]", f.device, f.pos, f.reason)
+			fmt.Fprintf(w, " [device %d, %s: %s]", f.device, f.pos(), f.reason)
 		}
 	}
 	fmt.Fprintln(w)

@@ -147,6 +147,18 @@
 // of the bare characterization of the same window, and a quiet tick
 // runs allocation-free (BENCH_6.json; both gated in CI).
 //
+// Verdicts leave as JSON window records (Outcome.MarshalJSON, one per
+// anomalous window under anomalia-gateway -json). Each distinct dense
+// motion is written once, in a window-level "motions" table, and each
+// report names its motions by index in "motion_refs", so the record
+// grows with the window's distinct motions, not with the members of
+// each mass event. The table lists motions in first-appearance order
+// and is built by content — slice identity, which the characterizer's
+// shared families provide, is only a shortcut — so the bytes depend
+// only on the Outcome's value, whichever decision path produced it.
+// Outcome.UnmarshalJSON rebuilds DenseMotions from the table and
+// rejects a reference outside it with ErrInvalidInput.
+//
 // # Degraded operation
 //
 // A million-device deployment never delivers a perfect snapshot: reports

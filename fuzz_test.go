@@ -1,6 +1,8 @@
 package anomalia
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -72,6 +74,37 @@ func FuzzMonitorObserve(f *testing.F) {
 			if _, err := m.Observe(snapshot); err != nil {
 				t.Fatalf("well-formed snapshot rejected: %v", err)
 			}
+		}
+	})
+}
+
+// FuzzOutcomeJSON decodes arbitrary bytes as a window record: decoding
+// must never panic, and whatever decodes must re-encode to a byte-level
+// fixed point of Marshal → Unmarshal → Marshal.
+func FuzzOutcomeJSON(f *testing.F) {
+	f.Add([]byte(goldenFleetRecord))
+	f.Add([]byte(goldenFleetDistRecord))
+	f.Add([]byte(`{"reports":[{"device":0,"class":"massive","rule":"theorem6","motion_refs":[1,0,1],"cost":{}}],"motions":[[0,1,2,3],[],null,[4,5,6,7]]}`))
+	f.Add([]byte(`{"reports":[],"motions":[[1]],"massive":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var out Outcome
+		if err := json.Unmarshal(data, &out); err != nil {
+			return
+		}
+		first, err := json.Marshal(&out)
+		if err != nil {
+			t.Fatalf("decoded outcome does not encode: %v", err)
+		}
+		var back Outcome
+		if err := json.Unmarshal(first, &back); err != nil {
+			t.Fatalf("re-encoded record does not decode: %v\n%s", err, first)
+		}
+		second, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("not a fixed point:\n%s\n%s", first, second)
 		}
 	})
 }

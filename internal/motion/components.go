@@ -144,7 +144,7 @@ func (cs *Components) Rank(li int) int { return int(cs.rank[li]) }
 // Verts returns component c's members as sorted graph-local indices.
 // The slice views the decomposition's slab — read-only.
 func (cs *Components) Verts(c int) []int32 {
-	return cs.verts[cs.off[c] : cs.off[c+1] : cs.off[c+1]]
+	return cs.verts[cs.off[c]:cs.off[c+1]:cs.off[c+1]]
 }
 
 // AllVerts returns the full member slab: every component's sorted

@@ -14,11 +14,11 @@ import (
 // the plain one). The family names are documented in the package
 // comment's Observability section and pinned by a doc-sync test.
 type monitorMetrics struct {
-	ticks           *metrics.Counter
-	tickIngest      *metrics.Histogram
-	tickDetect      *metrics.Histogram
+	ticks            *metrics.Counter
+	tickIngest       *metrics.Histogram
+	tickDetect       *metrics.Histogram
 	tickCharacterize *metrics.Histogram
-	tickTotal       *metrics.Histogram
+	tickTotal        *metrics.Histogram
 
 	abnormalWindows *metrics.Counter
 	abnormalDevices *metrics.Histogram
@@ -47,11 +47,11 @@ type monitorMetrics struct {
 	wireBytesRecv  *metrics.Counter
 	wireRoundTrips *metrics.Counter
 
-	heapAlloc   *metrics.Gauge
-	allocBytes  *metrics.Counter
-	mallocs     *metrics.Counter
-	gcCycles    *metrics.Counter
-	gcPauseNs   *metrics.Counter
+	heapAlloc  *metrics.Gauge
+	allocBytes *metrics.Counter
+	mallocs    *metrics.Counter
+	gcCycles   *metrics.Counter
+	gcPauseNs  *metrics.Counter
 
 	// ms is the reused ReadMemStats buffer (the struct is ~2 KB; a
 	// per-window local would be free too, but reuse keeps the record

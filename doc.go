@@ -222,11 +222,19 @@
 //
 //   - Motion-graph construction buckets the abnormal devices into a
 //     shared grid of cells with side 2r (internal/grid) and only
-//     distance-tests candidate pairs from nearby cells. The grid build
-//     is property-tested byte-identical to the all-pairs scan and is
-//     ~20-25x faster at m = 10k uniform devices (~6-7x when the window
-//     is dominated by tight clusters, where cells are crowded); exact
-//     numbers per run are recorded in BENCH_*.json.
+//     considers candidate pairs from nearby cells. Every build tests
+//     against one flattened copy of the window's positions, with
+//     per-axis early exit. By Definition 1 a set is r-consistent
+//     exactly when it fits a box of side 2r, so when the members of
+//     two cells fit one such box at both times the whole block is an
+//     r-consistent motion: the build ORs a word mask of one cell into
+//     each row of the other instead of testing the pairs. The box test
+//     is exact in floating point (rounded subtraction is monotone), and
+//     blocks that fail it fall back to per-pair tests. An R2 mass
+//     event is built to pass it, so a clustered window costs
+//     O(cells + rows·words), not O(pairs). Every build is
+//     property-tested identical to the all-pairs scan, including boxes
+//     one ulp over 2r at either time.
 //   - The grid index itself is map-free and slab-allocated: cell
 //     coordinates pack into fixed-width keys, the devices are sorted by
 //     key (key computation and the sort itself sharded across
@@ -235,26 +243,30 @@
 //     whole index materializes as one key-sorted cell slab plus shared
 //     id/coordinate/key arenas — a handful of allocations however many
 //     cells a window occupies, with lookups served by binary search.
-//     At m = 1M the index rebuild every window pays dropped from ~1.5M
-//     allocations (one map entry, cell struct, coords slice and id-list
-//     growth per occupied cell) to a few hundred for the whole graph
-//     build, and build time from ~4.4 s to ~1.6 s (BENCH_4.json).
 //   - Adjacency storage is hybrid and density-adaptive. Below ~4k
 //     vertices every vertex owns a dense bitset row (slab-backed: one
-//     shared words arena) — O(m^2/64) bytes, but clique enumeration is
-//     pure word operations, which is what the per-window
-//     characterization hot path wants. From ~4k vertices the grid's
-//     cell-pair walk is sharded across GOMAXPROCS workers into
-//     per-worker edge buffers, and the representation is picked from
-//     the measured edge count after collection: windows so edge-dense
-//     that a CSR arena would be no smaller (edge-crowded massive-event
-//     clusters) fill dense rows straight from the buffers, everything
-//     else merges into one shared CSR arena (2 allocations however many
-//     edges) with a count/prefix-sum/fill/sort pass. Memory falls from
-//     O(m^2/64) to O(m + edges): at m = 100k the build went from
-//     ~1.37 GB (PR 2) to ~0.10-0.18 GB, and an m = 1M window — which
-//     the dense representation could not hold at all (~2 TB) — builds
-//     in ~1.6 s in ~184 MB (BENCH_4.json).
+//     shared words arena) — O(m^2/64) bytes, but components and clique
+//     enumeration are pure word operations, which is what the
+//     per-window characterization hot path wants. From ~4k vertices
+//     the grid's cell-pair walk is sharded across GOMAXPROCS workers
+//     into per-worker edge and block buffers, and the representation
+//     is picked from the measured edge count after collection: windows
+//     so edge-dense that a CSR arena would be no smaller (edge-crowded
+//     massive-event clusters) fill dense rows straight from the
+//     buffers and the block masks, everything else merges into one
+//     shared CSR arena (2 allocations however many edges) with a
+//     count/prefix-sum/fill/sort pass. Memory falls from O(m^2/64) to
+//     O(m + edges), which is what lets a million-device window build
+//     at all.
+//   - Over dense rows the component search is a word-parallel
+//     breadth-first search — each visited row contributes
+//     adj[u] &^ seen at once — and Bron-Kerbosch bounds its Tomita
+//     pivot scan: it stops at the first vertex adjacent to all other
+//     candidates, since none can do better, and takes that vertex's
+//     single branch in place. An s-clique then costs s intersection
+//     counts instead of O(s^2). A component over a contiguous run of
+//     local indices (a DSLAM's contiguous ids) densifies by copying
+//     each row's bit range with word shifts.
 //   - Sparse-mode clique enumeration never widens back to m: each
 //     vertex's neighbourhood is densified into a Δ-sized subgraph
 //     (degeneracy-ordered Bron-Kerbosch over N(v), with Δ the maximum

@@ -35,7 +35,9 @@ type Components struct {
 }
 
 // Components computes the connected-component decomposition of the
-// graph in O(m + edges), in either adjacency representation.
+// graph: O(m + edges) over CSR neighbour lists, and O(m²/64) word
+// operations over dense bitset rows, where the breadth-first search
+// takes each row's unseen neighbours a word at a time.
 func (g *Graph) Components() *Components {
 	m := len(g.ids)
 	cs := &Components{
@@ -51,7 +53,13 @@ func (g *Graph) Components() *Components {
 	// ascending vertex order — components come out numbered by smallest
 	// member. The queue reuses the verts slab (every vertex enters it
 	// exactly once, and pass 2 overwrites it in place).
+	// Dense rows search word-parallel: a seen set turns each row visit
+	// into fresh = adj[u] &^ seen.
 	queue := cs.verts
+	var seen *sets.Bits
+	if g.adj != nil {
+		seen = sets.NewBits(m)
+	}
 	next := int32(0)
 	head, tail := 0, 0
 	for v := 0; v < m; v++ {
@@ -63,17 +71,27 @@ func (g *Graph) Components() *Components {
 		cs.comp[v] = c
 		queue[tail] = int32(v)
 		tail++
+		if seen != nil {
+			seen.Add(v)
+		}
 		for head < tail {
 			u := int(queue[head])
 			head++
-			g.forNeighbors(u, func(w int) bool {
+			if seen != nil {
+				fresh := g.adj[u].AppendNew(seen, queue[:tail])
+				for _, w := range fresh[tail:] {
+					cs.comp[w] = c
+				}
+				tail = len(fresh)
+				continue
+			}
+			for _, w := range g.row(u) {
 				if cs.comp[w] < 0 {
 					cs.comp[w] = c
-					queue[tail] = int32(w)
+					queue[tail] = w
 					tail++
 				}
-				return true
-			})
+			}
 		}
 	}
 	// Pass 2: bucket the vertices by component with a counting sort, so
@@ -210,6 +228,13 @@ func (g *Graph) MaximalMotionsOfComponent(c int, cs *Components) ([][]int, []*se
 				for _, u := range g.row(int(v)) {
 					bi.Add(int(cs.rank[u]))
 				}
+			}
+		} else if s > 0 && int(verts[s-1]-verts[0]) == s-1 {
+			// A component over a contiguous run of local indices (a
+			// DSLAM's contiguous ids) has rank v-verts[0]: each row's
+			// range copies with word shifts.
+			for i, v := range verts {
+				sub[i].CopyRange(g.adj[v], int(verts[0]))
 			}
 		} else {
 			for i, v := range verts {

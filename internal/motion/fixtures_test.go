@@ -170,3 +170,64 @@ func sameFamily(a, b [][]int) bool {
 	}
 	return true
 }
+
+// cliqueSizes are the clique fixtures' sizes: the smallest clique, one
+// and just over one bitset word, and a DSLAM-sized motion.
+var cliqueSizes = []int{2, 64, 65, 500}
+
+// cliquePair builds lead isolated devices followed by s devices that form
+// one r-consistent motion — or, with minusOne, the same devices less the
+// edge between the first and the last of them — and returns the pair, r
+// and the expected maximal motions. lead shifts the clique's local
+// indices off a word boundary.
+func cliquePair(t testing.TB, s, lead int, minusOne bool) (*Pair, float64, [][]int) {
+	t.Helper()
+	const r = 0.05 // 2r = 0.1
+	var prev, cur [][]float64
+	var want [][]int
+	for i := 0; i < lead; i++ {
+		p := []float64{0.05 + 0.15*float64(i), 0.9}
+		prev = append(prev, p)
+		cur = append(cur, p)
+		want = append(want, []int{i})
+	}
+	for i := 0; i < s; i++ {
+		// Spread well inside 2r; with minusOne the first and last device
+		// sit 0.12 apart on x and every other device within 0.1 of both.
+		x := 0.3 + 0.05*float64(i)/float64(s)
+		if minusOne {
+			switch i {
+			case 0:
+				x = 0.3
+			case s - 1:
+				x = 0.42
+			default:
+				x = 0.33 + 0.06*float64(i)/float64(s)
+			}
+		}
+		prev = append(prev, []float64{x, 0.5})
+		cur = append(cur, []float64{x + 0.1, 0.6})
+	}
+	all := make([]int, 0, s)
+	for i := lead; i < lead+s; i++ {
+		all = append(all, i)
+	}
+	if minusOne {
+		want = append(want, all[:s-1], all[1:])
+	} else {
+		want = append(want, all)
+	}
+	prevS, err := space.StateFromPoints(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curS, err := space.StateFromPoints(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := NewPair(prevS, curS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pair, r, want
+}

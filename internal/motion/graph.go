@@ -94,27 +94,32 @@ const gridBuildMaxRes = 1 << 25
 //
 // Construction is O(m * neighbours): vertices are bucketed into a grid of
 // cells with side 2r over the k-1 positions and only pairs from nearby
-// cells are distance-tested, instead of all m^2 pairs. Small or
-// degenerate inputs use the plain all-pairs scan. From sparseMinVertices
-// vertices the cell-pair walk is sharded across GOMAXPROCS workers into
-// per-worker edge buffers, and the representation — CSR neighbour lists
-// or dense bitset rows — is picked from the measured edge count after
-// collection, not the vertex count before it. The adjacency relation is
-// identical on every path.
+// cells are considered, instead of all m^2 pairs. A cell pair whose
+// members fit one box of side 2r at both times is an r-consistent block
+// and is added whole (block.go); the other pairs are distance-tested.
+// Small or degenerate inputs use the plain all-pairs scan. From
+// sparseMinVertices vertices the cell-pair walk is sharded across
+// GOMAXPROCS workers into per-worker edge and block buffers, and the
+// representation — CSR neighbour lists or dense bitset rows — is picked
+// from the measured edge count after collection, not the vertex count
+// before it. Every path tests against one flattened copy of the
+// window's positions, and the adjacency relation is identical on every
+// path.
 func NewGraph(p *Pair, ids []int, r float64) *Graph {
 	g := newGraphVertices(p, ids, r)
 	m := len(g.ids)
 	prm := grid.ForRadius(r)
 	gridOK := prm.Res <= gridBuildMaxRes && gridBuildWorthwhile(p.Dim(), m)
+	w := newFlatWindow(g)
 	switch {
 	case m >= sparseMinVertices:
-		g.buildCollected(prm, gridOK, 0, false)
+		g.buildCollected(w, prm, gridOK, 0, false)
 	case m >= gridBuildMinVertices && gridOK:
 		g.allocDense()
-		g.buildGrid(prm)
+		g.buildGrid(w, prm)
 	default:
 		g.allocDense()
-		g.buildAllPairs()
+		g.buildFlatPairs(w)
 	}
 	return g
 }
@@ -206,9 +211,23 @@ func (g *Graph) forNeighbors(v int, fn func(u int) bool) {
 func (g *Graph) getScratch() *bkScratch   { return g.bkPool.Get().(*bkScratch) }
 func (g *Graph) putScratch(sc *bkScratch) { g.bkPool.Put(sc) }
 
-// buildAllPairs fills the dense adjacency by testing every vertex pair —
-// the reference O(m^2) build, kept for small graphs and as the oracle
-// the grid and sparse builds are property-tested against.
+// buildFlatPairs fills the dense adjacency by testing every vertex pair
+// over the flattened window — the O(m^2) build of small graphs and of
+// geometries the grid walk cannot serve.
+func (g *Graph) buildFlatPairs(w *flatWindow) {
+	m := int32(len(g.ids))
+	for a := int32(0); a < m; a++ {
+		for c := a + 1; c < m; c++ {
+			if w.adjacent(a, c) {
+				g.addEdge(a, c)
+			}
+		}
+	}
+}
+
+// buildAllPairs fills the dense adjacency by testing every vertex pair
+// with Pair.Adjacent — the reference O(m^2) build the production builds
+// are property-tested against. It shares no code with them.
 func (g *Graph) buildAllPairs() {
 	m := len(g.ids)
 	for a := 0; a < m; a++ {
@@ -220,30 +239,28 @@ func (g *Graph) buildAllPairs() {
 
 // buildGrid fills the dense adjacency via the shared spatial index:
 // vertices are bucketed by their k-1 cell and only pairs within
-// gridBuildReach cells are distance-tested. The shared PairWalk visits
-// each unordered cell pair once, so every candidate pair is tested
-// exactly once; the exact Adjacent test makes the result identical to
-// the all-pairs build.
-func (g *Graph) buildGrid(prm grid.Params) {
+// gridBuildReach cells are considered. The shared PairWalk visits each
+// unordered cell pair once; a pair whose members fit one 2r box at both
+// times is filled as a block, and every other candidate pair is
+// distance-tested exactly once. Both decisions are exact, so the result
+// is identical to the all-pairs build.
+func (g *Graph) buildGrid(w *flatWindow, prm grid.Params) {
 	idx := grid.New(g.pair.Prev, g.ids, prm)
 	walk := idx.NewPairWalk(gridBuildReach)
-	locals := g.resolveCellLocals(walk.Cells())
-	walk.Shard(0, 1, func(a, b int) {
-		la := locals.row(a)
-		if a == b {
-			for i := 0; i < len(la); i++ {
-				for j := i + 1; j < len(la); j++ {
-					g.testEdge(int(la[i]), int(la[j]))
-				}
-			}
-			return
-		}
-		for _, va := range la {
-			for _, vb := range locals.row(b) {
-				g.testEdge(int(va), int(vb))
-			}
+	cb := newCellBlocks(w, g.resolveCellLocals(walk.Cells()))
+	walk.Shard(0, 1, func(a, c int) {
+		if cb.accept(a, c) {
+			cb.fill(g.adj, a, c)
+		} else {
+			cb.testBlock(a, c, g.addEdge)
 		}
 	})
+}
+
+// addEdge adds the edge between local vertices a and c (dense mode).
+func (g *Graph) addEdge(a, c int32) {
+	g.adj[a].Add(int(c))
+	g.adj[c].Add(int(a))
 }
 
 // cellLocals holds the local-index lists of a walk's cells in one arena,
@@ -277,7 +294,7 @@ func (g *Graph) resolveCellLocals(cells []grid.Cell) *cellLocals {
 }
 
 // testEdge adds the edge between local vertices a and b when their
-// devices move consistently (dense mode).
+// devices move consistently (dense mode; the oracle build's test).
 func (g *Graph) testEdge(a, b int) {
 	if g.pair.Adjacent(g.ids[a], g.ids[b], g.r) {
 		g.adj[a].Add(b)
@@ -729,46 +746,86 @@ func (s *bkScratch) putInts(buf []int) { s.ints = append(s.ints, buf) }
 
 // bkOver is Bron–Kerbosch with pivoting over the adjacency rows adj.
 // r, p, x are the usual current clique / candidates / excluded sets over
-// row indices. p and x are consumed by the call. Dense graphs pass their
-// full adjacency; the sparse enumeration passes a densified
-// neighbourhood subgraph, so the recursion is word operations in both
-// modes.
+// row indices. p and x are consumed by the call; r is restored. Dense
+// graphs pass their full adjacency; the sparse enumeration passes a
+// densified neighbourhood subgraph, so the recursion is word operations
+// in both modes.
 func bkOver(adj []*sets.Bits, r, p, x *sets.Bits, sc *bkScratch, report func(*sets.Bits)) {
-	if p.Empty() && x.Empty() {
-		report(r.Clone())
-		return
-	}
-	// Choose the pivot u in p ∪ x maximizing |p ∩ N(u)|.
-	pivot, best := -1, -1
-	consider := func(u int) bool {
-		if c := p.IntersectionLen(adj[u]); c > best {
-			best, pivot = c, u
+	// taken lists the pivots the loop moved into r in place; np and
+	// xEmpty track p's size and x's emptiness across those steps.
+	taken := sc.getInts()
+	np, xEmpty := p.Len(), x.Empty()
+	for {
+		if np == 0 && xEmpty {
+			report(r.Clone())
+			break
 		}
-		return true
+		// Choose the pivot u in x ∪ p maximizing |p ∩ N(u)| (Tomita). No
+		// u can beat |p \ {u}| — rows carry no self bit — so the scan
+		// stops at the first u that reaches it. x goes first: its members
+		// can reach all of p, p's members only |p|-1. Ties may pick
+		// another pivot than a full scan would, which only reorders the
+		// reported cliques; every caller sorts them.
+		pivot, best := -1, -1
+		if !xEmpty {
+			x.ForEach(func(u int) bool {
+				c := p.IntersectionLen(adj[u])
+				if c > best {
+					best, pivot = c, u
+				}
+				return c < np
+			})
+		}
+		if best < np-1 {
+			p.ForEach(func(u int) bool {
+				c := p.IntersectionLen(adj[u])
+				if c > best {
+					best, pivot = c, u
+				}
+				return c < np-1
+			})
+		}
+		if best == np-1 && p.Has(pivot) {
+			// The pivot is adjacent to the rest of p, so its own branch is
+			// the only one and it consumes p and x: take it in place. On an
+			// s-clique the whole enumeration is this loop — s intersection
+			// counts, no recursion.
+			r.Add(pivot)
+			p.Remove(pivot)
+			np--
+			if !xEmpty {
+				x.And(adj[pivot])
+				xEmpty = x.Empty()
+			}
+			taken = append(taken, pivot)
+			continue
+		}
+		cand := sc.get(p)
+		if pivot >= 0 {
+			cand.AndNot(adj[pivot])
+		}
+		members := cand.Members(sc.getInts())
+		sc.put(cand)
+		for _, v := range members {
+			r.Add(v)
+			p2 := sc.get(p)
+			p2.And(adj[v])
+			x2 := sc.get(x)
+			x2.And(adj[v])
+			bkOver(adj, r, p2, x2, sc, report)
+			sc.put(p2)
+			sc.put(x2)
+			r.Remove(v)
+			p.Remove(v)
+			x.Add(v)
+		}
+		sc.putInts(members)
+		break
 	}
-	p.ForEach(consider)
-	x.ForEach(consider)
-
-	cand := sc.get(p)
-	if pivot >= 0 {
-		cand.AndNot(adj[pivot])
+	for _, u := range taken {
+		r.Remove(u)
 	}
-	members := cand.Members(sc.getInts())
-	sc.put(cand)
-	for _, v := range members {
-		r.Add(v)
-		p2 := sc.get(p)
-		p2.And(adj[v])
-		x2 := sc.get(x)
-		x2.And(adj[v])
-		bkOver(adj, r, p2, x2, sc, report)
-		sc.put(p2)
-		sc.put(x2)
-		r.Remove(v)
-		p.Remove(v)
-		x.Add(v)
-	}
-	sc.putInts(members)
+	sc.putInts(taken)
 }
 
 // newGraphAllPairs builds the graph with the reference all-pairs scan
@@ -786,7 +843,7 @@ func newGraphAllPairs(p *Pair, ids []int, r float64) *Graph {
 func newGraphGrid(p *Pair, ids []int, r float64) *Graph {
 	g := newGraphVertices(p, ids, r)
 	g.allocDense()
-	g.buildGrid(grid.ForRadius(r))
+	g.buildGrid(newFlatWindow(g), grid.ForRadius(r))
 	return g
 }
 
@@ -797,6 +854,6 @@ func newGraphSparse(p *Pair, ids []int, r float64, workers int) *Graph {
 	g := newGraphVertices(p, ids, r)
 	prm := grid.ForRadius(r)
 	gridOK := prm.Res <= gridBuildMaxRes && gridBuildWorthwhile(p.Dim(), len(g.ids))
-	g.buildCollected(prm, gridOK, workers, true)
+	g.buildCollected(newFlatWindow(g), prm, gridOK, workers, true)
 	return g
 }

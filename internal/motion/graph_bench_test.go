@@ -118,6 +118,17 @@ func BenchmarkNewGraph(b *testing.B) {
 			})
 		}
 	}
+	b.Run("storm/m=3000", func(b *testing.B) {
+		// The storm-200k window shape: six 500-device R2 clusters (3,000
+		// devices, each one r-consistent block) plus 40 lone gateways.
+		pair := r2Storm(b, 6, 40, 0)
+		ids := allIds(pair.N())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			NewGraph(pair, ids, r2Radius)
+		}
+	})
 	b.Run("grid/sparse/n=1000000", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("million-device window build is for the full bench run")
@@ -130,6 +141,26 @@ func BenchmarkNewGraph(b *testing.B) {
 			NewGraph(pair, ids, benchMillionRadius)
 		}
 	})
+}
+
+// BenchmarkMaximalMotionsOfComponent measures the per-component
+// enumeration on one s-clique — a DSLAM-sized motion and four times
+// that. The densification range-copies each row and the bounded pivot
+// makes one intersection count per recursion level, so the cost should
+// grow near-linearly in s at these sizes, not with s² or s³.
+func BenchmarkMaximalMotionsOfComponent(b *testing.B) {
+	for _, s := range []int{500, 2000} {
+		b.Run(fmt.Sprintf("clique/s=%d", s), func(b *testing.B) {
+			pair, r, _ := cliquePair(b, s, 0, false)
+			g := NewGraph(pair, allIds(s), r)
+			cs := g.Components()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.MaximalMotionsOfComponent(0, cs)
+			}
+		})
+	}
 }
 
 // TestNewGraphGridAllocs pins the allocation profile of the dense grid

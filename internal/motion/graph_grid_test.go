@@ -11,13 +11,19 @@ import (
 )
 
 // sameAdjacency fails the test unless the two graphs have identical
-// vertex sets and identical edge sets.
+// vertex sets, identical edge sets and identical degrees (which also
+// rules out a stray self bit in a row).
 func sameAdjacency(t *testing.T, label string, got, want *Graph) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d vertices, want %d", label, got.Len(), want.Len())
 	}
 	ids := want.Ids()
+	for _, id := range ids {
+		if g, w := got.Degree(id), want.Degree(id); g != w {
+			t.Fatalf("%s: Degree(%d) = %d, want %d", label, id, g, w)
+		}
+	}
 	for i := 0; i < len(ids); i++ {
 		for j := i + 1; j < len(ids); j++ {
 			g, w := got.Adjacent(ids[i], ids[j]), want.Adjacent(ids[i], ids[j])
@@ -114,6 +120,35 @@ func TestNewGraphGridMatchesAllPairs(t *testing.T) {
 		subset = append(subset, -3, n+17)
 		sameAdjacency(t, label+" subset", newGraphGrid(pair, subset, r), newGraphAllPairs(pair, subset, r))
 	}
+
+	// R2 mass events: clusters inside one cell and straddling two and
+	// four, one-ulp blocks at either time, coincident devices — whole
+	// windows and non-contiguous subsets, through the grid build and
+	// through NewGraph.
+	for _, fx := range r2Fixtures(t) {
+		n := fx.pair.N()
+		ids := allIds(n)
+		oracle := newGraphAllPairs(fx.pair, ids, r2Radius)
+		sameAdjacency(t, fx.name, newGraphGrid(fx.pair, ids, r2Radius), oracle)
+		sameAdjacency(t, fx.name+" NewGraph", NewGraph(fx.pair, ids, r2Radius), oracle)
+		var subset []int
+		for j := 0; j < n; j++ {
+			if rng.Float64() < 0.6 {
+				subset = append(subset, j)
+			}
+		}
+		sameAdjacency(t, fx.name+" subset", newGraphGrid(fx.pair, subset, r2Radius), newGraphAllPairs(fx.pair, subset, r2Radius))
+	}
+
+	// An R2 storm of at least sparseMinVertices vertices takes the
+	// collected build, whose edge density picks dense rows.
+	storm := r2CollectedStorm(t)
+	ids := allIds(storm.N())
+	g := NewGraph(storm, ids, r2Radius)
+	if g.Len() < sparseMinVertices || g.Sparse() {
+		t.Fatalf("storm: %d vertices, sparse=%v; want >= %d vertices in dense rows", g.Len(), g.Sparse(), sparseMinVertices)
+	}
+	sameAdjacency(t, "storm", g, newGraphAllPairs(storm, ids, r2Radius))
 }
 
 // TestNewGraphUsesGridBuild pins the dispatch thresholds: big vertex

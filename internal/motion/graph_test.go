@@ -1,6 +1,7 @@
 package motion
 
 import (
+	"fmt"
 	"testing"
 
 	"anomalia/internal/sets"
@@ -176,6 +177,57 @@ func TestBronKerboschAgainstBruteForce(t *testing.T) {
 			}
 			if !sameFamily(gotJ, wantJ) {
 				t.Fatalf("trial %d vertex %d: containing = %v, want %v", trial, j, gotJ, wantJ)
+			}
+		}
+	}
+
+	// Cliques and cliques less one edge, whose maximal motions are known
+	// in closed form (the brute force cross-checks the smallest): the
+	// whole-graph, per-vertex and per-component enumerations must all
+	// find them, with the clique at word-aligned and unaligned offsets.
+	for _, s := range cliqueSizes {
+		for _, lead := range []int{0, 3} {
+			for _, minusOne := range []bool{false, true} {
+				pair, r, want := cliquePair(t, s, lead, minusOne)
+				label := fmt.Sprintf("s=%d lead=%d minusOne=%v", s, lead, minusOne)
+				if n := pair.N(); n <= 11 {
+					if brute := bruteMaximalCliques(pair, n, r); !sameFamily(brute, want) {
+						t.Fatalf("%s: fixture wrong: brute = %v, want %v", label, brute, want)
+					}
+				}
+				g := NewGraph(pair, allIds(pair.N()), r)
+				if got := g.MaximalMotions(); !sameFamily(got, want) {
+					t.Fatalf("%s: BK = %v, want %v", label, got, want)
+				}
+				for _, j := range []int{0, lead, lead + s/2, lead + s - 1} {
+					var wantJ [][]int
+					for _, m := range want {
+						if sets.ContainsInt(m, j) {
+							wantJ = append(wantJ, m)
+						}
+					}
+					if got := g.MaximalMotionsContaining(j); !sameFamily(got, wantJ) {
+						t.Fatalf("%s vertex %d: containing = %v, want %v", label, j, got, wantJ)
+					}
+				}
+				cs := g.Components()
+				c := cs.Of(lead)
+				var wantC [][]int
+				for _, m := range want {
+					if cs.Of(m[0]) == c {
+						wantC = append(wantC, m)
+					}
+				}
+				got, bits := g.MaximalMotionsOfComponent(c, cs)
+				if !sameFamily(got, wantC) {
+					t.Fatalf("%s: component motions = %v, want %v", label, got, wantC)
+				}
+				for i, b := range bits {
+					back := cs.AppendIds(b, c, nil)
+					if !sameFamily([][]int{back}, [][]int{got[i]}) {
+						t.Fatalf("%s: component bitset %d = %v, ids %v", label, i, back, got[i])
+					}
+				}
 			}
 		}
 	}

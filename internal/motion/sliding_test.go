@@ -74,6 +74,19 @@ func TestSlidingWindowMatchesBronKerbosch(t *testing.T) {
 			t.Fatalf("trial %d vertex %d: BK %v != sliding %v", trial, j, bkJ, swJ)
 		}
 	}
+
+	// Cliques and cliques less one edge, up to a DSLAM-sized motion.
+	for _, s := range cliqueSizes {
+		for _, minusOne := range []bool{false, true} {
+			pair, r, want := cliquePair(t, s, 0, minusOne)
+			ids := allIds(pair.N())
+			bk := NewGraph(pair, ids, r).MaximalMotions()
+			sw := SlidingWindowMotions(pair, ids, r)
+			if !sameFamily(bk, sw) || !sameFamily(bk, want) {
+				t.Fatalf("s=%d minusOne=%v: BK %v, sliding %v, want %v", s, minusOne, bk, sw, want)
+			}
+		}
+	}
 }
 
 // TestSlidingWindow1D exercises the d=1 special case (2 window dims).

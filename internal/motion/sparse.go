@@ -17,30 +17,24 @@ import (
 //
 // Construction pipeline:
 //
-//  1. Flatten the two states' coordinates into per-vertex arrays, so the
-//     inner adjacency test is a branch-cheap scan over contiguous memory
-//     with per-axis early exit.
+//  1. Test against the window's flattened coordinates (flatWindow), so
+//     the inner adjacency test is a branch-cheap scan over contiguous
+//     memory with per-axis early exit.
 //  2. Shard the grid's cell-pair walk across workers; each worker
-//     distance-tests its candidate pairs and appends surviving edges to
-//     a private buffer (no shared state, no locks).
-//  3. Pick the representation from the measured edge count: windows so
-//     edge-dense that the CSR arena would be no smaller than the dense
-//     bitset rows fill the rows straight from the buffers (word-parallel
+//     records the cell pairs that pass the block accept (block.go) and
+//     distance-tests the candidate pairs of every other cell pair,
+//     appending surviving edges to a private buffer (no shared state,
+//     no locks).
+//  3. Pick the representation from the measured edge count, blocks
+//     included: windows so edge-dense that the CSR arena would be no
+//     smaller than the dense bitset rows fill the rows straight from
+//     the buffers and OR each block's member masks (word-parallel
 //     enumeration, no per-row merge+sort); everything else merges the
-//     buffers into one CSR arena — offsets plus neighbours, 2
-//     allocations regardless of m — via a count / prefix-sum / fill
-//     pass, then sorts each row. Sorted rows make the arena a pure
-//     function of the edge set: the same adjacency comes out for every
-//     worker count and shard interleaving.
-
-// sparseBuilder carries the flattened window the workers test against.
-type sparseBuilder struct {
-	g     *Graph
-	dim   int
-	lim   float64 // the 2r adjacency threshold
-	prevF []float64
-	curF  []float64
-}
+//     buffers and the expanded blocks into one CSR arena — offsets plus
+//     neighbours, 2 allocations regardless of m — via a count /
+//     prefix-sum / fill pass, then sorts each row. Sorted rows make the
+//     arena a pure function of the edge set: the same adjacency comes
+//     out for every worker count and shard interleaving.
 
 // buildCollected constructs the adjacency for graphs at or above
 // sparseMinVertices: collect the edge set into per-worker buffers, then
@@ -51,7 +45,7 @@ type sparseBuilder struct {
 // (exponential high-dimension fan-out, degenerate resolution) the
 // workers stripe an all-pairs scan instead. workers <= 0 selects
 // GOMAXPROCS.
-func (g *Graph) buildCollected(prm grid.Params, gridOK bool, workers int, forceCSR bool) {
+func (g *Graph) buildCollected(w *flatWindow, prm grid.Params, gridOK bool, workers int, forceCSR bool) {
 	m := len(g.ids)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -62,29 +56,30 @@ func (g *Graph) buildCollected(prm grid.Params, gridOK bool, workers int, forceC
 	if workers < 1 {
 		workers = 1
 	}
-	d := g.pair.Dim()
-	b := &sparseBuilder{
-		g:     g,
-		dim:   d,
-		lim:   2 * g.r,
-		prevF: make([]float64, m*d),
-		curF:  make([]float64, m*d),
-	}
-	for li, id := range g.ids {
-		copy(b.prevF[li*d:(li+1)*d], g.pair.Prev.At(id))
-		copy(b.curF[li*d:(li+1)*d], g.pair.Cur.At(id))
-	}
-	var bufs [][]uint64
+	var (
+		bufs   [][]uint64
+		cb     *cellBlocks
+		blocks []uint64
+	)
 	if gridOK {
-		bufs = b.collectGrid(prm, workers)
+		bufs, cb, blocks = collectGrid(g, w, prm, workers)
 	} else {
-		bufs = b.collectAllPairs(workers)
+		bufs = collectAllPairs(w, m, workers)
 	}
-	if !forceCSR && denseWorthwhile(m, countEdges(bufs)) {
+	edges := countEdges(bufs)
+	for _, bl := range blocks {
+		a, c := unpack(bl)
+		edges += cb.edges(int(a), int(c))
+	}
+	if !forceCSR && denseWorthwhile(m, edges) {
 		g.denseFromEdges(bufs)
+		for _, bl := range blocks {
+			a, c := unpack(bl)
+			cb.fill(g.adj, int(a), int(c))
+		}
 		return
 	}
-	g.mergeCSR(bufs, workers)
+	g.mergeCSR(bufs, cb, blocks, workers)
 }
 
 // countEdges totals the collected edge buffers.
@@ -114,39 +109,9 @@ func (g *Graph) denseFromEdges(bufs [][]uint64) {
 	g.allocDense()
 	for _, buf := range bufs {
 		for _, e := range buf {
-			a, c := unpack(e)
-			g.adj[a].Add(int(c))
-			g.adj[c].Add(int(a))
+			g.addEdge(unpack(e))
 		}
 	}
-}
-
-// adjacent is the inlined edge test over the flattened coordinates:
-// uniform-norm distance <= 2r at both times, with per-axis early exit.
-// Semantics match Pair.Adjacent exactly (an axis never rejects on NaN in
-// either formulation).
-func (b *sparseBuilder) adjacent(a, c int32) bool {
-	d := b.dim
-	pa, pc := int(a)*d, int(c)*d
-	for k := 0; k < d; k++ {
-		delta := b.prevF[pa+k] - b.prevF[pc+k]
-		if delta < 0 {
-			delta = -delta
-		}
-		if delta > b.lim {
-			return false
-		}
-	}
-	for k := 0; k < d; k++ {
-		delta := b.curF[pa+k] - b.curF[pc+k]
-		if delta < 0 {
-			delta = -delta
-		}
-		if delta > b.lim {
-			return false
-		}
-	}
-	return true
 }
 
 // pack encodes an edge as one word for the per-worker buffers.
@@ -186,53 +151,44 @@ func (s *edgeSink) done() [][]uint64 {
 }
 
 // collectGrid runs the sharded cell-pair walk: every unordered candidate
-// pair is tested by exactly one worker (the one owning the
+// pair is decided by exactly one worker (the one owning the
 // lexicographically smaller cell), so the union of the buffers holds
-// every edge exactly once.
-func (b *sparseBuilder) collectGrid(prm grid.Params, workers int) [][]uint64 {
-	idx := grid.New(b.g.pair.Prev, b.g.ids, prm)
+// every edge exactly once — either in an edge buffer or inside one
+// accepted block. The returned blocks are packed cell-index pairs into
+// cb's walk order.
+func collectGrid(g *Graph, w *flatWindow, prm grid.Params, workers int) ([][]uint64, *cellBlocks, []uint64) {
+	idx := grid.New(g.pair.Prev, g.ids, prm)
 	walk := idx.NewPairWalk(gridBuildReach)
-	locals := b.g.resolveCellLocals(walk.Cells())
-	if workers > len(walk.Cells()) {
-		workers = len(walk.Cells())
+	cb := newCellBlocks(w, g.resolveCellLocals(walk.Cells()))
+	if cells := len(walk.Cells()); workers > cells {
+		workers = cells
 	}
 	if workers < 1 {
 		workers = 1
 	}
 	bufs := make([][][]uint64, workers)
+	blocks := make([][]uint64, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(wk int) {
 			defer wg.Done()
 			var sink edgeSink
-			walk.Shard(w, workers, func(a, c int) {
-				la := locals.row(a)
-				if a == c {
-					for i := 0; i < len(la); i++ {
-						va := la[i]
-						for j := i + 1; j < len(la); j++ {
-							if b.adjacent(va, la[j]) {
-								sink.add(pack(va, la[j]))
-							}
-						}
-					}
-					return
-				}
-				lc := locals.row(c)
-				for _, va := range la {
-					for _, vc := range lc {
-						if b.adjacent(va, vc) {
-							sink.add(pack(va, vc))
-						}
-					}
+			var accepted []uint64
+			edge := func(va, vc int32) { sink.add(pack(va, vc)) }
+			walk.Shard(wk, workers, func(a, c int) {
+				if cb.accept(a, c) {
+					accepted = append(accepted, pack(int32(a), int32(c)))
+				} else {
+					cb.testBlock(a, c, edge)
 				}
 			})
-			bufs[w] = sink.done()
-		}(w)
+			bufs[wk] = sink.done()
+			blocks[wk] = accepted
+		}(wk)
 	}
 	wg.Wait()
-	return flattenChunks(bufs)
+	return flattenChunks(bufs), cb, slices.Concat(blocks...)
 }
 
 // flattenChunks concatenates the workers' chunk lists (chunk order is
@@ -247,37 +203,37 @@ func flattenChunks(bufs [][][]uint64) [][]uint64 {
 
 // collectAllPairs stripes the quadratic scan across workers (vertex a of
 // every pair (a, c), a < c, belongs to exactly one stripe).
-func (b *sparseBuilder) collectAllPairs(workers int) [][]uint64 {
-	m := len(b.g.ids)
+func collectAllPairs(w *flatWindow, m, workers int) [][]uint64 {
 	bufs := make([][][]uint64, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(wk int) {
 			defer wg.Done()
 			var sink edgeSink
-			for a := w; a < m; a += workers {
+			for a := wk; a < m; a += workers {
 				for c := a + 1; c < m; c++ {
-					if b.adjacent(int32(a), int32(c)) {
+					if w.adjacent(int32(a), int32(c)) {
 						sink.add(pack(int32(a), int32(c)))
 					}
 				}
 			}
-			bufs[w] = sink.done()
-		}(w)
+			bufs[wk] = sink.done()
+		}(wk)
 	}
 	wg.Wait()
 	return flattenChunks(bufs)
 }
 
-// mergeCSR folds the per-worker edge buffers into the shared CSR arena:
-// count degrees, prefix-sum into offsets, fill, then sort each row.
-// The arena is exactly 2 allocations (offsets + neighbours); the count
-// and cursor arrays are transient. Sorted rows make membership a binary
-// search, densification a linear merge, and the arena content a pure
-// function of the edge set — independent of worker count and of the
-// order shards emitted edges (TestSparseBuildDeterministic).
-func (g *Graph) mergeCSR(bufs [][]uint64, workers int) {
+// mergeCSR folds the per-worker edge buffers and the accepted blocks of
+// cb into the shared CSR arena: count degrees, prefix-sum into offsets,
+// fill, then sort each row. The arena is exactly 2 allocations (offsets
+// + neighbours); the count and cursor arrays are transient. Sorted rows
+// make membership a binary search, densification a linear merge, and
+// the arena content a pure function of the edge set — independent of
+// worker count and of the order shards emitted edges
+// (TestSparseBuildDeterministic).
+func (g *Graph) mergeCSR(bufs [][]uint64, cb *cellBlocks, blocks []uint64, workers int) {
 	m := len(g.ids)
 	off := make([]int64, m+1)
 	for _, buf := range bufs {
@@ -285,6 +241,22 @@ func (g *Graph) mergeCSR(bufs [][]uint64, workers int) {
 			a, c := unpack(e)
 			off[a+1]++
 			off[c+1]++
+		}
+	}
+	for _, bl := range blocks {
+		a, c := unpack(bl)
+		la, lc := cb.locals.row(int(a)), cb.locals.row(int(c))
+		if a == c {
+			for _, v := range la {
+				off[v+1] += int64(len(la) - 1)
+			}
+			continue
+		}
+		for _, v := range la {
+			off[v+1] += int64(len(lc))
+		}
+		for _, v := range lc {
+			off[v+1] += int64(len(la))
 		}
 	}
 	for v := 0; v < m; v++ {
@@ -300,6 +272,27 @@ func (g *Graph) mergeCSR(bufs [][]uint64, workers int) {
 			cur[a]++
 			nbr[cur[c]] = a
 			cur[c]++
+		}
+	}
+	for _, bl := range blocks {
+		a, c := unpack(bl)
+		la, lc := cb.locals.row(int(a)), cb.locals.row(int(c))
+		if a == c {
+			for _, v := range la {
+				for _, u := range la {
+					if u != v {
+						nbr[cur[v]] = u
+						cur[v]++
+					}
+				}
+			}
+			continue
+		}
+		for _, v := range la {
+			cur[v] += int64(copy(nbr[cur[v]:], lc))
+		}
+		for _, v := range lc {
+			cur[v] += int64(copy(nbr[cur[v]:], la))
 		}
 	}
 	if workers > m {

@@ -132,6 +132,26 @@ func TestSparseMatchesDense(t *testing.T) {
 		sameGraph(t, label+" subset", rng,
 			newGraphSparse(pair, subset, r, workers), newGraphAllPairs(pair, subset, r))
 	}
+
+	// R2 mass events, whose accepted blocks the CSR merge expands: the
+	// full read API and every enumeration must still agree.
+	for i, fx := range r2Fixtures(t) {
+		ids := allIds(fx.pair.N())
+		oracle := newGraphAllPairs(fx.pair, ids, r2Radius)
+		sparse := newGraphSparse(fx.pair, ids, r2Radius, 1+i%3)
+		sameGraph(t, fx.name, rng, sparse, oracle)
+		sameMotionFamilies(t, fx.name, sparse, oracle)
+	}
+
+	// The same storm window NewGraph builds into dense rows, pinned to
+	// the CSR arena.
+	storm := r2CollectedStorm(t)
+	ids := allIds(storm.N())
+	sparse := newGraphSparse(storm, ids, r2Radius, 2)
+	if !sparse.Sparse() {
+		t.Fatal("storm: forced sparse build is not in sparse mode")
+	}
+	sameGraph(t, "storm", rng, sparse, newGraphAllPairs(storm, ids, r2Radius))
 }
 
 // TestSparseMatchesDenseHighDimension: when the geometry rules the grid

@@ -258,6 +258,62 @@ func (b *Bits) ProjectInto(dst *Bits, rank []int32) {
 	})
 }
 
+// CopyRange overwrites b with the members of src in [lo, lo+n), shifted
+// down by lo, where n is b's universe — ProjectInto for the contiguous
+// rank i ↦ i-lo, done with word shifts instead of bit by bit. lo must
+// be non-negative; b and src may have different universes.
+func (b *Bits) CopyRange(src *Bits, lo int) {
+	ws, sh := lo/wordBits, uint(lo%wordBits)
+	from := src.words[min(ws, len(src.words)):]
+	i := 0
+	if sh == 0 {
+		i = copy(b.words, from)
+	} else {
+		for ; i < len(b.words) && i+1 < len(from); i++ {
+			b.words[i] = from[i]>>sh | from[i+1]<<(wordBits-sh)
+		}
+		if i < len(b.words) && i < len(from) {
+			b.words[i] = from[i] >> sh
+			i++
+		}
+	}
+	clear(b.words[i:])
+	if tail := b.n % wordBits; tail != 0 {
+		b.words[len(b.words)-1] &= 1<<uint(tail) - 1
+	}
+}
+
+// OrWords ORs src into b word by word, starting at word index w0: bit i
+// of src[k] becomes member (w0+k)·64+i. It fills a precomputed member
+// mask into a set in span-many word operations; the mask must lie
+// inside b's universe.
+func (b *Bits) OrWords(w0 int, src []uint64) {
+	dst := b.words[w0 : w0+len(src)]
+	for i, w := range src {
+		dst[i] |= w
+	}
+}
+
+// AppendNew appends every member of b that is not in seen to dst, in
+// increasing order, adds those members to seen, and returns the
+// extended slice — the frontier step of a word-parallel breadth-first
+// search. b and seen must share a universe.
+func (b *Bits) AppendNew(seen *Bits, dst []int32) []int32 {
+	for wi, w := range b.words {
+		w &^= seen.words[wi]
+		if w == 0 {
+			continue
+		}
+		seen.words[wi] |= w
+		base := wi * wordBits
+		for w != 0 {
+			dst = append(dst, int32(base+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
 // Members appends the elements of the set, in increasing order, to dst and
 // returns the extended slice. Pass nil to allocate.
 func (b *Bits) Members(dst []int) []int {

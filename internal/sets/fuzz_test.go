@@ -4,10 +4,13 @@ import "testing"
 
 // FuzzBitsAlgebra checks De Morgan-ish identities of the bitset algebra
 // on arbitrary member lists: |A| + |B| = |A ∪ B| + |A ∩ B|, and
-// A \ B = A ∩ ¬B behaviourally.
+// A \ B = A ∩ ¬B behaviourally; and the word-shift range copy against
+// the bit-by-bit projection it replaces.
 func FuzzBitsAlgebra(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{3, 4, 5})
 	f.Add([]byte{}, []byte{0})
+	f.Add([]byte{0, 63, 64, 65, 127, 128, 199}, []byte{65, 135})
+	f.Add([]byte{10, 70, 130, 190}, []byte{64, 136, 3})
 	f.Fuzz(func(t *testing.T, xs, ys []byte) {
 		const universe = 200
 		a, b := NewBits(universe), NewBits(universe)
@@ -41,6 +44,30 @@ func FuzzBitsAlgebra(f *testing.F) {
 		if !rebuilt.Equal(a) {
 			t.Fatal("Members/BitsOf round trip changed the set")
 		}
+		// CopyRange is ProjectInto through the contiguous rank i ↦ i-lo,
+		// at any offset (word-aligned or not) and destination universe
+		// (with or without a partial tail word); offset and universe come
+		// from B's first two bytes.
+		lo, n := 0, universe
+		if len(ys) > 0 {
+			lo = int(ys[0]) % (universe + 1)
+		}
+		if len(ys) > 1 {
+			n = int(ys[1]) % (universe + 1)
+		}
+		ranged := b.Clone() // stale members: CopyRange must overwrite
+		ranged.Resize(n)
+		ranged.Or(BitsOf(n, xs2ints(xs)...))
+		ranged.CopyRange(a, lo)
+		rank := make([]int32, universe)
+		for i := range rank {
+			rank[i] = int32(i - lo)
+		}
+		projected := NewBits(n)
+		a.ProjectInto(projected, rank)
+		if !ranged.Equal(projected) {
+			t.Fatalf("CopyRange(lo=%d, n=%d) = %v, ProjectInto = %v", lo, n, ranged, projected)
+		}
 	})
 }
 
@@ -69,4 +96,13 @@ func FuzzCanonIdempotent(f *testing.F) {
 			}
 		}
 	})
+}
+
+// xs2ints widens fuzz bytes to member indices.
+func xs2ints(xs []byte) []int {
+	out := make([]int, len(xs))
+	for i, x := range xs {
+		out[i] = int(x)
+	}
+	return out
 }

@@ -161,6 +161,11 @@ func defaultConfig() config {
 	}
 }
 
+// core returns the characterization parameters.
+func (c config) core() core.Config {
+	return core.Config{R: c.radius, Tau: c.tau, Exact: c.exact, Budget: c.budget}
+}
+
 // Option customizes Characterize, CharacterizeDevice and NewMonitor.
 type Option func(*config)
 
@@ -387,12 +392,12 @@ func WithDetectorFactory(factory func(device, service int) (Detector, error)) Op
 }
 
 // WithMetrics instruments the Monitor against the given registry: per
-// window it records tick latency by phase, the abnormal-set size and
-// churn, advance-vs-rebuild decisions, the health split with its
-// lifetime counters, the networked-directory wire ledger, and a
-// GC/heap sample. The metric families are listed in the Observability
+// tick it records latency by phase, the abnormal-set size and churn,
+// and advance-vs-rebuild decisions; on scrape it fills the health split
+// with its lifetime counters, the networked-directory wire ledger, and
+// a GC/heap sample. The metric families are listed in the Observability
 // section of the package documentation. Recording is a handful of
-// atomic stores per window — no allocation, no lock — so an
+// atomic stores per tick — no allocation, no lock — so an
 // instrumented quiet tick costs what a plain one does; serve the
 // registry's Handler (or call WritePrometheus) from any goroutine to
 // scrape it. Ignored by Characterize, which has no window loop.
@@ -459,29 +464,9 @@ func Characterize(prev, cur [][]float64, abnormal []int, opts ...Option) (*Outco
 	if err != nil {
 		return nil, err
 	}
-	return characterizePair(pair, abnormal, cfg)
-}
-
-// characterizePair runs the core procedure over a validated state pair.
-func characterizePair(pair *motion.Pair, abnormal []int, cfg config) (*Outcome, error) {
-	if cfg.distributed {
-		return characterizeDistributed(pair, abnormal, cfg)
-	}
-	char, err := core.New(pair, abnormal, core.Config{
-		R: cfg.radius, Tau: cfg.tau, Exact: cfg.exact, Budget: cfg.budget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	results, err := char.CharacterizeAll()
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{Reports: make([]Report, 0, len(results))}
-	for _, res := range results {
-		out.addReport(res)
-	}
-	return out, nil
+	// A one-shot window is the Monitor's decision with no retained
+	// directory and no client.
+	return (&Monitor{cfg: cfg}).characterizeWindow(pair, abnormal)
 }
 
 // addReport appends one device's result, folding its verdict into the
@@ -497,45 +482,6 @@ func (o *Outcome) addReport(res core.Result) {
 	default:
 		o.Unresolved = append(o.Unresolved, rep.Device)
 	}
-}
-
-// characterizeDistributed decides the window the way a real deployment
-// would: abnormal trajectories go into a sharded directory and every
-// abnormal device characterizes itself on its fetched 4r view. The cell
-// side is 2r so a view spans at most two cells per axis.
-func characterizeDistributed(pair *motion.Pair, abnormal []int, cfg config) (*Outcome, error) {
-	coreCfg, err := validateDistConfig(pair, cfg)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := dist.NewDirectory(pair, abnormal, cfg.radius)
-	if err != nil {
-		return nil, err
-	}
-	return decideDistributed(dir, coreCfg)
-}
-
-// validateDistConfig validates the characterization config first so a
-// bad radius or tau surfaces as the same error the centralized path
-// reports, not as an internal grid-parameter complaint from the
-// directory build.
-func validateDistConfig(pair *motion.Pair, cfg config) (core.Config, error) {
-	coreCfg := core.Config{R: cfg.radius, Tau: cfg.tau, Exact: cfg.exact, Budget: cfg.budget}
-	if _, err := core.New(pair, nil, coreCfg); err != nil {
-		return core.Config{}, err
-	}
-	return coreCfg, nil
-}
-
-// decideDistributed batches a whole window's decisions against a built
-// (or advanced) directory and folds them into an Outcome with the
-// summed directory traffic.
-func decideDistributed(dir *dist.Directory, coreCfg core.Config) (*Outcome, error) {
-	decisions, total, err := dist.DecideAll(dir, coreCfg)
-	if err != nil {
-		return nil, err
-	}
-	return outcomeFromDecisions(decisions, total), nil
 }
 
 // outcomeFromDecisions folds one window's decisions — computed
@@ -568,9 +514,7 @@ func CharacterizeDevice(prev, cur [][]float64, abnormal []int, device int, opts 
 	if err != nil {
 		return Report{}, err
 	}
-	char, err := core.New(pair, abnormal, core.Config{
-		R: cfg.radius, Tau: cfg.tau, Exact: cfg.exact, Budget: cfg.budget,
-	})
+	char, err := core.New(pair, abnormal, cfg.core())
 	if err != nil {
 		return Report{}, err
 	}

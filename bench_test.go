@@ -433,7 +433,7 @@ func BenchmarkTickBare1M(b *testing.B) {
 	cfg.exact = false
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := characterizePair(pair, faulty, cfg); err != nil {
+		if _, err := (&Monitor{cfg: cfg}).characterizeWindow(pair, faulty); err != nil {
 			b.Fatal(err)
 		}
 	}

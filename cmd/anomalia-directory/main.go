@@ -27,8 +27,8 @@
 // (anomalia_dirsrv_connections_total, anomalia_dirsrv_requests_total,
 // anomalia_dirsrv_request_errors_total,
 // anomalia_dirsrv_bytes_total{direction=read|written}, and the held
-// window sequence anomalia_dirsrv_window_seq) plus a runtime GC/heap
-// sample refreshed on scrape.
+// window sequence anomalia_dirsrv_window_seq) plus the anomalia_go_*
+// runtime GC/heap sample, all refreshed on scrape.
 package main
 
 import (
@@ -38,7 +38,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 
 	"anomalia/internal/dirnet"
 	"anomalia/internal/metrics"
@@ -96,7 +95,7 @@ func run(args []string, errOut io.Writer, ready func(l net.Listener, srv *dirnet
 }
 
 // metricsHandler builds the shard's registry: the dirnet server's wire
-// counters and a runtime sample, both refreshed by an OnScrape hook —
+// counters and the runtime sample, both refreshed by OnScrape hooks —
 // a shard has no per-window loop to feed them from, and sampling on
 // scrape is exactly as fresh.
 func metricsHandler(srv *dirnet.Server) http.Handler {
@@ -107,9 +106,6 @@ func metricsHandler(srv *dirnet.Server) http.Handler {
 	bytesRead := reg.Counter("anomalia_dirsrv_bytes_total", "Frame bytes moved, prefix included.", metrics.Label{Name: "direction", Value: "read"})
 	bytesWritten := reg.Counter("anomalia_dirsrv_bytes_total", "Frame bytes moved, prefix included.", metrics.Label{Name: "direction", Value: "written"})
 	seq := reg.Gauge("anomalia_dirsrv_window_seq", "Window sequence the directory currently holds (0 = none).")
-	heap := reg.Gauge("anomalia_go_heap_alloc_bytes", "Live heap bytes, sampled on scrape.")
-	gcCycles := reg.Counter("anomalia_go_gc_cycles_total", "Completed GC cycles, sampled on scrape.")
-	gcPause := reg.Counter("anomalia_go_gc_pause_ns_total", "Cumulative GC stop-the-world pause, sampled on scrape.")
 	reg.OnScrape(func() {
 		c := srv.Counters()
 		conns.Set(c.Connections)
@@ -118,11 +114,7 @@ func metricsHandler(srv *dirnet.Server) http.Handler {
 		bytesRead.Set(c.BytesRead)
 		bytesWritten.Set(c.BytesWritten)
 		seq.Set(float64(srv.Seq()))
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		heap.Set(float64(ms.HeapAlloc))
-		gcCycles.Set(int64(ms.NumGC))
-		gcPause.Set(int64(ms.PauseTotalNs))
 	})
+	metrics.RegisterRuntime(reg)
 	return reg.Handler()
 }

@@ -120,18 +120,22 @@
 //
 // The paper's detection layer (Section III-A) is a per-device local
 // test: device j's error-detection function looks only at j's own QoS
-// samples. Monitor.Observe exploits that independence — snapshot
-// validation and the detector walk are sharded across WithIngestWorkers
-// goroutines (default GOMAXPROCS) over contiguous device ranges, with
-// per-shard abnormal-id buffers concatenated in shard order, so the
-// abnormal set handed to characterization is byte-identical to a serial
-// walk whatever the worker count (pinned by a parity suite run under
-// the race detector). The walk is two-phase: every row is validated —
-// width, and non-finite values rejected by name, since v < 0 || v > 1
-// is false for NaN — before the first detector consumes a sample, so a
-// rejected snapshot leaves the monitor exactly as it was, while an
-// error after acceptance (e.g. an exact-search budget) reports a
-// consumed observation whose clock and buffers advanced coherently.
+// samples. Monitor.Observe exploits that independence — row
+// classification and the detector walk are sharded across
+// WithIngestWorkers goroutines (default GOMAXPROCS) over contiguous
+// device ranges, with per-shard abnormal-id buffers concatenated in
+// shard order, so the abnormal set handed to characterization is
+// byte-identical to a serial walk whatever the worker count (pinned by
+// a parity suite run under the race detector). Observe and
+// ObservePartial share one tick: classify every row, then walk. Each
+// row is classified clean or not — present, the right width, and
+// finite, since v < 0 || v > 1 is false for NaN — before the first
+// detector consumes a sample. Observe's strict policy rejects the
+// snapshot on the lowest unclean row, so a rejected snapshot leaves the
+// monitor exactly as it was, while an error after acceptance (e.g. an
+// exact-search budget) reports a consumed observation whose clock and
+// buffers advanced coherently; ObservePartial hands the verdicts to the
+// health state machine instead (see Degraded operation).
 //
 // Feeding snapshots in, cmd/anomalia-gateway reads either CSV (one row
 // per discrete time, parsed into reused buffers) or the binary stream
@@ -141,11 +145,11 @@
 // several times the CSV rate at large n (BenchmarkIngest) — and
 // -convert bridges existing CSV archives to it. cmd/anomalia-sim
 // -emit generates either format from the Section VII-A workload, so
-// the two binaries compose into an end-to-end pipeline. At n = 1M the
-// full streaming tick (decode, validate, copy, walk a million
-// detectors, characterize the window's mass event) stays within ~2x
-// of the bare characterization of the same window, and a quiet tick
-// runs allocation-free (BENCH_6.json; both gated in CI).
+// the two binaries compose into an end-to-end pipeline. CI gates the
+// n = 1M streaming tick (decode, classify, copy, walk a million
+// detectors, characterize the window's mass event) against the bare
+// characterization of the same window, and the quiet tick's
+// allocations.
 //
 // Verdicts leave as JSON window records (Outcome.MarshalJSON, one per
 // anomalous window under anomalia-gateway -json). Each distinct dense
@@ -186,7 +190,7 @@
 // fully clean tick over an all-live fleet takes a fast path that
 // proves it equivalent to Observe before touching any per-device
 // health state, so the idle health layer is free — the quiet n = 1M
-// ObservePartial tick matches the plain quiet tick's ~1 allocation and
+// ObservePartial tick matches the plain quiet tick's allocations and
 // latency (BenchmarkTickObservePartial1M; gated in CI).
 //
 // cmd/anomalia-gateway applies the same discipline to the wire: by
@@ -293,9 +297,8 @@
 //     mass event shares one family, so a cluster costs one split, not
 //     one per member, and its members' Results share the family's
 //     Dense, J and L slices read-only. Only the exact Theorem 7 /
-//     Corollary 8 search runs per device. The BENCH_*.json files record
-//     the all-abnormal fleet curve (m = 10k -> 200k) and its scaling
-//     exponent, and CI gates the m = 50k point. A parity suite pins
+//     Corollary 8 search runs per device. CI gates the m = 50k
+//     all-abnormal fleet characterization. A parity suite pins
 //     verdicts, sets and cost counters bit-identical to the
 //     whole-graph-universe reference across placement families,
 //     adjacency representations and exact modes, serial and parallel
@@ -305,7 +308,7 @@
 //     buffer and reuses the abnormal-id slice, so steady-state
 //     observation does not grow the heap per snapshot; the detector
 //     walk reuses its per-shard flag buffers the same way, so a quiet
-//     n = 1M tick runs in ~1 allocation (BenchmarkTickIngestDetect1M).
+//     tick allocates nothing per device (BenchmarkTickIngestDetect1M).
 //   - The distributed directory rides the same flat index: occupied
 //     cells live in the index's key-sorted slab annotated with their
 //     owning shard, the 4r block cache is one atomic pointer per cell
@@ -325,17 +328,15 @@
 //     bounded by an amortized compaction pass. Directory.Advance adds
 //     shard-annotation carry-over and 4r block-cache invalidation
 //     limited to the churned cells' reach, then publishes the window
-//     with one pointer swap. At n=1M abnormal devices and 1% churn the
-//     clustered (paper R2) advance beats the full rebuild by >=10x
-//     (BENCH_5.json churn sweep: clustered and uniform x n in {10k,
-//     100k, 1M} x churn in {0.1%, 1%, 10%}), with allocations bounded
-//     by the churn — CI gates the n=1M advance at 512 allocs/op.
+//     with one pointer swap, with allocations bounded by the churn —
+//     CI gates the n=1M advance at 512 allocs/op.
 //
-// The perf trajectory is recorded in BENCH_*.json files at the repo
-// root, one per optimization PR, written by scripts/bench.sh: "before"
-// holds the recorded numbers of the previous state, "after" the fresh
-// run (ns/op, B/op, allocs/op per benchmark; ns_op is the minimum
-// across repeated runs). CI runs scripts/bench.sh -short, which fails
+// The benchmark module under benchmark/ measures the system end to end
+// and layer by layer: bash benchmark/run.sh drives four gateway-stream
+// workloads and reports tick latency, throughput, allocation and live
+// heap, and its -compare mode turns the saved runs of two commits into
+// per-metric verdicts built on medians and quartiles, against the
+// bounds in BENCHMARK.json. CI runs scripts/bench.sh -short, which fails
 // on allocation regressions in the window hot path, on allocated-byte
 // regressions in the m = 100k graph build, on allocation regressions in
 // the m = 1M graph build, on allocation regressions in the n = 1M
@@ -355,16 +356,19 @@
 //
 // WithMetrics(reg) instruments a Monitor against an
 // internal/metrics.Registry: every committed tick records a handful of
-// atomic stores — no allocation, no lock — and the registry renders
+// atomic stores — no allocation, no lock, no runtime.ReadMemStats —
+// and the registry renders
 // the Prometheus text format (version 0.0.4) via reg.Handler() or
 // reg.WritePrometheus. anomalia-gateway and anomalia-directory expose
 // it with -metrics addr (scrape endpoint /metrics); anomalia-sim
 // -soak N runs N windows against an instrumented monitor and emits a
 // JSON latency report (p50/p99/p999 tick seconds, alloc drift) that
-// -slo p99=DUR turns into an exit-code gate, recorded per PR by
-// scripts/bench.sh into BENCH_N.json.
+// -slo p99=DUR turns into an exit-code gate.
 //
-// The Monitor feeds these families per window:
+// The Monitor records the tick-local families on every tick. The
+// health and wire families are filled from the HealthStats and DirStats
+// snapshots, and the runtime sample is read, when the registry is
+// scraped:
 //
 //   - anomalia_ticks_total — snapshots observed (counter)
 //   - anomalia_tick_seconds — latency histogram by phase label:
@@ -394,7 +398,7 @@
 //     ledger (DirStats as counters)
 //   - anomalia_go_heap_alloc_bytes, anomalia_go_alloc_bytes_total,
 //     anomalia_go_mallocs_total, anomalia_go_gc_cycles_total,
-//     anomalia_go_gc_pause_ns_total — a per-window runtime sample
+//     anomalia_go_gc_pause_ns_total — a runtime sample taken on scrape
 //
 // The binaries add their own families on the same registry:
 // anomalia-gateway counts ingested frames

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -17,7 +18,7 @@ var ErrSample = errors.New("detect: invalid sample")
 
 // minShard is the smallest per-worker device range worth a goroutine:
 // below it the spawn/join overhead exceeds the detector work itself, so
-// Walk degrades to the serial walk.
+// a small fleet runs serially.
 const minShard = 2048
 
 // Walker shards the per-device detection walk of one snapshot across a
@@ -35,6 +36,7 @@ type Walker struct {
 	flags   [][]int
 	errs    []error
 	counts  []int
+	clean   []bool
 }
 
 // NewWalker returns a walker with the given pool size; workers <= 0
@@ -54,6 +56,29 @@ func NewWalker(workers int) *Walker {
 // Workers returns the configured pool size.
 func (w *Walker) Workers() int { return w.workers }
 
+// shard runs f(i, lo, hi) over n devices split into contiguous ranges,
+// one per worker and concurrently, and returns the number of workers
+// used: the pool size, cut so that no worker gets fewer than minShard
+// devices. Worker i's range precedes worker i+1's, so per-worker
+// results merged in index order read like a serial pass.
+func (w *Walker) shard(n int, f func(i, lo, hi int)) int {
+	workers := min(w.workers, (n+minShard-1)/minShard)
+	if workers <= 1 {
+		f(0, 0, n)
+		return 1
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f(i, i*n/workers, (i+1)*n/workers)
+		}(i)
+	}
+	wg.Wait()
+	return workers
+}
+
 // Walk feeds row j of samples to device j — exactly one Update per
 // device — and appends the ids whose abnormal flag a_k(j) fired to out
 // in ascending order, reusing out's storage. Every row is validated
@@ -65,68 +90,38 @@ func (w *Walker) Workers() int { return w.workers }
 // ranges, so visit may write to per-device slots of a shared structure
 // without synchronization, but must not touch state shared across
 // devices.
+//
+// Walk is the strict policy over the degraded path's two steps: it
+// classifies every row, rejects the snapshot on any unclean one, and
+// otherwise walks it with WalkSkip.
 func (w *Walker) Walk(devs []*Device, samples [][]float64, visit func(dev int, row []float64), out []int) ([]int, error) {
-	out = out[:0]
 	n := len(devs)
 	if len(samples) != n {
-		return out, fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), n, ErrSample)
+		return out[:0], fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), n, ErrSample)
 	}
-	workers := w.workers
-	if maxUseful := (n + minShard - 1) / minShard; workers > maxUseful {
-		workers = maxUseful
+	if len(w.clean) < n {
+		w.clean = make([]bool, n)
 	}
-	if workers <= 1 {
-		if err := validateRange(devs, samples, 0, n); err != nil {
-			return out, err
-		}
-		return walkRange(devs, samples, visit, 0, n, out)
+	if w.Classify(devs, samples, w.clean[:n]) < n {
+		return out[:0], rejectRow(devs, samples, w.clean[:n])
 	}
+	return w.WalkSkip(devs, samples, visit, out)
+}
 
-	// Phase 1: validate every shard before mutating anything, so a
-	// malformed row in one shard cannot leave another shard's detectors
-	// half-updated. Shards are contiguous ascending, so the first
-	// worker with an error holds the lowest offending device — the same
-	// error a serial walk would report.
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			w.errs[i] = validateRange(devs, samples, lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range w.errs[:workers] {
-		if err != nil {
-			return out, err
-		}
-	}
-
-	// Phase 2: the walk proper, each worker flagging into its own
-	// reused buffer.
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			buf := w.flags[i]
-			if buf == nil {
-				buf = make([]int, 0, (hi-lo)/8+16)
+// rejectRow explains the lowest unclean row — the error a serial
+// validation pass would report first, whatever the worker count.
+func rejectRow(devs []*Device, samples [][]float64, clean []bool) error {
+	dev := slices.Index(clean, false)
+	row, want := samples[dev], len(devs[dev].detectors)
+	if len(row) == want {
+		for svc, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("device %d service %d: non-finite QoS %v: %w",
+					dev, svc, v, ErrSample)
 			}
-			w.flags[i], w.errs[i] = walkRange(devs, samples, visit, lo, hi, buf[:0])
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for i := 0; i < workers; i++ {
-		out = append(out, w.flags[i]...)
-	}
-	for _, err := range w.errs[:workers] {
-		if err != nil {
-			return out, err
 		}
 	}
-	return out, nil
+	return fmt.Errorf("device %d has %d coords, want %d: %w", dev, len(row), want, ErrSample)
 }
 
 // Classify grades every row of a possibly-degraded snapshot without
@@ -138,24 +133,9 @@ func (w *Walker) Walk(devs []*Device, samples [][]float64, visit func(dev int, r
 // reporting an error. Returns the number of clean rows. len(samples)
 // and len(clean) must equal len(devs).
 func (w *Walker) Classify(devs []*Device, samples [][]float64, clean []bool) int {
-	n := len(devs)
-	workers := w.workers
-	if maxUseful := (n + minShard - 1) / minShard; workers > maxUseful {
-		workers = maxUseful
-	}
-	if workers <= 1 {
-		return classifyRange(devs, samples, clean, 0, n)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			w.counts[i] = classifyRange(devs, samples, clean, lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
+	workers := w.shard(len(devs), func(i, lo, hi int) {
+		w.counts[i] = classifyRange(devs, samples, clean, lo, hi)
+	})
 	total := 0
 	for _, c := range w.counts[:workers] {
 		total += c
@@ -201,27 +181,13 @@ func (w *Walker) WalkSkip(devs []*Device, rows [][]float64, visit func(dev int, 
 	if len(rows) != n {
 		return out, fmt.Errorf("snapshot has %d rows, want %d: %w", len(rows), n, ErrSample)
 	}
-	workers := w.workers
-	if maxUseful := (n + minShard - 1) / minShard; workers > maxUseful {
-		workers = maxUseful
-	}
-	if workers <= 1 {
-		return walkSkipRange(devs, rows, visit, 0, n, out)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			buf := w.flags[i]
-			if buf == nil {
-				buf = make([]int, 0, (hi-lo)/8+16)
-			}
-			w.flags[i], w.errs[i] = walkSkipRange(devs, rows, visit, lo, hi, buf[:0])
-		}(i, lo, hi)
-	}
-	wg.Wait()
+	workers := w.shard(n, func(i, lo, hi int) {
+		buf := w.flags[i]
+		if buf == nil {
+			buf = make([]int, 0, (hi-lo)/8+16)
+		}
+		w.flags[i], w.errs[i] = walkSkipRange(devs, rows, visit, lo, hi, buf[:0])
+	})
 	for i := 0; i < workers; i++ {
 		out = append(out, w.flags[i]...)
 	}
@@ -233,7 +199,8 @@ func (w *Walker) WalkSkip(devs []*Device, rows [][]float64, visit func(dev int, 
 	return out, nil
 }
 
-// walkSkipRange is walkRange with nil rows excluded from the update.
+// walkSkipRange runs the serial walk over [lo, hi), appending flagged
+// ids; nil rows are visited but not fed to their detectors.
 func walkSkipRange(devs []*Device, rows [][]float64, visit func(dev int, row []float64), lo, hi int, flagged []int) ([]int, error) {
 	for dev := lo; dev < hi; dev++ {
 		row := rows[dev]
@@ -242,43 +209,6 @@ func walkSkipRange(devs []*Device, rows [][]float64, visit func(dev int, row []f
 		}
 		if row == nil {
 			continue
-		}
-		abnormal, err := devs[dev].Update(row)
-		if err != nil {
-			return flagged, fmt.Errorf("device %d: %w", dev, err)
-		}
-		if abnormal {
-			flagged = append(flagged, dev)
-		}
-	}
-	return flagged, nil
-}
-
-// validateRange rejects malformed rows in [lo, hi) without touching any
-// detector.
-func validateRange(devs []*Device, samples [][]float64, lo, hi int) error {
-	for dev := lo; dev < hi; dev++ {
-		row := samples[dev]
-		if len(row) != len(devs[dev].detectors) {
-			return fmt.Errorf("device %d has %d coords, want %d: %w",
-				dev, len(row), len(devs[dev].detectors), ErrSample)
-		}
-		for svc, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("device %d service %d: non-finite QoS %v: %w",
-					dev, svc, v, ErrSample)
-			}
-		}
-	}
-	return nil
-}
-
-// walkRange runs the serial walk over [lo, hi), appending flagged ids.
-func walkRange(devs []*Device, samples [][]float64, visit func(dev int, row []float64), lo, hi int, flagged []int) ([]int, error) {
-	for dev := lo; dev < hi; dev++ {
-		row := samples[dev]
-		if visit != nil {
-			visit(dev, row)
 		}
 		abnormal, err := devs[dev].Update(row)
 		if err != nil {

@@ -176,6 +176,7 @@ func TestWalkRejectsBeforeMutating(t *testing.T) {
 		"+inf":  func(s [][]float64) { s[7][0] = math.Inf(1) },
 		"-inf":  func(s [][]float64) { s[n/2][0] = math.Inf(-1) },
 		"width": func(s [][]float64) { s[n/2] = []float64{0.5} },
+		"nil":   func(s [][]float64) { s[n-1] = nil },
 	}
 	for name, corrupt := range bad {
 		for _, workers := range []int{1, 4} {

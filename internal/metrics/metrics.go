@@ -26,6 +26,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,7 +66,7 @@ func (k Kind) String() string {
 // Counter is a monotone int64. Add increments it; Set overwrites it
 // with an absolute value, for feeds that mirror an external lifetime
 // counter (the Monitor's health and wire ledgers accumulate elsewhere
-// and are published here per window). Both are single atomic stores.
+// and are published here on scrape). Both are single atomic stores.
 type Counter struct {
 	v atomic.Int64
 }
@@ -229,6 +230,27 @@ func (r *Registry) OnScrape(f func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.onScrape = append(r.onScrape, f)
+}
+
+// RegisterRuntime registers the anomalia_go_* families — live heap,
+// cumulative allocated bytes and objects, GC cycles and stop-the-world
+// pause — and fills them from one runtime.ReadMemStats per scrape, the
+// only time anyone reads them.
+func RegisterRuntime(r *Registry) {
+	heap := r.Gauge("anomalia_go_heap_alloc_bytes", "Live heap bytes, sampled on scrape.")
+	allocBytes := r.Counter("anomalia_go_alloc_bytes_total", "Cumulative heap bytes allocated, sampled on scrape.")
+	mallocs := r.Counter("anomalia_go_mallocs_total", "Cumulative heap objects allocated, sampled on scrape.")
+	gcCycles := r.Counter("anomalia_go_gc_cycles_total", "Completed GC cycles, sampled on scrape.")
+	gcPause := r.Counter("anomalia_go_gc_pause_ns_total", "Cumulative GC stop-the-world pause, sampled on scrape.")
+	r.OnScrape(func() {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		heap.Set(float64(ms.HeapAlloc))
+		allocBytes.Set(int64(ms.TotalAlloc))
+		mallocs.Set(int64(ms.Mallocs))
+		gcCycles.Set(int64(ms.NumGC))
+		gcPause.Set(int64(ms.PauseTotalNs))
+	})
 }
 
 // validateName panics on names outside the Prometheus grammar —

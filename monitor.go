@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"anomalia/internal/core"
 	"anomalia/internal/detect"
 	"anomalia/internal/dirnet"
 	"anomalia/internal/dist"
@@ -30,9 +31,9 @@ type Monitor struct {
 	services int
 	cfg      config
 	dets     []*detect.Device
-	// walker shards snapshot validation and the per-device detector
-	// walk across WithIngestWorkers workers (default GOMAXPROCS); the
-	// merged abnormal set is byte-identical to a serial walk.
+	// walker shards row classification and the per-device detector walk
+	// across WithIngestWorkers workers (default GOMAXPROCS); the merged
+	// abnormal set is byte-identical to a serial walk.
 	walker *detect.Walker
 	prev   *space.State
 	time   atomic.Int64
@@ -76,7 +77,9 @@ type Monitor struct {
 	statsMu  sync.Mutex
 	cleanBuf []bool
 	rowsBuf  [][]float64
-	// mx is the per-window metrics feed (WithMetrics); nil when the
+	// mx is the per-tick metrics feed (WithMetrics): latencies, the
+	// abnormal ledger and directory builds and advances. The health,
+	// wire and runtime families are filled on scrape. nil when the
 	// monitor is not instrumented — every record site is gated on that,
 	// so the uninstrumented hot path pays one predictable branch.
 	mx *monitorMetrics
@@ -119,9 +122,6 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 		dets:     make([]*detect.Device, devices),
 		walker:   detect.NewWalker(cfg.ingestWorkers),
 	}
-	if cfg.metrics != nil {
-		m.mx = newMonitorMetrics(cfg.metrics)
-	}
 	if cfg.directory != nil {
 		dc := cfg.directory
 		client, err := dirnet.NewClient(dirnet.Config{
@@ -158,6 +158,11 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 		}
 		m.dets[dev] = composite
 	}
+	// Registered last: the scrape hook reads the monitor from another
+	// goroutine, so it must see the monitor fully built.
+	if cfg.metrics != nil {
+		m.mx = newMonitorMetrics(cfg.metrics, m)
+	}
 	return m, nil
 }
 
@@ -170,7 +175,7 @@ func (m *Monitor) Time() int { return int(m.time.Load()) }
 // only trains the detectors); otherwise it returns the characterization
 // of the abnormal set.
 //
-// Snapshot validation and the per-device detector walk are sharded
+// Row classification and the per-device detector walk are sharded
 // across WithIngestWorkers workers; the abnormal set is identical to a
 // serial walk whatever the count.
 //
@@ -184,65 +189,7 @@ func (m *Monitor) Time() int { return int(m.time.Load()) }
 // the clock and the previous-state buffer advance with them, the
 // displaced state is recycled, and the next Observe proceeds cleanly.
 func (m *Monitor) Observe(samples [][]float64) (*Outcome, error) {
-	if len(samples) != m.devices {
-		return nil, fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), m.devices, ErrInvalidInput)
-	}
-	var start time.Time
-	if m.mx != nil {
-		start = time.Now()
-	}
-	cur := m.spare
-	m.spare = nil
-	if cur == nil {
-		var err error
-		cur, err = space.NewState(m.devices, m.services)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// One sharded pass copies each row into the current state and runs
-	// the device's detectors; the walker validates every row (width,
-	// finiteness) before the first mutation. Shards are disjoint device
-	// ranges, so the copies need no synchronization.
-	abnormal, err := m.walker.Walk(m.dets, samples, func(dev int, row []float64) {
-		dst := cur.At(dev)
-		copy(dst, row)
-		dst.Clamp()
-	}, m.abnBuf[:0])
-	m.abnBuf = abnormal
-	if err != nil {
-		// Nothing was consumed: hand the snapshot buffer back untouched.
-		m.spare = cur
-		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
-	}
-	var walked time.Time
-	if m.mx != nil {
-		walked = time.Now()
-	}
-	prev := m.prev
-	m.prev = cur
-	m.time.Add(1)
-	// The displaced snapshot is dead from here on whatever happens next
-	// — outcomes carry device ids, never state references, and the
-	// characterization below only reads it — so recycle it now; that
-	// keeps the double buffer intact on every error path too.
-	m.spare = prev
-	if prev == nil || len(abnormal) == 0 {
-		if m.mx != nil {
-			m.tickDone(start, time.Time{}, walked, nil, false)
-		}
-		return nil, nil
-	}
-
-	pair, err := motion.NewPair(prev, cur)
-	if err != nil {
-		return nil, err
-	}
-	out, err := m.characterizeWindow(pair, abnormal)
-	if m.mx != nil {
-		m.tickDone(start, time.Time{}, walked, abnormal, true)
-	}
-	return out, err
+	return m.tick(samples, true)
 }
 
 // ObservePartial consumes one possibly-degraded snapshot: one row per
@@ -291,13 +238,14 @@ func (m *Monitor) Observe(samples [][]float64) (*Outcome, error) {
 // Re-feeding the same snapshot would charge the health machine twice;
 // treat the tick as lost instead.
 func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
-	if len(samples) != m.devices {
-		return nil, fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), m.devices, ErrInvalidInput)
-	}
-	var start time.Time
-	if m.mx != nil {
-		start = time.Now()
-	}
+	return m.tick(samples, false)
+}
+
+// dispatch is the partial ingest policy: it classifies every row and
+// folds the verdicts into the health state machine, returning the rows
+// to walk — a device's own clean report, its held last-known position,
+// or nil for a device excluded from the window.
+func (m *Monitor) dispatch(samples [][]float64) ([][]float64, error) {
 	tracker := m.health.Load()
 	if tracker == nil {
 		t, err := health.New(m.devices, m.cfg.health)
@@ -318,85 +266,109 @@ func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
 	// still counts as a consumed report for every device: ConsumeAll
 	// gives the whole fleet a last-known value, so a device's first
 	// fault after an all-clean history is held, not skipped.
-	rows := samples
 	if nClean == m.devices && tracker.AllLive() {
 		tracker.ConsumeAll()
-	} else {
-		if m.rowsBuf == nil {
-			m.rowsBuf = make([][]float64, m.devices)
-		}
-		rows = m.rowsBuf
-		// The dispatch loop mutates the tracker's states, streaks and
-		// lifetime counters — the fields a concurrent HealthStats or
-		// DeviceHealth snapshot reads — so it runs under the stats
-		// mutex. One lock per tick, not per device; the all-clean fast
-		// path above never takes it.
-		m.statsMu.Lock()
-		for dev := range rows {
-			switch tracker.Report(dev, m.cleanBuf[dev]) {
-			case health.Consume:
-				rows[dev] = samples[dev]
-			case health.Hold:
-				// Hold implies a previously consumed report, so m.prev
-				// normally carries the device's last-known position. The
-				// one exception: a custom detector erroring on the
-				// consuming tick leaves the report folded into health
-				// state with the tick uncommitted (m.prev still nil) —
-				// park the device instead of dereferencing a state that
-				// never materialized.
-				if m.prev == nil {
-					rows[dev] = nil
-				} else {
-					rows[dev] = m.prev.At(dev)
-				}
-			default: // health.Skip
+		return samples, nil
+	}
+	if m.rowsBuf == nil {
+		m.rowsBuf = make([][]float64, m.devices)
+	}
+	rows := m.rowsBuf
+	// The dispatch loop mutates the tracker's states, streaks and
+	// lifetime counters — the fields a concurrent HealthStats or
+	// DeviceHealth snapshot reads — so it runs under the stats
+	// mutex. One lock per tick, not per device; the all-clean fast
+	// path above never takes it.
+	m.statsMu.Lock()
+	for dev := range rows {
+		switch tracker.Report(dev, m.cleanBuf[dev]) {
+		case health.Consume:
+			rows[dev] = samples[dev]
+		case health.Hold:
+			// Hold implies a previously consumed report, so m.prev
+			// normally carries the device's last-known position. The
+			// one exception: a custom detector erroring on the
+			// consuming tick leaves the report folded into health
+			// state with the tick uncommitted (m.prev still nil) —
+			// park the device instead of dereferencing a state that
+			// never materialized.
+			if m.prev == nil {
 				rows[dev] = nil
+			} else {
+				rows[dev] = m.prev.At(dev)
 			}
+		default: // health.Skip
+			rows[dev] = nil
 		}
-		m.statsMu.Unlock()
 	}
-	var ingested time.Time
-	if m.mx != nil {
-		ingested = time.Now()
-	}
+	m.statsMu.Unlock()
+	return rows, nil
+}
 
+// tick is the one body of Observe (strict) and ObservePartial: ingest
+// by policy, then one sharded pass copies each row into the current
+// state and runs the device's detectors — strict walks every row after
+// rejecting the snapshot on any unclean one, partial skips the nil rows
+// of excluded devices — then the tick commits, and an abnormal window
+// is characterized. Shards are disjoint device ranges, so the copies
+// need no synchronization.
+func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
+	if len(samples) != m.devices {
+		return nil, fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), m.devices, ErrInvalidInput)
+	}
+	var start, ingested time.Time
+	if m.mx != nil {
+		start = time.Now()
+	}
+	rows := samples
+	if !strict {
+		var err error
+		if rows, err = m.dispatch(samples); err != nil {
+			return nil, err
+		}
+		if m.mx != nil {
+			ingested = time.Now()
+		}
+	}
 	cur := m.spare
 	m.spare = nil
 	if cur == nil {
 		var err error
-		cur, err = space.NewState(m.devices, m.services)
-		if err != nil {
+		if cur, err = space.NewState(m.devices, m.services); err != nil {
 			return nil, err
 		}
 	}
 	prev := m.prev
-	abnormal, err := m.walker.WalkSkip(m.dets, rows, func(dev int, row []float64) {
+	visit := func(dev int, row []float64) {
 		dst := cur.At(dev)
-		if row == nil {
+		switch {
+		case row != nil:
+			copy(dst, row)
+			dst.Clamp()
+		case prev != nil:
 			// Excluded from the window: park the device at its last
 			// position (origin before any) so the trajectory a later
 			// re-admission window reads is deterministic, never recycled
 			// buffer garbage. Parked devices are never abnormal, so
 			// characterization never reads the parked position itself.
-			if prev != nil {
-				copy(dst, prev.At(dev))
-			} else {
-				clear(dst)
-			}
-			return
+			copy(dst, prev.At(dev))
+		default:
+			clear(dst)
 		}
-		copy(dst, row)
-		dst.Clamp()
-	}, m.abnBuf[:0])
+	}
+	var abnormal []int
+	var err error
+	if strict {
+		abnormal, err = m.walker.Walk(m.dets, rows, visit, m.abnBuf[:0])
+	} else {
+		abnormal, err = m.walker.WalkSkip(m.dets, rows, visit, m.abnBuf[:0])
+	}
 	m.abnBuf = abnormal
 	if err != nil {
-		// Unreachable with the stock detectors — rows are pre-classified,
-		// so Update cannot see a width or finiteness fault — but a custom
-		// Detector may still error; keep the double buffer intact. The
-		// health tracker keeps the tick it already consumed (see the doc
-		// comment): rolling back a partially-applied per-device walk
-		// would leave states and streaks inconsistent with the detectors
-		// that did update.
+		// Keep the double buffer intact. A strict rejection consumed
+		// nothing; a partial walk error (a custom Detector failing —
+		// partial rows are pre-classified) leaves the tick uncommitted
+		// but consumed, as ObservePartial documents.
 		m.spare = cur
 		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
@@ -404,12 +376,15 @@ func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
 	if m.mx != nil {
 		walked = time.Now()
 	}
-	m.prev = cur
+	// The displaced snapshot is dead from here on whatever happens next
+	// — outcomes carry device ids, never state references, and the
+	// characterization below only reads it — so recycle it now; that
+	// keeps the double buffer intact on every error path too.
+	m.prev, m.spare = cur, prev
 	m.time.Add(1)
-	m.spare = prev
 	if prev == nil || len(abnormal) == 0 {
 		if m.mx != nil {
-			m.tickDone(start, ingested, walked, nil, false)
+			m.tickDone(start, ingested, walked, nil)
 		}
 		return nil, nil
 	}
@@ -419,7 +394,7 @@ func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
 	}
 	out, err := m.characterizeWindow(pair, abnormal)
 	if m.mx != nil {
-		m.tickDone(start, ingested, walked, abnormal, true)
+		m.tickDone(start, ingested, walked, abnormal)
 	}
 	return out, err
 }
@@ -471,31 +446,43 @@ func (m *Monitor) HealthStats() HealthStats {
 	}
 }
 
-// characterizeWindow runs one abnormal window through the configured
-// deployment model. The centralized path is stateless; the distributed
-// path persists the directory service across windows — the first
-// abnormal window builds it, every later one advances it with the
-// window-to-window delta (the monitor cannot know which devices crossed
-// cells, so the advance rechecks every indexed id — still sort-free and
-// cheaper than the rebuild it replaces; deployments with a per-device
-// update stream feed Advance their moved list directly). With
-// WithDirectory the directory lives behind the wire instead: the client
-// syncs the shard fleet and merges its decision slices, and any failure
-// past the deadline/retry/breaker budget degrades this one window to
-// centralized characterization — same verdicts, one DirStats
+// characterizeWindow decides one abnormal window; it is the one
+// decision path of every deployment model. Centralized, it runs
+// core.New and CharacterizeAll. Distributed in-process, it builds the
+// directory service on the first abnormal window and advances it with
+// the window-to-window delta on every later one (the monitor cannot
+// know which devices crossed cells, so the advance rechecks every
+// indexed id — still sort-free and cheaper than the rebuild it
+// replaces; deployments with a per-device update stream feed Advance
+// their moved list directly). A one-shot Characterize runs it with no
+// retained directory, so it builds once and decides. With
+// WithDirectory the directory lives behind the wire instead: the
+// client syncs the shard fleet and merges its decision slices, and any
+// failure past the deadline/retry/breaker budget degrades this one
+// window to the centralized branch — same verdicts, one DirStats
 // degradation — so shard unavailability never surfaces as an Observe
 // error.
 func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcome, error) {
-	if !m.cfg.distributed {
-		return characterizePair(pair, abnormal, m.cfg)
-	}
-	coreCfg, err := validateDistConfig(pair, m.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if m.dirClient != nil {
+	cfg := m.cfg.core()
+	if m.cfg.distributed {
+		// Validate the characterization config first, so a bad radius or
+		// tau surfaces as the error the centralized path reports, not as
+		// a grid-parameter complaint from the directory build.
+		if _, err := core.New(pair, nil, cfg); err != nil {
+			return nil, err
+		}
+		if m.dirClient == nil {
+			if err := m.trackWindow(pair, abnormal); err != nil {
+				return nil, err
+			}
+			decisions, total, err := dist.DecideAll(m.dir, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return outcomeFromDecisions(decisions, total), nil
+		}
 		m.dirWindows.Add(1)
-		decisions, total, err := m.dirClient.DecideWindow(pair, abnormal, coreCfg)
+		decisions, total, err := m.dirClient.DecideWindow(pair, abnormal, cfg)
 		if err == nil {
 			m.dirNetworked.Add(1)
 			return outcomeFromDecisions(decisions, total), nil
@@ -505,38 +492,53 @@ func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcom
 		// oracle the networked one is pinned to, so fall back for this
 		// window; the client re-syncs shards on the next abnormal window.
 		m.dirDegraded.Add(1)
-		central := m.cfg
-		central.distributed = false
-		return characterizePair(pair, abnormal, central)
 	}
+	char, err := core.New(pair, abnormal, cfg)
+	if err != nil {
+		return nil, err
+	}
+	results, err := char.CharacterizeAll()
+	if err != nil {
+		return nil, err
+	}
+	out := &Outcome{Reports: make([]Report, 0, len(results))}
+	for _, res := range results {
+		out.addReport(res)
+	}
+	return out, nil
+}
+
+// trackWindow points the in-process directory at this window: built
+// when none is retained, advanced otherwise.
+func (m *Monitor) trackWindow(pair *motion.Pair, abnormal []int) error {
 	if m.dir == nil {
 		dir, err := dist.NewDirectory(pair, abnormal, m.cfg.radius)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.dir = dir
 		if m.mx != nil {
 			m.mx.dirBuilds.Inc()
 		}
-	} else {
-		st, err := m.dir.Advance(pair, abnormal, nil)
-		if err != nil {
-			// A failed advance never mutates the retained window, but the
-			// monitor can no longer assume the directory tracks this window's
-			// abnormal set — drop it and let the next abnormal window rebuild
-			// from scratch rather than serve stale membership.
-			m.dir = nil
-			return nil, err
-		}
-		if m.mx != nil {
-			if st.Rebuilt {
-				m.mx.dirAdvanceRebuilt.Inc()
-			} else {
-				m.mx.dirAdvancePatched.Inc()
-			}
+		return nil
+	}
+	st, err := m.dir.Advance(pair, abnormal, nil)
+	if err != nil {
+		// A failed advance never mutates the retained window, but the
+		// monitor can no longer assume the directory tracks this window's
+		// abnormal set — drop it and let the next abnormal window rebuild
+		// from scratch rather than serve stale membership.
+		m.dir = nil
+		return err
+	}
+	if m.mx != nil {
+		if st.Rebuilt {
+			m.mx.dirAdvanceRebuilt.Inc()
+		} else {
+			m.mx.dirAdvancePatched.Inc()
 		}
 	}
-	return decideDistributed(m.dir, coreCfg)
+	return nil
 }
 
 // DirStats returns the networked directory's window ledger and
@@ -562,8 +564,8 @@ func (m *Monitor) DirStats() DirStats {
 }
 
 // Reset clears the detectors, the snapshot history, the persistent
-// directory and the per-device health state, keeping the
-// configuration. A networked directory client drops its connections
+// directory, the per-device health state and the churn baseline of the
+// metrics feed, keeping the configuration. A networked directory client drops its connections
 // and forgets shard sync and breaker state, but the lifetime DirStats
 // counters survive — the wire ledger spans resets the way a process's
 // traffic counters span reconnects.
@@ -575,6 +577,10 @@ func (m *Monitor) Reset() {
 	m.spare = nil
 	m.time.Store(0)
 	m.dir = nil
+	if m.mx != nil {
+		// The next abnormal window's churn scores against the empty set.
+		m.mx.prevAbn = m.mx.prevAbn[:0]
+	}
 	if m.dirClient != nil {
 		m.dirClient.Reset()
 	}

@@ -60,10 +60,12 @@ func TestMonitorShardedParity(t *testing.T) {
 
 // TestMonitorRejectsNonFinite: NaN and ±Inf QoS values must be refused
 // — v < 0 || v > 1 is false for NaN, so an interval test alone would
-// let it poison detector and space state — and the refused snapshot
-// must leave the monitor exactly as it was: same clock, same recycled
-// buffers, and detector state identical to a twin monitor that never
-// saw the bad snapshot. Exercised on both the serial and sharded walks.
+// let it poison detector and space state — as must nil and wrong-width
+// rows, and the refused snapshot must leave the monitor exactly as it
+// was: same clock, same recycled buffers, and detector state identical
+// to a twin monitor that never saw the bad snapshot. Exercised on both
+// the serial and sharded walks, with offenders mid-fleet and at the
+// last device (the final shard).
 func TestMonitorRejectsNonFinite(t *testing.T) {
 	t.Parallel()
 
@@ -97,11 +99,20 @@ func TestMonitorRejectsNonFinite(t *testing.T) {
 			}
 			prevPtr, sparePtr := m.prev, m.spare
 
-			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for name, corrupt := range map[string]func(s [][]float64){
+				"nan":       func(s [][]float64) { s[tc.n/2][0] = math.NaN() },
+				"+inf":      func(s [][]float64) { s[tc.n/2][0] = math.Inf(1) },
+				"-inf":      func(s [][]float64) { s[tc.n/2][0] = math.Inf(-1) },
+				"nil":       func(s [][]float64) { s[tc.n/2] = nil },
+				"short":     func(s [][]float64) { s[tc.n/2] = s[tc.n/2][:0] },
+				"last-nan":  func(s [][]float64) { s[tc.n-1][0] = math.NaN() },
+				"last-nil":  func(s [][]float64) { s[tc.n-1] = nil },
+				"last-wide": func(s [][]float64) { s[tc.n-1] = []float64{0.95, 0.95} },
+			} {
 				snap := fleetSnapshot(tc.n, 0.95, nil)
-				snap[tc.n/2][0] = bad
+				corrupt(snap)
 				if _, err := m.Observe(snap); !errors.Is(err, ErrInvalidInput) {
-					t.Fatalf("Observe with %v: error = %v, want ErrInvalidInput", bad, err)
+					t.Fatalf("Observe with %s row: error = %v, want ErrInvalidInput", name, err)
 				}
 				if m.Time() != 2 {
 					t.Errorf("clock advanced to %d on a rejected snapshot", m.Time())

@@ -1,18 +1,20 @@
 package anomalia
 
 import (
-	"runtime"
 	"time"
 
 	"anomalia/internal/metrics"
 )
 
-// monitorMetrics is the Monitor's observability surface: every family
-// it feeds per window, pre-registered at construction so the per-tick
-// record path is pure atomics (no lock, no allocation — the
-// instrumented quiet n=1M tick is gated at no added allocation over
-// the plain one). The family names are documented in the package
-// comment's Observability section and pinned by a doc-sync test.
+// monitorMetrics is the Monitor's per-tick observability feed: the
+// tick-local facts only the observing goroutine sees, pre-registered at
+// construction so the per-tick record path is pure atomics (no lock, no
+// allocation — the instrumented quiet n=1M tick is gated at no added
+// allocation over the plain one). The health split, the wire ledger and
+// the runtime sample already live behind scrape-safe snapshots, so
+// newMonitorMetrics pulls them on scrape instead. The family names are
+// documented in the package comment's Observability section and pinned
+// by a doc-sync test.
 type monitorMetrics struct {
 	ticks            *metrics.Counter
 	tickIngest       *metrics.Histogram
@@ -28,47 +30,20 @@ type monitorMetrics struct {
 	dirAdvancePatched *metrics.Counter
 	dirAdvanceRebuilt *metrics.Counter
 
-	healthLive        *metrics.Gauge
-	healthStale       *metrics.Gauge
-	healthQuarantined *metrics.Gauge
-	healthQuarantines *metrics.Counter
-	healthReadmits    *metrics.Counter
-	healthHeld        *metrics.Counter
-	healthDropped     *metrics.Counter
-	healthFaulty      *metrics.Counter
-
-	wireNetworked  *metrics.Counter
-	wireDegraded   *metrics.Counter
-	wireRetries    *metrics.Counter
-	wireFailures   *metrics.Counter
-	wireBreakerOps *metrics.Counter
-	wireRejoins    *metrics.Counter
-	wireBytesSent  *metrics.Counter
-	wireBytesRecv  *metrics.Counter
-	wireRoundTrips *metrics.Counter
-
-	heapAlloc  *metrics.Gauge
-	allocBytes *metrics.Counter
-	mallocs    *metrics.Counter
-	gcCycles   *metrics.Counter
-	gcPauseNs  *metrics.Counter
-
-	// ms is the reused ReadMemStats buffer (the struct is ~2 KB; a
-	// per-window local would be free too, but reuse keeps the record
-	// path obviously allocation-less), prevAbn the retained previous
-	// abnormal set the churn ratio diffs against.
-	ms      runtime.MemStats
+	// prevAbn is the retained previous abnormal set the churn ratio
+	// diffs against.
 	prevAbn []int
 }
 
-// newMonitorMetrics registers the Monitor's families on reg.
-func newMonitorMetrics(reg *metrics.Registry) *monitorMetrics {
+// newMonitorMetrics registers m's families on reg, with one scrape hook
+// that fills the health and wire families from m's stats snapshots.
+func newMonitorMetrics(reg *metrics.Registry, m *Monitor) *monitorMetrics {
 	phase := func(p string) *metrics.Histogram {
 		return reg.Histogram("anomalia_tick_seconds",
 			"Observe/ObservePartial latency by phase (ingest: snapshot acceptance and health dispatch; detect: the sharded detector walk; characterize: window characterization, abnormal windows only; total: the whole tick).",
 			metrics.DefBuckets, metrics.Label{Name: "phase", Value: p})
 	}
-	return &monitorMetrics{
+	mx := &monitorMetrics{
 		ticks: reg.Counter("anomalia_ticks_total", "Snapshots observed (Observe and ObservePartial)."),
 
 		tickIngest:       phase("ingest"),
@@ -87,44 +62,67 @@ func newMonitorMetrics(reg *metrics.Registry) *monitorMetrics {
 			"In-process directory advances by result.", metrics.Label{Name: "result", Value: "patched"}),
 		dirAdvanceRebuilt: reg.Counter("anomalia_directory_advances_total",
 			"In-process directory advances by result.", metrics.Label{Name: "result", Value: "rebuilt"}),
-
-		healthLive:        reg.Gauge("anomalia_health_devices", "Fleet split by health state.", metrics.Label{Name: "state", Value: "live"}),
-		healthStale:       reg.Gauge("anomalia_health_devices", "Fleet split by health state.", metrics.Label{Name: "state", Value: "stale"}),
-		healthQuarantined: reg.Gauge("anomalia_health_devices", "Fleet split by health state.", metrics.Label{Name: "state", Value: "quarantined"}),
-		healthQuarantines: reg.Counter("anomalia_health_quarantines_total", "Lifetime transitions into quarantine."),
-		healthReadmits:    reg.Counter("anomalia_health_readmissions_total", "Lifetime re-admissions out of quarantine."),
-		healthHeld:        reg.Counter("anomalia_health_held_ticks_total", "Device-ticks served from a held last-known value."),
-		healthDropped:     reg.Counter("anomalia_health_dropped_reports_total", "Clean reports dropped while still quarantined."),
-		healthFaulty:      reg.Counter("anomalia_health_faulty_ticks_total", "Device-ticks whose report was missing or malformed."),
-
-		wireNetworked:  reg.Counter("anomalia_dir_windows_total", "Abnormal windows routed to the networked directory, by outcome.", metrics.Label{Name: "outcome", Value: "networked"}),
-		wireDegraded:   reg.Counter("anomalia_dir_windows_total", "Abnormal windows routed to the networked directory, by outcome.", metrics.Label{Name: "outcome", Value: "degraded"}),
-		wireRetries:    reg.Counter("anomalia_dir_retries_total", "Directory client retransmission attempts."),
-		wireFailures:   reg.Counter("anomalia_dir_failures_total", "Directory requests abandoned after the retry budget."),
-		wireBreakerOps: reg.Counter("anomalia_dir_breaker_opens_total", "Per-shard circuit-breaker opens."),
-		wireRejoins:    reg.Counter("anomalia_dir_rejoins_total", "Half-open probes that brought a shard back."),
-		wireBytesSent:  reg.Counter("anomalia_dir_bytes_total", "Measured directory wire traffic.", metrics.Label{Name: "direction", Value: "sent"}),
-		wireBytesRecv:  reg.Counter("anomalia_dir_bytes_total", "Measured directory wire traffic.", metrics.Label{Name: "direction", Value: "received"}),
-		wireRoundTrips: reg.Counter("anomalia_dir_round_trips_total", "Directory request/response round-trips."),
-
-		heapAlloc:  reg.Gauge("anomalia_go_heap_alloc_bytes", "Live heap bytes, sampled per window."),
-		allocBytes: reg.Counter("anomalia_go_alloc_bytes_total", "Cumulative heap bytes allocated, sampled per window."),
-		mallocs:    reg.Counter("anomalia_go_mallocs_total", "Cumulative heap objects allocated, sampled per window."),
-		gcCycles:   reg.Counter("anomalia_go_gc_cycles_total", "Completed GC cycles, sampled per window."),
-		gcPauseNs:  reg.Counter("anomalia_go_gc_pause_ns_total", "Cumulative GC stop-the-world pause, sampled per window."),
 	}
+
+	state := func(s string) *metrics.Gauge {
+		return reg.Gauge("anomalia_health_devices", "Fleet split by health state.", metrics.Label{Name: "state", Value: s})
+	}
+	live, stale, quarantined := state("live"), state("stale"), state("quarantined")
+	quarantines := reg.Counter("anomalia_health_quarantines_total", "Lifetime transitions into quarantine.")
+	readmits := reg.Counter("anomalia_health_readmissions_total", "Lifetime re-admissions out of quarantine.")
+	held := reg.Counter("anomalia_health_held_ticks_total", "Device-ticks served from a held last-known value.")
+	dropped := reg.Counter("anomalia_health_dropped_reports_total", "Clean reports dropped while still quarantined.")
+	faulty := reg.Counter("anomalia_health_faulty_ticks_total", "Device-ticks whose report was missing or malformed.")
+
+	outcome := func(o string) *metrics.Counter {
+		return reg.Counter("anomalia_dir_windows_total", "Abnormal windows routed to the networked directory, by outcome.", metrics.Label{Name: "outcome", Value: o})
+	}
+	direction := func(d string) *metrics.Counter {
+		return reg.Counter("anomalia_dir_bytes_total", "Measured directory wire traffic.", metrics.Label{Name: "direction", Value: d})
+	}
+	networked, degraded := outcome("networked"), outcome("degraded")
+	retries := reg.Counter("anomalia_dir_retries_total", "Directory client retransmission attempts.")
+	failures := reg.Counter("anomalia_dir_failures_total", "Directory requests abandoned after the retry budget.")
+	breakerOpens := reg.Counter("anomalia_dir_breaker_opens_total", "Per-shard circuit-breaker opens.")
+	rejoins := reg.Counter("anomalia_dir_rejoins_total", "Half-open probes that brought a shard back.")
+	sent, received := direction("sent"), direction("received")
+	roundTrips := reg.Counter("anomalia_dir_round_trips_total", "Directory request/response round-trips.")
+
+	reg.OnScrape(func() {
+		hs := m.HealthStats()
+		live.Set(float64(hs.Live))
+		stale.Set(float64(hs.Stale))
+		quarantined.Set(float64(hs.Quarantined))
+		quarantines.Set(hs.Quarantines)
+		readmits.Set(hs.Readmissions)
+		held.Set(hs.HeldTicks)
+		dropped.Set(hs.DroppedReports)
+		faulty.Set(hs.FaultyTicks)
+
+		ds := m.DirStats()
+		networked.Set(ds.Networked)
+		degraded.Set(ds.Degraded)
+		retries.Set(ds.Retries)
+		failures.Set(ds.Failures)
+		breakerOpens.Set(ds.BreakerOpens)
+		rejoins.Set(ds.Rejoins)
+		sent.Set(ds.BytesSent)
+		received.Set(ds.BytesReceived)
+		roundTrips.Set(ds.RoundTrips)
+	})
+	metrics.RegisterRuntime(reg)
+	return mx
 }
 
 // tickDone folds one committed tick into the registry: the phase and
-// total latencies, the abnormal-set ledger, the health split, the
-// networked-directory ledger and a GC/heap sample. Called once per
-// committed tick, quiet or abnormal; everything here is an atomic
-// store on a pre-registered series, so it adds no allocation to the
-// tick. ingested is zero on the plain Observe path (which has no
-// classify/dispatch phase); characterized is false on quiet windows,
-// whose characterize phase would otherwise pollute the histogram with
-// empty samples.
-func (m *Monitor) tickDone(start, ingested, walked time.Time, abnormal []int, characterized bool) {
+// total latencies and, on an abnormal window, the abnormal-set ledger.
+// Called once per committed tick, quiet or abnormal; everything here is
+// an atomic store on a pre-registered series, so it adds no allocation
+// to the tick. ingested is zero on the plain Observe path (which has no
+// classify/dispatch phase); abnormal is nil on quiet windows, whose
+// characterize phase would otherwise pollute the histogram with empty
+// samples.
+func (m *Monitor) tickDone(start, ingested, walked time.Time, abnormal []int) {
 	mx := m.mx
 	now := time.Now()
 	mx.ticks.Inc()
@@ -134,48 +132,15 @@ func (m *Monitor) tickDone(start, ingested, walked time.Time, abnormal []int, ch
 	} else {
 		mx.tickDetect.Observe(walked.Sub(start).Seconds())
 	}
-	if characterized {
-		mx.tickCharacterize.Observe(now.Sub(walked).Seconds())
-	}
 	mx.tickTotal.Observe(now.Sub(start).Seconds())
-	if characterized && len(abnormal) > 0 {
-		mx.abnormalWindows.Inc()
-		mx.abnormalDevices.Observe(float64(len(abnormal)))
-		mx.churnRatio.Set(churnRatio(mx.prevAbn, abnormal))
-		mx.prevAbn = append(mx.prevAbn[:0], abnormal...)
+	if len(abnormal) == 0 {
+		return
 	}
-	if t := m.health.Load(); t != nil {
-		live, stale, quar := t.Counts()
-		st := t.Stats()
-		mx.healthLive.Set(float64(live))
-		mx.healthStale.Set(float64(stale))
-		mx.healthQuarantined.Set(float64(quar))
-		mx.healthQuarantines.Set(st.Quarantines)
-		mx.healthReadmits.Set(st.Readmissions)
-		mx.healthHeld.Set(st.HeldTicks)
-		mx.healthDropped.Set(st.DroppedReports)
-		mx.healthFaulty.Set(st.FaultyTicks)
-	} else {
-		mx.healthLive.Set(float64(m.devices))
-	}
-	if m.dirClient != nil {
-		st := m.dirClient.Stats()
-		mx.wireNetworked.Set(m.dirNetworked.Load())
-		mx.wireDegraded.Set(m.dirDegraded.Load())
-		mx.wireRetries.Set(st.Retries)
-		mx.wireFailures.Set(st.Failures)
-		mx.wireBreakerOps.Set(st.BreakerOpens)
-		mx.wireRejoins.Set(st.Rejoins)
-		mx.wireBytesSent.Set(st.BytesSent)
-		mx.wireBytesRecv.Set(st.BytesReceived)
-		mx.wireRoundTrips.Set(st.RoundTrips)
-	}
-	runtime.ReadMemStats(&mx.ms)
-	mx.heapAlloc.Set(float64(mx.ms.HeapAlloc))
-	mx.allocBytes.Set(int64(mx.ms.TotalAlloc))
-	mx.mallocs.Set(int64(mx.ms.Mallocs))
-	mx.gcCycles.Set(int64(mx.ms.NumGC))
-	mx.gcPauseNs.Set(int64(mx.ms.PauseTotalNs))
+	mx.tickCharacterize.Observe(now.Sub(walked).Seconds())
+	mx.abnormalWindows.Inc()
+	mx.abnormalDevices.Observe(float64(len(abnormal)))
+	mx.churnRatio.Set(churnRatio(mx.prevAbn, abnormal))
+	mx.prevAbn = append(mx.prevAbn[:0], abnormal...)
 }
 
 // churnRatio is |prev Δ cur| / |prev ∪ cur| over two sorted id sets —

@@ -49,6 +49,11 @@ func TestMonitorMetricsFeed(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The health, wire and runtime families are filled on scrape.
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
 	count := func(name string) int64 {
 		return reg.Counter(name, "").Value()
 	}
@@ -80,10 +85,6 @@ func TestMonitorMetricsFeed(t *testing.T) {
 		t.Errorf("heap gauge = %v, want > 0", heap)
 	}
 
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
 	for _, want := range []string{
 		"# TYPE anomalia_tick_seconds histogram",
 		`anomalia_tick_seconds_bucket{phase="detect",le="+Inf"} 8`,
@@ -93,6 +94,35 @@ func TestMonitorMetricsFeed(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestResetClearsChurnBaseline: after Reset, the first abnormal window
+// scores churn against the empty set — 1 — even when its abnormal set
+// overlaps the last one seen before the reset.
+func TestResetClearsChurnBaseline(t *testing.T) {
+	t.Parallel()
+
+	const n = 10
+	reg := metrics.NewRegistry()
+	m, err := NewMonitor(n, 1, WithRadius(0.03), WithTau(3), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	event := map[int]float64{0: 0.5, 1: 0.5, 2: 0.51, 3: 0.49, 4: 0.5}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 3; i++ {
+			if _, err := m.Observe(fleetSnapshot(n, 0.95, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out, err := m.Observe(fleetSnapshot(n, 0.95, event)); err != nil || out == nil {
+			t.Fatalf("round %d abnormal window: out=%v err=%v", round, out, err)
+		}
+		if got := reg.Gauge("anomalia_abnormal_churn_ratio", "").Value(); got != 1 {
+			t.Errorf("round %d: churn ratio = %v, want 1 against the empty set", round, got)
+		}
+		m.Reset()
 	}
 }
 

@@ -301,9 +301,8 @@
 //     all-abnormal fleet characterization. A parity suite pins
 //     verdicts, sets and cost counters bit-identical to the
 //     whole-graph-universe reference across placement families,
-//     adjacency representations and exact modes, serial and parallel
-//     under the race detector, and a transcription of the earlier
-//     per-neighbour split pins the family path to it.
+//     adjacency representations and exact modes, and a transcription
+//     of the earlier per-neighbour split pins the family path to it.
 //   - Monitor recycles the displaced snapshot as the next window's
 //     buffer and reuses the abnormal-id slice, so steady-state
 //     observation does not grow the heap per snapshot; the detector
@@ -330,6 +329,16 @@
 //     limited to the churned cells' reach, then publishes the window
 //     with one pointer swap, with allocations bounded by the churn —
 //     CI gates the n=1M advance at 512 allocs/op.
+//   - Every parallel pass — the detector walk, the grid's key passes
+//     and sort, the collected graph build and the directory's per-view
+//     decisions — fans out through one internal helper (internal/par).
+//     Range passes cut contiguous ranges of at least a per-pass grain
+//     and merge per-worker buffers in worker order, so their output is
+//     the same for every worker count; passes over items of uneven
+//     cost, such as view groups, claim items from a shared counter.
+//     A range pass shorter than twice its grain runs inline on the
+//     calling goroutine, and a pool never starts more goroutines than
+//     it has items.
 //
 // The benchmark module under benchmark/ measures the system end to end
 // and layer by layer: bash benchmark/run.sh drives four gateway-stream

@@ -331,46 +331,23 @@ func massClusterWindow(tb testing.TB, seed int64, n int, r float64, starts []int
 	return pair, sets.Canon(ids)
 }
 
-// TestFamilySharingUnderParallel runs the parallel pass on a window
-// whose mass-event component is larger than the per-task target, so
-// several workers read one family at once (run it under -race), and
-// requires it to equal the serial pass. It also pins the read-only
-// sharing contract: members of one family get the very same Dense, J
-// and L slices.
-func TestFamilySharingUnderParallel(t *testing.T) {
+// TestFamilySharing pins the read-only sharing contract of the family
+// path on a window with two R2 mass-event clusters: members of one
+// family get the very same Dense, J and L slices, and a member of the
+// other cluster does not share them.
+func TestFamilySharing(t *testing.T) {
 	t.Parallel()
 
 	const r = 0.01
 	pair, ids := massClusterWindow(t, 8, 1000, r, []int{0, 500}, 300, []int{350, 420, 460, 990})
 	cfg := Config{R: r, Tau: 3, Exact: true}
-	g := motion.NewGraph(pair, ids, cfg.R)
-
-	par := newCharacterizer(pair, ids, cfg, g)
-	const workers = 4
-	lo := par.comps.Offset(par.comps.Of(0))
-	hi := lo + par.comps.Size(par.comps.Of(0))
-	if hi-lo != 300 {
-		t.Fatalf("cluster component has %d members, want 300", hi-lo)
+	c := newCharacterizer(pair, ids, cfg, motion.NewGraph(pair, ids, cfg.R))
+	if size := c.comps.Size(c.comps.Of(0)); size != 300 {
+		t.Fatalf("cluster component has %d members, want 300", size)
 	}
-	split := 0
-	for _, rg := range par.componentRanges(workers) {
-		if rg[0] >= lo && rg[1] <= hi {
-			split++
-		}
-	}
-	if split < 2 {
-		t.Fatalf("cluster component spans %d task ranges, want several", split)
-	}
-	got, err := par.CharacterizeAllParallel(workers)
+	got, err := c.CharacterizeAll()
 	if err != nil {
 		t.Fatal(err)
-	}
-	want, err := newCharacterizer(pair, ids, cfg, g).CharacterizeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("parallel results diverged from the serial pass")
 	}
 
 	sameHeader := func(a, b []int) bool {

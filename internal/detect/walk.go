@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
+
+	"anomalia/internal/par"
 )
 
 // ErrSample is returned when a snapshot row cannot be consumed as-is: a
@@ -42,41 +42,13 @@ type Walker struct {
 // NewWalker returns a walker with the given pool size; workers <= 0
 // selects GOMAXPROCS.
 func NewWalker(workers int) *Walker {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = par.Workers(workers, math.MaxInt)
 	return &Walker{
 		workers: workers,
 		flags:   make([][]int, workers),
 		errs:    make([]error, workers),
 		counts:  make([]int, workers),
 	}
-}
-
-// Workers returns the configured pool size.
-func (w *Walker) Workers() int { return w.workers }
-
-// shard runs f(i, lo, hi) over n devices split into contiguous ranges,
-// one per worker and concurrently, and returns the number of workers
-// used: the pool size, cut so that no worker gets fewer than minShard
-// devices. Worker i's range precedes worker i+1's, so per-worker
-// results merged in index order read like a serial pass.
-func (w *Walker) shard(n int, f func(i, lo, hi int)) int {
-	workers := min(w.workers, (n+minShard-1)/minShard)
-	if workers <= 1 {
-		f(0, 0, n)
-		return 1
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			f(i, i*n/workers, (i+1)*n/workers)
-		}(i)
-	}
-	wg.Wait()
-	return workers
 }
 
 // Walk feeds row j of samples to device j — exactly one Update per
@@ -133,7 +105,7 @@ func rejectRow(devs []*Device, samples [][]float64, clean []bool) error {
 // reporting an error. Returns the number of clean rows. len(samples)
 // and len(clean) must equal len(devs).
 func (w *Walker) Classify(devs []*Device, samples [][]float64, clean []bool) int {
-	workers := w.shard(len(devs), func(i, lo, hi int) {
+	workers := par.Ranges(len(devs), w.workers, minShard, func(i, lo, hi int) {
 		w.counts[i] = classifyRange(devs, samples, clean, lo, hi)
 	})
 	total := 0
@@ -181,7 +153,7 @@ func (w *Walker) WalkSkip(devs []*Device, rows [][]float64, visit func(dev int, 
 	if len(rows) != n {
 		return out, fmt.Errorf("snapshot has %d rows, want %d: %w", len(rows), n, ErrSample)
 	}
-	workers := w.shard(n, func(i, lo, hi int) {
+	workers := par.Ranges(n, w.workers, minShard, func(i, lo, hi int) {
 		buf := w.flags[i]
 		if buf == nil {
 			buf = make([]int, 0, (hi-lo)/8+16)

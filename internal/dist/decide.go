@@ -2,12 +2,12 @@ package dist
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
 	"anomalia/internal/core"
 	"anomalia/internal/grid"
+	"anomalia/internal/par"
 )
 
 // Decide runs the local characterization for abnormal device j against
@@ -137,42 +137,23 @@ func (d *Directory) decideRange(w *window, cfg core.Config, from, to int) ([]Dec
 		}
 		mu.Unlock()
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	work := make(chan *group)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range work {
-				c, err := core.New(w.pair, g.view, cfg)
-				if err != nil {
-					fail(g.slots[0], err)
-					continue
-				}
-				for i, slot := range g.slots {
-					j := w.abnormal[from+int(slot)]
-					res, err := c.Characterize(j)
-					if err != nil {
-						fail(slot, fmt.Errorf("device %d: %w", j, err))
-						break
-					}
-					out[slot] = Decision{Result: res, Stats: g.stats[i]}
-				}
+	par.Each(len(order), 0, func(gi int) {
+		g := order[gi]
+		c, err := core.New(w.pair, g.view, cfg)
+		if err != nil {
+			fail(g.slots[0], err)
+			return
+		}
+		for i, slot := range g.slots {
+			j := w.abnormal[from+int(slot)]
+			res, err := c.Characterize(j)
+			if err != nil {
+				fail(slot, fmt.Errorf("device %d: %w", j, err))
+				return
 			}
-		}()
-	}
-	for _, g := range order {
-		work <- g
-	}
-	close(work)
-	wg.Wait()
+			out[slot] = Decision{Result: res, Stats: g.stats[i]}
+		}
+	})
 	if lowestErr != nil {
 		return nil, Stats{}, lowestErr
 	}

@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
+	"anomalia/internal/par"
 	"anomalia/internal/scenario"
 )
 
@@ -60,55 +59,36 @@ func sweep(cfg SweepConfig, title string, enforceR3 bool, metric func(SimStats) 
 		t.Header = append(t.Header, fmt.Sprintf("G=%g", g))
 	}
 
-	type cellJob struct{ ai, gi int }
 	cells := make([][]string, len(cfg.As))
 	for ai := range cells {
 		cells[ai] = make([]string, len(cfg.Gs))
 	}
 	errs := make([]error, len(cfg.As)*len(cfg.Gs))
-	jobs := make(chan cellJob)
-	workers := runtime.GOMAXPROCS(0)
-	if max := len(cfg.As) * len(cfg.Gs); workers > max {
-		workers = max
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for job := range jobs {
-				a, g := cfg.As[job.ai], cfg.Gs[job.gi]
-				st, err := RunSim(SimConfig{
-					Scenario: scenario.Config{
-						N:           cfg.N,
-						D:           cfg.D,
-						R:           cfg.R,
-						Tau:         cfg.Tau,
-						A:           a,
-						G:           g,
-						EnforceR3:   enforceR3,
-						Concomitant: true,
-						MaxShift:    cfg.MaxShift,
-						Seed:        cfg.Seed + int64(1000*a+job.gi),
-					},
-					Steps: cfg.Steps,
-					Exact: true,
-				})
-				if err != nil {
-					errs[job.ai*len(cfg.Gs)+job.gi] = fmt.Errorf("%s at A=%d G=%v: %w", title, a, g, err)
-					continue
-				}
-				cells[job.ai][job.gi] = pct(metric(st))
-			}
-		}()
-	}
-	for ai := range cfg.As {
-		for gi := range cfg.Gs {
-			jobs <- cellJob{ai: ai, gi: gi}
+	par.Each(len(errs), 0, func(job int) {
+		ai, gi := job/len(cfg.Gs), job%len(cfg.Gs)
+		a, g := cfg.As[ai], cfg.Gs[gi]
+		st, err := RunSim(SimConfig{
+			Scenario: scenario.Config{
+				N:           cfg.N,
+				D:           cfg.D,
+				R:           cfg.R,
+				Tau:         cfg.Tau,
+				A:           a,
+				G:           g,
+				EnforceR3:   enforceR3,
+				Concomitant: true,
+				MaxShift:    cfg.MaxShift,
+				Seed:        cfg.Seed + int64(1000*a+gi),
+			},
+			Steps: cfg.Steps,
+			Exact: true,
+		})
+		if err != nil {
+			errs[job] = fmt.Errorf("%s at A=%d G=%v: %w", title, a, g, err)
+			return
 		}
-	}
-	close(jobs)
-	wg.Wait()
+		cells[ai][gi] = pct(metric(st))
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -26,10 +26,9 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 
+	"anomalia/internal/par"
 	"anomalia/internal/space"
 )
 
@@ -322,6 +321,11 @@ func (ix *Index) openCell(ci, id int, key []uint64) {
 	ix.cells[ci].Coords = ix.coords[start:len(ix.coords):len(ix.coords)]
 }
 
+// minPerWorker is the smallest per-worker range of the sharded per-id
+// key passes, so per-window index builds at paper scale run inline and
+// spawn nothing.
+const minPerWorker = 1 << 14
+
 // buildPacked32 is the build for the common geometry where a whole key
 // packs into 32 bits (e.g. any 2-d index up to 65k cells per axis): key
 // and device position share one composite word, so grouping devices
@@ -330,7 +334,7 @@ func (ix *Index) openCell(ci, id int, key []uint64) {
 func (ix *Index) buildPacked32(ids []int) {
 	m := len(ids)
 	com := make([]uint64, m)
-	parallelRanges(m, func(lo, hi int) {
+	par.Ranges(m, 0, minPerWorker, func(_, lo, hi int) {
 		var cbuf [space.MaxDim]int
 		var kbuf [1]uint64
 		for i := lo; i < hi; i++ {
@@ -374,7 +378,7 @@ func (ix *Index) buildGeneral(ids []int) {
 	m := len(ids)
 	stride := ix.kc.stride
 	devKeys := make([]uint64, m*stride)
-	parallelRanges(m, func(lo, hi int) {
+	par.Ranges(m, 0, minPerWorker, func(_, lo, hi int) {
 		var cbuf [space.MaxDim]int
 		for i := lo; i < hi; i++ {
 			coords := ix.Coords(ix.state.At(ids[i]), cbuf[:0])
@@ -416,34 +420,6 @@ func (ix *Index) buildGeneral(ids []int) {
 		ix.idCell[oi] = int32(ci)
 	}
 	ix.cells[ci].Ids = ix.idArena[start:m:m]
-}
-
-// parallelRanges shards [0, m) across GOMAXPROCS workers; small inputs
-// run inline so per-window index builds at paper scale spawn nothing.
-func parallelRanges(m int, fn func(lo, hi int)) {
-	const minPerWorker = 1 << 14
-	workers := runtime.GOMAXPROCS(0)
-	if w := m / minPerWorker; w < workers {
-		workers = w
-	}
-	if workers <= 1 {
-		fn(0, m)
-		return
-	}
-	chunk := (m + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // State returns the indexed state.

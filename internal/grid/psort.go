@@ -1,15 +1,15 @@
 package grid
 
 import (
-	"runtime"
 	"slices"
-	"sync"
+
+	"anomalia/internal/par"
 )
 
 // parallelSortThreshold is the input size below which the composite-key
 // sort runs single-threaded: shard + merge overhead only pays for itself
 // on bulk builds, and per-window builds at paper scale should spawn
-// nothing (mirroring parallelRanges).
+// nothing (like the key passes, see minPerWorker).
 const parallelSortThreshold = 1 << 15
 
 // parallelSortUint64 sorts a ascending using up to GOMAXPROCS workers:
@@ -18,7 +18,7 @@ const parallelSortThreshold = 1 << 15
 // count — so index builds are deterministic across machines and
 // GOMAXPROCS settings.
 func parallelSortUint64(a []uint64) {
-	workers := runtime.GOMAXPROCS(0)
+	workers := 0
 	if len(a) < parallelSortThreshold {
 		workers = 1
 	}
@@ -29,53 +29,37 @@ func parallelSortUint64(a []uint64) {
 // split out so tests can pin output equality across worker counts.
 func parallelSortUint64Workers(a []uint64, workers int) {
 	n := len(a)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 2 {
-		slices.Sort(a)
+	// Shard and sort: shard i is a[i*n/k : (i+1)*n/k].
+	k := par.Ranges(n, workers, 1, func(_, lo, hi int) { slices.Sort(a[lo:hi]) })
+	if k == 1 {
 		return
 	}
-
-	// Shard and sort: worker w owns a[w*n/workers : (w+1)*n/workers).
-	bounds := make([]int, workers+1)
+	bounds := make([]int, k+1)
 	for i := range bounds {
-		bounds[i] = i * n / workers
+		bounds[i] = i * n / k
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			slices.Sort(a[lo:hi])
-		}(bounds[w], bounds[w+1])
-	}
-	wg.Wait()
 
 	// Merge rounds: adjacent run pairs merge in parallel, ping-ponging
-	// between a and one scratch buffer, until a single run remains.
+	// between a and one scratch buffer, until a single run remains. An
+	// odd run out is carried into the next round.
 	buf := make([]uint64, n)
 	src, dst := a, buf
 	for len(bounds) > 2 {
-		next := make([]int, 0, len(bounds)/2+2)
-		var mg sync.WaitGroup
-		i := 0
-		for ; i+2 < len(bounds); i += 2 {
-			lo, mid, hi := bounds[i], bounds[i+1], bounds[i+2]
-			next = append(next, lo)
-			mg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mg.Done()
-				mergeUint64(dst[lo:hi], src[lo:mid], src[mid:hi])
-			}(lo, mid, hi)
-		}
-		if i+1 < len(bounds) { // odd run out: carry it into the next round
+		runs := len(bounds) - 1
+		par.Do((runs+1)/2, func(p int) {
+			lo, mid := bounds[2*p], bounds[2*p+1]
+			if 2*p+2 >= len(bounds) {
+				copy(dst[lo:mid], src[lo:mid])
+				return
+			}
+			hi := bounds[2*p+2]
+			mergeUint64(dst[lo:hi], src[lo:mid], src[mid:hi])
+		})
+		next := make([]int, 0, runs/2+2)
+		for i := 0; i < len(bounds)-1; i += 2 {
 			next = append(next, bounds[i])
-			copy(dst[bounds[i]:n], src[bounds[i]:n])
 		}
-		next = append(next, n)
-		mg.Wait()
-		bounds = next
+		bounds = append(next, n)
 		src, dst = dst, src
 	}
 	if &src[0] != &a[0] {

@@ -3,6 +3,7 @@ package grid
 import (
 	"slices"
 
+	"anomalia/internal/par"
 	"anomalia/internal/space"
 )
 
@@ -146,7 +147,7 @@ func (ix *Index) Update(newState *space.State, ids []int, moved []int) (*Index, 
 	var newKeys []uint64
 	if recheckAll {
 		newKeys = make([]uint64, m*stride)
-		parallelRanges(m, func(lo, hi int) {
+		par.Ranges(m, 0, minPerWorker, func(_, lo, hi int) {
 			var cbuf [space.MaxDim]int
 			for i := lo; i < hi; i++ {
 				coords := ix.Coords(newState.At(ids[i]), cbuf[:0])

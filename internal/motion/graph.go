@@ -52,7 +52,7 @@ type Graph struct {
 
 	// bkPool recycles enumeration scratch across the many per-device
 	// clique enumerations of a fleet pass; sync.Pool keeps concurrent
-	// enumerations (parallel characterization) safe.
+	// enumerations over one graph safe.
 	bkPool sync.Pool
 }
 
@@ -693,10 +693,10 @@ func (g *Graph) bronKerbosch(report func(*sets.Bits)) {
 // buffers of one enumeration's recursion — the dominant garbage of the
 // characterization hot path before pooling. Each top-level enumeration
 // owns its scratch, so concurrent enumerations over a shared graph
-// (CharacterizeAllParallel phase 1) never share state. Only the
-// reported cliques escape the enumeration. The free-listed bitsets are
-// resized on lease, so one scratch serves the full graph universe and
-// the per-vertex sub-universes of the sparse enumeration alike.
+// never share state. Only the reported cliques escape the enumeration.
+// The free-listed bitsets are resized on lease, so one scratch serves
+// the full graph universe and the per-vertex sub-universes of the
+// sparse enumeration alike.
 type bkScratch struct {
 	free []*sets.Bits
 	ints [][]int

@@ -1,11 +1,10 @@
 package motion
 
 import (
-	"runtime"
 	"slices"
-	"sync"
 
 	"anomalia/internal/grid"
+	"anomalia/internal/par"
 	"anomalia/internal/sets"
 )
 
@@ -47,15 +46,7 @@ import (
 // GOMAXPROCS.
 func (g *Graph) buildCollected(w *flatWindow, prm grid.Params, gridOK bool, workers int, forceCSR bool) {
 	m := len(g.ids)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m {
-		workers = m
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = par.Workers(workers, m)
 	var (
 		bufs   [][]uint64
 		cb     *cellBlocks
@@ -160,34 +151,23 @@ func collectGrid(g *Graph, w *flatWindow, prm grid.Params, workers int) ([][]uin
 	idx := grid.New(g.pair.Prev, g.ids, prm)
 	walk := idx.NewPairWalk(gridBuildReach)
 	cb := newCellBlocks(w, g.resolveCellLocals(walk.Cells()))
-	if cells := len(walk.Cells()); workers > cells {
-		workers = cells
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = par.Workers(workers, len(walk.Cells()))
 	bufs := make([][][]uint64, workers)
 	blocks := make([][]uint64, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			var sink edgeSink
-			var accepted []uint64
-			edge := func(va, vc int32) { sink.add(pack(va, vc)) }
-			walk.Shard(wk, workers, func(a, c int) {
-				if cb.accept(a, c) {
-					accepted = append(accepted, pack(int32(a), int32(c)))
-				} else {
-					cb.testBlock(a, c, edge)
-				}
-			})
-			bufs[wk] = sink.done()
-			blocks[wk] = accepted
-		}(wk)
-	}
-	wg.Wait()
+	par.Do(workers, func(wk int) {
+		var sink edgeSink
+		var accepted []uint64
+		edge := func(va, vc int32) { sink.add(pack(va, vc)) }
+		walk.Shard(wk, workers, func(a, c int) {
+			if cb.accept(a, c) {
+				accepted = append(accepted, pack(int32(a), int32(c)))
+			} else {
+				cb.testBlock(a, c, edge)
+			}
+		})
+		bufs[wk] = sink.done()
+		blocks[wk] = accepted
+	})
 	return flattenChunks(bufs), cb, slices.Concat(blocks...)
 }
 
@@ -205,23 +185,17 @@ func flattenChunks(bufs [][][]uint64) [][]uint64 {
 // every pair (a, c), a < c, belongs to exactly one stripe).
 func collectAllPairs(w *flatWindow, m, workers int) [][]uint64 {
 	bufs := make([][][]uint64, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			var sink edgeSink
-			for a := wk; a < m; a += workers {
-				for c := a + 1; c < m; c++ {
-					if w.adjacent(int32(a), int32(c)) {
-						sink.add(pack(int32(a), int32(c)))
-					}
+	par.Do(workers, func(wk int) {
+		var sink edgeSink
+		for a := wk; a < m; a += workers {
+			for c := a + 1; c < m; c++ {
+				if w.adjacent(int32(a), int32(c)) {
+					sink.add(pack(int32(a), int32(c)))
 				}
 			}
-			bufs[wk] = sink.done()
-		}(wk)
-	}
-	wg.Wait()
+		}
+		bufs[wk] = sink.done()
+	})
 	return flattenChunks(bufs)
 }
 
@@ -295,26 +269,11 @@ func (g *Graph) mergeCSR(bufs [][]uint64, cb *cellBlocks, blocks []uint64, worke
 			cur[v] += int64(copy(nbr[cur[v]:], la))
 		}
 	}
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 {
-		for v := 0; v < m; v++ {
+	par.Do(workers, func(w int) {
+		for v := w; v < m; v += workers {
 			slices.Sort(nbr[off[v]:off[v+1]])
 		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for v := w; v < m; v += workers {
-					slices.Sort(nbr[off[v]:off[v+1]])
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	})
 	g.off, g.nbr = off, nbr
 }
 

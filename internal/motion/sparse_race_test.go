@@ -81,8 +81,7 @@ func TestSparseBuildConcurrent(t *testing.T) {
 }
 
 // TestSparseEnumerationConcurrent runs concurrent clique enumerations
-// over one shared sparse-mode graph — the access pattern of
-// CharacterizeAllParallel's phase 1 — under the race detector. The
+// over one shared sparse-mode graph under the race detector. The
 // sync.Pool-leased scratch (including the densified neighbourhood rows)
 // must keep workers isolated.
 func TestSparseEnumerationConcurrent(t *testing.T) {

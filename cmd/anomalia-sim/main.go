@@ -46,8 +46,7 @@
 // so the numbers describe the monitor alone. -slo turns the report
 // into a gate: comma-separated quantile=duration clauses (p50, p99,
 // p999), and any quantile over its bound exits non-zero after the
-// report is written. scripts/bench.sh records the soak report into the
-// PR's BENCH_N.json snapshot and CI runs a short gated soak.
+// report is written. CI runs a short gated soak.
 package main
 
 import (

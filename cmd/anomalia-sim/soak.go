@@ -33,8 +33,8 @@ type sloGate struct {
 	OK       bool    `json:"ok"`
 }
 
-// soakReport is the one-line JSON record the soak emits; bench.sh
-// copies it into BENCH_N.json and CI gates on the slo array.
+// soakReport is the one-line JSON record the soak emits; its slo array
+// decides the exit code.
 type soakReport struct {
 	Windows          int       `json:"windows"`
 	Devices          int       `json:"devices"`

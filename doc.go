@@ -327,8 +327,7 @@
 //     bounded by an amortized compaction pass. Directory.Advance adds
 //     shard-annotation carry-over and 4r block-cache invalidation
 //     limited to the churned cells' reach, then publishes the window
-//     with one pointer swap, with allocations bounded by the churn —
-//     CI gates the n=1M advance at 512 allocs/op.
+//     with one pointer swap, with allocations bounded by the churn.
 //   - Every parallel pass — the detector walk, the grid's key passes
 //     and sort, the collected graph build and the directory's per-view
 //     decisions — fans out through one internal helper (internal/par).
@@ -345,21 +344,10 @@
 // workloads and reports tick latency, throughput, allocation and live
 // heap, and its -compare mode turns the saved runs of two commits into
 // per-metric verdicts built on medians and quartiles, against the
-// bounds in BENCHMARK.json. CI runs scripts/bench.sh -short, which fails
-// on allocation regressions in the window hot path, on allocated-byte
-// regressions in the m = 100k graph build, on allocation regressions in
-// the m = 1M graph build, on allocation regressions in the n = 1M
-// 1%-churn incremental directory advance, on allocation regressions in
-// the quiet n = 1M streaming tick and its idle-health ObservePartial
-// twin (whose latency is additionally gated against the plain quiet
-// tick), on the quiet tick of a directory-configured monitor adding
-// more than one allocation over the plain quiet tick (the
-// breaker-closed networked client must be free when nothing is
-// abnormal), on the end-to-end/bare latency ratio of the n = 1M
-// mass-event tick drifting past its envelope, and on latency or
-// allocation regressions in the m = 50k all-abnormal fleet
-// characterization. Separate CI steps repeat the seeded
-// fault-injection and wire-fault soaks under the race detector.
+// bounds in BENCHMARK.json. CI runs scripts/benchgate, whose gate table
+// bounds the allocations, allocated bytes and latency of the hot-path
+// benchmarks. Separate CI steps repeat the seeded fault-injection and
+// wire-fault soaks under the race detector.
 //
 // # Observability
 //

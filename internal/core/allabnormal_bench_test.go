@@ -82,8 +82,7 @@ func allAbnormalWindow(tb testing.TB, m int) (*motion.Pair, []int) {
 // once outside the timer (its cost is covered by BenchmarkNewGraph);
 // each iteration runs a fresh characterizer over it, so the measured
 // work is exactly the decision layer: motion enumeration, the
-// D_k/J_k/L_k algebra and the verdicts. bench.sh computes the scaling
-// exponent of this curve and CI gates the m=50k point.
+// D_k/J_k/L_k algebra and the verdicts. CI gates the m=50k point.
 func BenchmarkCharacterizeAllAbnormal(b *testing.B) {
 	for _, m := range []int{10_000, 50_000, 200_000} {
 		if testing.Short() && m > 50_000 {

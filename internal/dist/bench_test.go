@@ -183,7 +183,7 @@ var churnFracs = []struct {
 // one Advance per iteration, alternating between the two window states
 // so every iteration patches the same churn fraction. Compare against
 // BenchmarkDirectoryRebuild at the same n for the incremental-vs-rebuild
-// speedup the BENCH_*.json trajectory records; BenchmarkDirectoryAdvanceFull
+// speedup scripts/benchgate gates at n=1M; BenchmarkDirectoryAdvanceFull
 // is the same advance without the delta feed (every id's cell rechecked).
 func BenchmarkDirectoryAdvance(b *testing.B) {
 	for _, mode := range []string{"clustered", "uniform"} {

@@ -143,10 +143,6 @@ func (g *Graph) WholeGraphComponent() *Components {
 // Count returns the number of components.
 func (cs *Components) Count() int { return len(cs.off) - 1 }
 
-// Offset returns the position of component c's first member within the
-// AllVerts slab.
-func (cs *Components) Offset(c int) int { return int(cs.off[c]) }
-
 // Of returns the component index of graph-local vertex li.
 func (cs *Components) Of(li int) int { return int(cs.comp[li]) }
 
@@ -164,11 +160,6 @@ func (cs *Components) Rank(li int) int { return int(cs.rank[li]) }
 func (cs *Components) Verts(c int) []int32 {
 	return cs.verts[cs.off[c]:cs.off[c+1]:cs.off[c+1]]
 }
-
-// AllVerts returns the full member slab: every component's sorted
-// graph-local indices, concatenated in component order. The slice views
-// the decomposition's slab — read-only.
-func (cs *Components) AllVerts() []int32 { return cs.verts }
 
 // AppendIds appends the device ids of the component-local bitset b of
 // component c to dst, in increasing id order, and returns the extended

@@ -92,10 +92,8 @@ func benchGraphPair(tb testing.TB, n int, placement string, radius float64) *Pai
 // sparse side) against the recorded all-pairs baseline, at growing
 // vertex counts and both placements. The all-pairs baseline stops at
 // n=10k — beyond that its quadratic scan is the point of the exercise —
-// and the n=1M sparse entry is skipped under -short (it is the
-// million-device headline scripts/bench.sh records in the full run).
-// Run with -benchmem; scripts/bench.sh records the results in the
-// BENCH_*.json trajectory.
+// and the n=1M sparse entry is skipped under -short. Run with -benchmem;
+// scripts/benchgate gates the n=100k bytes and the n=1M allocations.
 func BenchmarkNewGraph(b *testing.B) {
 	for _, placement := range []string{"sparse", "clustered"} {
 		for _, n := range []int{1_000, 10_000, 100_000} {

@@ -1,0 +1,247 @@
+// Command benchgate runs the repository's benchmark gates. One table
+// declares each gate: a bound on one metric of one go test benchmark,
+// alone or against the same metric of a base benchmark from the same
+// run, checked on the median over the run's repetitions. Each
+// repetition is one `go test -run '^$' -bench ... -benchmem`
+// invocation, whose output is echoed.
+//
+// It prints one line per gate and exits non-zero when a gate fails, a
+// gated benchmark printed no line, or a BENCH_N.json snapshot of the
+// frozen perf trajectory is missing. Run it from the repository root:
+//
+//	go run ./scripts/benchgate
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+)
+
+// A gate bounds one metric (unit) of one benchmark: the median v of
+// its lines (op ""), or v against the median b of the same metric of
+// base, measured in the same run, as v / b (op "/") or v - b (op "-").
+// It passes when that quantity is at most bound.
+type gate struct {
+	bench, unit, op, base string
+	bound                 float64
+}
+
+// A run is count go test invocations over pkg with its own flags, its
+// -bench pattern selecting the benchmarks its gates read. -count would
+// run one benchmark's repetitions back to back, so a slow spell on a
+// shared machine could hit every repetition of one side of a ratio.
+type run struct {
+	pkg   string
+	flags []string
+	count int
+	gates []gate
+}
+
+const (
+	nsOp      = "ns/op"
+	bytesOp   = "B/op"
+	allocsOp  = "allocs/op"
+	quietTick = "BenchmarkTickIngestDetect1M"
+	advance   = "BenchmarkDirectoryAdvance/clustered/n=1M/churn=1%"
+	allAbn50k = "BenchmarkCharacterizeAllAbnormal/m=50k"
+)
+
+var table = []run{
+	// The window hot path: 1735 allocs/op when first gated, 4046 before.
+	{".", []string{"-benchtime=20x"}, 1, []gate{
+		{bench: "BenchmarkCharacterizeWindow", unit: allocsOp, bound: 2000},
+	}},
+	// The hybrid sparse CSR build of a 100k-vertex window allocates
+	// ~100 MB; the dense rows it replaced took 1.37 GB, so a slide back
+	// toward quadratic storage trips the gate. -short skips the set-up
+	// of the n=1M window.
+	{"./internal/motion", []string{"-short", "-benchtime=1x"}, 1, []gate{
+		{bench: "BenchmarkNewGraph/grid/sparse/n=100000", unit: bytesOp, bound: 150e6},
+	}},
+	// The flat slab-allocated grid index builds a 1M-vertex window in a
+	// few hundred allocations; the ceiling trips on any per-cell or
+	// per-device allocation.
+	{"./internal/motion", []string{"-benchtime=1x"}, 1, []gate{
+		{bench: "BenchmarkNewGraph/grid/sparse/n=1000000", unit: allocsOp, bound: 10000},
+	}},
+	// The incremental advance patches the retained index with a
+	// churn-sized handful of allocations, and must beat the full rebuild
+	// at least 5x (10x on quiet hardware; the floor leaves room for a
+	// shared runner).
+	{"./internal/dist", []string{"-benchtime=5x"}, 3, []gate{
+		{bench: advance, unit: allocsOp, bound: 512},
+		{bench: advance, unit: nsOp, op: "/", base: "BenchmarkDirectoryRebuild/clustered/n=1M", bound: 1.0 / 5},
+	}},
+	// Quiet n=1M ticks: the double-buffered steady state allocates a
+	// handful of times, and the idle health layer, a breaker-closed
+	// directory client and metrics recording must each be free on it.
+	// allocs/op counts every goroutine's allocations; the median of three
+	// repetitions keeps a stray one from tripping the one-allocation gates.
+	{".", []string{"-benchtime=3x"}, 3, []gate{
+		{bench: quietTick, unit: allocsOp, bound: 256},
+		{bench: "BenchmarkTickObservePartial1M", unit: allocsOp, bound: 256},
+		{bench: "BenchmarkTickObservePartial1M", unit: nsOp, op: "/", base: quietTick, bound: 1.5},
+		{bench: "BenchmarkTickObserveNetworked1M", unit: allocsOp, op: "-", base: quietTick, bound: 1},
+		{bench: "BenchmarkTickObserveMetrics1M", unit: allocsOp, op: "-", base: quietTick, bound: 1},
+	}},
+	// The n=1M mass-event tick stays within 2x of characterizing its
+	// window alone. -benchtime=1x: go test forces no GC between
+	// iterations, and mid-loop GC state inflates a multi-iteration time
+	// of these GC-heavy ticks by up to 10x, so each repetition times one.
+	{".", []string{"-benchtime=1x"}, 3, []gate{
+		{bench: "BenchmarkTickObserve1M/sharded", unit: nsOp, op: "/", base: "BenchmarkTickBare1M", bound: 2},
+	}},
+	// The component-local characterizer decides the adversarial m=50k
+	// all-abnormal window far inside these ceilings; the full-universe
+	// path it replaced took ~6.2 s and ~696k allocs. 1x for the same GC
+	// reason as the mass-event tick.
+	{"./internal/core", []string{"-benchtime=1x"}, 3, []gate{
+		{bench: allAbn50k, unit: nsOp, bound: 2e9},
+		{bench: allAbn50k, unit: allocsOp, bound: 300000},
+	}},
+}
+
+func main() {
+	var out bytes.Buffer
+	for _, r := range table {
+		args := slices.Concat([]string{"test", "-run", "^$", "-bench", r.pattern(), "-benchmem", "-timeout", "30m"}, r.flags, []string{r.pkg})
+		for range r.count {
+			fmt.Println("$ go", strings.Join(args, " "))
+			cmd := exec.Command("go", args...)
+			cmd.Stdout, cmd.Stderr = io.MultiWriter(os.Stdout, &out), os.Stderr
+			if err := cmd.Run(); err != nil {
+				fmt.Fprintln(os.Stderr, "benchgate: go test:", err)
+				os.Exit(1)
+			}
+		}
+	}
+	failed := check(os.Stdout, parse(out.String()), table)
+	if err := trajectory("."); err != nil {
+		fmt.Println("FAIL", err)
+		failed++
+	}
+	if failed > 0 {
+		fmt.Printf("benchgate: %d check(s) failed\n", failed)
+		os.Exit(1)
+	}
+}
+
+// pattern returns the -bench expression selecting the benchmarks r's
+// gates read. go test matches each '/'-separated part of a pattern
+// against one sub-benchmark level, so every level is anchored.
+func (r run) pattern() string {
+	var alts []string
+	for _, g := range r.gates {
+		for _, name := range []string{g.bench, g.base} {
+			levels := strings.Split(name, "/")
+			for i, l := range levels {
+				levels[i] = "^" + regexp.QuoteMeta(l) + "$"
+			}
+			if alt := strings.Join(levels, "/"); name != "" && !slices.Contains(alts, alt) {
+				alts = append(alts, alt)
+			}
+		}
+	}
+	return strings.Join(alts, "|")
+}
+
+// samples holds the values of every line, per benchmark name and unit.
+type samples map[key][]float64
+
+type key struct{ name, unit string }
+
+// procs is the -GOMAXPROCS suffix go test appends to benchmark names.
+var procs = regexp.MustCompile(`-\d+$`)
+
+// parse reads the result lines of go test -bench output: a name, an
+// iteration count, then value-unit pairs. A line may lack the -benchmem
+// pairs.
+func parse(out string) samples {
+	s := samples{}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		name := procs.ReplaceAllString(f[0], "")
+		for i := 2; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				break
+			}
+			k := key{name, f[i+1]}
+			s[k] = append(s[k], v)
+		}
+	}
+	return s
+}
+
+// median returns the median of name's unit values.
+func (s samples) median(name, unit string) (float64, error) {
+	v := slices.Sorted(slices.Values(s[key{name, unit}]))
+	if len(v) == 0 {
+		return 0, fmt.Errorf("no %s line for %s", unit, name)
+	}
+	return (v[(len(v)-1)/2] + v[len(v)/2]) / 2, nil
+}
+
+// value returns the quantity g compares with its bound.
+func (g gate) value(s samples) (float64, error) {
+	v, err := s.median(g.bench, g.unit)
+	if err != nil || g.op == "" {
+		return v, err
+	}
+	b, err := s.median(g.base, g.unit)
+	if g.op == "/" {
+		return v / b, err
+	}
+	return v - b, err
+}
+
+func (g gate) String() string {
+	if g.op == "" {
+		return g.bench + " " + g.unit
+	}
+	return g.bench + " " + g.op + " " + g.base + " " + g.unit
+}
+
+// check evaluates every gate of runs against s, writes one line per
+// gate to w, and returns how many failed or could not be read.
+func check(w io.Writer, s samples, runs []run) int {
+	failed := 0
+	for _, r := range runs {
+		for _, g := range r.gates {
+			v, err := g.value(s)
+			switch {
+			case err != nil:
+				fmt.Fprintf(w, "FAIL %s: %v\n", g, err)
+			case v <= g.bound:
+				fmt.Fprintf(w, "OK   %s = %.6g <= %.6g\n", g, v, g.bound)
+				continue
+			default:
+				fmt.Fprintf(w, "FAIL %s = %.6g > %.6g\n", g, v, g.bound)
+			}
+			failed++
+		}
+	}
+	return failed
+}
+
+// trajectory reports the first snapshot of the frozen perf trajectory,
+// BENCH_2.json through BENCH_10.json, missing from dir.
+func trajectory(dir string) error {
+	for n := 2; n <= 10; n++ {
+		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", n))); err != nil {
+			return fmt.Errorf("perf trajectory: %w", err)
+		}
+	}
+	return nil
+}

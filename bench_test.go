@@ -473,32 +473,22 @@ func BenchmarkTickObserve1M(b *testing.B) {
 	}
 }
 
-// BenchmarkTickIngestDetect1M isolates the front-end the tentpole
-// optimizes: a quiet steady-state tick (validate, copy, walk a million
-// detectors, nothing abnormal). The double-buffered monitor makes this
-// allocation-free after warm-up, which the bench gate pins.
+// BenchmarkTickIngestDetect1M isolates the ingest front-end: a quiet
+// steady-state tick (classify, clamp and detect a million devices in
+// the Threshold bank's one fused pass, nothing abnormal). The
+// double-buffered monitor allocates only a handful of times per tick
+// after warm-up, which the bench gate pins.
 func BenchmarkTickIngestDetect1M(b *testing.B) {
-	snapA, _, _ := benchSnap1M(b)
-	m, err := NewMonitor(bench1MN, 2, WithRadius(bench1MR))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := m.Observe(snapA); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := m.Observe(snapA)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out != nil {
-			b.Fatal("quiet tick produced an outcome")
-		}
-	}
+	benchQuietTick(b)
+}
+
+// BenchmarkTickIngestDetectGeneric1M is the same quiet tick on the
+// generic path: the factory hides the same Threshold detectors behind
+// genericDetector, so the monitor walks two million heap detectors
+// through their Devices. The bench gate holds the bank's tick well
+// under this one, so a silent fallback to the generic path fails it.
+func BenchmarkTickIngestDetectGeneric1M(b *testing.B) {
+	benchQuietTick(b, WithDetectorFactory(genericThreshold))
 }
 
 // BenchmarkTickObserveMetrics1M is the instrumented counterpart of
@@ -508,9 +498,14 @@ func BenchmarkTickIngestDetect1M(b *testing.B) {
 // allocs/op to within one allocation of the plain quiet tick — the
 // observability layer must not tax the hot path it observes.
 func BenchmarkTickObserveMetrics1M(b *testing.B) {
+	benchQuietTick(b, WithMetrics(metrics.NewRegistry()))
+}
+
+// benchQuietTick times the quiet steady-state Observe tick of the
+// n=1M fleet on a monitor built with opts, after two warm-up ticks.
+func benchQuietTick(b *testing.B, opts ...Option) {
 	snapA, _, _ := benchSnap1M(b)
-	m, err := NewMonitor(bench1MN, 2, WithRadius(bench1MR),
-		WithMetrics(metrics.NewRegistry()))
+	m, err := NewMonitor(bench1MN, 2, append([]Option{WithRadius(bench1MR)}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -120,22 +120,36 @@
 //
 // The paper's detection layer (Section III-A) is a per-device local
 // test: device j's error-detection function looks only at j's own QoS
-// samples. Monitor.Observe exploits that independence — row
-// classification and the detector walk are sharded across
-// WithIngestWorkers goroutines (default GOMAXPROCS) over contiguous
-// device ranges, with per-shard abnormal-id buffers concatenated in
-// shard order, so the abnormal set handed to characterization is
-// byte-identical to a serial walk whatever the worker count (pinned by
-// a parity suite run under the race detector). Observe and
-// ObservePartial share one tick: classify every row, then walk. Each
-// row is classified clean or not — present, the right width, and
-// finite, since v < 0 || v > 1 is false for NaN — before the first
-// detector consumes a sample. Observe's strict policy rejects the
+// samples. Monitor.Observe exploits that independence — every pass over
+// the fleet is sharded across WithIngestWorkers goroutines (default
+// GOMAXPROCS) over contiguous device ranges, with per-shard abnormal-id
+// buffers concatenated in shard order, so the abnormal set handed to
+// characterization is byte-identical to a serial walk whatever the
+// worker count (pinned by a parity suite run under the race detector).
+// Each row is classified clean or not — present, the right width, and
+// finite, since v < 0 || v > 1 is false for NaN — before any detector
+// state it would feed is committed. Observe's strict policy rejects the
 // snapshot on the lowest unclean row, so a rejected snapshot leaves the
 // monitor exactly as it was, while an error after acceptance (e.g. an
 // exact-search budget) reports a consumed observation whose clock and
 // buffers advanced coherently; ObservePartial hands the verdicts to the
 // health state machine instead (see Degraded operation).
+//
+// The default detectors — the factory's untrained Threshold detectors,
+// all with one delta — run as a struct-of-arrays bank: each detector's
+// last sample lives in a device-major n×d slab, NaN while untrained, and
+// one fused pass per shard classifies each row, clamps it into the
+// state, tests its jump and stages the raw sample in a second slab that
+// a pointer swap commits. Strict and fast partial ticks are that one
+// pass. A partial tick over an all-live fleet with unclean rows
+// dispatches the pass's clean bits to the health machine and runs the
+// pass again over the dispatched rows; with impaired devices present
+// it classifies, dispatches and runs the pass once. Any other factory
+// output — another detector family, mixed deltas, a pre-trained or
+// custom detector — runs the generic path: a heap Device per device,
+// classified, then walked with one interface call per service. A
+// differential fuzz target pins the two paths to the same outcomes,
+// errors, states and health.
 //
 // Feeding snapshots in, cmd/anomalia-gateway reads either CSV (one row
 // per discrete time, parsed into reused buffers) or the binary stream
@@ -146,10 +160,10 @@
 // -convert bridges existing CSV archives to it. cmd/anomalia-sim
 // -emit generates either format from the Section VII-A workload, so
 // the two binaries compose into an end-to-end pipeline. CI gates the
-// n = 1M streaming tick (decode, classify, copy, walk a million
-// detectors, characterize the window's mass event) against the bare
-// characterization of the same window, and the quiet tick's
-// allocations.
+// n = 1M streaming tick (classify, clamp and detect a million devices,
+// characterize the window's mass event) against the bare
+// characterization of the same window, the quiet tick's allocations,
+// and the quiet bank tick against the same tick on the generic path.
 //
 // Verdicts leave as JSON window records (Outcome.MarshalJSON, one per
 // anomalous window under anomalia-gateway -json). Each distinct dense
@@ -306,8 +320,14 @@
 //   - Monitor recycles the displaced snapshot as the next window's
 //     buffer and reuses the abnormal-id slice, so steady-state
 //     observation does not grow the heap per snapshot; the detector
-//     walk reuses its per-shard flag buffers the same way, so a quiet
+//     pass reuses its per-shard flag buffers the same way, so a quiet
 //     tick allocates nothing per device (BenchmarkTickIngestDetect1M).
+//   - The default Threshold detectors hold two float64 slabs of n×d
+//     values (32 MB at n = 1M, d = 2) instead of 2M heap detectors
+//     behind 1M Devices, and a quiet n = 1M tick is one fused pass with
+//     no interface call: CI holds it under 0.6x the same tick on the
+//     generic path (BenchmarkTickIngestDetectGeneric1M), which walks
+//     heap detectors one at a time.
 //   - The distributed directory rides the same flat index: occupied
 //     cells live in the index's key-sorted slab annotated with their
 //     owning shard, the 4r block cache is one atomic pointer per cell
@@ -328,7 +348,7 @@
 //     shard-annotation carry-over and 4r block-cache invalidation
 //     limited to the churned cells' reach, then publishes the window
 //     with one pointer swap, with allocations bounded by the churn.
-//   - Every parallel pass — the detector walk, the grid's key passes
+//   - Every parallel pass — the detector pass, the grid's key passes
 //     and sort, the collected graph build and the directory's per-view
 //     decisions — fans out through one internal helper (internal/par).
 //     Range passes cut contiguous ranges of at least a per-pass grain
@@ -369,9 +389,16 @@
 //
 //   - anomalia_ticks_total — snapshots observed (counter)
 //   - anomalia_tick_seconds — latency histogram by phase label:
-//     ingest (classify + health dispatch, ObservePartial only),
-//     detect (the sharded detector walk), characterize (abnormal
-//     windows only), total
+//     ingest (classification and health dispatch, ObservePartial
+//     only), detect (the sharded detector pass), characterize
+//     (abnormal windows only), total. With the default detectors the
+//     Threshold bank's fused pass classifies as it detects, so a
+//     strict tick, and a partial tick whose rows are all clean over an
+//     all-live fleet, record the whole pass as detect and no ingest
+//     sample; a partial tick that dispatches records ingest from the
+//     start of the tick to the end of the dispatch, then detect for
+//     the pass over the dispatched rows. A custom factory's partial
+//     tick records its Classify, and any dispatch, as ingest.
 //   - anomalia_abnormal_windows_total — windows with a non-empty
 //     abnormal set (counter)
 //   - anomalia_abnormal_devices — abnormal-set size histogram

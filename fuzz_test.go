@@ -3,6 +3,9 @@ package anomalia
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -52,27 +55,216 @@ func FuzzCharacterize(f *testing.F) {
 	})
 }
 
-// FuzzMonitorObserve feeds arbitrary sample streams to the monitor:
-// malformed rows must error cleanly, well-formed ones must never panic.
+// genericDetector hides a stock detector's concrete type, so a monitor
+// built on it walks per-device detectors instead of the Threshold bank.
+type genericDetector struct{ Detector }
+
+// genericThreshold is the default detector factory behind
+// genericDetector.
+func genericThreshold(int, int) (Detector, error) {
+	d, err := NewThresholdDetector(0.05)
+	if err != nil {
+		return nil, err
+	}
+	return genericDetector{d}, nil
+}
+
+// Fuzz stream encoding. The first byte configures the monitors: bit 0
+// picks d = 1 or 2, bit 1 picks one worker over fuzzSmallN devices or
+// four over four full shards. Each tick is then one op byte — bit 0
+// selects ObservePartial over Observe, and bits 1-3 all set Reset the
+// monitors first — followed, for each driven device, by a kind byte
+// (fuzzKind*) and d value bytes (fuzzValue). Undriven devices report
+// 0.5 in every service.
+const (
+	fuzzSmallN  = 6
+	fuzzPartial = 1
+	fuzzReset   = 0x0e
+
+	fuzzKindNil   = 5
+	fuzzKindShort = 6
+	fuzzKindWide  = 7
+
+	fuzzNaN     = 240
+	fuzzPosInf  = 241
+	fuzzNegInf  = 242
+	fuzzHigh    = 243 // 1.3, clamped to 1
+	fuzzLow     = 244 // -0.2, clamped to 0
+	fuzzHealthy = 210 // 0.95
+	fuzzDip     = 60  // 0.2
+)
+
+// fuzzValue decodes one value byte: below fuzzNaN a value in
+// [-0.1, 1.095], so a fuzzed walk also leaves the unit cube.
+func fuzzValue(b byte) float64 {
+	switch b {
+	case fuzzNaN:
+		return math.NaN()
+	case fuzzPosInf:
+		return math.Inf(1)
+	case fuzzNegInf:
+		return math.Inf(-1)
+	case fuzzHigh:
+		return 1.3
+	case fuzzLow:
+		return -0.2
+	}
+	if b > fuzzLow {
+		return 0.95
+	}
+	return float64(b)/200 - 0.1
+}
+
+// fuzzDriven returns the devices the stream drives: both ends of the
+// fleet and of its middle, so a sharded fleet has some in every shard.
+func fuzzDriven(n int) []int { return []int{0, 1, n/2 - 1, n / 2, n - 2, n - 1} }
+
+// monitorFuzzSeeds encodes, for every monitor configuration, each
+// fault row of TestMonitorRejectsNonFinite fed through strict and
+// partial ticks long enough to quarantine and re-admit the device,
+// around a dip that makes a window abnormal and a Reset.
+func monitorFuzzSeeds() [][]byte {
+	type fault struct {
+		driven int // index into fuzzDriven
+		kind   byte
+		value  byte
+	}
+	faults := []fault{
+		{3, 0, fuzzNaN}, {3, 0, fuzzPosInf}, {3, 0, fuzzNegInf},
+		{3, fuzzKindNil, fuzzHealthy}, {3, fuzzKindShort, fuzzHealthy},
+		{5, 0, fuzzNaN}, {5, fuzzKindNil, fuzzHealthy}, {5, fuzzKindWide, fuzzHealthy},
+	}
+	var seeds [][]byte
+	for cfg := byte(0); cfg < 4; cfg++ {
+		d := 1 + int(cfg&1)
+		for _, f := range faults {
+			seed := []byte{cfg}
+			tick := func(op byte, dev int, kind, value byte) {
+				seed = append(seed, op)
+				for i := range fuzzSmallN {
+					k, v := byte(0), byte(fuzzHealthy)
+					if i == dev {
+						k, v = kind, value
+					}
+					seed = append(seed, k, v)
+					for range d - 1 {
+						seed = append(seed, fuzzHigh)
+					}
+				}
+			}
+			healthy := func(op byte) { tick(op, -1, 0, 0) }
+			healthy(fuzzPartial)
+			healthy(0)
+			tick(0, f.driven, f.kind, f.value)
+			for range 4 {
+				tick(fuzzPartial, f.driven, f.kind, f.value)
+			}
+			tick(fuzzPartial, 2, 0, fuzzDip)
+			healthy(fuzzPartial)
+			healthy(fuzzPartial)
+			tick(0, 4, 0, fuzzLow)
+			healthy(fuzzReset)
+			tick(fuzzPartial, 2, 0, fuzzDip)
+			seeds = append(seeds, seed)
+		}
+	}
+	return seeds
+}
+
+// FuzzMonitorObserve is a differential between the default monitor,
+// which runs the Threshold bank, and one whose factory hides the same
+// detectors behind genericDetector, which walks them per device. On
+// every tick of an arbitrary stream of strict and partial snapshots,
+// Resets, malformed rows and out-of-range values, both must return the
+// same Outcome and error text, commit the same state and report the
+// same clock and health.
 func FuzzMonitorObserve(f *testing.F) {
-	f.Add([]byte{100, 120, 140, 100, 120, 140})
-	f.Add([]byte{0, 255, 0, 255, 0, 255})
+	for _, seed := range monitorFuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Add([]byte{0, 0, 0, 100, 0, 120, 0, 140, 0, 100, 0, 120, 0, 140})
+	f.Add([]byte{3, 1, 5, 0, 7, 255, 6, 0, 1, 2, 3, 4, 0, 250})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		const devices = 3
-		if len(raw) < devices {
+		if len(raw) == 0 {
 			t.Skip()
 		}
-		m, err := NewMonitor(devices, 1)
+		cfg, raw := raw[0], raw[1:]
+		d, workers, n := 1+int(cfg&1), 1, fuzzSmallN
+		if cfg&2 != 0 {
+			workers, n = 4, 4*2048
+		}
+		bank, err := NewMonitor(n, d, WithIngestWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for off := 0; off+devices <= len(raw) && off < 10*devices; off += devices {
-			snapshot := make([][]float64, devices)
-			for i := 0; i < devices; i++ {
-				snapshot[i] = []float64{float64(raw[off+i]) / 255}
+		generic, err := NewMonitor(n, d, WithIngestWorkers(workers), WithDetectorFactory(genericThreshold))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bank.bank == nil || generic.bank != nil {
+			t.Fatal("default factory must run the bank, the wrapping one the generic walk")
+		}
+		undriven := make([]float64, d)
+		for i := range undriven {
+			undriven[i] = 0.5
+		}
+		driven := fuzzDriven(n)
+		step := 1 + len(driven)*(1+d)
+		for tick := 0; len(raw) >= step && tick < 32; tick++ {
+			op := raw[0]
+			snap := make([][]float64, n)
+			for dev := range snap {
+				snap[dev] = undriven
 			}
-			if _, err := m.Observe(snapshot); err != nil {
-				t.Fatalf("well-formed snapshot rejected: %v", err)
+			for i, dev := range driven {
+				b := raw[1+i*(1+d) : 1+(i+1)*(1+d)]
+				row := make([]float64, d, d+1)
+				for s := range row {
+					row[s] = fuzzValue(b[1+s])
+				}
+				switch b[0] % 8 {
+				case fuzzKindNil:
+					row = nil
+				case fuzzKindShort:
+					row = row[:d-1]
+				case fuzzKindWide:
+					row = append(row, 0.5)
+				}
+				snap[dev] = row
+			}
+			raw = raw[step:]
+
+			if op&fuzzReset == fuzzReset {
+				bank.Reset()
+				generic.Reset()
+			}
+			observe := (*Monitor).Observe
+			if op&fuzzPartial != 0 {
+				observe = (*Monitor).ObservePartial
+			}
+			got, gotErr := observe(bank, snap)
+			want, wantErr := observe(generic, snap)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("tick %d: bank error %v, generic %v", tick, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("tick %d: bank outcome\n%+v\ngeneric\n%+v", tick, got, want)
+			}
+			if !reflect.DeepEqual(bank.prev, generic.prev) {
+				t.Fatalf("tick %d: bank and generic committed different states", tick)
+			}
+			if bank.Time() != generic.Time() {
+				t.Fatalf("tick %d: bank clock %d, generic %d", tick, bank.Time(), generic.Time())
+			}
+			if bs, gs := bank.HealthStats(), generic.HealthStats(); bs != gs {
+				t.Fatalf("tick %d: bank health %+v, generic %+v", tick, bs, gs)
+			}
+			for _, dev := range append(driven, n/4) {
+				bh, _ := bank.DeviceHealth(dev)
+				gh, _ := generic.DeviceHealth(dev)
+				if bh != gh {
+					t.Fatalf("tick %d device %d: bank %v, generic %v", tick, dev, bh, gh)
+				}
 			}
 		}
 	})

@@ -1,0 +1,150 @@
+package detect
+
+import (
+	"math"
+
+	"anomalia/internal/space"
+)
+
+// ThresholdBank is the struct-of-arrays form of a fleet of Threshold
+// detectors sharing one delta: n devices × d services held as
+// device-major n×d slabs instead of n·d heap detectors behind n
+// Devices, so one tick is one flat pass per shard with no interface
+// call. last holds each detector's previous sample and NaN while it is
+// untrained: |x − NaN| > delta is false, which is Threshold's
+// first-sample rule, so training needs no separate bit. A Step stages
+// the samples it consumes in a second slab and Commit publishes them
+// with a pointer swap, so a tick that is rejected after its Step
+// leaves every detector as it was.
+//
+// A bank is not safe for concurrent use.
+type ThresholdBank struct {
+	d          int
+	delta      float64
+	last, next []float64
+	w          *Walker
+}
+
+// NewThresholdBank returns the bank equivalent of devs, sharded over a
+// pool of workers like NewWalker, when every device is equally wide and
+// every detector is an untrained *Threshold with one shared delta.
+// Otherwise it returns nil, and devs run through a Walker.
+func NewThresholdBank(devs []*Device, workers int) *ThresholdBank {
+	if len(devs) == 0 {
+		return nil
+	}
+	first, ok := devs[0].detectors[0].(*Threshold)
+	if !ok {
+		return nil
+	}
+	d := len(devs[0].detectors)
+	for _, dev := range devs {
+		if len(dev.detectors) != d {
+			return nil
+		}
+		for _, det := range dev.detectors {
+			if t, ok := det.(*Threshold); !ok || t.trained || t.delta != first.delta {
+				return nil
+			}
+		}
+	}
+	b := &ThresholdBank{
+		d:     d,
+		delta: first.delta,
+		last:  make([]float64, len(devs)*d),
+		next:  make([]float64, len(devs)*d),
+		w:     NewWalker(workers),
+	}
+	b.Reset()
+	return b
+}
+
+// Step runs the fused detection pass over rows, one row per device,
+// sharded like Walker.WalkSkip. Device dev writes into clean[dev]
+// whether row dev is clean — present, d wide and finite. A clean row is
+// clamped into [0,1]^d in cur's slot of the device, tested against the
+// device's previous samples (abnormal when any service jumped by more
+// than delta) and staged as its next previous samples. Any other row,
+// nil included, leaves the device's detectors as they are and parks its
+// slot of cur at its position in prev, or at the origin when prev is
+// nil. Step appends the abnormal ids to out in ascending order and
+// returns them with the number of clean rows. Until Commit, the staged
+// samples are invisible: a second Step replaces them.
+func (b *ThresholdBank) Step(rows [][]float64, prev, cur *space.State, clean []bool, out []int) ([]int, int) {
+	out, n, _ := b.w.fan(len(rows), out[:0], func(lo, hi int, flagged []int) ([]int, int, error) {
+		flagged, c := b.stepRange(rows, prev, cur, clean, lo, hi, flagged)
+		return flagged, c, nil
+	})
+	return out, n
+}
+
+func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, clean []bool, lo, hi int, flagged []int) ([]int, int) {
+	d, delta := b.d, b.delta
+	n := 0
+	for dev := lo; dev < hi; dev++ {
+		row, dst := rows[dev], cur.At(dev)
+		last, next := b.last[dev*d:(dev+1)*d], b.next[dev*d:(dev+1)*d]
+		ok := cleanRow(row, d)
+		clean[dev] = ok
+		if !ok {
+			copy(next, last)
+			if prev != nil {
+				copy(dst, prev.At(dev))
+			} else {
+				clear(dst)
+			}
+			continue
+		}
+		n++
+		abnormal := false
+		for i, x := range row {
+			abnormal = abnormal || math.Abs(x-last[i]) > delta
+			next[i] = x
+			// space.Point.Clamp, for a finite x.
+			switch {
+			case x < 0:
+				x = 0
+			case x > 1:
+				x = 1
+			}
+			dst[i] = x
+		}
+		if abnormal {
+			flagged = append(flagged, dev)
+		}
+	}
+	return flagged, n
+}
+
+// Commit makes the last Step's staged samples the detectors' state.
+func (b *ThresholdBank) Commit() { b.last, b.next = b.next, b.last }
+
+// Classify grades every row like Walker.Classify without touching any
+// detector, and returns the number of clean rows.
+func (b *ThresholdBank) Classify(samples [][]float64, clean []bool) int {
+	_, n, _ := b.w.fan(len(samples), nil, func(lo, hi int, flagged []int) ([]int, int, error) {
+		c := 0
+		for dev := lo; dev < hi; dev++ {
+			clean[dev] = cleanRow(samples[dev], b.d)
+			if clean[dev] {
+				c++
+			}
+		}
+		return flagged, c, nil
+	})
+	return n
+}
+
+// Reject explains the lowest unclean row of a snapshot that Step or
+// Classify graded into clean, with the error Walker.Walk reports for
+// it. At least one row must be unclean.
+func (b *ThresholdBank) Reject(samples [][]float64, clean []bool) error {
+	return rejectRow(samples, clean, func(int) int { return b.d })
+}
+
+// Reset returns every detector to its untrained state.
+func (b *ThresholdBank) Reset() {
+	for i := range b.last {
+		b.last[i] = math.NaN()
+	}
+}

@@ -1,0 +1,206 @@
+package detect
+
+import (
+	"errors"
+	"math"
+	"reflect"
+	"slices"
+	"testing"
+
+	"anomalia/internal/space"
+)
+
+// TestThresholdBankParity: over a degraded stream with out-of-range
+// values, the bank's Step must flag, grade and clamp exactly what the
+// serial Walker does with Classify and WalkSkip over the same fleet of
+// heap Threshold detectors, for every worker count.
+func TestThresholdBankParity(t *testing.T) {
+	t.Parallel()
+
+	const n, d, ticks = 8192, 2, 6
+	raw := walkStream(n, d, ticks, 31)
+	for k, snap := range raw {
+		snap[k*97][0] = 1.3
+		snap[k*89+5][1] = -0.2
+	}
+	stream, truth := degradeStream(raw, 32)
+
+	devs := walkFleet(t, n, d, "threshold")
+	walker := NewWalker(1)
+	want, err := space.NewState(n, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantClean := make([]bool, n)
+	type tick struct {
+		abnormal []int
+		nClean   int
+		coords   [][]float64
+	}
+	var ref []tick
+	for k, snap := range stream {
+		nClean := walker.Classify(devs, snap, wantClean)
+		if !reflect.DeepEqual(wantClean, truth[k]) {
+			t.Fatalf("tick %d: Classify diverges from truth", k)
+		}
+		rows := make([][]float64, n)
+		for j := range rows {
+			if wantClean[j] {
+				rows[j] = snap[j]
+			}
+		}
+		abn, err := walker.WalkSkip(devs, rows, func(dev int, row []float64) {
+			if row != nil {
+				copy(want.At(dev), row)
+				want.At(dev).Clamp()
+			}
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coords := make([][]float64, n)
+		for j := range coords {
+			coords[j] = want.AtClone(j)
+		}
+		ref = append(ref, tick{abn, nClean, coords})
+	}
+
+	for _, workers := range []int{1, 3, 8} {
+		bank := NewThresholdBank(walkFleet(t, n, d, "threshold"), workers)
+		if bank == nil {
+			t.Fatal("uniform untrained Threshold fleet got no bank")
+		}
+		prev, _ := space.NewState(n, d)
+		cur, _ := space.NewState(n, d)
+		clean := make([]bool, n)
+		var out []int
+		for k, snap := range stream {
+			var nClean int
+			out, nClean = bank.Step(snap, prev, cur, clean, out)
+			bank.Commit()
+			if !slices.Equal(out, ref[k].abnormal) {
+				t.Fatalf("workers=%d tick %d: abnormal %v, walker %v", workers, k, out, ref[k].abnormal)
+			}
+			if nClean != ref[k].nClean || !reflect.DeepEqual(clean, truth[k]) {
+				t.Fatalf("workers=%d tick %d: %d clean, walker %d", workers, k, nClean, ref[k].nClean)
+			}
+			for j := range ref[k].coords {
+				if !reflect.DeepEqual([]float64(cur.At(j)), ref[k].coords[j]) {
+					t.Fatalf("workers=%d tick %d device %d: state %v, walker %v", workers, k, j, cur.At(j), ref[k].coords[j])
+				}
+			}
+			prev, cur = cur, prev
+		}
+	}
+}
+
+// TestThresholdBankStepWithoutCommit: a Step that is not committed
+// leaves every detector as it was, so a later Step sees the state the
+// last Commit left.
+func TestThresholdBankStepWithoutCommit(t *testing.T) {
+	t.Parallel()
+
+	const n = 4
+	bank := NewThresholdBank(walkFleet(t, n, 1, "threshold"), 1)
+	cur, _ := space.NewState(n, 1)
+	clean := make([]bool, n)
+	flat := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
+	jump := [][]float64{{0.9}, {0.5}, {0.1}, {0.5}}
+	bank.Step(flat, nil, cur, clean, nil)
+	bank.Commit()
+	bank.Step(jump, nil, cur, clean, nil) // rejected: never committed
+	got, _ := bank.Step(flat, nil, cur, clean, nil)
+	if len(got) != 0 {
+		t.Fatalf("uncommitted jump leaked into the detectors: flagged %v", got)
+	}
+	got, _ = bank.Step(jump, nil, cur, clean, nil)
+	if !reflect.DeepEqual(got, []int{0, 2}) {
+		t.Fatalf("flagged %v, want [0 2]", got)
+	}
+	bank.Reset()
+	if got, _ := bank.Step(jump, nil, cur, clean, nil); len(got) != 0 {
+		t.Fatalf("first sample after Reset flagged %v", got)
+	}
+}
+
+// TestThresholdBankReject: Reject names the lowest unclean row with
+// Walk's error.
+func TestThresholdBankReject(t *testing.T) {
+	t.Parallel()
+
+	const n = 3 * minShard
+	snap := walkStream(n, 2, 1, 33)[0]
+	snap[minShard+3][1] = math.Inf(-1)
+	snap[2*minShard] = nil
+	devs := walkFleet(t, n, 2, "threshold")
+	_, walkErr := NewWalker(3).Walk(devs, snap, nil, nil)
+	bank := NewThresholdBank(walkFleet(t, n, 2, "threshold"), 3)
+	cur, _ := space.NewState(n, 2)
+	clean := make([]bool, n)
+	if _, nClean := bank.Step(snap, nil, cur, clean, nil); nClean != n-2 {
+		t.Fatalf("%d clean rows, want %d", nClean, n-2)
+	}
+	err := bank.Reject(snap, clean)
+	if !errors.Is(err, ErrSample) || walkErr == nil || err.Error() != walkErr.Error() {
+		t.Fatalf("Reject = %v, Walk = %v", err, walkErr)
+	}
+}
+
+// TestThresholdBankSelection: only a fleet of equally wide, untrained
+// Threshold detectors sharing one delta has a bank.
+func TestThresholdBankSelection(t *testing.T) {
+	t.Parallel()
+
+	fleet := func(d int, factory func(dev, svc int) Detector) []*Device {
+		devs := make([]*Device, 3)
+		for dev := range devs {
+			var err error
+			devs[dev], err = NewDevice(d, func(svc int) (Detector, error) { return factory(dev, svc), nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return devs
+	}
+	threshold := func(delta float64) *Threshold {
+		th, err := NewThreshold(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return th
+	}
+	ewma, err := NewEWMA(0.3, 5, 0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		devs []*Device
+		bank bool
+	}{
+		{"uniform", fleet(2, func(int, int) Detector { return threshold(0.05) }), true},
+		{"infinite delta", fleet(1, func(int, int) Detector { return threshold(math.Inf(1)) }), true},
+		{"mixed delta", fleet(2, func(dev, _ int) Detector { return threshold(0.05 + 0.01*float64(dev)) }), false},
+		{"mixed type", fleet(2, func(_, svc int) Detector {
+			if svc == 1 {
+				return ewma
+			}
+			return threshold(0.05)
+		}), false},
+		{"other type", fleet(1, func(int, int) Detector { return ewma }), false},
+		{"trained", fleet(2, func(dev, svc int) Detector {
+			th := threshold(0.05)
+			if dev == 2 && svc == 1 {
+				th.Update(0.5)
+			}
+			return th
+		}), false},
+		{"mixed width", append(fleet(1, func(int, int) Detector { return threshold(0.05) }),
+			fleet(2, func(int, int) Detector { return threshold(0.05) })...), false},
+		{"empty", nil, false},
+	} {
+		if got := NewThresholdBank(tc.devs, 1) != nil; got != tc.bank {
+			t.Errorf("%s: bank = %v, want %v", tc.name, got, tc.bank)
+		}
+	}
+}

@@ -75,16 +75,17 @@ func (w *Walker) Walk(devs []*Device, samples [][]float64, visit func(dev int, r
 		w.clean = make([]bool, n)
 	}
 	if w.Classify(devs, samples, w.clean[:n]) < n {
-		return out[:0], rejectRow(devs, samples, w.clean[:n])
+		return out[:0], rejectRow(samples, w.clean[:n], func(dev int) int { return len(devs[dev].detectors) })
 	}
 	return w.WalkSkip(devs, samples, visit, out)
 }
 
 // rejectRow explains the lowest unclean row — the error a serial
 // validation pass would report first, whatever the worker count.
-func rejectRow(devs []*Device, samples [][]float64, clean []bool) error {
+// width gives a device's service count.
+func rejectRow(samples [][]float64, clean []bool, width func(dev int) int) error {
 	dev := slices.Index(clean, false)
-	row, want := samples[dev], len(devs[dev].detectors)
+	row, want := samples[dev], width(dev)
 	if len(row) == want {
 		for svc, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -105,35 +106,57 @@ func rejectRow(devs []*Device, samples [][]float64, clean []bool) error {
 // reporting an error. Returns the number of clean rows. len(samples)
 // and len(clean) must equal len(devs).
 func (w *Walker) Classify(devs []*Device, samples [][]float64, clean []bool) int {
-	workers := par.Ranges(len(devs), w.workers, minShard, func(i, lo, hi int) {
-		w.counts[i] = classifyRange(devs, samples, clean, lo, hi)
-	})
-	total := 0
-	for _, c := range w.counts[:workers] {
-		total += c
-	}
-	return total
-}
-
-func classifyRange(devs []*Device, samples [][]float64, clean []bool, lo, hi int) int {
-	n := 0
-	for dev := lo; dev < hi; dev++ {
-		row := samples[dev]
-		ok := row != nil && len(row) == len(devs[dev].detectors)
-		if ok {
-			for _, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					ok = false
-					break
-				}
+	_, n, _ := w.fan(len(devs), nil, func(lo, hi int, flagged []int) ([]int, int, error) {
+		c := 0
+		for dev := lo; dev < hi; dev++ {
+			clean[dev] = cleanRow(samples[dev], len(devs[dev].detectors))
+			if clean[dev] {
+				c++
 			}
 		}
-		clean[dev] = ok
-		if ok {
-			n++
+		return flagged, c, nil
+	})
+	return n
+}
+
+// cleanRow reports whether row is present, want wide and finite in
+// every coordinate.
+func cleanRow(row []float64, want int) bool {
+	if row == nil || len(row) != want {
+		return false
+	}
+	for _, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
 		}
 	}
-	return n
+	return true
+}
+
+// fan runs f over contiguous device ranges of [0, n), one per worker:
+// range i appends its flagged ids to its own recycled buffer and
+// returns a count. The buffers merge into out in range order and the
+// counts sum, so the result is byte-identical to one serial pass over
+// [0, n); the error is the lowest range's.
+func (w *Walker) fan(n int, out []int, f func(lo, hi int, flagged []int) ([]int, int, error)) ([]int, int, error) {
+	workers := par.Ranges(n, w.workers, minShard, func(i, lo, hi int) {
+		buf := w.flags[i]
+		if buf == nil {
+			buf = make([]int, 0, (hi-lo)/8+16)
+		}
+		w.flags[i], w.counts[i], w.errs[i] = f(lo, hi, buf[:0])
+	})
+	total := 0
+	for i := range workers {
+		out = append(out, w.flags[i]...)
+		total += w.counts[i]
+	}
+	for _, err := range w.errs[:workers] {
+		if err != nil {
+			return out, total, err
+		}
+	}
+	return out, total, nil
 }
 
 // WalkSkip runs the detector walk of one pre-classified partial
@@ -153,22 +176,11 @@ func (w *Walker) WalkSkip(devs []*Device, rows [][]float64, visit func(dev int, 
 	if len(rows) != n {
 		return out, fmt.Errorf("snapshot has %d rows, want %d: %w", len(rows), n, ErrSample)
 	}
-	workers := par.Ranges(n, w.workers, minShard, func(i, lo, hi int) {
-		buf := w.flags[i]
-		if buf == nil {
-			buf = make([]int, 0, (hi-lo)/8+16)
-		}
-		w.flags[i], w.errs[i] = walkSkipRange(devs, rows, visit, lo, hi, buf[:0])
+	out, _, err := w.fan(n, out, func(lo, hi int, flagged []int) ([]int, int, error) {
+		flagged, err := walkSkipRange(devs, rows, visit, lo, hi, flagged)
+		return flagged, 0, err
 	})
-	for i := 0; i < workers; i++ {
-		out = append(out, w.flags[i]...)
-	}
-	for _, err := range w.errs[:workers] {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return out, err
 }
 
 // walkSkipRange runs the serial walk over [lo, hi), appending flagged

@@ -30,10 +30,15 @@ type Monitor struct {
 	devices  int
 	services int
 	cfg      config
-	dets     []*detect.Device
-	// walker shards row classification and the per-device detector walk
-	// across WithIngestWorkers workers (default GOMAXPROCS); the merged
-	// abnormal set is byte-identical to a serial walk.
+	// bank holds the default detectors — the factory's untrained
+	// Threshold detectors with one shared delta — as struct-of-arrays
+	// slabs, stepped by one fused pass per tick. Any other factory
+	// output leaves bank nil and runs its detectors as dets, walked by
+	// walker. Both shard across WithIngestWorkers workers (default
+	// GOMAXPROCS), and the merged abnormal set is byte-identical to a
+	// serial walk.
+	bank   *detect.ThresholdBank
+	dets   []*detect.Device
 	walker *detect.Walker
 	prev   *space.State
 	time   atomic.Int64
@@ -64,15 +69,15 @@ type Monitor struct {
 	dirDegraded  atomic.Int64
 	// health is the per-device state machine of the degraded ingest path
 	// (ObservePartial), created on the first partial tick so Observe-only
-	// monitors pay nothing for it; cleanBuf and rowsBuf are its recycled
+	// monitors pay nothing for it; cleanBuf and rowsBuf are recycled
 	// per-tick scratch (classification mask, effective-row table).
 	// The pointer is atomic so a concurrent stats snapshot sees either
 	// no tracker or a fully built one; statsMu serializes the tracker's
 	// mutations (the slow-path dispatch loop, Reset) against
 	// HealthStats/DeviceHealth readers. The all-clean fast path stays
 	// outside the mutex: ConsumeAll touches only per-device consumption
-	// state no stats reader looks at, which is what keeps the quiet
-	// partial tick at 1 alloc and lock-free.
+	// state no stats reader looks at, so the quiet partial tick takes no
+	// lock and allocates no more than the quiet Observe tick.
 	health   atomic.Pointer[health.Tracker]
 	statsMu  sync.Mutex
 	cleanBuf []bool
@@ -119,8 +124,6 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 		devices:  devices,
 		services: services,
 		cfg:      cfg,
-		dets:     make([]*detect.Device, devices),
-		walker:   detect.NewWalker(cfg.ingestWorkers),
 	}
 	if cfg.directory != nil {
 		dc := cfg.directory
@@ -141,8 +144,8 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 		}
 		m.dirClient = client
 	}
-	for dev := 0; dev < devices; dev++ {
-		dev := dev
+	dets := make([]*detect.Device, devices)
+	for dev := range dets {
 		composite, err := detect.NewDevice(services, func(svc int) (detect.Detector, error) {
 			d, err := factory(dev, svc)
 			if err != nil {
@@ -156,7 +159,10 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("building detectors for device %d: %w", dev, err)
 		}
-		m.dets[dev] = composite
+		dets[dev] = composite
+	}
+	if m.bank = detect.NewThresholdBank(dets, cfg.ingestWorkers); m.bank == nil {
+		m.dets, m.walker = dets, detect.NewWalker(cfg.ingestWorkers)
 	}
 	// Registered last: the scrape hook reads the monitor from another
 	// goroutine, so it must see the monitor fully built.
@@ -241,35 +247,33 @@ func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
 	return m.tick(samples, false)
 }
 
-// dispatch is the partial ingest policy: it classifies every row and
-// folds the verdicts into the health state machine, returning the rows
-// to walk — a device's own clean report, its held last-known position,
-// or nil for a device excluded from the window.
-func (m *Monitor) dispatch(samples [][]float64) ([][]float64, error) {
-	tracker := m.health.Load()
-	if tracker == nil {
-		t, err := health.New(m.devices, m.cfg.health)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
-		}
-		m.health.Store(t)
-		tracker = t
+// tracker returns the health state machine of the partial ingest
+// policy, built on the first partial tick.
+func (m *Monitor) tracker() (*health.Tracker, error) {
+	if t := m.health.Load(); t != nil {
+		return t, nil
 	}
+	t, err := health.New(m.devices, m.cfg.health)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
+	}
+	m.health.Store(t)
+	return t, nil
+}
+
+// clean returns the recycled classification mask.
+func (m *Monitor) clean() []bool {
 	if m.cleanBuf == nil {
 		m.cleanBuf = make([]bool, m.devices)
 	}
-	nClean := m.walker.Classify(m.dets, samples, m.cleanBuf)
+	return m.cleanBuf
+}
 
-	// Fast path: a fully clean tick over an all-live fleet is exactly an
-	// Observe tick — every disposition is Consume — so the rows feed
-	// straight through with no per-device health work at all. The tick
-	// still counts as a consumed report for every device: ConsumeAll
-	// gives the whole fleet a last-known value, so a device's first
-	// fault after an all-clean history is held, not skipped.
-	if nClean == m.devices && tracker.AllLive() {
-		tracker.ConsumeAll()
-		return samples, nil
-	}
+// dispatch folds the classification verdicts in cleanBuf into the
+// health state machine and returns the rows to detect on — a device's
+// own clean report, its held last-known position, or nil for a device
+// excluded from the window.
+func (m *Monitor) dispatch(tracker *health.Tracker, samples [][]float64) [][]float64 {
 	if m.rowsBuf == nil {
 		m.rowsBuf = make([][]float64, m.devices)
 	}
@@ -278,7 +282,7 @@ func (m *Monitor) dispatch(samples [][]float64) ([][]float64, error) {
 	// lifetime counters — the fields a concurrent HealthStats or
 	// DeviceHealth snapshot reads — so it runs under the stats
 	// mutex. One lock per tick, not per device; the all-clean fast
-	// path above never takes it.
+	// path never takes it.
 	m.statsMu.Lock()
 	for dev := range rows {
 		switch tracker.Report(dev, m.cleanBuf[dev]) {
@@ -302,33 +306,20 @@ func (m *Monitor) dispatch(samples [][]float64) ([][]float64, error) {
 		}
 	}
 	m.statsMu.Unlock()
-	return rows, nil
+	return rows
 }
 
 // tick is the one body of Observe (strict) and ObservePartial: ingest
-// by policy, then one sharded pass copies each row into the current
-// state and runs the device's detectors — strict walks every row after
-// rejecting the snapshot on any unclean one, partial skips the nil rows
-// of excluded devices — then the tick commits, and an abnormal window
-// is characterized. Shards are disjoint device ranges, so the copies
-// need no synchronization.
+// and detect by policy into the current state — step for the Threshold
+// bank, walk for any other detectors — then the tick commits, and an
+// abnormal window is characterized.
 func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 	if len(samples) != m.devices {
 		return nil, fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), m.devices, ErrInvalidInput)
 	}
-	var start, ingested time.Time
+	var start time.Time
 	if m.mx != nil {
 		start = time.Now()
-	}
-	rows := samples
-	if !strict {
-		var err error
-		if rows, err = m.dispatch(samples); err != nil {
-			return nil, err
-		}
-		if m.mx != nil {
-			ingested = time.Now()
-		}
 	}
 	cur := m.spare
 	m.spare = nil
@@ -336,6 +327,128 @@ func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 		var err error
 		if cur, err = space.NewState(m.devices, m.services); err != nil {
 			return nil, err
+		}
+	}
+	var abnormal []int
+	var ingested time.Time
+	var err error
+	if m.bank != nil {
+		abnormal, ingested, err = m.step(samples, cur, strict)
+	} else {
+		abnormal, ingested, err = m.walk(samples, cur, strict)
+	}
+	m.abnBuf = abnormal
+	if err != nil {
+		// Keep the double buffer intact. A rejection consumed nothing; a
+		// partial walk error (a custom Detector failing — partial rows
+		// are pre-classified) leaves the tick uncommitted but consumed,
+		// as ObservePartial documents.
+		m.spare = cur
+		return nil, err
+	}
+	var walked time.Time
+	if m.mx != nil {
+		walked = time.Now()
+	}
+	// The displaced snapshot is dead from here on whatever happens next
+	// — outcomes carry device ids, never state references, and the
+	// characterization below only reads it — so recycle it now; that
+	// keeps the double buffer intact on every error path too.
+	prev := m.prev
+	m.prev, m.spare = cur, prev
+	m.time.Add(1)
+	if prev == nil || len(abnormal) == 0 {
+		if m.mx != nil {
+			m.tickDone(start, ingested, walked, nil)
+		}
+		return nil, nil
+	}
+	pair, err := motion.NewPair(prev, cur)
+	if err != nil {
+		return nil, err
+	}
+	out, err := m.characterizeWindow(pair, abnormal)
+	if m.mx != nil {
+		m.tickDone(start, ingested, walked, abnormal)
+	}
+	return out, err
+}
+
+// step ingests one snapshot into the Threshold bank, committing it
+// unless the strict policy rejects it. A strict tick and a partial
+// tick over an all-live fleet run one fused Step straight over the
+// samples; if every row is clean the tick is done — a partial one
+// charges the fleet one consumed report with ConsumeAll — and
+// otherwise strict rejects on the lowest unclean row while partial
+// dispatches that Step's clean bits to the health machine and steps
+// again over the dispatched rows. A partial tick with impaired devices
+// classifies, dispatches and steps once. ingested, when the tick is
+// instrumented, is the end of the dispatch, zero when there was none.
+func (m *Monitor) step(samples [][]float64, cur *space.State, strict bool) (abnormal []int, ingested time.Time, err error) {
+	b, clean := m.bank, m.clean()
+	var tracker *health.Tracker
+	if !strict {
+		if tracker, err = m.tracker(); err != nil {
+			return m.abnBuf, ingested, err
+		}
+	}
+	if strict || tracker.AllLive() {
+		abnormal, nClean := b.Step(samples, m.prev, cur, clean, m.abnBuf)
+		switch {
+		case nClean == m.devices:
+			if !strict {
+				tracker.ConsumeAll()
+			}
+			b.Commit()
+			return abnormal, ingested, nil
+		case strict:
+			return abnormal, ingested, fmt.Errorf("%w: %w", ErrInvalidInput, b.Reject(samples, clean))
+		}
+		m.abnBuf = abnormal
+	} else {
+		b.Classify(samples, clean)
+	}
+	rows := m.dispatch(tracker, samples)
+	if m.mx != nil {
+		ingested = time.Now()
+	}
+	abnormal, _ = b.Step(rows, m.prev, cur, clean, m.abnBuf)
+	b.Commit()
+	return abnormal, ingested, nil
+}
+
+// walk ingests one snapshot through per-device detectors, for any
+// factory output the Threshold bank cannot hold: a partial tick
+// classifies every row and dispatches the verdicts to the health
+// machine (skipped when the tick is clean over an all-live fleet),
+// then one sharded Walker pass copies each row into the current state
+// and runs the device's detectors — strict walks every row after
+// rejecting the snapshot on any unclean one, partial skips the nil
+// rows of excluded devices. Shards are disjoint device ranges, so the
+// copies need no synchronization. ingested, when the tick is
+// instrumented, is the end of a partial tick's classification and
+// dispatch.
+func (m *Monitor) walk(samples [][]float64, cur *space.State, strict bool) (abnormal []int, ingested time.Time, err error) {
+	rows := samples
+	if !strict {
+		tracker, err := m.tracker()
+		if err != nil {
+			return m.abnBuf, ingested, err
+		}
+		// Fast path: a fully clean tick over an all-live fleet is exactly
+		// an Observe tick — every disposition is Consume — so the rows
+		// feed straight through with no per-device health work at all.
+		// The tick still counts as a consumed report for every device:
+		// ConsumeAll gives the whole fleet a last-known value, so a
+		// device's first fault after an all-clean history is held, not
+		// skipped.
+		if m.walker.Classify(m.dets, samples, m.clean()) == m.devices && tracker.AllLive() {
+			tracker.ConsumeAll()
+		} else {
+			rows = m.dispatch(tracker, samples)
+		}
+		if m.mx != nil {
+			ingested = time.Now()
 		}
 	}
 	prev := m.prev
@@ -356,47 +469,15 @@ func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 			clear(dst)
 		}
 	}
-	var abnormal []int
-	var err error
 	if strict {
 		abnormal, err = m.walker.Walk(m.dets, rows, visit, m.abnBuf[:0])
 	} else {
 		abnormal, err = m.walker.WalkSkip(m.dets, rows, visit, m.abnBuf[:0])
 	}
-	m.abnBuf = abnormal
 	if err != nil {
-		// Keep the double buffer intact. A strict rejection consumed
-		// nothing; a partial walk error (a custom Detector failing —
-		// partial rows are pre-classified) leaves the tick uncommitted
-		// but consumed, as ObservePartial documents.
-		m.spare = cur
-		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
+		err = fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
-	var walked time.Time
-	if m.mx != nil {
-		walked = time.Now()
-	}
-	// The displaced snapshot is dead from here on whatever happens next
-	// — outcomes carry device ids, never state references, and the
-	// characterization below only reads it — so recycle it now; that
-	// keeps the double buffer intact on every error path too.
-	m.prev, m.spare = cur, prev
-	m.time.Add(1)
-	if prev == nil || len(abnormal) == 0 {
-		if m.mx != nil {
-			m.tickDone(start, ingested, walked, nil)
-		}
-		return nil, nil
-	}
-	pair, err := motion.NewPair(prev, cur)
-	if err != nil {
-		return nil, err
-	}
-	out, err := m.characterizeWindow(pair, abnormal)
-	if m.mx != nil {
-		m.tickDone(start, ingested, walked, abnormal)
-	}
-	return out, err
+	return abnormal, ingested, err
 }
 
 // DeviceHealth returns device dev's current health state. Devices are
@@ -570,6 +651,9 @@ func (m *Monitor) DirStats() DirStats {
 // counters survive — the wire ledger spans resets the way a process's
 // traffic counters span reconnects.
 func (m *Monitor) Reset() {
+	if m.bank != nil {
+		m.bank.Reset()
+	}
 	for _, d := range m.dets {
 		d.Reset()
 	}

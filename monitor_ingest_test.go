@@ -220,3 +220,49 @@ func TestMonitorCharacterizationErrorKeepsInvariants(t *testing.T) {
 		t.Errorf("Time = %d, want 3", m.Time())
 	}
 }
+
+// TestMonitorDetectorPath: the default factory, and any factory of
+// untrained Threshold detectors sharing one delta, run the Threshold
+// bank; mixed deltas, mixed detector types, a pre-trained Threshold and
+// a wrapped one fall back to the generic per-device walk.
+func TestMonitorDetectorPath(t *testing.T) {
+	t.Parallel()
+
+	for _, tc := range []struct {
+		name    string
+		factory func(dev, svc int) (Detector, error)
+		bank    bool
+	}{
+		{"default", nil, true},
+		{"one delta", func(int, int) (Detector, error) { return NewThresholdDetector(0.1) }, true},
+		{"mixed delta", func(dev, _ int) (Detector, error) {
+			return NewThresholdDetector(0.05 + 0.01*float64(dev%2))
+		}, false},
+		{"mixed type", func(_, svc int) (Detector, error) {
+			if svc == 1 {
+				return NewEWMADetector(0.3, 6, 0.01, 3)
+			}
+			return NewThresholdDetector(0.05)
+		}, false},
+		{"pre-trained", func(dev, svc int) (Detector, error) {
+			d, err := NewThresholdDetector(0.05)
+			if err == nil && dev == 3 && svc == 1 {
+				d.Update(0.5)
+			}
+			return d, err
+		}, false},
+		{"wrapped", genericThreshold, false},
+	} {
+		var opts []Option
+		if tc.factory != nil {
+			opts = append(opts, WithDetectorFactory(tc.factory))
+		}
+		m, err := NewMonitor(6, 2, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := m.bank != nil; got != tc.bank || (m.dets == nil) != tc.bank {
+			t.Errorf("%s: bank = %v, want %v", tc.name, got, tc.bank)
+		}
+	}
+}

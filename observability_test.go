@@ -97,6 +97,49 @@ func TestMonitorMetricsFeed(t *testing.T) {
 	}
 }
 
+// TestTickPhases pins the phase split of the Threshold bank's fused
+// pass. Strict and fast partial ticks are one pass, recorded whole as
+// detect with no ingest sample. A partial tick that needs the health
+// dispatch records ingest up to the end of the dispatch and detect for
+// the pass after it. A rejected tick records nothing.
+func TestTickPhases(t *testing.T) {
+	t.Parallel()
+
+	const n = 10
+	m, err := NewMonitor(n, 1, WithMetrics(metrics.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.bank == nil {
+		t.Fatal("default monitor runs no Threshold bank")
+	}
+	silent := fleetSnapshot(n, 0.95, nil)
+	silent[7] = nil
+	corrupt := fleetSnapshot(n, 0.95, nil)
+	corrupt[3][0] = math.NaN()
+	for _, tc := range []struct {
+		name           string
+		observe        func([][]float64) (*Outcome, error)
+		snap           [][]float64
+		ingest, detect int64
+	}{
+		{"strict", m.Observe, fleetSnapshot(n, 0.95, nil), 0, 1},
+		{"strict again", m.Observe, fleetSnapshot(n, 0.95, nil), 0, 2},
+		{"fast partial", m.ObservePartial, fleetSnapshot(n, 0.95, nil), 0, 3},
+		{"partial dispatch over an all-live fleet", m.ObservePartial, silent, 1, 4},
+		{"partial with an impaired device", m.ObservePartial, silent, 2, 5},
+		{"rejected", m.Observe, corrupt, 2, 5},
+	} {
+		_, err := tc.observe(tc.snap)
+		if (err != nil) != (tc.name == "rejected") {
+			t.Fatalf("%s: error %v", tc.name, err)
+		}
+		if got, want := [2]int64{m.mx.tickIngest.Count(), m.mx.tickDetect.Count()}, [2]int64{tc.ingest, tc.detect}; got != want {
+			t.Errorf("%s: ingest, detect samples = %v, want %v", tc.name, got, want)
+		}
+	}
+}
+
 // TestResetClearsChurnBaseline: after Reset, the first abnormal window
 // scores churn against the empty set — 1 — even when its abnormal set
 // overlaps the last one seen before the reset.

@@ -530,10 +530,10 @@ func benchQuietTick(b *testing.B, opts ...Option) {
 // BenchmarkTickObservePartial1M is the degraded-mode counterpart of
 // BenchmarkTickIngestDetect1M: the same quiet steady-state tick through
 // ObservePartial with the health tracker enabled but idle (every report
-// delivered and clean, every device live). The fast path proves the
-// tick is an Observe tick before touching any per-device health state,
-// so the cost and allocation profile must match the plain quiet tick —
-// the bench gate pins both the alloc ceiling and the latency ratio.
+// delivered and clean, every device live). Each device's health
+// transition rides the bank's one pass, so the allocation profile must
+// match the plain quiet tick and the cost stay close to it — the bench
+// gate pins both the alloc ceiling and the latency ratio.
 func BenchmarkTickObservePartial1M(b *testing.B) {
 	snapA, _, _ := benchSnap1M(b)
 	m, err := NewMonitor(bench1MN, 2, WithRadius(bench1MR),
@@ -560,6 +560,62 @@ func BenchmarkTickObservePartial1M(b *testing.B) {
 	b.StopTimer()
 	if st := m.HealthStats(); st != (HealthStats{Live: bench1MN}) {
 		b.Fatalf("idle health layer did work: %+v", st)
+	}
+}
+
+// BenchmarkTickObservePartialLossy1M is the lossy counterpart of
+// BenchmarkTickObservePartial1M: the same quiet fleet through
+// ObservePartial, but every tick loses 1% of the reports, a different
+// hundredth of the fleet each tick, and a fixed block of 500 devices
+// never reports, so the tracker stays impaired and every tick runs
+// the health transition of every device — held, quarantined and
+// re-admitted devices included. The bench gate holds it within 1.8x
+// of the quiet strict tick, which one fused pass meets and a second
+// pass over the fleet does not.
+func BenchmarkTickObservePartialLossy1M(b *testing.B) {
+	const stride, block = 100, 500
+	snapA, _, _ := benchSnap1M(b)
+	m, err := NewMonitor(bench1MN, 2, WithRadius(bench1MR),
+		WithHealthPolicy(HealthPolicy{HoldTicks: 2, ReadmitTicks: 2}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := append([][]float64(nil), snapA...)
+	clear(rows[:block])
+	// lose restores the rows the last tick lost and drops this tick's.
+	lost := -1
+	lose := func(tick int) {
+		for dev := block + lost; lost >= 0 && dev < bench1MN; dev += stride {
+			rows[dev] = snapA[dev]
+		}
+		lost = tick % stride
+		for dev := block + lost; dev < bench1MN; dev += stride {
+			rows[dev] = nil
+		}
+	}
+	// Warm-up: the first tick trains, the block is quarantined by the
+	// fourth.
+	for i := 0; i < 4; i++ {
+		lose(i)
+		if _, err := m.ObservePartial(rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lose(i)
+		out, err := m.ObservePartial(rows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out != nil {
+			b.Fatal("quiet lossy tick produced an outcome")
+		}
+	}
+	b.StopTimer()
+	if st := m.HealthStats(); st.Quarantined != block || st.Stale == 0 {
+		b.Fatalf("health split %+v, want the %d-device block quarantined and a stale hundredth", st, block)
 	}
 }
 

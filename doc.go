@@ -140,14 +140,15 @@
 // last sample lives in a device-major n×d slab, NaN while untrained, and
 // one fused pass per shard classifies each row, clamps it into the
 // state, tests its jump and stages the raw sample in a second slab that
-// a pointer swap commits. Strict and fast partial ticks are that one
-// pass. A partial tick over an all-live fleet with unclean rows
-// dispatches the pass's clean bits to the health machine and runs the
-// pass again over the dispatched rows; with impaired devices present
-// it classifies, dispatches and runs the pass once. Any other factory
-// output — another detector family, mixed deltas, a pre-trained or
-// custom detector — runs the generic path: a heap Device per device,
-// classified, then walked with one interface call per service. A
+// a pointer swap commits. Every tick is that one pass. On a partial
+// tick each device's health transition runs inside it, between the
+// classification and the detector test, and picks what the device
+// detects on — its own report, its held position, or nothing — with
+// each shard's counter changes folded into the tracker after the pass.
+// Any other factory output — another detector family, mixed deltas, a
+// pre-trained or custom detector — runs the generic path: a heap
+// Device per device, classified, dispatched to the health machine in
+// a serial loop, then walked with one interface call per service. A
 // differential fuzz target pins the two paths to the same outcomes,
 // errors, states and health.
 //
@@ -155,7 +156,8 @@
 // per discrete time, parsed into reused buffers) or the binary stream
 // of internal/snapio: per frame, a little-endian uint32 value count
 // followed by that many float64 bit patterns, device-major. A binary
-// tick decodes with one bulk read and no per-tick allocation —
+// tick decodes with one copy, straight from the read buffer into the
+// bytes of the reused value slab, and no per-tick allocation —
 // several times the CSV rate at large n (BenchmarkIngest) — and
 // -convert bridges existing CSV archives to it. cmd/anomalia-sim
 // -emit generates either format from the Section VII-A workload, so
@@ -163,7 +165,8 @@
 // n = 1M streaming tick (classify, clamp and detect a million devices,
 // characterize the window's mass event) against the bare
 // characterization of the same window, the quiet tick's allocations,
-// and the quiet bank tick against the same tick on the generic path.
+// the quiet bank tick against the same tick on the generic path, and
+// a lossy partial tick against the quiet one.
 //
 // Verdicts leave as JSON window records (Outcome.MarshalJSON, one per
 // anomalous window under anomalia-gateway -json). Each distinct dense
@@ -199,13 +202,13 @@
 // tick-for-tick against an oracle fed the clean values masked by the
 // delivered set, centralized and distributed, under the race detector.
 // Monitor.DeviceHealth and Monitor.HealthStats expose the per-device
-// state and the fleet split with its lifetime
-// quarantine/re-admission counters. A
-// fully clean tick over an all-live fleet takes a fast path that
-// proves it equivalent to Observe before touching any per-device
-// health state, so the idle health layer is free — the quiet n = 1M
-// ObservePartial tick matches the plain quiet tick's allocations and
-// latency (BenchmarkTickObservePartial1M; gated in CI).
+// state and the fleet split with its lifetime quarantine/re-admission
+// counters. The health layer rides the detector pass, so it adds no
+// pass over the fleet: the quiet n = 1M ObservePartial tick matches
+// the plain quiet tick's allocations and stays within 1.5x of its
+// latency (BenchmarkTickObservePartial1M), and a tick that loses 1% of
+// the reports over an impaired fleet stays within 1.8x
+// (BenchmarkTickObservePartialLossy1M; both gated in CI).
 //
 // cmd/anomalia-gateway applies the same discipline to the wire: by
 // default a malformed CSV cell or binary value quarantines the
@@ -327,7 +330,14 @@
 //     behind 1M Devices, and a quiet n = 1M tick is one fused pass with
 //     no interface call: CI holds it under 0.6x the same tick on the
 //     generic path (BenchmarkTickIngestDetectGeneric1M), which walks
-//     heap detectors one at a time.
+//     heap detectors one at a time. A lossy partial tick is the same
+//     one pass: the health transition runs per device inside it and
+//     writes only that device's slots, so the shards need no lock,
+//     and per-worker counter deltas are applied once after it.
+//   - A binary frame is decoded by reading its body straight into the
+//     bytes of the reader's float64 slab through an unsafe view — one
+//     copy out of the read buffer, no per-value conversion on a
+//     little-endian host (a big-endian one byte-swaps in place).
 //   - The distributed directory rides the same flat index: occupied
 //     cells live in the index's key-sorted slab annotated with their
 //     owning shard, the 4r block cache is one atomic pointer per cell
@@ -392,13 +402,11 @@
 //     ingest (classification and health dispatch, ObservePartial
 //     only), detect (the sharded detector pass), characterize
 //     (abnormal windows only), total. With the default detectors the
-//     Threshold bank's fused pass classifies as it detects, so a
-//     strict tick, and a partial tick whose rows are all clean over an
-//     all-live fleet, record the whole pass as detect and no ingest
-//     sample; a partial tick that dispatches records ingest from the
-//     start of the tick to the end of the dispatch, then detect for
-//     the pass over the dispatched rows. A custom factory's partial
-//     tick records its Classify, and any dispatch, as ingest.
+//     Threshold bank's fused pass classifies and runs the health
+//     transitions as it detects, so every tick, strict or partial,
+//     records the whole pass as detect and no ingest sample. A custom
+//     factory's partial tick records its Classify, and any dispatch,
+//     as ingest, then the walk as detect.
 //   - anomalia_abnormal_windows_total — windows with a non-empty
 //     abnormal set (counter)
 //   - anomalia_abnormal_devices — abnormal-set size histogram

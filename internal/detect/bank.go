@@ -3,6 +3,7 @@ package detect
 import (
 	"math"
 
+	"anomalia/internal/health"
 	"anomalia/internal/space"
 )
 
@@ -61,31 +62,66 @@ func NewThresholdBank(devs []*Device, workers int) *ThresholdBank {
 
 // Step runs the fused detection pass over rows, one row per device,
 // sharded like Walker.WalkSkip. Device dev writes into clean[dev]
-// whether row dev is clean — present, d wide and finite. A clean row is
-// clamped into [0,1]^d in cur's slot of the device, tested against the
-// device's previous samples (abnormal when any service jumped by more
-// than delta) and staged as its next previous samples. Any other row,
-// nil included, leaves the device's detectors as they are and parks its
-// slot of cur at its position in prev, or at the origin when prev is
-// nil. Step appends the abnormal ids to out in ascending order and
+// whether row dev is clean — present, d wide and finite. With a nil
+// tracker a clean row is detected on and any other row, nil included,
+// parks the device. With a tracker the clean bit first runs the
+// device's health transition, and the disposition picks what the
+// device detects on: its own row (Consume), its position in prev
+// (Hold), or nothing (Skip, which parks it). The shards' counter
+// changes reach the tracker after the pass, in Walker's per-worker
+// delta slots.
+//
+// Detecting on a row clamps it into [0,1]^d in cur's slot of the
+// device, tests it against the device's previous samples (abnormal when
+// any service jumped by more than delta) and stages it as its next
+// previous samples. A parked device's detectors stay as they are and
+// its slot of cur takes its position in prev, or the origin when prev
+// is nil. Step appends the abnormal ids to out in ascending order and
 // returns them with the number of clean rows. Until Commit, the staged
 // samples are invisible: a second Step replaces them.
-func (b *ThresholdBank) Step(rows [][]float64, prev, cur *space.State, clean []bool, out []int) ([]int, int) {
-	out, n, _ := b.w.fan(len(rows), out[:0], func(lo, hi int, flagged []int) ([]int, int, error) {
-		flagged, c := b.stepRange(rows, prev, cur, clean, lo, hi, flagged)
+func (b *ThresholdBank) Step(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int) {
+	out, n, _ := b.w.fan(len(rows), out[:0], func(i, lo, hi int, flagged []int) ([]int, int, error) {
+		var c int
+		flagged, c, b.w.deltas[i] = b.stepRange(rows, prev, cur, t, clean, lo, hi, flagged)
 		return flagged, c, nil
 	})
+	if t != nil {
+		for i := range b.w.deltas {
+			t.Apply(&b.w.deltas[i])
+		}
+		clear(b.w.deltas)
+	}
 	return out, n
 }
 
-func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, clean []bool, lo, hi int, flagged []int) ([]int, int) {
+func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, lo, hi int, flagged []int) ([]int, int, health.Delta) {
 	d, delta := b.d, b.delta
 	n := 0
+	// The shard's health delta stays local until the range is done:
+	// the workers' slots share cache lines.
+	var hd health.Delta
 	for dev := lo; dev < hi; dev++ {
 		row, dst := rows[dev], cur.At(dev)
 		last, next := b.last[dev*d:(dev+1)*d], b.next[dev*d:(dev+1)*d]
 		ok := cleanRow(row, d)
 		clean[dev] = ok
+		if ok {
+			n++
+		}
+		if t != nil {
+			switch t.Transition(dev, ok, &hd) {
+			case health.Consume:
+			case health.Hold:
+				// Hold implies a consumed report, so prev normally
+				// holds the device's last-known position. A consuming
+				// tick that never committed leaves prev nil: park.
+				if ok = prev != nil; ok {
+					row = prev.At(dev)
+				}
+			default: // health.Skip
+				ok = false
+			}
+		}
 		if !ok {
 			copy(next, last)
 			if prev != nil {
@@ -95,7 +131,6 @@ func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, clea
 			}
 			continue
 		}
-		n++
 		abnormal := false
 		for i, x := range row {
 			abnormal = abnormal || math.Abs(x-last[i]) > delta
@@ -113,30 +148,14 @@ func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, clea
 			flagged = append(flagged, dev)
 		}
 	}
-	return flagged, n
+	return flagged, n, hd
 }
 
 // Commit makes the last Step's staged samples the detectors' state.
 func (b *ThresholdBank) Commit() { b.last, b.next = b.next, b.last }
 
-// Classify grades every row like Walker.Classify without touching any
-// detector, and returns the number of clean rows.
-func (b *ThresholdBank) Classify(samples [][]float64, clean []bool) int {
-	_, n, _ := b.w.fan(len(samples), nil, func(lo, hi int, flagged []int) ([]int, int, error) {
-		c := 0
-		for dev := lo; dev < hi; dev++ {
-			clean[dev] = cleanRow(samples[dev], b.d)
-			if clean[dev] {
-				c++
-			}
-		}
-		return flagged, c, nil
-	})
-	return n
-}
-
-// Reject explains the lowest unclean row of a snapshot that Step or
-// Classify graded into clean, with the error Walker.Walk reports for
+// Reject explains the lowest unclean row of a snapshot that Step
+// graded into clean, with the error Walker.Walk reports for
 // it. At least one row must be unclean.
 func (b *ThresholdBank) Reject(samples [][]float64, clean []bool) error {
 	return rejectRow(samples, clean, func(int) int { return b.d })

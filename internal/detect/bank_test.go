@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"anomalia/internal/health"
 	"anomalia/internal/space"
 )
 
@@ -76,7 +77,7 @@ func TestThresholdBankParity(t *testing.T) {
 		var out []int
 		for k, snap := range stream {
 			var nClean int
-			out, nClean = bank.Step(snap, prev, cur, clean, out)
+			out, nClean = bank.Step(snap, prev, cur, nil, clean, out)
 			bank.Commit()
 			if !slices.Equal(out, ref[k].abnormal) {
 				t.Fatalf("workers=%d tick %d: abnormal %v, walker %v", workers, k, out, ref[k].abnormal)
@@ -94,6 +95,116 @@ func TestThresholdBankParity(t *testing.T) {
 	}
 }
 
+// TestThresholdBankParityHealth: with a health tracker, the bank's
+// Step must flag, clamp and park exactly what the serial reference
+// does — Report every device in order, then WalkSkip each device's own
+// row, its held position or nothing — and leave the detectors, and the
+// tracker's states and counters, as the reference does, for every
+// worker count. Out-of-range reports make a held position (clamped)
+// differ from the last raw sample.
+func TestThresholdBankParityHealth(t *testing.T) {
+	t.Parallel()
+
+	const n, d, ticks = 8192, 2, 8
+	raw := walkStream(n, d, ticks, 41)
+	for _, snap := range raw {
+		for j := 0; j < n; j += 7 {
+			snap[j][j%d] += 0.2
+		}
+	}
+	stream, truth := degradeStream(raw, 42)
+	policy := health.Policy{HoldTicks: 1, ReadmitTicks: 2}
+	type tick struct {
+		abnormal []int
+		coords   [][]float64
+		last     []float64
+		states   []health.State
+		stats    health.Stats
+	}
+	snapshot := func(tr *health.Tracker, abn []int, st *space.State, last []float64) tick {
+		k := tick{abnormal: abn, coords: make([][]float64, n), last: slices.Clone(last), states: make([]health.State, n), stats: tr.Stats()}
+		for j := range n {
+			k.coords[j], k.states[j] = st.AtClone(j), tr.State(j)
+		}
+		return k
+	}
+
+	devs := walkFleet(t, n, d, "threshold")
+	walker := NewWalker(1)
+	tr, err := health.New(n, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev *space.State
+	var ref []tick
+	for k, snap := range stream {
+		cur, _ := space.NewState(n, d)
+		rows := make([][]float64, n)
+		for j := range rows {
+			switch tr.Report(j, truth[k][j]) {
+			case health.Consume:
+				rows[j] = snap[j]
+			case health.Hold:
+				rows[j] = prev.At(j)
+			}
+		}
+		abn, err := walker.WalkSkip(devs, rows, func(dev int, row []float64) {
+			switch {
+			case row != nil:
+				copy(cur.At(dev), row)
+				cur.At(dev).Clamp()
+			case prev != nil:
+				copy(cur.At(dev), prev.At(dev))
+			}
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := make([]float64, 0, n*d)
+		for _, dev := range devs {
+			for _, det := range dev.detectors {
+				if th := det.(*Threshold); th.trained {
+					last = append(last, th.last)
+				} else {
+					last = append(last, math.NaN())
+				}
+			}
+		}
+		ref = append(ref, snapshot(tr, abn, cur, last))
+		prev = cur
+	}
+	if st := tr.Stats(); st.HeldTicks == 0 || st.Quarantines == 0 || st.Readmissions == 0 || st.DroppedReports == 0 {
+		t.Fatalf("stream misses a transition: %+v", st)
+	}
+
+	for _, workers := range []int{1, 3, 8} {
+		bank := NewThresholdBank(walkFleet(t, n, d, "threshold"), workers)
+		tr, err := health.New(n, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev *space.State
+		clean := make([]bool, n)
+		var out []int
+		for k, snap := range stream {
+			cur, _ := space.NewState(n, d)
+			out, _ = bank.Step(snap, prev, cur, tr, clean, out)
+			bank.Commit()
+			got := snapshot(tr, out, cur, bank.last)
+			// NaN marks an untrained detector; DeepEqual would call
+			// two NaNs different.
+			if !slices.EqualFunc(got.last, ref[k].last, func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }) {
+				t.Fatalf("workers=%d tick %d: detector state diverges from the serial reference", workers, k)
+			}
+			got.last = ref[k].last
+			if !reflect.DeepEqual(got, ref[k]) {
+				t.Fatalf("workers=%d tick %d: bank diverges from the serial reference", workers, k)
+			}
+			prev = cur
+		}
+	}
+}
+
 // TestThresholdBankStepWithoutCommit: a Step that is not committed
 // leaves every detector as it was, so a later Step sees the state the
 // last Commit left.
@@ -106,19 +217,19 @@ func TestThresholdBankStepWithoutCommit(t *testing.T) {
 	clean := make([]bool, n)
 	flat := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
 	jump := [][]float64{{0.9}, {0.5}, {0.1}, {0.5}}
-	bank.Step(flat, nil, cur, clean, nil)
+	bank.Step(flat, nil, cur, nil, clean, nil)
 	bank.Commit()
-	bank.Step(jump, nil, cur, clean, nil) // rejected: never committed
-	got, _ := bank.Step(flat, nil, cur, clean, nil)
+	bank.Step(jump, nil, cur, nil, clean, nil) // rejected: never committed
+	got, _ := bank.Step(flat, nil, cur, nil, clean, nil)
 	if len(got) != 0 {
 		t.Fatalf("uncommitted jump leaked into the detectors: flagged %v", got)
 	}
-	got, _ = bank.Step(jump, nil, cur, clean, nil)
+	got, _ = bank.Step(jump, nil, cur, nil, clean, nil)
 	if !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Fatalf("flagged %v, want [0 2]", got)
 	}
 	bank.Reset()
-	if got, _ := bank.Step(jump, nil, cur, clean, nil); len(got) != 0 {
+	if got, _ := bank.Step(jump, nil, cur, nil, clean, nil); len(got) != 0 {
 		t.Fatalf("first sample after Reset flagged %v", got)
 	}
 }
@@ -137,7 +248,7 @@ func TestThresholdBankReject(t *testing.T) {
 	bank := NewThresholdBank(walkFleet(t, n, 2, "threshold"), 3)
 	cur, _ := space.NewState(n, 2)
 	clean := make([]bool, n)
-	if _, nClean := bank.Step(snap, nil, cur, clean, nil); nClean != n-2 {
+	if _, nClean := bank.Step(snap, nil, cur, nil, clean, nil); nClean != n-2 {
 		t.Fatalf("%d clean rows, want %d", nClean, n-2)
 	}
 	err := bank.Reject(snap, clean)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"anomalia/internal/health"
 	"anomalia/internal/par"
 )
 
@@ -36,7 +37,10 @@ type Walker struct {
 	flags   [][]int
 	errs    []error
 	counts  []int
-	clean   []bool
+	// deltas are the per-worker health counter changes of a
+	// ThresholdBank.Step that runs the health transition.
+	deltas []health.Delta
+	clean  []bool
 }
 
 // NewWalker returns a walker with the given pool size; workers <= 0
@@ -48,6 +52,7 @@ func NewWalker(workers int) *Walker {
 		flags:   make([][]int, workers),
 		errs:    make([]error, workers),
 		counts:  make([]int, workers),
+		deltas:  make([]health.Delta, workers),
 	}
 }
 
@@ -106,7 +111,7 @@ func rejectRow(samples [][]float64, clean []bool, width func(dev int) int) error
 // reporting an error. Returns the number of clean rows. len(samples)
 // and len(clean) must equal len(devs).
 func (w *Walker) Classify(devs []*Device, samples [][]float64, clean []bool) int {
-	_, n, _ := w.fan(len(devs), nil, func(lo, hi int, flagged []int) ([]int, int, error) {
+	_, n, _ := w.fan(len(devs), nil, func(_, lo, hi int, flagged []int) ([]int, int, error) {
 		c := 0
 		for dev := lo; dev < hi; dev++ {
 			clean[dev] = cleanRow(samples[dev], len(devs[dev].detectors))
@@ -134,17 +139,17 @@ func cleanRow(row []float64, want int) bool {
 }
 
 // fan runs f over contiguous device ranges of [0, n), one per worker:
-// range i appends its flagged ids to its own recycled buffer and
-// returns a count. The buffers merge into out in range order and the
-// counts sum, so the result is byte-identical to one serial pass over
-// [0, n); the error is the lowest range's.
-func (w *Walker) fan(n int, out []int, f func(lo, hi int, flagged []int) ([]int, int, error)) ([]int, int, error) {
+// range i, run by worker i, appends its flagged ids to its own
+// recycled buffer and returns a count. The buffers merge into out in
+// range order and the counts sum, so the result is byte-identical to
+// one serial pass over [0, n); the error is the lowest range's.
+func (w *Walker) fan(n int, out []int, f func(i, lo, hi int, flagged []int) ([]int, int, error)) ([]int, int, error) {
 	workers := par.Ranges(n, w.workers, minShard, func(i, lo, hi int) {
 		buf := w.flags[i]
 		if buf == nil {
 			buf = make([]int, 0, (hi-lo)/8+16)
 		}
-		w.flags[i], w.counts[i], w.errs[i] = f(lo, hi, buf[:0])
+		w.flags[i], w.counts[i], w.errs[i] = f(i, lo, hi, buf[:0])
 	})
 	total := 0
 	for i := range workers {
@@ -176,7 +181,7 @@ func (w *Walker) WalkSkip(devs []*Device, rows [][]float64, visit func(dev int, 
 	if len(rows) != n {
 		return out, fmt.Errorf("snapshot has %d rows, want %d: %w", len(rows), n, ErrSample)
 	}
-	out, _, err := w.fan(n, out, func(lo, hi int, flagged []int) ([]int, int, error) {
+	out, _, err := w.fan(n, out, func(_, lo, hi int, flagged []int) ([]int, int, error) {
 		flagged, err := walkSkipRange(devs, rows, visit, lo, hi, flagged)
 		return flagged, 0, err
 	})

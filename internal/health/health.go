@@ -22,8 +22,9 @@
 // a degraded stream reproducible against an oracle fed only the clean
 // subset.
 //
-// A Tracker is not safe for concurrent use; it is owned by the monitor
-// that owns the ingest clock.
+// A Tracker is not safe for concurrent use, except that Transition may
+// run on disjoint devices at once (see Transition); it is owned by the
+// monitor that owns the ingest clock.
 package health
 
 import (
@@ -188,10 +189,54 @@ func (t *Tracker) Stats() Stats { return t.stats }
 // path should do with the device's slot. Exactly one Report per device
 // per tick.
 func (t *Tracker) Report(dev int, clean bool) Disposition {
-	if clean {
-		return t.reportClean(dev)
+	var d Delta
+	disp := t.Transition(dev, clean, &d)
+	t.Apply(&d)
+	return disp
+}
+
+// Delta accumulates the fleet-wide counter changes of a run of
+// Transition calls until Apply folds them into the tracker. The zero
+// value is an empty delta.
+type Delta struct {
+	impaired, stale, quar int
+	stats                 Stats
+}
+
+// Transition is Report for a sharded pass: it advances device dev's
+// state, streak and last-known-value mark — the device's own slots,
+// nothing else — and adds its counter changes to d instead of the
+// tracker's counters. Goroutines may run Transition concurrently over
+// disjoint device sets, each with its own delta; the counters, Counts,
+// Stats and AllLive read stale until every delta is applied.
+func (t *Tracker) Transition(dev int, clean bool, d *Delta) Disposition {
+	if clean && t.states[dev] == Live {
+		// The common case, small enough to inline into a caller's pass.
+		t.seen[dev] = true
+		return Consume
 	}
-	return t.reportFault(dev)
+	return t.transition(dev, clean, d)
+}
+
+// transition is Transition for a fault or an impaired device.
+func (t *Tracker) transition(dev int, clean bool, d *Delta) Disposition {
+	if clean {
+		return t.reportCleanImpaired(dev, d)
+	}
+	return t.reportFault(dev, d)
+}
+
+// Apply folds a delta into the tracker's counters. Deltas commute, so
+// the shards of one pass may be applied in any order.
+func (t *Tracker) Apply(d *Delta) {
+	t.impaired += d.impaired
+	t.stale += d.stale
+	t.quar += d.quar
+	t.stats.Quarantines += d.stats.Quarantines
+	t.stats.Readmissions += d.stats.Readmissions
+	t.stats.HeldTicks += d.stats.HeldTicks
+	t.stats.DroppedReports += d.stats.DroppedReports
+	t.stats.FaultyTicks += d.stats.FaultyTicks
 }
 
 // ConsumeAll records a tick in which every device's report was consumed
@@ -201,16 +246,15 @@ func (t *Tracker) Report(dev int, clean bool) Disposition {
 // a later first fault is held, not skipped.
 func (t *Tracker) ConsumeAll() { t.allSeen = true }
 
-func (t *Tracker) reportClean(dev int) Disposition {
+// reportCleanImpaired folds a clean report of a stale or quarantined
+// device.
+func (t *Tracker) reportCleanImpaired(dev int, d *Delta) Disposition {
 	switch t.states[dev] {
-	case Live:
-		t.seen[dev] = true
-		return Consume
 	case Stale:
 		t.states[dev] = Live
 		t.run[dev] = 0
-		t.stale--
-		t.impaired--
+		d.stale--
+		d.impaired--
 		t.seen[dev] = true
 		return Consume
 	default: // Quarantined
@@ -218,40 +262,40 @@ func (t *Tracker) reportClean(dev int) Disposition {
 		if int(t.run[dev]) >= t.policy.ReadmitTicks {
 			t.states[dev] = Live
 			t.run[dev] = 0
-			t.quar--
-			t.impaired--
-			t.stats.Readmissions++
+			d.quar--
+			d.impaired--
+			d.stats.Readmissions++
 			t.seen[dev] = true
 			return Consume
 		}
-		t.stats.DroppedReports++
+		d.stats.DroppedReports++
 		return Skip
 	}
 }
 
-func (t *Tracker) reportFault(dev int) Disposition {
-	t.stats.FaultyTicks++
+func (t *Tracker) reportFault(dev int, d *Delta) Disposition {
+	d.stats.FaultyTicks++
 	switch t.states[dev] {
 	case Live:
-		t.impaired++
+		d.impaired++
 		if t.policy.HoldTicks == 0 {
 			t.states[dev] = Quarantined
 			t.run[dev] = 0
-			t.quar++
-			t.stats.Quarantines++
+			d.quar++
+			d.stats.Quarantines++
 			return Skip
 		}
 		t.states[dev] = Stale
 		t.run[dev] = 1
-		t.stale++
+		d.stale++
 	case Stale:
 		t.run[dev]++
 		if int(t.run[dev]) > t.policy.HoldTicks {
 			t.states[dev] = Quarantined
 			t.run[dev] = 0
-			t.stale--
-			t.quar++
-			t.stats.Quarantines++
+			d.stale--
+			d.quar++
+			d.stats.Quarantines++
 			return Skip
 		}
 	default: // Quarantined: a faulty tick breaks any re-admission run.
@@ -264,7 +308,7 @@ func (t *Tracker) reportFault(dev int) Disposition {
 	if !t.allSeen && !t.seen[dev] {
 		return Skip
 	}
-	t.stats.HeldTicks++
+	d.stats.HeldTicks++
 	return Hold
 }
 

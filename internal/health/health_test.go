@@ -1,6 +1,11 @@
 package health
 
-import "testing"
+import (
+	"math/rand/v2"
+	"slices"
+	"sync"
+	"testing"
+)
 
 // report feeds one tick's pattern and asserts the disposition.
 func expect(t *testing.T, tr *Tracker, dev int, clean bool, want Disposition) {
@@ -236,4 +241,94 @@ func TestConsumeAllGivesHoldSemantics(t *testing.T) {
 	// The fleet-wide last-known values are gone with everything else: a
 	// fault before any report skips again.
 	expect(t, tr, 2, false, Skip)
+}
+
+// TestTransitionShardParity runs one random clean/fault stream through
+// serial Report and through Transition split over contiguous device
+// ranges, each range on its own goroutine with its own Delta, the
+// deltas applied in a random order. Every tick must leave the two
+// trackers with the same dispositions, states, Counts, Stats and
+// AllLive, under every policy and split.
+func TestTransitionShardParity(t *testing.T) {
+	t.Parallel()
+
+	const n, ticks = 61, 300
+	for _, p := range []Policy{
+		{HoldTicks: 0, ReadmitTicks: 1},
+		{HoldTicks: 0, ReadmitTicks: 3},
+		DefaultPolicy(),
+		{HoldTicks: 5, ReadmitTicks: 1},
+	} {
+		for _, shards := range []int{1, 3, 8} {
+			rng := rand.New(rand.NewPCG(uint64(p.HoldTicks*10+p.ReadmitTicks), uint64(shards)))
+			serial, sharded := mustNew(t, n, p), mustNew(t, n, p)
+			clean := make([]bool, n)
+			// Each device flips between a reporting and an outage spell,
+			// so the stream crosses every transition of the machine.
+			down := make([]bool, n)
+			want, got := make([]Disposition, n), make([]Disposition, n)
+			deltas := make([]Delta, shards)
+			for tick := range ticks {
+				for dev := range clean {
+					if rng.IntN(8) == 0 {
+						down[dev] = !down[dev]
+					}
+					clean[dev] = !down[dev] && rng.IntN(20) != 0
+				}
+				if tick%50 >= 45 {
+					clear(down)
+					for dev := range clean {
+						clean[dev] = true
+					}
+				}
+				allLive := serial.AllLive()
+				for dev, c := range clean {
+					want[dev] = serial.Report(dev, c)
+				}
+				if allLive && !slices.Contains(clean, false) {
+					serial.ConsumeAll()
+				}
+
+				allLive = sharded.AllLive()
+				cuts := []int{0, n}
+				for len(cuts) < shards+1 {
+					if c := 1 + rng.IntN(n-1); !slices.Contains(cuts, c) {
+						cuts = append(cuts, c)
+					}
+				}
+				slices.Sort(cuts)
+				clear(deltas)
+				var wg sync.WaitGroup
+				for i := range shards {
+					wg.Add(1)
+					go func(lo, hi int, d *Delta) {
+						defer wg.Done()
+						for dev := lo; dev < hi; dev++ {
+							got[dev] = sharded.Transition(dev, clean[dev], d)
+						}
+					}(cuts[i], cuts[i+1], &deltas[i])
+				}
+				wg.Wait()
+				for _, i := range rng.Perm(shards) {
+					sharded.Apply(&deltas[i])
+				}
+				if allLive && !slices.Contains(clean, false) {
+					sharded.ConsumeAll()
+				}
+
+				if !slices.Equal(got, want) {
+					t.Fatalf("policy %+v, %d shards, tick %d: dispositions %v, serial %v", p, shards, tick, got, want)
+				}
+				if !slices.Equal(sharded.states, serial.states) {
+					t.Fatalf("policy %+v, %d shards, tick %d: states %v, serial %v", p, shards, tick, sharded.states, serial.states)
+				}
+				gl, gs, gq := sharded.Counts()
+				wl, ws, wq := serial.Counts()
+				if [3]int{gl, gs, gq} != [3]int{wl, ws, wq} || sharded.Stats() != serial.Stats() || sharded.AllLive() != serial.AllLive() {
+					t.Fatalf("policy %+v, %d shards, tick %d: counts %d/%d/%d stats %+v all-live %v, serial %d/%d/%d %+v %v",
+						p, shards, tick, gl, gs, gq, sharded.Stats(), sharded.AllLive(), wl, ws, wq, serial.Stats(), serial.AllLive())
+				}
+			}
+		}
+	}
 }

@@ -70,15 +70,16 @@ func TestFrameReaderOversizedCount(t *testing.T) {
 	if _, err := fr.Next(); err == nil {
 		t.Fatal("oversized count accepted")
 	}
-	if cap(fr.buf) != 0 || cap(fr.vals) != 0 {
-		t.Fatalf("oversized count allocated buf cap %d, vals cap %d", cap(fr.buf), cap(fr.vals))
+	if cap(fr.vals) != 0 {
+		t.Fatalf("oversized count allocated vals cap %d", cap(fr.vals))
 	}
 }
 
 // FuzzFrameReader feeds arbitrary bytes through the reader. The decoder
 // must never panic, never allocate beyond the configured geometry,
 // return positioned errors for everything except a clean end of
-// stream, and decode exactly the prefix of whole well-formed frames.
+// stream, and decode exactly the prefix of whole well-formed frames,
+// every value bit for bit as the little-endian bytes it was read from.
 func FuzzFrameReader(f *testing.F) {
 	var buf bytes.Buffer
 	w := NewFrameWriter(&buf)
@@ -97,6 +98,15 @@ func FuzzFrameReader(f *testing.F) {
 		binary.LittleEndian.PutUint32(h[:], 1<<30)
 		return h[:]
 	}())
+	f.Add(func() []byte { // NaN payloads, -0 and subnormals
+		var odd bytes.Buffer
+		w := NewFrameWriter(&odd)
+		_ = w.Write([]float64{math.Float64frombits(0x7ff0_0000_0000_0001), math.Copysign(0, -1)})
+		_ = w.Write([]float64{math.Float64frombits(0xfff8_dead_beef_0001), math.SmallestNonzeroFloat64})
+		_ = w.Write([]float64{math.Float64frombits(0x000f_ffff_ffff_ffff), math.Inf(-1)})
+		_ = w.Flush()
+		return odd.Bytes()
+	}())
 
 	const want = 2
 	const frameSize = 4 + 8*want
@@ -108,6 +118,12 @@ func FuzzFrameReader(f *testing.F) {
 			if err == nil {
 				if len(vals) != want {
 					t.Fatalf("frame %d: %d values, want %d", frames, len(vals), want)
+				}
+				body := data[frames*frameSize+4:]
+				for i, v := range vals {
+					if got, want := math.Float64bits(v), binary.LittleEndian.Uint64(body[8*i:]); got != want {
+						t.Fatalf("frame %d value %d: bits %#x, want %#x", frames, i, got, want)
+					}
 				}
 				frames++
 				if frames > len(data)/frameSize {
@@ -123,8 +139,8 @@ func FuzzFrameReader(f *testing.F) {
 			}
 			break
 		}
-		if cap(fr.buf) > 8*want || cap(fr.vals) > want {
-			t.Fatalf("buffers outgrew the geometry: buf %d, vals %d", cap(fr.buf), cap(fr.vals))
+		if cap(fr.vals) > want {
+			t.Fatalf("value slab outgrew the geometry: cap %d", cap(fr.vals))
 		}
 		if fr.Frames() != frames || fr.Offset() != int64(frames*frameSize) {
 			t.Fatalf("position %d/%d after %d frames", fr.Frames(), fr.Offset(), frames)

@@ -9,12 +9,14 @@
 //	                (dev0_svc0, dev0_svc1, dev1_svc0, ...)
 //
 // The format exists because encoding/csv plus strconv dominate a
-// million-device tick: a frame decodes with one bulk read and a
-// fixed-width bit conversion per value, and both directions reuse their
-// buffers, so steady-state streaming does not allocate per tick. The
-// codec is value-agnostic — range and finiteness policy belong to the
-// consumer (the gateway rejects non-finite and out-of-[0,1] values the
-// same way it does for CSV input).
+// million-device tick: a frame body is read straight into the bytes of
+// the reader's value slab — one copy, no per-value conversion on a
+// little-endian host, an in-place byte swap on a big-endian one — and
+// both directions reuse their buffers, so steady-state streaming does
+// not allocate per tick. The codec is value-agnostic — range and
+// finiteness policy belong to the consumer (the gateway rejects
+// non-finite and out-of-[0,1] values the same way it does for CSV
+// input).
 package snapio
 
 import (
@@ -23,14 +25,19 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"unsafe"
 )
+
+// bigEndian reports whether the host stores a float64's bytes most
+// significant first, the reverse of the wire order.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
 
 // FrameReader decodes a stream of frames. It reuses its buffers: the
 // slice returned by Next is overwritten by the following Next.
 type FrameReader struct {
 	r    *bufio.Reader
 	want int
-	buf  []byte
 	vals []float64
 	// off is the byte offset of the frame Next decodes next — the sum
 	// of fully decoded frames — and frame its stream index. Both feed
@@ -65,27 +72,34 @@ func (fr *FrameReader) Next() ([]float64, error) {
 	if count != fr.want {
 		return nil, fmt.Errorf("snapio: frame %d at byte %d: frame has %d values, want %d", fr.frame, fr.off, count, fr.want)
 	}
-	need := 8 * count
-	if cap(fr.buf) < need {
-		fr.buf = make([]byte, need)
+	if cap(fr.vals) < count {
+		fr.vals = make([]float64, count)
 	}
-	buf := fr.buf[:need]
-	if _, err := io.ReadFull(fr.r, buf); err != nil {
+	vals := fr.vals[:count]
+	// The body lands in the slab's own bytes: on a little-endian host
+	// they already are the values.
+	need := 8 * count
+	if _, err := io.ReadFull(fr.r, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), need)); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("snapio: frame %d at byte %d: body: %w", fr.frame, fr.off, err)
 	}
-	if cap(fr.vals) < count {
-		fr.vals = make([]float64, count)
-	}
-	vals := fr.vals[:count]
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	if bigEndian {
+		swapBytes(vals)
 	}
 	fr.off += int64(4 + need)
 	fr.frame++
 	return vals, nil
+}
+
+// swapBytes reverses the byte order of every value in place, turning
+// little-endian wire bytes read into a big-endian host's slab into the
+// values they encode.
+func swapBytes(vals []float64) {
+	for i, v := range vals {
+		vals[i] = math.Float64frombits(bits.ReverseBytes64(math.Float64bits(v)))
+	}
 }
 
 // Offset returns the byte offset past the last fully decoded frame —

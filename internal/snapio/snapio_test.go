@@ -2,6 +2,7 @@ package snapio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -164,5 +165,35 @@ func TestRows(t *testing.T) {
 	rows2 := Rows(flat2, rows, 2)
 	if &rows2[0][0] != &flat2[0] || rows2[2][1] != 12 {
 		t.Errorf("rewired rows = %v", rows2)
+	}
+}
+
+// TestSwapBytesBigEndianView decodes a known frame the way a big-endian
+// host does: its slab views the little-endian body bytes most
+// significant first, and swapBytes must turn every value back into the
+// one written, bit for bit.
+func TestSwapBytesBigEndianView(t *testing.T) {
+	t.Parallel()
+
+	want := []float64{0.25, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x7ff0_0000_0000_0001), math.Inf(1), 1 - 1e-16}
+	var buf bytes.Buffer
+	w := NewFrameWriter(&buf)
+	if err := w.Write(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()[4:]
+	vals := make([]float64, len(want))
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.BigEndian.Uint64(body[8*i:]))
+	}
+	swapBytes(vals)
+	for i := range want {
+		if got, w := math.Float64bits(vals[i]), math.Float64bits(want[i]); got != w {
+			t.Errorf("value %d: bits %#x, want %#x", i, got, w)
+		}
 	}
 }

@@ -25,7 +25,8 @@ import (
 // DirStats — and a metrics scrape (WithMetrics) may run on another
 // goroutine concurrently with Observe/ObservePartial. They read
 // atomics or take the stats mutex, so a scraper never tears a counter
-// and never blocks the fast ingest path.
+// and never blocks Observe. A health snapshot taken during a partial
+// tick waits for that tick's detector pass, which holds the mutex.
 type Monitor struct {
 	devices  int
 	services int
@@ -69,15 +70,18 @@ type Monitor struct {
 	dirDegraded  atomic.Int64
 	// health is the per-device state machine of the degraded ingest path
 	// (ObservePartial), created on the first partial tick so Observe-only
-	// monitors pay nothing for it; cleanBuf and rowsBuf are recycled
-	// per-tick scratch (classification mask, effective-row table).
-	// The pointer is atomic so a concurrent stats snapshot sees either
-	// no tracker or a fully built one; statsMu serializes the tracker's
-	// mutations (the slow-path dispatch loop, Reset) against
-	// HealthStats/DeviceHealth readers. The all-clean fast path stays
-	// outside the mutex: ConsumeAll touches only per-device consumption
-	// state no stats reader looks at, so the quiet partial tick takes no
-	// lock and allocates no more than the quiet Observe tick.
+	// monitors pay nothing for it; cleanBuf is the recycled per-tick
+	// classification mask, and rowsBuf the generic path's effective-row
+	// table. The pointer is atomic so a concurrent stats snapshot sees
+	// either no tracker or a fully built one; statsMu serializes the
+	// tracker's mutations against HealthStats/DeviceHealth readers. On
+	// the Threshold bank every partial tick runs the health transition
+	// inside its sharded pass, and the whole pass holds statsMu: a
+	// reader never sees a torn state, but a scrape may wait for up to
+	// one pass. The generic path locks only its serial dispatch loop,
+	// and its all-clean fast path stays outside the mutex: ConsumeAll
+	// touches only per-device consumption state no stats reader looks
+	// at. Reset takes the mutex too.
 	health   atomic.Pointer[health.Tracker]
 	statsMu  sync.Mutex
 	cleanBuf []bool
@@ -223,8 +227,8 @@ func (m *Monitor) Observe(samples [][]float64) (*Outcome, error) {
 // state machine: neither carries a usable measurement, and collapsing
 // them makes a degraded stream reproducible against an oracle fed only
 // the delivered clean subset. A fully clean snapshot over an all-live
-// fleet takes a fast path equivalent to Observe — no per-device health
-// bookkeeping, same recycled buffers, same verdicts.
+// fleet is consumed exactly as Observe consumes it — same recycled
+// buffers, same verdicts.
 //
 // Membership churn flows through: quarantined devices leave the
 // abnormal set (and so the distributed directory's index) and
@@ -270,9 +274,10 @@ func (m *Monitor) clean() []bool {
 }
 
 // dispatch folds the classification verdicts in cleanBuf into the
-// health state machine and returns the rows to detect on — a device's
-// own clean report, its held last-known position, or nil for a device
-// excluded from the window.
+// health state machine and returns the rows the generic walk detects
+// on — a device's own clean report, its held last-known position, or
+// nil for a device excluded from the window. The Threshold bank runs
+// the same transitions inside its Step instead.
 func (m *Monitor) dispatch(tracker *health.Tracker, samples [][]float64) [][]float64 {
 	if m.rowsBuf == nil {
 		m.rowsBuf = make([][]float64, m.devices)
@@ -333,7 +338,7 @@ func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 	var ingested time.Time
 	var err error
 	if m.bank != nil {
-		abnormal, ingested, err = m.step(samples, cur, strict)
+		abnormal, err = m.step(samples, cur, strict)
 	} else {
 		abnormal, ingested, err = m.walk(samples, cur, strict)
 	}
@@ -374,47 +379,36 @@ func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 	return out, err
 }
 
-// step ingests one snapshot into the Threshold bank, committing it
-// unless the strict policy rejects it. A strict tick and a partial
-// tick over an all-live fleet run one fused Step straight over the
-// samples; if every row is clean the tick is done — a partial one
-// charges the fleet one consumed report with ConsumeAll — and
-// otherwise strict rejects on the lowest unclean row while partial
-// dispatches that Step's clean bits to the health machine and steps
-// again over the dispatched rows. A partial tick with impaired devices
-// classifies, dispatches and steps once. ingested, when the tick is
-// instrumented, is the end of the dispatch, zero when there was none.
-func (m *Monitor) step(samples [][]float64, cur *space.State, strict bool) (abnormal []int, ingested time.Time, err error) {
+// step ingests one snapshot into the Threshold bank with one fused
+// Step, and commits it unless the strict policy rejects it on the
+// lowest unclean row. A partial tick hands the Step the health tracker,
+// so every device's health transition runs inside the sharded pass and
+// picks what it detects on; the pass holds statsMu. A partial tick that
+// found every row clean over a fleet all-live at its start also charges
+// the fleet one consumed report with ConsumeAll.
+func (m *Monitor) step(samples [][]float64, cur *space.State, strict bool) ([]int, error) {
 	b, clean := m.bank, m.clean()
-	var tracker *health.Tracker
-	if !strict {
-		if tracker, err = m.tracker(); err != nil {
-			return m.abnBuf, ingested, err
+	if strict {
+		abnormal, nClean := b.Step(samples, m.prev, cur, nil, clean, m.abnBuf)
+		if nClean < m.devices {
+			return abnormal, fmt.Errorf("%w: %w", ErrInvalidInput, b.Reject(samples, clean))
 		}
+		b.Commit()
+		return abnormal, nil
 	}
-	if strict || tracker.AllLive() {
-		abnormal, nClean := b.Step(samples, m.prev, cur, clean, m.abnBuf)
-		switch {
-		case nClean == m.devices:
-			if !strict {
-				tracker.ConsumeAll()
-			}
-			b.Commit()
-			return abnormal, ingested, nil
-		case strict:
-			return abnormal, ingested, fmt.Errorf("%w: %w", ErrInvalidInput, b.Reject(samples, clean))
-		}
-		m.abnBuf = abnormal
-	} else {
-		b.Classify(samples, clean)
+	tracker, err := m.tracker()
+	if err != nil {
+		return m.abnBuf, err
 	}
-	rows := m.dispatch(tracker, samples)
-	if m.mx != nil {
-		ingested = time.Now()
+	m.statsMu.Lock()
+	allLive := tracker.AllLive()
+	abnormal, nClean := b.Step(samples, m.prev, cur, tracker, clean, m.abnBuf)
+	if allLive && nClean == m.devices {
+		tracker.ConsumeAll()
 	}
-	abnormal, _ = b.Step(rows, m.prev, cur, clean, m.abnBuf)
+	m.statsMu.Unlock()
 	b.Commit()
-	return abnormal, ingested, nil
+	return abnormal, nil
 }
 
 // walk ingests one snapshot through per-device detectors, for any

@@ -216,10 +216,11 @@ func TestObservePartialHoldKeepsDeviceInPopulation(t *testing.T) {
 	if st, _ := mon.DeviceHealth(0); st != HealthLive {
 		t.Fatalf("device 0 health %v, want live", st)
 	}
-	// The clean tick above ran on the fully-clean fast path, which skips
-	// per-device Report calls — it must still count as a consumed report
-	// for every device, so device 6's first fault was genuinely held
-	// (HeldTicks charged), not silently skipped out of the population.
+	// The clean tick above ran over an all-live fleet — ConsumeAll on
+	// the generic path, a Consume transition per device on the bank —
+	// and must count as a consumed report for every device, so device
+	// 6's first fault was genuinely held (HeldTicks charged), not
+	// silently skipped out of the population.
 	if hs := mon.HealthStats(); hs.HeldTicks != 1 || hs.FaultyTicks != 1 {
 		t.Fatalf("fast-path ticks did not seed hold semantics: %+v", hs)
 	}

@@ -40,7 +40,7 @@ type monitorMetrics struct {
 func newMonitorMetrics(reg *metrics.Registry, m *Monitor) *monitorMetrics {
 	phase := func(p string) *metrics.Histogram {
 		return reg.Histogram("anomalia_tick_seconds",
-			"Observe/ObservePartial latency by phase (ingest: classification and health dispatch, partial ticks only; detect: the sharded detector pass; characterize: window characterization, abnormal windows only; total: the whole tick).",
+			"Observe/ObservePartial latency by phase (ingest: classification and health dispatch, partial ticks on a custom detector factory only; detect: the sharded detector pass, health transitions included with the default detectors; characterize: window characterization, abnormal windows only; total: the whole tick).",
 			metrics.DefBuckets, metrics.Label{Name: "phase", Value: p})
 	}
 	mx := &monitorMetrics{
@@ -119,10 +119,11 @@ func newMonitorMetrics(reg *metrics.Registry, m *Monitor) *monitorMetrics {
 // Called once per committed tick, quiet or abnormal; everything here is
 // an atomic store on a pre-registered series, so it adds no allocation
 // to the tick. ingested is zero when the tick has no ingest phase apart
-// from its detector pass: a strict tick, and a Threshold-bank partial
-// tick whose one fused pass found every row clean over an all-live
-// fleet. On a bank tick that dispatches, ingest runs from the start of
-// the tick to the end of the dispatch, and detect is the pass after it.
+// from its detector pass: a strict tick, and every Threshold-bank tick,
+// whose one fused pass classifies and runs the health transitions as it
+// detects. On a generic partial tick ingest runs from the start of the
+// tick to the end of the classification and any dispatch, and detect
+// is the walk after it.
 // abnormal is nil on quiet windows, whose characterize phase would
 // otherwise pollute the histogram with empty samples.
 func (m *Monitor) tickDone(start, ingested, walked time.Time, abnormal []int) {

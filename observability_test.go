@@ -97,21 +97,29 @@ func TestMonitorMetricsFeed(t *testing.T) {
 	}
 }
 
-// TestTickPhases pins the phase split of the Threshold bank's fused
-// pass. Strict and fast partial ticks are one pass, recorded whole as
-// detect with no ingest sample. A partial tick that needs the health
-// dispatch records ingest up to the end of the dispatch and detect for
-// the pass after it. A rejected tick records nothing.
+// TestTickPhases pins the phase split of a tick. On the Threshold
+// bank every committed tick, strict or partial, is one fused pass —
+// the health transition runs inside it — recorded whole as detect with
+// no ingest sample. The generic path records a partial tick's
+// classification and dispatch as ingest, then the walk as detect, and
+// a strict tick as detect alone. A rejected tick records nothing.
 func TestTickPhases(t *testing.T) {
 	t.Parallel()
 
 	const n = 10
-	m, err := NewMonitor(n, 1, WithMetrics(metrics.NewRegistry()))
+	bank, err := NewMonitor(n, 1, WithMetrics(metrics.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.bank == nil {
+	if bank.bank == nil {
 		t.Fatal("default monitor runs no Threshold bank")
+	}
+	generic, err := NewMonitor(n, 1, WithMetrics(metrics.NewRegistry()), WithDetectorFactory(genericThreshold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if generic.bank != nil {
+		t.Fatal("generic factory runs the Threshold bank")
 	}
 	silent := fleetSnapshot(n, 0.95, nil)
 	silent[7] = nil
@@ -119,22 +127,32 @@ func TestTickPhases(t *testing.T) {
 	corrupt[3][0] = math.NaN()
 	for _, tc := range []struct {
 		name           string
-		observe        func([][]float64) (*Outcome, error)
+		m              *Monitor
+		partial        bool
 		snap           [][]float64
 		ingest, detect int64
 	}{
-		{"strict", m.Observe, fleetSnapshot(n, 0.95, nil), 0, 1},
-		{"strict again", m.Observe, fleetSnapshot(n, 0.95, nil), 0, 2},
-		{"fast partial", m.ObservePartial, fleetSnapshot(n, 0.95, nil), 0, 3},
-		{"partial dispatch over an all-live fleet", m.ObservePartial, silent, 1, 4},
-		{"partial with an impaired device", m.ObservePartial, silent, 2, 5},
-		{"rejected", m.Observe, corrupt, 2, 5},
+		{"strict", bank, false, fleetSnapshot(n, 0.95, nil), 0, 1},
+		{"strict again", bank, false, fleetSnapshot(n, 0.95, nil), 0, 2},
+		{"fast partial", bank, true, fleetSnapshot(n, 0.95, nil), 0, 3},
+		{"partial with a fault over an all-live fleet", bank, true, silent, 0, 4},
+		{"partial with an impaired device", bank, true, silent, 0, 5},
+		{"rejected", bank, false, corrupt, 0, 5},
+		{"generic strict", generic, false, fleetSnapshot(n, 0.95, nil), 0, 1},
+		{"generic fast partial", generic, true, fleetSnapshot(n, 0.95, nil), 1, 2},
+		{"generic partial dispatch", generic, true, silent, 2, 3},
+		{"generic rejected", generic, false, corrupt, 2, 3},
 	} {
-		_, err := tc.observe(tc.snap)
-		if (err != nil) != (tc.name == "rejected") {
+		observe := tc.m.Observe
+		if tc.partial {
+			observe = tc.m.ObservePartial
+		}
+		_, err := observe(tc.snap)
+		if rejected := strings.HasSuffix(tc.name, "rejected"); (err != nil) != rejected {
 			t.Fatalf("%s: error %v", tc.name, err)
 		}
-		if got, want := [2]int64{m.mx.tickIngest.Count(), m.mx.tickDetect.Count()}, [2]int64{tc.ingest, tc.detect}; got != want {
+		mx := tc.m.mx
+		if got, want := [2]int64{mx.tickIngest.Count(), mx.tickDetect.Count()}, [2]int64{tc.ingest, tc.detect}; got != want {
 			t.Errorf("%s: ingest, detect samples = %v, want %v", tc.name, got, want)
 		}
 	}

@@ -122,11 +122,11 @@ func TestNetworkedAdvanceErrorDegradesWindow(t *testing.T) {
 	}
 	event := map[int]float64{0: 0.50, 1: 0.50, 2: 0.51, 3: 0.49, 5: 0.20}
 
-	// Window plan: tick 1 abnormal (networked init), tick 2 abnormal
+	// Window plan: tick 1 abnormal (networked), tick 2 abnormal
 	// (recovery edge) with the shard unreachable — the over-the-wire
-	// advance fails and the window degrades — tick 3 abnormal with the
-	// shard healed — networked again, advancing from the window the
-	// shard still holds.
+	// window sync fails and the window degrades — tick 3 abnormal with
+	// the shard healed — networked again, the shard rebuilt from that
+	// window's own message.
 	step := func(tick int, samples [][]float64) (*Outcome, *Outcome) {
 		t.Helper()
 		want, err := central.Observe(samples)

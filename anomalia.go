@@ -213,8 +213,8 @@ func WithDistributed(distributed bool) Option {
 // shard servers (cmd/anomalia-directory) instead of the in-process
 // directory. Every address hosts a full directory replica; each
 // abnormal window the monitor ships the abnormal trajectories to the
-// reachable shards (an incremental moved-stream advance in steady
-// state) and partitions the fleet's decisions contiguously across
+// reachable shards (one message per shard, from which each builds the
+// window) and partitions the fleet's decisions contiguously across
 // them, so a breaker-open shard's slice fails over to the survivors.
 //
 // Fault tolerance is built in: per-request deadlines, bounded retries

@@ -1,8 +1,9 @@
 // Command anomalia-directory hosts one shard of the networked
 // directory service: a dirnet.Server holding a full directory replica
 // behind the length-prefixed binary protocol, answering the window
-// stream (init / incremental moved-stream advance) and the decision
-// and view queries a Monitor configured with WithDirectory sends.
+// stream (one msgInit per abnormal window, built on m-row states) and
+// the decision and view queries a Monitor configured with
+// WithDirectory sends.
 //
 // Usage:
 //
@@ -11,12 +12,12 @@
 //
 // Run one process per shard and hand the Monitor (or
 // anomalia-gateway's -directory flag) the full address list. A shard
-// keeps no durable state: after a crash the next client window
-// re-seeds it over the wire (statusNeedInit → msgInit), so restarting
-// a shard costs one extra round-trip, never a wrong verdict —
-// meanwhile the client's breaker fails its slice over to the
-// surviving shards, and a window no shard can serve degrades to the
-// Monitor's centralized fallback with identical verdicts.
+// keeps no durable state: every client window re-seeds it over the
+// wire, so a restarted shard rejoins on the next window with no extra
+// round trip and never gives a wrong verdict. Meanwhile the client's
+// breaker fails its slice over to the surviving shards, and a window
+// no shard can serve degrades to the Monitor's centralized fallback
+// with identical verdicts.
 //
 // -iotimeout bounds one frame read or response write once a request's
 // first byte arrives; the wait for the next request is unbounded,

@@ -98,9 +98,9 @@ func TestDirectoryMetricsEndpoint(t *testing.T) {
 			t.Errorf("scrape missing %q:\n%s", want, scrape)
 		}
 	}
-	// The abnormal window cost at least one connection and several
-	// requests (init/advance plus per-slice decisions), and left the
-	// directory holding a non-zero window sequence.
+	// The abnormal window cost at least one connection and two
+	// requests (the window's msgInit plus its decide slice), and left
+	// the directory holding a non-zero window sequence.
 	c := b.srv.Counters()
 	if c.Connections < 1 || c.Requests < 2 || c.BytesRead == 0 || c.BytesWritten == 0 {
 		t.Errorf("server counters after abnormal window = %+v, want traffic on every axis", c)

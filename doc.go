@@ -72,13 +72,15 @@
 // length-prefixed binary wire protocol (internal/dirnet — a uint32
 // frame length, a message byte, and sparse trajectory bodies carrying
 // only the abnormal rows, bit-exact), and the Monitor decides each
-// abnormal window through a thin client. The client syncs a shard by
-// shipping the window pair and abnormal set, then advances it window
-// to window with the per-device moved stream as the incremental wire
-// format, partitioning each window's decisions contiguously across
-// whichever shards are in sync — a shard that falls out of sync (or
-// crashes and comes back empty) is rebuilt from the full window, so
-// shard failover is a re-sync, not an error. Each shard decides its
+// abnormal window through a thin client. Each window the client sends
+// every reachable shard the abnormal set with its trajectories in one
+// message, and each shard builds that window from scratch on m-row
+// states over window-local ids, mapping ids back to global ones only
+// in its responses, so a shard's memory follows the abnormal set, not
+// the fleet. The client partitions each window's decisions
+// contiguously across the shards that took the window — a shard that
+// crashes and comes back empty just takes the next window, so shard
+// failover is a re-sync, not an error. Each shard decides its
 // contiguous slice with dist.DecideRange, the same view-grouped batch
 // the in-process directory runs (DecideAll is its whole-window case):
 // devices sharing a 4r view share one characterizer, so a mass event

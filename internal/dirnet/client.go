@@ -29,8 +29,8 @@ type shard struct {
 	conn net.Conn
 	rd   *bufio.Reader
 	// seq is the window the server last confirmed holding for this
-	// client (0 = unsynced). It only predicts msgAdvance eligibility —
-	// a restarted server corrects it via statusNeedInit.
+	// client (0 = unsynced): the single-device reads go to a shard that
+	// holds the last good window.
 	seq uint64
 	// Circuit breaker: fails counts consecutive transport failures
 	// while closed; cooldown counts the abnormal windows left before an
@@ -42,10 +42,10 @@ type shard struct {
 
 // Client drives a fleet of directory shard servers from the Monitor's
 // decision path. Every shard hosts a full directory replica; each
-// abnormal window the client syncs the reachable shards (msgAdvance
-// when the shard holds the previous window, msgInit otherwise),
-// partitions the sorted abnormal set contiguously across them, and
-// merges their decision slices in device order — so the output is
+// abnormal window the client sends every reachable shard the same
+// msgInit, carrying the window's m abnormal rows, partitions the
+// sorted abnormal set contiguously across the shards, and merges
+// their decision slices in device order — so the output is
 // byte-identical to dist.DecideAll however many shards participate,
 // and a breaker-open shard's slice fails over to the survivors.
 //
@@ -66,10 +66,8 @@ type Client struct {
 	shards []*shard
 	window uint64 // monotone per-DecideWindow counter (wire seq)
 	// lastGood is the seq of the last window every decision was served
-	// from, and lastRows the prev-rows shipped for it (id → row copy) —
-	// the baseline the next window's moved stream is diffed against.
+	// from — the window View and Decide read.
 	lastGood uint64
-	lastRows map[int][]float64
 	rng      *stats.RNG
 	// st accumulates the lifetime wire counters; stMu guards it so a
 	// stats snapshot (Monitor.DirStats, a metrics scrape) can run on
@@ -121,10 +119,9 @@ func NewClient(cfg Config) (*Client, error) {
 		cfg.Sleep = time.Sleep
 	}
 	c := &Client{
-		cfg:      cfg,
-		shards:   make([]*shard, len(cfg.Addrs)),
-		lastRows: make(map[int][]float64),
-		rng:      stats.NewRNG(cfg.Seed),
+		cfg:    cfg,
+		shards: make([]*shard, len(cfg.Addrs)),
+		rng:    stats.NewRNG(cfg.Seed),
 	}
 	for i, addr := range cfg.Addrs {
 		c.shards[i] = &shard{addr: addr}
@@ -168,7 +165,6 @@ func (c *Client) Reset() {
 	}
 	c.window = 0
 	c.lastGood = 0
-	clear(c.lastRows)
 }
 
 func (c *Client) dropConn(s *shard) {
@@ -204,11 +200,9 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 		return nil, dist.Stats{}, fmt.Errorf("all %d shard breakers open: %w", len(c.shards), ErrUnavailable)
 	}
 
-	// Encode the window once; msgInit and msgAdvance share the body and
-	// the server ignores the advance-only fields on init.
-	w := c.windowMsg(seq, pair, abnormal, cfg.R)
-	c.enc = appendWindow(c.enc[:0], msgAdvance, w)
-	body := c.enc
+	// Encode the window once; every shard gets the same msgInit.
+	body := appendWindow(c.enc[:0], windowOf(seq, pair, abnormal, cfg.R))
+	c.enc = body
 
 	// Half-open probes first: one Init attempt each, no retries. A
 	// probe that succeeds rejoins the rotation for this very window; a
@@ -216,7 +210,7 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 	synced := participants[:0]
 	for _, s := range participants {
 		if s.state == brHalfOpen {
-			if c.syncShard(s, w, body, true) != nil {
+			if c.syncShard(s, seq, body, true) != nil {
 				continue
 			}
 			c.count(func(st *Stats) { st.Rejoins++ })
@@ -225,7 +219,7 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 			synced = append(synced, s)
 			continue
 		}
-		if err := c.syncShard(s, w, body, false); err != nil {
+		if err := c.syncShard(s, seq, body, false); err != nil {
 			if isAppError(err) {
 				// Deterministic application rejection (e.g. a malformed
 				// abnormal set): retrying or failing over cannot fix it, and
@@ -272,15 +266,7 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 		from = to
 	}
 
-	// The whole window succeeded: it becomes the moved-diff baseline.
 	c.lastGood = seq
-	clear(c.lastRows)
-	d := pair.Dim()
-	for i, id := range abnormal {
-		row := make([]float64, d)
-		copy(row, w.prev[i*d:(i+1)*d])
-		c.lastRows[id] = row
-	}
 	return out, total, nil
 }
 
@@ -301,69 +287,41 @@ func (c *Client) rotation() []*shard {
 	return avail
 }
 
-// windowMsg assembles the wire window: the abnormal devices' rows in
-// id order and the moved stream — the retained ids whose k-1 position
-// changed since the last good window (exact float64-bit diff; an
-// honest superset is allowed by the Advance contract, and a fresh id
-// is covered by the abnormal-set diff server-side).
-func (c *Client) windowMsg(seq uint64, pair *motion.Pair, abnormal []int, r float64) windowMsg {
+// windowOf assembles the wire window: the abnormal devices' rows in
+// id order.
+func windowOf(seq uint64, pair *motion.Pair, abnormal []int, r float64) windowMsg {
 	d := pair.Dim()
 	w := windowMsg{
-		seq:     seq,
-		prevSeq: c.lastGood,
-		r:       r,
-		n:       pair.N(),
-		d:       d,
-		ids:     abnormal,
-		prev:    make([]float64, len(abnormal)*d),
-		cur:     make([]float64, len(abnormal)*d),
+		seq:  seq,
+		r:    r,
+		n:    pair.N(),
+		d:    d,
+		ids:  abnormal,
+		prev: make([]float64, len(abnormal)*d),
+		cur:  make([]float64, len(abnormal)*d),
 	}
 	for i, id := range abnormal {
 		copy(w.prev[i*d:(i+1)*d], pair.Prev.At(id))
 		copy(w.cur[i*d:(i+1)*d], pair.Cur.At(id))
-		if old, ok := c.lastRows[id]; ok {
-			row := w.prev[i*d : (i+1)*d]
-			for k := range row {
-				if row[k] != old[k] {
-					w.moved = append(w.moved, id)
-					break
-				}
-			}
-		}
 	}
 	return w
 }
 
-// syncShard brings one shard to the window: msgAdvance when the shard
-// is believed to hold the baseline window, msgInit otherwise, falling
-// back to msgInit when the server answers statusNeedInit (restart or
-// missed windows). body is the pre-encoded msgAdvance frame — the two
-// messages share the layout, so init just flips the type byte.
-// probe=true is the half-open path: msgInit, single attempt.
-func (c *Client) syncShard(s *shard, w windowMsg, body []byte, probe bool) error {
-	canAdvance := !probe && c.lastGood > 0 && s.seq == c.lastGood
-	body[0] = msgInit
-	if canAdvance {
-		body[0] = msgAdvance
-	}
+// syncShard sends one shard the window's pre-encoded msgInit frame.
+// probe=true is the half-open path: a single attempt.
+func (c *Client) syncShard(s *shard, seq uint64, body []byte, probe bool) error {
 	attempts := 1 + c.cfg.MaxRetries
 	if probe {
 		attempts = 1
 	}
-	resp, err := c.request(s, body, attempts)
-	if err == errNeedInit && canAdvance {
-		body[0] = msgInit
-		resp, err = c.request(s, body, attempts)
-	}
-	if err != nil {
+	if _, err := c.request(s, body, attempts); err != nil {
 		if !isAppError(err) {
 			c.noteFailure(s)
 		}
 		return err
 	}
-	_ = resp
 	s.fails = 0
-	s.seq = w.seq
+	s.seq = seq
 	return nil
 }
 

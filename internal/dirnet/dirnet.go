@@ -13,14 +13,9 @@
 // MaxFrame so a corrupt prefix cannot demand an unbounded allocation.
 // Requests:
 //
-//	msgInit      seq, prevSeq(ignored), r, n, d, m, ids, prev rows,
-//	             cur rows, moved(ignored) — (re)build the directory
-//	             from this window's abnormal trajectories
-//	msgAdvance   same body; valid only when the server holds window
-//	             prevSeq — patches the retained index with the
-//	             abnormal-set diff plus the moved stream (the sorted
-//	             ids whose k-1 position changed since prevSeq), the
-//	             incremental-update wire format Advance models
+//	msgInit      seq, r, n, d, m, ids, prev rows, cur rows — build the
+//	             window from its abnormal trajectories; ids strictly
+//	             increasing and below n
 //	msgDecideAll seq, core config, [from, to) positions into the
 //	             window's sorted abnormal set — the shard's slice of
 //	             the fleet's decisions
@@ -28,18 +23,23 @@
 //	msgView      seq, one device id — the raw 4r view plus its bill
 //
 // Responses: statusOK followed by the result, statusNeedInit when the
-// server does not hold the window the request assumes (fresh start,
-// crash restart, or a missed window — the client falls back to
-// msgInit), or statusErr carrying the error text (an application
-// error: deterministic, never retried).
+// server does not hold the window a decide or view request names
+// (fresh start, crash restart, or a window superseded since), or
+// statusErr carrying the error text (an application error:
+// deterministic, never retried).
 //
-// Trajectories ship sparsely: only the m abnormal devices' rows cross
-// the wire, and the server rebuilds n-row states with every other row
-// zero — sound because every path from a directory window to a verdict
-// (grid index, 4r views, core characterization) reads abnormal rows
-// only. Rows must already lie in the unit cube (the Monitor clamps on
-// ingest), so the reconstruction is bit-exact and networked verdicts
-// match the in-process directory's byte for byte.
+// Every abnormal window is one msgInit per shard, then one decide
+// request per shard slice. Only the m abnormal devices' rows cross the
+// wire, and the server builds compact m-row states over window-local
+// ids 0..m-1, so a window's memory never depends on n, which the frame
+// only declares. Sound because every path from a directory window to a
+// verdict (grid index, 4r views, core characterization) reads abnormal
+// rows only and orders devices by id; the local-to-global id table is
+// monotone and is applied when a response is encoded, so sorted
+// motions and id tie-breaks are preserved. Rows must already lie in
+// the unit cube (the Monitor clamps on ingest), so the reconstruction
+// is bit-exact and networked verdicts match the in-process
+// directory's byte for byte.
 //
 // The decision results carried back (class, rule, dense motions,
 // costs, traffic stats) are exactly the fields an Outcome is built

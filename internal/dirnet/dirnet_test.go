@@ -2,7 +2,6 @@ package dirnet
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"reflect"
 	"sort"
@@ -305,7 +304,7 @@ func TestDecideWindowParityMultiShard(t *testing.T) {
 	if st.RoundTrips == 0 || st.BytesSent == 0 || st.BytesReceived == 0 {
 		t.Fatalf("wire counters empty: %+v", st)
 	}
-	// Windows 2.. advance instead of init: servers must hold the last seq.
+	// Every window re-seeds every shard: servers must hold the last seq.
 	for _, a := range addrs {
 		if pn.servers[a].Seq() != 6 {
 			t.Fatalf("server %s at seq %d, want 6", a, pn.servers[a].Seq())
@@ -331,13 +330,17 @@ func TestServerCrashResyncsViaInit(t *testing.T) {
 	step(0)
 	step(1)
 	// Crash s1: state lost, connections dropped. The next window's
-	// advance hits a fresh server, which answers statusNeedInit; the
-	// client re-seeds it with msgInit inside the same window — verdicts
-	// never degrade.
+	// msgInit redials and seeds the fresh server like any other window,
+	// with no extra round trip — verdicts never degrade.
 	pn.crash("s1")
+	before := c.Stats().RoundTrips
 	step(2)
 	if got := pn.servers["s1"].Seq(); got != 3 {
 		t.Fatalf("restarted server at seq %d, want 3", got)
+	}
+	// One msgInit and one decide slice per shard, as in any window.
+	if rt := c.Stats().RoundTrips - before; rt != 4 {
+		t.Fatalf("crash-recovery window took %d round trips, want 4", rt)
 	}
 	step(3)
 }
@@ -563,13 +566,15 @@ func TestClientResetForcesReinit(t *testing.T) {
 
 func TestWindowCodecRoundTrip(t *testing.T) {
 	w := windowMsg{
-		seq: 42, prevSeq: 41, r: 0.07, n: 1000, d: 3,
-		ids:   []int{3, 17, 999},
-		prev:  []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
-		cur:   []float64{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1},
-		moved: []int{17},
+		seq: 42, r: 0.07, n: 1000, d: 3,
+		ids:  []int{3, 17, 999},
+		prev: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
+		cur:  []float64{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1},
 	}
-	b := appendWindow(nil, msgAdvance, w)
+	b := appendWindow(nil, w)
+	if b[0] != msgInit {
+		t.Fatalf("window message type %#x, want msgInit", b[0])
+	}
 	c := &cursor{b: b, off: 1}
 	got, err := decodeWindow(c)
 	if err != nil {
@@ -587,27 +592,33 @@ func TestWindowCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecisionCodecRoundTrip encodes a decision over window-local ids
+// and decodes it with every id mapped back to its global device.
 func TestDecisionCodecRoundTrip(t *testing.T) {
+	ids := []int{3, 17, 21, 40}
 	dec := dist.Decision{
 		Result: core.Result{
-			Device: 17, Class: core.ClassMassive, Rule: core.RuleTheorem6,
-			Dense: [][]int{{3, 17, 21}, {17, 40}},
+			Device: 1, Class: core.ClassMassive, Rule: core.RuleTheorem6,
+			Dense: [][]int{{0, 1, 2}, {1, 3}},
 			Cost:  core.Cost{MaximalMotions: 4, DenseMotions: 2, NeighborsScanned: 7, CollectionsTested: 123},
 		},
 		Stats: dist.Stats{Messages: 5, Trajectories: 9, ViewSize: 10},
 	}
-	b := appendDecision(nil, dec)
+	want := dec
+	want.Result.Device = 17
+	want.Result.Dense = [][]int{{3, 17, 21}, {17, 40}}
+	b := appendDecision(nil, dec, ids)
 	c := &cursor{b: b}
 	got := decodeDecision(c)
 	if err := c.err(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, dec) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, dec)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
 	// Empty dense set decodes to nil, matching the in-process zero value.
 	dec.Result.Dense = nil
-	b = appendDecision(b[:0], dec)
+	b = appendDecision(b[:0], dec, ids)
 	got = decodeDecision(&cursor{b: b})
 	if got.Result.Dense != nil {
 		t.Fatalf("empty dense decoded non-nil: %+v", got.Result.Dense)
@@ -666,17 +677,16 @@ func TestServeOverTCP(t *testing.T) {
 	}
 }
 
-// TestMovedStreamDrivesAdvance pins that steady-state windows go over
-// the wire as msgAdvance with a moved list, not full re-inits: the
-// servers' directories survive (their seq trails the client's without
-// resets) and stay verdict-identical.
-func TestMovedStreamDrivesAdvance(t *testing.T) {
+// TestSteadyWindowsOneConnection pins the one-message window protocol
+// in steady state: every window goes over the shard's one persistent
+// connection as a single msgInit plus one decide slice, the server
+// holds the client's latest window, and verdicts stay identical.
+func TestSteadyWindowsOneConnection(t *testing.T) {
 	addrs := []string{"s0"}
 	pn := newPipeNet(addrs...)
 	c := testClient(t, pn, addrs, nil)
 	g := newWindowGen(t, 250, 2, 29)
 	o := &oracle{r: testCfg.R}
-	var lastBytes int64
 	for w := 0; w < 5; w++ {
 		pair, abnormal := g.next()
 		got, gotTotal, err := c.DecideWindow(pair, abnormal, testCfg)
@@ -685,15 +695,18 @@ func TestMovedStreamDrivesAdvance(t *testing.T) {
 		}
 		want, wantTotal := o.decide(t, pair, abnormal, testCfg)
 		sameDecisions(t, got, want, wantTotal, gotTotal)
-		lastBytes = c.Stats().BytesSent
 	}
-	if lastBytes == 0 {
+	st := c.Stats()
+	if st.BytesSent == 0 {
 		t.Fatal("no bytes sent")
+	}
+	if st.RoundTrips != 2*5 {
+		t.Fatalf("%d round trips over 5 windows, want 10 (one msgInit and one decide each)", st.RoundTrips)
 	}
 	if dials := pn.dialCount("s0"); dials != 1 {
 		t.Fatalf("steady stream redialed %d times, want 1 persistent conn", dials)
 	}
-	if fmt.Sprint(pn.servers["s0"].Seq()) != "5" {
-		t.Fatalf("server seq %d, want 5", pn.servers["s0"].Seq())
+	if got := pn.servers["s0"].Seq(); got != 5 {
+		t.Fatalf("server seq %d, want 5", got)
 	}
 }

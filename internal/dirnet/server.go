@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,23 +15,30 @@ import (
 	"anomalia/internal/space"
 )
 
-// Server hosts one directory replica: it rebuilds each observation
-// window's abnormal trajectories from the wire (sparse n-row states —
-// only abnormal rows are ever read by the decision path), keeps the
-// dist.Directory alive across windows so msgAdvance patches instead of
-// rebuilding, and answers decision and view queries against it. A
-// shard's slice of a window — positions [from, to) of the sorted
-// abnormal set — is decided by dist.DecideRange, the same view-grouped
-// parallel batch the in-process directory runs, so devices sharing a 4r
-// view share one characterizer on the server too.
+// Server hosts one directory replica. Each msgInit carries one
+// observation window's m abnormal trajectories; the server builds a
+// compact m-row state pair over window-local ids 0..m-1 (local id i is
+// the i-th abnormal device) and a fresh dist.Directory over it, so a
+// window costs memory in m, never in the declared population n. The
+// local-to-global id table is applied only when a response is encoded:
+// the table is monotone, so sorted motions and every id-order
+// tie-break come out exactly as the in-process directory's. A shard's
+// slice of a window — positions [from, to) of the sorted abnormal set,
+// which are also its local ids — is decided by dist.DecideRange, the
+// same view-grouped parallel batch the in-process directory runs, so
+// devices sharing a 4r view share one characterizer on the server too.
+// Error texts from the decision procedures name local ids.
 //
-// A server that restarts — or that never saw the client's last window
-// — answers statusNeedInit, and the client re-seeds it with msgInit:
-// crash recovery costs one extra round-trip, never a wrong verdict.
+// Every window is rebuilt from its own message, so a server that
+// restarts loses nothing the next window does not resend. A decide or
+// view request for a window the server does not hold (fresh start,
+// crash restart, or a window superseded by another client) gets
+// statusNeedInit.
 //
-// Serve/HandleConn may run for many connections concurrently; the
-// directory transitions are serialized, and decision reads run against
-// immutable window snapshots (the dist.Directory contract).
+// Serve/HandleConn may run for many connections concurrently; window
+// builds run outside the lock and publish with one swap, and decision
+// reads run against immutable window snapshots (the dist.Directory
+// contract).
 type Server struct {
 	// IOTimeout bounds one frame body read or response write, so a
 	// stalled peer cannot wedge a handler goroutine forever. The wait
@@ -38,9 +46,8 @@ type Server struct {
 	// normal. Zero means DefaultRequestTimeout.
 	IOTimeout time.Duration
 
-	mu  sync.Mutex // serializes directory transitions (init/advance)
-	dir *dist.Directory
-	seq uint64 // window the directory currently holds; 0 = none
+	mu  sync.Mutex // guards win
+	win *shardWindow
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -54,6 +61,14 @@ type Server struct {
 	nReqErrors    atomic.Int64
 	nBytesRead    atomic.Int64
 	nBytesWritten atomic.Int64
+}
+
+// shardWindow is one decided window as a unit, so a decide never pairs
+// one window's directory with another window's id table.
+type shardWindow struct {
+	seq uint64          // the client's window sequence
+	dir *dist.Directory // built over local ids 0..m-1
+	ids []int           // local id → global device id, strictly increasing
 }
 
 // ServerCounters is a snapshot of a server's lifetime wire service:
@@ -79,8 +94,8 @@ func (s *Server) Counters() ServerCounters {
 	}
 }
 
-// NewServer returns an empty server: the first request it can answer
-// with anything but statusNeedInit is msgInit.
+// NewServer returns an empty server: it answers decide and view
+// requests with statusNeedInit until its first msgInit.
 func NewServer() *Server {
 	return &Server{conns: make(map[net.Conn]struct{})}
 }
@@ -181,7 +196,10 @@ func (s *Server) Close() {
 func (s *Server) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.seq
+	if s.win == nil {
+		return 0
+	}
+	return s.win.seq
 }
 
 // respond dispatches one request payload and appends the response to
@@ -192,8 +210,8 @@ func (s *Server) respond(out, payload []byte) []byte {
 	}
 	c := &cursor{b: payload, off: 1}
 	switch payload[0] {
-	case msgInit, msgAdvance:
-		return s.respondWindow(out, payload[0], c)
+	case msgInit:
+		return s.respondWindow(out, c)
 	case msgDecideAll:
 		return s.respondDecideAll(out, c)
 	case msgDecide:
@@ -205,81 +223,89 @@ func (s *Server) respond(out, payload []byte) []byte {
 	}
 }
 
-// respondWindow applies msgInit / msgAdvance: reconstruct the window's
-// sparse state pair and transition the directory.
-func (s *Server) respondWindow(out []byte, typ byte, c *cursor) []byte {
+// respondWindow applies msgInit: build the window's compact state pair
+// and a fresh directory over it, then publish both with the id table.
+func (s *Server) respondWindow(out []byte, c *cursor) []byte {
 	w, err := decodeWindow(c)
 	if err != nil {
 		return appendErr(out, err)
 	}
-	pair, err := sparsePair(w)
+	pair, err := compactPair(w)
+	if err != nil {
+		return appendErr(out, err)
+	}
+	local := make([]int, len(w.ids))
+	for i := range local {
+		local[i] = i
+	}
+	dir, err := dist.NewDirectory(pair, local, w.r)
 	if err != nil {
 		return appendErr(out, err)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if typ == msgAdvance {
-		if s.dir == nil || s.seq != w.prevSeq {
-			return append(out, statusNeedInit)
-		}
-		if _, err := s.dir.Advance(pair, w.ids, w.moved); err != nil {
-			// Advance never mutates the retained window on error, and seq
-			// is untouched — the client's next attempt resyncs via
-			// statusNeedInit or a matching msgInit.
-			return appendErr(out, err)
-		}
-	} else {
-		dir, err := dist.NewDirectory(pair, w.ids, w.r)
-		if err != nil {
-			return appendErr(out, err)
-		}
-		s.dir = dir
-	}
-	s.seq = w.seq
+	s.win = &shardWindow{seq: w.seq, dir: dir, ids: w.ids}
+	s.mu.Unlock()
 	return append(out, statusOK)
 }
 
-// sparsePair rebuilds the window's state pair at full population size
-// with only the abnormal rows populated. Sound because the directory
-// and decision paths read abnormal rows only; rows already lie in the
-// unit cube, so Set's clamp is the identity and the reconstruction is
-// bit-exact.
-func sparsePair(w windowMsg) (*motion.Pair, error) {
+// compactPair builds the window's state pair over local ids: row i
+// holds abnormal device w.ids[i]. Sound because every path from a
+// directory window to a verdict (grid index, 4r views, core
+// characterization) reads abnormal rows only and orders devices by id,
+// which the strictly increasing id table preserves. Set keeps the
+// unit-cube clamp, the identity on rows the Monitor already clamped,
+// so the rows are bit-exact, and rejects non-finite coordinates.
+func compactPair(w windowMsg) (*motion.Pair, error) {
 	m := len(w.ids)
 	if len(w.prev) != m*w.d || len(w.cur) != m*w.d {
 		return nil, fmt.Errorf("window rows %d/%d for %d ids × %d services", len(w.prev), len(w.cur), m, w.d)
 	}
-	prev, err := space.NewState(w.n, w.d)
+	for i, id := range w.ids {
+		if id >= w.n {
+			return nil, fmt.Errorf("abnormal device %d outside population of %d", id, w.n)
+		}
+		if i > 0 && id <= w.ids[i-1] {
+			return nil, fmt.Errorf("abnormal ids not strictly increasing: %d after %d", id, w.ids[i-1])
+		}
+	}
+	prev, err := space.NewState(m, w.d)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := space.NewState(w.n, w.d)
+	cur, err := space.NewState(m, w.d)
 	if err != nil {
 		return nil, err
 	}
 	for i, id := range w.ids {
-		if id < 0 || id >= w.n {
-			return nil, fmt.Errorf("abnormal device %d outside population of %d", id, w.n)
+		if err := prev.Set(i, w.prev[i*w.d:(i+1)*w.d]); err != nil {
+			return nil, fmt.Errorf("abnormal device %d: %w", id, err)
 		}
-		if err := prev.Set(id, w.prev[i*w.d:(i+1)*w.d]); err != nil {
-			return nil, err
-		}
-		if err := cur.Set(id, w.cur[i*w.d:(i+1)*w.d]); err != nil {
-			return nil, err
+		if err := cur.Set(i, w.cur[i*w.d:(i+1)*w.d]); err != nil {
+			return nil, fmt.Errorf("abnormal device %d: %w", id, err)
 		}
 	}
 	return motion.NewPair(prev, cur)
 }
 
-// window returns the live directory if it holds seq, or nil (→
+// window returns the held window if it is seq, or nil (→
 // statusNeedInit).
-func (s *Server) window(seq uint64) *dist.Directory {
+func (s *Server) window(seq uint64) *shardWindow {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dir == nil || s.seq != seq {
+	if s.win == nil || s.win.seq != seq {
 		return nil
 	}
-	return s.dir
+	return s.win
+}
+
+// local maps a requested global device id to its window-local id. A
+// device outside the window gets the error dist reports for it.
+func (w *shardWindow) local(device int) (int, error) {
+	pos, ok := slices.BinarySearch(w.ids, device)
+	if !ok {
+		return 0, fmt.Errorf("device %d: %w", device, dist.ErrUnknownDevice)
+	}
+	return pos, nil
 }
 
 // respondDecideAll serves the shard's slice of the fleet's decisions:
@@ -293,18 +319,18 @@ func (s *Server) respondDecideAll(out []byte, c *cursor) []byte {
 	if err := c.err(); err != nil {
 		return appendErr(out, err)
 	}
-	dir := s.window(m.seq)
-	if dir == nil {
+	w := s.window(m.seq)
+	if w == nil {
 		return append(out, statusNeedInit)
 	}
-	decs, _, err := dist.DecideRange(dir, m.cfg, m.from, m.to)
+	decs, _, err := dist.DecideRange(w.dir, m.cfg, m.from, m.to)
 	if err != nil {
 		return appendErr(out, err)
 	}
 	out = append(out, statusOK)
 	out = appendU32(out, uint32(len(decs)))
 	for _, dec := range decs {
-		out = appendDecision(out, dec)
+		out = appendDecision(out, dec, w.ids)
 	}
 	return out
 }
@@ -318,16 +344,20 @@ func (s *Server) respondDecide(out []byte, c *cursor) []byte {
 	if err := c.err(); err != nil {
 		return appendErr(out, err)
 	}
-	dir := s.window(m.seq)
-	if dir == nil {
+	w := s.window(m.seq)
+	if w == nil {
 		return append(out, statusNeedInit)
 	}
-	res, st, err := dist.Decide(dir, m.device, m.cfg)
+	j, err := w.local(m.device)
+	if err != nil {
+		return appendErr(out, err)
+	}
+	res, st, err := dist.Decide(w.dir, j, m.cfg)
 	if err != nil {
 		return appendErr(out, err)
 	}
 	out = append(out, statusOK)
-	return appendDecision(out, dist.Decision{Result: res, Stats: st})
+	return appendDecision(out, dist.Decision{Result: res, Stats: st}, w.ids)
 }
 
 // respondView serves one device's raw 4r view plus its billed stats.
@@ -337,11 +367,15 @@ func (s *Server) respondView(out []byte, c *cursor) []byte {
 	if err := c.err(); err != nil {
 		return appendErr(out, err)
 	}
-	dir := s.window(seq)
-	if dir == nil {
+	w := s.window(seq)
+	if w == nil {
 		return append(out, statusNeedInit)
 	}
-	view, st, err := dir.View(device)
+	j, err := w.local(device)
+	if err != nil {
+		return appendErr(out, err)
+	}
+	view, st, err := w.dir.View(j)
 	if err != nil {
 		return appendErr(out, err)
 	}
@@ -351,7 +385,7 @@ func (s *Server) respondView(out []byte, c *cursor) []byte {
 	out = appendU32(out, uint32(st.ViewSize))
 	out = appendU32(out, uint32(len(view)))
 	for _, id := range view {
-		out = appendU32(out, uint32(id))
+		out = appendU32(out, uint32(w.ids[id]))
 	}
 	return out
 }

@@ -19,7 +19,6 @@ const MaxFrame = 1 << 28
 // Request message types (first payload byte).
 const (
 	msgInit byte = iota + 1
-	msgAdvance
 	msgDecideAll
 	msgDecide
 	msgView
@@ -160,26 +159,22 @@ func (c *cursor) err() error {
 	return nil
 }
 
-// windowMsg is the decoded body shared by msgInit and msgAdvance: one
-// observation window's abnormal trajectories. moved and prevSeq only
-// matter to msgAdvance.
+// windowMsg is the decoded body of msgInit: one observation window's
+// abnormal trajectories, ids strictly increasing and below n.
 type windowMsg struct {
-	seq     uint64
-	prevSeq uint64
-	r       float64
-	n, d    int
-	ids     []int
-	prev    []float64 // m×d, row-major, aligned with ids
-	cur     []float64
-	moved   []int
+	seq  uint64
+	r    float64
+	n, d int
+	ids  []int
+	prev []float64 // m×d, row-major, aligned with ids
+	cur  []float64
 }
 
-// appendWindow encodes a window message. ids must be sorted; prev and
+// appendWindow encodes a msgInit message. ids must be sorted; prev and
 // cur are the abnormal devices' rows in id order.
-func appendWindow(b []byte, typ byte, w windowMsg) []byte {
-	b = append(b, typ)
+func appendWindow(b []byte, w windowMsg) []byte {
+	b = append(b, msgInit)
 	b = appendU64(b, w.seq)
-	b = appendU64(b, w.prevSeq)
 	b = appendF64(b, w.r)
 	b = appendU32(b, uint32(w.n))
 	b = appendU32(b, uint32(w.d))
@@ -193,19 +188,15 @@ func appendWindow(b []byte, typ byte, w windowMsg) []byte {
 	for _, v := range w.cur {
 		b = appendF64(b, v)
 	}
-	b = appendU32(b, uint32(len(w.moved)))
-	for _, id := range w.moved {
-		b = appendU32(b, uint32(id))
-	}
 	return b
 }
 
 // decodeWindow decodes a window message body (type byte already
-// consumed).
+// consumed). Every allocation is bounded by the payload length, never
+// by the declared n or d.
 func decodeWindow(c *cursor) (windowMsg, error) {
 	var w windowMsg
 	w.seq = c.u64()
-	w.prevSeq = c.u64()
 	w.r = c.f64()
 	w.n = int(c.u32())
 	w.d = int(c.u32())
@@ -224,7 +215,6 @@ func decodeWindow(c *cursor) (windowMsg, error) {
 			w.cur[i] = c.f64()
 		}
 	}
-	w.moved = c.ids(c.count(4))
 	return w, c.err()
 }
 
@@ -275,9 +265,11 @@ func appendDecide(b []byte, typ byte, seq uint64, cfg core.Config, device int) [
 
 // appendDecision encodes one decision: the verdict fields an Outcome
 // is built from plus the billed traffic stats. The J/L diagnostic
-// split of core.Result is deliberately not carried.
-func appendDecision(b []byte, dec dist.Decision) []byte {
-	b = appendU32(b, uint32(dec.Result.Device))
+// split of core.Result is deliberately not carried. ids maps the
+// server's window-local device ids to global ones; the map is
+// monotone, so sorted motions stay sorted.
+func appendDecision(b []byte, dec dist.Decision, ids []int) []byte {
+	b = appendU32(b, uint32(ids[dec.Result.Device]))
 	b = append(b, byte(dec.Result.Class), byte(dec.Result.Rule))
 	b = appendU64(b, uint64(dec.Result.Cost.MaximalMotions))
 	b = appendU64(b, uint64(dec.Result.Cost.DenseMotions))
@@ -287,7 +279,7 @@ func appendDecision(b []byte, dec dist.Decision) []byte {
 	for _, motion := range dec.Result.Dense {
 		b = appendU32(b, uint32(len(motion)))
 		for _, id := range motion {
-			b = appendU32(b, uint32(id))
+			b = appendU32(b, uint32(ids[id]))
 		}
 	}
 	b = appendU32(b, uint32(dec.Stats.Messages))

@@ -107,6 +107,13 @@ var table = []run{
 	{".", []string{"-benchtime=1x"}, 3, []gate{
 		{bench: "BenchmarkTickObserve1M/sharded", unit: nsOp, op: "/", base: "BenchmarkTickBare1M", bound: 2},
 	}},
+	// A networked window costs memory in its m abnormal rows, not in
+	// the population n: at the same m, the n=100k wire window allocates
+	// ~1.0x the n=10k one. A shard server that sizes its states by n
+	// allocates ~3x here and trips the bound.
+	{"./internal/dirnet", []string{"-benchtime=20x"}, 3, []gate{
+		{bench: "BenchmarkDecideWindow/n=100k/wire", unit: bytesOp, op: "/", base: "BenchmarkDecideWindow/n=10k/wire", bound: 1.25},
+	}},
 	// The component-local characterizer decides the adversarial m=50k
 	// all-abnormal window far inside these ceilings; the full-universe
 	// path it replaced took ~6.2 s and ~696k allocs. 1x for the same GC

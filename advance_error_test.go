@@ -11,13 +11,11 @@ import (
 	"anomalia/internal/space"
 )
 
-// TestAdvanceErrorDropsDirectory pins the monitor's mid-window error
-// policy for the persistent distributed directory: Advance validates
-// before it mutates, so a failed advance leaves the retained window
-// intact but possibly stale against the monitor's abnormal set — the
-// monitor must drop the directory and let the next abnormal window
-// rebuild it from scratch, not keep serving the old membership.
-func TestAdvanceErrorDropsDirectory(t *testing.T) {
+// TestDistributedWindowErrorRecovers pins the monitor's mid-stream
+// error policy for the in-process distributed directory: a window whose
+// directory build fails returns that error, and the next abnormal
+// window indexes its own directory and decides with Dist stats.
+func TestDistributedWindowErrorRecovers(t *testing.T) {
 	t.Parallel()
 
 	const n = 12
@@ -34,22 +32,12 @@ func TestAdvanceErrorDropsDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out == nil || m.dir == nil {
-		t.Fatal("abnormal window did not build the directory")
-	}
-	// Recovery tick: the move back to base is itself abnormal and
-	// advances the retained directory.
-	out, err = m.Observe(fleetSnapshot(n, 0.95, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out == nil || m.dir == nil {
-		t.Fatal("second abnormal window did not advance the directory")
+	if out == nil || out.Dist == nil {
+		t.Fatal("abnormal window was not decided by the directory")
 	}
 
-	// Inject a failing advance: an abnormal id outside the population
-	// fails canonicalization inside Directory.Advance, after the
-	// directory exists and before anything is stored.
+	// Inject a failing window: an abnormal id outside the population
+	// fails canonicalization inside dist.NewDirectory.
 	prev, err := space.NewState(n, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -63,31 +51,25 @@ func TestAdvanceErrorDropsDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := m.characterizeWindow(pair, []int{n + 3}); err == nil {
-		t.Fatal("out-of-range abnormal id must fail the advance")
-	}
-	if m.dir != nil {
-		t.Fatal("directory retained after a failed Advance — stale membership would leak into later windows")
+		t.Fatal("out-of-range abnormal id must fail the window")
 	}
 
-	// The monitor recovers on its own: the next abnormal window rebuilds
-	// the directory and still reaches the reference verdicts.
-	if _, err := m.Observe(fleetSnapshot(n, 0.95, event)); err != nil {
-		t.Fatal(err)
-	}
+	// The monitor recovers on its own: the next abnormal window (the
+	// recovery edge) still decides through the directory.
 	out, err = m.Observe(fleetSnapshot(n, 0.95, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out == nil || m.dir == nil {
-		t.Fatal("directory was not rebuilt after the dropped advance")
+	if out == nil {
+		t.Fatal("recovery window not detected")
 	}
 	if out.Dist == nil {
-		t.Fatal("rebuilt window lost its distributed decision stats")
+		t.Fatal("window after the failed one lost its distributed decision stats")
 	}
 }
 
 // TestNetworkedAdvanceErrorDegradesWindow is the wire counterpart of
-// TestAdvanceErrorDropsDirectory: when the over-the-wire window sync
+// TestDistributedWindowErrorRecovers: when the over-the-wire window sync
 // fails mid-stream, the monitor must serve that window from the
 // centralized fallback with unchanged verdicts — never an Observe
 // error — and the next abnormal window must go networked again with

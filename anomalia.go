@@ -393,7 +393,7 @@ func WithDetectorFactory(factory func(device, service int) (Detector, error)) Op
 
 // WithMetrics instruments the Monitor against the given registry: per
 // tick it records latency by phase, the abnormal-set size and churn,
-// and advance-vs-rebuild decisions; on scrape it fills the health split
+// and in-process directory builds; on scrape it fills the health split
 // with its lifetime counters, the networked-directory wire ledger, and
 // a GC/heap sample. The metric families are listed in the Observability
 // section of the package documentation. Recording is a handful of
@@ -464,8 +464,8 @@ func Characterize(prev, cur [][]float64, abnormal []int, opts ...Option) (*Outco
 	if err != nil {
 		return nil, err
 	}
-	// A one-shot window is the Monitor's decision with no retained
-	// directory and no client.
+	// A one-shot window is the Monitor's decision with no directory
+	// client.
 	return (&Monitor{cfg: cfg}).characterizeWindow(pair, abnormal)
 }
 

@@ -15,15 +15,12 @@
 // service (internal/dist) and every abnormal device fetches its 4r view
 // and decides locally — the table reports the per-device messages,
 // trajectories transferred, and view sizes at the paper's operating
-// point (n=1000, G=0.3), plus the rebuild-vs-incremental comparison of
-// the persistent directory: the summed message delta between deciding on
-// a freshly rebuilt index and on one advanced window to window (zero by
-// the parity guarantee) and the measured rebuild/advance time ratio.
-// Next to the bills sit the measured wire columns — frame bytes,
-// round-trips and retries per abnormal window when the same windows are
-// decided over the dirnet protocol through an in-process transport. The
-// same code path serves live streams via anomalia-gateway -distributed
-// (in-process) and -directory (over the wire).
+// point (n=1000, G=0.3). Next to the bills sit the measured wire
+// columns — frame bytes, round-trips and retries per abnormal window
+// when the same windows are decided over the dirnet protocol through an
+// in-process transport. The same code path serves live streams via
+// anomalia-gateway -distributed (in-process) and -directory (over the
+// wire).
 package main
 
 import (

@@ -72,7 +72,7 @@ func TestRunDistCost(t *testing.T) {
 	if !strings.Contains(out, "Distributed deployment cost") {
 		t.Errorf("missing distributed cost table:\n%s", out)
 	}
-	for _, col := range []string{"messages", "trajectories", "view size", "msgΔ incr", "wire B/win", "RT/win", "retries", "rebuild/adv"} {
+	for _, col := range []string{"messages", "trajectories", "view size", "wire B/win", "RT/win", "retries"} {
 		if !strings.Contains(out, col) {
 			t.Errorf("cost table missing %q column:\n%s", col, out)
 		}

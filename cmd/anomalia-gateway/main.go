@@ -51,17 +51,14 @@
 //
 // With -distributed, verdicts are routed through the distributed
 // deployment path instead of the in-process characterizer: the abnormal
-// trajectories are indexed in a sharded directory service that persists
-// across observation windows — the monitor builds it on the first
-// abnormal window and advances it incrementally (a sorted-merge patch
-// of the retained spatial index, not a rebuild) on every later one —
-// and each abnormal device decides on the 4r view it fetches from it,
-// the same code path the DistCost study of anomalia-experiments bills.
+// trajectories of each abnormal window are indexed in a fresh sharded
+// directory service, and each abnormal device decides on the 4r view
+// it fetches from it — the same code path the DistCost study of
+// anomalia-experiments bills.
 // The verdicts are identical (the paper's locality result); each
 // anomalous window additionally reports the directory traffic it
 // generated. Degraded mode composes with it: devices quarantined out
-// of a window leave the directory's index with the same membership
-// churn any abnormal-set change causes.
+// of a window are simply absent from that window's index.
 //
 // -directory takes a comma-separated list of anomalia-directory shard
 // addresses and moves the directory service behind the wire (it
@@ -74,7 +71,7 @@
 // -metrics addr serves the live Prometheus scrape endpoint at
 // http://addr/metrics while the stream runs: the monitor's per-window
 // families (tick latency by phase, abnormal count and churn,
-// advance-vs-rebuild, the health split, the directory wire ledger, a
+// in-process directory builds, the health split, the directory wire ledger, a
 // GC/heap sample — see the Observability section of the anomalia
 // package documentation) plus the gateway's own ingest counters,
 // anomalia_gateway_snapshots_total and

@@ -49,21 +49,12 @@
 // index (internal/grid) that builds the motion graph, so the two
 // deployments agree on geometry by construction.
 //
-// The directory service persists across observation windows, as the
-// paper's deployment assumes: the Monitor builds it on the first
-// abnormal window and advances it on every later one. Advance diffs
-// the abnormal set and the per-device grid cells against the retained
-// index and patches the key-sorted cell slab by sorted merge — devices
-// that stayed in their cells cost nothing beyond the diff, and when the
-// churn fraction crosses the grid package's measured threshold the
-// patch falls back to the full rebuild it replaces. Each window is
-// published as one immutable snapshot behind an atomic pointer, so
-// decisions racing an advance always see a coherent window (an
-// incremental-vs-rebuild parity suite pins the advanced directory
-// byte-identical to a fresh build — views, stats, shard fan-outs). In
-// the deployment model the advance is fed by the update stream moving
-// devices push to the service, which keeps its cost proportional to
-// the churn, not the fleet.
+// The Monitor indexes each abnormal window in a fresh directory. The
+// detection function a_k(j) flags a change between windows k-1 and k,
+// so the abnormal set is transient: consecutive abnormal sets barely
+// overlap, and an index kept from the previous window would have to be
+// rebuilt anyway. The build reads only the window's abnormal rows at
+// k-1, so its cost follows the abnormal set, not the fleet.
 //
 // # Networked deployment
 //
@@ -347,19 +338,6 @@
 //     DecideAll's whole window, or one networked shard's slice —
 //     assembles views through a recycled scratch buffer, materializing
 //     a view only when it opens a new characterizer group.
-//   - The spatial index and directory survive across windows instead of
-//     being rebuilt: grid.Index.Update diffs the new indexed set (and,
-//     when the caller supplies the deployment's moved list, only the
-//     listed devices' packed keys) against the retained cell
-//     membership, then patches the cell slab by sorted merge. Untouched
-//     cells share their storage with prior windows (id arenas are
-//     pointer-free, so retaining them is free for the collector),
-//     churned cells fill a churn-sized delta arena, vacated and created
-//     cells splice the key slab, and accumulated dead fragments are
-//     bounded by an amortized compaction pass. Directory.Advance adds
-//     shard-annotation carry-over and 4r block-cache invalidation
-//     limited to the churned cells' reach, then publishes the window
-//     with one pointer swap, with allocations bounded by the churn.
 //   - Every parallel pass — the detector pass, the grid's key passes
 //     and sort, the collected graph build and the directory's per-view
 //     decisions — fans out through one internal helper (internal/par).
@@ -414,9 +392,9 @@
 //   - anomalia_abnormal_devices — abnormal-set size histogram
 //   - anomalia_abnormal_churn_ratio — symmetric-difference churn of
 //     consecutive abnormal sets over their union (gauge)
-//   - anomalia_directory_builds_total,
-//     anomalia_directory_advances_total{result=patched|rebuilt} —
-//     in-process directory decisions (counters)
+//   - anomalia_directory_builds_total — in-process directory builds,
+//     one per abnormal window the in-process directory decides
+//     (counter)
 //   - anomalia_health_devices{state=live|stale|quarantined} — the
 //     population split (gauges), plus the lifetime counters
 //     anomalia_health_quarantines_total,

@@ -161,25 +161,15 @@ func (g *windowGen) next() (*motion.Pair, []int) {
 	return pair, abnormal
 }
 
-// oracle mirrors the server fleet in-process: one persistent directory
-// advanced with the same windows.
-type oracle struct {
-	dir *dist.Directory
-	r   float64
-}
-
-func (o *oracle) decide(t *testing.T, pair *motion.Pair, abnormal []int, cfg core.Config) ([]dist.Decision, dist.Stats) {
+// oracleDecide mirrors the server fleet in-process: one directory per
+// window, as the Monitor builds them.
+func oracleDecide(t *testing.T, pair *motion.Pair, abnormal []int, cfg core.Config) ([]dist.Decision, dist.Stats) {
 	t.Helper()
-	var err error
-	if o.dir == nil {
-		o.dir, err = dist.NewDirectory(pair, abnormal, o.r)
-	} else {
-		_, err = o.dir.Advance(pair, abnormal, nil)
-	}
+	dir, err := dist.NewDirectory(pair, abnormal, cfg.R)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decs, total, err := dist.DecideAll(o.dir, cfg)
+	decs, total, err := dist.DecideAll(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +261,7 @@ func TestMassEventDecidesWithinDeadline(t *testing.T) {
 	if st := c.Stats(); st.Retries != 0 || st.Failures != 0 {
 		t.Fatalf("mass event counted wire faults: %+v", st)
 	}
-	o := &oracle{r: cfg.R}
-	want, wantTotal := o.decide(t, pair, abnormal, cfg)
+	want, wantTotal := oracleDecide(t, pair, abnormal, cfg)
 	sameDecisions(t, got, want, wantTotal, gotTotal)
 	for _, dec := range got {
 		if dec.Result.Class != core.ClassMassive {
@@ -286,14 +275,13 @@ func TestDecideWindowParityMultiShard(t *testing.T) {
 	pn := newPipeNet(addrs...)
 	c := testClient(t, pn, addrs, nil)
 	g := newWindowGen(t, 300, 2, 11)
-	o := &oracle{r: testCfg.R}
 	for w := 0; w < 6; w++ {
 		pair, abnormal := g.next()
 		got, gotTotal, err := c.DecideWindow(pair, abnormal, testCfg)
 		if err != nil {
 			t.Fatalf("window %d: %v", w, err)
 		}
-		want, wantTotal := o.decide(t, pair, abnormal, testCfg)
+		want, wantTotal := oracleDecide(t, pair, abnormal, testCfg)
 		sameDecisions(t, got, want, wantTotal, gotTotal)
 	}
 	st := c.Stats()
@@ -317,14 +305,13 @@ func TestServerCrashResyncsViaInit(t *testing.T) {
 	pn := newPipeNet(addrs...)
 	c := testClient(t, pn, addrs, nil)
 	g := newWindowGen(t, 200, 2, 5)
-	o := &oracle{r: testCfg.R}
 	step := func(w int) {
 		pair, abnormal := g.next()
 		got, gotTotal, err := c.DecideWindow(pair, abnormal, testCfg)
 		if err != nil {
 			t.Fatalf("window %d: %v", w, err)
 		}
-		want, wantTotal := o.decide(t, pair, abnormal, testCfg)
+		want, wantTotal := oracleDecide(t, pair, abnormal, testCfg)
 		sameDecisions(t, got, want, wantTotal, gotTotal)
 	}
 	step(0)
@@ -354,11 +341,10 @@ func TestBreakerOpensFailsOverAndRejoins(t *testing.T) {
 		cfg.BreakerCooldown = 2
 	})
 	g := newWindowGen(t, 200, 2, 9)
-	o := &oracle{r: testCfg.R}
 	decide := func(w int) ([]dist.Decision, dist.Stats, error) {
 		pair, abnormal := g.next()
 		got, gotTotal, err := c.DecideWindow(pair, abnormal, testCfg)
-		want, wantTotal := o.decide(t, pair, abnormal, testCfg)
+		want, wantTotal := oracleDecide(t, pair, abnormal, testCfg)
 		if err == nil {
 			sameDecisions(t, got, want, wantTotal, gotTotal)
 		}
@@ -437,11 +423,10 @@ func TestAllShardsDownDegradesWithoutWedging(t *testing.T) {
 	// Recovery needs no operator action: heal, wait out the cooldown,
 	// and the probe re-seeds the shard.
 	pn.setRefuse("s0", false)
-	o := &oracle{r: testCfg.R}
 	for w := 0; w < 3; w++ {
 		pair, abnormal := g.next()
 		got, gotTotal, err := c.DecideWindow(pair, abnormal, testCfg)
-		want, wantTotal := o.decide(t, pair, abnormal, testCfg)
+		want, wantTotal := oracleDecide(t, pair, abnormal, testCfg)
 		if err != nil {
 			if w == 0 {
 				continue // probe window may still be inside cooldown
@@ -449,7 +434,6 @@ func TestAllShardsDownDegradesWithoutWedging(t *testing.T) {
 			t.Fatalf("window %d after heal: %v", w, err)
 		}
 		sameDecisions(t, got, want, wantTotal, gotTotal)
-		o.dir = nil // oracle tracked only decided windows; rebuild next
 	}
 }
 
@@ -483,8 +467,7 @@ func TestServerErrorIsNotRetriedAndKeepsBreakerClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := &oracle{r: testCfg.R}
-	want, wantTotal := o.decide(t, pair, abnormal, testCfg)
+	want, wantTotal := oracleDecide(t, pair, abnormal, testCfg)
 	sameDecisions(t, got, want, wantTotal, gotTotal)
 }
 
@@ -559,8 +542,7 @@ func TestClientResetForcesReinit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := &oracle{r: testCfg.R}
-	want, wantTotal := o.decide(t, pair, abnormal, testCfg)
+	want, wantTotal := oracleDecide(t, pair, abnormal, testCfg)
 	sameDecisions(t, got, want, wantTotal, gotTotal)
 }
 
@@ -665,14 +647,13 @@ func TestServeOverTCP(t *testing.T) {
 	}
 	defer c.Close()
 	g := newWindowGen(t, 120, 2, 17)
-	o := &oracle{r: testCfg.R}
 	for w := 0; w < 3; w++ {
 		pair, abnormal := g.next()
 		got, gotTotal, err := c.DecideWindow(pair, abnormal, testCfg)
 		if err != nil {
 			t.Fatalf("window %d: %v", w, err)
 		}
-		want, wantTotal := o.decide(t, pair, abnormal, testCfg)
+		want, wantTotal := oracleDecide(t, pair, abnormal, testCfg)
 		sameDecisions(t, got, want, wantTotal, gotTotal)
 	}
 }
@@ -686,14 +667,13 @@ func TestSteadyWindowsOneConnection(t *testing.T) {
 	pn := newPipeNet(addrs...)
 	c := testClient(t, pn, addrs, nil)
 	g := newWindowGen(t, 250, 2, 29)
-	o := &oracle{r: testCfg.R}
 	for w := 0; w < 5; w++ {
 		pair, abnormal := g.next()
 		got, gotTotal, err := c.DecideWindow(pair, abnormal, testCfg)
 		if err != nil {
 			t.Fatalf("window %d: %v", w, err)
 		}
-		want, wantTotal := o.decide(t, pair, abnormal, testCfg)
+		want, wantTotal := oracleDecide(t, pair, abnormal, testCfg)
 		sameDecisions(t, got, want, wantTotal, gotTotal)
 	}
 	st := c.Stats()

@@ -13,14 +13,14 @@ import (
 	"anomalia/internal/stats"
 )
 
-// This file pins the persistent directory: a Directory evolved by
-// Advance across a window sequence must be indistinguishable — index
-// slabs, shard annotations, every View and its Stats, whole DecideAll
-// batches — from a Directory built fresh by NewDirectory on the same
-// window. Sequences cover uniform, clustered, boundary-snapped and
-// coincident movement, id churn from 0% to 100%, warm and cold block
-// caches, and scrambled old states (the Monitor recycles its snapshot
-// buffers, so Advance must never read the previous window's positions).
+// This file pins Advance: a Directory advanced across a window sequence
+// must be indistinguishable — index slabs, shard annotations, every View
+// and its Stats, whole DecideAll batches — from a Directory built fresh
+// by NewDirectory on the same window. Sequences cover uniform,
+// clustered, boundary-snapped and coincident movement, id churn from 0%
+// to 100%, blocks warmed in the previous window, and scrambled old
+// states (the Monitor recycles its snapshot buffers, so nothing may read
+// the previous window's positions).
 
 // assertDirsEqual compares the current windows of two directories piece
 // by piece, then behaviourally through View.
@@ -63,8 +63,7 @@ func assertDirsEqual(t *testing.T, label string, got, want *Directory) {
 	}
 }
 
-// windowSeq drives an evolving window sequence through one persistent
-// directory.
+// windowSeq drives an evolving window sequence through one directory.
 type windowSeq struct {
 	rng       *stats.RNG
 	n         int
@@ -73,11 +72,6 @@ type windowSeq struct {
 	prev, cur *space.State
 	abn       []int
 	dir       *Directory
-	stepNo    int
-	// movedNext collects the devices displaced while building the
-	// current cur state — they are the movers of the NEXT advance
-	// (the directory indexes positions at pair.Prev).
-	movedNext map[int]bool
 }
 
 func newWindowSeq(t *testing.T, rng *stats.RNG, n int, r float64, mode string) *windowSeq {
@@ -87,7 +81,7 @@ func newWindowSeq(t *testing.T, rng *stats.RNG, n int, r float64, mode string) *
 		t.Fatal(err)
 	}
 	prev.Uniform(rng.Float64)
-	s := &windowSeq{rng: rng, n: n, r: r, mode: mode, prev: prev, cur: prev.Clone(), movedNext: map[int]bool{}}
+	s := &windowSeq{rng: rng, n: n, r: r, mode: mode, prev: prev, cur: prev.Clone()}
 	for j := 0; j < n; j++ {
 		if rng.Float64() < 0.3 {
 			s.abn = append(s.abn, j)
@@ -137,21 +131,15 @@ func (s *windowSeq) move(t *testing.T, st *space.State, j int) {
 
 // advance rolls the sequence one window forward — moveFrac of the
 // population moves, churnFrac of the abnormal set swaps — advances the
-// persistent directory, and returns the advance stats together with a
-// freshly built reference directory for the same window. Every other
-// advance feeds the honest moved list (the delta stream a deployed
-// directory receives); the rest pass nil and recheck everything.
+// directory, and returns the advance stats together with a freshly
+// built reference directory for the same window.
 func (s *windowSeq) advance(t *testing.T, moveFrac, churnFrac float64) (AdvanceStats, *Directory) {
 	t.Helper()
 	old := s.prev
 	s.prev = s.cur
 	s.cur = s.prev.Clone()
-	movedPrev := s.movedNext
-	s.movedNext = map[int]bool{}
 	for k := 0; k < int(moveFrac*float64(s.n)); k++ {
-		j := s.rng.Intn(s.n)
-		s.move(t, s.cur, j)
-		s.movedNext[j] = true
+		s.move(t, s.cur, s.rng.Intn(s.n))
 	}
 
 	abn := slices.Clone(s.abn)
@@ -172,18 +160,7 @@ func (s *windowSeq) advance(t *testing.T, moveFrac, churnFrac float64) (AdvanceS
 	if err != nil {
 		t.Fatal(err)
 	}
-	var moved []int
-	s.stepNo++
-	if s.stepNo%2 == 1 {
-		for j := range movedPrev {
-			moved = append(moved, j)
-		}
-		moved = sets.Canon(moved)
-		if moved == nil {
-			moved = []int{} // empty, not nil: "nothing moved" is a valid feed
-		}
-	}
-	st, err := s.dir.Advance(pair, abn, moved)
+	st, err := s.dir.Advance(pair, abn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +175,10 @@ func (s *windowSeq) advance(t *testing.T, moveFrac, churnFrac float64) (AdvanceS
 	return st, fresh
 }
 
-// TestAdvanceMatchesFreshDirectory: the incremental-vs-rebuild parity
-// property suite — across movement distributions and churn fractions
-// including 0% and 100%, warm and cold caches, the advanced directory
-// must match a fresh build cell for cell, view for view, stat for stat.
+// TestAdvanceMatchesFreshDirectory: across movement distributions and
+// churn fractions including 0% and 100%, warm and cold caches, the
+// advanced directory must match a fresh build cell for cell, view for
+// view, stat for stat.
 func TestAdvanceMatchesFreshDirectory(t *testing.T) {
 	t.Parallel()
 
@@ -212,8 +189,8 @@ func TestAdvanceMatchesFreshDirectory(t *testing.T) {
 	for _, mode := range []string{"uniform", "clustered", "boundary", "coincident"} {
 		s := newWindowSeq(t, rng, 300, 0.03, mode)
 		for step, ch := range churns {
-			// Warm some block caches before every other advance, so the
-			// carry-over path is exercised with both cold and warm blocks.
+			// Warm some block caches before every other advance: none may
+			// leak into the next window.
 			if step%2 == 1 {
 				for _, j := range s.dir.Abnormal() {
 					if _, _, err := s.dir.View(j); err != nil {
@@ -265,93 +242,6 @@ func TestAdvanceDecideAllParity(t *testing.T) {
 	}
 }
 
-// TestAdvanceRetainsWarmBlocks: with zero churn every warmed block must
-// survive the advance; with a localized move only the caches within the
-// churned cells' 4r reach may go cold.
-func TestAdvanceRetainsWarmBlocks(t *testing.T) {
-	t.Parallel()
-
-	rng := stats.NewRNG(808)
-	s := newWindowSeq(t, rng, 300, 0.03, "uniform")
-	for _, j := range s.dir.Abnormal() {
-		if _, _, err := s.dir.View(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w := s.dir.win.Load()
-	warmed := 0
-	for ci := range w.blocks {
-		if w.blocks[ci].Load() != nil {
-			warmed++
-		}
-	}
-	if warmed == 0 {
-		t.Fatal("no blocks warmed")
-	}
-
-	// Identical window: nothing churns, everything stays warm.
-	st, fresh := s.advance(t, 0, 0)
-	if st.Rebuilt || st.Churned() != 0 {
-		t.Fatalf("zero-churn advance: %+v", st)
-	}
-	if st.RetainedBlocks != warmed {
-		t.Errorf("retained %d blocks, want all %d", st.RetainedBlocks, warmed)
-	}
-	assertDirsEqual(t, "zero churn", s.dir, fresh)
-
-	built0, _ := s.dir.CacheStats()
-	for _, j := range s.dir.Abnormal() {
-		if _, _, err := s.dir.View(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if built1, _ := s.dir.CacheStats(); built1 != built0 {
-		t.Errorf("re-viewing after a zero-churn advance rebuilt %d blocks", built1-built0)
-	}
-
-	// One abnormal device moves cells: only its neighbourhood may go
-	// cold. The move is applied to the next window's k-1 state (what the
-	// directory indexes) and fed to Advance as the moved list.
-	for _, j := range s.dir.Abnormal() {
-		if _, _, err := s.dir.View(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mover := s.dir.Abnormal()[0]
-	newPrev := s.cur
-	if err := newPrev.Set(mover, space.Point{0.512, 0.512}); err != nil {
-		t.Fatal(err)
-	}
-	newCur := newPrev.Clone()
-	s.prev, s.cur = newPrev, newCur
-	pair, err := motion.NewPair(newPrev, newCur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err = s.dir.Advance(pair, s.abn, []int{mover})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err = NewDirectory(pair, s.abn, s.r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rebuilt {
-		t.Fatalf("single move rebuilt: %+v", st)
-	}
-	if st.MovedIds != 1 {
-		t.Fatalf("expected exactly one moved id, got %+v", st)
-	}
-	if st.RetainedBlocks == 0 {
-		t.Errorf("localized move dropped every warm block: %+v", st)
-	}
-	assertDirsEqual(t, "single move", s.dir, fresh)
-}
-
-// Churned sums the id-level churn of an advance (test helper mirroring
-// grid.UpdateStats.Churn).
-func (s AdvanceStats) Churned() int { return s.AddedIds + s.RemovedIds + s.MovedIds }
-
 // TestAdvanceDegenerateRadius: the r = 0 single-cell geometry advances
 // too — membership churn only, views stay exactly-coincident devices.
 func TestAdvanceDegenerateRadius(t *testing.T) {
@@ -389,66 +279,5 @@ func TestAdvanceErrors(t *testing.T) {
 	// A failed advance must leave the directory fully serviceable.
 	if _, _, err := s.dir.View(s.dir.Abnormal()[0]); err != nil {
 		t.Errorf("View after failed Advance: %v", err)
-	}
-}
-
-// TestAdvanceAllocs pins the incremental hot path: advancing a 12k-id
-// window at ~1% churn costs a bounded handful of allocations — slab
-// headers and churn-sized deltas, never a per-id or per-cell term.
-func TestAdvanceAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation counting is slow under -short")
-	}
-	const n = 12000
-	rng := stats.NewRNG(99)
-	prev, err := space.NewState(n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev.Uniform(rng.Float64)
-	next := prev.Clone()
-	var movedIds []int
-	for k := 0; k < n/100; k++ {
-		j := rng.Intn(n)
-		if err := next.Set(j, space.Point{rng.Float64(), rng.Float64()}); err != nil {
-			t.Fatal(err)
-		}
-		movedIds = append(movedIds, j)
-	}
-	movedIds = sets.Canon(movedIds)
-	ids := make([]int, n)
-	for j := range ids {
-		ids[j] = j
-	}
-	const r = 0.01
-	pairA, err := motion.NewPair(prev, prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairB, err := motion.NewPair(next, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := NewDirectory(pairA, ids, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flip := false
-	got := testing.AllocsPerRun(10, func() {
-		pair := pairB
-		if flip {
-			pair = pairA
-		}
-		flip = !flip
-		st, err := dir.Advance(pair, ids, movedIds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Rebuilt {
-			t.Fatal("1% churn must take the delta path")
-		}
-	})
-	if limit := 96.0; got > limit {
-		t.Errorf("Advance allocates %.0f times at 1%% churn over %d ids, want <= %.0f", got, n, limit)
 	}
 }

@@ -30,8 +30,8 @@ type block struct {
 // key-sorted cell order. Everything but the block-cache pointers is
 // read-only after construction, and each pointer is written once (first
 // writer wins), so a window is safe for any number of concurrent
-// readers; Advance publishes the next window with a single pointer swap,
-// leaving in-flight readers on the old one.
+// readers; Advance publishes a freshly built window with a single
+// pointer swap, leaving in-flight readers on the old one.
 type window struct {
 	pair     *motion.Pair
 	abnormal []int       // sorted; membership and positions by binary search
@@ -44,19 +44,16 @@ type window struct {
 	blocks    []atomic.Pointer[block]
 }
 
-// Directory is the persistent directory service: it indexes the abnormal
-// trajectories of the current observation window by grid cell, serves
-// 4r-view queries against it, and survives across windows — Advance
-// patches the retained index with the window-to-window delta instead of
-// rebuilding it. The per-window state lives in an immutable snapshot
-// behind one atomic pointer: readers (Decide, DecideAll, View) load it
-// once per operation and therefore always see one coherent window, never
-// a torn mix of two, while Advance swaps in the successor.
+// Directory is the directory service of one observation window: it
+// indexes the window's abnormal trajectories by grid cell and serves
+// 4r-view queries against them. The window lives in an immutable
+// snapshot behind one atomic pointer: readers (Decide, DecideAll, View)
+// load it once per operation and therefore always see one coherent
+// window, never a torn mix of two, while Advance swaps in a successor.
 //
 // The cell geometry (side 2r from the shared grid package) is fixed at
-// construction and persists across windows, so shard assignment — FNV
-// over cell coordinates — and hence Stats stay a pure function of each
-// window's content.
+// construction, so shard assignment — FNV over cell coordinates — and
+// hence Stats stay a pure function of each window's content.
 type Directory struct {
 	r     float64     // consistency impact radius the index serves
 	geom  grid.Params // shared cell geometry: side 2r (one spanning cell when r = 0)
@@ -68,32 +65,22 @@ type Directory struct {
 }
 
 // AdvanceStats reports how one Advance transitioned the directory.
+// Every window is indexed from scratch, so Rebuilt is always true; the
+// type stays only because benchmark/trace.go reads it.
 type AdvanceStats struct {
-	// Rebuilt reports that the churn crossed the grid's rebuild
-	// threshold (or left the delta path's preconditions) and the window
-	// was rebuilt from scratch rather than patched.
 	Rebuilt bool
-	// AddedIds, RemovedIds and MovedIds count the abnormal-set diff:
-	// devices entering the set, leaving it, and staying but crossing a
-	// cell boundary.
-	AddedIds, RemovedIds, MovedIds int
-	// ChurnedCells counts cells whose membership changed, including
-	// vacated ones.
-	ChurnedCells int
-	// RetainedBlocks counts warm 4r block caches carried over from the
-	// previous window — cells whose whole reach saw no churn.
-	RetainedBlocks int
 }
 
-// NewDirectory builds the directory service and indexes its first
-// window: pair holds the two snapshots, abnormal is A_k, and r is the
+// NewDirectory builds the directory service and indexes one window: pair holds the two snapshots, abnormal is A_k, and r is the
 // consistency impact radius the index serves (the paper's r in
 // [0, 1/4)). The cell geometry comes from the shared grid package —
 // side 2r, so a 4r view spans two cells per axis; the degenerate r = 0
 // keeps one cell spanning E and views shrink to exactly-coincident
 // devices. Shards own occupied cells by key hash, so the shard fan-out
-// (and hence Stats) is a pure function of the window. Subsequent
-// windows arrive via Advance.
+// (and hence Stats) is a pure function of the window. Build one
+// directory per abnormal window: consecutive abnormal sets barely
+// overlap, because a_k(j) flags a change between windows, not a
+// standing state.
 func NewDirectory(pair *motion.Pair, abnormal []int, r float64) (*Directory, error) {
 	if pair == nil {
 		return nil, fmt.Errorf("nil pair: %w", ErrConfig)
@@ -117,14 +104,14 @@ func NewDirectory(pair *motion.Pair, abnormal []int, r float64) (*Directory, err
 		// guarantee the agreement tests check.
 		reach: int(math.Ceil(4*r/geom.Side)) + 1,
 	}
-	d.win.Store(d.freshWindow(pair, ids, grid.New(pair.Prev, ids, geom)))
+	d.win.Store(d.freshWindow(pair, ids))
 	return d, nil
 }
 
 // canonAbnormal clones the abnormal set into canonical form and
 // validates it against the pair's population — one fused pass when the
-// input is already canonical (every production caller's case), so the
-// advance hot path pays a clone and a scan, not a sort.
+// input is already canonical (every production caller's case), so a
+// per-window build pays a clone and a scan, not a sort.
 func canonAbnormal(pair *motion.Pair, abnormal []int) ([]int, error) {
 	ids := sets.CloneInts(abnormal)
 	n := pair.N()
@@ -145,9 +132,11 @@ func canonAbnormal(pair *motion.Pair, abnormal []int) ([]int, error) {
 	return ids, nil
 }
 
-// freshWindow assembles a window around a fully rebuilt index: every
-// cell's shard is hashed anew and the block cache starts cold.
-func (d *Directory) freshWindow(pair *motion.Pair, ids []int, ix *grid.Index) *window {
+// freshWindow indexes the abnormal k-1 positions of a window and
+// assembles it around the index: every cell's shard is hashed and the
+// block cache starts cold.
+func (d *Directory) freshWindow(pair *motion.Pair, ids []int) *window {
+	ix := grid.New(pair.Prev, ids, d.geom)
 	cells := ix.SortedCells()
 	w := &window{
 		pair:      pair,
@@ -163,140 +152,25 @@ func (d *Directory) freshWindow(pair *motion.Pair, ids []int, ix *grid.Index) *w
 	return w
 }
 
-// Advance transitions the directory to the next observation window:
-// the retained spatial index is patched with the abnormal-set diff and
-// the cell moves (grid.Index.Update — falling back to a full rebuild
-// past the churn threshold), surviving cells keep their shard
-// assignment without rehashing, and the per-cell 4r block caches are
-// carried over warm except where the cache's whole Chebyshev reach saw
-// churn. moved is the delta feed: the sorted device ids whose position
-// may have changed since the previous window — in the deployment model
-// this is exactly the update stream the directory service receives from
-// moving devices, and it is what keeps an advance sublinear in
-// everything but the raw abnormal-set diff. Pass nil when the movers
-// are unknown (e.g. the in-process Monitor): every indexed id's cell is
-// rechecked — always correct, still sort-free. The moved contract is
-// the caller's to honor: a device that changed cells but is neither
-// listed nor newly abnormal keeps its stale cell.
-//
-// The new window is published with one atomic swap: concurrent
-// Decide / DecideAll / View calls observe either the previous window or
-// the new one in full, never a torn mix. Advance itself is not safe to
-// call concurrently with another Advance, and callers who advance while
-// decisions are in flight must keep the previous window's states intact
-// until those decisions drain (the new window's states are read from
-// this call on).
+// Advance indexes the next observation window from scratch and
+// publishes it with one atomic swap: concurrent Decide / DecideAll /
+// View calls observe either the previous window or the new one in full,
+// never a torn mix. It is NewDirectory on the directory's radius, kept
+// with its three-argument signature only because benchmark/trace.go
+// calls it; moved is ignored. Advance is not safe to call concurrently
+// with another Advance, and callers who advance while decisions are in
+// flight must keep the previous window's states intact until those
+// decisions drain.
 func (d *Directory) Advance(pair *motion.Pair, abnormal []int, moved []int) (AdvanceStats, error) {
 	if pair == nil {
 		return AdvanceStats{}, fmt.Errorf("nil pair: %w", ErrConfig)
 	}
-	old := d.win.Load()
-	var ids []int
-	if sets.EqualInts(abnormal, old.abnormal) && pair.N() >= old.pair.N() {
-		// Steady-state membership: reuse the retained canonical set (its
-		// validity against this population is implied by the size check)
-		// instead of cloning and re-canonicalizing the caller's buffer —
-		// and hand the index the very slice it holds, which collapses
-		// the id diff to the moved feed alone.
-		ids = old.abnormal
-	} else {
-		var err error
-		if ids, err = canonAbnormal(pair, abnormal); err != nil {
-			return AdvanceStats{}, err
-		}
+	ids, err := canonAbnormal(pair, abnormal)
+	if err != nil {
+		return AdvanceStats{}, err
 	}
-	ix, us := old.index.Update(pair.Prev, ids, moved)
-	st := AdvanceStats{
-		Rebuilt:      us.Rebuilt,
-		AddedIds:     us.Added,
-		RemovedIds:   us.Removed,
-		MovedIds:     us.Moved,
-		ChurnedCells: len(us.ChurnedCells),
-	}
-	if dim := pair.Dim(); dim > 0 {
-		st.ChurnedCells += len(us.VacatedCoords) / dim
-	}
-	if us.Rebuilt {
-		d.win.Store(d.freshWindow(pair, ids, ix))
-		return st, nil
-	}
-
-	cells := ix.SortedCells()
-	w := &window{
-		pair:     pair,
-		abnormal: ids,
-		index:    ix,
-		cellOf:   ix.CellIndexes(),
-		blocks:   make([]atomic.Pointer[block], len(cells)),
-	}
-	// Shards are a function of cell coordinates, and a sourced cell has
-	// the old cell's exact coordinates — copy instead of rehashing. A
-	// nil Sources means the cell set is unchanged (identity), so the
-	// annotation array itself — read-only after construction — is
-	// shared outright.
-	if us.Sources == nil {
-		w.cellShard = old.cellShard
-	} else {
-		w.cellShard = make([]uint8, len(cells))
-		for ci, src := range us.Sources {
-			if src >= 0 {
-				w.cellShard[ci] = old.cellShard[src]
-			} else {
-				w.cellShard[ci] = uint8(shardOfCoords(cells[ci].Coords))
-			}
-		}
-	}
-	// Carry the warm block caches, then invalidate every cell whose 4r
-	// reach saw churn: a block is the union of the cells within
-	// Chebyshev reach, so it survives exactly when none of them — nor a
-	// vacated cell in range — changed membership. The walk probes the
-	// (2*reach+1)^d neighbourhood of each churned coordinate; when the
-	// total churn coverage dwarfs the occupied-cell count — scattered
-	// churn at scale, where essentially every cache would be invalidated
-	// anyway — or the fan-out explodes with the dimension, carrying
-	// caches isn't worth the walk: start cold instead, always correct.
-	// (At coverage = 4x the cells, under 2% of scattered-churn caches
-	// would survive; compact paper-R2 churn stays far below the bound.)
-	dim := pair.Dim()
-	fan := grid.NeighborCells(dim, d.reach, len(cells))
-	if fan <= len(cells) && st.ChurnedCells*fan < 4*len(cells) {
-		retained := 0
-		if us.Sources == nil {
-			for ci := range w.blocks {
-				if b := old.blocks[ci].Load(); b != nil {
-					w.blocks[ci].Store(b)
-					retained++
-				}
-			}
-		} else {
-			for ci, src := range us.Sources {
-				if src < 0 {
-					continue
-				}
-				if b := old.blocks[src].Load(); b != nil {
-					w.blocks[ci].Store(b)
-					retained++
-				}
-			}
-		}
-		walk := ix.NewNeighborWalk(d.reach)
-		invalidate := func(coords []int) {
-			walk.ForEach(coords, func(nci int, _ *grid.Cell) {
-				if w.blocks[nci].Swap(nil) != nil {
-					retained--
-				}
-			})
-		}
-		for _, nc := range us.ChurnedCells {
-			invalidate(cells[nc].Coords)
-		}
-		for off := 0; off+dim <= len(us.VacatedCoords); off += dim {
-			invalidate(us.VacatedCoords[off : off+dim])
-		}
-		st.RetainedBlocks = retained
-	}
-	d.win.Store(w)
-	return st, nil
+	d.win.Store(d.freshWindow(pair, ids))
+	return AdvanceStats{Rebuilt: true}, nil
 }
 
 // Abnormal returns the sorted abnormal set of the directory's current
@@ -315,8 +189,7 @@ func (d *Directory) ViewRadius() float64 { return d.viewR }
 // lifetime: blocks computed (misses) and lookups answered from cache
 // (hits). Co-located deciding devices share blocks, so built stays
 // bounded by the number of occupied cells no matter how many devices a
-// massive event touches — and Advance carries unchurned blocks across
-// windows, so steady low-churn streams keep hitting warm caches.
+// massive event touches.
 func (d *Directory) CacheStats() (built, hits int64) {
 	return d.built.Load(), d.hits.Load()
 }

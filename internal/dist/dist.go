@@ -6,23 +6,19 @@
 // paper's locality result (verified centrally by core.TestLocality4r)
 // guarantees the verdict is identical to the omniscient one.
 //
-// The Directory is a sharded, concurrency-safe index of the abnormal
-// trajectories, keyed by grid cell at time k-1, that persists across
-// observation windows: Advance patches the retained spatial index with
-// the window-to-window delta (abnormal-set churn and cell moves) by
-// sorted merge instead of rebuilding it — falling back to a full
-// rebuild only when the churn fraction crosses the grid package's
-// measured threshold — and publishes each window as one immutable
-// snapshot behind an atomic pointer, so in-flight decisions always see
-// a coherent window. A 4r-view query touches only the cells within two
-// cell sides of the querying device, so its cost scales with the local
-// abnormal density, never with the fleet size. Devices hit by the same
-// error are spatially co-located (restriction R2 confines them to a
-// ball of radius r, half a cell), so the Directory caches candidate
-// blocks per cell — a massive event touching hundreds of devices
-// fetches its shared neighbourhood once instead of N times — and
-// Advance carries the blocks whose whole 4r reach saw no churn over to
-// the next window still warm.
+// The Directory is a sharded, concurrency-safe index of one window's
+// abnormal trajectories, keyed by grid cell at time k-1. Each abnormal
+// window is indexed from scratch: a_k(j) flags a change between
+// consecutive windows, so consecutive abnormal sets barely overlap and
+// there is nothing worth carrying over. The window is published as one
+// immutable snapshot behind an atomic pointer, so in-flight decisions
+// always see a coherent window. A 4r-view query touches only the cells
+// within two cell sides of the querying device, so its cost scales with
+// the local abnormal density, never with the fleet size. Devices hit by
+// the same error are spatially co-located (restriction R2 confines them
+// to a ball of radius r, half a cell), so the Directory caches
+// candidate blocks per cell — a massive event touching hundreds of
+// devices fetches its shared neighbourhood once instead of N times.
 //
 // Decide is the per-device entry point and Stats its communication
 // bill; DecideRange batches a contiguous slice of a window (DecideAll

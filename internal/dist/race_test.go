@@ -144,7 +144,7 @@ func TestParallelDecideAll(t *testing.T) {
 	}
 }
 
-// TestAdvanceRaceDecide hammers one persistent Directory with concurrent
+// TestAdvanceRaceDecide hammers one Directory with concurrent
 // Decide and DecideAll calls while a writer advances it through a cycle
 // of precomputed windows (run under -race). Publish-then-swap semantics
 // are asserted behaviourally: every batch and every single decision must

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"net"
-	"time"
 
 	"anomalia/internal/core"
 	"anomalia/internal/dirnet"
@@ -43,25 +42,15 @@ func DefaultDistCost() DistCostConfig {
 
 // DistCostDeterministicCols is the number of leading columns of the
 // DistCost table that are a pure function of the configuration and
-// pinned by the determinism test: the billed message economy. The
-// columns after them are measured — the wire columns count actual
-// protocol bytes and exchanges over an in-process transport, and the
-// trailing speedup column measures wall time — so they are reported,
-// not pinned.
-const DistCostDeterministicCols = 6
+// pinned by the determinism test: the billed message economy. The wire
+// columns after them count actual protocol bytes and exchanges over an
+// in-process transport, so they are reported, not pinned.
+const DistCostDeterministicCols = 5
 
 // DistCost measures the per-device communication cost of the distributed
 // decision: messages exchanged with the directory, trajectories
 // transferred, and 4r-view sizes — the quantities that make the approach
 // scale where the centralized clustering of [15] does not.
-//
-// Each window is decided twice: on a directory rebuilt from scratch
-// (the pre-persistence deployment) and on one persistent directory
-// advanced window to window. The "msgΔ incr" column is the summed
-// difference in protocol messages between the two paths — zero by the
-// directory's parity guarantee, and asserted here — and "rebuild/adv"
-// the measured wall-time ratio of rebuilding versus advancing the
-// index, the quantity the cross-window persistence buys.
 //
 // Next to the billed economy sit the measured wire columns: every
 // window is additionally decided over the dirnet protocol through an
@@ -73,7 +62,7 @@ func DistCost(cfg DistCostConfig) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Distributed deployment cost per deciding device (n=%d, G=%g)",
 			cfg.N, cfg.G),
-		Header: []string{"A", "mean |A_k|", "messages", "trajectories", "view size", "msgΔ incr", "wire B/win", "RT/win", "retries", "rebuild/adv"},
+		Header: []string{"A", "mean |A_k|", "messages", "trajectories", "view size", "wire B/win", "RT/win", "retries"},
 	}
 	coreCfg := core.Config{R: cfg.R, Tau: cfg.Tau, Exact: true}
 	for _, a := range cfg.As {
@@ -87,9 +76,6 @@ func DistCost(cfg DistCostConfig) (*Table, error) {
 			return nil, err
 		}
 		var msgs, trajs, views, abnormal stats.Welford
-		var advDir *dist.Directory
-		msgDelta := 0
-		var rebuildTime, advanceTime time.Duration
 		// The wire fixture: one shard server behind an in-process pipe,
 		// deciding the same windows over the dirnet protocol so the table
 		// can report measured bytes and round-trips next to the bills.
@@ -114,22 +100,10 @@ func DistCost(cfg DistCostConfig) (*Table, error) {
 			if len(step.Abnormal) == 0 {
 				continue
 			}
-			t0 := time.Now()
 			dir, err := dist.NewDirectory(step.Pair, step.Abnormal, cfg.R)
 			if err != nil {
 				return nil, err
 			}
-			rebuildTime += time.Since(t0)
-			t0 = time.Now()
-			if advDir == nil {
-				// The persistent service pays one initial build too.
-				if advDir, err = dist.NewDirectory(step.Pair, step.Abnormal, cfg.R); err != nil {
-					return nil, err
-				}
-			} else if _, err := advDir.Advance(step.Pair, step.Abnormal, nil); err != nil {
-				return nil, err
-			}
-			advanceTime += time.Since(t0)
 
 			if _, _, err := wireClient.DecideWindow(step.Pair, step.Abnormal, coreCfg); err != nil {
 				return nil, fmt.Errorf("A=%d window %d over the wire: %w", a, s, err)
@@ -145,23 +119,11 @@ func DistCost(cfg DistCostConfig) (*Table, error) {
 				msgs.Add(float64(st.Messages))
 				trajs.Add(float64(st.Trajectories))
 				views.Add(float64(st.ViewSize))
-				_, ast, err := dist.Decide(advDir, j, coreCfg)
-				if err != nil {
-					return nil, fmt.Errorf("A=%d device %d (incremental): %w", a, j, err)
-				}
-				msgDelta += ast.Messages - st.Messages
 			}
-		}
-		if msgDelta != 0 {
-			return nil, fmt.Errorf("A=%d: incremental directory billed %+d messages vs rebuild — parity broken", a, msgDelta)
 		}
 		wireStats := wireClient.Stats()
 		wireClient.Close()
 		wireSrv.Close()
-		ratio := 0.0
-		if advanceTime > 0 {
-			ratio = float64(rebuildTime) / float64(advanceTime)
-		}
 		wireBytes, wireRTs := 0.0, 0.0
 		if wireWindows > 0 {
 			wireBytes = float64(wireStats.BytesSent+wireStats.BytesReceived) / float64(wireWindows)
@@ -173,11 +135,9 @@ func DistCost(cfg DistCostConfig) (*Table, error) {
 			f(msgs.Mean()),
 			f(trajs.Mean()),
 			f(views.Mean()),
-			fmt.Sprintf("%d", msgDelta),
 			f(wireBytes),
 			f(wireRTs),
 			fmt.Sprintf("%d", wireStats.Retries),
-			f(ratio),
 		)
 	}
 	return t, nil

@@ -27,11 +27,8 @@ func TestDistCostSmall(t *testing.T) {
 		t.Fatalf("%d rows for %d error loads", len(tab.Rows), len(cfg.As))
 	}
 	for _, row := range tab.Rows {
-		if len(row) != 10 {
-			t.Fatalf("row %v has %d cells, want 10", row, len(row))
-		}
-		if row[5] != "0" {
-			t.Fatalf("row %v: incremental-vs-rebuild message delta %q, want 0", row, row[5])
+		if len(row) != 8 {
+			t.Fatalf("row %v has %d cells, want 8", row, len(row))
 		}
 		msgs, err := strconv.ParseFloat(row[2], 64)
 		if err != nil {
@@ -50,13 +47,13 @@ func TestDistCostSmall(t *testing.T) {
 		// The measured wire columns: a decided window costs real frame
 		// bytes and at least two exchanges (sync + decide), and a
 		// faultless in-process transport must never retry.
-		wireBytes, err := strconv.ParseFloat(row[6], 64)
+		wireBytes, err := strconv.ParseFloat(row[5], 64)
 		if err != nil {
-			t.Fatalf("wire bytes cell %q: %v", row[6], err)
+			t.Fatalf("wire bytes cell %q: %v", row[5], err)
 		}
-		wireRTs, err := strconv.ParseFloat(row[7], 64)
+		wireRTs, err := strconv.ParseFloat(row[6], 64)
 		if err != nil {
-			t.Fatalf("round-trips cell %q: %v", row[7], err)
+			t.Fatalf("round-trips cell %q: %v", row[6], err)
 		}
 		if wireBytes <= 0 {
 			t.Errorf("row %v: wire bytes/window %v, want > 0", row, wireBytes)
@@ -64,8 +61,8 @@ func TestDistCostSmall(t *testing.T) {
 		if wireRTs < 2 {
 			t.Errorf("row %v: wire round-trips/window %v, want >= 2", row, wireRTs)
 		}
-		if row[8] != "0" {
-			t.Errorf("row %v: %q retries over a faultless transport", row, row[8])
+		if row[7] != "0" {
+			t.Errorf("row %v: %q retries over a faultless transport", row, row[7])
 		}
 	}
 }
@@ -92,7 +89,7 @@ func TestDistCostDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Rows {
-		// The trailing column is a wall-time ratio; everything before it
+		// The trailing wire columns are measured; everything before them
 		// must reproduce cell for cell.
 		for c := 0; c < DistCostDeterministicCols; c++ {
 			if a.Rows[i][c] != b.Rows[i][c] {

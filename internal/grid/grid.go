@@ -255,18 +255,10 @@ type Index struct {
 	cells   []Cell
 	coords  []int
 	idArena []int
-	// ids is the indexed id slice as given (shared with the caller,
-	// read-only) and idCell the cell position of each of its entries —
-	// filled for free during the build and the membership record Update
-	// diffs against, so the delta path never has to re-derive old cells
-	// from positions (the old state may already be recycled).
-	ids       []int
-	idCell    []int32
-	idsSorted bool
-	// arenaWaste counts dead id-arena entries accumulated by fastPatch
-	// updates (churned cells abandon their old lists in place); when it
-	// outgrows the live id count, the next Update compacts.
-	arenaWaste int
+	// idCell is the cell position of each indexed id, in input order —
+	// filled for free during the build, so a caller that answers queries
+	// per id never recomputes coordinates or keys.
+	idCell []int32
 }
 
 // New indexes the given device ids (typically the abnormal set, sorted)
@@ -276,8 +268,6 @@ type Index struct {
 func New(state *space.State, ids []int, p Params) *Index {
 	dim := state.Dim()
 	ix := &Index{Params: p, state: state, dim: dim, kc: newKeyCodec(dim, p.Res)}
-	ix.ids = ids
-	ix.idsSorted = sortedUnique(ids)
 	m := len(ids)
 	if m == 0 {
 		return ix
@@ -297,18 +287,6 @@ func (ix *Index) alloc(n, m int) {
 	ix.coords = make([]int, 0, n*ix.dim)
 	ix.idArena = make([]int, m)
 	ix.idCell = make([]int32, m)
-}
-
-// sortedUnique reports whether ids is strictly ascending — the canonical
-// input every production caller indexes, and the precondition of the
-// sorted-merge delta path (Update).
-func sortedUnique(ids []int) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // openCell appends cell ci's key and coordinates to the slabs, deriving
@@ -425,17 +403,13 @@ func (ix *Index) buildGeneral(ids []int) {
 // State returns the indexed state.
 func (ix *Index) State() *space.State { return ix.state }
 
-// Ids returns the indexed ids in input order. The slice is shared with
-// the caller that built the index — read-only for both sides.
-func (ix *Index) Ids() []int { return ix.ids }
-
 // CellOf returns the position (into CellAt / SortedCells order) of the
 // occupied cell holding the i-th indexed id — the inverse of the cell
 // membership lists, recorded for free during the build.
 func (ix *Index) CellOf(i int) int { return int(ix.idCell[i]) }
 
 // CellIndexes returns the whole id-position → cell-position record
-// (aligned with Ids). The slab is the index's own storage — free to
+// (aligned with the ids New indexed). The slab is the index's own storage — free to
 // obtain, read-only to use.
 func (ix *Index) CellIndexes() []int32 { return ix.idCell }
 
@@ -596,48 +570,18 @@ func (w *PairWalk) Shard(shard, nshards int, fn func(a, b int)) {
 	}
 }
 
-// NeighborWalk amortizes the offset fan of repeated neighbourhood
-// probes: build it once per reach and ForEach probes any number of
-// centers without re-materializing the (2*reach+1)^d offsets. The walk
-// is read-only and safe for concurrent ForEach calls.
-type NeighborWalk struct {
-	ix  *Index
-	fan [][]int
-}
-
-// NewNeighborWalk prepares a reusable neighbourhood walk at the given
-// reach. Callers must bound the fan (NeighborCells) first, exactly like
-// ForEachNeighbor.
-func (ix *Index) NewNeighborWalk(reach int) *NeighborWalk {
-	return &NeighborWalk{ix: ix, fan: offsetFan(ix.dim, reach)}
-}
-
-// ForEach calls fn — with the cell's key-sorted index and the cell — for
-// every occupied cell at Chebyshev cell distance <= reach of the given
-// center coordinates (including the center cell itself when occupied),
-// in the fan's odometer order.
-func (w *NeighborWalk) ForEach(center []int, fn func(i int, c *Cell)) {
-	w.ix.forEachNeighborFan(center, w.fan, fn)
-}
-
 // ForEachNeighbor calls fn — with the cell's key-sorted index and the
 // cell — for every occupied cell at Chebyshev cell distance <= reach of
 // the given center coordinates (including the center cell itself when
 // occupied), in the fan's odometer order. It probes the (2*reach+1)^d
 // neighbour keys directly, skipping coordinates outside [0, Res);
-// callers must bound the fan (NeighborCells) first. Repeated probes at
-// one reach should share a NeighborWalk instead, which materializes the
-// fan once.
+// callers must bound the fan (NeighborCells) first.
 func (ix *Index) ForEachNeighbor(center []int, reach int, fn func(i int, c *Cell)) {
-	ix.forEachNeighborFan(center, offsetFan(ix.dim, reach), fn)
-}
-
-func (ix *Index) forEachNeighborFan(center []int, fan [][]int, fn func(i int, c *Cell)) {
 	dim := ix.dim
 	var cbuf [space.MaxDim]int
 	var kbuf [space.MaxDim]uint64
 	coords := cbuf[:dim]
-	for _, off := range fan {
+	for _, off := range offsetFan(dim, reach) {
 		ok := true
 		for i := 0; i < dim; i++ {
 			c := center[i] + off[i]

@@ -2,7 +2,7 @@
 // dependency-free registry of counters, gauges and fixed-bucket
 // histograms with a Prometheus text-format exporter. It exists so the
 // Monitor's per-window ledgers (tick latency by phase, abnormal-set
-// churn, advance-vs-rebuild decisions, the health split, the directory
+// churn, directory builds, the health split, the directory
 // wire counters, GC pressure) stop being end-of-run printouts and
 // become a live scrape target.
 //

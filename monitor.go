@@ -50,13 +50,6 @@ type Monitor struct {
 	// for reuse once Observe returns.
 	spare  *space.State
 	abnBuf []int
-	// dir is the persistent directory service of the distributed path:
-	// the monitor owns consecutive windows, so it hosts the cross-window
-	// index — built on the first abnormal window and advanced (delta
-	// patch, not rebuild) on every later one. Buffer recycling above is
-	// safe against it: Advance never reads the previous window's
-	// positions, only its retained cell membership.
-	dir *dist.Directory
 	// dirClient replaces the in-process directory when WithDirectory is
 	// configured: abnormal windows are decided over the wire by a shard
 	// fleet, and a window the fleet cannot serve degrades to centralized
@@ -87,10 +80,10 @@ type Monitor struct {
 	cleanBuf []bool
 	rowsBuf  [][]float64
 	// mx is the per-tick metrics feed (WithMetrics): latencies, the
-	// abnormal ledger and directory builds and advances. The health,
-	// wire and runtime families are filled on scrape. nil when the
-	// monitor is not instrumented — every record site is gated on that,
-	// so the uninstrumented hot path pays one predictable branch.
+	// abnormal ledger and directory builds. The health, wire and
+	// runtime families are filled on scrape. nil when the monitor is
+	// not instrumented — every record site is gated on that, so the
+	// uninstrumented hot path pays one predictable branch.
 	mx *monitorMetrics
 }
 
@@ -523,14 +516,10 @@ func (m *Monitor) HealthStats() HealthStats {
 
 // characterizeWindow decides one abnormal window; it is the one
 // decision path of every deployment model. Centralized, it runs
-// core.New and CharacterizeAll. Distributed in-process, it builds the
-// directory service on the first abnormal window and advances it with
-// the window-to-window delta on every later one (the monitor cannot
-// know which devices crossed cells, so the advance rechecks every
-// indexed id — still sort-free and cheaper than the rebuild it
-// replaces; deployments with a per-device update stream feed Advance
-// their moved list directly). A one-shot Characterize runs it with no
-// retained directory, so it builds once and decides. With
+// core.New and CharacterizeAll. Distributed in-process, it indexes the
+// window in a fresh directory service and decides on it: a_k(j) flags a
+// change between windows, so consecutive abnormal sets barely overlap
+// and nothing is worth keeping from one window to the next. With
 // WithDirectory the directory lives behind the wire instead: the
 // client syncs the shard fleet and merges its decision slices, and any
 // failure past the deadline/retry/breaker budget degrades this one
@@ -547,10 +536,14 @@ func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcom
 			return nil, err
 		}
 		if m.dirClient == nil {
-			if err := m.trackWindow(pair, abnormal); err != nil {
+			dir, err := dist.NewDirectory(pair, abnormal, m.cfg.radius)
+			if err != nil {
 				return nil, err
 			}
-			decisions, total, err := dist.DecideAll(m.dir, cfg)
+			if m.mx != nil {
+				m.mx.dirBuilds.Inc()
+			}
+			decisions, total, err := dist.DecideAll(dir, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -583,39 +576,6 @@ func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcom
 	return out, nil
 }
 
-// trackWindow points the in-process directory at this window: built
-// when none is retained, advanced otherwise.
-func (m *Monitor) trackWindow(pair *motion.Pair, abnormal []int) error {
-	if m.dir == nil {
-		dir, err := dist.NewDirectory(pair, abnormal, m.cfg.radius)
-		if err != nil {
-			return err
-		}
-		m.dir = dir
-		if m.mx != nil {
-			m.mx.dirBuilds.Inc()
-		}
-		return nil
-	}
-	st, err := m.dir.Advance(pair, abnormal, nil)
-	if err != nil {
-		// A failed advance never mutates the retained window, but the
-		// monitor can no longer assume the directory tracks this window's
-		// abnormal set — drop it and let the next abnormal window rebuild
-		// from scratch rather than serve stale membership.
-		m.dir = nil
-		return err
-	}
-	if m.mx != nil {
-		if st.Rebuilt {
-			m.mx.dirAdvanceRebuilt.Inc()
-		} else {
-			m.mx.dirAdvancePatched.Inc()
-		}
-	}
-	return nil
-}
-
 // DirStats returns the networked directory's window ledger and
 // lifetime wire counters. Monitors without WithDirectory return the
 // zero value.
@@ -638,9 +598,9 @@ func (m *Monitor) DirStats() DirStats {
 	}
 }
 
-// Reset clears the detectors, the snapshot history, the persistent
-// directory, the per-device health state and the churn baseline of the
-// metrics feed, keeping the configuration. A networked directory client drops its connections
+// Reset clears the detectors, the snapshot history, the per-device
+// health state and the churn baseline of the metrics feed, keeping the
+// configuration. A networked directory client drops its connections
 // and forgets shard sync and breaker state, but the lifetime DirStats
 // counters survive — the wire ledger spans resets the way a process's
 // traffic counters span reconnects.
@@ -654,7 +614,6 @@ func (m *Monitor) Reset() {
 	m.prev = nil
 	m.spare = nil
 	m.time.Store(0)
-	m.dir = nil
 	if m.mx != nil {
 		// The next abnormal window's churn scores against the empty set.
 		m.mx.prevAbn = m.mx.prevAbn[:0]

@@ -26,9 +26,7 @@ type monitorMetrics struct {
 	abnormalDevices *metrics.Histogram
 	churnRatio      *metrics.Gauge
 
-	dirBuilds         *metrics.Counter
-	dirAdvancePatched *metrics.Counter
-	dirAdvanceRebuilt *metrics.Counter
+	dirBuilds *metrics.Counter
 
 	// prevAbn is the retained previous abnormal set the churn ratio
 	// diffs against.
@@ -57,11 +55,7 @@ func newMonitorMetrics(reg *metrics.Registry, m *Monitor) *monitorMetrics {
 			[]float64{1, 3, 10, 30, 100, 300, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6}),
 		churnRatio: reg.Gauge("anomalia_abnormal_churn_ratio", "Symmetric-difference churn of the abnormal set between consecutive abnormal windows, over the union (0 = same set, 1 = disjoint)."),
 
-		dirBuilds: reg.Counter("anomalia_directory_builds_total", "In-process directory builds (first abnormal window, or rebuild after a failed advance)."),
-		dirAdvancePatched: reg.Counter("anomalia_directory_advances_total",
-			"In-process directory advances by result.", metrics.Label{Name: "result", Value: "patched"}),
-		dirAdvanceRebuilt: reg.Counter("anomalia_directory_advances_total",
-			"In-process directory advances by result.", metrics.Label{Name: "result", Value: "rebuilt"}),
+		dirBuilds: reg.Counter("anomalia_directory_builds_total", "In-process directory builds: one per abnormal window decided by the in-process directory."),
 	}
 
 	state := func(s string) *metrics.Gauge {

@@ -28,8 +28,8 @@ func TestMonitorMetricsFeed(t *testing.T) {
 		}
 	}
 	// Two consecutive abnormal windows with overlapping abnormal sets:
-	// the first builds the directory, the second advances it, and the
-	// churn gauge reflects the set overlap.
+	// each builds its own directory, and the churn gauge reflects the
+	// set overlap.
 	if out, err := m.Observe(fleetSnapshot(n, 0.95, map[int]float64{
 		0: 0.5, 1: 0.5, 2: 0.51, 3: 0.49, 4: 0.5,
 	})); err != nil || out == nil {
@@ -42,7 +42,7 @@ func TestMonitorMetricsFeed(t *testing.T) {
 	}
 	// One degraded window: a device goes silent on the partial path.
 	// The window is abnormal too — devices 3-5 jumped back to baseline —
-	// so it also advances the directory.
+	// so it builds a third directory.
 	snap := fleetSnapshot(n, 0.95, nil)
 	snap[7] = nil
 	if _, err := m.ObservePartial(snap); err != nil {
@@ -63,13 +63,8 @@ func TestMonitorMetricsFeed(t *testing.T) {
 	if got := count("anomalia_abnormal_windows_total"); got != 3 {
 		t.Errorf("abnormal_windows_total = %d, want 3", got)
 	}
-	if got := count("anomalia_directory_builds_total"); got != 1 {
-		t.Errorf("directory_builds_total = %d, want 1", got)
-	}
-	patched := reg.Counter("anomalia_directory_advances_total", "", metrics.Label{Name: "result", Value: "patched"}).Value()
-	rebuilt := reg.Counter("anomalia_directory_advances_total", "", metrics.Label{Name: "result", Value: "rebuilt"}).Value()
-	if patched+rebuilt != 2 {
-		t.Errorf("advances patched=%d rebuilt=%d, want 2 total", patched, rebuilt)
+	if got := count("anomalia_directory_builds_total"); got != 3 {
+		t.Errorf("directory_builds_total = %d, want 3 (one per abnormal window)", got)
 	}
 	// Abnormal sets {0..4} then {0..4 minus kept}∪{5}: both windows
 	// overlap, so churn must be strictly between 0 and 1.

@@ -50,7 +50,7 @@ const (
 	bytesOp   = "B/op"
 	allocsOp  = "allocs/op"
 	quietTick = "BenchmarkTickIngestDetect1M"
-	advance   = "BenchmarkDirectoryAdvance/clustered/n=1M/churn=1%"
+	stormDir  = "BenchmarkDirectoryBuild/storm/m=3000"
 	allAbn50k = "BenchmarkCharacterizeAllAbnormal/m=50k"
 )
 
@@ -72,13 +72,12 @@ var table = []run{
 	{"./internal/motion", []string{"-benchtime=1x"}, 1, []gate{
 		{bench: "BenchmarkNewGraph/grid/sparse/n=1000000", unit: allocsOp, bound: 10000},
 	}},
-	// The incremental advance patches the retained index with a
-	// churn-sized handful of allocations, and must beat the full rebuild
-	// at least 5x (10x on quiet hardware; the floor leaves room for a
-	// shared runner).
-	{"./internal/dist", []string{"-benchtime=5x"}, 3, []gate{
-		{bench: advance, unit: allocsOp, bound: 512},
-		{bench: advance, unit: nsOp, op: "/", base: "BenchmarkDirectoryRebuild/clustered/n=1M", bound: 1.0 / 5},
+	// The Monitor indexes every abnormal window in a fresh directory. A
+	// storm-shaped window (six 500-device R2 clusters plus lone gateways)
+	// builds in 14 allocations; the ceiling trips on any per-cell or
+	// per-device allocation.
+	{"./internal/dist", []string{"-benchtime=20x"}, 3, []gate{
+		{bench: stormDir, unit: allocsOp, bound: 32},
 	}},
 	// Quiet n=1M ticks: the double-buffered steady state allocates a
 	// handful of times, and the idle health layer, a breaker-closed

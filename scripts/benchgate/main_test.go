@@ -170,10 +170,10 @@ func TestParseLineWithoutMemory(t *testing.T) {
 
 func TestPatternAnchorsEveryLevel(t *testing.T) {
 	r := run{gates: []gate{
-		{bench: advance, unit: allocsOp},
-		{bench: advance, unit: nsOp, op: "/", base: "BenchmarkDirectoryRebuild/clustered/n=1M"},
+		{bench: stormDir, unit: allocsOp},
+		{bench: stormDir, unit: nsOp, op: "/", base: "BenchmarkDirectoryRebuild/clustered/n=1M"},
 	}}
-	want := `^BenchmarkDirectoryAdvance$/^clustered$/^n=1M$/^churn=1%$|^BenchmarkDirectoryRebuild$/^clustered$/^n=1M$`
+	want := `^BenchmarkDirectoryBuild$/^storm$/^m=3000$|^BenchmarkDirectoryRebuild$/^clustered$/^n=1M$`
 	if got := r.pattern(); got != want {
 		t.Fatalf("pattern = %s, want %s", got, want)
 	}

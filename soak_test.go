@@ -142,14 +142,13 @@ func TestSoakFullStack(t *testing.T) {
 	}
 }
 
-// TestSoakDistributedPersistent drives the persistent distributed path
-// through hundreds of consecutive Observe windows: a distributed
-// monitor (whose directory service survives across windows, advanced by
-// delta instead of rebuilt) and a centralized monitor consume the same
-// snapshot stream, under a dense fault schedule so the directory is
-// built and advanced across many abnormal windows. Verdicts must agree
-// tick for tick — the paper's locality result end to end — and the
-// distributed outcomes must carry directory traffic.
+// TestSoakDistributedPersistent drives the distributed path through
+// hundreds of consecutive Observe windows: a distributed monitor (which
+// indexes each abnormal window in a fresh directory service) and a
+// centralized monitor consume the same snapshot stream, under a dense
+// fault schedule so a directory is built for many abnormal windows.
+// Verdicts must agree tick for tick — the paper's locality result end
+// to end — and the distributed outcomes must carry directory traffic.
 func TestSoakDistributedPersistent(t *testing.T) {
 	t.Parallel()
 
@@ -176,7 +175,7 @@ func TestSoakDistributedPersistent(t *testing.T) {
 
 	// A dense rotation of faults: some component misbehaves every few
 	// ticks, so a large share of the ≥200 windows is abnormal and the
-	// persistent directory advances again and again with real churn.
+	// directory is built and decided on again and again.
 	var schedule []netsim.ScheduledFault
 	for tick := 8; tick < ticks-4; tick += 6 {
 		var f netsim.Fault
@@ -242,9 +241,9 @@ func TestSoakDistributedPersistent(t *testing.T) {
 			t.Fatalf("tick %d: distributed outcome lacks plausible traffic stats: %+v", tick, got.Dist)
 		}
 	}
-	// The schedule must actually have exercised the persistent path:
-	// many abnormal windows, i.e. many directory advances.
+	// The schedule must actually have exercised the distributed path:
+	// many abnormal windows, i.e. many directory builds.
 	if abnormalWindows < 30 {
-		t.Fatalf("only %d abnormal windows in %d ticks — soak did not stress the persistent directory", abnormalWindows, ticks)
+		t.Fatalf("only %d abnormal windows in %d ticks — soak did not stress the distributed directory", abnormalWindows, ticks)
 	}
 }

@@ -226,6 +226,10 @@ func WithDistributed(distributed bool) Option {
 // Monitor.DirStats — and shards rejoin via the half-open probe without
 // operator action. Observe never returns an error for shard
 // unavailability.
+//
+// The fields are those of the wire client's configuration
+// (internal/dirnet), one for one, so the Monitor hands it over as a
+// single type conversion.
 type DirectoryConfig struct {
 	// Addrs lists the shard servers (host:port). Required.
 	Addrs []string

@@ -333,11 +333,27 @@
 //     little-endian host (a big-endian one byte-swaps in place).
 //   - The distributed directory rides the same flat index: occupied
 //     cells live in the index's key-sorted slab annotated with their
-//     owning shard, the 4r block cache is one atomic pointer per cell
-//     (no side maps, no string keys), and the batched DecideRange —
-//     DecideAll's whole window, or one networked shard's slice —
-//     assembles views through a recycled scratch buffer, materializing
-//     a view only when it opens a new characterizer group.
+//     owning shard and their members' bounding box at k-1 and k, and
+//     the 4r block cache is one atomic pointer per cell. A cell's block
+//     applies the motion graph's box test at view scale. Against the
+//     cell's member box, a candidate within 4r of both corners on every
+//     axis at both times is accepted: it is in every member's view. One
+//     more than 4r beyond the box at either time is rejected: it is in
+//     no member's view. Whole neighbour cells are placed by their own
+//     boxes first, so a mass event's cells are accepted or rejected
+//     without visiting their members. Only the remainder is tested per
+//     device, on flat coordinates, and the surviving sorted cell lists
+//     merge into the block without a sort. The tests are exact for the
+//     same monotonicity reason, and are property-tested against
+//     brute-force views, with fixtures exactly 4r and one ulp beyond
+//     from a box corner. The batched DecideRange — DecideAll's whole
+//     window, or one networked shard's slice — builds its cold blocks
+//     in parallel. A cell with no remainder gives all its members the
+//     block's accepted slice as their view, so it is grouped once, not
+//     once per device, and equal views still share one characterizer
+//     wherever they sit. CI holds the storm-shaped window's distributed
+//     decision under 2x the centralized one (BenchmarkDistDecide and
+//     BenchmarkCentralDecide, storm/m=3000).
 //   - Every parallel pass — the detector pass, the grid's key passes
 //     and sort, the collected graph build and the directory's per-view
 //     decisions — fans out through one internal helper (internal/par).

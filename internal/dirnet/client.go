@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -63,6 +64,7 @@ type shard struct {
 // owns it).
 type Client struct {
 	cfg    Config
+	sleep  func(time.Duration) // waits out a retry backoff; tests stub it
 	shards []*shard
 	window uint64 // monotone per-DecideWindow counter (wire seq)
 	// lastGood is the seq of the last window every decision was served
@@ -115,11 +117,9 @@ func NewClient(cfg Config) (*Client, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
-	}
 	c := &Client{
 		cfg:    cfg,
+		sleep:  time.Sleep,
 		shards: make([]*shard, len(cfg.Addrs)),
 		rng:    stats.NewRNG(cfg.Seed),
 	}
@@ -252,7 +252,7 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 			continue
 		}
 		to := from + size
-		decs, err := c.decideRange(s, seq, cfg, from, to)
+		decs, err := c.decideRange(s, seq, cfg, abnormal, from, to)
 		if err != nil {
 			if isAppError(err) {
 				return nil, dist.Stats{}, err
@@ -326,8 +326,10 @@ func (c *Client) syncShard(s *shard, seq uint64, body []byte, probe bool) error 
 }
 
 // decideRange fetches the decisions for positions [from, to) of the
-// window's sorted abnormal set from one synced shard.
-func (c *Client) decideRange(s *shard, seq uint64, cfg core.Config, from, to int) ([]dist.Decision, error) {
+// window's sorted abnormal set from one synced shard. A response that
+// decodes to anything but one valid decision per position counts
+// against the shard like a transport fault.
+func (c *Client) decideRange(s *shard, seq uint64, cfg core.Config, abnormal []int, from, to int) ([]dist.Decision, error) {
 	c.enc = appendDecideAll(c.enc[:0], seq, cfg, from, to)
 	resp, err := c.request(s, c.enc, 1+c.cfg.MaxRetries)
 	if err != nil {
@@ -343,22 +345,99 @@ func (c *Client) decideRange(s *shard, seq uint64, cfg core.Config, from, to int
 		}
 		return nil, err
 	}
-	cur := &cursor{b: resp}
-	count := cur.count(1)
+	decs, err := decodeDecisions(resp, abnormal, from, to)
+	if err != nil {
+		c.noteFailure(s)
+		return nil, err
+	}
+	s.fails = 0
+	return decs, nil
+}
+
+// decodeDecisions decodes the body of a DecideAll response for
+// positions [from, to) of the window's sorted abnormal set. It returns
+// an error unless the body holds exactly one decision per position and
+// each passes checkDecision. The element count is checked against the
+// range before anything is allocated, and every allocation after that
+// is bounded by the body's length.
+func decodeDecisions(body []byte, abnormal []int, from, to int) ([]dist.Decision, error) {
+	cur := &cursor{b: body}
+	count := cur.count(minDecisionBytes)
+	if !cur.bad && count != to-from {
+		return nil, fmt.Errorf("dirnet: %d decisions for range [%d, %d)", count, from, to)
+	}
 	decs := make([]dist.Decision, 0, count)
 	for i := 0; i < count && !cur.bad; i++ {
 		decs = append(decs, decodeDecision(cur))
 	}
 	if err := cur.err(); err != nil {
-		c.noteFailure(s)
 		return nil, err
 	}
-	if len(decs) != to-from {
-		c.noteFailure(s)
-		return nil, fmt.Errorf("dirnet: %d decisions for range [%d, %d)", len(decs), from, to)
+	// A family's members carry the same dense motions, usually in
+	// consecutive slots: a decision whose motions equal its
+	// predecessor's shares that slice, as the in-process characterizer
+	// shares a family's, and skips re-checking the motions themselves.
+	var prev [][]int
+	for i := range decs {
+		res := &decs[i].Result
+		shared := len(res.Dense) > 0 && slices.EqualFunc(res.Dense, prev, slices.Equal[[]int])
+		if shared {
+			res.Dense = prev
+		}
+		if err := checkDecision(*res, abnormal[from+i], abnormal, shared); err != nil {
+			return nil, err
+		}
+		prev = res.Dense
 	}
-	s.fails = 0
 	return decs, nil
+}
+
+// checkDecision rejects a decision no directory shard could have
+// computed for device over a window whose sorted abnormal set is
+// abnormal: one for another device, a class or rule outside core's
+// enumerations, or a dense motion that leaves the device out, is not
+// strictly increasing or reaches outside the window's abnormal set.
+// Each would otherwise become a silently wrong verdict. With
+// motionsChecked, the motions are known to pass the last two checks.
+func checkDecision(res core.Result, device int, abnormal []int, motionsChecked bool) error {
+	if res.Device != device {
+		return fmt.Errorf("dirnet: decision for device %d in the slot of device %d", res.Device, device)
+	}
+	if res.Class < core.ClassIsolated || res.Class > core.ClassUnresolved {
+		return fmt.Errorf("dirnet: device %d: class %d out of range", device, res.Class)
+	}
+	if res.Rule < core.RuleNone || res.Rule > core.RuleTheorem7 {
+		return fmt.Errorf("dirnet: device %d: rule %d out of range", device, res.Rule)
+	}
+	for _, mo := range res.Dense {
+		if !motionsChecked {
+			if err := checkMotion(mo, abnormal); err != nil {
+				return fmt.Errorf("dirnet: device %d: %w", device, err)
+			}
+		}
+		if _, ok := slices.BinarySearch(mo, device); !ok {
+			return fmt.Errorf("dirnet: device %d: dense motion %v leaves the device out", device, mo)
+		}
+	}
+	return nil
+}
+
+// checkMotion rejects a motion that is not strictly increasing or holds
+// a device outside the sorted abnormal set. Each member is searched for
+// past the previous one's position.
+func checkMotion(mo, abnormal []int) error {
+	lo := 0
+	for i, id := range mo {
+		if i > 0 && id <= mo[i-1] {
+			return fmt.Errorf("dense motion %v not sorted", mo)
+		}
+		p, ok := slices.BinarySearch(abnormal[lo:], id)
+		if !ok {
+			return fmt.Errorf("dense motion member %d outside the window's abnormal set", id)
+		}
+		lo += p + 1
+	}
+	return nil
 }
 
 // View fetches one device's raw 4r view from the first synced shard —
@@ -449,7 +528,7 @@ func (c *Client) request(s *shard, payload []byte, attempts int) ([]byte, error)
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			c.count(func(st *Stats) { st.Retries++ })
-			c.cfg.Sleep(c.backoff(attempt))
+			c.sleep(c.backoff(attempt))
 		}
 		body, err := c.attempt(s, payload)
 		if err == nil || err == errNeedInit || isAppError(err) {

@@ -1,0 +1,262 @@
+package dirnet
+
+import (
+	"errors"
+	"net"
+	"slices"
+	"testing"
+
+	"anomalia/internal/core"
+	"anomalia/internal/dist"
+	"anomalia/internal/motion"
+)
+
+// decisionWindow is a window whose decisions carry dense motions: two
+// 6-device clusters, both faulty, over 120 devices.
+func decisionWindow(tb testing.TB) (*motion.Pair, []int, core.Config) {
+	cfg := core.Config{R: 0.01, Tau: 3, Exact: true}
+	pair, abnormal := clusteredWindow(tb, 120, 6, 2, cfg.R, 5)
+	return pair, abnormal, cfg
+}
+
+// realResponse is a fresh server's whole DecideAll response payload,
+// status byte included, for positions [from, to) of the window.
+func realResponse(tb testing.TB, pair *motion.Pair, abnormal []int, cfg core.Config, from, to int) []byte {
+	tb.Helper()
+	srv := NewServer()
+	if resp := srv.respond(nil, appendWindow(nil, windowOf(1, pair, abnormal, cfg.R))); resp[0] != statusOK {
+		tb.Fatalf("window rejected: %q", resp)
+	}
+	resp := srv.respond(nil, appendDecideAll(nil, 1, cfg, from, to))
+	if resp[0] != statusOK {
+		tb.Fatalf("decide rejected: %q", resp)
+	}
+	return resp
+}
+
+// rawDecisions decodes a DecideAll response payload without the
+// client's checks.
+func rawDecisions(tb testing.TB, resp []byte) []dist.Decision {
+	tb.Helper()
+	c := &cursor{b: resp[1:]}
+	decs := make([]dist.Decision, c.count(minDecisionBytes))
+	for i := range decs {
+		decs[i] = decodeDecision(c)
+	}
+	if err := c.err(); err != nil {
+		tb.Fatal(err)
+	}
+	return decs
+}
+
+// encodeResponse encodes decisions over global ids as a DecideAll
+// response payload.
+func encodeResponse(decs []dist.Decision) []byte {
+	top := 0
+	for _, dec := range decs {
+		top = max(top, dec.Result.Device)
+		for _, mo := range dec.Result.Dense {
+			top = max(top, slices.Max(mo))
+		}
+	}
+	identity := make([]int, top+1)
+	for i := range identity {
+		identity[i] = i
+	}
+	b := appendU32([]byte{statusOK}, uint32(len(decs)))
+	for _, dec := range decs {
+		b = appendDecision(b, dec, identity)
+	}
+	return b
+}
+
+// decodeResponse runs the client's decode path over a whole response
+// payload.
+func decodeResponse(resp []byte, abnormal []int, from, to int) ([]dist.Decision, error) {
+	body, err := decodeStatus(resp)
+	if err != nil {
+		return nil, err
+	}
+	return decodeDecisions(body, abnormal, from, to)
+}
+
+// tampers are the ways a buggy or hostile shard can corrupt an
+// otherwise well-formed response; each edits the decision in slot i,
+// which holds a dense motion of at least two devices.
+var tampers = []struct {
+	name string
+	edit func(decs []dist.Decision, i int, abnormal []int) []dist.Decision
+}{
+	{"another device's decision", func(decs []dist.Decision, i int, abnormal []int) []dist.Decision {
+		decs[i].Result.Device = abnormal[(i+1)%len(abnormal)]
+		return decs
+	}},
+	{"class 0", func(decs []dist.Decision, i int, _ []int) []dist.Decision {
+		decs[i].Result.Class = core.ClassUnknown
+		return decs
+	}},
+	{"class past the last", func(decs []dist.Decision, i int, _ []int) []dist.Decision {
+		decs[i].Result.Class = core.ClassUnresolved + 1
+		return decs
+	}},
+	{"rule past the last", func(decs []dist.Decision, i int, _ []int) []dist.Decision {
+		decs[i].Result.Rule = core.RuleTheorem7 + 1
+		return decs
+	}},
+	{"unsorted motion", func(decs []dist.Decision, i int, _ []int) []dist.Decision {
+		slices.Reverse(decs[i].Result.Dense[0])
+		return decs
+	}},
+	{"repeated motion member", func(decs []dist.Decision, i int, _ []int) []dist.Decision {
+		mo := decs[i].Result.Dense[0]
+		mo[1] = mo[0]
+		return decs
+	}},
+	{"motion member outside the window", func(decs []dist.Decision, i int, abnormal []int) []dist.Decision {
+		mo := decs[i].Result.Dense[0]
+		decs[i].Result.Dense[0] = append(mo, abnormal[len(abnormal)-1]+1)
+		return decs
+	}},
+	{"motion without the device", func(decs []dist.Decision, i int, _ []int) []dist.Decision {
+		mo := decs[i].Result.Dense[0]
+		decs[i].Result.Dense[0] = slices.DeleteFunc(mo, func(id int) bool { return id == decs[i].Result.Device })
+		return decs
+	}},
+	{"every device claims one family's motions", func(decs []dist.Decision, i int, _ []int) []dist.Decision {
+		// From the second family on, each claim repeats its predecessor's
+		// motions, so only the device check can catch it.
+		for k := range decs {
+			decs[k].Result.Dense = slices.Clone(decs[i].Result.Dense)
+		}
+		return decs
+	}},
+	{"one decision short", func(decs []dist.Decision, _ int, _ []int) []dist.Decision {
+		return decs[:len(decs)-1]
+	}},
+}
+
+// massiveSlot returns the first slot whose decision has a dense motion.
+func massiveSlot(tb testing.TB, decs []dist.Decision) int {
+	tb.Helper()
+	for i, dec := range decs {
+		if len(dec.Result.Dense) > 0 && len(dec.Result.Dense[0]) >= 2 {
+			return i
+		}
+	}
+	tb.Fatal("fixture: no decision has a dense motion")
+	return 0
+}
+
+// TestClientRejectsMalformedDecisions: the client's decode path accepts
+// a real response, re-encoded or not, and rejects every tampered copy.
+func TestClientRejectsMalformedDecisions(t *testing.T) {
+	pair, abnormal, cfg := decisionWindow(t)
+	m := len(abnormal)
+	for _, r := range [][2]int{{0, m}, {m / 3, m}} {
+		from, to := r[0], r[1]
+		resp := realResponse(t, pair, abnormal, cfg, from, to)
+		for _, payload := range [][]byte{resp, encodeResponse(rawDecisions(t, resp))} {
+			if _, err := decodeResponse(payload, abnormal, from, to); err != nil {
+				t.Fatalf("range [%d, %d): real response rejected: %v", from, to, err)
+			}
+		}
+		for _, tm := range tampers {
+			decs := rawDecisions(t, resp)
+			bad := encodeResponse(tm.edit(decs, massiveSlot(t, decs), abnormal))
+			if got, err := decodeResponse(bad, abnormal, from, to); err == nil {
+				t.Errorf("range [%d, %d): %s accepted: %+v", from, to, tm.name, got)
+			}
+		}
+	}
+}
+
+// TestHostileShardDegradesWindow: a shard that tampers with its
+// decisions fails the window over to the centralized fallback
+// (ErrUnavailable) and is charged a breaker failure, exactly like a
+// shard whose transport failed.
+func TestHostileShardDegradesWindow(t *testing.T) {
+	pair, abnormal, cfg := decisionWindow(t)
+	resp := realResponse(t, pair, abnormal, cfg, 0, len(abnormal))
+	for _, tm := range tampers {
+		decs := rawDecisions(t, resp)
+		bad := encodeResponse(tm.edit(decs, massiveSlot(t, decs), abnormal))
+		// The shard serves windows honestly and answers the one decide
+		// request a single-shard client sends with the tampered copy.
+		srv := NewServer()
+		dial := func(string) (net.Conn, error) {
+			c1, c2 := net.Pipe()
+			go func() {
+				defer c2.Close()
+				var buf []byte
+				for {
+					req, _, err := readFrame(c2, buf)
+					if err != nil {
+						return
+					}
+					buf = req
+					out := srv.respond(nil, req)
+					if req[0] == msgDecideAll {
+						out = bad
+					}
+					if _, err := writeFrame(c2, out); err != nil {
+						return
+					}
+				}
+			}()
+			return c1, nil
+		}
+		c, err := NewClient(Config{Addrs: []string{"hostile"}, Dial: dial, BreakerFails: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.DecideWindow(pair, abnormal, cfg); !errors.Is(err, ErrUnavailable) {
+			t.Errorf("%s: window error %v, want ErrUnavailable", tm.name, err)
+		}
+		if st := c.Stats(); st.BreakerOpens != 1 {
+			t.Errorf("%s: %d breaker opens, want 1", tm.name, st.BreakerOpens)
+		}
+		c.Close()
+	}
+}
+
+// FuzzClientDecode feeds arbitrary DecideAll response payloads, and
+// ranges of a fixed window, through the client's decode path. It must
+// not panic, must allocate in proportion to the payload, and must
+// return either an error or exactly one decision per position, each
+// passing the client's checks. The seeds are real responses for one
+// and two devices: the fuzzer minimizes every input that finds new
+// coverage, which takes time quadratic in the input's length.
+func FuzzClientDecode(f *testing.F) {
+	pair, abnormal, cfg := decisionWindow(f)
+	m := len(abnormal)
+	for _, r := range [][2]int{{0, 1}, {0, 2}, {m - 1, m}} {
+		resp := realResponse(f, pair, abnormal, cfg, r[0], r[1])
+		f.Add(resp, uint16(r[0]), uint16(r[1]))
+	}
+	f.Add([]byte{statusErr, 3, 0, 0, 0, 'b', 'a', 'd'}, uint16(0), uint16(1))
+	f.Add([]byte{statusOK, 0xff, 0xff, 0xff, 0xff}, uint16(0), uint16(m))
+
+	const perByte, slack = 64, 1 << 20
+	f.Fuzz(func(t *testing.T, resp []byte, from, to uint16) {
+		lo, hi := int(from)%(m+1), int(to)%(m+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		var decs []dist.Decision
+		var err error
+		if got := allocated(func() { decs, err = decodeResponse(resp, abnormal, lo, hi) }); got > perByte*uint64(len(resp))+slack {
+			t.Fatalf("response of %d bytes allocated %d", len(resp), got)
+		}
+		if err != nil {
+			return
+		}
+		if len(decs) != hi-lo {
+			t.Fatalf("%d decisions for range [%d, %d)", len(decs), lo, hi)
+		}
+		for i, dec := range decs {
+			if err := checkDecision(dec.Result, abnormal[lo+i], abnormal, false); err != nil {
+				t.Fatalf("accepted decision fails its check: %v", err)
+			}
+		}
+	})
+}

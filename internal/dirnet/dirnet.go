@@ -112,8 +112,6 @@ type Config struct {
 	BreakerCooldown int
 	// Seed drives the backoff jitter.
 	Seed int64
-	// Sleep replaces time.Sleep between retries (tests). nil = real.
-	Sleep func(time.Duration)
 }
 
 // Stats counts the client's lifetime wire activity — the measured

@@ -92,7 +92,6 @@ func testClient(t *testing.T, pn *pipeNet, addrs []string, mut func(*Config)) *C
 		Addrs:          addrs,
 		Dial:           pn.dial,
 		RequestTimeout: 2 * time.Second,
-		Sleep:          func(time.Duration) {},
 		Seed:           1,
 	}
 	if mut != nil {
@@ -102,6 +101,7 @@ func testClient(t *testing.T, pn *pipeNet, addrs []string, mut func(*Config)) *C
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.sleep = func(time.Duration) {}
 	t.Cleanup(c.Close)
 	return c
 }

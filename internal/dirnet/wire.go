@@ -287,6 +287,11 @@ func appendDecision(b []byte, dec dist.Decision, ids []int) []byte {
 	return appendU32(b, uint32(dec.Stats.ViewSize))
 }
 
+// minDecisionBytes is the wire size of a decision with no dense
+// motion: device, class and rule, four costs, the motion count and
+// three stats.
+const minDecisionBytes = 4 + 2 + 4*8 + 4 + 3*4
+
 func decodeDecision(c *cursor) dist.Decision {
 	var dec dist.Decision
 	dec.Result.Device = int(c.u32())

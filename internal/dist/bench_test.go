@@ -56,8 +56,12 @@ func BenchmarkDirectoryBuild(b *testing.B) {
 }
 
 // BenchmarkDistDecide measures the distributed hot path: every abnormal
-// device of a window deciding on its fetched 4r view (batched, warm
-// block cache after the first iteration — the steady serving state).
+// device of a window deciding on its fetched 4r view. The scenario
+// cases run batched on a warm block cache after the first iteration —
+// the steady serving state. The storm case indexes a fresh directory
+// every iteration, as the Monitor does per abnormal window, so it pays
+// the cold block splits and compares with BenchmarkCentralDecide on the
+// same window.
 func BenchmarkDistDecide(b *testing.B) {
 	for _, bc := range benchConfigs {
 		b.Run(bc.name, func(b *testing.B) {
@@ -75,6 +79,40 @@ func BenchmarkDistDecide(b *testing.B) {
 			}
 		})
 	}
+	b.Run("storm/m=3000", func(b *testing.B) {
+		pair, ids, r := stormWindow(b)
+		coreCfg := core.Config{R: r, Tau: 3, Exact: true}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dir, err := NewDirectory(pair, ids, r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := DecideAll(dir, coreCfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkCentralDecide is the centralized twin of BenchmarkDistDecide's
+// storm case: one characterizer over the whole abnormal set of the same
+// window deciding every device.
+func BenchmarkCentralDecide(b *testing.B) {
+	b.Run("storm/m=3000", func(b *testing.B) {
+		pair, ids, r := stormWindow(b)
+		coreCfg := core.Config{R: r, Tau: 3, Exact: true}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c, err := core.New(pair, ids, coreCfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.CharacterizeAll(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // stormWindow is the storm-200k window shape at r = 0.01: six

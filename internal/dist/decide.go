@@ -26,7 +26,7 @@ func Decide(d *Directory, j int, cfg core.Config) (core.Result, Stats, error) {
 	if !ok {
 		return core.Result{}, Stats{}, fmt.Errorf("device %d: %w", j, ErrUnknownDevice)
 	}
-	view, st := d.viewInto(w, j, pos, nil)
+	view, st := d.view(w, j, pos)
 	c, err := core.New(w.pair, view, cfg)
 	if err != nil {
 		return core.Result{}, Stats{}, err
@@ -65,12 +65,15 @@ func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
 
 // DecideRange characterizes positions [from, to) of the current
 // window's sorted abnormal set — the contiguous slice one directory
-// shard serves — batching the work: views are fetched through the
-// shared block cache into one recycled scratch buffer (a view only
-// materializes when it opens a new group), devices with identical views
-// (the common case for a compact massive event) share one characterizer
-// so each neighbourhood is enumerated once, and the view groups run on
-// parallel workers writing disjoint slots of the result slice. Slot
+// shard serves — batching the work: the range's cold blocks are built
+// on parallel workers; a cell whose block has no remainder is keyed
+// once and all its members take the block's accepted slice as their
+// view, while the members of other cells assemble theirs in one
+// recycled scratch buffer (a view only materializes when it opens a
+// new group); devices with identical views (the common case for a
+// compact massive event) share one characterizer so each neighbourhood
+// is enumerated once; and the view groups run on parallel workers
+// writing disjoint slots of the result slice. Slot
 // pos-from holds the decision for device abnormal[pos], so decisions
 // come back in device order, with the range's summed Stats; every
 // per-device Result and Stats is identical to a standalone Decide call,
@@ -102,24 +105,62 @@ func (d *Directory) decideRange(w *window, cfg core.Config, from, to int) ([]Dec
 		slots []int32 // result slots (position - from), ascending
 		stats []Stats
 	}
+	// A cell whose block has no remainder gives all its members one
+	// view, so its group and bill are found once, by its first member
+	// in the range, and reused by the rest.
+	type cellPick struct {
+		g  *group
+		st Stats
+	}
+	picks := make([]cellPick, len(w.blocks))
+	// Blocks are independent, so the range's cold ones are built on
+	// parallel workers up front and the grouping loop only reads them.
+	seen := make([]bool, len(w.blocks))
+	var cold []int32
+	for _, ci := range w.cellOf[from:to] {
+		if !seen[ci] && w.blocks[ci].Load() == nil {
+			seen[ci] = true
+			cold = append(cold, ci)
+		}
+	}
+	par.Each(len(cold), 0, func(k int) { d.blockFor(w, int(cold[k])) })
 	groups := make(map[string]*group)
 	order := make([]*group, 0)
 	var scratch []int
 	var keyBuf []byte
 	for pos := from; pos < to; pos++ {
-		var st Stats
-		scratch, st = d.viewInto(w, w.abnormal[pos], pos, scratch[:0])
+		slot := int32(pos - from)
+		ci := int(w.cellOf[pos])
+		if p := picks[ci]; p.g != nil {
+			p.g.slots = append(p.g.slots, slot)
+			p.g.stats = append(p.g.stats, p.st)
+			continue
+		}
+		b := d.blockFor(w, ci)
+		view := b.cands
+		if len(b.rest) > 0 {
+			scratch = b.appendView(scratch[:0], w.pair, w.abnormal[pos], d.viewR)
+			view = scratch
+		}
+		st := viewStats(b, len(view))
 		// Views are sorted id sets, so the shared grid encoding is a
-		// collision-free group key; the map probe converts in place and
-		// the string only materializes for a new group.
-		keyBuf = grid.AppendKey(keyBuf[:0], scratch)
+		// collision-free group key: cells and devices with equal views
+		// share one group wherever they sit. The map probe converts in
+		// place and the string only materializes for a new group.
+		keyBuf = grid.AppendKey(keyBuf[:0], view)
 		g, ok := groups[string(keyBuf)]
 		if !ok {
-			g = &group{view: slices.Clone(scratch)}
+			if len(b.rest) > 0 {
+				view = slices.Clone(view)
+			}
+			g = &group{view: view}
 			groups[string(keyBuf)] = g
 			order = append(order, g)
 		}
-		g.slots = append(g.slots, int32(pos-from))
+		if len(b.rest) == 0 {
+			picks[ci] = cellPick{g: g, st: st}
+		}
+		g.slots = append(g.slots, slot)
 		g.stats = append(g.stats, st)
 	}
 

@@ -3,12 +3,14 @@ package dist
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
 	"anomalia/internal/grid"
 	"anomalia/internal/motion"
 	"anomalia/internal/sets"
+	"anomalia/internal/space"
 )
 
 // numShards fixes the shard fan-out. It is a constant, not a function of
@@ -16,12 +18,24 @@ import (
 // on every machine for a given window — the cost tables must reproduce.
 const numShards = 16
 
-// block is the cached answer to "which abnormal devices could be within
-// 4r of a device sitting in this cell": the union of the cell lists at
-// Chebyshev cell distance <= reach, plus the shard fan-out of the lookup.
+// block is the cached answer to "which abnormal devices are in the 4r
+// view of a device sitting in this cell". Its candidates are the
+// devices of the occupied cells at Chebyshev cell distance <= reach,
+// and fill places each against the member box of the cell's own
+// devices at k-1 and at k, as one of three kinds:
+//
+//   - accepted: within 4r of both box corners on every axis at both
+//     times, so in every member's view;
+//   - rejected: more than 4r beyond the box on some axis at either
+//     time, so in no member's view, and left out of cands;
+//   - remainder: everything else, listed in rest and tested per member
+//     on the state's flat coordinates.
+//
+// A block with no remainder is its members' shared view: cands as is.
 type block struct {
-	cands  []int // sorted candidate device ids
-	shards int   // shards owning >= 1 occupied cell of the block
+	cands  []int   // sorted ids of the accepted and remainder candidates
+	shards int     // shards owning >= 1 occupied cell of the block, rejected ones included
+	rest   []int32 // positions in cands of the remainder candidates, ascending
 }
 
 // window is the immutable per-window snapshot a Directory serves: the
@@ -42,6 +56,16 @@ type window struct {
 	cellShard []uint8
 	cellOf    []int32
 	blocks    []atomic.Pointer[block]
+	// boxes holds each cell's member box, 4·dim floats per cell: the
+	// low then the high corner of its devices at k-1, then the same at
+	// k. A NaN coordinate poisons its axis of the box.
+	boxes []float64
+}
+
+// box returns occupied cell ci's member box.
+func (w *window) box(ci int) []float64 {
+	n := 4 * w.pair.Dim()
+	return w.boxes[ci*n : (ci+1)*n]
 }
 
 // Directory is the directory service of one observation window: it
@@ -133,8 +157,8 @@ func canonAbnormal(pair *motion.Pair, abnormal []int) ([]int, error) {
 }
 
 // freshWindow indexes the abnormal k-1 positions of a window and
-// assembles it around the index: every cell's shard is hashed and the
-// block cache starts cold.
+// assembles it around the index: every cell's shard is hashed and its
+// member box computed, and the block cache starts cold.
 func (d *Directory) freshWindow(pair *motion.Pair, ids []int) *window {
 	ix := grid.New(pair.Prev, ids, d.geom)
 	cells := ix.SortedCells()
@@ -145,11 +169,38 @@ func (d *Directory) freshWindow(pair *motion.Pair, ids []int) *window {
 		cellShard: make([]uint8, len(cells)),
 		cellOf:    ix.CellIndexes(),
 		blocks:    make([]atomic.Pointer[block], len(cells)),
+		boxes:     cellBoxes(pair, cells),
 	}
 	for ci := range cells {
 		w.cellShard[ci] = uint8(shardOfCoords(cells[ci].Coords))
 	}
 	return w
+}
+
+// cellBoxes computes the member box of every occupied cell, in the
+// layout window.boxes documents.
+func cellBoxes(pair *motion.Pair, cells []grid.Cell) []float64 {
+	d := pair.Dim()
+	boxes := make([]float64, 4*d*len(cells))
+	for ci := range cells {
+		box := boxes[4*d*ci : 4*d*(ci+1)]
+		for mi, j := range cells[ci].Ids {
+			for t, row := range [2]space.Point{pair.Prev.At(j), pair.Cur.At(j)} {
+				lo, hi := box[2*t*d:(2*t+1)*d], box[(2*t+1)*d:(2*t+2)*d]
+				for k, x := range row {
+					switch {
+					case mi == 0 || x != x:
+						lo[k], hi[k] = x, x
+					case x < lo[k]:
+						lo[k] = x
+					case x > hi[k]:
+						hi[k] = x
+					}
+				}
+			}
+		}
+	}
+	return boxes
 }
 
 // Advance indexes the next observation window from scratch and
@@ -230,14 +281,13 @@ func (d *Directory) blockFor(w *window, ci int) *block {
 		return cached
 	}
 	b := &block{}
-	center := w.index.CellAt(ci).Coords
+	cell := w.index.CellAt(ci)
 	occupied := w.index.Cells()
-	if grid.NeighborCells(len(center), d.reach, occupied) <= occupied {
-		d.lookupBlock(w, center, b)
+	if grid.NeighborCells(len(cell.Coords), d.reach, occupied) <= occupied {
+		d.lookupBlock(w, cell.Coords, b)
 	} else {
-		d.scanBlock(w, center, b)
+		d.scanBlock(w, cell.Coords, b)
 	}
-	slices.Sort(b.cands)
 	if w.blocks[ci].CompareAndSwap(nil, b) {
 		d.built.Add(1)
 		return b
@@ -251,60 +301,229 @@ func (d *Directory) blockFor(w *window, ci int) *block {
 // independent of how many cells the window occupies. Preferred whenever
 // the block is smaller than the occupied-cell population.
 func (d *Directory) lookupBlock(w *window, center []int, b *block) {
-	var hit [numShards]bool
-	w.index.ForEachNeighbor(center, d.reach, func(ci int, c *grid.Cell) {
-		b.cands = append(b.cands, c.Ids...)
-		hit[w.cellShard[ci]] = true
+	var cells []int32
+	w.index.ForEachNeighbor(center, d.reach, func(ci int, _ *grid.Cell) {
+		cells = append(cells, int32(ci))
 	})
-	for _, h := range hit {
-		if h {
-			b.shards++
-		}
-	}
+	d.fill(w, w.index.Find(center), cells, b)
 }
 
 // scanBlock builds a block by scanning every occupied cell — the
 // fallback when the neighbour-cell count explodes combinatorially with
 // the dimension.
 func (d *Directory) scanBlock(w *window, center []int, b *block) {
-	var hit [numShards]bool
-	cells := w.index.SortedCells()
-	for ci := range cells {
-		if grid.Chebyshev(cells[ci].Coords, center) <= d.reach {
-			b.cands = append(b.cands, cells[ci].Ids...)
-			hit[w.cellShard[ci]] = true
+	var cells []int32
+	for ci, c := range w.index.SortedCells() {
+		if grid.Chebyshev(c.Coords, center) <= d.reach {
+			cells = append(cells, int32(ci))
 		}
+	}
+	d.fill(w, w.index.Find(center), cells, b)
+}
+
+// candKind is where a block puts a candidate, or a whole cell of them.
+type candKind uint8
+
+// Ordered so that a kind over both times is the max of the two per-time
+// kinds.
+const (
+	accepted candKind = iota
+	remainder
+	rejected
+)
+
+// kindOf places every position in the box [xlo, xhi] — a single
+// candidate when xlo and xhi are the same point — against the member box
+// [lo, hi] at one time. The tests are exact in floating point for the
+// reason motion's block accept is: rounded subtraction is monotone, so
+// for x in [xlo, xhi] and a member coordinate y in [lo, hi],
+// fl(xlo-hi) <= fl(x-y) <= fl(xhi-lo). If on every axis
+// fl(xhi-lo) <= 4r and fl(xlo-hi) >= -4r, every such pair is within 4r
+// there, as space.Dist measures it; if on some axis fl(xlo-hi) > 4r or
+// fl(xhi-lo) < -4r, no pair is. A NaN compares false both ways, so it
+// never decides a kind; a NaN-poisoned axis yields remainder.
+func kindOf(xlo, xhi, lo, hi []float64, viewR float64) candKind {
+	kind := accepted
+	for k := range lo {
+		if xlo[k]-hi[k] > viewR || xhi[k]-lo[k] < -viewR {
+			return rejected
+		}
+		if !(xhi[k]-lo[k] <= viewR && xlo[k]-hi[k] >= -viewR) {
+			kind = remainder
+		}
+	}
+	return kind
+}
+
+// kindAt places positions spanning [plo, phi] at k-1 and [qlo, qhi] at
+// k against the member box own (the cellBoxes layout): rejected at
+// either time, accepted at both, remainder otherwise.
+func kindAt(plo, phi, qlo, qhi, own []float64, viewR float64) candKind {
+	d := len(plo)
+	return max(kindOf(plo, phi, own[:d], own[d:2*d], viewR),
+		kindOf(qlo, qhi, own[2*d:3*d], own[3*d:], viewR))
+}
+
+// fill builds the block of occupied cell own from the occupied cells of
+// its neighbourhood. Each neighbour cell is first placed whole, its
+// member box against own's: a rejected cell only counts toward the
+// shard fan-out, an accepted one contributes its id list as it is, and
+// a mixed one has each member placed on its own. The surviving lists,
+// each ascending, merge into the sorted cands, where the remainder
+// candidates are then located.
+func (d *Directory) fill(w *window, own int, cells []int32, b *block) {
+	dim := w.pair.Dim()
+	ownBox := w.box(own)
+	var hit [numShards]bool
+	bound := 0
+	kept := cells[:0]
+	for _, ci := range cells {
+		hit[w.cellShard[ci]] = true
+		nb := w.box(int(ci))
+		kind := kindAt(nb[:dim], nb[dim:2*dim], nb[2*dim:3*dim], nb[3*dim:], ownBox, d.viewR)
+		if kind == rejected {
+			continue
+		}
+		bound += len(w.index.CellAt(int(ci)).Ids)
+		if kind == remainder {
+			ci = ^ci // mixed: place its members one by one
+		}
+		kept = append(kept, ci)
 	}
 	for _, h := range hit {
 		if h {
 			b.shards++
 		}
 	}
-}
 
-// viewInto appends the 4r view of abnormal device j — known to sit at
-// position pos of window w's sorted abnormal set — to dst and returns
-// the extended slice with the communication bill. The batched DecideRange
-// passes a recycled scratch buffer; View passes nil and gets a fresh
-// slice sized to the candidate block.
-func (d *Directory) viewInto(w *window, j, pos int, dst []int) ([]int, Stats) {
-	b := d.blockFor(w, int(w.cellOf[pos]))
-	if dst == nil {
-		dst = make([]int, 0, len(b.cands))
-	}
-	start := len(dst)
-	for _, i := range b.cands {
-		if w.pair.Prev.Dist(i, j) <= d.viewR && w.pair.Cur.Dist(i, j) <= d.viewR {
-			dst = append(dst, i)
+	// The merge alternates between two buffers; the gather starts in the
+	// one that leaves the result in out.
+	out := make([]int, bound)
+	src, dst := out, []int(nil)
+	if len(kept) > 1 {
+		dst = make([]int, bound)
+		if mergeRounds(len(kept))%2 == 1 {
+			src, dst = dst, src
 		}
 	}
-	size := len(dst) - start
-	st := Stats{
-		Messages:     1 + b.shards,
-		Trajectories: size - 1,
-		ViewSize:     size,
+	n := 0
+	var restIds []int
+	for ri, ci := range kept {
+		if ci >= 0 {
+			n += copy(src[n:], w.index.CellAt(int(ci)).Ids)
+		} else {
+			for _, i := range w.index.CellAt(int(^ci)).Ids {
+				p, q := w.pair.Prev.At(i), w.pair.Cur.At(i)
+				switch kindAt(p, p, q, q, ownBox, d.viewR) {
+				case rejected:
+					continue
+				case remainder:
+					restIds = append(restIds, i)
+				}
+				src[n] = i
+				n++
+			}
+		}
+		kept[ri] = int32(n) // the run's end
 	}
-	return dst, st
+	if len(kept) > 1 {
+		mergeRuns(src[:n], dst[:n], kept)
+	}
+	b.cands = out[:n:n]
+
+	if len(restIds) == 0 {
+		return
+	}
+	slices.Sort(restIds)
+	b.rest = make([]int32, 0, len(restIds))
+	for p, i := range b.cands {
+		if len(b.rest) < len(restIds) && i == restIds[len(b.rest)] {
+			b.rest = append(b.rest, int32(p))
+		}
+	}
+}
+
+// mergeRounds is the number of rounds mergeRuns takes over runs runs:
+// ceil(log2(runs)).
+func mergeRounds(runs int) int { return bits.Len(uint(runs - 1)) }
+
+// mergeRuns merges the ascending, pairwise disjoint runs of src — run i
+// ending at ends[i] — in mergeRounds rounds of pairwise merges that
+// alternate between src and dst, so the result lands in src after an
+// even number of rounds and in dst after an odd one. ends is
+// overwritten.
+func mergeRuns(src, dst []int, ends []int32) {
+	for len(ends) > 1 {
+		next := ends[:0]
+		lo := 0
+		for i := 0; i < len(ends); i += 2 {
+			if i+1 == len(ends) {
+				copy(dst[lo:ends[i]], src[lo:ends[i]])
+				next = append(next, ends[i])
+				break
+			}
+			mid, hi := int(ends[i]), int(ends[i+1])
+			mergeInts(dst[lo:hi], src[lo:mid], src[mid:hi])
+			next = append(next, ends[i+1])
+			lo = hi
+		}
+		ends = next
+		src, dst = dst, src
+	}
+}
+
+// mergeInts merges the ascending, disjoint x and y into dst, which has
+// length len(x)+len(y).
+func mergeInts(dst, x, y []int) {
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		if y[j] < x[i] {
+			dst[k] = y[j]
+			j++
+		} else {
+			dst[k] = x[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], x[i:])
+	copy(dst[k:], y[j:])
+}
+
+// appendView appends to dst the view of member j of the block's cell:
+// the accepted candidates as they are, and each remainder candidate
+// that passes the per-member test — uniform-norm distance <= viewR at
+// both times, read straight off the states' flat rows with the
+// comparison space.Dist makes. The view comes out sorted because
+// cands is.
+func (b *block) appendView(dst []int, pair *motion.Pair, j int, viewR float64) []int {
+	prev, cur := pair.Prev.At(j), pair.Cur.At(j)
+	last := 0
+	for _, p := range b.rest {
+		dst = append(dst, b.cands[last:p]...)
+		if i := b.cands[p]; within(pair.Prev.At(i), prev, viewR) && within(pair.Cur.At(i), cur, viewR) {
+			dst = append(dst, i)
+		}
+		last = int(p) + 1
+	}
+	return append(dst, b.cands[last:]...)
+}
+
+// within reports whether every axis of fl(a-b) lies in [-lim, lim]; a
+// NaN axis never rejects, as in space.Dist.
+func within(a, b []float64, lim float64) bool {
+	for k := range a {
+		if delta := a[k] - b[k]; delta > lim || delta < -lim {
+			return false
+		}
+	}
+	return true
+}
+
+// viewStats is the bill of a view of size entries fetched through b:
+// one request plus one response per shard owning part of the block.
+func viewStats(b *block, size int) Stats {
+	return Stats{Messages: 1 + b.shards, Trajectories: size - 1, ViewSize: size}
 }
 
 // View returns the 4r view of abnormal device j in the current window:
@@ -318,6 +537,14 @@ func (d *Directory) View(j int) ([]int, Stats, error) {
 	if !ok {
 		return nil, Stats{}, fmt.Errorf("device %d: %w", j, ErrUnknownDevice)
 	}
-	view, st := d.viewInto(w, j, pos, nil)
+	view, st := d.view(w, j, pos)
 	return view, st, nil
+}
+
+// view returns a fresh copy of the 4r view of abnormal device j, known
+// to sit at position pos of window w's sorted abnormal set.
+func (d *Directory) view(w *window, j, pos int) ([]int, Stats) {
+	b := d.blockFor(w, int(w.cellOf[pos]))
+	view := b.appendView(make([]int, 0, len(b.cands)), w.pair, j, d.viewR)
+	return view, viewStats(b, len(view))
 }

@@ -19,11 +19,17 @@
 // to a ball of radius r, half a cell), so the Directory caches
 // candidate blocks per cell — a massive event touching hundreds of
 // devices fetches its shared neighbourhood once instead of N times.
+// Each block is split once against the box its cell's members span at
+// k-1 and at k: accepted candidates are in every member's view,
+// rejected ones in none, and only the remainder is tested per device.
+// The tests are exact in floating point because rounded subtraction is
+// monotone.
 //
 // Decide is the per-device entry point and Stats its communication
 // bill; DecideRange batches a contiguous slice of a window (DecideAll
-// the whole of it), deduplicating identical views so co-impacted
-// devices share one characterizer. The cost study
+// the whole of it). A cell whose block has no remainder gives all its
+// members one view, so DecideRange groups it once, and devices with
+// equal views share one characterizer wherever they sit. The cost study
 // consuming these numbers is experiments.DistCost.
 package dist
 

@@ -123,19 +123,7 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 		cfg:      cfg,
 	}
 	if cfg.directory != nil {
-		dc := cfg.directory
-		client, err := dirnet.NewClient(dirnet.Config{
-			Addrs:           dc.Addrs,
-			Dial:            dc.Dial,
-			DialTimeout:     dc.DialTimeout,
-			RequestTimeout:  dc.RequestTimeout,
-			MaxRetries:      dc.MaxRetries,
-			BackoffBase:     dc.BackoffBase,
-			BackoffCap:      dc.BackoffCap,
-			BreakerFails:    dc.BreakerFails,
-			BreakerCooldown: dc.BreakerCooldown,
-			Seed:            dc.Seed,
-		})
+		client, err := dirnet.NewClient(dirnet.Config(*cfg.directory))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
 		}

@@ -321,3 +321,14 @@ func TestNetworkedSoak(t *testing.T) {
 		t.Fatalf("wire injector stats = %+v: the fault model did not fire all fault kinds", ws)
 	}
 }
+
+// TestDirectoryConfigMirrorsDirnet: the Monitor hands its
+// DirectoryConfig to the wire client as one type conversion, so the
+// two types must keep identical field sets. This test stops compiling
+// the moment a field is added to, removed from or retyped in either.
+func TestDirectoryConfigMirrorsDirnet(t *testing.T) {
+	dc := anomalia.DirectoryConfig{Addrs: []string{"a:1"}, MaxRetries: 3, Seed: 9}
+	if back := anomalia.DirectoryConfig(dirnet.Config(dc)); back.Addrs[0] != "a:1" || back.MaxRetries != 3 || back.Seed != 9 {
+		t.Fatalf("round trip through dirnet.Config changed the config: %+v", back)
+	}
+}

@@ -51,6 +51,7 @@ const (
 	allocsOp  = "allocs/op"
 	quietTick = "BenchmarkTickIngestDetect1M"
 	stormDir  = "BenchmarkDirectoryBuild/storm/m=3000"
+	stormDist = "BenchmarkDistDecide/storm/m=3000"
 	allAbn50k = "BenchmarkCharacterizeAllAbnormal/m=50k"
 )
 
@@ -78,6 +79,14 @@ var table = []run{
 	// per-device allocation.
 	{"./internal/dist", []string{"-benchtime=20x"}, 3, []gate{
 		{bench: stormDir, unit: allocsOp, bound: 32},
+	}},
+	// The paper's distributed path decides the same storm window — a
+	// fresh directory, its cold block splits and every device's decision
+	// on its 4r view — within 2x of the centralized characterizer over
+	// the whole abnormal set (~1.4x when gated; ~30x before views were
+	// decided per cell block).
+	{"./internal/dist", []string{"-benchtime=100x"}, 3, []gate{
+		{bench: stormDist, unit: nsOp, op: "/", base: "BenchmarkCentralDecide/storm/m=3000", bound: 2},
 	}},
 	// Quiet n=1M ticks: the double-buffered steady state allocates a
 	// handful of times, and the idle health layer, a breaker-closed

@@ -483,10 +483,11 @@ func BenchmarkTickIngestDetect1M(b *testing.B) {
 }
 
 // BenchmarkTickIngestDetectGeneric1M is the same quiet tick on the
-// generic path: the factory hides the same Threshold detectors behind
-// genericDetector, so the monitor walks two million heap detectors
-// through their Devices. The bench gate holds the bank's tick well
-// under this one, so a silent fallback to the generic path fails it.
+// per-device bank: the factory hides the same Threshold detectors
+// behind genericDetector, so the monitor runs two million heap
+// detectors through their Devices. The bench gate holds the Threshold
+// bank's tick well under this one, so a silent fallback to the
+// per-device bank fails it.
 func BenchmarkTickIngestDetectGeneric1M(b *testing.B) {
 	benchQuietTick(b, WithDetectorFactory(genericThreshold))
 }
@@ -573,10 +574,25 @@ func BenchmarkTickObservePartial1M(b *testing.B) {
 // of the quiet strict tick, which one fused pass meets and a second
 // pass over the fleet does not.
 func BenchmarkTickObservePartialLossy1M(b *testing.B) {
+	benchLossyTick(b)
+}
+
+// BenchmarkTickObservePartialLossyGeneric1M is the same lossy tick on
+// the per-device bank: the factory hides the Threshold detectors behind
+// genericDetector, and each device's health transition rides the
+// bank's one sharded pass instead of a serial dispatch loop. Its
+// counterpart for clean ticks is BenchmarkTickIngestDetectGeneric1M.
+func BenchmarkTickObservePartialLossyGeneric1M(b *testing.B) {
+	benchLossyTick(b, WithDetectorFactory(genericThreshold))
+}
+
+// benchLossyTick times the lossy partial tick of the n=1M fleet on a
+// monitor built with opts, after four warm-up ticks.
+func benchLossyTick(b *testing.B, opts ...Option) {
 	const stride, block = 100, 500
 	snapA, _, _ := benchSnap1M(b)
-	m, err := NewMonitor(bench1MN, 2, WithRadius(bench1MR),
-		WithHealthPolicy(HealthPolicy{HoldTicks: 2, ReadmitTicks: 2}))
+	m, err := NewMonitor(bench1MN, 2, append([]Option{WithRadius(bench1MR),
+		WithHealthPolicy(HealthPolicy{HoldTicks: 2, ReadmitTicks: 2})}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -139,11 +139,14 @@
 // detects on — its own report, its held position, or nothing — with
 // each shard's counter changes folded into the tracker after the pass.
 // Any other factory output — another detector family, mixed deltas, a
-// pre-trained or custom detector — runs the generic path: a heap
-// Device per device, classified, dispatched to the health machine in
-// a serial loop, then walked with one interface call per service. A
-// differential fuzz target pins the two paths to the same outcomes,
-// errors, states and health.
+// pre-trained or custom detector — runs a per-device bank under the
+// same Step contract: a heap Device per device, and on a partial tick
+// the same one sharded pass, which classifies each row, runs its health
+// transition and feeds the picked row to the device's detectors with
+// one interface call per service. A heap detector's state cannot be
+// staged, so a strict tick classifies every row first and updates no
+// detector unless all are clean. A differential fuzz target pins the
+// two banks to the same outcomes, errors, states and health.
 //
 // Feeding snapshots in, cmd/anomalia-gateway reads either CSV (one row
 // per discrete time, parsed into reused buffers) or the binary stream
@@ -158,8 +161,8 @@
 // n = 1M streaming tick (classify, clamp and detect a million devices,
 // characterize the window's mass event) against the bare
 // characterization of the same window, the quiet tick's allocations,
-// the quiet bank tick against the same tick on the generic path, and
-// a lossy partial tick against the quiet one.
+// the quiet Threshold-bank tick against the same tick on the
+// per-device bank, and a lossy partial tick against the quiet one.
 //
 // Verdicts leave as JSON window records (Outcome.MarshalJSON, one per
 // anomalous window under anomalia-gateway -json). Each distinct dense
@@ -322,11 +325,12 @@
 //     values (32 MB at n = 1M, d = 2) instead of 2M heap detectors
 //     behind 1M Devices, and a quiet n = 1M tick is one fused pass with
 //     no interface call: CI holds it under 0.6x the same tick on the
-//     generic path (BenchmarkTickIngestDetectGeneric1M), which walks
-//     heap detectors one at a time. A lossy partial tick is the same
-//     one pass: the health transition runs per device inside it and
-//     writes only that device's slots, so the shards need no lock,
-//     and per-worker counter deltas are applied once after it.
+//     per-device bank (BenchmarkTickIngestDetectGeneric1M), which
+//     updates heap detectors one at a time. A lossy partial tick is the
+//     same one pass on either bank: the health transition runs per
+//     device inside it and writes only that device's slots, so the
+//     shards need no lock, and per-worker counter deltas are applied
+//     once after it.
 //   - A binary frame is decoded by reading its body straight into the
 //     bytes of the reader's float64 slab through an unsafe view — one
 //     copy out of the read buffer, no per-value conversion on a
@@ -395,14 +399,11 @@
 //
 //   - anomalia_ticks_total — snapshots observed (counter)
 //   - anomalia_tick_seconds — latency histogram by phase label:
-//     ingest (classification and health dispatch, ObservePartial
-//     only), detect (the sharded detector pass), characterize
-//     (abnormal windows only), total. With the default detectors the
-//     Threshold bank's fused pass classifies and runs the health
-//     transitions as it detects, so every tick, strict or partial,
-//     records the whole pass as detect and no ingest sample. A custom
-//     factory's partial tick records its Classify, and any dispatch,
-//     as ingest, then the walk as detect.
+//     detect (the sharded detector pass), characterize (abnormal
+//     windows only), total. Whatever the factory, the bank's pass
+//     classifies each row and runs its health transition as it
+//     detects, so every tick, strict or partial, records the whole
+//     pass as detect.
 //   - anomalia_abnormal_windows_total — windows with a non-empty
 //     abnormal set (counter)
 //   - anomalia_abnormal_devices — abnormal-set size histogram

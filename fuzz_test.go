@@ -7,6 +7,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"anomalia/internal/detect"
 )
 
 // FuzzCharacterize drives arbitrary snapshot bytes through the public
@@ -56,7 +58,8 @@ func FuzzCharacterize(f *testing.F) {
 }
 
 // genericDetector hides a stock detector's concrete type, so a monitor
-// built on it walks per-device detectors instead of the Threshold bank.
+// built on it runs per-device detectors in a DeviceBank instead of the
+// Threshold bank.
 type genericDetector struct{ Detector }
 
 // genericThreshold is the default detector factory behind
@@ -173,7 +176,7 @@ func monitorFuzzSeeds() [][]byte {
 
 // FuzzMonitorObserve is a differential between the default monitor,
 // which runs the Threshold bank, and one whose factory hides the same
-// detectors behind genericDetector, which walks them per device. On
+// detectors behind genericDetector, which runs the per-device bank. On
 // every tick of an arbitrary stream of strict and partial snapshots,
 // Resets, malformed rows and out-of-range values, both must return the
 // same Outcome and error text, commit the same state and report the
@@ -201,8 +204,10 @@ func FuzzMonitorObserve(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bank.bank == nil || generic.bank != nil {
-			t.Fatal("default factory must run the bank, the wrapping one the generic walk")
+		_, threshold := bank.bank.(*detect.ThresholdBank)
+		_, device := generic.bank.(*detect.DeviceBank)
+		if !threshold || !device {
+			t.Fatal("default factory must run the Threshold bank, the wrapping one the per-device bank")
 		}
 		undriven := make([]float64, d)
 		for i := range undriven {

@@ -29,7 +29,7 @@ type ThresholdBank struct {
 // NewThresholdBank returns the bank equivalent of devs, sharded over a
 // pool of workers like NewWalker, when every device is equally wide and
 // every detector is an untrained *Threshold with one shared delta.
-// Otherwise it returns nil, and devs run through a Walker.
+// Otherwise it returns nil, and devs run in a DeviceBank.
 func NewThresholdBank(devs []*Device, workers int) *ThresholdBank {
 	if len(devs) == 0 {
 		return nil
@@ -80,18 +80,7 @@ func NewThresholdBank(devs []*Device, workers int) *ThresholdBank {
 // returns them with the number of clean rows. Until Commit, the staged
 // samples are invisible: a second Step replaces them.
 func (b *ThresholdBank) Step(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int) {
-	out, n, _ := b.w.fan(len(rows), out[:0], func(i, lo, hi int, flagged []int) ([]int, int, error) {
-		var c int
-		flagged, c, b.w.deltas[i] = b.stepRange(rows, prev, cur, t, clean, lo, hi, flagged)
-		return flagged, c, nil
-	})
-	if t != nil {
-		for i := range b.w.deltas {
-			t.Apply(&b.w.deltas[i])
-		}
-		clear(b.w.deltas)
-	}
-	return out, n
+	return b.w.step(b, rows, prev, cur, t, clean, out)
 }
 
 func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, lo, hi int, flagged []int) ([]int, int, health.Delta) {
@@ -109,26 +98,12 @@ func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *h
 			n++
 		}
 		if t != nil {
-			switch t.Transition(dev, ok, &hd) {
-			case health.Consume:
-			case health.Hold:
-				// Hold implies a consumed report, so prev normally
-				// holds the device's last-known position. A consuming
-				// tick that never committed leaves prev nil: park.
-				if ok = prev != nil; ok {
-					row = prev.At(dev)
-				}
-			default: // health.Skip
-				ok = false
-			}
+			row = pick(t.Transition(dev, ok, &hd), row, dev, prev)
+			ok = row != nil
 		}
 		if !ok {
 			copy(next, last)
-			if prev != nil {
-				copy(dst, prev.At(dev))
-			} else {
-				clear(dst)
-			}
+			park(dst, prev, dev)
 			continue
 		}
 		abnormal := false
@@ -151,6 +126,33 @@ func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *h
 	return flagged, n, hd
 }
 
+// pick returns the row device dev detects on under its health
+// disposition: its own (Consume), its position in prev (Hold), or nil
+// to park it (Skip, or Hold on a tracker that consumed reports while no
+// tick committed). Callers run Transition, so its fast path inlines.
+func pick(disp health.Disposition, row []float64, dev int, prev *space.State) []float64 {
+	switch disp {
+	case health.Consume:
+		return row
+	case health.Hold:
+		if prev != nil {
+			return prev.At(dev)
+		}
+	}
+	return nil
+}
+
+// park holds device dev's slot dst of the current state at its position
+// in prev, or the origin when prev is nil, so a later re-admission
+// window reads a deterministic trajectory, never recycled garbage.
+func park(dst []float64, prev *space.State, dev int) {
+	if prev != nil {
+		copy(dst, prev.At(dev))
+	} else {
+		clear(dst)
+	}
+}
+
 // Commit makes the last Step's staged samples the detectors' state.
 func (b *ThresholdBank) Commit() { b.last, b.next = b.next, b.last }
 
@@ -165,5 +167,84 @@ func (b *ThresholdBank) Reject(samples [][]float64, clean []bool) error {
 func (b *ThresholdBank) Reset() {
 	for i := range b.last {
 		b.last[i] = math.NaN()
+	}
+}
+
+// DeviceBank runs a fleet of heap Devices — any detector family, or a
+// mix — under ThresholdBank's Step contract. A Device updates its
+// detectors in place, so a Step cannot stage what it consumes: a strict
+// Step updates no detector unless every row is clean, and Commit has
+// nothing to publish.
+//
+// A DeviceBank is not safe for concurrent use.
+type DeviceBank struct {
+	devs []*Device
+	w    *Walker
+}
+
+// NewDeviceBank returns the bank of devs, sharded over a pool of
+// workers like NewWalker.
+func NewDeviceBank(devs []*Device, workers int) *DeviceBank {
+	return &DeviceBank{devs: devs, w: NewWalker(workers)}
+}
+
+// Step is ThresholdBank.Step over the Devices: detecting on a row
+// clamps it into cur's slot of the device and feeds it raw to the
+// device's Update. With a nil tracker Step classifies every row first,
+// and an unclean one ends it there: it returns out emptied with the
+// number of clean rows, no detector updated and cur unwritten.
+func (b *DeviceBank) Step(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int) {
+	if t == nil {
+		if n := b.w.Classify(b.devs, rows, clean); n < len(b.devs) {
+			return out[:0], n
+		}
+	}
+	return b.w.step(b, rows, prev, cur, t, clean, out)
+}
+
+func (b *DeviceBank) stepRange(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, lo, hi int, flagged []int) ([]int, int, health.Delta) {
+	n := 0
+	var hd health.Delta
+	for dev := lo; dev < hi; dev++ {
+		row, dst, dv := rows[dev], cur.At(dev), b.devs[dev]
+		// A strict Step has classified every row clean already.
+		ok := t == nil || cleanRow(row, len(dv.detectors))
+		clean[dev] = ok
+		if ok {
+			n++
+		}
+		if t != nil {
+			row = pick(t.Transition(dev, ok, &hd), row, dev, prev)
+			ok = row != nil
+		}
+		if !ok {
+			park(dst, prev, dev)
+			continue
+		}
+		copy(dst, row)
+		dst.Clamp()
+		// Update fails only on a width mismatch, and row is clean or a
+		// held position of the state's width.
+		if abnormal, _ := dv.Update(row); abnormal {
+			flagged = append(flagged, dev)
+		}
+	}
+	return flagged, n, hd
+}
+
+// Commit does nothing: Step has already updated the detectors.
+func (b *DeviceBank) Commit() {}
+
+// Reject explains the lowest unclean row of a snapshot that a strict
+// Step graded into clean, with the error Walker.Walk reports for it.
+// At least one row must be unclean.
+func (b *DeviceBank) Reject(samples [][]float64, clean []bool) error {
+	return rejectRow(samples, clean, func(dev int) int { return len(b.devs[dev].detectors) })
+}
+
+// Reset returns every detector to its untrained state.
+func (b *DeviceBank) Reset() {
+	for _, dv := range b.devs {
+		dv.Reset()
 	}
 }

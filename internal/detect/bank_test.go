@@ -315,3 +315,212 @@ func TestThresholdBankSelection(t *testing.T) {
 		}
 	}
 }
+
+// mixedFleet builds n devices of d services whose detectors alternate
+// between EWMA and Shewhart across devices and services.
+func mixedFleet(t testing.TB, n, d int) []*Device {
+	t.Helper()
+	devs := make([]*Device, n)
+	for j := range devs {
+		dev, err := NewDevice(d, func(svc int) (Detector, error) {
+			if (j+svc)%2 == 0 {
+				return NewEWMA(0.3, 5, 0.01, 3)
+			}
+			return NewShewhart(5, 0.02, 5)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs[j] = dev
+	}
+	return devs
+}
+
+// TestDeviceBankParity: over a stream of strict and degraded partial
+// ticks through a fleet mixing EWMA and Shewhart detectors, the
+// per-device bank's Step must flag, grade, clamp and park exactly what
+// the serial reference does — Walker.Walk on a strict tick; Classify,
+// Tracker.Report and WalkSkip on a partial one — and leave every
+// detector's prediction, and the tracker's states and counters, as the
+// reference does, for one worker and for four over ranges of several
+// minShard devices each. A strict tick with an unclean row is rejected
+// by both and commits nothing.
+func TestDeviceBankParity(t *testing.T) {
+	t.Parallel()
+
+	const n, d, ticks = 4*minShard + 77, 2, 12
+	raw := walkStream(n, d, ticks, 51)
+	for _, snap := range raw {
+		for j := 0; j < n; j += 7 {
+			// Out of range: a held position (clamped) differs from the
+			// last raw sample.
+			snap[j][j%d] += 0.2
+		}
+	}
+	stream, _ := degradeStream(raw, 52)
+	// Tick 0 trains and tick 8 lands on a degraded fleet through the
+	// strict policy, both clean; strict tick 5 is rejected.
+	strict := map[int]bool{0: true, 5: true, 8: true}
+	stream[0], stream[8] = raw[0], raw[8]
+	policy := health.Policy{HoldTicks: 1, ReadmitTicks: 2}
+
+	type tick struct {
+		abnormal []int
+		nClean   int
+		clean    []bool
+		coords   [][]float64
+		preds    [][]float64
+		states   []health.State
+		stats    health.Stats
+	}
+	snapshot := func(devs []*Device, tr *health.Tracker, abn []int, nClean int, clean []bool, cur *space.State) tick {
+		k := tick{
+			abnormal: append([]int{}, abn...),
+			nClean:   nClean,
+			clean:    slices.Clone(clean),
+			preds:    make([][]float64, n),
+			states:   make([]health.State, n),
+			stats:    tr.Stats(),
+		}
+		if cur != nil {
+			k.coords = make([][]float64, n)
+		}
+		for j := range n {
+			k.preds[j], k.states[j] = devs[j].Predict(), tr.State(j)
+			if cur != nil {
+				k.coords[j] = cur.AtClone(j)
+			}
+		}
+		return k
+	}
+
+	devs := mixedFleet(t, n, d)
+	walker := NewWalker(1)
+	tr, err := health.New(n, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev *space.State
+	var ref []tick
+	rejected := 0
+	for k, snap := range stream {
+		cur, _ := space.NewState(n, d)
+		visit := func(dev int, row []float64) {
+			switch {
+			case row != nil:
+				copy(cur.At(dev), row)
+				cur.At(dev).Clamp()
+			case prev != nil:
+				copy(cur.At(dev), prev.At(dev))
+			}
+		}
+		clean := make([]bool, n)
+		nClean := walker.Classify(devs, snap, clean)
+		var abn []int
+		if strict[k] {
+			abn, err = walker.Walk(devs, snap, visit, nil)
+			if (err != nil) != (nClean < n) {
+				t.Fatalf("tick %d: Walk error %v with %d of %d rows clean", k, err, nClean, n)
+			}
+			if err != nil {
+				cur = nil
+				rejected++
+			}
+		} else {
+			rows := make([][]float64, n)
+			for j := range rows {
+				switch tr.Report(j, clean[j]) {
+				case health.Consume:
+					rows[j] = snap[j]
+				case health.Hold:
+					rows[j] = prev.At(j)
+				}
+			}
+			if abn, err = walker.WalkSkip(devs, rows, visit, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref = append(ref, snapshot(devs, tr, abn, nClean, clean, cur))
+		if cur != nil {
+			prev = cur
+		}
+	}
+	if st := tr.Stats(); st.HeldTicks == 0 || st.Quarantines == 0 || st.Readmissions == 0 || st.DroppedReports == 0 || rejected != 1 {
+		t.Fatalf("stream misses a transition or the rejected tick: %+v, %d rejected", st, rejected)
+	}
+
+	for _, workers := range []int{1, 4} {
+		bank := NewDeviceBank(mixedFleet(t, n, d), workers)
+		tr, err := health.New(n, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev *space.State
+		clean := make([]bool, n)
+		var out []int
+		for k, snap := range stream {
+			cur, _ := space.NewState(n, d)
+			var stepTracker *health.Tracker
+			if !strict[k] {
+				stepTracker = tr
+			}
+			var nClean int
+			out, nClean = bank.Step(snap, prev, cur, stepTracker, clean, out)
+			if strict[k] && nClean < n {
+				cur = nil
+			} else {
+				bank.Commit()
+			}
+			if got := snapshot(bank.devs, tr, out, nClean, clean, cur); !reflect.DeepEqual(got, ref[k]) {
+				t.Fatalf("workers=%d tick %d: bank diverges from the serial reference", workers, k)
+			}
+			if cur != nil {
+				prev = cur
+			}
+		}
+	}
+}
+
+// TestDeviceBankStrictReject: a strict Step over a snapshot with one
+// unclean row updates no detector, and Reject names the row with
+// Walk's error.
+func TestDeviceBankStrictReject(t *testing.T) {
+	t.Parallel()
+
+	const n, d = 3 * minShard, 2
+	stream := walkStream(n, d, 2, 53)
+	bank := NewDeviceBank(mixedFleet(t, n, d), 3)
+	cur, _ := space.NewState(n, d)
+	clean := make([]bool, n)
+	if _, nClean := bank.Step(stream[0], nil, cur, nil, clean, nil); nClean != n {
+		t.Fatalf("%d clean rows of a clean snapshot, want %d", nClean, n)
+	}
+	predict := func() [][]float64 {
+		preds := make([][]float64, n)
+		for j, dv := range bank.devs {
+			preds[j] = dv.Predict()
+		}
+		return preds
+	}
+	before := predict()
+	snap := slices.Clone(stream[1])
+	snap[2*minShard+5] = []float64{0.5, math.NaN()}
+	out, nClean := bank.Step(snap, nil, cur, nil, clean, nil)
+	if nClean != n-1 || len(out) != 0 {
+		t.Fatalf("rejected Step: %d clean rows, flagged %v", nClean, out)
+	}
+	if !reflect.DeepEqual(predict(), before) {
+		t.Fatal("a rejected strict Step updated detectors")
+	}
+	_, walkErr := NewWalker(3).Walk(mixedFleet(t, n, d), snap, nil, nil)
+	if err := bank.Reject(snap, clean); !errors.Is(err, ErrSample) || walkErr == nil || err.Error() != walkErr.Error() {
+		t.Fatalf("Reject = %v, Walk = %v", err, walkErr)
+	}
+	// The same rows, all clean, move the predictions: the check above
+	// has teeth.
+	snap[2*minShard+5] = stream[1][2*minShard+5]
+	bank.Step(snap, nil, cur, nil, clean, nil)
+	if reflect.DeepEqual(predict(), before) {
+		t.Fatal("a clean Step left every prediction as it was")
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"anomalia/internal/health"
 	"anomalia/internal/par"
+	"anomalia/internal/space"
 )
 
 // ErrSample is returned when a snapshot row cannot be consumed as-is: a
@@ -37,8 +38,8 @@ type Walker struct {
 	flags   [][]int
 	errs    []error
 	counts  []int
-	// deltas are the per-worker health counter changes of a
-	// ThresholdBank.Step that runs the health transition.
+	// deltas are the per-worker health counter changes of a bank's
+	// Step that runs the health transitions.
 	deltas []health.Delta
 	clean  []bool
 }
@@ -162,6 +163,31 @@ func (w *Walker) fan(n int, out []int, f func(i, lo, hi int, flagged []int) ([]i
 		}
 	}
 	return out, total, nil
+}
+
+// ranger is a bank's Step over one device range [lo, hi): it appends
+// the range's abnormal ids to flagged and returns them with the range's
+// clean-row count and health delta.
+type ranger interface {
+	stepRange(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, lo, hi int, flagged []int) ([]int, int, health.Delta)
+}
+
+// step runs b's Step over every row like fan, keeping each range's
+// health delta in its worker's slot until the pass is done, then folds
+// the deltas into t when it is set.
+func (w *Walker) step(b ranger, rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int) {
+	out, total, _ := w.fan(len(rows), out[:0], func(i, lo, hi int, flagged []int) ([]int, int, error) {
+		var c int
+		flagged, c, w.deltas[i] = b.stepRange(rows, prev, cur, t, clean, lo, hi, flagged)
+		return flagged, c, nil
+	})
+	if t != nil {
+		for i := range w.deltas {
+			t.Apply(&w.deltas[i])
+		}
+		clear(w.deltas)
+	}
+	return out, total
 }
 
 // WalkSkip runs the detector walk of one pre-classified partial

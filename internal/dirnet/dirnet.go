@@ -10,7 +10,9 @@
 //
 // Every frame is `uint32 length | payload`, little-endian, with the
 // payload's first byte naming the message; lengths are capped at
-// MaxFrame so a corrupt prefix cannot demand an unbounded allocation.
+// MaxFrame, and a reader grows its buffer only as payload bytes arrive,
+// so a corrupt or hostile prefix cannot demand an allocation the peer
+// does not pay for in bytes sent.
 // Requests:
 //
 //	msgInit      seq, r, n, d, m, ids, prev rows, cur rows — build the

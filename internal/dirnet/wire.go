@@ -5,15 +5,16 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"anomalia/internal/core"
 	"anomalia/internal/dist"
 )
 
-// MaxFrame caps a frame's payload length in both directions, bounding
-// the allocation a corrupt length prefix could demand (the same role
-// snapio's geometry check plays for snapshot frames). 256 MiB clears a
-// million-device abnormal window with every service dimension in use.
+// MaxFrame caps a frame's payload length in both directions (the same
+// role snapio's geometry check plays for snapshot frames). 256 MiB
+// clears a million-device abnormal window with every service dimension
+// in use.
 const MaxFrame = 1 << 28
 
 // Request message types (first payload byte).
@@ -48,8 +49,11 @@ func writeFrame(w io.Writer, payload []byte) (int, error) {
 	return 4 + len(payload), nil
 }
 
-// readFrame reads one frame into buf (grown as needed) and returns the
-// payload plus the bytes taken off the wire.
+// readFrame reads one frame into buf and returns the payload plus the
+// bytes taken off the wire. A buffer with room for the declared length
+// takes the payload in one read; a shorter one grows geometrically from
+// 64 KiB as the payload arrives, never past the declared length, so a
+// peer that declares MaxFrame and sends nothing costs 64 KiB.
 func readFrame(r io.Reader, buf []byte) ([]byte, int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -59,15 +63,19 @@ func readFrame(r io.Reader, buf []byte) ([]byte, int, error) {
 	if n > MaxFrame {
 		return buf, 0, fmt.Errorf("dirnet: frame of %d bytes exceeds MaxFrame", n)
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(max(len(buf), 64<<10), n-len(buf)))
 		}
-		return buf, 0, err
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, 0, err
+		}
 	}
 	return buf, 4 + n, nil
 }

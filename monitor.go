@@ -31,18 +31,16 @@ type Monitor struct {
 	devices  int
 	services int
 	cfg      config
-	// bank holds the default detectors — the factory's untrained
-	// Threshold detectors with one shared delta — as struct-of-arrays
-	// slabs, stepped by one fused pass per tick. Any other factory
-	// output leaves bank nil and runs its detectors as dets, walked by
-	// walker. Both shard across WithIngestWorkers workers (default
-	// GOMAXPROCS), and the merged abnormal set is byte-identical to a
-	// serial walk.
-	bank   *detect.ThresholdBank
-	dets   []*detect.Device
-	walker *detect.Walker
-	prev   *space.State
-	time   atomic.Int64
+	// bank runs the detectors, stepped by one sharded pass per tick:
+	// the default detectors — the factory's untrained Threshold
+	// detectors with one shared delta — as a ThresholdBank of
+	// struct-of-arrays slabs, any other factory output as a DeviceBank
+	// of heap Devices. Both shard across WithIngestWorkers workers
+	// (default GOMAXPROCS), and the merged abnormal set is
+	// byte-identical to a serial walk.
+	bank bank
+	prev *space.State
+	time atomic.Int64
 	// spare recycles the state displaced by the previous Observe as the
 	// next snapshot buffer (a double buffer: Observe fully overwrites
 	// every row before reading it), and abnBuf recycles the abnormal-id
@@ -64,27 +62,31 @@ type Monitor struct {
 	// health is the per-device state machine of the degraded ingest path
 	// (ObservePartial), created on the first partial tick so Observe-only
 	// monitors pay nothing for it; cleanBuf is the recycled per-tick
-	// classification mask, and rowsBuf the generic path's effective-row
-	// table. The pointer is atomic so a concurrent stats snapshot sees
-	// either no tracker or a fully built one; statsMu serializes the
-	// tracker's mutations against HealthStats/DeviceHealth readers. On
-	// the Threshold bank every partial tick runs the health transition
-	// inside its sharded pass, and the whole pass holds statsMu: a
-	// reader never sees a torn state, but a scrape may wait for up to
-	// one pass. The generic path locks only its serial dispatch loop,
-	// and its all-clean fast path stays outside the mutex: ConsumeAll
-	// touches only per-device consumption state no stats reader looks
-	// at. Reset takes the mutex too.
+	// classification mask the bank's Step writes. The pointer is atomic
+	// so a concurrent stats snapshot sees either no tracker or a fully
+	// built one; statsMu serializes the tracker's mutations against
+	// HealthStats/DeviceHealth readers. Every partial tick, on either
+	// bank, runs the health transitions inside its sharded pass, and the
+	// whole pass holds statsMu: a reader never sees a torn state, but a
+	// scrape may wait for up to one pass. Reset takes the mutex too.
 	health   atomic.Pointer[health.Tracker]
 	statsMu  sync.Mutex
 	cleanBuf []bool
-	rowsBuf  [][]float64
 	// mx is the per-tick metrics feed (WithMetrics): latencies, the
 	// abnormal ledger and directory builds. The health, wire and
 	// runtime families are filled on scrape. nil when the monitor is
 	// not instrumented — every record site is gated on that, so the
 	// uninstrumented hot path pays one predictable branch.
 	mx *monitorMetrics
+}
+
+// bank is the fleet's detector pass: detect.ThresholdBank or
+// detect.DeviceBank.
+type bank interface {
+	Step(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int)
+	Commit()
+	Reject(samples [][]float64, clean []bool) error
+	Reset()
 }
 
 // NewMonitor builds a monitor for a fleet of devices, each consuming the
@@ -121,6 +123,7 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 		devices:  devices,
 		services: services,
 		cfg:      cfg,
+		cleanBuf: make([]bool, devices),
 	}
 	if cfg.directory != nil {
 		client, err := dirnet.NewClient(dirnet.Config(*cfg.directory))
@@ -146,8 +149,10 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 		}
 		dets[dev] = composite
 	}
-	if m.bank = detect.NewThresholdBank(dets, cfg.ingestWorkers); m.bank == nil {
-		m.dets, m.walker = dets, detect.NewWalker(cfg.ingestWorkers)
+	if tb := detect.NewThresholdBank(dets, cfg.ingestWorkers); tb != nil {
+		m.bank = tb
+	} else {
+		m.bank = detect.NewDeviceBank(dets, cfg.ingestWorkers)
 	}
 	// Registered last: the scrape hook reads the monitor from another
 	// goroutine, so it must see the monitor fully built.
@@ -166,7 +171,7 @@ func (m *Monitor) Time() int { return int(m.time.Load()) }
 // only trains the detectors); otherwise it returns the characterization
 // of the abnormal set.
 //
-// Row classification and the per-device detector walk are sharded
+// Row classification and the per-device detector pass are sharded
 // across WithIngestWorkers workers; the abnormal set is identical to a
 // serial walk whatever the count.
 //
@@ -219,15 +224,14 @@ func (m *Monitor) Observe(samples [][]float64) (*Outcome, error) {
 // Error behavior: a snapshot with the wrong row count is rejected with
 // the monitor untouched, exactly as Observe rejects it. There is no
 // per-value rejection — malformed rows are the input this path exists
-// to absorb. A detector error during the walk of an accepted snapshot
-// (unreachable with the stock detectors, whose inputs are
-// pre-classified, but a custom Detector may fail) leaves the tick
-// uncommitted — clock, previous state and recycled buffers intact —
-// but not unconsumed: detectors in shards that completed have folded
-// the tick in, and every device's health state has already advanced
-// (states, streaks and lifetime counters include the failed tick).
-// Re-feeding the same snapshot would charge the health machine twice;
-// treat the tick as lost instead.
+// to absorb — and the detector pass cannot fail: a Detector's Update
+// returns no error, and every row it is fed is clean or a held
+// position. What can still fail is the characterization of an abnormal
+// window, which reports a consumed observation as Observe's does: the
+// detectors, the health state, the clock and the previous-state buffer
+// have all advanced, and the next tick proceeds cleanly. Re-feeding
+// the same snapshot would charge the health machine twice; treat the
+// tick as lost instead.
 func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
 	return m.tick(samples, false)
 }
@@ -246,59 +250,9 @@ func (m *Monitor) tracker() (*health.Tracker, error) {
 	return t, nil
 }
 
-// clean returns the recycled classification mask.
-func (m *Monitor) clean() []bool {
-	if m.cleanBuf == nil {
-		m.cleanBuf = make([]bool, m.devices)
-	}
-	return m.cleanBuf
-}
-
-// dispatch folds the classification verdicts in cleanBuf into the
-// health state machine and returns the rows the generic walk detects
-// on — a device's own clean report, its held last-known position, or
-// nil for a device excluded from the window. The Threshold bank runs
-// the same transitions inside its Step instead.
-func (m *Monitor) dispatch(tracker *health.Tracker, samples [][]float64) [][]float64 {
-	if m.rowsBuf == nil {
-		m.rowsBuf = make([][]float64, m.devices)
-	}
-	rows := m.rowsBuf
-	// The dispatch loop mutates the tracker's states, streaks and
-	// lifetime counters — the fields a concurrent HealthStats or
-	// DeviceHealth snapshot reads — so it runs under the stats
-	// mutex. One lock per tick, not per device; the all-clean fast
-	// path never takes it.
-	m.statsMu.Lock()
-	for dev := range rows {
-		switch tracker.Report(dev, m.cleanBuf[dev]) {
-		case health.Consume:
-			rows[dev] = samples[dev]
-		case health.Hold:
-			// Hold implies a previously consumed report, so m.prev
-			// normally carries the device's last-known position. The
-			// one exception: a custom detector erroring on the
-			// consuming tick leaves the report folded into health
-			// state with the tick uncommitted (m.prev still nil) —
-			// park the device instead of dereferencing a state that
-			// never materialized.
-			if m.prev == nil {
-				rows[dev] = nil
-			} else {
-				rows[dev] = m.prev.At(dev)
-			}
-		default: // health.Skip
-			rows[dev] = nil
-		}
-	}
-	m.statsMu.Unlock()
-	return rows
-}
-
 // tick is the one body of Observe (strict) and ObservePartial: ingest
-// and detect by policy into the current state — step for the Threshold
-// bank, walk for any other detectors — then the tick commits, and an
-// abnormal window is characterized.
+// and detect by policy into the current state with one bank step, then
+// the tick commits, and an abnormal window is characterized.
 func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 	if len(samples) != m.devices {
 		return nil, fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), m.devices, ErrInvalidInput)
@@ -315,20 +269,10 @@ func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 			return nil, err
 		}
 	}
-	var abnormal []int
-	var ingested time.Time
-	var err error
-	if m.bank != nil {
-		abnormal, err = m.step(samples, cur, strict)
-	} else {
-		abnormal, ingested, err = m.walk(samples, cur, strict)
-	}
+	abnormal, err := m.step(samples, cur, strict)
 	m.abnBuf = abnormal
 	if err != nil {
-		// Keep the double buffer intact. A rejection consumed nothing; a
-		// partial walk error (a custom Detector failing — partial rows
-		// are pre-classified) leaves the tick uncommitted but consumed,
-		// as ObservePartial documents.
+		// A rejection consumed nothing: keep the double buffer intact.
 		m.spare = cur
 		return nil, err
 	}
@@ -345,7 +289,7 @@ func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 	m.time.Add(1)
 	if prev == nil || len(abnormal) == 0 {
 		if m.mx != nil {
-			m.tickDone(start, ingested, walked, nil)
+			m.tickDone(start, walked, nil)
 		}
 		return nil, nil
 	}
@@ -355,104 +299,38 @@ func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 	}
 	out, err := m.characterizeWindow(pair, abnormal)
 	if m.mx != nil {
-		m.tickDone(start, ingested, walked, abnormal)
+		m.tickDone(start, walked, abnormal)
 	}
 	return out, err
 }
 
-// step ingests one snapshot into the Threshold bank with one fused
-// Step, and commits it unless the strict policy rejects it on the
-// lowest unclean row. A partial tick hands the Step the health tracker,
-// so every device's health transition runs inside the sharded pass and
-// picks what it detects on; the pass holds statsMu. A partial tick that
-// found every row clean over a fleet all-live at its start also charges
-// the fleet one consumed report with ConsumeAll.
+// step ingests one snapshot into the bank with one Step, and commits
+// it unless the strict policy rejects it on the lowest unclean row. A
+// partial tick hands the Step the health tracker, so every device's
+// health transition runs inside the sharded pass and picks what it
+// detects on; the pass holds statsMu. A partial tick that found every
+// row clean over a fleet all-live at its start also charges the fleet
+// one consumed report with ConsumeAll.
 func (m *Monitor) step(samples [][]float64, cur *space.State, strict bool) ([]int, error) {
-	b, clean := m.bank, m.clean()
-	if strict {
-		abnormal, nClean := b.Step(samples, m.prev, cur, nil, clean, m.abnBuf)
-		if nClean < m.devices {
-			return abnormal, fmt.Errorf("%w: %w", ErrInvalidInput, b.Reject(samples, clean))
+	var tracker *health.Tracker
+	if !strict {
+		var err error
+		if tracker, err = m.tracker(); err != nil {
+			return m.abnBuf, err
 		}
-		b.Commit()
-		return abnormal, nil
+		m.statsMu.Lock()
+		defer m.statsMu.Unlock()
 	}
-	tracker, err := m.tracker()
-	if err != nil {
-		return m.abnBuf, err
+	allLive := tracker != nil && tracker.AllLive()
+	abnormal, nClean := m.bank.Step(samples, m.prev, cur, tracker, m.cleanBuf, m.abnBuf)
+	if strict && nClean < m.devices {
+		return abnormal, fmt.Errorf("%w: %w", ErrInvalidInput, m.bank.Reject(samples, m.cleanBuf))
 	}
-	m.statsMu.Lock()
-	allLive := tracker.AllLive()
-	abnormal, nClean := b.Step(samples, m.prev, cur, tracker, clean, m.abnBuf)
 	if allLive && nClean == m.devices {
 		tracker.ConsumeAll()
 	}
-	m.statsMu.Unlock()
-	b.Commit()
+	m.bank.Commit()
 	return abnormal, nil
-}
-
-// walk ingests one snapshot through per-device detectors, for any
-// factory output the Threshold bank cannot hold: a partial tick
-// classifies every row and dispatches the verdicts to the health
-// machine (skipped when the tick is clean over an all-live fleet),
-// then one sharded Walker pass copies each row into the current state
-// and runs the device's detectors — strict walks every row after
-// rejecting the snapshot on any unclean one, partial skips the nil
-// rows of excluded devices. Shards are disjoint device ranges, so the
-// copies need no synchronization. ingested, when the tick is
-// instrumented, is the end of a partial tick's classification and
-// dispatch.
-func (m *Monitor) walk(samples [][]float64, cur *space.State, strict bool) (abnormal []int, ingested time.Time, err error) {
-	rows := samples
-	if !strict {
-		tracker, err := m.tracker()
-		if err != nil {
-			return m.abnBuf, ingested, err
-		}
-		// Fast path: a fully clean tick over an all-live fleet is exactly
-		// an Observe tick — every disposition is Consume — so the rows
-		// feed straight through with no per-device health work at all.
-		// The tick still counts as a consumed report for every device:
-		// ConsumeAll gives the whole fleet a last-known value, so a
-		// device's first fault after an all-clean history is held, not
-		// skipped.
-		if m.walker.Classify(m.dets, samples, m.clean()) == m.devices && tracker.AllLive() {
-			tracker.ConsumeAll()
-		} else {
-			rows = m.dispatch(tracker, samples)
-		}
-		if m.mx != nil {
-			ingested = time.Now()
-		}
-	}
-	prev := m.prev
-	visit := func(dev int, row []float64) {
-		dst := cur.At(dev)
-		switch {
-		case row != nil:
-			copy(dst, row)
-			dst.Clamp()
-		case prev != nil:
-			// Excluded from the window: park the device at its last
-			// position (origin before any) so the trajectory a later
-			// re-admission window reads is deterministic, never recycled
-			// buffer garbage. Parked devices are never abnormal, so
-			// characterization never reads the parked position itself.
-			copy(dst, prev.At(dev))
-		default:
-			clear(dst)
-		}
-	}
-	if strict {
-		abnormal, err = m.walker.Walk(m.dets, rows, visit, m.abnBuf[:0])
-	} else {
-		abnormal, err = m.walker.WalkSkip(m.dets, rows, visit, m.abnBuf[:0])
-	}
-	if err != nil {
-		err = fmt.Errorf("%w: %w", ErrInvalidInput, err)
-	}
-	return abnormal, ingested, err
 }
 
 // DeviceHealth returns device dev's current health state. Devices are
@@ -593,12 +471,7 @@ func (m *Monitor) DirStats() DirStats {
 // counters survive — the wire ledger spans resets the way a process's
 // traffic counters span reconnects.
 func (m *Monitor) Reset() {
-	if m.bank != nil {
-		m.bank.Reset()
-	}
-	for _, d := range m.dets {
-		d.Reset()
-	}
+	m.bank.Reset()
 	m.prev = nil
 	m.spare = nil
 	m.time.Store(0)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"anomalia/internal/core"
+	"anomalia/internal/detect"
 	"anomalia/internal/paperfig"
 	"anomalia/internal/space"
 )
@@ -224,7 +225,7 @@ func TestMonitorCharacterizationErrorKeepsInvariants(t *testing.T) {
 // TestMonitorDetectorPath: the default factory, and any factory of
 // untrained Threshold detectors sharing one delta, run the Threshold
 // bank; mixed deltas, mixed detector types, a pre-trained Threshold and
-// a wrapped one fall back to the generic per-device walk.
+// a wrapped one run the per-device bank.
 func TestMonitorDetectorPath(t *testing.T) {
 	t.Parallel()
 
@@ -261,8 +262,10 @@ func TestMonitorDetectorPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := m.bank != nil; got != tc.bank || (m.dets == nil) != tc.bank {
-			t.Errorf("%s: bank = %v, want %v", tc.name, got, tc.bank)
+		_, threshold := m.bank.(*detect.ThresholdBank)
+		_, device := m.bank.(*detect.DeviceBank)
+		if threshold != tc.bank || device == tc.bank {
+			t.Errorf("%s: bank = %T, want Threshold bank %v", tc.name, m.bank, tc.bank)
 		}
 	}
 }

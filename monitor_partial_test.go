@@ -216,8 +216,8 @@ func TestObservePartialHoldKeepsDeviceInPopulation(t *testing.T) {
 	if st, _ := mon.DeviceHealth(0); st != HealthLive {
 		t.Fatalf("device 0 health %v, want live", st)
 	}
-	// The clean tick above ran over an all-live fleet — ConsumeAll on
-	// the generic path, a Consume transition per device on the bank —
+	// The clean tick above ran over an all-live fleet — a Consume
+	// transition per device inside the bank's pass, then ConsumeAll —
 	// and must count as a consumed report for every device, so device
 	// 6's first fault was genuinely held (HeldTicks charged), not
 	// silently skipped out of the population.
@@ -409,12 +409,12 @@ func TestObservePartialBufferInvariants(t *testing.T) {
 	}
 }
 
-// TestObservePartialHoldWithoutCommittedState: a Hold disposition can
-// surface with no committed previous state — a failed walk keeps the
-// health tracker's consumption while the tick never commits (see
-// ObservePartial's error behavior) — and the monitor must park the
-// device for the window instead of dereferencing the state that never
-// materialized.
+// TestObservePartialHoldWithoutCommittedState: a Hold disposition with
+// no committed previous state — a tracker that has consumed reports
+// while no tick committed, injected here since a partial tick's
+// detector pass cannot fail — must park the device for the window
+// instead of dereferencing the state that never materialized. The
+// guard lives in the banks' shared row pick.
 func TestObservePartialHoldWithoutCommittedState(t *testing.T) {
 	t.Parallel()
 

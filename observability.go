@@ -17,7 +17,6 @@ import (
 // by a doc-sync test.
 type monitorMetrics struct {
 	ticks            *metrics.Counter
-	tickIngest       *metrics.Histogram
 	tickDetect       *metrics.Histogram
 	tickCharacterize *metrics.Histogram
 	tickTotal        *metrics.Histogram
@@ -38,13 +37,12 @@ type monitorMetrics struct {
 func newMonitorMetrics(reg *metrics.Registry, m *Monitor) *monitorMetrics {
 	phase := func(p string) *metrics.Histogram {
 		return reg.Histogram("anomalia_tick_seconds",
-			"Observe/ObservePartial latency by phase (ingest: classification and health dispatch, partial ticks on a custom detector factory only; detect: the sharded detector pass, health transitions included with the default detectors; characterize: window characterization, abnormal windows only; total: the whole tick).",
+			"Observe/ObservePartial latency by phase (detect: the sharded detector pass, row classification and health transitions included; characterize: window characterization, abnormal windows only; total: the whole tick).",
 			metrics.DefBuckets, metrics.Label{Name: "phase", Value: p})
 	}
 	mx := &monitorMetrics{
 		ticks: reg.Counter("anomalia_ticks_total", "Snapshots observed (Observe and ObservePartial)."),
 
-		tickIngest:       phase("ingest"),
 		tickDetect:       phase("detect"),
 		tickCharacterize: phase("characterize"),
 		tickTotal:        phase("total"),
@@ -112,24 +110,15 @@ func newMonitorMetrics(reg *metrics.Registry, m *Monitor) *monitorMetrics {
 // total latencies and, on an abnormal window, the abnormal-set ledger.
 // Called once per committed tick, quiet or abnormal; everything here is
 // an atomic store on a pre-registered series, so it adds no allocation
-// to the tick. ingested is zero when the tick has no ingest phase apart
-// from its detector pass: a strict tick, and every Threshold-bank tick,
-// whose one fused pass classifies and runs the health transitions as it
-// detects. On a generic partial tick ingest runs from the start of the
-// tick to the end of the classification and any dispatch, and detect
-// is the walk after it.
-// abnormal is nil on quiet windows, whose characterize phase would
-// otherwise pollute the histogram with empty samples.
-func (m *Monitor) tickDone(start, ingested, walked time.Time, abnormal []int) {
+// to the tick. The detect phase runs from start to walked: the bank's
+// one sharded pass classifies each row and runs its health transition
+// as it detects. abnormal is nil on quiet windows, whose characterize
+// phase would otherwise pollute the histogram with empty samples.
+func (m *Monitor) tickDone(start, walked time.Time, abnormal []int) {
 	mx := m.mx
 	now := time.Now()
 	mx.ticks.Inc()
-	if !ingested.IsZero() {
-		mx.tickIngest.Observe(ingested.Sub(start).Seconds())
-		mx.tickDetect.Observe(walked.Sub(ingested).Seconds())
-	} else {
-		mx.tickDetect.Observe(walked.Sub(start).Seconds())
-	}
+	mx.tickDetect.Observe(walked.Sub(start).Seconds())
 	mx.tickTotal.Observe(now.Sub(start).Seconds())
 	if len(abnormal) == 0 {
 		return

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"anomalia/internal/detect"
 	"anomalia/internal/metrics"
 )
 
@@ -92,12 +93,11 @@ func TestMonitorMetricsFeed(t *testing.T) {
 	}
 }
 
-// TestTickPhases pins the phase split of a tick. On the Threshold
-// bank every committed tick, strict or partial, is one fused pass —
-// the health transition runs inside it — recorded whole as detect with
-// no ingest sample. The generic path records a partial tick's
-// classification and dispatch as ingest, then the walk as detect, and
-// a strict tick as detect alone. A rejected tick records nothing.
+// TestTickPhases pins the phase split of a tick. On either bank every
+// committed tick, strict or partial, is one sharded pass — the
+// classification and health transitions run inside it — recorded whole
+// as detect, and no ingest series is exported. A rejected tick records
+// nothing.
 func TestTickPhases(t *testing.T) {
 	t.Parallel()
 
@@ -106,37 +106,38 @@ func TestTickPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bank.bank == nil {
+	if _, ok := bank.bank.(*detect.ThresholdBank); !ok {
 		t.Fatal("default monitor runs no Threshold bank")
 	}
 	generic, err := NewMonitor(n, 1, WithMetrics(metrics.NewRegistry()), WithDetectorFactory(genericThreshold))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if generic.bank != nil {
-		t.Fatal("generic factory runs the Threshold bank")
+	if _, ok := generic.bank.(*detect.DeviceBank); !ok {
+		t.Fatal("generic factory runs no per-device bank")
 	}
 	silent := fleetSnapshot(n, 0.95, nil)
 	silent[7] = nil
 	corrupt := fleetSnapshot(n, 0.95, nil)
 	corrupt[3][0] = math.NaN()
 	for _, tc := range []struct {
-		name           string
-		m              *Monitor
-		partial        bool
-		snap           [][]float64
-		ingest, detect int64
+		name    string
+		m       *Monitor
+		partial bool
+		snap    [][]float64
+		detect  int64
 	}{
-		{"strict", bank, false, fleetSnapshot(n, 0.95, nil), 0, 1},
-		{"strict again", bank, false, fleetSnapshot(n, 0.95, nil), 0, 2},
-		{"fast partial", bank, true, fleetSnapshot(n, 0.95, nil), 0, 3},
-		{"partial with a fault over an all-live fleet", bank, true, silent, 0, 4},
-		{"partial with an impaired device", bank, true, silent, 0, 5},
-		{"rejected", bank, false, corrupt, 0, 5},
-		{"generic strict", generic, false, fleetSnapshot(n, 0.95, nil), 0, 1},
-		{"generic fast partial", generic, true, fleetSnapshot(n, 0.95, nil), 1, 2},
-		{"generic partial dispatch", generic, true, silent, 2, 3},
-		{"generic rejected", generic, false, corrupt, 2, 3},
+		{"strict", bank, false, fleetSnapshot(n, 0.95, nil), 1},
+		{"strict again", bank, false, fleetSnapshot(n, 0.95, nil), 2},
+		{"fast partial", bank, true, fleetSnapshot(n, 0.95, nil), 3},
+		{"partial with a fault over an all-live fleet", bank, true, silent, 4},
+		{"partial with an impaired device", bank, true, silent, 5},
+		{"rejected", bank, false, corrupt, 5},
+		{"generic strict", generic, false, fleetSnapshot(n, 0.95, nil), 1},
+		{"generic fast partial", generic, true, fleetSnapshot(n, 0.95, nil), 2},
+		{"generic partial with a fault over an all-live fleet", generic, true, silent, 3},
+		{"generic partial with an impaired device", generic, true, silent, 4},
+		{"generic rejected", generic, false, corrupt, 4},
 	} {
 		observe := tc.m.Observe
 		if tc.partial {
@@ -146,9 +147,20 @@ func TestTickPhases(t *testing.T) {
 		if rejected := strings.HasSuffix(tc.name, "rejected"); (err != nil) != rejected {
 			t.Fatalf("%s: error %v", tc.name, err)
 		}
-		mx := tc.m.mx
-		if got, want := [2]int64{mx.tickIngest.Count(), mx.tickDetect.Count()}, [2]int64{tc.ingest, tc.detect}; got != want {
-			t.Errorf("%s: ingest, detect samples = %v, want %v", tc.name, got, want)
+		if got := tc.m.mx.tickDetect.Count(); got != tc.detect {
+			t.Errorf("%s: %d detect samples, want %d", tc.name, got, tc.detect)
+		}
+	}
+	for _, m := range []*Monitor{bank, generic} {
+		var b strings.Builder
+		if err := m.cfg.metrics.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(b.String(), `phase="ingest"`) {
+			t.Errorf("%T monitor exports an ingest phase", m.bank)
+		}
+		if !strings.Contains(b.String(), `anomalia_tick_seconds_count{phase="detect"}`) {
+			t.Errorf("%T monitor exports no detect phase", m.bank)
 		}
 	}
 }

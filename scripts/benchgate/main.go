@@ -94,11 +94,11 @@ var table = []run{
 	// allocs/op counts every goroutine's allocations; the median of three
 	// repetitions keeps a stray one from tripping the one-allocation gates.
 	// The default detectors run as the Threshold bank at ~0.4x the time
-	// of the same detectors walked one heap object at a time, so a
-	// silent fallback to the generic path trips the 0.6 ratio. A lossy
-	// partial tick runs every device's health transition inside the
-	// bank's one pass at ~1.1-1.3x the quiet tick; a second pass over
-	// the fleet took ~2.0-2.4x and trips the 1.8 ratio.
+	// of the same detectors run one heap object at a time in the
+	// per-device bank, so a silent fallback to it trips the 0.6 ratio.
+	// A lossy partial tick runs every device's health transition inside
+	// the bank's one pass at ~1.1-1.3x the quiet tick; a second pass
+	// over the fleet took ~2.0-2.4x and trips the 1.8 ratio.
 	{".", []string{"-benchtime=3x"}, 3, []gate{
 		{bench: quietTick, unit: allocsOp, bound: 256},
 		{bench: quietTick, unit: nsOp, op: "/", base: "BenchmarkTickIngestDetectGeneric1M", bound: 0.6},

@@ -10,7 +10,9 @@ import "anomalia/internal/detect"
 // Custom implementations are welcome anywhere a Detector is accepted.
 type Detector interface {
 	// Update consumes the sample of one discrete time and reports whether
-	// it is abnormal.
+	// it is abnormal. A Monitor clamps each report into [0,1] once, at
+	// ingest, and feeds Update that clamped value: the same one the
+	// window's positions hold, and the one a held device repeats.
 	Update(sample float64) bool
 	// Predict returns the current one-step-ahead prediction.
 	Predict() float64

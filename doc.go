@@ -128,16 +128,27 @@
 // buffers advanced coherently; ObservePartial hands the verdicts to the
 // health state machine instead (see Degraded operation).
 //
+// A report is clamped into [0,1]^d once, at ingest, and every consumer
+// — the device's detectors, the window's positions, the wire — sees
+// that clamped value: a custom Detector's Update receives it too, and
+// a held device repeats exactly the value its detectors last consumed,
+// so holding never flags it. cmd/anomalia-gateway still drops a row
+// with a value outside [0,1] as a fault before the Monitor sees it;
+// the clamp governs callers that feed the Monitor directly.
+//
 // The default detectors — the factory's untrained Threshold detectors,
-// all with one delta — run as a struct-of-arrays bank: each detector's
-// last sample lives in a device-major n×d slab, NaN while untrained, and
-// one fused pass per shard classifies each row, clamps it into the
-// state, tests its jump and stages the raw sample in a second slab that
-// a pointer swap commits. Every tick is that one pass. On a partial
-// tick each device's health transition runs inside it, between the
-// classification and the detector test, and picks what the device
-// detects on — its own report, its held position, or nothing — with
-// each shard's counter changes folded into the tracker after the pass.
+// all with one delta — run as a column bank that keeps no sample at
+// all: a Threshold detector's previous sample is its device's position
+// in the committed state, so one fused pass per shard classifies each
+// row, clamps it into the next state and tests its jump against the
+// committed one. The bank holds one trained byte per device, read
+// until a tick has fed every device. A strict pass writes nothing but
+// the next state, which a rejected tick never promotes. Every tick is
+// that one pass. On a partial tick each device's health transition
+// runs inside it, between the classification and the detector test,
+// and picks what the device detects on — its own report, its held
+// position, or nothing — with each shard's counter changes folded into
+// the tracker after the pass.
 // Any other factory output — another detector family, mixed deltas, a
 // pre-trained or custom detector — runs a per-device bank under the
 // same Step contract: a heap Device per device, and on a partial tick

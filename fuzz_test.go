@@ -122,10 +122,31 @@ func fuzzValue(b byte) float64 {
 // fleet and of its middle, so a sharded fleet has some in every shard.
 func fuzzDriven(n int) []int { return []int{0, 1, n/2 - 1, n / 2, n - 2, n - 1} }
 
+// fuzzTick appends one tick over a fuzzSmallN fleet to seed: the op
+// byte, then every driven device healthy except fuzzDriven index dev,
+// which reports kind and value. A device's other services report
+// fuzzHigh.
+func fuzzTick(seed []byte, d int, op byte, dev int, kind, value byte) []byte {
+	seed = append(seed, op)
+	for i := range fuzzSmallN {
+		k, v := byte(0), byte(fuzzHealthy)
+		if i == dev {
+			k, v = kind, value
+		}
+		seed = append(seed, k, v)
+		for range d - 1 {
+			seed = append(seed, fuzzHigh)
+		}
+	}
+	return seed
+}
+
 // monitorFuzzSeeds encodes, for every monitor configuration, each
 // fault row of TestMonitorRejectsNonFinite fed through strict and
 // partial ticks long enough to quarantine and re-admit the device,
-// around a dip that makes a window abnormal and a Reset.
+// around a dip that makes a window abnormal and a Reset; and the
+// clamp-once stream of TestMonitorClampOncePolicy: a partial fuzzHigh
+// report, a lost one, and fuzzHigh again.
 func monitorFuzzSeeds() [][]byte {
 	type fault struct {
 		driven int // index into fuzzDriven
@@ -142,19 +163,7 @@ func monitorFuzzSeeds() [][]byte {
 		d := 1 + int(cfg&1)
 		for _, f := range faults {
 			seed := []byte{cfg}
-			tick := func(op byte, dev int, kind, value byte) {
-				seed = append(seed, op)
-				for i := range fuzzSmallN {
-					k, v := byte(0), byte(fuzzHealthy)
-					if i == dev {
-						k, v = kind, value
-					}
-					seed = append(seed, k, v)
-					for range d - 1 {
-						seed = append(seed, fuzzHigh)
-					}
-				}
-			}
+			tick := func(op byte, dev int, kind, value byte) { seed = fuzzTick(seed, d, op, dev, kind, value) }
 			healthy := func(op byte) { tick(op, -1, 0, 0) }
 			healthy(fuzzPartial)
 			healthy(0)
@@ -170,6 +179,11 @@ func monitorFuzzSeeds() [][]byte {
 			tick(fuzzPartial, 2, 0, fuzzDip)
 			seeds = append(seeds, seed)
 		}
+		seed := fuzzTick([]byte{cfg}, d, fuzzPartial, -1, 0, 0)
+		seed = fuzzTick(seed, d, fuzzPartial, 0, 0, fuzzHigh)
+		seed = fuzzTick(seed, d, fuzzPartial, 0, fuzzKindNil, fuzzHealthy)
+		seed = fuzzTick(seed, d, fuzzPartial, 0, 0, fuzzHigh)
+		seeds = append(seeds, seed)
 	}
 	return seeds
 }

@@ -7,23 +7,28 @@ import (
 	"anomalia/internal/space"
 )
 
-// ThresholdBank is the struct-of-arrays form of a fleet of Threshold
-// detectors sharing one delta: n devices × d services held as
-// device-major n×d slabs instead of n·d heap detectors behind n
-// Devices, so one tick is one flat pass per shard with no interface
-// call. last holds each detector's previous sample and NaN while it is
-// untrained: |x − NaN| > delta is false, which is Threshold's
-// first-sample rule, so training needs no separate bit. A Step stages
-// the samples it consumes in a second slab and Commit publishes them
-// with a pointer swap, so a tick that is rejected after its Step
-// leaves every detector as it was.
+// ThresholdBank is the column form of a fleet of Threshold detectors
+// sharing one delta: n devices × d services with no heap detector and
+// no copy of any sample. A detector's previous sample is its device's
+// position in the committed state, so Step reads it from prev: under
+// the clamp-once policy that position is exactly the last sample the
+// device detected on. The bank keeps one trained byte per device —
+// Threshold's first-sample rule — and a flag set once every device is
+// trained, after which the bytes are not read.
+//
+// A strict Step (nil tracker) writes nothing but the caller's cur, so a
+// tick rejected after its Step leaves the bank as it was; the caller
+// reports an accepted strict tick, which fed every device, with
+// TrainAll. A partial Step, which is never rejected, marks each device
+// it detects on trained as it goes.
 //
 // A bank is not safe for concurrent use.
 type ThresholdBank struct {
-	d          int
-	delta      float64
-	last, next []float64
-	w          *Walker
+	d       int
+	delta   float64
+	trained []byte
+	all     bool
+	w       *Walker
 }
 
 // NewThresholdBank returns the bank equivalent of devs, sharded over a
@@ -49,15 +54,12 @@ func NewThresholdBank(devs []*Device, workers int) *ThresholdBank {
 			}
 		}
 	}
-	b := &ThresholdBank{
-		d:     d,
-		delta: first.delta,
-		last:  make([]float64, len(devs)*d),
-		next:  make([]float64, len(devs)*d),
-		w:     NewWalker(workers),
+	return &ThresholdBank{
+		d:       d,
+		delta:   first.delta,
+		trained: make([]byte, len(devs)),
+		w:       NewWalker(workers),
 	}
-	b.Reset()
-	return b
 }
 
 // Step runs the fused detection pass over rows, one row per device,
@@ -71,27 +73,29 @@ func NewThresholdBank(devs []*Device, workers int) *ThresholdBank {
 // changes reach the tracker after the pass, in Walker's per-worker
 // delta slots.
 //
-// Detecting on a row clamps it into [0,1]^d in cur's slot of the
-// device, tests it against the device's previous samples (abnormal when
-// any service jumped by more than delta) and stages it as its next
-// previous samples. A parked device's detectors stay as they are and
-// its slot of cur takes its position in prev, or the origin when prev
-// is nil. Step appends the abnormal ids to out in ascending order and
-// returns them with the number of clean rows. Until Commit, the staged
-// samples are invisible: a second Step replaces them.
+// prev is the state the last accepted Step wrote, nil before the
+// first. Detecting on a row clamps it into [0,1]^d in cur's slot of the
+// device and, once the device is trained, tests it against the
+// device's position in prev: abnormal when any service jumped by more
+// than delta. A held device detects on its own position and so is
+// never abnormal. A parked device's slot of cur takes its position in
+// prev, or the origin when prev is nil. Step appends the abnormal ids
+// to out in ascending order and returns them with the number of clean
+// rows.
 func (b *ThresholdBank) Step(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int) {
 	return b.w.step(b, rows, prev, cur, t, clean, out)
 }
 
 func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, lo, hi int, flagged []int) ([]int, int, health.Delta) {
-	d, delta := b.d, b.delta
+	d, delta, all, trained := b.d, b.delta, b.all, b.trained
+	// Only a partial Step, which cannot be rejected, trains devices.
+	train := t != nil && !all
 	n := 0
 	// The shard's health delta stays local until the range is done:
 	// the workers' slots share cache lines.
 	var hd health.Delta
 	for dev := lo; dev < hi; dev++ {
 		row, dst := rows[dev], cur.At(dev)
-		last, next := b.last[dev*d:(dev+1)*d], b.next[dev*d:(dev+1)*d]
 		ok := cleanRow(row, d)
 		clean[dev] = ok
 		if ok {
@@ -102,14 +106,10 @@ func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *h
 			ok = row != nil
 		}
 		if !ok {
-			copy(next, last)
 			park(dst, prev, dev)
 			continue
 		}
-		abnormal := false
 		for i, x := range row {
-			abnormal = abnormal || math.Abs(x-last[i]) > delta
-			next[i] = x
 			// space.Point.Clamp, for a finite x.
 			switch {
 			case x < 0:
@@ -118,6 +118,17 @@ func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *h
 				x = 1
 			}
 			dst[i] = x
+		}
+		if prev == nil || !all && trained[dev] == 0 {
+			if train {
+				trained[dev] = 1
+			}
+			continue
+		}
+		last := prev.At(dev)
+		abnormal := false
+		for i, x := range dst {
+			abnormal = abnormal || math.Abs(x-last[i]) > delta
 		}
 		if abnormal {
 			flagged = append(flagged, dev)
@@ -153,8 +164,10 @@ func park(dst []float64, prev *space.State, dev int) {
 	}
 }
 
-// Commit makes the last Step's staged samples the detectors' state.
-func (b *ThresholdBank) Commit() { b.last, b.next = b.next, b.last }
+// TrainAll records that the Step just accepted fed every device its
+// own row — a strict tick, or a fully clean partial tick over an
+// all-live fleet — so every detector is trained until Reset.
+func (b *ThresholdBank) TrainAll() { b.all = true }
 
 // Reject explains the lowest unclean row of a snapshot that Step
 // graded into clean, with the error Walker.Walk reports for
@@ -165,16 +178,14 @@ func (b *ThresholdBank) Reject(samples [][]float64, clean []bool) error {
 
 // Reset returns every detector to its untrained state.
 func (b *ThresholdBank) Reset() {
-	for i := range b.last {
-		b.last[i] = math.NaN()
-	}
+	clear(b.trained)
+	b.all = false
 }
 
 // DeviceBank runs a fleet of heap Devices — any detector family, or a
 // mix — under ThresholdBank's Step contract. A Device updates its
-// detectors in place, so a Step cannot stage what it consumes: a strict
-// Step updates no detector unless every row is clean, and Commit has
-// nothing to publish.
+// detectors in place, so a strict Step updates no detector unless
+// every row is clean, and TrainAll has nothing to record.
 //
 // A DeviceBank is not safe for concurrent use.
 type DeviceBank struct {
@@ -189,10 +200,12 @@ func NewDeviceBank(devs []*Device, workers int) *DeviceBank {
 }
 
 // Step is ThresholdBank.Step over the Devices: detecting on a row
-// clamps it into cur's slot of the device and feeds it raw to the
-// device's Update. With a nil tracker Step classifies every row first,
-// and an unclean one ends it there: it returns out emptied with the
-// number of clean rows, no detector updated and cur unwritten.
+// clamps it into cur's slot of the device and feeds that clamped
+// position to the device's Update, so a held device's detectors see
+// the value they last consumed. With a nil tracker Step classifies
+// every row first, and an unclean one ends it there: it returns out
+// emptied with the number of clean rows, no detector updated and cur
+// unwritten.
 func (b *DeviceBank) Step(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int) {
 	if t == nil {
 		if n := b.w.Classify(b.devs, rows, clean); n < len(b.devs) {
@@ -223,17 +236,17 @@ func (b *DeviceBank) stepRange(rows [][]float64, prev, cur *space.State, t *heal
 		}
 		copy(dst, row)
 		dst.Clamp()
-		// Update fails only on a width mismatch, and row is clean or a
-		// held position of the state's width.
-		if abnormal, _ := dv.Update(row); abnormal {
+		// Update fails only on a width mismatch, and dst has the
+		// state's width.
+		if abnormal, _ := dv.Update(dst); abnormal {
 			flagged = append(flagged, dev)
 		}
 	}
 	return flagged, n, hd
 }
 
-// Commit does nothing: Step has already updated the detectors.
-func (b *DeviceBank) Commit() {}
+// TrainAll does nothing: each Device trains in its own Update.
+func (b *DeviceBank) TrainAll() {}
 
 // Reject explains the lowest unclean row of a snapshot that a strict
 // Step graded into clean, with the error Walker.Walk reports for it.

@@ -11,20 +11,73 @@ import (
 	"anomalia/internal/space"
 )
 
-// TestThresholdBankParity: over a degraded stream with out-of-range
-// values, the bank's Step must flag, grade and clamp exactly what the
-// serial Walker does with Classify and WalkSkip over the same fleet of
-// heap Threshold detectors, for every worker count.
+// clampRows returns rows with every clean row clamped into [0,1]^d —
+// the one value the clamp-once policy feeds a device's detectors and
+// its position — and every other row as it is, so a reference walk
+// still rejects or skips it.
+func clampRows(rows [][]float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for j, row := range rows {
+		out[j] = row
+		if cleanRow(row, len(row)) {
+			out[j] = space.Point(slices.Clone(row)).Clamp()
+		}
+	}
+	return out
+}
+
+// checkThresholdState fails unless every trained Threshold of devs
+// holds its device's position in st as its last sample — the premise
+// that lets the bank keep no sample — and returns which devices are
+// trained.
+func checkThresholdState(t *testing.T, devs []*Device, st *space.State) []bool {
+	t.Helper()
+	trained := make([]bool, len(devs))
+	for j, dev := range devs {
+		for svc, det := range dev.detectors {
+			th := det.(*Threshold)
+			if th.trained && th.last != st.At(j)[svc] {
+				t.Fatalf("device %d service %d: last sample %v, committed position %v", j, svc, th.last, st.At(j)[svc])
+			}
+			trained[j] = th.trained
+		}
+	}
+	return trained
+}
+
+// bankTrained returns which devices b has trained.
+func bankTrained(b *ThresholdBank) []bool {
+	trained := make([]bool, len(b.trained))
+	for j, tr := range b.trained {
+		trained[j] = b.all || tr != 0
+	}
+	return trained
+}
+
+// TestThresholdBankParity: over a stream of clean ticks carrying
+// out-of-range values and degraded ticks that the strict policy
+// rejects, the bank's Step must grade every tick, and flag and clamp
+// every accepted one, exactly as the serial Walker does with Classify
+// and WalkSkip over heap Threshold detectors fed the clamped rows, for
+// every worker count. A rejected Step is never promoted, so the next
+// Step must read what the last accepted one left.
 func TestThresholdBankParity(t *testing.T) {
 	t.Parallel()
 
-	const n, d, ticks = 8192, 2, 6
+	const n, d, ticks = 8192, 2, 8
 	raw := walkStream(n, d, ticks, 31)
 	for k, snap := range raw {
 		snap[k*97][0] = 1.3
 		snap[k*89+5][1] = -0.2
 	}
 	stream, truth := degradeStream(raw, 32)
+	// Even ticks are clean and accepted, odd ones degraded and rejected.
+	for k := 0; k < ticks; k += 2 {
+		stream[k] = raw[k]
+		for j := range truth[k] {
+			truth[k][j] = true
+		}
+	}
 
 	devs := walkFleet(t, n, d, "threshold")
 	walker := NewWalker(1)
@@ -37,6 +90,7 @@ func TestThresholdBankParity(t *testing.T) {
 		abnormal []int
 		nClean   int
 		coords   [][]float64
+		reject   string
 	}
 	var ref []tick
 	for k, snap := range stream {
@@ -44,26 +98,26 @@ func TestThresholdBankParity(t *testing.T) {
 		if !reflect.DeepEqual(wantClean, truth[k]) {
 			t.Fatalf("tick %d: Classify diverges from truth", k)
 		}
-		rows := make([][]float64, n)
-		for j := range rows {
-			if wantClean[j] {
-				rows[j] = snap[j]
+		if nClean < n {
+			_, err := walker.Walk(devs, snap, nil, nil)
+			if err == nil {
+				t.Fatalf("tick %d: Walk accepted %d of %d clean rows", k, nClean, n)
 			}
+			ref = append(ref, tick{nClean: nClean, reject: err.Error()})
+			continue
 		}
-		abn, err := walker.WalkSkip(devs, rows, func(dev int, row []float64) {
-			if row != nil {
-				copy(want.At(dev), row)
-				want.At(dev).Clamp()
-			}
+		abn, err := walker.WalkSkip(devs, clampRows(snap), func(dev int, row []float64) {
+			copy(want.At(dev), row)
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkThresholdState(t, devs, want)
 		coords := make([][]float64, n)
 		for j := range coords {
 			coords[j] = want.AtClone(j)
 		}
-		ref = append(ref, tick{abn, nClean, coords})
+		ref = append(ref, tick{abnormal: abn, nClean: nClean, coords: coords})
 	}
 
 	for _, workers := range []int{1, 3, 8} {
@@ -71,26 +125,32 @@ func TestThresholdBankParity(t *testing.T) {
 		if bank == nil {
 			t.Fatal("uniform untrained Threshold fleet got no bank")
 		}
-		prev, _ := space.NewState(n, d)
-		cur, _ := space.NewState(n, d)
+		var prev *space.State
 		clean := make([]bool, n)
 		var out []int
 		for k, snap := range stream {
+			cur, _ := space.NewState(n, d)
 			var nClean int
 			out, nClean = bank.Step(snap, prev, cur, nil, clean, out)
-			bank.Commit()
-			if !slices.Equal(out, ref[k].abnormal) {
-				t.Fatalf("workers=%d tick %d: abnormal %v, walker %v", workers, k, out, ref[k].abnormal)
-			}
 			if nClean != ref[k].nClean || !reflect.DeepEqual(clean, truth[k]) {
 				t.Fatalf("workers=%d tick %d: %d clean, walker %d", workers, k, nClean, ref[k].nClean)
+			}
+			if nClean < n {
+				if err := bank.Reject(snap, clean); err == nil || err.Error() != ref[k].reject {
+					t.Fatalf("workers=%d tick %d: Reject = %v, Walk = %s", workers, k, err, ref[k].reject)
+				}
+				continue
+			}
+			bank.TrainAll()
+			if !slices.Equal(out, ref[k].abnormal) {
+				t.Fatalf("workers=%d tick %d: abnormal %v, walker %v", workers, k, out, ref[k].abnormal)
 			}
 			for j := range ref[k].coords {
 				if !reflect.DeepEqual([]float64(cur.At(j)), ref[k].coords[j]) {
 					t.Fatalf("workers=%d tick %d device %d: state %v, walker %v", workers, k, j, cur.At(j), ref[k].coords[j])
 				}
 			}
-			prev, cur = cur, prev
+			prev = cur
 		}
 	}
 }
@@ -98,10 +158,12 @@ func TestThresholdBankParity(t *testing.T) {
 // TestThresholdBankParityHealth: with a health tracker, the bank's
 // Step must flag, clamp and park exactly what the serial reference
 // does — Report every device in order, then WalkSkip each device's own
-// row, its held position or nothing — and leave the detectors, and the
-// tracker's states and counters, as the reference does, for every
-// worker count. Out-of-range reports make a held position (clamped)
-// differ from the last raw sample.
+// row clamped, its held position or nothing — train the devices the
+// reference trains, and leave the tracker's states and counters as the
+// reference does, for every worker count. Out-of-range reports would
+// make a held position (clamped) differ from the last raw sample; fed
+// clamped, every trained reference detector's last sample is its
+// device's committed position.
 func TestThresholdBankParityHealth(t *testing.T) {
 	t.Parallel()
 
@@ -117,12 +179,12 @@ func TestThresholdBankParityHealth(t *testing.T) {
 	type tick struct {
 		abnormal []int
 		coords   [][]float64
-		last     []float64
+		trained  []bool
 		states   []health.State
 		stats    health.Stats
 	}
-	snapshot := func(tr *health.Tracker, abn []int, st *space.State, last []float64) tick {
-		k := tick{abnormal: abn, coords: make([][]float64, n), last: slices.Clone(last), states: make([]health.State, n), stats: tr.Stats()}
+	snapshot := func(tr *health.Tracker, abn []int, st *space.State, trained []bool) tick {
+		k := tick{abnormal: abn, coords: make([][]float64, n), trained: trained, states: make([]health.State, n), stats: tr.Stats()}
 		for j := range n {
 			k.coords[j], k.states[j] = st.AtClone(j), tr.State(j)
 		}
@@ -139,20 +201,20 @@ func TestThresholdBankParityHealth(t *testing.T) {
 	var ref []tick
 	for k, snap := range stream {
 		cur, _ := space.NewState(n, d)
-		rows := make([][]float64, n)
+		rows := clampRows(snap)
 		for j := range rows {
 			switch tr.Report(j, truth[k][j]) {
 			case health.Consume:
-				rows[j] = snap[j]
 			case health.Hold:
 				rows[j] = prev.At(j)
+			default:
+				rows[j] = nil
 			}
 		}
 		abn, err := walker.WalkSkip(devs, rows, func(dev int, row []float64) {
 			switch {
 			case row != nil:
 				copy(cur.At(dev), row)
-				cur.At(dev).Clamp()
 			case prev != nil:
 				copy(cur.At(dev), prev.At(dev))
 			}
@@ -160,17 +222,7 @@ func TestThresholdBankParityHealth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		last := make([]float64, 0, n*d)
-		for _, dev := range devs {
-			for _, det := range dev.detectors {
-				if th := det.(*Threshold); th.trained {
-					last = append(last, th.last)
-				} else {
-					last = append(last, math.NaN())
-				}
-			}
-		}
-		ref = append(ref, snapshot(tr, abn, cur, last))
+		ref = append(ref, snapshot(tr, abn, cur, checkThresholdState(t, devs, cur)))
 		prev = cur
 	}
 	if st := tr.Stats(); st.HeldTicks == 0 || st.Quarantines == 0 || st.Readmissions == 0 || st.DroppedReports == 0 {
@@ -189,15 +241,7 @@ func TestThresholdBankParityHealth(t *testing.T) {
 		for k, snap := range stream {
 			cur, _ := space.NewState(n, d)
 			out, _ = bank.Step(snap, prev, cur, tr, clean, out)
-			bank.Commit()
-			got := snapshot(tr, out, cur, bank.last)
-			// NaN marks an untrained detector; DeepEqual would call
-			// two NaNs different.
-			if !slices.EqualFunc(got.last, ref[k].last, func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }) {
-				t.Fatalf("workers=%d tick %d: detector state diverges from the serial reference", workers, k)
-			}
-			got.last = ref[k].last
-			if !reflect.DeepEqual(got, ref[k]) {
+			if got := snapshot(tr, out, cur, bankTrained(bank)); !reflect.DeepEqual(got, ref[k]) {
 				t.Fatalf("workers=%d tick %d: bank diverges from the serial reference", workers, k)
 			}
 			prev = cur
@@ -205,32 +249,53 @@ func TestThresholdBankParityHealth(t *testing.T) {
 	}
 }
 
-// TestThresholdBankStepWithoutCommit: a Step that is not committed
-// leaves every detector as it was, so a later Step sees the state the
-// last Commit left.
+// TestThresholdBankStepWithoutCommit: a strict Step writes nothing but
+// its cur, so a Step whose cur is not promoted to the next prev — a
+// rejected tick — changes nothing the next Step reads, and only
+// TrainAll or a partial Step trains a device.
 func TestThresholdBankStepWithoutCommit(t *testing.T) {
 	t.Parallel()
 
 	const n = 4
 	bank := NewThresholdBank(walkFleet(t, n, 1, "threshold"), 1)
-	cur, _ := space.NewState(n, 1)
+	state := func() *space.State {
+		st, err := space.NewState(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	prev, cur := state(), state()
 	clean := make([]bool, n)
 	flat := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
 	jump := [][]float64{{0.9}, {0.5}, {0.1}, {0.5}}
-	bank.Step(flat, nil, cur, nil, clean, nil)
-	bank.Commit()
-	bank.Step(jump, nil, cur, nil, clean, nil) // rejected: never committed
-	got, _ := bank.Step(flat, nil, cur, nil, clean, nil)
-	if len(got) != 0 {
-		t.Fatalf("uncommitted jump leaked into the detectors: flagged %v", got)
+
+	bank.Step(flat, nil, prev, nil, clean, nil) // rejected: never promoted, no TrainAll
+	if got, _ := bank.Step(jump, prev, cur, nil, clean, nil); len(got) != 0 {
+		t.Fatalf("a rejected first Step trained the detectors: flagged %v", got)
 	}
-	got, _ = bank.Step(jump, nil, cur, nil, clean, nil)
-	if !reflect.DeepEqual(got, []int{0, 2}) {
+	bank.Step(flat, nil, prev, nil, clean, nil)
+	bank.TrainAll()
+	bank.Step(jump, prev, cur, nil, clean, nil) // rejected: cur never promoted
+	if got, _ := bank.Step(flat, prev, cur, nil, clean, nil); len(got) != 0 {
+		t.Fatalf("an unpromoted jump leaked into the next Step: flagged %v", got)
+	}
+	if got, _ := bank.Step(jump, prev, cur, nil, clean, nil); !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Fatalf("flagged %v, want [0 2]", got)
 	}
 	bank.Reset()
-	if got, _ := bank.Step(jump, nil, cur, nil, clean, nil); len(got) != 0 {
+	if got, _ := bank.Step(jump, prev, cur, nil, clean, nil); len(got) != 0 {
 		t.Fatalf("first sample after Reset flagged %v", got)
+	}
+
+	// A partial Step cannot be rejected: it trains what it detects on.
+	tr, err := health.New(n, health.Policy{HoldTicks: 1, ReadmitTicks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank.Step(flat, nil, prev, tr, clean, nil)
+	if got, _ := bank.Step(jump, prev, cur, tr, clean, nil); !reflect.DeepEqual(got, []int{0, 2}) {
+		t.Fatalf("after a partial Step flagged %v, want [0 2]", got)
 	}
 }
 
@@ -340,7 +405,8 @@ func mixedFleet(t testing.TB, n, d int) []*Device {
 // ticks through a fleet mixing EWMA and Shewhart detectors, the
 // per-device bank's Step must flag, grade, clamp and park exactly what
 // the serial reference does — Walker.Walk on a strict tick; Classify,
-// Tracker.Report and WalkSkip on a partial one — and leave every
+// Tracker.Report and WalkSkip on a partial one, both over the clamped
+// rows — and leave every
 // detector's prediction, and the tracker's states and counters, as the
 // reference does, for one worker and for four over ranges of several
 // minShard devices each. A strict tick with an unclean row is rejected
@@ -352,8 +418,8 @@ func TestDeviceBankParity(t *testing.T) {
 	raw := walkStream(n, d, ticks, 51)
 	for _, snap := range raw {
 		for j := 0; j < n; j += 7 {
-			// Out of range: a held position (clamped) differs from the
-			// last raw sample.
+			// Out of range: the detectors must see the clamped value,
+			// the one a held position repeats, not the raw one.
 			snap[j][j%d] += 0.2
 		}
 	}
@@ -409,7 +475,6 @@ func TestDeviceBankParity(t *testing.T) {
 			switch {
 			case row != nil:
 				copy(cur.At(dev), row)
-				cur.At(dev).Clamp()
 			case prev != nil:
 				copy(cur.At(dev), prev.At(dev))
 			}
@@ -418,7 +483,7 @@ func TestDeviceBankParity(t *testing.T) {
 		nClean := walker.Classify(devs, snap, clean)
 		var abn []int
 		if strict[k] {
-			abn, err = walker.Walk(devs, snap, visit, nil)
+			abn, err = walker.Walk(devs, clampRows(snap), visit, nil)
 			if (err != nil) != (nClean < n) {
 				t.Fatalf("tick %d: Walk error %v with %d of %d rows clean", k, err, nClean, n)
 			}
@@ -427,13 +492,14 @@ func TestDeviceBankParity(t *testing.T) {
 				rejected++
 			}
 		} else {
-			rows := make([][]float64, n)
+			rows := clampRows(snap)
 			for j := range rows {
 				switch tr.Report(j, clean[j]) {
 				case health.Consume:
-					rows[j] = snap[j]
 				case health.Hold:
 					rows[j] = prev.At(j)
+				default:
+					rows[j] = nil
 				}
 			}
 			if abn, err = walker.WalkSkip(devs, rows, visit, nil); err != nil {
@@ -468,8 +534,6 @@ func TestDeviceBankParity(t *testing.T) {
 			out, nClean = bank.Step(snap, prev, cur, stepTracker, clean, out)
 			if strict[k] && nClean < n {
 				cur = nil
-			} else {
-				bank.Commit()
 			}
 			if got := snapshot(bank.devs, tr, out, nClean, clean, cur); !reflect.DeepEqual(got, ref[k]) {
 				t.Fatalf("workers=%d tick %d: bank diverges from the serial reference", workers, k)

@@ -33,11 +33,11 @@ type Monitor struct {
 	cfg      config
 	// bank runs the detectors, stepped by one sharded pass per tick:
 	// the default detectors — the factory's untrained Threshold
-	// detectors with one shared delta — as a ThresholdBank of
-	// struct-of-arrays slabs, any other factory output as a DeviceBank
-	// of heap Devices. Both shard across WithIngestWorkers workers
-	// (default GOMAXPROCS), and the merged abnormal set is
-	// byte-identical to a serial walk.
+	// detectors with one shared delta — as a ThresholdBank that reads
+	// each device's previous sample from prev, any other factory
+	// output as a DeviceBank of heap Devices. Both shard across
+	// WithIngestWorkers workers (default GOMAXPROCS), and the merged
+	// abnormal set is byte-identical to a serial walk.
 	bank bank
 	prev *space.State
 	time atomic.Int64
@@ -84,7 +84,7 @@ type Monitor struct {
 // detect.DeviceBank.
 type bank interface {
 	Step(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int)
-	Commit()
+	TrainAll()
 	Reject(samples [][]float64, clean []bool) error
 	Reset()
 }
@@ -174,6 +174,11 @@ func (m *Monitor) Time() int { return int(m.time.Load()) }
 // Row classification and the per-device detector pass are sharded
 // across WithIngestWorkers workers; the abnormal set is identical to a
 // serial walk whatever the count.
+//
+// A finite value outside [0,1] is not an error: it is clamped into
+// [0,1] once, at ingest, and every consumer — the device's detectors,
+// the window's positions, the wire — sees the clamped value. A report
+// of 1.3 followed by one of 1.2 is therefore no jump.
 //
 // Error behavior: a rejected snapshot — wrong row count or width, or a
 // non-finite QoS value (NaN would pass an interval test and poison
@@ -304,13 +309,15 @@ func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 	return out, err
 }
 
-// step ingests one snapshot into the bank with one Step, and commits
-// it unless the strict policy rejects it on the lowest unclean row. A
-// partial tick hands the Step the health tracker, so every device's
-// health transition runs inside the sharded pass and picks what it
-// detects on; the pass holds statsMu. A partial tick that found every
-// row clean over a fleet all-live at its start also charges the fleet
-// one consumed report with ConsumeAll.
+// step ingests one snapshot into the bank with one Step, unless the
+// strict policy rejects it on the lowest unclean row. A partial tick
+// hands the Step the health tracker, so every device's health
+// transition runs inside the sharded pass and picks what it detects
+// on; the pass holds statsMu. A tick that fed every device its own row
+// — an accepted strict tick, or a partial one that found every row
+// clean over a fleet all-live at its start — trains the whole bank,
+// and a partial one also charges the fleet one consumed report with
+// ConsumeAll.
 func (m *Monitor) step(samples [][]float64, cur *space.State, strict bool) ([]int, error) {
 	var tracker *health.Tracker
 	if !strict {
@@ -326,10 +333,12 @@ func (m *Monitor) step(samples [][]float64, cur *space.State, strict bool) ([]in
 	if strict && nClean < m.devices {
 		return abnormal, fmt.Errorf("%w: %w", ErrInvalidInput, m.bank.Reject(samples, m.cleanBuf))
 	}
-	if allLive && nClean == m.devices {
-		tracker.ConsumeAll()
+	if strict || allLive && nClean == m.devices {
+		if tracker != nil {
+			tracker.ConsumeAll()
+		}
+		m.bank.TrainAll()
 	}
-	m.bank.Commit()
 	return abnormal, nil
 }
 

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/metrics"
+	"slices"
 	"testing"
 
 	"anomalia/internal/core"
@@ -267,5 +270,112 @@ func TestMonitorDetectorPath(t *testing.T) {
 		if threshold != tc.bank || device == tc.bank {
 			t.Errorf("%s: bank = %T, want Threshold bank %v", tc.name, m.bank, tc.bank)
 		}
+	}
+}
+
+// TestMonitorClampOncePolicy pins the clamp-once policy on both banks:
+// a finite report outside [0,1] is clamped once, at ingest, and the
+// detectors see the clamped value the window's positions hold. So a
+// device that jumps to 1.3 is abnormal once; held through a lost
+// report and then reporting 1.3 again it stays at 1 and is not; and
+// 1.3 followed by 1.2 is no jump.
+func TestMonitorClampOncePolicy(t *testing.T) {
+	t.Parallel()
+
+	const n = 6
+	row := func(x float64) [][]float64 {
+		snap := make([][]float64, n)
+		for j := range snap {
+			snap[j] = []float64{0.5, 0.5}
+		}
+		snap[0] = []float64{x, 0.5}
+		return snap
+	}
+	lost := row(0.5)
+	lost[0] = nil
+	for _, tc := range []struct {
+		name    string
+		factory func(dev, svc int) (Detector, error)
+	}{
+		{"default", nil},
+		{"generic", genericThreshold},
+	} {
+		for _, stream := range []struct {
+			name     string
+			strict   bool
+			ticks    [][][]float64
+			abnormal []bool
+		}{
+			{"partial", false, [][][]float64{row(0.5), row(1.3), lost, row(1.3)}, []bool{false, true, false, false}},
+			{"strict", true, [][][]float64{row(1.3), row(1.2)}, []bool{false, false}},
+		} {
+			var opts []Option
+			if tc.factory != nil {
+				opts = append(opts, WithDetectorFactory(tc.factory))
+			}
+			m, err := NewMonitor(n, 2, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, snap := range stream.ticks {
+				observe := m.ObservePartial
+				if stream.strict {
+					observe = m.Observe
+				}
+				out, err := observe(snap)
+				if err != nil {
+					t.Fatalf("%s %s tick %d: %v", tc.name, stream.name, k, err)
+				}
+				abnormal := out != nil && slices.ContainsFunc(out.Reports, func(r Report) bool { return r.Device == 0 })
+				if abnormal != stream.abnormal[k] {
+					t.Errorf("%s %s tick %d: device 0 abnormal = %v, want %v", tc.name, stream.name, k, abnormal, stream.abnormal[k])
+				}
+			}
+			if want := []float64{1, 0.5}; !reflect.DeepEqual([]float64(m.prev.At(0)), want) {
+				t.Errorf("%s %s: device 0 committed at %v, want %v", tc.name, stream.name, m.prev.At(0), want)
+			}
+		}
+	}
+}
+
+// TestMonitorRetainedHeap bounds what a monitor keeps alive per device
+// once it has run partial ticks: its two position states (the
+// committed one and the recycled spare), the classification mask, the
+// Threshold bank's trained bytes and the health tracker — 16+16+1+1+6
+// bytes at d = 2. A bank that kept its own copy of every sample would
+// add 8d bytes per copy. Not parallel: it reads the process's live heap.
+func TestMonitorRetainedHeap(t *testing.T) {
+	const n, d, bound = 1 << 18, 2, 48
+	flat := make([]float64, n*d)
+	for i := range flat {
+		flat[i] = 0.5
+	}
+	rows := make([][]float64, n)
+	for j := range rows {
+		rows[j] = flat[j*d : (j+1)*d]
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+
+	before := live()
+	m, err := NewMonitor(n, d, WithIngestWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := m.ObservePartial(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := live()
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(rows)
+	if per := (float64(after) - float64(before)) / n; per > bound {
+		t.Fatalf("monitor keeps %.1f bytes per device live (heap %d -> %d), want at most %d", per, before, after, bound)
 	}
 }

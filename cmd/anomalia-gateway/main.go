@@ -590,6 +590,7 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 		degradedTicks int
 		faultTotal    int
 		consecLost    int
+		record        []byte // the -json line buffer, reused per window
 	)
 	// The stream loop runs in a closure so that every exit path — clean
 	// EOF, the -maxbad wedge abort, a mid-stream ingest or observe error
@@ -640,7 +641,7 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 			}
 			if outcome != nil {
 				if *asJSON {
-					if err := emitJSON(out, row, outcome); err != nil {
+					if record, err = emitJSON(out, record, row, outcome); err != nil {
 						return err
 					}
 				} else {
@@ -714,13 +715,15 @@ func emitSummary(out io.Writer, snapshots int, mon *anomalia.Monitor, networked 
 	return json.NewEncoder(out).Encode(rec)
 }
 
-// windowRecord is the JSON line emitted per anomalous window.
-type windowRecord struct {
-	Time    int               `json:"t"`
-	Outcome *anomalia.Outcome `json:"outcome"`
-}
-
-func emitJSON(out io.Writer, t int, outcome *anomalia.Outcome) error {
-	enc := json.NewEncoder(out)
-	return enc.Encode(windowRecord{Time: t, Outcome: outcome})
+// emitJSON writes the JSON line of one anomalous window,
+// {"t":...,"outcome":...} and a newline: the bytes json.Encoder writes
+// for it. The line is appended whole into buf, reused from the previous
+// window, and written once; emitJSON returns the buffer for the next
+// window.
+func emitJSON(out io.Writer, buf []byte, t int, outcome *anomalia.Outcome) ([]byte, error) {
+	buf = strconv.AppendInt(append(buf[:0], `{"t":`...), int64(t), 10)
+	buf = outcome.AppendJSON(append(buf, `,"outcome":`...))
+	buf = append(buf, "}\n"...)
+	_, err := out.Write(buf)
+	return buf, err
 }

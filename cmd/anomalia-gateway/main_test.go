@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 	"testing"
+
+	"anomalia"
 )
 
 // buildCSV renders snapshots (devices x services, device-major) as CSV.
@@ -92,6 +95,47 @@ func TestGatewayJSONOutput(t *testing.T) {
 	}
 	if strings.Contains(got, "processed") {
 		t.Error("JSON mode must not emit the text summary")
+	}
+}
+
+// TestEmitJSONMatchesEncoder: a window line is the bytes json.Encoder
+// writes for {"t":...,"outcome":...}, also when the reused buffer held
+// a longer line before.
+func TestEmitJSONMatchesEncoder(t *testing.T) {
+	t.Parallel()
+
+	motion := []int{0, 1, 2, 3}
+	outcomes := []*anomalia.Outcome{
+		{
+			Reports: []anomalia.Report{
+				{Device: 0, Class: anomalia.Massive, Rule: "theorem6", DenseMotions: [][]int{motion}},
+				{Device: 1, Class: anomalia.Massive, Rule: "theorem6", DenseMotions: [][]int{motion}},
+				{Device: 4, Class: anomalia.Isolated, Rule: "<\u2028\xff&>\"\n"},
+			},
+			Massive:  []int{0, 1},
+			Isolated: []int{4},
+			Dist:     &anomalia.DistStats{Messages: 3, Trajectories: 2, ViewSize: 1},
+		},
+		{Reports: []anomalia.Report{}},
+		{},
+	}
+	var buf []byte
+	for i, o := range outcomes {
+		var want bytes.Buffer
+		err := json.NewEncoder(&want).Encode(struct {
+			Time    int               `json:"t"`
+			Outcome *anomalia.Outcome `json:"outcome"`
+		}{1000 * i, o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if buf, err = emitJSON(&got, buf, 1000*i, o); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("window %d:\n got %q\nwant %q", i, got.String(), want.String())
+		}
 	}
 }
 

@@ -68,7 +68,10 @@
 // message, and each shard builds that window from scratch on m-row
 // states over window-local ids, mapping ids back to global ones only
 // in its responses, so a shard's memory follows the abnormal set, not
-// the fleet. The client partitions each window's decisions
+// the fleet. A decision response carries the window's motion table
+// too: each distinct dense motion once, and per decision only refs
+// into it, so a mass event's motion crosses the wire once per shard
+// slice, not once per member. The client partitions each window's decisions
 // contiguously across the shards that took the window — a shard that
 // crashes and comes back empty just takes the next window, so shard
 // failover is a re-sync, not an error. Each shard decides its
@@ -184,8 +187,12 @@
 // and is built by content — slice identity, which the characterizer's
 // shared families provide, is only a shortcut — so the bytes depend
 // only on the Outcome's value, whichever decision path produced it.
-// Outcome.UnmarshalJSON rebuilds DenseMotions from the table and
-// rejects a reference outside it with ErrInvalidInput.
+// Outcome.AppendJSON writes the record into a caller's buffer without
+// encoding/json, byte for byte what the reflection encoder writes for
+// the record's layout; MarshalJSON wraps it, and the gateway appends
+// each whole -json line into one reused buffer. Outcome.UnmarshalJSON
+// rebuilds DenseMotions from the table and rejects a reference outside
+// it with ErrInvalidInput.
 //
 // # Degraded operation
 //
@@ -332,10 +339,13 @@
 //     observation does not grow the heap per snapshot; the detector
 //     pass reuses its per-shard flag buffers the same way, so a quiet
 //     tick allocates nothing per device (BenchmarkTickIngestDetect1M).
-//   - The default Threshold detectors hold two float64 slabs of n×d
-//     values (32 MB at n = 1M, d = 2) instead of 2M heap detectors
-//     behind 1M Devices, and a quiet n = 1M tick is one fused pass with
-//     no interface call: CI holds it under 0.6x the same tick on the
+//   - The default Threshold detectors are a column bank, not 2M heap
+//     detectors behind 1M Devices: a detector's previous sample is its
+//     device's position in the Monitor's committed state, so the bank
+//     keeps no sample of its own, only one trained byte per device,
+//     and NewMonitor builds it directly without building the detectors
+//     it stands for. A quiet n = 1M tick is one fused pass with no
+//     interface call: CI holds it under 0.6x the same tick on the
 //     per-device bank (BenchmarkTickIngestDetectGeneric1M), which
 //     updates heap detectors one at a time. A lossy partial tick is the
 //     same one pass on either bank: the health transition runs per
@@ -369,6 +379,16 @@
 //     wherever they sit. CI holds the storm-shaped window's distributed
 //     decision under 2x the centralized one (BenchmarkDistDecide and
 //     BenchmarkCentralDecide, storm/m=3000).
+//   - Over the networked directory, a decision response lists each
+//     distinct dense motion once, in a per-response table mapped to
+//     global ids once per motion, and each decision names its motions
+//     by u32 refs. The client checks each table motion once and hands a
+//     family's members one shared dense slice over the table, so its
+//     decode allocates per distinct motion, not per member, and the
+//     window record's identity lookup hits for every networked report.
+//     CI holds the wire window's allocated bytes under 2x the
+//     in-process batch on the same window (scripts/benchgate, the
+//     BenchmarkDecideWindow wire and inproc pair in internal/dirnet).
 //   - Every parallel pass — the detector pass, the grid's key passes
 //     and sort, the collected graph build and the directory's per-view
 //     decisions — fans out through one internal helper (internal/par).

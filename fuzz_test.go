@@ -144,9 +144,12 @@ func fuzzTick(seed []byte, d int, op byte, dev int, kind, value byte) []byte {
 // monitorFuzzSeeds encodes, for every monitor configuration, each
 // fault row of TestMonitorRejectsNonFinite fed through strict and
 // partial ticks long enough to quarantine and re-admit the device,
-// around a dip that makes a window abnormal and a Reset; and the
+// around a dip that makes a window abnormal and a Reset; the
 // clamp-once stream of TestMonitorClampOncePolicy: a partial fuzzHigh
-// report, a lost one, and fuzzHigh again.
+// report, a lost one, and fuzzHigh again; and the stream of
+// TestStrictThenPartialHoldsDevice: two strict ticks, a partial one
+// missing a device, the same after a Reset, then a strict tick and the
+// missing device again.
 func monitorFuzzSeeds() [][]byte {
 	type fault struct {
 		driven int // index into fuzzDriven
@@ -183,6 +186,13 @@ func monitorFuzzSeeds() [][]byte {
 		seed = fuzzTick(seed, d, fuzzPartial, 0, 0, fuzzHigh)
 		seed = fuzzTick(seed, d, fuzzPartial, 0, fuzzKindNil, fuzzHealthy)
 		seed = fuzzTick(seed, d, fuzzPartial, 0, 0, fuzzHigh)
+		seeds = append(seeds, seed)
+		seed = fuzzTick([]byte{cfg}, d, 0, -1, 0, 0)
+		seed = fuzzTick(seed, d, 0, 3, 0, fuzzDip)
+		seed = fuzzTick(seed, d, fuzzPartial, 3, fuzzKindNil, fuzzHealthy)
+		seed = fuzzTick(seed, d, fuzzReset|fuzzPartial, 3, fuzzKindNil, fuzzHealthy)
+		seed = fuzzTick(seed, d, 0, -1, 0, 0)
+		seed = fuzzTick(seed, d, fuzzPartial, 3, fuzzKindNil, fuzzHealthy)
 		seeds = append(seeds, seed)
 	}
 	return seeds

@@ -54,10 +54,19 @@ func NewThresholdBank(devs []*Device, workers int) *ThresholdBank {
 			}
 		}
 	}
+	return NewUniformThresholdBank(len(devs), d, first.delta, workers)
+}
+
+// NewUniformThresholdBank returns the bank of n devices, each running d
+// untrained Threshold detectors with one shared delta, sharded over a
+// pool of workers like NewWalker: the bank NewThresholdBank returns for
+// such devices, built without them. delta must be a valid Threshold
+// delta.
+func NewUniformThresholdBank(n, d int, delta float64, workers int) *ThresholdBank {
 	return &ThresholdBank{
 		d:       d,
-		delta:   first.delta,
-		trained: make([]byte, len(devs)),
+		delta:   delta,
+		trained: make([]byte, n),
 		w:       NewWalker(workers),
 	}
 }

@@ -77,8 +77,9 @@ type Client struct {
 	// the client keeps the single-caller contract.
 	stMu sync.Mutex
 	st   Stats
-	enc  []byte // request scratch
-	in   []byte // response scratch
+	enc  []byte    // request scratch
+	in   []byte    // response scratch
+	rows []float64 // window row scratch
 }
 
 // NewClient validates the configuration, applies defaults, and returns
@@ -201,7 +202,9 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 	}
 
 	// Encode the window once; every shard gets the same msgInit.
-	body := appendWindow(c.enc[:0], windowOf(seq, pair, abnormal, cfg.R))
+	w := windowOf(seq, pair, abnormal, cfg.R, c.rows)
+	c.rows = w.prev[:0]
+	body := appendWindow(c.enc[:0], w)
 	c.enc = body
 
 	// Half-open probes first: one Init attempt each, no retries. A
@@ -238,7 +241,7 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 	// Partition the sorted abnormal positions contiguously across the
 	// synced shards; merged in shard order the decisions land in device
 	// order, matching dist.DecideAll.
-	out := make([]dist.Decision, 0, len(abnormal))
+	out := make([]dist.Decision, len(abnormal))
 	var total dist.Stats
 	m := len(abnormal)
 	base, rem := m/len(synced), m%len(synced)
@@ -252,17 +255,15 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 			continue
 		}
 		to := from + size
-		decs, err := c.decideRange(s, seq, cfg, abnormal, from, to)
-		if err != nil {
+		if err := c.decideRange(s, seq, cfg, abnormal, from, out[from:to]); err != nil {
 			if isAppError(err) {
 				return nil, dist.Stats{}, err
 			}
 			return nil, dist.Stats{}, fmt.Errorf("shard %s: %w: %w", s.addr, ErrUnavailable, err)
 		}
-		for _, dec := range decs {
+		for _, dec := range out[from:to] {
 			total.Add(dec.Stats)
 		}
-		out = append(out, decs...)
 		from = to
 	}
 
@@ -288,17 +289,19 @@ func (c *Client) rotation() []*shard {
 }
 
 // windowOf assembles the wire window: the abnormal devices' rows in
-// id order.
-func windowOf(seq uint64, pair *motion.Pair, abnormal []int, r float64) windowMsg {
+// id order, prev then cur, in one slab that reuses rows' capacity.
+func windowOf(seq uint64, pair *motion.Pair, abnormal []int, r float64, rows []float64) windowMsg {
 	d := pair.Dim()
+	size := len(abnormal) * d
+	rows = slices.Grow(rows[:0], 2*size)[:2*size]
 	w := windowMsg{
 		seq:  seq,
 		r:    r,
 		n:    pair.N(),
 		d:    d,
 		ids:  abnormal,
-		prev: make([]float64, len(abnormal)*d),
-		cur:  make([]float64, len(abnormal)*d),
+		prev: rows[:size],
+		cur:  rows[size:],
 	}
 	for i, id := range abnormal {
 		copy(w.prev[i*d:(i+1)*d], pair.Prev.At(id))
@@ -325,12 +328,12 @@ func (c *Client) syncShard(s *shard, seq uint64, body []byte, probe bool) error 
 	return nil
 }
 
-// decideRange fetches the decisions for positions [from, to) of the
-// window's sorted abnormal set from one synced shard. A response that
-// decodes to anything but one valid decision per position counts
-// against the shard like a transport fault.
-func (c *Client) decideRange(s *shard, seq uint64, cfg core.Config, abnormal []int, from, to int) ([]dist.Decision, error) {
-	c.enc = appendDecideAll(c.enc[:0], seq, cfg, from, to)
+// decideRange fetches the decisions for positions [from, from+len(dst))
+// of the window's sorted abnormal set from one synced shard into dst. A
+// response that decodes to anything but one valid decision per position
+// counts against the shard like a transport fault.
+func (c *Client) decideRange(s *shard, seq uint64, cfg core.Config, abnormal []int, from int, dst []dist.Decision) error {
+	c.enc = appendDecideAll(c.enc[:0], seq, cfg, from, from+len(dst))
 	resp, err := c.request(s, c.enc, 1+c.cfg.MaxRetries)
 	if err != nil {
 		if err == errNeedInit {
@@ -343,63 +346,46 @@ func (c *Client) decideRange(s *shard, seq uint64, cfg core.Config, abnormal []i
 		if !isAppError(err) {
 			c.noteFailure(s)
 		}
-		return nil, err
+		return err
 	}
-	decs, err := decodeDecisions(resp, abnormal, from, to)
-	if err != nil {
+	if err := decodeWindowDecisions(resp, abnormal, from, dst); err != nil {
 		c.noteFailure(s)
-		return nil, err
+		return err
 	}
 	s.fails = 0
-	return decs, nil
+	return nil
 }
 
-// decodeDecisions decodes the body of a DecideAll response for
-// positions [from, to) of the window's sorted abnormal set. It returns
-// an error unless the body holds exactly one decision per position and
-// each passes checkDecision. The element count is checked against the
-// range before anything is allocated, and every allocation after that
-// is bounded by the body's length.
-func decodeDecisions(body []byte, abnormal []int, from, to int) ([]dist.Decision, error) {
-	cur := &cursor{b: body}
-	count := cur.count(minDecisionBytes)
-	if !cur.bad && count != to-from {
-		return nil, fmt.Errorf("dirnet: %d decisions for range [%d, %d)", count, from, to)
+// decodeWindowDecisions decodes the body of a DecideAll response for
+// positions [from, from+len(dst)) of the window's sorted abnormal set
+// into dst. It returns an error unless the body holds exactly one
+// decision per position, every motion of its table passes checkMotion,
+// and each decision passes checkDecision. Each table motion is checked
+// once, however many decisions refer to it.
+func decodeWindowDecisions(body []byte, abnormal []int, from int, dst []dist.Decision) error {
+	table, err := decodeDecisions(body, dst)
+	if err != nil {
+		return err
 	}
-	decs := make([]dist.Decision, 0, count)
-	for i := 0; i < count && !cur.bad; i++ {
-		decs = append(decs, decodeDecision(cur))
-	}
-	if err := cur.err(); err != nil {
-		return nil, err
-	}
-	// A family's members carry the same dense motions, usually in
-	// consecutive slots: a decision whose motions equal its
-	// predecessor's shares that slice, as the in-process characterizer
-	// shares a family's, and skips re-checking the motions themselves.
-	var prev [][]int
-	for i := range decs {
-		res := &decs[i].Result
-		shared := len(res.Dense) > 0 && slices.EqualFunc(res.Dense, prev, slices.Equal[[]int])
-		if shared {
-			res.Dense = prev
+	for _, mo := range table {
+		if err := checkMotion(mo, abnormal); err != nil {
+			return fmt.Errorf("dirnet: motion table: %w", err)
 		}
-		if err := checkDecision(*res, abnormal[from+i], abnormal, shared); err != nil {
-			return nil, err
-		}
-		prev = res.Dense
 	}
-	return decs, nil
+	for i := range dst {
+		if err := checkDecision(dst[i].Result, abnormal[from+i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkDecision rejects a decision no directory shard could have
-// computed for device over a window whose sorted abnormal set is
-// abnormal: one for another device, a class or rule outside core's
-// enumerations, or a dense motion that leaves the device out, is not
-// strictly increasing or reaches outside the window's abnormal set.
-// Each would otherwise become a silently wrong verdict. With
-// motionsChecked, the motions are known to pass the last two checks.
-func checkDecision(res core.Result, device int, abnormal []int, motionsChecked bool) error {
+// computed for device: one for another device, a class or rule outside
+// core's enumerations, or a dense motion that leaves the device out.
+// Each would otherwise become a silently wrong verdict. The motions
+// themselves are checkMotion's, once per table entry.
+func checkDecision(res core.Result, device int) error {
 	if res.Device != device {
 		return fmt.Errorf("dirnet: decision for device %d in the slot of device %d", res.Device, device)
 	}
@@ -410,11 +396,6 @@ func checkDecision(res core.Result, device int, abnormal []int, motionsChecked b
 		return fmt.Errorf("dirnet: device %d: rule %d out of range", device, res.Rule)
 	}
 	for _, mo := range res.Dense {
-		if !motionsChecked {
-			if err := checkMotion(mo, abnormal); err != nil {
-				return fmt.Errorf("dirnet: device %d: %w", device, err)
-			}
-		}
 		if _, ok := slices.BinarySearch(mo, device); !ok {
 			return fmt.Errorf("dirnet: device %d: dense motion %v leaves the device out", device, mo)
 		}
@@ -477,12 +458,11 @@ func (c *Client) Decide(device int, cfg core.Config) (dist.Decision, error) {
 	if err != nil {
 		return dist.Decision{}, err
 	}
-	cur := &cursor{b: resp}
-	dec := decodeDecision(cur)
-	if err := cur.err(); err != nil {
+	var dec [1]dist.Decision
+	if _, err := decodeDecisions(resp, dec[:]); err != nil {
 		return dist.Decision{}, err
 	}
-	return dec, nil
+	return dec[0], nil
 }
 
 func (c *Client) syncedShard() *shard {

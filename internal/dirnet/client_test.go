@@ -1,7 +1,10 @@
 package dirnet
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"net"
 	"slices"
 	"testing"
@@ -24,7 +27,7 @@ func decisionWindow(tb testing.TB) (*motion.Pair, []int, core.Config) {
 func realResponse(tb testing.TB, pair *motion.Pair, abnormal []int, cfg core.Config, from, to int) []byte {
 	tb.Helper()
 	srv := NewServer()
-	if resp := srv.respond(nil, appendWindow(nil, windowOf(1, pair, abnormal, cfg.R))); resp[0] != statusOK {
+	if resp := srv.respond(nil, appendWindow(nil, windowOf(1, pair, abnormal, cfg.R, nil))); resp[0] != statusOK {
 		tb.Fatalf("window rejected: %q", resp)
 	}
 	resp := srv.respond(nil, appendDecideAll(nil, 1, cfg, from, to))
@@ -35,16 +38,20 @@ func realResponse(tb testing.TB, pair *motion.Pair, abnormal []int, cfg core.Con
 }
 
 // rawDecisions decodes a DecideAll response payload without the
-// client's checks.
+// client's checks. Each decision gets its own copy of its motions, so
+// an edit to one slot stays in that slot.
 func rawDecisions(tb testing.TB, resp []byte) []dist.Decision {
 	tb.Helper()
-	c := &cursor{b: resp[1:]}
-	decs := make([]dist.Decision, c.count(minDecisionBytes))
-	for i := range decs {
-		decs[i] = decodeDecision(c)
-	}
-	if err := c.err(); err != nil {
+	decs := make([]dist.Decision, len(splitResponse(tb, resp).decs))
+	if _, err := decodeDecisions(resp[1:], decs); err != nil {
 		tb.Fatal(err)
+	}
+	for i := range decs {
+		dense := decs[i].Result.Dense
+		decs[i].Result.Dense = nil
+		for _, mo := range dense {
+			decs[i].Result.Dense = append(decs[i].Result.Dense, slices.Clone(mo))
+		}
 	}
 	return decs
 }
@@ -63,9 +70,72 @@ func encodeResponse(decs []dist.Decision) []byte {
 	for i := range identity {
 		identity[i] = i
 	}
-	b := appendU32([]byte{statusOK}, uint32(len(decs)))
-	for _, dec := range decs {
-		b = appendDecision(b, dec, identity)
+	return appendDecisions([]byte{statusOK}, decs, identity)
+}
+
+// wireResponse is a DecideAll response payload in its wire parts: the
+// motion table, the decisions' fixed fields, and each decision's refs
+// into the table. It lets a test build a response no server writes.
+type wireResponse struct {
+	table [][]int
+	decs  []dist.Decision // Dense unset
+	refs  [][]uint32
+}
+
+// splitResponse parses a well-formed DecideAll response payload into
+// its wire parts.
+func splitResponse(tb testing.TB, resp []byte) wireResponse {
+	tb.Helper()
+	var w wireResponse
+	c := &cursor{b: resp, off: 1}
+	w.table = make([][]int, c.count(4))
+	for i := range w.table {
+		w.table[i] = c.ids(c.count(4))
+	}
+	w.decs = make([]dist.Decision, c.count(minDecisionBytes))
+	w.refs = make([][]uint32, len(w.decs))
+	for i := range w.decs {
+		dec := &w.decs[i]
+		dec.Result.Device = int(c.u32())
+		dec.Result.Class = core.Class(c.u8())
+		dec.Result.Rule = core.Rule(c.u8())
+		dec.Result.Cost = core.Cost{MaximalMotions: int(c.u64()), DenseMotions: int(c.u64()), NeighborsScanned: int(c.u64()), CollectionsTested: int(c.u64())}
+		w.refs[i] = make([]uint32, c.count(4))
+		for k := range w.refs[i] {
+			w.refs[i][k] = c.u32()
+		}
+		dec.Stats = dist.Stats{Messages: int(c.u32()), Trajectories: int(c.u32()), ViewSize: int(c.u32())}
+	}
+	if err := c.err(); err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+// encode writes the parts back as a response payload, verbatim.
+func (w wireResponse) encode() []byte {
+	b := appendU32([]byte{statusOK}, uint32(len(w.table)))
+	for _, mo := range w.table {
+		b = appendU32(b, uint32(len(mo)))
+		for _, id := range mo {
+			b = appendU32(b, uint32(id))
+		}
+	}
+	b = appendU32(b, uint32(len(w.decs)))
+	for i, dec := range w.decs {
+		b = appendU32(b, uint32(dec.Result.Device))
+		b = append(b, byte(dec.Result.Class), byte(dec.Result.Rule))
+		b = appendU64(b, uint64(dec.Result.Cost.MaximalMotions))
+		b = appendU64(b, uint64(dec.Result.Cost.DenseMotions))
+		b = appendU64(b, uint64(dec.Result.Cost.NeighborsScanned))
+		b = appendU64(b, uint64(dec.Result.Cost.CollectionsTested))
+		b = appendU32(b, uint32(len(w.refs[i])))
+		for _, ref := range w.refs[i] {
+			b = appendU32(b, ref)
+		}
+		b = appendU32(b, uint32(dec.Stats.Messages))
+		b = appendU32(b, uint32(dec.Stats.Trajectories))
+		b = appendU32(b, uint32(dec.Stats.ViewSize))
 	}
 	return b
 }
@@ -77,7 +147,11 @@ func decodeResponse(resp []byte, abnormal []int, from, to int) ([]dist.Decision,
 	if err != nil {
 		return nil, err
 	}
-	return decodeDecisions(body, abnormal, from, to)
+	decs := make([]dist.Decision, to-from)
+	if err := decodeWindowDecisions(body, abnormal, from, decs); err != nil {
+		return nil, err
+	}
+	return decs, nil
 }
 
 // tampers are the ways a buggy or hostile shard can corrupt an
@@ -147,15 +221,48 @@ func massiveSlot(tb testing.TB, decs []dist.Decision) int {
 	return 0
 }
 
+// tableTampers corrupt a response's motion table or its refs, which no
+// edit of the decoded decisions can express; each edits the decision in
+// slot i, whose first ref names a motion of at least two devices.
+var tableTampers = []struct {
+	name string
+	edit func(w *wireResponse, i int, abnormal []int)
+}{
+	{"ref outside the table", func(w *wireResponse, i int, _ []int) {
+		w.refs[i][0] = uint32(len(w.table))
+	}},
+	{"ref past any table", func(w *wireResponse, i int, _ []int) {
+		w.refs[i][0] = math.MaxUint32
+	}},
+	{"unsorted table motion", func(w *wireResponse, i int, _ []int) {
+		slices.Reverse(w.table[w.refs[i][0]])
+	}},
+	{"table motion outside the window", func(w *wireResponse, i int, abnormal []int) {
+		mo := &w.table[w.refs[i][0]]
+		*mo = append(*mo, abnormal[len(abnormal)-1]+1)
+	}},
+	{"unreferenced table motion outside the window", func(w *wireResponse, _ int, abnormal []int) {
+		w.table = append(w.table, []int{abnormal[len(abnormal)-1] + 1})
+	}},
+	{"referenced motion without the device", func(w *wireResponse, i int, _ []int) {
+		// A well-formed motion of the window, but not the device's.
+		mo := slices.DeleteFunc(slices.Clone(w.table[w.refs[i][0]]), func(id int) bool { return id == w.decs[i].Result.Device })
+		w.table = append(w.table, mo)
+		w.refs[i][0] = uint32(len(w.table) - 1)
+	}},
+}
+
 // TestClientRejectsMalformedDecisions: the client's decode path accepts
-// a real response, re-encoded or not, and rejects every tampered copy.
+// a real response, re-encoded or not, and rejects every tampered copy,
+// whether the tamper edits a decision or the motion table; a table
+// count larger than the payload is rejected before it is allocated.
 func TestClientRejectsMalformedDecisions(t *testing.T) {
 	pair, abnormal, cfg := decisionWindow(t)
 	m := len(abnormal)
 	for _, r := range [][2]int{{0, m}, {m / 3, m}} {
 		from, to := r[0], r[1]
 		resp := realResponse(t, pair, abnormal, cfg, from, to)
-		for _, payload := range [][]byte{resp, encodeResponse(rawDecisions(t, resp))} {
+		for _, payload := range [][]byte{resp, encodeResponse(rawDecisions(t, resp)), splitResponse(t, resp).encode()} {
 			if _, err := decodeResponse(payload, abnormal, from, to); err != nil {
 				t.Fatalf("range [%d, %d): real response rejected: %v", from, to, err)
 			}
@@ -167,6 +274,63 @@ func TestClientRejectsMalformedDecisions(t *testing.T) {
 				t.Errorf("range [%d, %d): %s accepted: %+v", from, to, tm.name, got)
 			}
 		}
+		slot := massiveSlot(t, rawDecisions(t, resp))
+		for _, tm := range tableTampers {
+			w := splitResponse(t, resp)
+			tm.edit(&w, slot, abnormal)
+			if got, err := decodeResponse(w.encode(), abnormal, from, to); err == nil {
+				t.Errorf("range [%d, %d): %s accepted: %+v", from, to, tm.name, got)
+			}
+		}
+		huge := slices.Clone(resp)
+		binary.LittleEndian.PutUint32(huge[1:], 1<<30)
+		var err error
+		if got := allocated(func() { _, err = decodeResponse(huge, abnormal, from, to) }); err == nil || got > 1<<20 {
+			t.Errorf("range [%d, %d): table count 2^30 in %d bytes: err %v, allocated %d", from, to, len(huge), err, got)
+		}
+	}
+}
+
+// TestResponseSharesMotions: a response lists each distinct motion
+// once, and the client hands every decision of one family the same
+// dense slice over the table's motions, as the in-process
+// characterizer does.
+func TestResponseSharesMotions(t *testing.T) {
+	pair, abnormal, cfg := decisionWindow(t)
+	m := len(abnormal)
+	resp := realResponse(t, pair, abnormal, cfg, 0, m)
+	w := splitResponse(t, resp)
+	refs, distinct := 0, map[string]bool{}
+	for _, r := range w.refs {
+		refs += len(r)
+	}
+	for _, mo := range w.table {
+		key := fmt.Sprint(mo)
+		if distinct[key] {
+			t.Fatalf("motion %v listed twice", mo)
+		}
+		distinct[key] = true
+	}
+	if len(w.table) == 0 || refs <= len(w.table) {
+		t.Fatalf("fixture: %d refs to %d motions, want motions shared", refs, len(w.table))
+	}
+	decs, err := decodeResponse(resp, abnormal, 0, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := map[string][][]int{}
+	for _, dec := range decs {
+		if len(dec.Result.Dense) == 0 {
+			continue
+		}
+		key := fmt.Sprint(dec.Result.Dense)
+		if prev, ok := families[key]; ok && &prev[0] != &dec.Result.Dense[0] {
+			t.Fatalf("device %d: equal motions %v in a second slice", dec.Result.Device, key)
+		}
+		families[key] = dec.Result.Dense
+	}
+	if len(families) >= len(decs) {
+		t.Fatalf("fixture: %d families for %d decisions", len(families), len(decs))
 	}
 }
 
@@ -224,8 +388,9 @@ func TestHostileShardDegradesWindow(t *testing.T) {
 // not panic, must allocate in proportion to the payload, and must
 // return either an error or exactly one decision per position, each
 // passing the client's checks. The seeds are real responses for one
-// and two devices: the fuzzer minimizes every input that finds new
-// coverage, which takes time quadratic in the input's length.
+// and two devices, in the table layout, and a two-device one with a
+// ref outside its table: the fuzzer minimizes every input that finds
+// new coverage, which takes time quadratic in the input's length.
 func FuzzClientDecode(f *testing.F) {
 	pair, abnormal, cfg := decisionWindow(f)
 	m := len(abnormal)
@@ -233,8 +398,12 @@ func FuzzClientDecode(f *testing.F) {
 		resp := realResponse(f, pair, abnormal, cfg, r[0], r[1])
 		f.Add(resp, uint16(r[0]), uint16(r[1]))
 	}
+	w := splitResponse(f, realResponse(f, pair, abnormal, cfg, 0, 2))
+	w.refs[1] = append(w.refs[1], uint32(len(w.table)))
+	f.Add(w.encode(), uint16(0), uint16(2))
 	f.Add([]byte{statusErr, 3, 0, 0, 0, 'b', 'a', 'd'}, uint16(0), uint16(1))
 	f.Add([]byte{statusOK, 0xff, 0xff, 0xff, 0xff}, uint16(0), uint16(m))
+	f.Add([]byte{statusOK, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, uint16(0), uint16(m))
 
 	const perByte, slack = 64, 1 << 20
 	f.Fuzz(func(t *testing.T, resp []byte, from, to uint16) {
@@ -254,8 +423,13 @@ func FuzzClientDecode(f *testing.F) {
 			t.Fatalf("%d decisions for range [%d, %d)", len(decs), lo, hi)
 		}
 		for i, dec := range decs {
-			if err := checkDecision(dec.Result, abnormal[lo+i], abnormal, false); err != nil {
+			if err := checkDecision(dec.Result, abnormal[lo+i]); err != nil {
 				t.Fatalf("accepted decision fails its check: %v", err)
+			}
+			for _, mo := range dec.Result.Dense {
+				if err := checkMotion(mo, abnormal); err != nil {
+					t.Fatalf("accepted decision of device %d: %v", dec.Result.Device, err)
+				}
 			}
 		}
 	})

@@ -13,22 +13,45 @@
 // MaxFrame, and a reader grows its buffer only as payload bytes arrive,
 // so a corrupt or hostile prefix cannot demand an allocation the peer
 // does not pay for in bytes sent.
-// Requests:
+// Requests, by type byte:
 //
-//	msgInit      seq, r, n, d, m, ids, prev rows, cur rows — build the
-//	             window from its abnormal trajectories; ids strictly
-//	             increasing and below n
-//	msgDecideAll seq, core config, [from, to) positions into the
-//	             window's sorted abnormal set — the shard's slice of
-//	             the fleet's decisions
-//	msgDecide    seq, core config, one device id
-//	msgView      seq, one device id — the raw 4r view plus its bill
+//	1 msgInit      seq, r, n, d, m, ids, prev rows, cur rows — build
+//	               the window from its abnormal trajectories; ids
+//	               strictly increasing and below n
+//	4 msgView      seq, one device id — the raw 4r view plus its bill
+//	5 msgDecideAll seq, core config, [from, to) positions into the
+//	               window's sorted abnormal set — the shard's slice of
+//	               the fleet's decisions
+//	6 msgDecide    seq, core config, one device id
+//
+// Types 2 and 3 were the decide requests of the earlier protocol,
+// whose decisions carried their dense motions inline. They are retired,
+// not reused: a server on either protocol answers the other's decide
+// request with statusErr ("unknown message type"), so a mismatched
+// pair degrades the window to centralized without retries and never
+// misreads a response.
 //
 // Responses: statusOK followed by the result, statusNeedInit when the
 // server does not hold the window a decide or view request names
 // (fresh start, crash restart, or a window superseded since), or
 // statusErr carrying the error text (an application error:
 // deterministic, never retried).
+//
+// Both decide requests are answered with one layout, a motion table
+// and then the decisions:
+//
+//	u32 T, then T motions: u32 len, len global ids (u32), sorted
+//	u32 D, then D decisions: u32 device, u8 class, u8 rule, four u64
+//	    costs, u32 k and k u32 refs into the table, u32 messages,
+//	    trajectories and view size
+//
+// The table lists each distinct dense motion of the response once, in
+// first-appearance order (decisions in order, each decision's motions
+// in order). The client bounds every count by the bytes left in the
+// payload before it allocates, rejects a ref outside the table, checks
+// each table motion once (sorted, inside the window's abnormal set),
+// and checks that every decision's device belongs to each motion it
+// refers to.
 //
 // Every abnormal window is one msgInit per shard, then one decide
 // request per shard slice. Only the m abnormal devices' rows cross the

@@ -574,36 +574,68 @@ func TestWindowCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecisionCodecRoundTrip encodes a decision over window-local ids
-// and decodes it with every id mapped back to its global device.
+// TestDecisionCodecRoundTrip encodes decisions over window-local ids
+// and decodes them with every id mapped back to its global device: a
+// family's members share one dense slice over the table's motions, a
+// motion two families share is listed once, and an empty dense set
+// decodes to nil, matching the in-process zero value.
 func TestDecisionCodecRoundTrip(t *testing.T) {
 	ids := []int{3, 17, 21, 40}
-	dec := dist.Decision{
-		Result: core.Result{
-			Device: 1, Class: core.ClassMassive, Rule: core.RuleTheorem6,
-			Dense: [][]int{{0, 1, 2}, {1, 3}},
-			Cost:  core.Cost{MaximalMotions: 4, DenseMotions: 2, NeighborsScanned: 7, CollectionsTested: 123},
-		},
-		Stats: dist.Stats{Messages: 5, Trajectories: 9, ViewSize: 10},
+	family := [][]int{{0, 1, 2}, {1, 3}}
+	dec := func(device int, dense [][]int) dist.Decision {
+		return dist.Decision{
+			Result: core.Result{
+				Device: device, Class: core.ClassMassive, Rule: core.RuleTheorem6,
+				Dense: dense,
+				Cost:  core.Cost{MaximalMotions: 4, DenseMotions: len(dense), NeighborsScanned: 7, CollectionsTested: 123},
+			},
+			Stats: dist.Stats{Messages: 5, Trajectories: 9, ViewSize: 10 + device},
+		}
 	}
-	want := dec
-	want.Result.Device = 17
-	want.Result.Dense = [][]int{{3, 17, 21}, {17, 40}}
-	b := appendDecision(nil, dec, ids)
-	c := &cursor{b: b}
-	got := decodeDecision(c)
-	if err := c.err(); err != nil {
+	decs := []dist.Decision{
+		dec(0, family[:1]),
+		dec(1, family),
+		dec(2, [][]int{{0, 1, 2}}), // family[0]'s content in another slice
+		dec(3, nil),
+	}
+	b := appendDecisions(nil, decs, ids)
+	got := make([]dist.Decision, len(decs))
+	table, err := decodeDecisions(b, got)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+	wantTable := [][]int{{3, 17, 21}, {17, 40}}
+	if !reflect.DeepEqual(table, wantTable) {
+		t.Fatalf("table %v, want %v", table, wantTable)
 	}
-	// Empty dense set decodes to nil, matching the in-process zero value.
-	dec.Result.Dense = nil
-	b = appendDecision(b[:0], dec, ids)
-	got = decodeDecision(&cursor{b: b})
-	if got.Result.Dense != nil {
-		t.Fatalf("empty dense decoded non-nil: %+v", got.Result.Dense)
+	for i, want := range decs {
+		want.Result.Device = ids[want.Result.Device]
+		want.Result.Dense = nil
+		for _, mo := range decs[i].Result.Dense {
+			var global []int
+			for _, id := range mo {
+				global = append(global, ids[id])
+			}
+			want.Result.Dense = append(want.Result.Dense, global)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("decision %d:\n got %+v\nwant %+v", i, got[i], want)
+		}
+	}
+	if &got[0].Result.Dense[0] != &got[2].Result.Dense[0] || &got[0].Result.Dense[0][0] != &table[0][0] || &got[1].Result.Dense[0][0] != &table[0][0] {
+		t.Fatal("equal ref lists or shared motions decoded into separate slices")
+	}
+	if got[3].Result.Dense != nil {
+		t.Fatalf("empty dense decoded non-nil: %+v", got[3].Result.Dense)
+	}
+	// Truncations at every prefix must error, never panic.
+	for cut := range len(b) {
+		if _, err := decodeDecisions(b[:cut], make([]dist.Decision, len(decs))); err == nil {
+			t.Fatalf("truncation at %d decoded cleanly", cut)
+		}
+	}
+	if _, err := decodeDecisions(b, make([]dist.Decision, len(decs)-1)); err == nil {
+		t.Fatal("response for 4 decisions accepted for 3")
 	}
 }
 

@@ -252,9 +252,10 @@ func (s *Server) respondWindow(out []byte, c *cursor) []byte {
 // holds abnormal device w.ids[i]. Sound because every path from a
 // directory window to a verdict (grid index, 4r views, core
 // characterization) reads abnormal rows only and orders devices by id,
-// which the strictly increasing id table preserves. Set keeps the
-// unit-cube clamp, the identity on rows the Monitor already clamped,
-// so the rows are bit-exact, and rejects non-finite coordinates.
+// which the strictly increasing id table preserves. The states adopt
+// the decoded rows, keeping the unit-cube clamp, the identity on rows
+// the Monitor already clamped, so the rows are bit-exact; non-finite
+// coordinates are rejected, naming the local id.
 func compactPair(w windowMsg) (*motion.Pair, error) {
 	m := len(w.ids)
 	if len(w.prev) != m*w.d || len(w.cur) != m*w.d {
@@ -268,21 +269,13 @@ func compactPair(w windowMsg) (*motion.Pair, error) {
 			return nil, fmt.Errorf("abnormal ids not strictly increasing: %d after %d", id, w.ids[i-1])
 		}
 	}
-	prev, err := space.NewState(m, w.d)
+	prev, err := space.StateFromFlat(w.d, w.prev)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("previous rows: %w", err)
 	}
-	cur, err := space.NewState(m, w.d)
+	cur, err := space.StateFromFlat(w.d, w.cur)
 	if err != nil {
-		return nil, err
-	}
-	for i, id := range w.ids {
-		if err := prev.Set(i, w.prev[i*w.d:(i+1)*w.d]); err != nil {
-			return nil, fmt.Errorf("abnormal device %d: %w", id, err)
-		}
-		if err := cur.Set(i, w.cur[i*w.d:(i+1)*w.d]); err != nil {
-			return nil, fmt.Errorf("abnormal device %d: %w", id, err)
-		}
+		return nil, fmt.Errorf("current rows: %w", err)
 	}
 	return motion.NewPair(prev, cur)
 }
@@ -327,12 +320,7 @@ func (s *Server) respondDecideAll(out []byte, c *cursor) []byte {
 	if err != nil {
 		return appendErr(out, err)
 	}
-	out = append(out, statusOK)
-	out = appendU32(out, uint32(len(decs)))
-	for _, dec := range decs {
-		out = appendDecision(out, dec, w.ids)
-	}
-	return out
+	return appendDecisions(append(out, statusOK), decs, w.ids)
 }
 
 // respondDecide serves one device's decision.
@@ -356,8 +344,7 @@ func (s *Server) respondDecide(out []byte, c *cursor) []byte {
 	if err != nil {
 		return appendErr(out, err)
 	}
-	out = append(out, statusOK)
-	return appendDecision(out, dist.Decision{Result: res, Stats: st}, w.ids)
+	return appendDecisions(append(out, statusOK), []dist.Decision{{Result: res, Stats: st}}, w.ids)
 }
 
 // respondView serves one device's raw 4r view plus its billed stats.

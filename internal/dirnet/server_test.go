@@ -102,14 +102,11 @@ func TestDecisionsIndependentOfPopulation(t *testing.T) {
 	for i := range identity {
 		identity[i] = i
 	}
-	want := appendU32([]byte{statusOK}, uint32(len(decs)))
-	for _, dec := range decs {
-		want = appendDecision(want, dec, identity)
-	}
+	want := appendDecisions([]byte{statusOK}, decs, identity)
 
 	req := appendDecideAll(nil, 1, cfg, 0, len(abnormal))
 	for _, declared := range []int{n, 1000 * n} {
-		w := windowOf(1, pair, abnormal, r)
+		w := windowOf(1, pair, abnormal, r, nil)
 		w.n = declared
 		srv := NewServer()
 		if resp := srv.respond(nil, appendWindow(nil, w)); resp[0] != statusOK {
@@ -141,6 +138,9 @@ func FuzzServerRespond(f *testing.F) {
 		appendDecide(nil, msgView, 42, core.Config{}, 999),
 		window,
 		{},
+		// The retired inline-motion decide requests.
+		{2, 42, 0, 0, 0, 0, 0, 0, 0},
+		{3, 42, 0, 0, 0, 0, 0, 0, 0},
 	} {
 		f.Add(window, req)
 	}
@@ -157,6 +157,34 @@ func FuzzServerRespond(f *testing.F) {
 		checkStatus(t, resp)
 		checkStatus(t, srv.respond(nil, req))
 	})
+}
+
+// TestRetiredDecideTypesRejected: the decide request types of the
+// inline-motion protocol get statusErr, so a client on that protocol
+// degrades its window instead of misreading a table-layout response,
+// and a server on it answers this protocol's decide requests the same
+// way.
+func TestRetiredDecideTypesRejected(t *testing.T) {
+	srv := NewServer()
+	if resp := srv.respond(nil, oneRowWindow(10, 3)); resp[0] != statusOK {
+		t.Fatalf("window response %q", resp)
+	}
+	for _, req := range [][]byte{
+		appendDecideAll(nil, 1, testCfg, 0, 1),
+		appendDecide(nil, msgDecide, 1, testCfg, 3),
+	} {
+		if req[0] == 2 || req[0] == 3 {
+			t.Fatalf("decide request reuses retired type %d", req[0])
+		}
+		if resp := srv.respond(nil, req); resp[0] != statusOK {
+			t.Fatalf("type %d: response %q", req[0], resp)
+		}
+		req[0] -= 3 // msgDecideAll → 2, msgDecide → 3
+		resp := srv.respond(nil, req)
+		if _, err := decodeStatus(resp); !isAppError(err) || !bytes.Contains(resp, []byte("unknown message type")) {
+			t.Fatalf("retired type %d: response %q (%v), want an unknown-type statusErr", req[0], resp, err)
+		}
+	}
 }
 
 func checkStatus(t *testing.T, resp []byte) {

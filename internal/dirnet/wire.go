@@ -6,9 +6,11 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 
 	"anomalia/internal/core"
 	"anomalia/internal/dist"
+	"anomalia/internal/motiontable"
 )
 
 // MaxFrame caps a frame's payload length in both directions (the same
@@ -17,12 +19,16 @@ import (
 // in use.
 const MaxFrame = 1 << 28
 
-// Request message types (first payload byte).
+// Request message types (first payload byte). Types 2 and 3 were the
+// decide requests of the protocol that carried every decision's dense
+// motions inline; they are retired, not reused, so a peer on either
+// protocol answers the other's decide request with statusErr instead of
+// misreading its response.
 const (
-	msgInit byte = iota + 1
-	msgDecideAll
-	msgDecide
-	msgView
+	msgInit      byte = 1
+	msgView      byte = 4
+	msgDecideAll byte = 5
+	msgDecide    byte = 6
 )
 
 // Response status bytes.
@@ -271,54 +277,126 @@ func appendDecide(b []byte, typ byte, seq uint64, cfg core.Config, device int) [
 	return appendU32(b, uint32(device))
 }
 
-// appendDecision encodes one decision: the verdict fields an Outcome
-// is built from plus the billed traffic stats. The J/L diagnostic
+// tablePool recycles the motion tables of decide responses.
+var tablePool = sync.Pool{New: func() any { return new(motiontable.Table) }}
+
+// appendDecisions encodes a decide response body: the motion table,
+// then the decisions. The table lists each distinct dense motion once,
+// in first-appearance order, mapped through ids once per motion; a
+// decision carries its verdict fields, u32 refs into the table in place
+// of its motions, and its billed traffic stats. The J/L diagnostic
 // split of core.Result is deliberately not carried. ids maps the
-// server's window-local device ids to global ones; the map is
-// monotone, so sorted motions stay sorted.
-func appendDecision(b []byte, dec dist.Decision, ids []int) []byte {
-	b = appendU32(b, uint32(ids[dec.Result.Device]))
-	b = append(b, byte(dec.Result.Class), byte(dec.Result.Rule))
-	b = appendU64(b, uint64(dec.Result.Cost.MaximalMotions))
-	b = appendU64(b, uint64(dec.Result.Cost.DenseMotions))
-	b = appendU64(b, uint64(dec.Result.Cost.NeighborsScanned))
-	b = appendU64(b, uint64(dec.Result.Cost.CollectionsTested))
-	b = appendU32(b, uint32(len(dec.Result.Dense)))
-	for _, motion := range dec.Result.Dense {
-		b = appendU32(b, uint32(len(motion)))
-		for _, id := range motion {
+// server's window-local device ids to global ones; the map is monotone,
+// so sorted motions stay sorted.
+func appendDecisions(b []byte, decs []dist.Decision, ids []int) []byte {
+	t := tablePool.Get().(*motiontable.Table)
+	defer func() {
+		t.Reset()
+		tablePool.Put(t)
+	}()
+	// Intern every decision's motions first: the table precedes the
+	// decisions, and a second Refs call on the same slice is a lookup.
+	for i := range decs {
+		t.Refs(decs[i].Result.Dense)
+	}
+	motions := t.Motions()
+	b = appendU32(b, uint32(len(motions)))
+	for _, mo := range motions {
+		b = appendU32(b, uint32(len(mo)))
+		for _, id := range mo {
 			b = appendU32(b, uint32(ids[id]))
 		}
 	}
-	b = appendU32(b, uint32(dec.Stats.Messages))
-	b = appendU32(b, uint32(dec.Stats.Trajectories))
-	return appendU32(b, uint32(dec.Stats.ViewSize))
+	b = appendU32(b, uint32(len(decs)))
+	for i := range decs {
+		dec := &decs[i]
+		b = appendU32(b, uint32(ids[dec.Result.Device]))
+		b = append(b, byte(dec.Result.Class), byte(dec.Result.Rule))
+		b = appendU64(b, uint64(dec.Result.Cost.MaximalMotions))
+		b = appendU64(b, uint64(dec.Result.Cost.DenseMotions))
+		b = appendU64(b, uint64(dec.Result.Cost.NeighborsScanned))
+		b = appendU64(b, uint64(dec.Result.Cost.CollectionsTested))
+		refs := t.Refs(dec.Result.Dense)
+		b = appendU32(b, uint32(len(refs)))
+		for _, ref := range refs {
+			b = appendU32(b, uint32(ref))
+		}
+		b = appendU32(b, uint32(dec.Stats.Messages))
+		b = appendU32(b, uint32(dec.Stats.Trajectories))
+		b = appendU32(b, uint32(dec.Stats.ViewSize))
+	}
+	return b
 }
 
 // minDecisionBytes is the wire size of a decision with no dense
-// motion: device, class and rule, four costs, the motion count and
-// three stats.
+// motion: device, class and rule, four costs, the ref count and three
+// stats.
 const minDecisionBytes = 4 + 2 + 4*8 + 4 + 3*4
 
-func decodeDecision(c *cursor) dist.Decision {
-	var dec dist.Decision
-	dec.Result.Device = int(c.u32())
-	dec.Result.Class = core.Class(c.u8())
-	dec.Result.Rule = core.Rule(c.u8())
-	dec.Result.Cost.MaximalMotions = int(c.u64())
-	dec.Result.Cost.DenseMotions = int(c.u64())
-	dec.Result.Cost.NeighborsScanned = int(c.u64())
-	dec.Result.Cost.CollectionsTested = int(c.u64())
-	if k := c.count(4); k > 0 {
-		dec.Result.Dense = make([][]int, k)
-		for i := range dec.Result.Dense {
-			dec.Result.Dense[i] = c.ids(c.count(4))
+// decodeDecisions decodes a decide response body written by
+// appendDecisions into dst: the motion table, then exactly len(dst)
+// decisions. The decision count is checked before any decision is
+// read, and every allocation is bounded by the body's length. A ref
+// outside the table fails the decode. Decisions with equal ref lists
+// share one dense slice, and every decision shares the table's
+// motions, as the in-process characterizer shares a family's. Nothing
+// is checked against the window; that is decodeWindowDecisions' job.
+func decodeDecisions(body []byte, dst []dist.Decision) (table [][]int, err error) {
+	c := &cursor{b: body}
+	if n := c.count(4); n > 0 {
+		table = make([][]int, n)
+		for i := range table {
+			table[i] = c.ids(c.count(4))
 		}
 	}
-	dec.Stats.Messages = int(c.u32())
-	dec.Stats.Trajectories = int(c.u32())
-	dec.Stats.ViewSize = int(c.u32())
-	return dec
+	count := c.count(minDecisionBytes)
+	if !c.bad && count != len(dst) {
+		return nil, fmt.Errorf("dirnet: %d decisions in a response for %d", count, len(dst))
+	}
+	// families maps a ref list's wire bytes to its dense slice.
+	families := map[string][][]int{}
+	for i := 0; i < count && !c.bad; i++ {
+		dec := &dst[i]
+		dec.Result.Device = int(c.u32())
+		dec.Result.Class = core.Class(c.u8())
+		dec.Result.Rule = core.Rule(c.u8())
+		dec.Result.Cost.MaximalMotions = int(c.u64())
+		dec.Result.Cost.DenseMotions = int(c.u64())
+		dec.Result.Cost.NeighborsScanned = int(c.u64())
+		dec.Result.Cost.CollectionsTested = int(c.u64())
+		dec.Result.Dense = c.family(c.count(4), table, families)
+		dec.Stats.Messages = int(c.u32())
+		dec.Stats.Trajectories = int(c.u32())
+		dec.Stats.ViewSize = int(c.u32())
+	}
+	if err := c.err(); err != nil {
+		return nil, err
+	}
+	return table, nil
+}
+
+// family reads k refs into table and returns the dense motions they
+// name, shared with every earlier decision whose refs were the same.
+func (c *cursor) family(k int, table [][]int, families map[string][][]int) [][]int {
+	if k == 0 || c.bad {
+		return nil
+	}
+	raw := c.b[c.off : c.off+4*k]
+	if dense, ok := families[string(raw)]; ok {
+		c.off += 4 * k
+		return dense
+	}
+	dense := make([][]int, k)
+	for i := range dense {
+		ref := c.u32()
+		if uint64(ref) >= uint64(len(table)) {
+			c.bad = true
+			return nil
+		}
+		dense[i] = table[ref]
+	}
+	families[string(raw)] = dense
+	return dense
 }
 
 // serverError is a decoded statusErr body: a deterministic application

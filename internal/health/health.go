@@ -132,10 +132,11 @@ type Tracker struct {
 	run []int32
 	// seen marks devices that have delivered at least one consumed
 	// report — only they have a last-known value to hold. allSeen is the
-	// fast-path form: a fully-clean all-live tick consumes every device's
-	// report without per-device Report calls, and one such tick gives the
-	// whole fleet a last-known value at once (seen is monotone until
-	// Reset, so a single flag is exact).
+	// whole-fleet form, set by ConsumeAll: a fully-clean all-live tick or
+	// a strict tick consumes every device's report without per-device
+	// Report calls, and one such tick gives the whole fleet a last-known
+	// value at once (seen is monotone until Reset, so a single flag is
+	// exact).
 	seen    []bool
 	allSeen bool
 	// impaired counts devices not Live, so an all-clean tick over an
@@ -239,11 +240,12 @@ func (t *Tracker) Apply(d *Delta) {
 	t.stats.FaultyTicks += d.stats.FaultyTicks
 }
 
-// ConsumeAll records a tick in which every device's report was consumed
-// without per-device Report calls — the fully-clean fast path over an
+// ConsumeAll records a tick that gave every device a last-known value
+// without per-device Report calls: the fully-clean fast path over an
 // all-live fleet (the caller's guard; no state transitions can be
-// pending). After one such tick every device has a last-known value, so
-// a later first fault is held, not skipped.
+// pending), or a strict tick, which consumes every device's report
+// outside the state machine. After one such tick a device's first fault
+// is held, not skipped. It touches no state, streak or counter.
 func (t *Tracker) ConsumeAll() { t.allSeen = true }
 
 // reportCleanImpaired folds a clean report of a stale or quarantined

@@ -65,6 +65,23 @@ func StateFromPoints(coords [][]float64) (*State, error) {
 	return s, nil
 }
 
+// StateFromFlat builds a state of len(coords)/d devices over coords,
+// row-major, without copying them: the state owns the slice from here
+// on. Every coordinate must be finite (ErrNonFinite); each is clamped
+// into [0,1] in place, as Set clamps it.
+func StateFromFlat(d int, coords []float64) (*State, error) {
+	if d < MinDim || d > MaxDim || len(coords)%d != 0 {
+		return nil, fmt.Errorf("%d coords in d = %d: %w", len(coords), d, ErrDimension)
+	}
+	for i, x := range coords {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("device %d coordinate %d: %v: %w", i/d, i%d, x, ErrNonFinite)
+		}
+	}
+	Point(coords).Clamp()
+	return &State{dim: d, n: len(coords) / d, coords: coords}, nil
+}
+
 // Len returns the number of devices n.
 func (s *State) Len() int { return s.n }
 

@@ -3,6 +3,7 @@ package space
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"anomalia/internal/stats"
@@ -172,6 +173,37 @@ func TestStateRejectsNonFinite(t *testing.T) {
 		}
 		if _, err := StateFromPoints([][]float64{{0.1, 0.2}, bad}); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("StateFromPoints(%v) error = %v, want ErrNonFinite", bad, err)
+		}
+	}
+}
+
+// TestStateFromFlat: the state adopts the slab, clamps it in place, and
+// rejects a ragged slab, a bad dimension and non-finite coordinates.
+func TestStateFromFlat(t *testing.T) {
+	coords := []float64{0.2, 1.3, -0.1, 0.5, 0.7, 0.8}
+	s, err := StateFromFlat(2, coords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 3 || s.Dim() != 2 || &s.At(0)[0] != &coords[0] {
+		t.Fatalf("state %d×%d does not adopt the slab", s.Len(), s.Dim())
+	}
+	if want := []float64{0.2, 1, 0, 0.5, 0.7, 0.8}; !slices.Equal(coords, want) {
+		t.Fatalf("coords %v, want %v", coords, want)
+	}
+	for _, tc := range []struct {
+		d      int
+		coords []float64
+		want   error
+	}{
+		{2, []float64{0.1, 0.2, 0.3}, ErrDimension},
+		{0, nil, ErrDimension},
+		{MaxDim + 1, nil, ErrDimension},
+		{2, []float64{0.1, math.NaN()}, ErrNonFinite},
+		{1, []float64{math.Inf(-1)}, ErrNonFinite},
+	} {
+		if _, err := StateFromFlat(tc.d, tc.coords); !errors.Is(err, tc.want) {
+			t.Errorf("d=%d %v: err %v, want %v", tc.d, tc.coords, err, tc.want)
 		}
 	}
 }

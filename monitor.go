@@ -113,12 +113,6 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 	if err := cfg.health.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
-	factory := cfg.factory
-	if factory == nil {
-		factory = func(int, int) (Detector, error) {
-			return NewThresholdDetector(0.05)
-		}
-	}
 	m := &Monitor{
 		devices:  devices,
 		services: services,
@@ -132,6 +126,32 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 		}
 		m.dirClient = client
 	}
+	if cfg.factory == nil {
+		// The default detectors are the Threshold bank's by construction.
+		m.bank = detect.NewUniformThresholdBank(devices, services, defaultThresholdDelta, cfg.ingestWorkers)
+	} else {
+		b, err := newBank(devices, services, cfg.factory, cfg.ingestWorkers)
+		if err != nil {
+			return nil, err
+		}
+		m.bank = b
+	}
+	// Registered last: the scrape hook reads the monitor from another
+	// goroutine, so it must see the monitor fully built.
+	if cfg.metrics != nil {
+		m.mx = newMonitorMetrics(cfg.metrics, m)
+	}
+	return m, nil
+}
+
+// defaultThresholdDelta is the delta of the default detectors.
+const defaultThresholdDelta = 0.05
+
+// newBank builds the factory's detectors for every device and service
+// and returns the bank that runs them: the Threshold bank when every
+// detector is an untrained Threshold with one shared delta, the
+// per-device bank otherwise.
+func newBank(devices, services int, factory func(dev, svc int) (Detector, error), workers int) (bank, error) {
 	dets := make([]*detect.Device, devices)
 	for dev := range dets {
 		composite, err := detect.NewDevice(services, func(svc int) (detect.Detector, error) {
@@ -149,17 +169,10 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 		}
 		dets[dev] = composite
 	}
-	if tb := detect.NewThresholdBank(dets, cfg.ingestWorkers); tb != nil {
-		m.bank = tb
-	} else {
-		m.bank = detect.NewDeviceBank(dets, cfg.ingestWorkers)
+	if tb := detect.NewThresholdBank(dets, workers); tb != nil {
+		return tb, nil
 	}
-	// Registered last: the scrape hook reads the monitor from another
-	// goroutine, so it must see the monitor fully built.
-	if cfg.metrics != nil {
-		m.mx = newMonitorMetrics(cfg.metrics, m)
-	}
-	return m, nil
+	return detect.NewDeviceBank(dets, workers), nil
 }
 
 // Time returns the number of snapshots observed so far.
@@ -242,7 +255,9 @@ func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
 }
 
 // tracker returns the health state machine of the partial ingest
-// policy, built on the first partial tick.
+// policy, built on the first partial tick. Every tick before that one
+// was strict, so a tracker built after an accepted tick starts with
+// every device holding a last-known value.
 func (m *Monitor) tracker() (*health.Tracker, error) {
 	if t := m.health.Load(); t != nil {
 		return t, nil
@@ -250,6 +265,9 @@ func (m *Monitor) tracker() (*health.Tracker, error) {
 	t, err := health.New(m.devices, m.cfg.health)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
+	}
+	if m.prev != nil {
+		t.ConsumeAll()
 	}
 	m.health.Store(t)
 	return t, nil
@@ -315,9 +333,9 @@ func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 // transition runs inside the sharded pass and picks what it detects
 // on; the pass holds statsMu. A tick that fed every device its own row
 // — an accepted strict tick, or a partial one that found every row
-// clean over a fleet all-live at its start — trains the whole bank,
-// and a partial one also charges the fleet one consumed report with
-// ConsumeAll.
+// clean over a fleet all-live at its start — trains the whole bank and
+// gives every device a last-known value in the tracker, if there is
+// one, with ConsumeAll.
 func (m *Monitor) step(samples [][]float64, cur *space.State, strict bool) ([]int, error) {
 	var tracker *health.Tracker
 	if !strict {
@@ -334,8 +352,10 @@ func (m *Monitor) step(samples [][]float64, cur *space.State, strict bool) ([]in
 		return abnormal, fmt.Errorf("%w: %w", ErrInvalidInput, m.bank.Reject(samples, m.cleanBuf))
 	}
 	if strict || allLive && nClean == m.devices {
-		if tracker != nil {
-			tracker.ConsumeAll()
+		// Only the observing goroutine reads the tracker's last-known
+		// marks, so a strict tick marks them without statsMu.
+		if t := m.health.Load(); t != nil {
+			t.ConsumeAll()
 		}
 		m.bank.TrainAll()
 	}

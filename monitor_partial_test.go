@@ -512,3 +512,77 @@ func TestMonitorHealthAccessors(t *testing.T) {
 		t.Fatal("zero ReadmitTicks accepted")
 	}
 }
+
+// TestStrictThenPartialHoldsDevice: strict ticks give every device a
+// last-known value, so a partial tick that misses a device holds it at
+// its committed position rather than skipping it — whether the tracker
+// is built after the strict ticks or already exists — and Reset forgets
+// those values again.
+func TestStrictThenPartialHoldsDevice(t *testing.T) {
+	t.Parallel()
+
+	const n = 6
+	row := func(x, y float64) [][]float64 {
+		snap := make([][]float64, n)
+		for j := range snap {
+			snap[j] = []float64{0.5, 0.5}
+		}
+		snap[3] = []float64{x, y}
+		return snap
+	}
+	missing := row(0, 0)
+	missing[3] = nil
+	held := func(t *testing.T, mon *Monitor, wantHeld int64, wantPos []float64) {
+		t.Helper()
+		hs := mon.HealthStats()
+		if hs.HeldTicks != wantHeld || hs.Stale != 1 || hs.Live != n-1 {
+			t.Fatalf("health %+v, want %d held tick(s) and device 3 stale", hs, wantHeld)
+		}
+		if st, _ := mon.DeviceHealth(3); st != HealthStale {
+			t.Fatalf("device 3 health %v, want stale", st)
+		}
+		if got := mon.prev.At(3); !reflect.DeepEqual([]float64(got), wantPos) {
+			t.Fatalf("device 3 committed at %v, want %v", got, wantPos)
+		}
+	}
+
+	mon, err := NewMonitor(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range [][][]float64{row(0.5, 0.5), row(0.52, 0.48)} {
+		if _, err := mon.Observe(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := mon.ObservePartial(missing); err != nil {
+		t.Fatal(err)
+	}
+	held(t, mon, 1, []float64{0.52, 0.48})
+
+	mon.Reset()
+	if hs := mon.HealthStats(); hs != (HealthStats{Live: n}) {
+		t.Fatalf("health after Reset %+v, want all live and zero counters", hs)
+	}
+	// After Reset device 3 has no value to hold: it sits the tick out,
+	// parked at the origin.
+	if _, err := mon.ObservePartial(missing); err != nil {
+		t.Fatal(err)
+	}
+	if hs := mon.HealthStats(); hs.HeldTicks != 0 || hs.Stale != 1 {
+		t.Fatalf("health %+v, want device 3 stale and nothing held", hs)
+	}
+	if got := mon.prev.At(3); !reflect.DeepEqual([]float64(got), []float64{0, 0}) {
+		t.Fatalf("unseen device 3 parked at %v, want the origin", got)
+	}
+
+	// The tracker exists now; a strict tick marks every device seen.
+	mon.Reset()
+	if _, err := mon.Observe(row(0.3, 0.7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mon.ObservePartial(missing); err != nil {
+		t.Fatal(err)
+	}
+	held(t, mon, 1, []float64{0.3, 0.7})
+}

@@ -4,12 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
+	"unicode/utf8"
+
+	"anomalia/internal/motiontable"
 )
 
 // windowReport is a Report as a window record writes it: its dense
 // motions are indices into the record's motion table. Class is the
-// class's text, which Class.String returns without allocating.
+// class's text.
 type windowReport struct {
 	Device     int    `json:"device"`
 	Class      string `json:"class"`
@@ -18,9 +22,10 @@ type windowReport struct {
 	Cost       Cost   `json:"cost"`
 }
 
-// windowRecord is an Outcome as JSON writes it: each distinct dense
+// windowRecord is the layout of a window record: each distinct dense
 // motion once, in Motions, in first-appearance order (reports in order,
-// each report's motions in order).
+// each report's motions in order). AppendJSON writes it field by field;
+// UnmarshalJSON reads it.
 type windowRecord struct {
 	Reports    []windowReport `json:"reports"`
 	Massive    []int          `json:"massive,omitempty"`
@@ -30,155 +35,185 @@ type windowRecord struct {
 	Dist       *DistStats     `json:"dist,omitempty"`
 }
 
-// sliceKey identifies a non-empty slice by its first element and its
-// length: two slices with the same key hold the same elements.
-type sliceKey[T any] struct {
-	first *T
-	n     int
+// recordScratch is the pooled scratch of one record encoding: the
+// motion table, and MarshalJSON's byte buffer.
+type recordScratch struct {
+	table motiontable.Table
+	buf   []byte
 }
 
-// motionTable is the encoder's scratch for one window record. Lookups
-// by slice identity catch the sharing the characterizer produces (one
-// family's reports share their DenseMotions, families share motions);
-// the content lookup behind them makes the table, and so the record,
-// depend on the Outcome's value alone.
-type motionTable struct {
-	rec      windowRecord
-	reps     []windowReport
-	refs     []int          // every report's motion_refs, back to back
-	motions  [][]int        // the table, in first-appearance order
-	next     []int          // next table index with the same hash, -1 ends
-	byHash   map[uint64]int // content hash → 1 + newest table index
-	byMotion map[sliceKey[int]]int
-	byFamily map[sliceKey[[]int]][]int
-}
+var recordPool = sync.Pool{New: func() any { return new(recordScratch) }}
 
-var tablePool = sync.Pool{New: func() any {
-	return &motionTable{
-		// Non-nil, so an empty non-nil Reports still writes [].
-		reps:     make([]windowReport, 0, 64),
-		byHash:   map[uint64]int{},
-		byMotion: map[sliceKey[int]]int{},
-		byFamily: map[sliceKey[[]int]][]int{},
-	}
-}}
-
-// MarshalJSON writes the Outcome as a window record. Each distinct
-// dense motion appears once, in a window-level "motions" table, and
-// each report lists its DenseMotions as "motion_refs", indices into
-// that table. The table holds the motions in first-appearance order,
-// so the bytes depend only on the Outcome's value, not on which of its
-// slices share memory.
+// MarshalJSON writes the Outcome as a window record, the bytes
+// AppendJSON appends. It encodes into pooled scratch and returns one
+// copy of the record's final length.
 func (o Outcome) MarshalJSON() ([]byte, error) {
-	t := tablePool.Get().(*motionTable)
-	defer t.release()
-	return json.Marshal(t.record(&o))
+	s := recordPool.Get().(*recordScratch)
+	s.buf = o.appendRecord(s.buf[:0], &s.table)
+	out := make([]byte, len(s.buf))
+	copy(out, s.buf)
+	s.table.Reset()
+	recordPool.Put(s)
+	return out, nil
 }
 
-// record fills t.rec from o.
-func (t *motionTable) record(o *Outcome) *windowRecord {
-	total := 0
-	for i := range o.Reports {
-		total += len(o.Reports[i].DenseMotions)
-	}
-	// refsOf hands out subslices of t.refs, so it must not move.
-	if cap(t.refs) < total {
-		t.refs = make([]int, 0, total)
-	}
-	reps := t.reps[:0]
-	for i := range o.Reports {
-		r := &o.Reports[i]
-		reps = append(reps, windowReport{
-			Device:     r.Device,
-			Class:      r.Class.String(),
-			Rule:       r.Rule,
-			MotionRefs: t.refsOf(r.DenseMotions),
-			Cost:       r.Cost,
-		})
-	}
-	t.reps = reps
+// AppendJSON appends the Outcome's window record to dst and returns the
+// extended buffer. Each distinct dense motion appears once, in a
+// window-level "motions" table, and each report lists its DenseMotions
+// as "motion_refs", indices into that table. The table holds the
+// motions in first-appearance order, so the bytes depend only on the
+// Outcome's value, not on which of its slices share memory. The bytes
+// are those encoding/json writes for the record: compact, with strings
+// escaped as json.Marshal escapes them.
+func (o Outcome) AppendJSON(dst []byte) []byte {
+	s := recordPool.Get().(*recordScratch)
+	dst = o.appendRecord(dst, &s.table)
+	s.table.Reset()
+	recordPool.Put(s)
+	return dst
+}
+
+// appendRecord appends o's window record, interning its motions in t.
+func (o *Outcome) appendRecord(b []byte, t *motiontable.Table) []byte {
+	b = append(b, `{"reports":`...)
 	if o.Reports == nil {
-		reps = nil
-	}
-	t.rec = windowRecord{
-		Reports:    reps,
-		Massive:    o.Massive,
-		Isolated:   o.Isolated,
-		Unresolved: o.Unresolved,
-		Motions:    t.motions,
-		Dist:       o.Dist,
-	}
-	return &t.rec
-}
-
-// refsOf returns the table indices of dense, adding motions the table
-// lacks.
-func (t *motionTable) refsOf(dense [][]int) []int {
-	if len(dense) == 0 {
-		return nil
-	}
-	key := sliceKey[[]int]{&dense[0], len(dense)}
-	if refs, ok := t.byFamily[key]; ok {
-		return refs
-	}
-	start := len(t.refs)
-	for _, m := range dense {
-		t.refs = append(t.refs, t.index(m))
-	}
-	refs := t.refs[start:len(t.refs):len(t.refs)]
-	t.byFamily[key] = refs
-	return refs
-}
-
-// index returns m's table index, adding m if no equal motion is there.
-func (t *motionTable) index(m []int) int {
-	var key sliceKey[int]
-	if len(m) > 0 {
-		key = sliceKey[int]{&m[0], len(m)}
-		if i, ok := t.byMotion[key]; ok {
-			return i
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range o.Reports {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendReport(b, &o.Reports[i], t)
 		}
+		b = append(b, ']')
 	}
-	h := hashIDs(m)
-	i := t.byHash[h] - 1
-	for i >= 0 && !slices.Equal(t.motions[i], m) {
-		i = t.next[i]
+	b = appendIDsField(b, `,"massive":`, o.Massive)
+	b = appendIDsField(b, `,"isolated":`, o.Isolated)
+	b = appendIDsField(b, `,"unresolved":`, o.Unresolved)
+	if motions := t.Motions(); len(motions) > 0 {
+		b = append(b, `,"motions":[`...)
+		for i, m := range motions {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendIDs(b, m)
+		}
+		b = append(b, ']')
 	}
-	if i < 0 {
-		i = len(t.motions)
-		t.motions = append(t.motions, m)
-		t.next = append(t.next, t.byHash[h]-1)
-		t.byHash[h] = i + 1
+	if d := o.Dist; d != nil {
+		b = append(b, `,"dist":{"messages":`...)
+		b = strconv.AppendInt(b, int64(d.Messages), 10)
+		b = append(b, `,"trajectories":`...)
+		b = strconv.AppendInt(b, int64(d.Trajectories), 10)
+		b = append(b, `,"view_size":`...)
+		b = strconv.AppendInt(b, int64(d.ViewSize), 10)
+		b = append(b, '}')
 	}
-	if len(m) > 0 {
-		t.byMotion[key] = i
-	}
-	return i
+	return append(b, '}')
 }
 
-// release drops every reference into the encoded Outcome and returns
-// t to the pool with its capacity.
-func (t *motionTable) release() {
-	t.rec = windowRecord{}
-	clear(t.reps)
-	clear(t.motions)
-	t.motions = t.motions[:0]
-	t.refs = t.refs[:0]
-	t.next = t.next[:0]
-	clear(t.byHash)
-	clear(t.byMotion)
-	clear(t.byFamily)
-	tablePool.Put(t)
+// appendReport appends one report of a window record.
+func appendReport(b []byte, r *Report, t *motiontable.Table) []byte {
+	b = append(b, `{"device":`...)
+	b = strconv.AppendInt(b, int64(r.Device), 10)
+	b = append(b, `,"class":`...)
+	b = appendString(b, r.Class.String())
+	b = append(b, `,"rule":`...)
+	b = appendString(b, r.Rule)
+	if refs := t.Refs(r.DenseMotions); len(refs) > 0 {
+		b = append(b, `,"motion_refs":`...)
+		b = appendIDs(b, refs)
+	}
+	b = append(b, `,"cost":{"maximal_motions":`...)
+	b = strconv.AppendInt(b, int64(r.Cost.MaximalMotions), 10)
+	b = append(b, `,"dense_motions":`...)
+	b = strconv.AppendInt(b, int64(r.Cost.DenseMotions), 10)
+	b = append(b, `,"neighbors_scanned":`...)
+	b = strconv.AppendInt(b, int64(r.Cost.NeighborsScanned), 10)
+	b = append(b, `,"collections_tested":`...)
+	b = strconv.AppendInt(b, int64(r.Cost.CollectionsTested), 10)
+	return append(b, "}}"...)
 }
 
-// hashIDs is FNV-1a over the ids' 64-bit values.
-func hashIDs(ids []int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range ids {
-		h ^= uint64(v)
-		h *= 1099511628211
+// appendIDsField appends an omitempty id list: the field and its value,
+// or nothing when ids is empty.
+func appendIDsField(b []byte, field string, ids []int) []byte {
+	if len(ids) == 0 {
+		return b
 	}
-	return h
+	return appendIDs(append(b, field...), ids)
+}
+
+// appendIDs appends ids as a JSON array; nil is null, as encoding/json
+// writes a nil slice.
+func appendIDs(b []byte, ids []int) []byte {
+	if ids == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return append(b, ']')
+}
+
+// appendString appends s as a JSON string escaped as json.Marshal
+// escapes it: quote, backslash and control characters, the HTML
+// characters <, > and &, U+2028 and U+2029, and each byte of invalid
+// UTF-8 as U+FFFD.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // UnmarshalJSON reads a window record written by MarshalJSON. Reports
@@ -212,7 +247,7 @@ func (o *Outcome) UnmarshalJSON(data []byte) error {
 		}
 		var dense [][]int
 		if len(r.MotionRefs) > 0 {
-			h := hashIDs(r.MotionRefs)
+			h := motiontable.Hash(r.MotionRefs)
 			if f, ok := families[h]; ok && slices.Equal(f.refs, r.MotionRefs) {
 				dense = f.dense
 			} else {

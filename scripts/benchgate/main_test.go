@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -185,5 +186,56 @@ func TestTrajectory(t *testing.T) {
 	}
 	if err := trajectory(t.TempDir()); err == nil || !strings.Contains(err.Error(), "BENCH_2.json") {
 		t.Fatalf("empty directory: %v", err)
+	}
+}
+
+// TestRatioGatesPairRepetitions: a "/" gate reads the median of the
+// per-repetition ratios, each repetition's two lines measured in one
+// go test invocation, not the ratio of the two medians; repetitions
+// that do not pair up are an error.
+func TestRatioGatesPairRepetitions(t *testing.T) {
+	g := gate{bench: "BenchmarkA", unit: nsOp, op: "/", base: "BenchmarkB", bound: 1.5}
+	// Ratios 1, 3 and 0.5: median 1; the medians 20 and 10 give 2.
+	s := samples{{"BenchmarkA", nsOp}: {10, 30, 20}, {"BenchmarkB", nsOp}: {10, 10, 40}}
+	if v, err := g.value(s); err != nil || v != 1 {
+		t.Fatalf("value = %v, %v; want the median paired ratio 1", v, err)
+	}
+	s[key{"BenchmarkB", nsOp}] = []float64{10, 10}
+	if _, err := g.value(s); err == nil || !strings.Contains(err.Error(), "3 ns/op lines for BenchmarkA but 2 for BenchmarkB") {
+		t.Fatalf("unpaired repetitions: err %v", err)
+	}
+
+	// Every ratio gate's reading on the fixture, to the fixture's
+	// precision. The two quiet-tick ratios of the partial ticks read
+	// 1.3725 and 1.2554 as ratios of medians: the medians came from
+	// different invocations.
+	want := map[string]float64{
+		stormDist + " / BenchmarkCentralDecide/storm/m=3000 ns/op":                   1.448311,
+		quietTick + " / BenchmarkTickIngestDetectGeneric1M ns/op":                    0.424865,
+		"BenchmarkTickObservePartial1M / " + quietTick + " ns/op":                    1.260140,
+		"BenchmarkTickObservePartialLossy1M / " + quietTick + " ns/op":               1.120780,
+		"BenchmarkTickObserve1M/sharded / BenchmarkTickBare1M ns/op":                 0.936466,
+		"BenchmarkDecideWindow/n=100k/wire / BenchmarkDecideWindow/n=10k/wire B/op":  1.001928,
+		"BenchmarkDecideWindow/n=10k/wire / BenchmarkDecideWindow/n=10k/inproc B/op": 1.795578,
+	}
+	fx := parse(fixture(t))
+	for _, r := range table {
+		for _, g := range r.gates {
+			if g.op != "/" {
+				continue
+			}
+			w, ok := want[g.String()]
+			if !ok {
+				t.Errorf("%s: no pinned reading", g)
+				continue
+			}
+			if v, err := g.value(fx); err != nil || math.Abs(v-w) > 5e-7 {
+				t.Errorf("%s = %v, %v; want %v", g, v, err, w)
+			}
+			delete(want, g.String())
+		}
+	}
+	for name := range want {
+		t.Errorf("pinned reading for %s, which is not a ratio gate", name)
 	}
 }

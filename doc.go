@@ -278,47 +278,42 @@
 //     whole index materializes as one key-sorted cell slab plus shared
 //     id/coordinate/key arenas — a handful of allocations however many
 //     cells a window occupies, with lookups served by binary search.
-//   - Adjacency storage is hybrid and density-adaptive. Below ~4k
-//     vertices every vertex owns a dense bitset row (slab-backed: one
-//     shared words arena) — O(m^2/64) bytes, but components and clique
-//     enumeration are pure word operations, which is what the
-//     per-window characterization hot path wants. From ~4k vertices
-//     the grid's cell-pair walk is sharded across GOMAXPROCS workers
-//     into per-worker edge and block buffers, and the representation
-//     is picked from the measured edge count after collection: windows
-//     so edge-dense that a CSR arena would be no smaller (edge-crowded
-//     massive-event clusters) fill dense rows straight from the
-//     buffers and the block masks, everything else merges into one
-//     shared CSR arena (2 allocations however many edges) with a
-//     count/prefix-sum/fill/sort pass. Memory falls from O(m^2/64) to
-//     O(m + edges), which is what lets a million-device window build
-//     at all.
-//   - Over dense rows the component search is a word-parallel
-//     breadth-first search — each visited row contributes
-//     adj[u] &^ seen at once — and Bron-Kerbosch bounds its Tomita
-//     pivot scan: it stops at the first vertex adjacent to all other
+//   - Adjacency is stored one connected component at a time. Every
+//     window runs the same collect pass — the cell-pair walk, sharded
+//     across GOMAXPROCS workers from ~4k vertices, into per-worker edge
+//     and block buffers that start small and grow with the edges found
+//     — then a union-find over the blocks and edges labels the
+//     components, numbered by smallest member. A component of up to
+//     4,096 devices, or a larger one so edge-dense that neighbour lists
+//     would be no smaller, gets a dense bitset block over its ranks;
+//     all blocks share one words slab of Σ s·ceil(s/64) words instead
+//     of an m·ceil(m/64) window matrix (a storm window of six
+//     500-device clusters: 0.19 MB of blocks against 1.1 MB). Any other
+//     component keeps sorted neighbour-rank lists in one shared CSR
+//     arena (2 allocations however many edges), filled by a
+//     count/prefix-sum/fill/sort pass, so memory is O(m + edges) and a
+//     million-device window builds at all.
+//   - Clique enumeration runs on a component's block in place: the
+//     rows are viewed, not copied, and Bron-Kerbosch bounds its Tomita
+//     pivot scan — it stops at the first vertex adjacent to all other
 //     candidates, since none can do better, and takes that vertex's
 //     single branch in place. An s-clique then costs s intersection
-//     counts instead of O(s^2). A component over a contiguous run of
-//     local indices (a DSLAM's contiguous ids) densifies by copying
-//     each row's bit range with word shifts.
-//   - Sparse-mode clique enumeration never widens back to m: each
-//     vertex's neighbourhood is densified into a Δ-sized subgraph
-//     (degeneracy-ordered Bron-Kerbosch over N(v), with Δ the maximum
-//     degree), so enumeration scratch is O(Δ^2/64) bits from the same
-//     recycled pool and results are property-tested identical to the
-//     dense representation.
+//     counts instead of O(s^2). The Theorem 7 probe sizes its bitsets
+//     to the component too, not to the window.
+//   - Clique enumeration over a CSR component never widens to the
+//     component: each vertex's neighbourhood is densified into a
+//     Δ-sized subgraph, with Δ the maximum degree, so enumeration
+//     scratch is O(Δ^2/64) bits from the same recycled pool, and
+//     results are property-tested identical to dense blocks.
 //   - Characterization is component-local and decides once per dense
 //     family. The motion graph is decomposed into connected components
 //     once per window, and every rule of Theorems 5-7 is local to a
 //     component — a maximal motion is a clique, D_k(j) unions motions
 //     containing j, and J_k/L_k split D_k(j), so none of them crosses a
 //     component boundary. Maximal motions are enumerated once per
-//     component — a single Bron-Kerbosch over the densified component
-//     subgraph, falling back to Δ-bounded anchored per-vertex
-//     enumeration when a CSR-mode component exceeds the dense crossover
-//     (dense-row graphs densify whatever the component size: that
-//     scratch never exceeds the adjacency they already carry). The same
+//     component — a single Bron-Kerbosch on the component's dense
+//     block, or the Δ-bounded anchored per-vertex enumeration on a CSR
+//     component. The same
 //     pass interns the component's distinct families W̄_k: since W̄_k(ℓ)
 //     is exactly the set of maximal dense motions containing ℓ,
 //     ℓ ∈ J_k(j) iff W̄_k(ℓ) ⊆ W̄_k(j), so D_k, the J_k/L_k split and

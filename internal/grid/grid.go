@@ -27,6 +27,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"anomalia/internal/par"
 	"anomalia/internal/space"
@@ -259,6 +260,27 @@ type Index struct {
 	// filled for free during the build, so a caller that answers queries
 	// per id never recomputes coordinates or keys.
 	idCell []int32
+	// fan holds ForEachNeighbor's offset fan for the reach it was last
+	// asked for.
+	fan atomic.Pointer[neighborFan]
+}
+
+// neighborFan is the offset fan of one reach.
+type neighborFan struct {
+	reach int
+	offs  [][]int
+}
+
+// neighborOffsets returns the offset fan of reach, built once per index
+// and reach. Concurrent first callers may each build it; the last store
+// wins, and every fan built is the same.
+func (ix *Index) neighborOffsets(reach int) [][]int {
+	if f := ix.fan.Load(); f != nil && f.reach == reach {
+		return f.offs
+	}
+	f := &neighborFan{reach: reach, offs: offsetFan(ix.dim, reach)}
+	ix.fan.Store(f)
+	return f.offs
 }
 
 // New indexes the given device ids (typically the abnormal set, sorted)
@@ -575,13 +597,14 @@ func (w *PairWalk) Shard(shard, nshards int, fn func(a, b int)) {
 // the given center coordinates (including the center cell itself when
 // occupied), in the fan's odometer order. It probes the (2*reach+1)^d
 // neighbour keys directly, skipping coordinates outside [0, Res);
-// callers must bound the fan (NeighborCells) first.
+// callers must bound the fan (NeighborCells) first. The fan is built on
+// the first call for a reach, so a warm call allocates nothing.
 func (ix *Index) ForEachNeighbor(center []int, reach int, fn func(i int, c *Cell)) {
 	dim := ix.dim
 	var cbuf [space.MaxDim]int
 	var kbuf [space.MaxDim]uint64
 	coords := cbuf[:dim]
-	for _, off := range offsetFan(dim, reach) {
+	for _, off := range ix.neighborOffsets(reach) {
 		ok := true
 		for i := 0; i < dim; i++ {
 			c := center[i] + off[i]

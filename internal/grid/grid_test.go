@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"anomalia/internal/space"
@@ -351,4 +352,84 @@ func TestSortedCellsDeterministic(t *testing.T) {
 			t.Fatalf("cells %d and %d out of key order", i-1, i)
 		}
 	}
+}
+
+// TestForEachNeighborWarmAllocs: the offset fan is built once per index
+// and reach, so a warm neighbour walk allocates nothing, and switching
+// reach rebuilds a fan that visits the right cells.
+func TestForEachNeighborWarmAllocs(t *testing.T) {
+	rng := stats.NewRNG(5)
+	st, err := space.NewState(400, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Uniform(rng.Float64)
+	ids := make([]int, 400)
+	for j := range ids {
+		ids[j] = j
+	}
+	ix := New(st, ids, ForRadius(0.05))
+	center := ix.CellAt(ix.CellOf(0)).Coords
+	visited := 0
+	count := func(int, *Cell) { visited++ }
+	for _, reach := range []int{2, 1, 2} {
+		visited = 0
+		ix.ForEachNeighbor(center, reach, count)
+		want := 0
+		for _, c := range ix.SortedCells() {
+			if Chebyshev(c.Coords, center) <= reach {
+				want++
+			}
+		}
+		if visited != want {
+			t.Fatalf("reach %d: visited %d cells, want %d", reach, visited, want)
+		}
+		if got := testing.AllocsPerRun(100, func() { ix.ForEachNeighbor(center, reach, count) }); got != 0 {
+			t.Fatalf("reach %d: warm ForEachNeighbor allocates %.0f times, want 0", reach, got)
+		}
+	}
+}
+
+// TestForEachNeighborConcurrent: goroutines walking one index at
+// different reaches share its fan cache; each walk still visits exactly
+// the cells within its own reach.
+func TestForEachNeighborConcurrent(t *testing.T) {
+	t.Parallel()
+
+	rng := stats.NewRNG(6)
+	st, err := space.NewState(300, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Uniform(rng.Float64)
+	ids := make([]int, 300)
+	for j := range ids {
+		ids[j] = j
+	}
+	ix := New(st, ids, ForRadius(0.05))
+	center := ix.CellAt(ix.CellOf(0)).Coords
+	want := map[int]int{}
+	for _, reach := range []int{1, 2, 3} {
+		for _, c := range ix.SortedCells() {
+			if Chebyshev(c.Coords, center) <= reach {
+				want[reach]++
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(reach int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				visited := 0
+				ix.ForEachNeighbor(center, reach, func(int, *Cell) { visited++ })
+				if visited != want[reach] {
+					t.Errorf("reach %d: visited %d cells, want %d", reach, visited, want[reach])
+					return
+				}
+			}
+		}(1 + g%3)
+	}
+	wg.Wait()
 }

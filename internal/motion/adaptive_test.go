@@ -55,11 +55,12 @@ func clusterCliquePair(t *testing.T, rng *stats.RNG, n, clusterPop int, r float6
 	return pair
 }
 
-// TestNewGraphDensityAdaptive: above sparseMinVertices the production
-// dispatch must pick the representation from the measured edge count —
-// dense bitset rows for an edge-dense clustered window, CSR for a
-// uniform one — and the dense-from-edges build must agree with the
-// forced-CSR build on the full read and enumeration surface.
+// TestNewGraphDensityAdaptive: the representation follows each
+// component, not the window. A uniform window above componentDenseMax
+// vertices falls apart into small components, each a dense block, and
+// matches the all-pairs oracle; an edge-dense clustered window keeps
+// dense blocks too, and agrees with the forced-CSR build on the full
+// read and enumeration surface.
 func TestNewGraphDensityAdaptive(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -71,9 +72,11 @@ func TestNewGraphDensityAdaptive(t *testing.T) {
 	const r = 0.01
 
 	uniform := randomPair(t, rng, n, 2, 1.0)
-	if g := NewGraph(uniform, allIds(n), r); !g.Sparse() {
-		t.Fatal("uniform window above the crossover must stay CSR")
+	g := NewGraph(uniform, allIds(n), r)
+	if g.Sparse() {
+		t.Fatal("a uniform window's small components must keep dense blocks")
 	}
+	sameAdjacency(t, "uniform", g, newGraphAllPairs(uniform, allIds(n), r))
 
 	pair := clusterCliquePair(t, rng, n, 500, r)
 	dense := NewGraph(pair, allIds(n), r)

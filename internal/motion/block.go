@@ -1,10 +1,6 @@
 package motion
 
-import (
-	"math"
-
-	"anomalia/internal/sets"
-)
+import "math"
 
 // This file holds what every production build shares: the window's
 // flattened coordinates, and the block accept of the grid builds.
@@ -224,48 +220,55 @@ func (cb *cellBlocks) testBlock(a, c int, edge func(va, vc int32)) {
 	}
 }
 
-// fill adds every pair of the accepted block (a, c) to the dense rows
-// adj: each member of one cell gets the other cell's mask, and a cell
-// paired with itself then drops each row's self bit.
-func (cb *cellBlocks) fill(adj []*sets.Bits, a, c int) {
+// fill adds every pair of the accepted block (a, c) to the block of g's
+// dense component k, which holds both cells: each member of one cell
+// gets the other cell's rank mask, and a cell paired with itself then
+// drops each row's self bit.
+func (cb *cellBlocks) fill(g *Graph, k, a, c int) {
 	la := cb.locals.row(a)
 	if a == c {
-		cb.orInto(adj, la, a)
+		cb.orInto(g, k, la, a)
 		for _, v := range la {
-			adj[v].Remove(int(v))
+			r := int(g.cs.rank[v])
+			g.rowWords(k, r)[r/64] &^= 1 << uint(r%64)
 		}
 		return
 	}
-	cb.orInto(adj, la, c)
-	cb.orInto(adj, cb.locals.row(c), a)
+	cb.orInto(g, k, la, c)
+	cb.orInto(g, k, cb.locals.row(c), a)
 }
 
 // orInto adds cell c's members to the rows of every vertex in rows: by
-// words through c's mask when the mask is shorter than the member list,
-// bit by bit otherwise (a cell whose few members are far apart in local
-// order).
-func (cb *cellBlocks) orInto(adj []*sets.Bits, rows []int32, c int) {
+// words through c's rank mask when the mask is shorter than the member
+// list, bit by bit otherwise (a cell whose few members are far apart in
+// rank order).
+func (cb *cellBlocks) orInto(g *Graph, k int, rows []int32, c int) {
+	rank := g.cs.rank
 	lc := cb.locals.row(c)
-	w0 := int(lc[0]) / 64 // cell members ascend in local order
-	span := int(lc[len(lc)-1])/64 - w0 + 1
+	w0 := int(rank[lc[0]]) / 64 // cell members ascend in local, so in rank, order
+	span := int(rank[lc[len(lc)-1]])/64 - w0 + 1
 	if span >= len(lc) {
 		for _, v := range rows {
-			row := adj[v]
+			row := g.rowWords(k, int(rank[v]))
 			for _, u := range lc {
-				row.Add(int(u))
+				ru := int(rank[u])
+				row[ru/64] |= 1 << uint(ru%64)
 			}
 		}
 		return
 	}
-	mask := cb.mask(c, w0, span)
+	mask := cb.mask(rank, c, w0, span)
 	for _, v := range rows {
-		adj[v].OrWords(w0, mask)
+		row := g.rowWords(k, int(rank[v]))[w0 : w0+span]
+		for i, w := range mask {
+			row[i] |= w
+		}
 	}
 }
 
-// mask returns cell c's member mask over words [w0, w0+span), building
-// it on first use.
-func (cb *cellBlocks) mask(c, w0, span int) []uint64 {
+// mask returns cell c's rank mask over words [w0, w0+span), building it
+// on first use.
+func (cb *cellBlocks) mask(rank []int32, c, w0, span int) []uint64 {
 	if cb.maskOff == nil {
 		cb.maskOff = make([]int32, len(cb.locals.off)-1)
 		for i := range cb.maskOff {
@@ -280,7 +283,8 @@ func (cb *cellBlocks) mask(c, w0, span int) []uint64 {
 	cb.masks = append(cb.masks, make([]uint64, span)...)
 	mask := cb.masks[off : off+span]
 	for _, u := range cb.locals.row(c) {
-		mask[int(u)/64-w0] |= 1 << (uint(u) % 64)
+		r := int(rank[u])
+		mask[r/64-w0] |= 1 << uint(r%64)
 	}
 	return mask
 }

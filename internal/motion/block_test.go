@@ -214,10 +214,14 @@ func r2Storm(tb testing.TB, clusters, lone, coincide int) *Pair {
 }
 
 // r2CollectedStorm is a storm window of at least sparseMinVertices
-// vertices — eight clusters, lone gateways and coincident devices — so
-// NewGraph takes the collected build, and its edge density picks the
-// dense outcome.
+// vertices — eight clusters, lone gateways and coincident devices —
+// whose every component still gets a dense block.
 func r2CollectedStorm(t testing.TB) *Pair { return r2Storm(t, 8, 150, 50) }
+
+// sparseMinVertices is a window size above componentDenseMax: a window
+// that large whose components are all dense blocks shows the
+// representation is chosen per component, not per window.
+const sparseMinVertices = componentDenseMax + 1
 
 // TestBlockAcceptUlp pins the block accept at its boundary: a cell pair
 // whose union box exceeds 2r by one ulp at k only, or at k-1 only, is
@@ -234,8 +238,7 @@ func TestBlockAcceptUlp(t *testing.T) {
 		ids := allIds(fx.pair.N())
 		g := newGraphVertices(fx.pair, ids, r2Radius)
 		idx := grid.New(fx.pair.Prev, g.ids, grid.ForRadius(r2Radius))
-		walk := idx.NewPairWalk(gridBuildReach)
-		cb := newCellBlocks(newFlatWindow(g), g.resolveCellLocals(walk.Cells()))
+		cb := newCellBlocks(newFlatWindow(g), resolveCellLocals(idx))
 		ca, cc := idx.CellOf(fx.probeA), idx.CellOf(fx.probeB)
 		if ca == cc {
 			t.Fatalf("%s: probes share cell %d; the fixture must straddle two cells", fx.name, ca)
@@ -274,22 +277,22 @@ func sameComponents(t *testing.T, label string, got, want *Components) {
 	}
 }
 
-// TestComponentsDenseMatchesCSR: the word-parallel search over dense
-// rows and the neighbour-list search over the CSR arena must label,
-// rank and group every vertex identically on the same window — R2
-// storms, their non-contiguous subsets, and uniform and clustered
-// random windows.
+// TestComponentsDenseMatchesCSR: the union-find labelling must label,
+// rank and group every vertex as the breadth-first all-pairs oracle
+// does, under dense blocks and forced CSR rows alike — R2 storms, their
+// non-contiguous subsets, and uniform and clustered random windows.
 func TestComponentsDenseMatchesCSR(t *testing.T) {
 	t.Parallel()
 
 	rng := stats.NewRNG(31)
 	check := func(label string, pair *Pair, ids []int, r float64) {
-		dense := newGraphAllPairs(pair, ids, r)
+		want := allPairsComponents(pair, ids, r)
 		csr := newGraphSparse(pair, ids, r, 2)
-		if dense.Sparse() || !csr.Sparse() {
-			t.Fatalf("%s: representations not as forced", label)
+		if !csr.Sparse() {
+			t.Fatalf("%s: representation not as forced", label)
 		}
-		sameComponents(t, label, csr.Components(), dense.Components())
+		sameComponents(t, label+" NewGraph", NewGraph(pair, ids, r).Components(), want)
+		sameComponents(t, label+" csr", csr.Components(), want)
 	}
 	for _, fx := range r2Fixtures(t) {
 		n := fx.pair.N()

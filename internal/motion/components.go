@@ -34,86 +34,9 @@ type Components struct {
 	off   []int32
 }
 
-// Components computes the connected-component decomposition of the
-// graph: O(m + edges) over CSR neighbour lists, and O(m²/64) word
-// operations over dense bitset rows, where the breadth-first search
-// takes each row's unseen neighbours a word at a time.
-func (g *Graph) Components() *Components {
-	m := len(g.ids)
-	cs := &Components{
-		g:     g,
-		comp:  make([]int32, m),
-		rank:  make([]int32, m),
-		verts: make([]int32, m),
-	}
-	for i := range cs.comp {
-		cs.comp[i] = -1
-	}
-	// Pass 1: label components by BFS from each unvisited vertex, in
-	// ascending vertex order — components come out numbered by smallest
-	// member. The queue reuses the verts slab (every vertex enters it
-	// exactly once, and pass 2 overwrites it in place).
-	// Dense rows search word-parallel: a seen set turns each row visit
-	// into fresh = adj[u] &^ seen.
-	queue := cs.verts
-	var seen *sets.Bits
-	if g.adj != nil {
-		seen = sets.NewBits(m)
-	}
-	next := int32(0)
-	head, tail := 0, 0
-	for v := 0; v < m; v++ {
-		if cs.comp[v] >= 0 {
-			continue
-		}
-		c := next
-		next++
-		cs.comp[v] = c
-		queue[tail] = int32(v)
-		tail++
-		if seen != nil {
-			seen.Add(v)
-		}
-		for head < tail {
-			u := int(queue[head])
-			head++
-			if seen != nil {
-				fresh := g.adj[u].AppendNew(seen, queue[:tail])
-				for _, w := range fresh[tail:] {
-					cs.comp[w] = c
-				}
-				tail = len(fresh)
-				continue
-			}
-			for _, w := range g.row(u) {
-				if cs.comp[w] < 0 {
-					cs.comp[w] = c
-					queue[tail] = w
-					tail++
-				}
-			}
-		}
-	}
-	// Pass 2: bucket the vertices by component with a counting sort, so
-	// member lists come out sorted (ascending vertex — and therefore
-	// ascending device id) and every vertex learns its rank.
-	cs.off = make([]int32, int(next)+1)
-	for _, c := range cs.comp {
-		cs.off[c+1]++
-	}
-	for c := 0; c < int(next); c++ {
-		cs.off[c+1] += cs.off[c]
-	}
-	cur := make([]int32, next)
-	copy(cur, cs.off[:next])
-	for v := 0; v < m; v++ {
-		c := cs.comp[v]
-		cs.verts[cur[c]] = int32(v)
-		cs.rank[v] = cur[c] - cs.off[c]
-		cur[c]++
-	}
-	return cs
-}
+// Components returns the connected-component decomposition of the
+// graph: the labelling its build produced, shared by every caller.
+func (g *Graph) Components() *Components { return g.cs }
 
 // WholeGraphComponent returns the degenerate decomposition that places
 // every vertex in one component — the identity renumbering, under which
@@ -163,7 +86,7 @@ func (cs *Components) Verts(c int) []int32 {
 
 // AppendIds appends the device ids of the component-local bitset b of
 // component c to dst, in increasing id order, and returns the extended
-// slice — the component-space analogue of Graph.AppendIds.
+// slice.
 func (cs *Components) AppendIds(b *sets.Bits, c int, dst []int) []int {
 	verts := cs.Verts(c)
 	ids := cs.g.ids
@@ -174,17 +97,188 @@ func (cs *Components) AppendIds(b *sets.Bits, c int, dst []int) []int {
 	return dst // ranks follow sorted vertex order, so ids come out sorted
 }
 
-// componentDenseMax is the component size up to which
-// MaximalMotionsOfComponent densifies the whole component subgraph of a
-// sparse-mode graph for a single Bron–Kerbosch run (the same footprint
-// bound as the graph's own dense-mode threshold). Larger sparse-mode
-// components fall back to the anchored per-vertex enumeration, whose
-// scratch stays neighbourhood-sized. Dense-mode graphs densify whatever
-// the component size: their component scratch is at most the m²/64-bit
-// adjacency the graph already carries (density-adaptive windows pick
-// dense rows above sparseMinVertices too, when denseWorthwhile), and the
-// anchored walk needs the CSR rows dense mode does not build.
-const componentDenseMax = sparseMinVertices
+// componentDenseMax is the component size up to which a component owns a
+// dense bitset block: 4096 ranks make a 2 MB block, around the point
+// where allocating and zeroing it starts to rival the whole CSR build,
+// while every paper-scale cluster (tens to hundreds of devices, a
+// DSLAM's at most a few thousand) stays word-parallel. A larger
+// component keeps CSR rows and the anchored enumeration, whose scratch
+// stays neighbourhood-sized, unless it is so edge-dense that its block
+// would be no bigger than its CSR rows (denseWorthwhile).
+const componentDenseMax = 4096
+
+// denseWorthwhile reports whether an s-vertex component with the given
+// edge count takes no more memory as a dense block (s·ceil(s/64) words)
+// than as CSR rows (two int32 entries, one word, per edge). Edge-dense
+// mass events land here; oversized components of uniform fleets never
+// do.
+func denseWorthwhile(s, edges int) bool {
+	return s*((s+63)/64) <= edges
+}
+
+// unionFind is a disjoint-set forest over local vertices whose root is
+// always the set's smallest member.
+type unionFind []int32
+
+func (u unionFind) find(v int32) int32 {
+	for u[v] != v {
+		u[v] = u[u[v]] // path halving
+		v = u[v]
+	}
+	return v
+}
+
+func (u unionFind) union(a, b int32) {
+	ra, rb := u.find(a), u.find(b)
+	if ra < rb {
+		u[rb] = ra
+	} else if rb < ra {
+		u[ra] = rb
+	}
+}
+
+// layout labels the components of the collected edge set and lays out
+// each component's adjacency over its ranks: a dense block in the shared
+// words slab, or CSR rows (every component with forceCSR). The slab, the
+// CSR arena and the labelling are a handful of allocations however many
+// components the window has.
+func (g *Graph) layout(col *collected, workers int, forceCSR bool) {
+	g.cs = col.label(g)
+	cs := g.cs
+	count := cs.Count()
+	maxSize := 0
+	for c := 0; c < count; c++ {
+		maxSize = max(maxSize, cs.Size(c))
+	}
+	// Edge counts only matter to components above componentDenseMax.
+	var edges []int64
+	if !forceCSR && maxSize > componentDenseMax {
+		edges = col.componentEdges(cs)
+	}
+	g.base = make([]int64, count)
+	words, slots := 0, 0
+	for c := 0; c < count; c++ {
+		s := cs.Size(c)
+		if !forceCSR && (s <= componentDenseMax || denseWorthwhile(s, int(edges[c]))) {
+			g.base[c] = int64(words)
+			words += s * wordsFor(s)
+		} else {
+			g.base[c] = ^int64(slots)
+			slots += s
+		}
+	}
+	g.words = make([]uint64, words)
+	if slots > 0 {
+		g.fillCSR(col, slots, workers)
+	}
+	if words > 0 {
+		g.fillDense(col)
+	}
+}
+
+// label computes the component labelling with a union-find over the
+// accepted blocks and the tested edges. Every component's root is its
+// smallest member, so one ascending pass numbers components by smallest
+// member; a counting sort then lists each component's members in
+// ascending order and gives every vertex its rank.
+func (col *collected) label(g *Graph) *Components {
+	m := len(g.ids)
+	uf := make(unionFind, m)
+	for i := range uf {
+		uf[i] = int32(i)
+	}
+	for _, buf := range col.bufs {
+		for _, e := range buf {
+			uf.union(unpack(e))
+		}
+	}
+	if len(col.blocks) > 0 {
+		// An accepted block's members are pairwise adjacent: unite each
+		// cell's members once, then the two cells.
+		united := make([]bool, len(col.cb.locals.off)-1)
+		for _, bl := range col.blocks {
+			a, c := unpack(bl)
+			for _, k := range [2]int32{a, c} {
+				if !united[k] {
+					united[k] = true
+					lk := col.cb.locals.row(int(k))
+					for _, v := range lk[1:] {
+						uf.union(lk[0], v)
+					}
+				}
+			}
+			uf.union(col.cb.locals.row(int(a))[0], col.cb.locals.row(int(c))[0])
+		}
+	}
+	cs := &Components{g: g, comp: make([]int32, m), rank: make([]int32, m)}
+	next := int32(0)
+	for v := range uf {
+		if root := uf.find(int32(v)); root == int32(v) {
+			cs.comp[v] = next
+			next++
+		} else {
+			cs.comp[v] = cs.comp[root] // root < v is labelled already
+		}
+	}
+	// The forest is spent; its slab becomes the member list.
+	cs.verts = uf
+	cs.off = make([]int32, int(next)+1)
+	for _, c := range cs.comp {
+		cs.off[c+1]++
+	}
+	for c := 0; c < int(next); c++ {
+		cs.off[c+1] += cs.off[c]
+	}
+	cur := make([]int32, next)
+	copy(cur, cs.off[:next])
+	for v := 0; v < m; v++ {
+		c := cs.comp[v]
+		cs.verts[cur[c]] = int32(v)
+		cs.rank[v] = cur[c] - cs.off[c]
+		cur[c]++
+	}
+	return cs
+}
+
+// componentEdges counts each component's edges, blocks included.
+func (col *collected) componentEdges(cs *Components) []int64 {
+	edges := make([]int64, cs.Count())
+	for _, buf := range col.bufs {
+		for _, e := range buf {
+			a, _ := unpack(e)
+			edges[cs.comp[a]]++
+		}
+	}
+	for _, bl := range col.blocks {
+		a, c := unpack(bl)
+		edges[cs.comp[col.cb.locals.row(int(a))[0]]] += int64(col.cb.edges(int(a), int(c)))
+	}
+	return edges
+}
+
+// fillDense sets the bits of every dense component's block: tested
+// edges one bit pair at a time, accepted blocks by member masks.
+func (g *Graph) fillDense(col *collected) {
+	cs := g.cs
+	for _, buf := range col.bufs {
+		for _, e := range buf {
+			a, b := unpack(e)
+			c := int(cs.comp[a])
+			if g.isCSR(c) {
+				continue
+			}
+			ra, rb := int(cs.rank[a]), int(cs.rank[b])
+			g.rowWords(c, ra)[rb/64] |= 1 << uint(rb%64)
+			g.rowWords(c, rb)[ra/64] |= 1 << uint(ra%64)
+		}
+	}
+	for _, bl := range col.blocks {
+		a, b := unpack(bl)
+		if c := int(cs.comp[col.cb.locals.row(int(a))[0]]); !g.isCSR(c) {
+			col.cb.fill(g, c, int(a), int(b))
+		}
+	}
+}
 
 // MaximalMotionsOfComponent enumerates every maximal motion among the
 // devices of component c — each exactly once — as sorted device-id sets
@@ -193,52 +287,48 @@ const componentDenseMax = sparseMinVertices
 // MaximalMotionsContainingIn). One call serves the whole component: the
 // maximal motions containing any member are exactly the reported
 // motions that include it, because a motion containing a vertex never
-// leaves the vertex's component. This is the fleet pass's enumeration
-// amortization — per-device calls redo the same neighbourhood
-// densification and clique search once per member, turning adversarial
-// all-abnormal windows quadratic in cluster mass.
+// leaves the vertex's component. cs is the graph's Components, whose
+// components Bron–Kerbosch enumerates on their blocks in place, or a
+// coarsening of it such as WholeGraphComponent, whose component c is
+// enumerated one of the graph's components at a time.
 func (g *Graph) MaximalMotionsOfComponent(c int, cs *Components) ([][]int, []*sets.Bits) {
-	verts := sets.Sorted(cs.Verts(c))
-	s := len(verts)
 	var out motionFamily
 	sc := g.getScratch()
-	if s <= componentDenseMax || !g.Sparse() {
-		// Densify the induced subgraph once — sub-index i is component
-		// rank i, so reported cliques are already component-local. Every
-		// neighbour of a member is a member, so rows project losslessly.
-		for len(sc.sub) < s {
-			sc.sub = append(sc.sub, sets.NewBits(0))
-		}
-		sub := sc.sub[:s]
-		for i := range sub {
-			sub[i].Resize(s)
-		}
-		if g.Sparse() {
-			for i, v := range verts {
-				bi := sub[i]
-				for _, u := range g.row(int(v)) {
-					bi.Add(int(cs.rank[u]))
-				}
-			}
-		} else if s > 0 && int(verts[s-1]-verts[0]) == s-1 {
-			// A component over a contiguous run of local indices (a
-			// DSLAM's contiguous ids) has rank v-verts[0]: each row's
-			// range copies with word shifts.
-			for i, v := range verts {
-				sub[i].CopyRange(g.adj[v], int(verts[0]))
-			}
-		} else {
-			for i, v := range verts {
-				g.adj[v].ProjectInto(sub[i], cs.rank)
+	if cs == g.cs {
+		g.componentMotions(sc, c, cs, &out)
+	} else {
+		for _, v := range cs.Verts(c) {
+			// Each of the graph's components, at its smallest member.
+			if own := int(g.cs.comp[v]); g.cs.Verts(own)[0] == v {
+				g.componentMotions(sc, own, cs, &out)
 			}
 		}
+	}
+	g.putScratch(sc)
+	sortMotionFamily(&out)
+	return out.ids, out.cliques
+}
+
+// componentMotions appends the maximal motions of the graph's component
+// c to out, their bitsets over c's component under cs.
+func (g *Graph) componentMotions(sc *bkScratch, c int, cs *Components, out *motionFamily) {
+	verts := g.cs.Verts(c)
+	s := len(verts)
+	if !g.isCSR(c) {
+		rows := g.blockRows(sc, c)
 		r := sc.lease(s)
 		p := sc.lease(s)
 		for i := 0; i < s; i++ {
 			p.Add(i)
 		}
 		x := sc.lease(s)
-		bkOver(sub, r, p, x, sc, func(clique *sets.Bits) {
+		bkOver(rows, r, p, x, sc, func(clique *sets.Bits) {
+			if cs != g.cs {
+				ids, wide := g.widen(clique, c, nil, cs)
+				out.ids = append(out.ids, ids)
+				out.cliques = append(out.cliques, wide)
+				return
+			}
 			ids := make([]int, 0, clique.Len())
 			clique.ForEach(func(i int) bool {
 				ids = append(ids, g.ids[verts[i]])
@@ -250,53 +340,36 @@ func (g *Graph) MaximalMotionsOfComponent(c int, cs *Components) ([][]int, []*se
 		sc.put(x)
 		sc.put(p)
 		sc.put(r)
-	} else {
-		// Anchored enumeration for oversized sparse-mode components (the
-		// branch guard keeps dense graphs out — g.row/g.densify below read
-		// the CSR arena, which dense mode does not build).
-		// Walking members in ascending vertex order and restricting
-		// candidates to later neighbours / exclusions to earlier ones
-		// reports each maximal clique exactly once — anchored at its
-		// smallest member — inside a neighbourhood-sized subgraph, so
-		// scratch stays O(Δ²/64) however large the component.
-		for _, v32 := range verts {
-			v := int(v32)
-			nverts := g.row(v).InsertInto(v32, sc.verts[:0])
-			sub := g.densify(sc, nverts)
-			sv := len(nverts)
-			r := sc.lease(sv)
-			r.Add(searchSorted(nverts, v32))
-			p := sc.lease(sv)
-			x := sc.lease(sv)
-			for i, u := range nverts {
-				if u == v32 {
-					continue
-				}
-				if u > v32 {
-					p.Add(i)
-				} else {
-					x.Add(i)
-				}
-			}
-			bkOver(sub, r, p, x, sc, func(clique *sets.Bits) {
-				wide := sets.NewBits(s)
-				ids := make([]int, 0, clique.Len())
-				clique.ForEach(func(i int) bool {
-					u := nverts[i]
-					wide.Add(int(cs.rank[u]))
-					ids = append(ids, g.ids[u])
-					return true
-				})
-				out.ids = append(out.ids, ids)
-				out.cliques = append(out.cliques, wide)
-			})
-			sc.put(x)
-			sc.put(p)
-			sc.put(r)
-			sc.verts = nverts[:0]
-		}
+		return
 	}
-	g.putScratch(sc)
-	sortMotionFamily(&out)
-	return out.ids, out.cliques
+	// Anchored enumeration: walking ranks in ascending order and
+	// restricting candidates to later neighbours / exclusions to earlier
+	// ones reports each maximal clique exactly once — anchored at its
+	// smallest member — inside a neighbourhood-sized subgraph, so
+	// scratch stays O(Δ²/64) however large the component.
+	for v := int32(0); v < int32(s); v++ {
+		nverts := g.csrRow(c, int(v)).InsertInto(v, sc.verts[:0])
+		sub := g.densify(sc, c, nverts)
+		sv := len(nverts)
+		r := sc.lease(sv)
+		r.Add(searchSorted(nverts, v))
+		p := sc.lease(sv)
+		x := sc.lease(sv)
+		for i, u := range nverts {
+			if u > v {
+				p.Add(i)
+			} else if u < v {
+				x.Add(i)
+			}
+		}
+		bkOver(sub, r, p, x, sc, func(clique *sets.Bits) {
+			ids, wide := g.widen(clique, c, nverts, cs)
+			out.ids = append(out.ids, ids)
+			out.cliques = append(out.cliques, wide)
+		})
+		sc.put(x)
+		sc.put(p)
+		sc.put(r)
+		sc.verts = nverts[:0]
+	}
 }

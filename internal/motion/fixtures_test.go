@@ -231,3 +231,24 @@ func cliquePair(t testing.TB, s, lead int, minusOne bool) (*Pair, float64, [][]i
 	}
 	return pair, r, want
 }
+
+// chainPair builds n stationary devices on a line, spaced so that only
+// consecutive devices are adjacent: one component whose maximal motions
+// are exactly the n-1 consecutive pairs, with n-1 edges.
+func chainPair(t testing.TB, n int) (*Pair, float64) {
+	t.Helper()
+	const r = 0.00002
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = []float64{0.1 + float64(i)*1.5*r, 0.5}
+	}
+	prev, err := space.StateFromPoints(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := NewPair(prev, prev.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pair, r
+}

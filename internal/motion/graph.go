@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"anomalia/internal/grid"
+	"anomalia/internal/par"
 	"anomalia/internal/sets"
 )
 
@@ -17,38 +18,38 @@ import (
 // Vertices are stored under local indices 0..m-1; the public API speaks
 // device ids.
 //
-// Adjacency is hybrid. Below sparseMinVertices every vertex owns a dense
-// bitset row, so clique enumeration — the characterization hot path — is
-// pure word operations. At or above it the rows become sorted neighbour
-// lists in one shared CSR arena (off/nbr), built by a parallel cell-pair
-// walk: memory drops from O(m²/64) to O(m + edges), which is what makes
-// million-device windows constructible at all. Both representations are
-// read-only after construction, and every enumeration result is
+// Adjacency is stored one connected component at a time, over the
+// component's ranks (Components): no edge leaves a component, so the
+// window's adjacency is the disjoint union of its components'. A
+// component of up to componentDenseMax vertices, or a larger one so
+// edge-dense that neighbour lists would be no smaller, owns a dense
+// bitset block of one s-bit row per member; all blocks share one words
+// slab of Σ s·⌈s/64⌉ words, and clique enumeration runs on a block in
+// place as pure word operations. Any other component keeps sorted
+// neighbour-rank lists in one shared CSR arena (off/nbr), O(s + edges)
+// memory — what makes million-device windows constructible at all. Both
+// are read-only after construction, and every enumeration result is
 // identical across them (TestSparseMatchesDense*).
 type Graph struct {
 	ids []int // local index -> device id, sorted
 	// contiguous marks the common full-population case ids[i] == i, where
-	// Local is the identity. Non-contiguous dense-mode graphs keep a
-	// per-id map (local): the characterization hot path resolves ids in
-	// every Theorem-7 probe and the map is tiny at dense scales. Sparse-
-	// mode graphs resolve by binary search over ids instead — at
-	// million-device scale the map alone would cost tens of MB and a
-	// rebuild per window for a lookup the sorted slice answers in
-	// O(log m).
+	// Local is the identity; other graphs resolve ids by binary search
+	// over ids.
 	contiguous bool
-	local      map[int]int
 	r          float64
 	pair       *Pair
 
-	// adj is the dense representation: one bitset row per vertex. nil in
-	// sparse mode.
-	adj []*sets.Bits
-
-	// off/nbr are the sparse representation: row v is the sorted
-	// neighbour list nbr[off[v]:off[v+1]]. The two slices are the whole
-	// adjacency — 2 allocations regardless of m. nil in dense mode.
-	off []int64
-	nbr []int32
+	// cs is the component labelling the build produced.
+	cs *Components
+	// base locates component c's adjacency. A dense block starts at
+	// words[base[c]], one ⌈s/64⌉-word row per rank. A CSR component has
+	// base[c] = ^slot: rank i's sorted neighbour ranks are
+	// nbr[off[slot+i]:off[slot+i+1]]. off is nil when no component
+	// uses CSR rows.
+	base  []int64
+	words []uint64
+	off   []int64
+	nbr   []int32
 
 	// bkPool recycles enumeration scratch across the many per-device
 	// clique enumerations of a fleet pass; sync.Pool keeps concurrent
@@ -57,23 +58,20 @@ type Graph struct {
 }
 
 // gridBuildMinVertices is the vertex count at which NewGraph switches
-// from the all-pairs build to the grid-indexed build. Below it the
+// from the all-pairs scan to the grid-indexed walk. Below it the
 // quadratic scan — a tight loop of uniform-norm comparisons — is
-// cheaper than building the cell index (measured crossover is a few
-// hundred vertices; see BenchmarkNewGraph). Both builds produce
-// identical adjacency (TestNewGraphGridMatchesAllPairs).
-const gridBuildMinVertices = 256
+// cheaper than building the cell index for scattered devices (measured
+// crossover 32-64 vertices). From it the walk wins twice: it skips
+// far pairs, and a cluster's crowded cells become accepted blocks
+// instead of one buffered edge per pair, which is what a 4r view of a
+// mass event holds. Both collect the same edge set
+// (TestNewGraphGridMatchesAllPairs).
+const gridBuildMinVertices = 64
 
-// sparseMinVertices is the vertex count at which NewGraph stops building
-// dense bitset rows unconditionally and instead collects the edge set
-// first, picking the representation from the measured edge count
-// (density-adaptive; see buildCollected). The threshold trades the dense
-// rows' word-parallel set algebra against their O(m²/64) footprint: at
-// 4096 vertices the dense adjacency is 2 MB — around the point where
-// allocating and zeroing it starts to rival the whole sparse build —
-// while every paper-scale characterization window (tens to hundreds of
-// abnormal devices) stays comfortably dense.
-const sparseMinVertices = 4096
+// collectParallelMin is the vertex count from which the collect pass
+// shards across GOMAXPROCS workers; below it a window's walk is shorter
+// than handing it to goroutines.
+const collectParallelMin = 4096
 
 // gridBuildReach is the Chebyshev cell distance the grid build pairs
 // cells across. With cell side exactly 2r an edge's endpoints share a
@@ -92,36 +90,44 @@ const gridBuildMaxRes = 1 << 25
 // and sorted). The caller is responsible for r being valid; ids outside
 // the pair's device range are ignored.
 //
-// Construction is O(m * neighbours): vertices are bucketed into a grid of
-// cells with side 2r over the k-1 positions and only pairs from nearby
-// cells are considered, instead of all m^2 pairs. A cell pair whose
-// members fit one box of side 2r at both times is an r-consistent block
-// and is added whole (block.go); the other pairs are distance-tested.
-// Small or degenerate inputs use the plain all-pairs scan. From
-// sparseMinVertices vertices the cell-pair walk is sharded across
-// GOMAXPROCS workers into per-worker edge and block buffers, and the
-// representation — CSR neighbour lists or dense bitset rows — is picked
-// from the measured edge count after collection, not the vertex count
-// before it. Every path tests against one flattened copy of the
-// window's positions, and the adjacency relation is identical on every
-// path.
+// Every window is built on one path. The collect pass gathers the edge
+// set: vertices are bucketed into a grid of cells with side 2r over the
+// k-1 positions and only pairs from nearby cells are considered, instead
+// of all m^2 pairs; a cell pair whose members fit one box of side 2r at
+// both times is an r-consistent block and is kept whole (block.go), the
+// other pairs are distance-tested. Small or degenerate inputs use the
+// plain all-pairs scan, and from collectParallelMin vertices the pass is
+// sharded across GOMAXPROCS workers. A union-find over the blocks and
+// edges then labels the components, and each component's adjacency is
+// laid out over its ranks (see Graph). Every path tests against one
+// flattened copy of the window's positions, and the adjacency relation is
+// identical on every path.
 func NewGraph(p *Pair, ids []int, r float64) *Graph {
 	g := newGraphVertices(p, ids, r)
 	m := len(g.ids)
 	prm := grid.ForRadius(r)
-	gridOK := prm.Res <= gridBuildMaxRes && gridBuildWorthwhile(p.Dim(), m)
-	w := newFlatWindow(g)
-	switch {
-	case m >= sparseMinVertices:
-		g.buildCollected(w, prm, gridOK, 0, false)
-	case m >= gridBuildMinVertices && gridOK:
-		g.allocDense()
-		g.buildGrid(w, prm)
-	default:
-		g.allocDense()
-		g.buildFlatPairs(w)
+	useGrid := m >= gridBuildMinVertices && prm.Res <= gridBuildMaxRes && gridBuildWorthwhile(p.Dim(), m)
+	workers := 1
+	if m >= collectParallelMin {
+		workers = 0
 	}
+	g.build(newFlatWindow(g), prm, useGrid, workers, false)
 	return g
+}
+
+// build runs the collect pass — the grid walk when useGrid, the striped
+// all-pairs scan otherwise — on workers workers (<= 0 selects
+// GOMAXPROCS) and lays the collected edge set out per component;
+// forceCSR gives every component CSR rows (testing hook).
+func (g *Graph) build(w *flatWindow, prm grid.Params, useGrid bool, workers int, forceCSR bool) {
+	workers = par.Workers(workers, len(g.ids))
+	var col collected
+	if useGrid {
+		col = collectGrid(g, w, prm, workers)
+	} else {
+		col.bufs = collectAllPairs(w, len(g.ids), workers)
+	}
+	g.layout(&col, workers, forceCSR)
 }
 
 // gridBuildWorthwhile reports whether the cell-pair walk can beat the
@@ -151,117 +157,60 @@ func newGraphVertices(p *Pair, ids []int, r float64) *Graph {
 	// element equals m-1 exactly when it is 0..m-1.
 	m := len(clean)
 	g.contiguous = m == 0 || clean[m-1] == m-1
-	if !g.contiguous && m < sparseMinVertices {
-		g.local = make(map[int]int, m)
-		for li, id := range clean {
-			g.local[id] = li
-		}
-	}
 	g.bkPool.New = func() any { return &bkScratch{} }
 	return g
 }
 
-// allocDense sizes the dense bitset rows (dense mode only): one shared
-// words arena behind every row, 3 allocations however many vertices.
-func (g *Graph) allocDense() {
-	g.adj = sets.NewBitsRows(len(g.ids), len(g.ids))
+// Sparse reports whether any component stores its adjacency as CSR
+// neighbour lists rather than a dense bitset block.
+func (g *Graph) Sparse() bool { return g.off != nil }
+
+// isCSR reports whether component c keeps CSR rows.
+func (g *Graph) isCSR(c int) bool { return g.base[c] < 0 }
+
+// wordsFor is the word count of one row over s ranks.
+func wordsFor(s int) int { return (s + 63) / 64 }
+
+// rowWords returns the words of rank i's row in dense component c's
+// block (aliases the slab).
+func (g *Graph) rowWords(c, i int) []uint64 {
+	wpr := wordsFor(g.cs.Size(c))
+	lo := int(g.base[c]) + i*wpr
+	return g.words[lo : lo+wpr : lo+wpr]
 }
 
-// Sparse reports whether the graph stores its adjacency as CSR neighbour
-// lists rather than dense bitset rows.
-func (g *Graph) Sparse() bool { return g.adj == nil }
-
-// row returns sparse vertex v's sorted neighbour list (aliases the
-// arena; read-only).
-func (g *Graph) row(v int) sets.Sorted {
-	return sets.Sorted(g.nbr[g.off[v]:g.off[v+1]])
+// csrRow returns rank i's sorted neighbour ranks in CSR component c
+// (aliases the arena; read-only).
+func (g *Graph) csrRow(c, i int) sets.Sorted {
+	slot := int(^g.base[c]) + i
+	return sets.Sorted(g.nbr[g.off[slot]:g.off[slot+1]])
 }
 
-// degreeLocal returns the neighbour count of local vertex v.
-func (g *Graph) degreeLocal(v int) int {
-	if g.adj != nil {
-		return g.adj[v].Len()
-	}
-	return int(g.off[v+1] - g.off[v])
+// blockRows returns dense component c's rows as bitsets over its ranks:
+// views into the block, held in sc, that callers only read.
+func (g *Graph) blockRows(sc *bkScratch, c int) []*sets.Bits {
+	s := g.cs.Size(c)
+	lo := int(g.base[c])
+	sc.hdr, sc.rows = sets.RowViews(g.words[lo:lo+s*wordsFor(s)], s, s, sc.hdr, sc.rows)
+	return sc.rows
 }
 
 // adjacentLocal reports the edge between distinct local vertices a and b.
 func (g *Graph) adjacentLocal(a, b int) bool {
-	if g.adj != nil {
-		return g.adj[a].Has(b)
+	c := int(g.cs.comp[a])
+	if int(g.cs.comp[b]) != c {
+		return false
 	}
-	return g.row(a).Has(int32(b))
-}
-
-// forNeighbors calls fn for every neighbour of local vertex v in
-// increasing local order, stopping early if fn returns false.
-func (g *Graph) forNeighbors(v int, fn func(u int) bool) {
-	if g.adj != nil {
-		g.adj[v].ForEach(fn)
-		return
+	ra, rb := int(g.cs.rank[a]), int(g.cs.rank[b])
+	if g.isCSR(c) {
+		return g.csrRow(c, ra).Has(int32(rb))
 	}
-	for _, u := range g.row(v) {
-		if !fn(int(u)) {
-			return
-		}
-	}
+	return g.rowWords(c, ra)[rb/64]&(1<<uint(rb%64)) != 0
 }
 
 // getScratch leases enumeration scratch; return it with putScratch.
 func (g *Graph) getScratch() *bkScratch   { return g.bkPool.Get().(*bkScratch) }
 func (g *Graph) putScratch(sc *bkScratch) { g.bkPool.Put(sc) }
-
-// buildFlatPairs fills the dense adjacency by testing every vertex pair
-// over the flattened window — the O(m^2) build of small graphs and of
-// geometries the grid walk cannot serve.
-func (g *Graph) buildFlatPairs(w *flatWindow) {
-	m := int32(len(g.ids))
-	for a := int32(0); a < m; a++ {
-		for c := a + 1; c < m; c++ {
-			if w.adjacent(a, c) {
-				g.addEdge(a, c)
-			}
-		}
-	}
-}
-
-// buildAllPairs fills the dense adjacency by testing every vertex pair
-// with Pair.Adjacent — the reference O(m^2) build the production builds
-// are property-tested against. It shares no code with them.
-func (g *Graph) buildAllPairs() {
-	m := len(g.ids)
-	for a := 0; a < m; a++ {
-		for b := a + 1; b < m; b++ {
-			g.testEdge(a, b)
-		}
-	}
-}
-
-// buildGrid fills the dense adjacency via the shared spatial index:
-// vertices are bucketed by their k-1 cell and only pairs within
-// gridBuildReach cells are considered. The shared PairWalk visits each
-// unordered cell pair once; a pair whose members fit one 2r box at both
-// times is filled as a block, and every other candidate pair is
-// distance-tested exactly once. Both decisions are exact, so the result
-// is identical to the all-pairs build.
-func (g *Graph) buildGrid(w *flatWindow, prm grid.Params) {
-	idx := grid.New(g.pair.Prev, g.ids, prm)
-	walk := idx.NewPairWalk(gridBuildReach)
-	cb := newCellBlocks(w, g.resolveCellLocals(walk.Cells()))
-	walk.Shard(0, 1, func(a, c int) {
-		if cb.accept(a, c) {
-			cb.fill(g.adj, a, c)
-		} else {
-			cb.testBlock(a, c, g.addEdge)
-		}
-	})
-}
-
-// addEdge adds the edge between local vertices a and c (dense mode).
-func (g *Graph) addEdge(a, c int32) {
-	g.adj[a].Add(int(c))
-	g.adj[c].Add(int(a))
-}
 
 // cellLocals holds the local-index lists of a walk's cells in one arena,
 // aligned with PairWalk.Cells.
@@ -272,34 +221,28 @@ type cellLocals struct {
 
 func (c *cellLocals) row(i int) []int32 { return c.loc[c.off[i]:c.off[i+1]:c.off[i+1]] }
 
-// resolveCellLocals converts each cell's device ids to local indices
-// once, so the pair walks never re-derive them.
-func (g *Graph) resolveCellLocals(cells []grid.Cell) *cellLocals {
-	total := 0
-	for i := range cells {
-		total += len(cells[i].Ids)
+// resolveCellLocals lists the members of each of idx's cells as local
+// indices, in one arena aligned with its cells. idx indexes the graph's
+// ids in local order and records each one's cell, so a counting sort
+// over those records lists every cell's members in ascending order
+// without resolving a single id.
+func resolveCellLocals(idx *grid.Index) *cellLocals {
+	idCell := idx.CellIndexes()
+	cells := idx.Cells()
+	out := &cellLocals{off: make([]int32, cells+1), loc: make([]int32, len(idCell))}
+	for _, c := range idCell {
+		out.off[c+1]++
 	}
-	out := &cellLocals{
-		off: make([]int32, len(cells)+1),
-		loc: make([]int32, 0, total),
+	for c := 0; c < cells; c++ {
+		out.off[c+1] += out.off[c]
 	}
-	for i := range cells {
-		for _, id := range cells[i].Ids {
-			li, _ := g.Local(id) // indexed ids are always vertices
-			out.loc = append(out.loc, int32(li))
-		}
-		out.off[i+1] = int32(len(out.loc))
+	cur := make([]int32, cells)
+	copy(cur, out.off)
+	for v, c := range idCell {
+		out.loc[cur[c]] = int32(v)
+		cur[c]++
 	}
 	return out
-}
-
-// testEdge adds the edge between local vertices a and b when their
-// devices move consistently (dense mode; the oracle build's test).
-func (g *Graph) testEdge(a, b int) {
-	if g.pair.Adjacent(g.ids[a], g.ids[b], g.r) {
-		g.adj[a].Add(b)
-		g.adj[b].Add(a)
-	}
 }
 
 // Ids returns the sorted device ids the graph covers. Ownership rule
@@ -320,19 +263,14 @@ func (g *Graph) Has(id int) bool {
 // Local returns the local index of device id and whether it is a vertex.
 // Local indices follow sorted device-id order, so increasing local index
 // means increasing id. When the graph covers a full population the
-// mapping is the identity; dense-mode subsets answer from a small map
-// and sparse-mode subsets by binary search over the sorted ids (no
-// per-vertex map at million-device scale).
+// mapping is the identity; subsets answer by binary search over the
+// sorted ids.
 func (g *Graph) Local(id int) (int, bool) {
 	if g.contiguous {
 		if id >= 0 && id < len(g.ids) {
 			return id, true
 		}
 		return 0, false
-	}
-	if g.local != nil {
-		li, ok := g.local[id]
-		return li, ok
 	}
 	if li, ok := slices.BinarySearch(g.ids, id); ok {
 		return li, true
@@ -342,26 +280,6 @@ func (g *Graph) Local(id int) (int, bool) {
 
 // IDOf returns the device id at local index li.
 func (g *Graph) IDOf(li int) int { return g.ids[li] }
-
-// AddLocals adds the local indices of the given device ids to b. Ids
-// that are not vertices are ignored.
-func (g *Graph) AddLocals(b *sets.Bits, ids []int) {
-	for _, id := range ids {
-		if li, ok := g.Local(id); ok {
-			b.Add(li)
-		}
-	}
-}
-
-// AppendIds appends the device ids of the local-index set b to dst, in
-// increasing id order, and returns the extended slice.
-func (g *Graph) AppendIds(b *sets.Bits, dst []int) []int {
-	b.ForEach(func(li int) bool {
-		dst = append(dst, g.ids[li])
-		return true
-	})
-	return dst // ids are sorted because local indices follow sorted ids
-}
 
 // Adjacent reports whether devices a and b (device ids) are joined by an
 // edge. A device is considered adjacent to itself when present.
@@ -380,60 +298,15 @@ func (g *Graph) Adjacent(a, b int) bool {
 	return g.adjacentLocal(la, lb)
 }
 
-// Degree returns the number of neighbours of device id (excluding
-// itself), or -1 when the device is not a vertex.
-func (g *Graph) Degree(id int) int {
-	li, ok := g.Local(id)
-	if !ok {
-		return -1
-	}
-	return g.degreeLocal(li)
-}
-
-// toIds converts a local-index bitset into sorted device ids.
-func (g *Graph) toIds(b *sets.Bits) []int {
-	return g.AppendIds(b, make([]int, 0, b.Len()))
-}
-
-// toLocal converts device ids (present in the graph) to a local bitset.
-func (g *Graph) toLocal(ids []int) *sets.Bits {
-	b := sets.NewBits(len(g.ids))
-	g.AddLocals(b, ids)
-	return b
-}
-
-// IsClique reports whether the given device ids are pairwise adjacent,
-// i.e. form an r-consistent motion within the graph.
-func (g *Graph) IsClique(ids []int) bool {
-	locals := make([]int, len(ids))
-	for i, id := range ids {
-		li, ok := g.Local(id)
-		if !ok {
-			return false
-		}
-		locals[i] = li
-	}
-	for i := 0; i < len(locals); i++ {
-		for j := i + 1; j < len(locals); j++ {
-			if locals[i] != locals[j] && !g.adjacentLocal(locals[i], locals[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // MaximalMotions enumerates all maximal r-consistent motions among the
 // graph's devices (the maximal cliques), as sorted device-id sets in
 // deterministic order.
 func (g *Graph) MaximalMotions() [][]int {
-	if g.Sparse() {
-		return g.maximalMotionsSparse()
-	}
 	var out [][]int
-	g.bronKerbosch(func(clique *sets.Bits) {
-		out = append(out, g.toIds(clique))
-	})
+	for c := 0; c < g.cs.Count(); c++ {
+		ids, _ := g.MaximalMotionsOfComponent(c, g.cs)
+		out = append(out, ids...)
+	}
 	sets.SortSets(out)
 	return out
 }
@@ -450,15 +323,15 @@ func (g *Graph) MaximalMotionsContaining(j int) [][]int {
 }
 
 // MaximalMotionsContainingSets is MaximalMotionsContaining returning
-// each motion in both representations: sorted device ids and the
-// local-index bitset the enumeration produced. Element i of both slices
-// describes the same motion; callers on the characterization hot path
-// keep the bitsets so set algebra over motions needs no id translation.
-// The bitsets are over graph-local indices 0..Len()-1 in both adjacency
-// modes — in sparse mode the enumeration itself runs over j's densified
-// neighbourhood subgraph and only the reported cliques are widened.
+// each motion in both representations: sorted device ids and a bitset
+// over graph-local indices 0..Len()-1. Element i of both slices
+// describes the same motion.
 func (g *Graph) MaximalMotionsContainingSets(j int) ([][]int, []*sets.Bits) {
-	return g.maximalMotionsContainingProj(j, len(g.ids), nil)
+	lj, ok := g.Local(j)
+	if !ok {
+		return nil, nil
+	}
+	return g.motionsContaining(lj, nil)
 }
 
 // MaximalMotionsContainingIn is MaximalMotionsContainingSets with the
@@ -469,78 +342,92 @@ func (g *Graph) MaximalMotionsContainingSets(j int) ([][]int, []*sets.Bits) {
 // the projection loses nothing — it shrinks each bitset from O(Len/64)
 // words to O(|component|/64), which is what keeps adversarial
 // all-abnormal windows linear in total component mass instead of
-// quadratic in the vertex count.
+// quadratic in the vertex count. cs is the graph's Components or a
+// coarsening of it such as WholeGraphComponent.
 func (g *Graph) MaximalMotionsContainingIn(j int, cs *Components) ([][]int, []*sets.Bits) {
 	lj, ok := g.Local(j)
 	if !ok {
 		return nil, nil
 	}
-	return g.maximalMotionsContainingProj(j, cs.Size(cs.Of(lj)), cs.rank)
+	return g.motionsContaining(lj, cs)
 }
 
-// maximalMotionsContainingProj enumerates W(j) with the reported
-// cliques projected through rank into bitsets over [0, universe); a nil
-// rank is the identity projection over the graph-local universe.
-func (g *Graph) maximalMotionsContainingProj(j, universe int, rank []int32) ([][]int, []*sets.Bits) {
-	lj, ok := g.Local(j)
-	if !ok {
-		return nil, nil
-	}
+// motionsContaining enumerates the maximal motions containing local
+// vertex lj inside its component, reported through widen into cs (nil
+// for graph-local indices).
+func (g *Graph) motionsContaining(lj int, cs *Components) ([][]int, []*sets.Bits) {
+	c, rj := int(g.cs.comp[lj]), int(g.cs.rank[lj])
 	var out motionFamily
 	sc := g.getScratch()
-	if g.Sparse() {
-		verts := g.row(lj).InsertInto(int32(lj), sc.verts[:0])
-		sub := g.densify(sc, verts)
-		pos := searchSorted(verts, int32(lj))
+	report := func(sub sets.Sorted) func(*sets.Bits) {
+		return func(clique *sets.Bits) {
+			ids, wide := g.widen(clique, c, sub, cs)
+			out.ids = append(out.ids, ids)
+			out.cliques = append(out.cliques, wide)
+		}
+	}
+	if g.isCSR(c) {
+		verts := g.csrRow(c, rj).InsertInto(int32(rj), sc.verts[:0])
+		sub := g.densify(sc, c, verts)
+		pos := searchSorted(verts, int32(rj))
 		s := len(verts)
 		r := sc.lease(s)
 		r.Add(pos)
 		p := sc.lease(s)
 		p.CopyFrom(sub[pos])
 		x := sc.lease(s)
-		bkOver(sub, r, p, x, sc, func(clique *sets.Bits) {
-			// Widen the clique from sub-indices straight into the target
-			// universe, collecting ids on the way: sub-index i is verts[i]
-			// graph-locally, whose rank and id both follow ascending order.
-			wide := sets.NewBits(universe)
-			ids := make([]int, 0, clique.Len())
-			clique.ForEach(func(i int) bool {
-				v := verts[i]
-				if rank != nil {
-					wide.Add(int(rank[v]))
-				} else {
-					wide.Add(int(v))
-				}
-				ids = append(ids, g.ids[v])
-				return true
-			})
-			out.ids = append(out.ids, ids)
-			out.cliques = append(out.cliques, wide)
-		})
+		bkOver(sub, r, p, x, sc, report(verts))
 		sc.put(x)
 		sc.put(p)
 		sc.put(r)
 		sc.verts = verts[:0]
 	} else {
-		m := len(g.ids)
-		r := sets.NewBits(m)
-		r.Add(lj)
-		p := g.adj[lj].Clone()
-		x := sets.NewBits(m)
-		bkOver(g.adj, r, p, x, sc, func(clique *sets.Bits) {
-			out.ids = append(out.ids, g.toIds(clique))
-			if rank != nil {
-				wide := sets.NewBits(universe)
-				clique.ProjectInto(wide, rank)
-				out.cliques = append(out.cliques, wide)
-			} else {
-				out.cliques = append(out.cliques, clique)
-			}
-		})
+		rows := g.blockRows(sc, c)
+		s := len(rows)
+		r := sc.lease(s)
+		r.Add(rj)
+		p := sc.lease(s)
+		p.CopyFrom(rows[rj])
+		x := sc.lease(s)
+		bkOver(rows, r, p, x, sc, report(nil))
+		sc.put(x)
+		sc.put(p)
+		sc.put(r)
 	}
 	g.putScratch(sc)
 	sortMotionFamily(&out)
 	return out.ids, out.cliques
+}
+
+// widen re-expresses a clique of component c — a bitset over its ranks,
+// or over the positions of sub (sorted ranks) when sub is non-nil — as
+// sorted device ids plus a bitset over the clique's component under cs,
+// indexed by cs's ranks; with a nil cs the bitset is over graph-local
+// indices. Ranks and ids both follow local order, so ids come out
+// sorted.
+func (g *Graph) widen(clique *sets.Bits, c int, sub sets.Sorted, cs *Components) ([]int, *sets.Bits) {
+	verts := g.cs.Verts(c)
+	var wide *sets.Bits
+	if cs == nil {
+		wide = sets.NewBits(len(g.ids))
+	} else {
+		wide = sets.NewBits(cs.Size(cs.Of(int(verts[0]))))
+	}
+	ids := make([]int, 0, clique.Len())
+	clique.ForEach(func(i int) bool {
+		if sub != nil {
+			i = int(sub[i])
+		}
+		v := int(verts[i])
+		ids = append(ids, g.ids[v])
+		if cs == nil {
+			wide.Add(v)
+		} else {
+			wide.Add(int(cs.rank[v]))
+		}
+		return true
+	})
+	return ids, wide
 }
 
 // sortMotionFamily sorts both motion representations together, in the id
@@ -603,31 +490,36 @@ func (f *motionFamily) Swap(i, j int) {
 // HasDenseMotionContaining reports whether some τ-dense motion containing
 // j lies entirely within the allowed device set (relation (4) of
 // Theorem 7 asks this with allowed = D_k(j) minus the union of a candidate
-// collection). allowed need not contain j; j is added implicitly.
+// collection). allowed need not contain j; j is added implicitly. The
+// search runs inside j's component, so its bitsets are sized to the
+// component, not to the window.
 func (g *Graph) HasDenseMotionContaining(j int, allowed []int, tau int) bool {
 	lj, ok := g.Local(j)
 	if !ok {
 		return false
 	}
+	c, rj := int(g.cs.comp[lj]), int(g.cs.rank[lj])
 	sc := g.getScratch()
 	defer g.putScratch(sc)
-	if g.Sparse() {
+	// Ranks of the allowed devices in j's component other than j: no
+	// motion containing j leaves it.
+	locs := sc.locs[:0]
+	for _, id := range allowed {
+		if li, ok := g.Local(id); ok && li != lj && int(g.cs.comp[li]) == c {
+			locs = append(locs, g.cs.rank[li])
+		}
+	}
+	defer func() { sc.locs = locs[:0] }()
+	if g.isCSR(c) {
 		// Densify N(j) ∩ allowed; a clique of size tau+1 through j is a
 		// clique of size tau inside that subgraph.
-		locs := sc.locs[:0]
-		for _, id := range allowed {
-			if li, ok := g.Local(id); ok && li != lj {
-				locs = append(locs, int32(li))
-			}
-		}
 		sortInt32s(locs)
-		verts := g.row(lj).IntersectInto(locs, sc.verts[:0])
-		sc.locs = locs[:0]
+		verts := g.csrRow(c, rj).IntersectInto(locs, sc.verts[:0])
 		defer func() { sc.verts = verts[:0] }()
 		if len(verts) < tau {
 			return tau <= 0
 		}
-		sub := g.densify(sc, verts)
+		sub := g.densify(sc, c, verts)
 		p := sc.lease(len(verts))
 		for i := range verts {
 			p.Add(i)
@@ -636,11 +528,16 @@ func (g *Graph) HasDenseMotionContaining(j int, allowed []int, tau int) bool {
 		sc.put(p)
 		return ok
 	}
-	p := g.toLocal(allowed)
-	p.And(g.adj[lj])
-	p.Remove(lj)
+	rows := g.blockRows(sc, c)
+	p := sc.lease(len(rows))
+	for _, r := range locs {
+		p.Add(int(r))
+	}
+	p.And(rows[rj])
 	// Need a clique of size tau+1 total, i.e. tau more vertices from p.
-	return extendCliqueOver(g.adj, p, 1, tau+1, sc)
+	ok = extendCliqueOver(rows, p, 1, tau+1, sc)
+	sc.put(p)
+	return ok
 }
 
 // extendCliqueOver performs a branch-and-bound search for a clique of
@@ -674,37 +571,26 @@ func extendCliqueOver(adj []*sets.Bits, p *sets.Bits, have, want int, sc *bkScra
 	return false
 }
 
-// bronKerbosch runs maximal-clique enumeration over the whole dense
-// graph.
-func (g *Graph) bronKerbosch(report func(*sets.Bits)) {
-	m := len(g.ids)
-	r := sets.NewBits(m)
-	p := sets.NewBits(m)
-	for i := 0; i < m; i++ {
-		p.Add(i)
-	}
-	x := sets.NewBits(m)
-	sc := g.getScratch()
-	bkOver(g.adj, r, p, x, sc, report)
-	g.putScratch(sc)
-}
-
 // bkScratch recycles the candidate/excluded bitsets and the member
 // buffers of one enumeration's recursion — the dominant garbage of the
 // characterization hot path before pooling. Each top-level enumeration
 // owns its scratch, so concurrent enumerations over a shared graph
 // never share state. Only the reported cliques escape the enumeration.
 // The free-listed bitsets are resized on lease, so one scratch serves
-// the full graph universe and the per-vertex sub-universes of the
-// sparse enumeration alike.
+// every component's universe and the per-vertex sub-universes of the
+// CSR enumeration alike.
 type bkScratch struct {
 	free []*sets.Bits
 	ints [][]int
-	// verts/locs buffer the sub-universe vertex lists of the sparse
+	// verts/locs buffer the sub-universe vertex lists of the CSR
 	// enumeration; sub holds its densified bitset rows.
 	verts sets.Sorted
 	locs  sets.Sorted
 	sub   []*sets.Bits
+	// hdr/rows hold the views blockRows puts over a dense block. They
+	// alias the graph's slab, so they never enter the free list.
+	hdr  []sets.Bits
+	rows []*sets.Bits
 }
 
 func (s *bkScratch) get(src *sets.Bits) *sets.Bits {
@@ -747,9 +633,9 @@ func (s *bkScratch) putInts(buf []int) { s.ints = append(s.ints, buf) }
 // bkOver is Bron–Kerbosch with pivoting over the adjacency rows adj.
 // r, p, x are the usual current clique / candidates / excluded sets over
 // row indices. p and x are consumed by the call; r is restored. Dense
-// graphs pass their full adjacency; the sparse enumeration passes a
+// components pass their block's rows; the CSR enumeration passes a
 // densified neighbourhood subgraph, so the recursion is word operations
-// in both modes.
+// in both cases.
 func bkOver(adj []*sets.Bits, r, p, x *sets.Bits, sc *bkScratch, report func(*sets.Bits)) {
 	// taken lists the pivots the loop moved into r in place; np and
 	// xEmpty track p's size and x's emptiness across those steps.
@@ -826,34 +712,4 @@ func bkOver(adj []*sets.Bits, r, p, x *sets.Bits, sc *bkScratch, report func(*se
 		r.Remove(u)
 	}
 	sc.putInts(taken)
-}
-
-// newGraphAllPairs builds the graph with the reference all-pairs scan
-// regardless of size — the oracle used by property tests and the
-// recorded baseline BenchmarkNewGraph compares the grid build against.
-func newGraphAllPairs(p *Pair, ids []int, r float64) *Graph {
-	g := newGraphVertices(p, ids, r)
-	g.allocDense()
-	g.buildAllPairs()
-	return g
-}
-
-// newGraphGrid builds the graph with the dense grid-indexed scan
-// regardless of size (testing/benchmark hook).
-func newGraphGrid(p *Pair, ids []int, r float64) *Graph {
-	g := newGraphVertices(p, ids, r)
-	g.allocDense()
-	g.buildGrid(newFlatWindow(g), grid.ForRadius(r))
-	return g
-}
-
-// newGraphSparse builds the CSR-backed graph regardless of size or
-// measured density (testing/benchmark hook); workers <= 0 selects
-// GOMAXPROCS.
-func newGraphSparse(p *Pair, ids []int, r float64, workers int) *Graph {
-	g := newGraphVertices(p, ids, r)
-	prm := grid.ForRadius(r)
-	gridOK := prm.Res <= gridBuildMaxRes && gridBuildWorthwhile(p.Dim(), len(g.ids))
-	g.buildCollected(newFlatWindow(g), prm, gridOK, workers, true)
-	return g
 }

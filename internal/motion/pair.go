@@ -8,8 +8,9 @@
 // A motion is therefore a clique of the "motion graph" whose edges join
 // devices within distance 2r at both ends of the window, and the maximal
 // motions of the paper's Algorithm 2 are its maximal cliques. The package
-// provides both the paper's sliding-window enumeration and Bron–Kerbosch
-// with pivoting; tests cross-check them.
+// enumerates them with Bron–Kerbosch with pivoting; its tests keep the
+// paper's sliding-window enumeration as the reference it is checked
+// against.
 package motion
 
 import (

@@ -207,32 +207,30 @@ func TestSparseHasDenseMotionContaining(t *testing.T) {
 	}
 }
 
-// TestNewGraphCrossoverBoundary pins the production dispatch at the
-// dense/sparse crossover: one vertex below sparseMinVertices NewGraph
-// stays dense, at it NewGraph goes sparse, and both sides agree with
-// the dense grid build on the full API.
+// TestNewGraphCrossoverBoundary pins the representation at the
+// component crossover: a chain component of componentDenseMax vertices
+// keeps a dense block, one vertex more keeps CSR rows (a chain is far
+// too edge-sparse for denseWorthwhile), and both sides agree with the
+// all-pairs oracle on the full API.
 func TestNewGraphCrossoverBoundary(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("crossover graphs are thousands of vertices")
 	}
 
-	rng := stats.NewRNG(555)
-	r := 0.01
-	for _, n := range []int{sparseMinVertices - 1, sparseMinVertices} {
-		pair := randomPair(t, rng, n, 2, 1.0)
+	for _, n := range []int{componentDenseMax, componentDenseMax + 1} {
+		pair, r := chainPair(t, n)
 		g := NewGraph(pair, allIds(n), r)
-		wantSparse := n >= sparseMinVertices
-		if g.Sparse() != wantSparse {
-			t.Fatalf("n=%d: Sparse() = %v, want %v", n, g.Sparse(), wantSparse)
-		}
-		oracle := newGraphGrid(pair, allIds(n), r)
 		label := fmt.Sprintf("crossover n=%d", n)
+		if cs := g.Components(); cs.Count() != 1 {
+			t.Fatalf("%s: chain split into %d components", label, cs.Count())
+		}
+		if wantSparse := n > componentDenseMax; g.Sparse() != wantSparse {
+			t.Fatalf("%s: Sparse() = %v, want %v", label, g.Sparse(), wantSparse)
+		}
+		oracle := newGraphAllPairs(pair, allIds(n), r)
 		sameAdjacency(t, label, g, oracle)
 		for _, id := range []int{0, 1, n / 2, n - 1} {
-			if gd, wd := g.Degree(id), oracle.Degree(id); gd != wd {
-				t.Fatalf("%s: Degree(%d) = %d, want %d", label, id, gd, wd)
-			}
 			gm := g.MaximalMotionsContaining(id)
 			wm := oracle.MaximalMotionsContaining(id)
 			if !sameFamily(gm, wm) {

@@ -49,25 +49,34 @@ func BitsOf(n int, members ...int) *Bits {
 
 // NewBitsRows returns count empty bitsets over [0, n), all backed by a
 // single shared words arena — 3 allocations however many rows, where
-// one NewBits per row costs 2·count. This is the slab behind the dense
-// motion-graph adjacency; rows must not be Resized (Resize would leave
-// the arena but every other operation keeps the backing shared).
+// one NewBits per row costs 2·count. Rows must not be Resized (Resize
+// would leave the arena but every other operation keeps the backing
+// shared).
 func NewBitsRows(count, n int) []*Bits {
-	if count < 0 {
-		count = 0
-	}
-	if n < 0 {
-		n = 0
-	}
+	count, n = max(count, 0), max(n, 0)
+	_, rows := RowViews(make([]uint64, count*((n+wordBits-1)/wordBits)), count, n, nil, nil)
+	return rows
+}
+
+// RowViews points count bitsets over [0, n) at consecutive rows of
+// words, ceil(n/64) words each, without copying: a view reads and
+// writes words itself, so views must not be Resized. It returns the
+// headers and pointers to them, reusing hdr and ptr when their capacity
+// allows — pass a previous call's results back to recycle them.
+func RowViews(words []uint64, count, n int, hdr []Bits, ptr []*Bits) ([]Bits, []*Bits) {
 	wpr := (n + wordBits - 1) / wordBits
-	arena := make([]uint64, count*wpr)
-	rows := make([]Bits, count)
-	out := make([]*Bits, count)
-	for i := range rows {
-		rows[i] = Bits{words: arena[i*wpr : (i+1)*wpr : (i+1)*wpr], n: n}
-		out[i] = &rows[i]
+	if cap(hdr) < count {
+		hdr = make([]Bits, count)
 	}
-	return out
+	if cap(ptr) < count {
+		ptr = make([]*Bits, count)
+	}
+	hdr, ptr = hdr[:count], ptr[:count]
+	for i := range hdr {
+		hdr[i] = Bits{words: words[i*wpr : (i+1)*wpr : (i+1)*wpr], n: n}
+		ptr[i] = &hdr[i]
+	}
+	return hdr, ptr
 }
 
 // Universe returns the size n of the universe [0, n).
@@ -244,74 +253,6 @@ func (b *Bits) Equal(o *Bits) bool {
 		}
 	}
 	return true
-}
-
-// ProjectInto adds rank[i] to dst for every member i of b — the
-// local-index projection used to re-express a set over a compact
-// sub-universe (e.g. graph-local indices into component-local ranks).
-// dst is not cleared first; members whose rank falls outside dst's
-// universe are ignored, like any other Add.
-func (b *Bits) ProjectInto(dst *Bits, rank []int32) {
-	b.ForEach(func(i int) bool {
-		dst.Add(int(rank[i]))
-		return true
-	})
-}
-
-// CopyRange overwrites b with the members of src in [lo, lo+n), shifted
-// down by lo, where n is b's universe — ProjectInto for the contiguous
-// rank i ↦ i-lo, done with word shifts instead of bit by bit. lo must
-// be non-negative; b and src may have different universes.
-func (b *Bits) CopyRange(src *Bits, lo int) {
-	ws, sh := lo/wordBits, uint(lo%wordBits)
-	from := src.words[min(ws, len(src.words)):]
-	i := 0
-	if sh == 0 {
-		i = copy(b.words, from)
-	} else {
-		for ; i < len(b.words) && i+1 < len(from); i++ {
-			b.words[i] = from[i]>>sh | from[i+1]<<(wordBits-sh)
-		}
-		if i < len(b.words) && i < len(from) {
-			b.words[i] = from[i] >> sh
-			i++
-		}
-	}
-	clear(b.words[i:])
-	if tail := b.n % wordBits; tail != 0 {
-		b.words[len(b.words)-1] &= 1<<uint(tail) - 1
-	}
-}
-
-// OrWords ORs src into b word by word, starting at word index w0: bit i
-// of src[k] becomes member (w0+k)·64+i. It fills a precomputed member
-// mask into a set in span-many word operations; the mask must lie
-// inside b's universe.
-func (b *Bits) OrWords(w0 int, src []uint64) {
-	dst := b.words[w0 : w0+len(src)]
-	for i, w := range src {
-		dst[i] |= w
-	}
-}
-
-// AppendNew appends every member of b that is not in seen to dst, in
-// increasing order, adds those members to seen, and returns the
-// extended slice — the frontier step of a word-parallel breadth-first
-// search. b and seen must share a universe.
-func (b *Bits) AppendNew(seen *Bits, dst []int32) []int32 {
-	for wi, w := range b.words {
-		w &^= seen.words[wi]
-		if w == 0 {
-			continue
-		}
-		seen.words[wi] |= w
-		base := wi * wordBits
-		for w != 0 {
-			dst = append(dst, int32(base+bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // Members appends the elements of the set, in increasing order, to dst and

@@ -44,30 +44,6 @@ func FuzzBitsAlgebra(f *testing.F) {
 		if !rebuilt.Equal(a) {
 			t.Fatal("Members/BitsOf round trip changed the set")
 		}
-		// CopyRange is ProjectInto through the contiguous rank i ↦ i-lo,
-		// at any offset (word-aligned or not) and destination universe
-		// (with or without a partial tail word); offset and universe come
-		// from B's first two bytes.
-		lo, n := 0, universe
-		if len(ys) > 0 {
-			lo = int(ys[0]) % (universe + 1)
-		}
-		if len(ys) > 1 {
-			n = int(ys[1]) % (universe + 1)
-		}
-		ranged := b.Clone() // stale members: CopyRange must overwrite
-		ranged.Resize(n)
-		ranged.Or(BitsOf(n, xs2ints(xs)...))
-		ranged.CopyRange(a, lo)
-		rank := make([]int32, universe)
-		for i := range rank {
-			rank[i] = int32(i - lo)
-		}
-		projected := NewBits(n)
-		a.ProjectInto(projected, rank)
-		if !ranged.Equal(projected) {
-			t.Fatalf("CopyRange(lo=%d, n=%d) = %v, ProjectInto = %v", lo, n, ranged, projected)
-		}
 	})
 }
 

@@ -58,16 +58,21 @@ const (
 )
 
 var table = []run{
-	// The window hot path: 1735 allocs/op when first gated, 4046 before.
+	// The window hot path: 585 allocs/op since the motion graph is laid
+	// out per component (635 before, 1735 when first gated, 4046 before
+	// that).
 	{".", []string{"-benchtime=20x"}, 1, []gate{
-		{bench: "BenchmarkCharacterizeWindow", unit: allocsOp, bound: 2000},
+		{bench: "BenchmarkCharacterizeWindow", unit: allocsOp, bound: 1200},
 	}},
-	// The hybrid sparse CSR build of a 100k-vertex window allocates
-	// ~100 MB; the dense rows it replaced took 1.37 GB, so a slide back
-	// toward quadratic storage trips the gate. -short skips the set-up
-	// of the n=1M window.
+	// The sparse CSR build of a 100k-vertex window allocates ~100 MB;
+	// the dense rows it replaced took 1.37 GB, so a slide back toward
+	// quadratic storage trips the gate. The storm window (six 500-device
+	// clusters plus lone gateways) lays out one dense block per
+	// component in ~0.44 MB; a whole-window m×m bit matrix took 1.5 MB.
+	// -short skips the set-up of the n=1M window.
 	{"./internal/motion", []string{"-short", "-benchtime=1x"}, 1, []gate{
 		{bench: "BenchmarkNewGraph/grid/sparse/n=100000", unit: bytesOp, bound: 150e6},
+		{bench: "BenchmarkNewGraph/storm/m=3000", unit: bytesOp, bound: 750e3},
 	}},
 	// The flat slab-allocated grid index builds a 1M-vertex window in a
 	// few hundred allocations; the ceiling trips on any per-cell or

@@ -69,11 +69,11 @@ func TestDistributedWindowErrorRecovers(t *testing.T) {
 }
 
 // TestNetworkedAdvanceErrorDegradesWindow is the wire counterpart of
-// TestDistributedWindowErrorRecovers: when the over-the-wire window sync
-// fails mid-stream, the monitor must serve that window from the
+// TestDistributedWindowErrorRecovers: when the over-the-wire window
+// request fails mid-stream, the monitor must serve that window from the
 // centralized fallback with unchanged verdicts — never an Observe
 // error — and the next abnormal window must go networked again with
-// verdict parity, the client resyncing the shard on its own.
+// verdict parity, with no recovery step.
 func TestNetworkedAdvanceErrorDegradesWindow(t *testing.T) {
 	t.Parallel()
 

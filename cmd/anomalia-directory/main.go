@@ -1,9 +1,9 @@
 // Command anomalia-directory hosts one shard of the networked
-// directory service: a dirnet.Server holding a full directory replica
-// behind the length-prefixed binary protocol, answering the window
-// stream (one msgInit per abnormal window, built on m-row states) and
-// the decision and view queries a Monitor configured with
-// WithDirectory sends.
+// directory service: a dirnet.Server behind the length-prefixed binary
+// protocol, answering the one request per abnormal window a Monitor
+// configured with WithDirectory sends: the window's abnormal rows and
+// the slice of its devices this shard decides, built into a directory
+// on m-row states and decided within the request.
 //
 // Usage:
 //
@@ -12,8 +12,8 @@
 //
 // Run one process per shard and hand the Monitor (or
 // anomalia-gateway's -directory flag) the full address list. A shard
-// keeps no durable state: every client window re-seeds it over the
-// wire, so a restarted shard rejoins on the next window with no extra
+// keeps no state between requests: every window carries its own
+// rows, so a restarted shard serves the next window with no extra
 // round trip and never gives a wrong verdict. Meanwhile the client's
 // breaker fails its slice over to the surviving shards, and a window
 // no shard can serve degrades to the Monitor's centralized fallback
@@ -26,10 +26,9 @@
 // -metrics addr serves the shard's Prometheus scrape endpoint at
 // http://addr/metrics: the wire-service counters
 // (anomalia_dirsrv_connections_total, anomalia_dirsrv_requests_total,
-// anomalia_dirsrv_request_errors_total,
-// anomalia_dirsrv_bytes_total{direction=read|written}, and the held
-// window sequence anomalia_dirsrv_window_seq) plus the anomalia_go_*
-// runtime GC/heap sample, all refreshed on scrape.
+// anomalia_dirsrv_request_errors_total and
+// anomalia_dirsrv_bytes_total{direction=read|written}) plus the
+// anomalia_go_* runtime GC/heap sample, all refreshed on scrape.
 package main
 
 import (
@@ -106,7 +105,6 @@ func metricsHandler(srv *dirnet.Server) http.Handler {
 	reqErrs := reg.Counter("anomalia_dirsrv_request_errors_total", "Requests answered with an application error status.")
 	bytesRead := reg.Counter("anomalia_dirsrv_bytes_total", "Frame bytes moved, prefix included.", metrics.Label{Name: "direction", Value: "read"})
 	bytesWritten := reg.Counter("anomalia_dirsrv_bytes_total", "Frame bytes moved, prefix included.", metrics.Label{Name: "direction", Value: "written"})
-	seq := reg.Gauge("anomalia_dirsrv_window_seq", "Window sequence the directory currently holds (0 = none).")
 	reg.OnScrape(func() {
 		c := srv.Counters()
 		conns.Set(c.Connections)
@@ -114,7 +112,6 @@ func metricsHandler(srv *dirnet.Server) http.Handler {
 		reqErrs.Set(c.RequestErrors)
 		bytesRead.Set(c.BytesRead)
 		bytesWritten.Set(c.BytesWritten)
-		seq.Set(float64(srv.Seq()))
 	})
 	metrics.RegisterRuntime(reg)
 	return reg.Handler()

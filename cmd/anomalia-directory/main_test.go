@@ -90,8 +90,10 @@ func TestRunServesMonitorWindows(t *testing.T) {
 	if ds.Windows != int64(abnormalWindows) || ds.Networked != ds.Windows || ds.Degraded != 0 {
 		t.Fatalf("DirStats = %+v, want %d fully networked windows", ds, abnormalWindows)
 	}
-	if got := b.srv.Seq(); got == 0 {
-		t.Fatalf("server seq = 0 after %d networked windows", abnormalWindows)
+	// One request per networked window: a single shard decides every
+	// window's whole abnormal set.
+	if got := b.srv.Counters().Requests; got != int64(abnormalWindows) {
+		t.Fatalf("server answered %d requests for %d networked windows", got, abnormalWindows)
 	}
 
 	// Closing the listener is the shutdown path; Serve must return.

@@ -63,18 +63,19 @@
 // length-prefixed binary wire protocol (internal/dirnet — a uint32
 // frame length, a message byte, and sparse trajectory bodies carrying
 // only the abnormal rows, bit-exact), and the Monitor decides each
-// abnormal window through a thin client. Each window the client sends
-// every reachable shard the abnormal set with its trajectories in one
-// message, and each shard builds that window from scratch on m-row
-// states over window-local ids, mapping ids back to global ones only
-// in its responses, so a shard's memory follows the abnormal set, not
-// the fleet. A decision response carries the window's motion table
-// too: each distinct dense motion once, and per decision only refs
-// into it, so a mass event's motion crosses the wire once per shard
-// slice, not once per member. The client partitions each window's decisions
-// contiguously across the shards that took the window — a shard that
-// crashes and comes back empty just takes the next window, so shard
-// failover is a re-sync, not an error. Each shard decides its
+// abnormal window through a thin client. Each window is one request
+// and one response per shard: the client partitions the window's
+// decisions contiguously across the shards in rotation and sends each
+// the abnormal set with its trajectories and the slice it decides. A
+// shard builds that window from scratch on m-row states over
+// window-local ids, decides its slice, maps ids back to global ones
+// only in its response, and keeps nothing once it has answered, so a
+// shard's memory follows the abnormal set, not the fleet, and a shard
+// that crashes and comes back just serves the next window. A decision
+// response carries the window's motion table too: each distinct dense
+// motion once, and per decision only refs into it, so a mass event's
+// motion crosses the wire once per shard slice, not once per member.
+// Each shard decides its
 // contiguous slice with dist.DecideRange, the same view-grouped batch
 // the in-process directory runs (DecideAll is its whole-window case):
 // devices sharing a 4r view share one characterizer, so a mass event
@@ -87,8 +88,8 @@
 // deterministic under Seed), and BreakerFails consecutive failures
 // open a per-shard circuit breaker that stops the client hammering a
 // dead shard — after BreakerCooldown abnormal windows the breaker
-// half-opens, one probe either rejoins the shard or re-opens the
-// breaker. Server-side application errors (a malformed request, a
+// half-opens, and its one-attempt slice either rejoins the shard or
+// re-opens the breaker, handing the slice to a shard that answered. Server-side application errors (a malformed request, a
 // characterization failure) are returned as errors, never retried and
 // never charged to the breaker: retrying cannot fix them and they say
 // nothing about shard health.
@@ -102,8 +103,8 @@
 // degraded, retries, breaker opens, shard rejoins, bytes and
 // round-trips on the wire) tell the paths apart. A 220-tick soak
 // drives the full stack through seeded wire weather — latency,
-// dropped windows, shard crashes that lose directory state,
-// partitions that keep it, and a full-fleet blackout — from
+// dropped windows, shard crashes and restarts, partitions, and a
+// full-fleet blackout — from
 // internal/netsim's wire-fault injector, pinning every networked
 // window byte-identical to the in-process distributed outcome and
 // every degraded window byte-identical to the centralized one, under
@@ -460,9 +461,9 @@
 // (anomalia_gateway_snapshots_total,
 // anomalia_gateway_recovered_errors_total), and anomalia-directory
 // counts wire service (anomalia_dirsrv_connections_total,
-// anomalia_dirsrv_requests_total, anomalia_dirsrv_request_errors_total,
-// anomalia_dirsrv_bytes_total{direction=read|written}, and the held
-// window sequence anomalia_dirsrv_window_seq) with the same
+// anomalia_dirsrv_requests_total, one per window a shard serves,
+// anomalia_dirsrv_request_errors_total and
+// anomalia_dirsrv_bytes_total{direction=read|written}) with the same
 // runtime sample refreshed on scrape. A doc-sync test pins every
 // family a Monitor registers against this section; the stats snapshots
 // (Time, DeviceHealth, HealthStats, DirStats) and a registry scrape

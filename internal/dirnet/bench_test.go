@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkDecideWindow measures one abnormal window decided over the
-// wire — two pipe shards, the client's sync plus each shard's slice,
-// steady state after the first window — next to the in-process batch
+// wire — two pipe shards, one request per shard slice, steady state
+// after the first window — next to the in-process batch
 // (dist.DecideAll, the BenchmarkDistDecide path) on the same clustered
 // window: ten faulty 100-device clusters, the radius dimensioned to n.
 // The decision work is the same at both n, so the wire/inproc gap is

@@ -29,10 +29,6 @@ type shard struct {
 	addr string
 	conn net.Conn
 	rd   *bufio.Reader
-	// seq is the window the server last confirmed holding for this
-	// client (0 = unsynced): the single-device reads go to a shard that
-	// holds the last good window.
-	seq uint64
 	// Circuit breaker: fails counts consecutive transport failures
 	// while closed; cooldown counts the abnormal windows left before an
 	// open breaker half-opens with a single probe.
@@ -42,23 +38,27 @@ type shard struct {
 }
 
 // Client drives a fleet of directory shard servers from the Monitor's
-// decision path. Every shard hosts a full directory replica; each
-// abnormal window the client sends every reachable shard the same
-// msgInit, carrying the window's m abnormal rows, partitions the
-// sorted abnormal set contiguously across the shards, and merges
-// their decision slices in device order — so the output is
-// byte-identical to dist.DecideAll however many shards participate,
-// and a breaker-open shard's slice fails over to the survivors.
+// decision path. Every shard hosts a full directory replica. Each
+// abnormal window the client encodes one request carrying the window's
+// m abnormal rows, partitions the sorted abnormal set contiguously
+// across the shards in rotation, sends each shard the request with its
+// slice's range patched in, and merges the slices in device order — so
+// the output is byte-identical to dist.DecideAll however many shards
+// participate. A window is one request and one response per shard it
+// is sent to.
 //
 // Failure semantics: a request retries up to MaxRetries times with
 // exponential backoff and full jitter; a request that exhausts its
 // budget counts one breaker failure, and BreakerFails consecutive
 // failures open the shard's breaker for BreakerCooldown abnormal
-// windows, after which one half-open probe (an Init carrying the
-// current window) decides rejoin vs re-open. If any required shard
-// fails past its budget the whole window returns ErrUnavailable and
-// the caller degrades to centralized characterization — verdicts
-// unchanged, one DirStats degradation counted.
+// windows. The shard then half-opens: it gets its slice of the next
+// window with a single attempt, rejoining if it answers and re-opening
+// if not, in which case a shard that answered in the same window
+// decides that slice too. If a closed shard fails past its budget the
+// whole window returns ErrUnavailable and the caller degrades to
+// centralized characterization — verdicts unchanged, one DirStats
+// degradation counted. A statusErr answer is returned at once and
+// never charged to a breaker.
 //
 // Client is not safe for concurrent use (neither is the Monitor that
 // owns it).
@@ -66,18 +66,14 @@ type Client struct {
 	cfg    Config
 	sleep  func(time.Duration) // waits out a retry backoff; tests stub it
 	shards []*shard
-	window uint64 // monotone per-DecideWindow counter (wire seq)
-	// lastGood is the seq of the last window every decision was served
-	// from — the window View and Decide read.
-	lastGood uint64
-	rng      *stats.RNG
+	rng    *stats.RNG
 	// st accumulates the lifetime wire counters; stMu guards it so a
 	// stats snapshot (Monitor.DirStats, a metrics scrape) can run on
 	// another goroutine while a window is in flight. Everything else on
 	// the client keeps the single-caller contract.
 	stMu sync.Mutex
 	st   Stats
-	enc  []byte    // request scratch
+	enc  []byte    // the window's encoded request
 	in   []byte    // response scratch
 	rows []float64 // window row scratch
 }
@@ -154,18 +150,15 @@ func (c *Client) Close() {
 	}
 }
 
-// Reset closes connections and forgets every shard's sync state and
-// breaker, keeping the lifetime Stats — the Monitor.Reset contract.
+// Reset closes connections and forgets every shard's breaker, keeping
+// the lifetime Stats — the Monitor.Reset contract.
 func (c *Client) Reset() {
 	c.Close()
 	for _, s := range c.shards {
-		s.seq = 0
 		s.state = brClosed
 		s.fails = 0
 		s.cooldown = 0
 	}
-	c.window = 0
-	c.lastGood = 0
 }
 
 func (c *Client) dropConn(s *shard) {
@@ -182,7 +175,7 @@ func (c *Client) dropConn(s *shard) {
 // device order with the summed billed Stats, exactly what
 // dist.DecideAll returns in-process. On ErrUnavailable no usable
 // decision set exists and the caller must fall back centralized; the
-// reachable shards keep whatever sync they reached and recover on
+// shards hold nothing from the window, and the breakers recover on
 // later windows without operator action.
 func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config) ([]dist.Decision, dist.Stats, error) {
 	for i, id := range abnormal {
@@ -193,60 +186,30 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 			return nil, dist.Stats{}, fmt.Errorf("abnormal device %d outside population of %d: %w", id, pair.N(), ErrConfig)
 		}
 	}
-	c.window++
-	seq := c.window
 
 	participants := c.rotation()
 	if len(participants) == 0 {
 		return nil, dist.Stats{}, fmt.Errorf("all %d shard breakers open: %w", len(c.shards), ErrUnavailable)
 	}
 
-	// Encode the window once; every shard gets the same msgInit.
-	w := windowOf(seq, pair, abnormal, cfg.R, c.rows)
+	// Encode the window once; decideRange patches each shard's range
+	// into the same bytes.
+	w := windowOf(pair, abnormal, cfg, c.rows)
 	c.rows = w.prev[:0]
-	body := appendWindow(c.enc[:0], w)
-	c.enc = body
-
-	// Half-open probes first: one Init attempt each, no retries. A
-	// probe that succeeds rejoins the rotation for this very window; a
-	// probe that fails re-opens without degrading the window.
-	synced := participants[:0]
-	for _, s := range participants {
-		if s.state == brHalfOpen {
-			if c.syncShard(s, seq, body, true) != nil {
-				continue
-			}
-			c.count(func(st *Stats) { st.Rejoins++ })
-			s.state = brClosed
-			s.fails = 0
-			synced = append(synced, s)
-			continue
-		}
-		if err := c.syncShard(s, seq, body, false); err != nil {
-			if isAppError(err) {
-				// Deterministic application rejection (e.g. a malformed
-				// abnormal set): retrying or failing over cannot fix it, and
-				// it says nothing about the shard's health. Degrade the
-				// window; the shard resyncs naturally via seq mismatch.
-				return nil, dist.Stats{}, err
-			}
-			return nil, dist.Stats{}, fmt.Errorf("shard %s: %w: %w", s.addr, ErrUnavailable, err)
-		}
-		synced = append(synced, s)
-	}
-	if len(synced) == 0 {
-		return nil, dist.Stats{}, fmt.Errorf("no shard survived its half-open probe: %w", ErrUnavailable)
-	}
+	c.enc = appendWindow(c.enc[:0], w)
 
 	// Partition the sorted abnormal positions contiguously across the
-	// synced shards; merged in shard order the decisions land in device
-	// order, matching dist.DecideAll.
+	// rotation; merged in shard order the decisions land in device
+	// order, matching dist.DecideAll. A half-open shard's slice is its
+	// probe: one attempt, and on failure the slice waits in orphans for
+	// a shard that answered.
 	out := make([]dist.Decision, len(abnormal))
-	var total dist.Stats
 	m := len(abnormal)
-	base, rem := m/len(synced), m%len(synced)
+	base, rem := m/len(participants), m%len(participants)
+	var orphans [][2]int
+	var answered *shard
 	from := 0
-	for i, s := range synced {
+	for i, s := range participants {
 		size := base
 		if i < rem {
 			size++
@@ -255,19 +218,36 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 			continue
 		}
 		to := from + size
-		if err := c.decideRange(s, seq, cfg, abnormal, from, out[from:to]); err != nil {
-			if isAppError(err) {
-				return nil, dist.Stats{}, err
+		probe := s.state == brHalfOpen
+		err := c.decideRange(s, abnormal, from, out[from:to], probe)
+		switch {
+		case err == nil:
+			if probe {
+				c.count(func(st *Stats) { st.Rejoins++ })
+				s.state = brClosed
 			}
-			return nil, dist.Stats{}, fmt.Errorf("shard %s: %w: %w", s.addr, ErrUnavailable, err)
-		}
-		for _, dec := range out[from:to] {
-			total.Add(dec.Stats)
+			if answered == nil {
+				answered = s
+			}
+		case probe && !isAppError(err):
+			orphans = append(orphans, [2]int{from, to})
+		default:
+			return nil, dist.Stats{}, err
 		}
 		from = to
 	}
-
-	c.lastGood = seq
+	for _, r := range orphans {
+		if answered == nil {
+			return nil, dist.Stats{}, fmt.Errorf("no shard survived its half-open probe: %w", ErrUnavailable)
+		}
+		if err := c.decideRange(answered, abnormal, r[0], out[r[0]:r[1]], false); err != nil {
+			return nil, dist.Stats{}, err
+		}
+	}
+	var total dist.Stats
+	for _, dec := range out {
+		total.Add(dec.Stats)
+	}
 	return out, total, nil
 }
 
@@ -288,15 +268,15 @@ func (c *Client) rotation() []*shard {
 	return avail
 }
 
-// windowOf assembles the wire window: the abnormal devices' rows in
-// id order, prev then cur, in one slab that reuses rows' capacity.
-func windowOf(seq uint64, pair *motion.Pair, abnormal []int, r float64, rows []float64) windowMsg {
+// windowOf assembles the wire request for the whole window, its range
+// still empty: the abnormal devices' rows in id order, prev then cur,
+// in one slab that reuses rows' capacity.
+func windowOf(pair *motion.Pair, abnormal []int, cfg core.Config, rows []float64) windowMsg {
 	d := pair.Dim()
 	size := len(abnormal) * d
 	rows = slices.Grow(rows[:0], 2*size)[:2*size]
 	w := windowMsg{
-		seq:  seq,
-		r:    r,
+		cfg:  cfg,
 		n:    pair.N(),
 		d:    d,
 		ids:  abnormal,
@@ -310,53 +290,37 @@ func windowOf(seq uint64, pair *motion.Pair, abnormal []int, r float64, rows []f
 	return w
 }
 
-// syncShard sends one shard the window's pre-encoded msgInit frame.
-// probe=true is the half-open path: a single attempt.
-func (c *Client) syncShard(s *shard, seq uint64, body []byte, probe bool) error {
+// decideRange fetches the decisions for positions [from, from+len(dst))
+// of the window's sorted abnormal set from one shard into dst, patching
+// the range into the encoded request. probe=true is the half-open
+// path: a single attempt. A response that decodes to anything but one
+// valid decision per position counts against the shard like a
+// transport fault, and either fails as ErrUnavailable. A statusErr
+// answer — a deterministic application rejection such as an invalid
+// config — is returned as is: retrying or failing over cannot fix it,
+// and it says nothing about the shard's health.
+func (c *Client) decideRange(s *shard, abnormal []int, from int, dst []dist.Decision, probe bool) error {
+	setRange(c.enc, from, from+len(dst))
 	attempts := 1 + c.cfg.MaxRetries
 	if probe {
 		attempts = 1
 	}
-	if _, err := c.request(s, body, attempts); err != nil {
-		if !isAppError(err) {
-			c.noteFailure(s)
-		}
+	resp, err := c.request(s, c.enc, attempts)
+	if err == nil {
+		err = decodeWindowDecisions(resp, abnormal, from, dst)
+	}
+	if isAppError(err) {
 		return err
 	}
-	s.fails = 0
-	s.seq = seq
-	return nil
-}
-
-// decideRange fetches the decisions for positions [from, from+len(dst))
-// of the window's sorted abnormal set from one synced shard into dst. A
-// response that decodes to anything but one valid decision per position
-// counts against the shard like a transport fault.
-func (c *Client) decideRange(s *shard, seq uint64, cfg core.Config, abnormal []int, from int, dst []dist.Decision) error {
-	c.enc = appendDecideAll(c.enc[:0], seq, cfg, from, from+len(dst))
-	resp, err := c.request(s, c.enc, 1+c.cfg.MaxRetries)
 	if err != nil {
-		if err == errNeedInit {
-			// The server lost the window between sync and decide (crash in
-			// the gap). Re-syncing would hand back a torn window; degrade
-			// and let the next window rebuild.
-			s.seq = 0
-			err = fmt.Errorf("window lost between sync and decide: %w", errNeedInit)
-		}
-		if !isAppError(err) {
-			c.noteFailure(s)
-		}
-		return err
-	}
-	if err := decodeWindowDecisions(resp, abnormal, from, dst); err != nil {
 		c.noteFailure(s)
-		return err
+		return fmt.Errorf("shard %s: %w: %w", s.addr, ErrUnavailable, err)
 	}
 	s.fails = 0
 	return nil
 }
 
-// decodeWindowDecisions decodes the body of a DecideAll response for
+// decodeWindowDecisions decodes the body of a decide response for
 // positions [from, from+len(dst)) of the window's sorted abnormal set
 // into dst. It returns an error unless the body holds exactly one
 // decision per position, every motion of its table passes checkMotion,
@@ -421,62 +385,6 @@ func checkMotion(mo, abnormal []int) error {
 	return nil
 }
 
-// View fetches one device's raw 4r view from the first synced shard —
-// the single-device read path (parity and debugging; the Monitor's
-// window flow goes through DecideWindow).
-func (c *Client) View(device int) ([]int, dist.Stats, error) {
-	s := c.syncedShard()
-	if s == nil {
-		return nil, dist.Stats{}, fmt.Errorf("no synced shard: %w", ErrUnavailable)
-	}
-	c.enc = appendDecide(c.enc[:0], msgView, c.lastGood, core.Config{}, device)
-	resp, err := c.request(s, c.enc, 1+c.cfg.MaxRetries)
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	cur := &cursor{b: resp}
-	st := dist.Stats{
-		Messages:     int(cur.u32()),
-		Trajectories: int(cur.u32()),
-		ViewSize:     int(cur.u32()),
-	}
-	view := cur.ids(cur.count(4))
-	if err := cur.err(); err != nil {
-		return nil, dist.Stats{}, err
-	}
-	return view, st, nil
-}
-
-// Decide fetches one device's decision from the first synced shard.
-func (c *Client) Decide(device int, cfg core.Config) (dist.Decision, error) {
-	s := c.syncedShard()
-	if s == nil {
-		return dist.Decision{}, fmt.Errorf("no synced shard: %w", ErrUnavailable)
-	}
-	c.enc = appendDecide(c.enc[:0], msgDecide, c.lastGood, cfg, device)
-	resp, err := c.request(s, c.enc, 1+c.cfg.MaxRetries)
-	if err != nil {
-		return dist.Decision{}, err
-	}
-	var dec [1]dist.Decision
-	if _, err := decodeDecisions(resp, dec[:]); err != nil {
-		return dist.Decision{}, err
-	}
-	return dec[0], nil
-}
-
-func (c *Client) syncedShard() *shard {
-	if c.lastGood == 0 {
-		return nil
-	}
-	for _, s := range c.shards {
-		if s.state == brClosed && s.seq == c.lastGood {
-			return s
-		}
-	}
-	return nil
-}
-
 // noteFailure charges one breaker failure to the shard, opening it at
 // the threshold.
 func (c *Client) noteFailure(s *shard) {
@@ -501,8 +409,8 @@ func isAppError(err error) bool {
 // (re)dials if needed, arms the per-request deadline, writes the
 // frame, and reads the response; a transport fault drops the
 // connection and backs off with full jitter before the next attempt.
-// statusNeedInit and statusErr responses return immediately — they are
-// answers, not faults.
+// A statusErr response returns immediately — it is an answer, not a
+// fault.
 func (c *Client) request(s *shard, payload []byte, attempts int) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -511,7 +419,7 @@ func (c *Client) request(s *shard, payload []byte, attempts int) ([]byte, error)
 			c.sleep(c.backoff(attempt))
 		}
 		body, err := c.attempt(s, payload)
-		if err == nil || err == errNeedInit || isAppError(err) {
+		if err == nil || isAppError(err) {
 			return body, err
 		}
 		lastErr = err
@@ -559,7 +467,7 @@ func (c *Client) attempt(s *shard, payload []byte) ([]byte, error) {
 		st.RoundTrips++
 	})
 	body, err := decodeStatus(resp)
-	if err != nil && err != errNeedInit && !isAppError(err) {
+	if err != nil && !isAppError(err) {
 		// Malformed response: treat as transport fault.
 		c.dropConn(s)
 	}

@@ -22,22 +22,20 @@ func decisionWindow(tb testing.TB) (*motion.Pair, []int, core.Config) {
 	return pair, abnormal, cfg
 }
 
-// realResponse is a fresh server's whole DecideAll response payload,
-// status byte included, for positions [from, to) of the window.
+// realResponse is a server's whole response payload, status byte
+// included, for positions [from, to) of the window.
 func realResponse(tb testing.TB, pair *motion.Pair, abnormal []int, cfg core.Config, from, to int) []byte {
 	tb.Helper()
-	srv := NewServer()
-	if resp := srv.respond(nil, appendWindow(nil, windowOf(1, pair, abnormal, cfg.R, nil))); resp[0] != statusOK {
-		tb.Fatalf("window rejected: %q", resp)
-	}
-	resp := srv.respond(nil, appendDecideAll(nil, 1, cfg, from, to))
+	w := windowOf(pair, abnormal, cfg, nil)
+	w.from, w.to = from, to
+	resp := NewServer().respond(nil, appendWindow(nil, w))
 	if resp[0] != statusOK {
 		tb.Fatalf("decide rejected: %q", resp)
 	}
 	return resp
 }
 
-// rawDecisions decodes a DecideAll response payload without the
+// rawDecisions decodes a decide response payload without the
 // client's checks. Each decision gets its own copy of its motions, so
 // an edit to one slot stays in that slot.
 func rawDecisions(tb testing.TB, resp []byte) []dist.Decision {
@@ -73,7 +71,7 @@ func encodeResponse(decs []dist.Decision) []byte {
 	return appendDecisions([]byte{statusOK}, decs, identity)
 }
 
-// wireResponse is a DecideAll response payload in its wire parts: the
+// wireResponse is a decide response payload in its wire parts: the
 // motion table, the decisions' fixed fields, and each decision's refs
 // into the table. It lets a test build a response no server writes.
 type wireResponse struct {
@@ -82,7 +80,7 @@ type wireResponse struct {
 	refs  [][]uint32
 }
 
-// splitResponse parses a well-formed DecideAll response payload into
+// splitResponse parses a well-formed decide response payload into
 // its wire parts.
 func splitResponse(tb testing.TB, resp []byte) wireResponse {
 	tb.Helper()
@@ -344,8 +342,8 @@ func TestHostileShardDegradesWindow(t *testing.T) {
 	for _, tm := range tampers {
 		decs := rawDecisions(t, resp)
 		bad := encodeResponse(tm.edit(decs, massiveSlot(t, decs), abnormal))
-		// The shard serves windows honestly and answers the one decide
-		// request a single-shard client sends with the tampered copy.
+		// The shard answers the one request a single-shard client sends
+		// with the tampered copy.
 		srv := NewServer()
 		dial := func(string) (net.Conn, error) {
 			c1, c2 := net.Pipe()
@@ -359,7 +357,7 @@ func TestHostileShardDegradesWindow(t *testing.T) {
 					}
 					buf = req
 					out := srv.respond(nil, req)
-					if req[0] == msgDecideAll {
+					if req[0] == msgDecideWindow {
 						out = bad
 					}
 					if _, err := writeFrame(c2, out); err != nil {
@@ -383,7 +381,7 @@ func TestHostileShardDegradesWindow(t *testing.T) {
 	}
 }
 
-// FuzzClientDecode feeds arbitrary DecideAll response payloads, and
+// FuzzClientDecode feeds arbitrary decide response payloads, and
 // ranges of a fixed window, through the client's decode path. It must
 // not panic, must allocate in proportion to the payload, and must
 // return either an error or exactly one decision per position, each

@@ -13,32 +13,35 @@
 // MaxFrame, and a reader grows its buffer only as payload bytes arrive,
 // so a corrupt or hostile prefix cannot demand an allocation the peer
 // does not pay for in bytes sent.
-// Requests, by type byte:
 //
-//	1 msgInit      seq, r, n, d, m, ids, prev rows, cur rows — build
-//	               the window from its abnormal trajectories; ids
-//	               strictly increasing and below n
-//	4 msgView      seq, one device id — the raw 4r view plus its bill
-//	5 msgDecideAll seq, core config, [from, to) positions into the
-//	               window's sorted abnormal set — the shard's slice of
-//	               the fleet's decisions
-//	6 msgDecide    seq, core config, one device id
+// There is one request, type byte 7:
 //
-// Types 2 and 3 were the decide requests of the earlier protocol,
-// whose decisions carried their dense motions inline. They are retired,
-// not reused: a server on either protocol answers the other's decide
-// request with statusErr ("unknown message type"), so a mismatched
-// pair degrades the window to centralized without retries and never
-// misreads a response.
+//	7 msgDecideWindow  core config, u32 from, u32 to, then the window:
+//	                   n, d, m, m ids, m prev rows, m cur rows — ids
+//	                   strictly increasing and below n; [from, to) are
+//	                   the positions of the window's sorted abnormal
+//	                   set this shard decides
 //
-// Responses: statusOK followed by the result, statusNeedInit when the
-// server does not hold the window a decide or view request names
-// (fresh start, crash restart, or a window superseded since), or
-// statusErr carrying the error text (an application error:
-// deterministic, never retried).
+// The server builds the window's directory at the config's R, decides
+// the range, answers, and keeps nothing: each abnormal window is one
+// request and one response per shard it is sent to, and a restarted
+// shard serves the next window like any other. The client encodes the
+// request once per window and patches only the two range words for
+// each shard.
 //
-// Both decide requests are answered with one layout, a motion table
-// and then the decisions:
+// Types 1-6 were the requests of earlier protocols: a window sent ahead
+// of separate decide and view requests (1, 4, 5, 6), and before that
+// decide requests whose decisions carried their dense motions inline
+// (2, 3). They are retired, not reused: a server on any protocol
+// answers another's requests with statusErr ("unknown message type"),
+// so a mismatched pair degrades the window to centralized without
+// retries and never misreads a response.
+//
+// Responses: statusOK (0x80) followed by the result, or statusErr
+// (0x82) carrying the error text (an application error: deterministic,
+// never retried). 0x81, an earlier protocol's status, is retired.
+//
+// A result is a motion table and then the decisions:
 //
 //	u32 T, then T motions: u32 len, len global ids (u32), sorted
 //	u32 D, then D decisions: u32 device, u8 class, u8 rule, four u64
@@ -53,11 +56,9 @@
 // and checks that every decision's device belongs to each motion it
 // refers to.
 //
-// Every abnormal window is one msgInit per shard, then one decide
-// request per shard slice. Only the m abnormal devices' rows cross the
-// wire, and the server builds compact m-row states over window-local
-// ids 0..m-1, so a window's memory never depends on n, which the frame
-// only declares. Sound because every path from a directory window to a
+// Only the m abnormal devices' rows cross the wire, and the server
+// builds compact m-row states over window-local ids 0..m-1, so a
+// window's memory never depends on n, which the frame only declares. Sound because every path from a directory window to a
 // verdict (grid index, 4r views, core characterization) reads abnormal
 // rows only and orders devices by id; the local-to-global id table is
 // monotone and is applied when a response is encoded, so sorted
@@ -87,10 +88,6 @@ var ErrConfig = errors.New("dirnet: invalid configuration")
 // window falls back to centralized characterization.
 var ErrUnavailable = errors.New("dirnet: directory unavailable")
 
-// errNeedInit is the internal resync signal decoded from
-// statusNeedInit.
-var errNeedInit = errors.New("dirnet: server needs init")
-
 // Defaults applied by NewClient when the corresponding Config field is
 // zero.
 const (
@@ -107,7 +104,7 @@ const (
 type Config struct {
 	// Addrs lists the directory shard servers. Every address hosts a
 	// full directory replica; the fleet's decisions are partitioned
-	// contiguously across the shards whose breakers are closed, so a
+	// contiguously across the shards whose breakers are not open, so a
 	// breaker-open shard's slice fails over to the survivors.
 	Addrs []string
 	// Dial opens a connection to one shard; nil means TCP with

@@ -70,8 +70,8 @@ func (p *pipeNet) setRefuse(addr string, v bool) {
 	p.mu.Unlock()
 }
 
-// crash replaces the server behind addr with a fresh empty one,
-// dropping its connections — state lost, like a process restart.
+// crash replaces the server behind addr with a fresh one, dropping its
+// connections, like a process restart.
 func (p *pipeNet) crash(addr string) {
 	p.mu.Lock()
 	old := p.servers[addr]
@@ -288,19 +288,21 @@ func TestDecideWindowParityMultiShard(t *testing.T) {
 	if st.Retries != 0 || st.Failures != 0 || st.BreakerOpens != 0 {
 		t.Fatalf("clean run counted faults: %+v", st)
 	}
-	// 3 syncs + up to 3 decide slices per window; every exchange counted.
 	if st.RoundTrips == 0 || st.BytesSent == 0 || st.BytesReceived == 0 {
 		t.Fatalf("wire counters empty: %+v", st)
 	}
-	// Every window re-seeds every shard: servers must hold the last seq.
+	// Every window sends every shard one request: its slice.
 	for _, a := range addrs {
-		if pn.servers[a].Seq() != 6 {
-			t.Fatalf("server %s at seq %d, want 6", a, pn.servers[a].Seq())
+		if got := pn.servers[a].Counters().Requests; got != 6 {
+			t.Fatalf("server %s answered %d requests over 6 windows, want 6", a, got)
 		}
 	}
 }
 
-func TestServerCrashResyncsViaInit(t *testing.T) {
+// TestRestartedShardServesNextWindow: a shard that crashes between
+// windows serves the next one like any other — one request per shard,
+// nothing degraded, verdicts unchanged.
+func TestRestartedShardServesNextWindow(t *testing.T) {
 	addrs := []string{"s0", "s1"}
 	pn := newPipeNet(addrs...)
 	c := testClient(t, pn, addrs, nil)
@@ -316,18 +318,16 @@ func TestServerCrashResyncsViaInit(t *testing.T) {
 	}
 	step(0)
 	step(1)
-	// Crash s1: state lost, connections dropped. The next window's
-	// msgInit redials and seeds the fresh server like any other window,
-	// with no extra round trip — verdicts never degrade.
+	// Crash s1: connections dropped. The next window's request redials
+	// the fresh server, with no extra round trip.
 	pn.crash("s1")
 	before := c.Stats().RoundTrips
 	step(2)
-	if got := pn.servers["s1"].Seq(); got != 3 {
-		t.Fatalf("restarted server at seq %d, want 3", got)
+	if got := pn.servers["s1"].Counters().Requests; got != 1 {
+		t.Fatalf("restarted server answered %d requests, want 1", got)
 	}
-	// One msgInit and one decide slice per shard, as in any window.
-	if rt := c.Stats().RoundTrips - before; rt != 4 {
-		t.Fatalf("crash-recovery window took %d round trips, want 4", rt)
+	if rt := c.Stats().RoundTrips - before; rt != 2 {
+		t.Fatalf("crash-recovery window took %d round trips, want 2", rt)
 	}
 	step(3)
 }
@@ -404,6 +404,44 @@ func TestBreakerOpensFailsOverAndRejoins(t *testing.T) {
 	}
 }
 
+// TestHalfOpenProbeFailureKeepsWindow: a half-open shard whose one
+// attempt fails re-opens, and a shard that answered in the same window
+// decides its slice too, so the window is not degraded.
+func TestHalfOpenProbeFailureKeepsWindow(t *testing.T) {
+	addrs := []string{"s0", "s1"}
+	pn := newPipeNet(addrs...)
+	c := testClient(t, pn, addrs, func(cfg *Config) {
+		cfg.MaxRetries = 1
+		cfg.BreakerFails = 1
+		cfg.BreakerCooldown = 1
+	})
+	g := newWindowGen(t, 200, 2, 19)
+	pn.setRefuse("s1", true)
+	pair, abnormal := g.next()
+	if _, _, err := c.DecideWindow(pair, abnormal, testCfg); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("opening window: err = %v, want ErrUnavailable", err)
+	}
+	if st := c.Stats(); st.BreakerOpens != 1 {
+		t.Fatalf("BreakerOpens = %d, want 1", st.BreakerOpens)
+	}
+	// s1's cooldown expires with the next window while it still refuses.
+	before := pn.servers["s0"].Counters().Requests
+	pair, abnormal = g.next()
+	got, gotTotal, err := c.DecideWindow(pair, abnormal, testCfg)
+	if err != nil {
+		t.Fatalf("half-open window: %v", err)
+	}
+	want, wantTotal := oracleDecide(t, pair, abnormal, testCfg)
+	sameDecisions(t, got, want, wantTotal, gotTotal)
+	st := c.Stats()
+	if st.Rejoins != 0 || st.BreakerOpens != 2 {
+		t.Fatalf("Rejoins = %d, BreakerOpens = %d, want 0 and 2", st.Rejoins, st.BreakerOpens)
+	}
+	if n := pn.servers["s0"].Counters().Requests - before; n != 2 {
+		t.Fatalf("s0 served %d requests in the half-open window, want 2 (its slice and s1's)", n)
+	}
+}
+
 func TestAllShardsDownDegradesWithoutWedging(t *testing.T) {
 	addrs := []string{"s0"}
 	pn := newPipeNet(addrs...)
@@ -421,7 +459,7 @@ func TestAllShardsDownDegradesWithoutWedging(t *testing.T) {
 		}
 	}
 	// Recovery needs no operator action: heal, wait out the cooldown,
-	// and the probe re-seeds the shard.
+	// and the probe serves the shard's slice.
 	pn.setRefuse("s0", false)
 	for w := 0; w < 3; w++ {
 		pair, abnormal := g.next()
@@ -471,62 +509,8 @@ func TestServerErrorIsNotRetriedAndKeepsBreakerClosed(t *testing.T) {
 	sameDecisions(t, got, want, wantTotal, gotTotal)
 }
 
-func TestSingleDeviceOpsParity(t *testing.T) {
-	addrs := []string{"s0"}
-	pn := newPipeNet(addrs...)
-	c := testClient(t, pn, addrs, nil)
-	g := newWindowGen(t, 150, 2, 13)
-	pair, abnormal := g.next()
-	if _, _, err := c.DecideWindow(pair, abnormal, testCfg); err != nil {
-		t.Fatal(err)
-	}
-	dir, err := dist.NewDirectory(pair, abnormal, testCfg.R)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range abnormal[:4] {
-		view, vst, err := c.View(j)
-		if err != nil {
-			t.Fatalf("View(%d): %v", j, err)
-		}
-		wantView, wantSt, err := dir.View(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(view, wantView) || vst != wantSt {
-			t.Fatalf("View(%d) = %v/%+v, want %v/%+v", j, view, vst, wantView, wantSt)
-		}
-		dec, err := c.Decide(j, testCfg)
-		if err != nil {
-			t.Fatalf("Decide(%d): %v", j, err)
-		}
-		wantRes, wantDSt, err := dist.Decide(dir, j, testCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRes.J, wantRes.L = nil, nil
-		if !reflect.DeepEqual(dec, dist.Decision{Result: wantRes, Stats: wantDSt}) {
-			t.Fatalf("Decide(%d) mismatch", j)
-		}
-	}
-	// Unknown device surfaces the server's application error.
-	if _, _, err := c.View(0); err == nil {
-		if sliceContains(abnormal, 0) {
-			t.Skip("0 happened to be abnormal")
-		}
-		t.Fatal("View(non-abnormal) succeeded")
-	}
-}
-
-func sliceContains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
+// TestClientResetForcesReinit: a window after Reset redials and
+// decides as before.
 func TestClientResetForcesReinit(t *testing.T) {
 	addrs := []string{"s0"}
 	pn := newPipeNet(addrs...)
@@ -546,19 +530,23 @@ func TestClientResetForcesReinit(t *testing.T) {
 	sameDecisions(t, got, want, wantTotal, gotTotal)
 }
 
+// TestWindowCodecRoundTrip: a request decodes to the window it
+// encodes, setRange moves only its range, and every truncation errors.
 func TestWindowCodecRoundTrip(t *testing.T) {
 	w := windowMsg{
-		seq: 42, r: 0.07, n: 1000, d: 3,
+		cfg: core.Config{R: 0.07, Tau: 4, Exact: true, Budget: 9},
+		n:   1000, d: 3,
 		ids:  []int{3, 17, 999},
 		prev: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
 		cur:  []float64{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1},
 	}
 	b := appendWindow(nil, w)
-	if b[0] != msgInit {
-		t.Fatalf("window message type %#x, want msgInit", b[0])
+	if b[0] != msgDecideWindow {
+		t.Fatalf("request type %#x, want msgDecideWindow", b[0])
 	}
-	c := &cursor{b: b, off: 1}
-	got, err := decodeWindow(c)
+	setRange(b, 1, 3)
+	w.from, w.to = 1, 3
+	got, err := decodeWindow(&cursor{b: b, off: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,8 +555,7 @@ func TestWindowCodecRoundTrip(t *testing.T) {
 	}
 	// Truncations at every prefix must error, never panic or hang.
 	for cut := 1; cut < len(b); cut++ {
-		tc := &cursor{b: b[:cut], off: 1}
-		if _, err := decodeWindow(tc); err == nil {
+		if _, err := decodeWindow(&cursor{b: b[:cut], off: 1}); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
 	}
@@ -690,10 +677,9 @@ func TestServeOverTCP(t *testing.T) {
 	}
 }
 
-// TestSteadyWindowsOneConnection pins the one-message window protocol
+// TestSteadyWindowsOneConnection pins the one-request window protocol
 // in steady state: every window goes over the shard's one persistent
-// connection as a single msgInit plus one decide slice, the server
-// holds the client's latest window, and verdicts stay identical.
+// connection as a single request, and verdicts stay identical.
 func TestSteadyWindowsOneConnection(t *testing.T) {
 	addrs := []string{"s0"}
 	pn := newPipeNet(addrs...)
@@ -712,13 +698,13 @@ func TestSteadyWindowsOneConnection(t *testing.T) {
 	if st.BytesSent == 0 {
 		t.Fatal("no bytes sent")
 	}
-	if st.RoundTrips != 2*5 {
-		t.Fatalf("%d round trips over 5 windows, want 10 (one msgInit and one decide each)", st.RoundTrips)
+	if st.RoundTrips != 5 {
+		t.Fatalf("%d round trips over 5 windows, want 5 (one request each)", st.RoundTrips)
 	}
 	if dials := pn.dialCount("s0"); dials != 1 {
 		t.Fatalf("steady stream redialed %d times, want 1 persistent conn", dials)
 	}
-	if got := pn.servers["s0"].Seq(); got != 5 {
-		t.Fatalf("server seq %d, want 5", got)
+	if got := pn.servers["s0"].Counters().Requests; got != 5 {
+		t.Fatalf("server answered %d requests, want 5", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,39 +14,30 @@ import (
 	"anomalia/internal/space"
 )
 
-// Server hosts one directory replica. Each msgInit carries one
-// observation window's m abnormal trajectories; the server builds a
-// compact m-row state pair over window-local ids 0..m-1 (local id i is
-// the i-th abnormal device) and a fresh dist.Directory over it, so a
-// window costs memory in m, never in the declared population n. The
-// local-to-global id table is applied only when a response is encoded:
-// the table is monotone, so sorted motions and every id-order
-// tie-break come out exactly as the in-process directory's. A shard's
-// slice of a window — positions [from, to) of the sorted abnormal set,
-// which are also its local ids — is decided by dist.DecideRange, the
-// same view-grouped parallel batch the in-process directory runs, so
-// devices sharing a 4r view share one characterizer on the server too.
-// Error texts from the decision procedures name local ids.
+// Server hosts one directory replica. Each request carries one
+// observation window's m abnormal trajectories and the slice of it to
+// decide; the server builds a compact m-row state pair over
+// window-local ids 0..m-1 (local id i is the i-th abnormal device) and
+// a fresh dist.Directory over it, so a window costs memory in m, never
+// in the declared population n. The local-to-global id table is
+// applied only when the response is encoded: the table is monotone, so
+// sorted motions and every id-order tie-break come out exactly as the
+// in-process directory's. The slice — positions [from, to) of the
+// sorted abnormal set, which are also its local ids — is decided by
+// dist.DecideRange, the same view-grouped parallel batch the
+// in-process directory runs, so devices sharing a 4r view share one
+// characterizer on the server too. Error texts from the decision
+// procedures name local ids.
 //
-// Every window is rebuilt from its own message, so a server that
-// restarts loses nothing the next window does not resend. A decide or
-// view request for a window the server does not hold (fresh start,
-// crash restart, or a window superseded by another client) gets
-// statusNeedInit.
-//
-// Serve/HandleConn may run for many connections concurrently; window
-// builds run outside the lock and publish with one swap, and decision
-// reads run against immutable window snapshots (the dist.Directory
-// contract).
+// Nothing outlives a request: a server that restarts loses nothing the
+// next window does not resend. Serve/HandleConn may run for many
+// connections concurrently.
 type Server struct {
 	// IOTimeout bounds one frame body read or response write, so a
 	// stalled peer cannot wedge a handler goroutine forever. The wait
 	// for the next request header is unbounded — idle connections are
 	// normal. Zero means DefaultRequestTimeout.
 	IOTimeout time.Duration
-
-	mu  sync.Mutex // guards win
-	win *shardWindow
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -61,14 +51,6 @@ type Server struct {
 	nReqErrors    atomic.Int64
 	nBytesRead    atomic.Int64
 	nBytesWritten atomic.Int64
-}
-
-// shardWindow is one decided window as a unit, so a decide never pairs
-// one window's directory with another window's id table.
-type shardWindow struct {
-	seq uint64          // the client's window sequence
-	dir *dist.Directory // built over local ids 0..m-1
-	ids []int           // local id → global device id, strictly increasing
 }
 
 // ServerCounters is a snapshot of a server's lifetime wire service:
@@ -94,8 +76,7 @@ func (s *Server) Counters() ServerCounters {
 	}
 }
 
-// NewServer returns an empty server: it answers decide and view
-// requests with statusNeedInit until its first msgInit.
+// NewServer returns a server with no connections.
 func NewServer() *Server {
 	return &Server{conns: make(map[net.Conn]struct{})}
 }
@@ -178,9 +159,7 @@ func (s *Server) untrack(conn net.Conn) {
 	s.connMu.Unlock()
 }
 
-// Close drops every active connection and refuses new ones. The
-// directory state is kept: a closed-then-reused server models a
-// partition, a fresh NewServer models a crash.
+// Close drops every active connection and refuses new ones.
 func (s *Server) Close() {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
@@ -191,42 +170,17 @@ func (s *Server) Close() {
 	clear(s.conns)
 }
 
-// Seq returns the window sequence the directory currently holds (0 =
-// none) — observability for tests and the binary's logs.
-func (s *Server) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.win == nil {
-		return 0
-	}
-	return s.win.seq
-}
-
-// respond dispatches one request payload and appends the response to
-// out.
+// respond serves one request payload and appends the response to out:
+// decode the window, build its compact state pair and a directory over
+// it, and decide the requested slice.
 func (s *Server) respond(out, payload []byte) []byte {
 	if len(payload) == 0 {
 		return appendErr(out, errors.New("empty request"))
 	}
-	c := &cursor{b: payload, off: 1}
-	switch payload[0] {
-	case msgInit:
-		return s.respondWindow(out, c)
-	case msgDecideAll:
-		return s.respondDecideAll(out, c)
-	case msgDecide:
-		return s.respondDecide(out, c)
-	case msgView:
-		return s.respondView(out, c)
-	default:
+	if payload[0] != msgDecideWindow {
 		return appendErr(out, fmt.Errorf("unknown message type %#x", payload[0]))
 	}
-}
-
-// respondWindow applies msgInit: build the window's compact state pair
-// and a fresh directory over it, then publish both with the id table.
-func (s *Server) respondWindow(out []byte, c *cursor) []byte {
-	w, err := decodeWindow(c)
+	w, err := decodeWindow(&cursor{b: payload, off: 1})
 	if err != nil {
 		return appendErr(out, err)
 	}
@@ -238,14 +192,15 @@ func (s *Server) respondWindow(out []byte, c *cursor) []byte {
 	for i := range local {
 		local[i] = i
 	}
-	dir, err := dist.NewDirectory(pair, local, w.r)
+	dir, err := dist.NewDirectory(pair, local, w.cfg.R)
 	if err != nil {
 		return appendErr(out, err)
 	}
-	s.mu.Lock()
-	s.win = &shardWindow{seq: w.seq, dir: dir, ids: w.ids}
-	s.mu.Unlock()
-	return append(out, statusOK)
+	decs, _, err := dist.DecideRange(dir, w.cfg, w.from, w.to)
+	if err != nil {
+		return appendErr(out, err)
+	}
+	return appendDecisions(append(out, statusOK), decs, w.ids)
 }
 
 // compactPair builds the window's state pair over local ids: row i
@@ -278,101 +233,4 @@ func compactPair(w windowMsg) (*motion.Pair, error) {
 		return nil, fmt.Errorf("current rows: %w", err)
 	}
 	return motion.NewPair(prev, cur)
-}
-
-// window returns the held window if it is seq, or nil (→
-// statusNeedInit).
-func (s *Server) window(seq uint64) *shardWindow {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.win == nil || s.win.seq != seq {
-		return nil
-	}
-	return s.win
-}
-
-// local maps a requested global device id to its window-local id. A
-// device outside the window gets the error dist reports for it.
-func (w *shardWindow) local(device int) (int, error) {
-	pos, ok := slices.BinarySearch(w.ids, device)
-	if !ok {
-		return 0, fmt.Errorf("device %d: %w", device, dist.ErrUnknownDevice)
-	}
-	return pos, nil
-}
-
-// respondDecideAll serves the shard's slice of the fleet's decisions:
-// positions [from, to) of the window's sorted abnormal set.
-func (s *Server) respondDecideAll(out []byte, c *cursor) []byte {
-	var m decideMsg
-	m.seq = c.u64()
-	m.cfg = decodeConfig(c)
-	m.from = int(c.u32())
-	m.to = int(c.u32())
-	if err := c.err(); err != nil {
-		return appendErr(out, err)
-	}
-	w := s.window(m.seq)
-	if w == nil {
-		return append(out, statusNeedInit)
-	}
-	decs, _, err := dist.DecideRange(w.dir, m.cfg, m.from, m.to)
-	if err != nil {
-		return appendErr(out, err)
-	}
-	return appendDecisions(append(out, statusOK), decs, w.ids)
-}
-
-// respondDecide serves one device's decision.
-func (s *Server) respondDecide(out []byte, c *cursor) []byte {
-	var m decideMsg
-	m.seq = c.u64()
-	m.cfg = decodeConfig(c)
-	m.device = int(c.u32())
-	if err := c.err(); err != nil {
-		return appendErr(out, err)
-	}
-	w := s.window(m.seq)
-	if w == nil {
-		return append(out, statusNeedInit)
-	}
-	j, err := w.local(m.device)
-	if err != nil {
-		return appendErr(out, err)
-	}
-	res, st, err := dist.Decide(w.dir, j, m.cfg)
-	if err != nil {
-		return appendErr(out, err)
-	}
-	return appendDecisions(append(out, statusOK), []dist.Decision{{Result: res, Stats: st}}, w.ids)
-}
-
-// respondView serves one device's raw 4r view plus its billed stats.
-func (s *Server) respondView(out []byte, c *cursor) []byte {
-	seq := c.u64()
-	device := int(c.u32())
-	if err := c.err(); err != nil {
-		return appendErr(out, err)
-	}
-	w := s.window(seq)
-	if w == nil {
-		return append(out, statusNeedInit)
-	}
-	j, err := w.local(device)
-	if err != nil {
-		return appendErr(out, err)
-	}
-	view, st, err := w.dir.View(j)
-	if err != nil {
-		return appendErr(out, err)
-	}
-	out = append(out, statusOK)
-	out = appendU32(out, uint32(st.Messages))
-	out = appendU32(out, uint32(st.Trajectories))
-	out = appendU32(out, uint32(st.ViewSize))
-	out = appendU32(out, uint32(len(view)))
-	for _, id := range view {
-		out = appendU32(out, uint32(w.ids[id]))
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"anomalia/internal/core"
@@ -19,20 +20,22 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// oneRowWindow is a msgInit frame declaring a population of n with one
-// abnormal device, id.
+// oneRowWindow is a request declaring a population of n with one
+// abnormal device, id, and asking for its decision.
 func oneRowWindow(n, id int) []byte {
 	return appendWindow(nil, windowMsg{
-		seq: 1, r: 0.05, n: n, d: 2,
+		cfg: testCfg, from: 0, to: 1,
+		n: n, d: 2,
 		ids:  []int{id},
 		prev: []float64{0.2, 0.3},
 		cur:  []float64{0.4, 0.5},
 	})
 }
 
-// TestWindowMemoryIgnoresDeclaredPopulation: a ~60-byte frame declaring
-// n = 2^32−1 builds its window in memory sized by its one row. A server
-// that sized states by n would ask for ~128 GiB here.
+// TestWindowMemoryIgnoresDeclaredPopulation: a ~70-byte request
+// declaring n = 2^32−1 builds and decides its window in memory sized
+// by its one row. A server that sized states by n would ask for
+// ~128 GiB here.
 func TestWindowMemoryIgnoresDeclaredPopulation(t *testing.T) {
 	srv := NewServer()
 	frame := oneRowWindow(math.MaxUint32, math.MaxUint32-1)
@@ -43,21 +46,15 @@ func TestWindowMemoryIgnoresDeclaredPopulation(t *testing.T) {
 	if resp[0] != statusOK {
 		t.Fatalf("response %#x (%q), want statusOK", resp[0], resp)
 	}
-	// The held window answers in global ids.
-	resp = srv.respond(nil, appendDecide(nil, msgView, 1, core.Config{}, math.MaxUint32-1))
-	c := &cursor{b: resp, off: 1}
-	c.u32()
-	c.u32()
-	c.u32()
-	view := c.ids(c.count(4))
-	if err := c.err(); err != nil || resp[0] != statusOK || len(view) != 1 || view[0] != math.MaxUint32-1 {
-		t.Fatalf("view = %v (%v), want [%d]", view, err, math.MaxUint32-1)
+	// The decision names the device by its global id.
+	var dec [1]dist.Decision
+	if _, err := decodeDecisions(resp[1:], dec[:]); err != nil || dec[0].Result.Device != math.MaxUint32-1 {
+		t.Fatalf("decision for device %d (%v), want %d", dec[0].Result.Device, err, math.MaxUint32-1)
 	}
 }
 
 // TestWindowIdsMustIncrease: unsorted, duplicate and out-of-population
-// ids are rejected with statusErr, and the rejected window leaves the
-// server without a window.
+// ids are rejected with statusErr.
 func TestWindowIdsMustIncrease(t *testing.T) {
 	for name, ids := range map[string][]int{
 		"unsorted":  {5, 3},
@@ -67,14 +64,12 @@ func TestWindowIdsMustIncrease(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			srv := NewServer()
 			frame := appendWindow(nil, windowMsg{
-				seq: 1, r: 0.05, n: 10, d: 1, ids: ids,
+				cfg: testCfg, from: 0, to: 2,
+				n: 10, d: 1, ids: ids,
 				prev: []float64{0.1, 0.2}, cur: []float64{0.3, 0.4},
 			})
 			if resp := srv.respond(nil, frame); resp[0] != statusErr {
 				t.Fatalf("response %#x (%q), want statusErr", resp[0], resp)
-			}
-			if srv.Seq() != 0 {
-				t.Fatalf("rejected window held at seq %d", srv.Seq())
 			}
 		})
 	}
@@ -82,8 +77,8 @@ func TestWindowIdsMustIncrease(t *testing.T) {
 
 // TestDecisionsIndependentOfPopulation: the same abnormal rows declared
 // with n = 10_000 and n = 10_000_000 decide to byte-identical
-// msgDecideAll responses, both equal to in-process dist.DecideAll over
-// the full-population pair.
+// responses, both equal to in-process dist.DecideAll over the
+// full-population pair.
 func TestDecisionsIndependentOfPopulation(t *testing.T) {
 	const n = 10_000
 	r := 0.03 * math.Sqrt(1000.0/n)
@@ -104,92 +99,90 @@ func TestDecisionsIndependentOfPopulation(t *testing.T) {
 	}
 	want := appendDecisions([]byte{statusOK}, decs, identity)
 
-	req := appendDecideAll(nil, 1, cfg, 0, len(abnormal))
 	for _, declared := range []int{n, 1000 * n} {
-		w := windowOf(1, pair, abnormal, r, nil)
+		w := windowOf(pair, abnormal, cfg, nil)
 		w.n = declared
-		srv := NewServer()
-		if resp := srv.respond(nil, appendWindow(nil, w)); resp[0] != statusOK {
-			t.Fatalf("n=%d: window response %q", declared, resp)
-		}
-		if got := srv.respond(nil, req); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: msgDecideAll response differs from the in-process decisions (%d vs %d bytes)", declared, len(got), len(want))
+		w.to = len(abnormal)
+		if got := NewServer().respond(nil, appendWindow(nil, w)); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: response differs from the in-process decisions (%d vs %d bytes)", declared, len(got), len(want))
 		}
 	}
 }
 
-// FuzzServerRespond sends a fresh Server one window payload, then one
-// request payload. Neither may panic, every response starts with a
-// known status, and the window's allocation is bounded by its frame
-// length, never by the population it declares.
+// FuzzServerRespond sends a Server one request payload. It may not
+// panic, the response starts with a known status, and building the
+// window allocates in proportion to the frame, never to the population
+// it declares: the same request with an empty range builds the window
+// and decides nothing. The seeds are a valid request, one whose range
+// words are cut off, one with from > to, one with to > m, each retired
+// request type, an empty payload, and one-row windows declaring huge
+// populations.
 func FuzzServerRespond(f *testing.F) {
-	w := windowMsg{
-		seq: 42, r: 0.07, n: 1000, d: 3,
+	valid := appendWindow(nil, windowMsg{
+		cfg: testCfg, from: 0, to: 3,
+		n: 1000, d: 3,
 		ids:  []int{3, 17, 999},
 		prev: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
 		cur:  []float64{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1},
+	})
+	withRange := func(from, to int) []byte {
+		req := slices.Clone(valid)
+		setRange(req, from, to)
+		return req
 	}
-	window := appendWindow(nil, w)
-	for _, req := range [][]byte{
-		appendDecideAll(nil, 42, testCfg, 0, 3),
-		appendDecideAll(nil, 41, testCfg, 0, 3),
-		appendDecide(nil, msgDecide, 42, testCfg, 17),
-		appendDecide(nil, msgDecide, 42, testCfg, 18),
-		appendDecide(nil, msgView, 42, core.Config{}, 999),
-		window,
-		{},
-		// The retired inline-motion decide requests.
-		{2, 42, 0, 0, 0, 0, 0, 0, 0},
-		{3, 42, 0, 0, 0, 0, 0, 0, 0},
-	} {
-		f.Add(window, req)
+	f.Add(valid)
+	f.Add(valid[:rangeOffset+6])
+	f.Add(withRange(2, 1))
+	f.Add(withRange(0, 4))
+	for typ := byte(1); typ < msgDecideWindow; typ++ {
+		req := slices.Clone(valid)
+		req[0] = typ
+		f.Add(req)
 	}
-	f.Add(oneRowWindow(math.MaxUint32, 7), appendDecideAll(nil, 1, testCfg, 0, 1))
-	f.Add(oneRowWindow(1<<28, 0), appendDecide(nil, msgView, 1, core.Config{}, 0))
+	f.Add([]byte{})
+	f.Add(oneRowWindow(math.MaxUint32, 7))
+	f.Add(oneRowWindow(1<<28, 0))
 
 	const perByte, slack = 64, 1 << 20
-	f.Fuzz(func(t *testing.T, window, req []byte) {
+	f.Fuzz(func(t *testing.T, req []byte) {
 		srv := NewServer()
+		checkStatus(t, srv.respond(nil, req))
+		if len(req) < rangeOffset+8 {
+			return
+		}
+		empty := slices.Clone(req)
+		setRange(empty, 0, 0)
 		var resp []byte
-		if got := allocated(func() { resp = srv.respond(nil, window) }); got > perByte*uint64(len(window))+slack {
-			t.Fatalf("window of %d bytes allocated %d", len(window), got)
+		if got := allocated(func() { resp = srv.respond(nil, empty) }); got > perByte*uint64(len(req))+slack {
+			t.Fatalf("window of %d bytes allocated %d", len(req), got)
 		}
 		checkStatus(t, resp)
-		checkStatus(t, srv.respond(nil, req))
 	})
 }
 
-// TestRetiredDecideTypesRejected: the decide request types of the
-// inline-motion protocol get statusErr, so a client on that protocol
-// degrades its window instead of misreading a table-layout response,
-// and a server on it answers this protocol's decide requests the same
-// way.
+// TestRetiredDecideTypesRejected: the request types of earlier
+// protocols — the window sent ahead of its decide and view requests
+// (1, 4, 5, 6) and the inline-motion decide requests (2, 3) — get an
+// unknown-type statusErr, so a peer on any of them degrades its window
+// instead of misreading a response.
 func TestRetiredDecideTypesRejected(t *testing.T) {
 	srv := NewServer()
-	if resp := srv.respond(nil, oneRowWindow(10, 3)); resp[0] != statusOK {
-		t.Fatalf("window response %q", resp)
+	req := oneRowWindow(10, 3)
+	if resp := srv.respond(nil, req); resp[0] != statusOK {
+		t.Fatalf("type %d: response %q", req[0], resp)
 	}
-	for _, req := range [][]byte{
-		appendDecideAll(nil, 1, testCfg, 0, 1),
-		appendDecide(nil, msgDecide, 1, testCfg, 3),
-	} {
-		if req[0] == 2 || req[0] == 3 {
-			t.Fatalf("decide request reuses retired type %d", req[0])
-		}
-		if resp := srv.respond(nil, req); resp[0] != statusOK {
-			t.Fatalf("type %d: response %q", req[0], resp)
-		}
-		req[0] -= 3 // msgDecideAll → 2, msgDecide → 3
+	for typ := byte(1); typ <= 6; typ++ {
+		req[0] = typ
 		resp := srv.respond(nil, req)
 		if _, err := decodeStatus(resp); !isAppError(err) || !bytes.Contains(resp, []byte("unknown message type")) {
-			t.Fatalf("retired type %d: response %q (%v), want an unknown-type statusErr", req[0], resp, err)
+			t.Fatalf("retired type %d: response %q (%v), want an unknown-type statusErr", typ, resp, err)
 		}
 	}
 }
 
 func checkStatus(t *testing.T, resp []byte) {
 	t.Helper()
-	if len(resp) == 0 || (resp[0] != statusOK && resp[0] != statusNeedInit && resp[0] != statusErr) {
+	if len(resp) == 0 || (resp[0] != statusOK && resp[0] != statusErr) {
 		t.Fatalf("response %q has no known status", resp)
 	}
 }

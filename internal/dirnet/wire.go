@@ -19,23 +19,20 @@ import (
 // in use.
 const MaxFrame = 1 << 28
 
-// Request message types (first payload byte). Types 2 and 3 were the
-// decide requests of the protocol that carried every decision's dense
-// motions inline; they are retired, not reused, so a peer on either
-// protocol answers the other's decide request with statusErr instead of
-// misreading its response.
-const (
-	msgInit      byte = 1
-	msgView      byte = 4
-	msgDecideAll byte = 5
-	msgDecide    byte = 6
-)
+// msgDecideWindow is the one request type (first payload byte): a
+// whole abnormal window plus the positions a shard is to decide. Types
+// 1-6 were the requests of earlier protocols (a window sent ahead of
+// separate decide and view requests, and before that decisions carrying
+// their dense motions inline); they are retired, not reused, so a peer
+// on any of those protocols gets statusErr instead of a misread
+// response.
+const msgDecideWindow byte = 7
 
-// Response status bytes.
+// Response status bytes. 0x81, an earlier protocol's status, is
+// retired, not reused.
 const (
-	statusOK byte = iota + 0x80
-	statusNeedInit
-	statusErr
+	statusOK  byte = 0x80
+	statusErr byte = 0x82
 )
 
 // writeFrame sends one length-prefixed frame and returns the bytes put
@@ -173,23 +170,33 @@ func (c *cursor) err() error {
 	return nil
 }
 
-// windowMsg is the decoded body of msgInit: one observation window's
-// abnormal trajectories, ids strictly increasing and below n.
+// windowMsg is the decoded msgDecideWindow request: the core config,
+// the shard's positions [from, to) into the window's sorted abnormal
+// set, and the window's abnormal trajectories, ids strictly increasing
+// and below n. The directory is built at cfg.R.
 type windowMsg struct {
-	seq  uint64
-	r    float64
-	n, d int
-	ids  []int
-	prev []float64 // m×d, row-major, aligned with ids
-	cur  []float64
+	cfg      core.Config
+	from, to int
+	n, d     int
+	ids      []int
+	prev     []float64 // m×d, row-major, aligned with ids
+	cur      []float64
 }
 
-// appendWindow encodes a msgInit message. ids must be sorted; prev and
-// cur are the abnormal devices' rows in id order.
+// configBytes is the wire size of a core config: R, Tau, Exact, Budget.
+const configBytes = 8 + 4 + 1 + 8
+
+// rangeOffset is the payload offset of a request's from word; to
+// follows it.
+const rangeOffset = 1 + configBytes
+
+// appendWindow encodes a msgDecideWindow request. ids must be sorted;
+// prev and cur are the abnormal devices' rows in id order.
 func appendWindow(b []byte, w windowMsg) []byte {
-	b = append(b, msgInit)
-	b = appendU64(b, w.seq)
-	b = appendF64(b, w.r)
+	b = append(b, msgDecideWindow)
+	b = appendConfig(b, w.cfg)
+	b = appendU32(b, uint32(w.from))
+	b = appendU32(b, uint32(w.to))
 	b = appendU32(b, uint32(w.n))
 	b = appendU32(b, uint32(w.d))
 	b = appendU32(b, uint32(len(w.ids)))
@@ -205,13 +212,21 @@ func appendWindow(b []byte, w windowMsg) []byte {
 	return b
 }
 
-// decodeWindow decodes a window message body (type byte already
-// consumed). Every allocation is bounded by the payload length, never
-// by the declared n or d.
+// setRange rewrites the [from, to) words of an encoded request in
+// place, so one encoding of a window serves every shard.
+func setRange(req []byte, from, to int) {
+	binary.LittleEndian.PutUint32(req[rangeOffset:], uint32(from))
+	binary.LittleEndian.PutUint32(req[rangeOffset+4:], uint32(to))
+}
+
+// decodeWindow decodes a request body (type byte already consumed).
+// Every allocation is bounded by the payload length, never by the
+// declared n or d.
 func decodeWindow(c *cursor) (windowMsg, error) {
 	var w windowMsg
-	w.seq = c.u64()
-	w.r = c.f64()
+	w.cfg = decodeConfig(c)
+	w.from = int(c.u32())
+	w.to = int(c.u32())
 	w.n = int(c.u32())
 	w.d = int(c.u32())
 	m := c.count(4)
@@ -232,14 +247,6 @@ func decodeWindow(c *cursor) (windowMsg, error) {
 	return w, c.err()
 }
 
-// decideMsg is the decoded body of msgDecideAll / msgDecide.
-type decideMsg struct {
-	seq      uint64
-	cfg      core.Config
-	from, to int // msgDecideAll: positions into the sorted abnormal set
-	device   int // msgDecide / msgView: device id
-}
-
 func appendConfig(b []byte, cfg core.Config) []byte {
 	b = appendF64(b, cfg.R)
 	b = appendU32(b, uint32(cfg.Tau))
@@ -258,23 +265,6 @@ func decodeConfig(c *cursor) core.Config {
 		Exact:  c.u8() == 1,
 		Budget: int(c.u64()),
 	}
-}
-
-func appendDecideAll(b []byte, seq uint64, cfg core.Config, from, to int) []byte {
-	b = append(b, msgDecideAll)
-	b = appendU64(b, seq)
-	b = appendConfig(b, cfg)
-	b = appendU32(b, uint32(from))
-	return appendU32(b, uint32(to))
-}
-
-func appendDecide(b []byte, typ byte, seq uint64, cfg core.Config, device int) []byte {
-	b = append(b, typ)
-	b = appendU64(b, seq)
-	if typ == msgDecide {
-		b = appendConfig(b, cfg)
-	}
-	return appendU32(b, uint32(device))
 }
 
 // tablePool recycles the motion tables of decide responses.
@@ -415,7 +405,7 @@ func appendErr(b []byte, err error) []byte {
 }
 
 // decodeStatus splits a response payload into its status byte and
-// body, converting statusNeedInit and statusErr into errors.
+// body, converting statusErr into a serverError.
 func decodeStatus(payload []byte) ([]byte, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("dirnet: empty response")
@@ -424,8 +414,6 @@ func decodeStatus(payload []byte) ([]byte, error) {
 	switch payload[0] {
 	case statusOK:
 		return body, nil
-	case statusNeedInit:
-		return nil, errNeedInit
 	case statusErr:
 		c := &cursor{b: body}
 		n := c.count(1)

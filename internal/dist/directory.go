@@ -230,12 +230,6 @@ func (d *Directory) Advance(pair *motion.Pair, abnormal []int, moved []int) (Adv
 // internal state — callers must treat it as read-only.
 func (d *Directory) Abnormal() []int { return d.win.Load().abnormal }
 
-// Radius returns the consistency impact radius the directory serves.
-func (d *Directory) Radius() float64 { return d.r }
-
-// ViewRadius returns the 4r view radius served by the directory.
-func (d *Directory) ViewRadius() float64 { return d.viewR }
-
 // CacheStats reports the block cache behaviour across the directory's
 // lifetime: blocks computed (misses) and lookups answered from cache
 // (hits). Co-located deciding devices share blocks, so built stays

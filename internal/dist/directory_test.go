@@ -252,7 +252,7 @@ func TestShardOfCoordsMatchesFNV(t *testing.T) {
 			coords[i] = rng.Intn(1 << 30)
 		}
 		h := fnv.New32a()
-		h.Write([]byte(grid.Key(coords)))
+		h.Write(grid.AppendKey(nil, coords))
 		want := int(h.Sum32() % numShards)
 		if got := shardOfCoords(coords); got != want {
 			t.Fatalf("shardOfCoords(%v) = %d, fnv says %d", coords, got, want)

@@ -45,8 +45,9 @@ func TestDistCostSmall(t *testing.T) {
 			t.Errorf("row %v: mean view size %v < 1", row, views)
 		}
 		// The measured wire columns: a decided window costs real frame
-		// bytes and at least two exchanges (sync + decide), and a
-		// faultless in-process transport must never retry.
+		// bytes and, on the one-shard fixture, exactly one exchange (the
+		// window's one request), and a faultless in-process transport
+		// must never retry.
 		wireBytes, err := strconv.ParseFloat(row[5], 64)
 		if err != nil {
 			t.Fatalf("wire bytes cell %q: %v", row[5], err)
@@ -58,8 +59,8 @@ func TestDistCostSmall(t *testing.T) {
 		if wireBytes <= 0 {
 			t.Errorf("row %v: wire bytes/window %v, want > 0", row, wireBytes)
 		}
-		if wireRTs < 2 {
-			t.Errorf("row %v: wire round-trips/window %v, want >= 2", row, wireRTs)
+		if wireRTs != 1 {
+			t.Errorf("row %v: wire round-trips/window %v, want 1", row, wireRTs)
 		}
 		if row[7] != "0" {
 			t.Errorf("row %v: %q retries over a faultless transport", row, row[7])

@@ -109,7 +109,7 @@ func flatTrials(t *testing.T, rng *stats.RNG, trials int) []flatTrial {
 
 // TestFlatMatchesMapCells: the flat index must hold exactly the oracle's
 // cells — same keys, same coordinates, same id lists — in key-sorted
-// slab order, and resolve every oracle key through Cell/CellBytes/Find.
+// slab order, and resolve every oracle cell through Find.
 func TestFlatMatchesMapCells(t *testing.T) {
 	t.Parallel()
 
@@ -124,7 +124,7 @@ func TestFlatMatchesMapCells(t *testing.T) {
 		prevKey := ""
 		for ci := 0; ci < ix.Cells(); ci++ {
 			c := ix.CellAt(ci)
-			key := Key(c.Coords)
+			key := keyOf(c.Coords)
 			if ci > 0 && key <= prevKey {
 				t.Fatalf("%s: cells %d and %d out of key order", label, ci-1, ci)
 			}
@@ -139,33 +139,27 @@ func TestFlatMatchesMapCells(t *testing.T) {
 			if !slices.Equal(c.Ids, want.ids) {
 				t.Fatalf("%s: cell %v ids %v, want %v", label, c.Coords, c.Ids, want.ids)
 			}
-			if got := ix.Cell(key); got != c {
-				t.Fatalf("%s: Cell(key) != CellAt(%d)", label, ci)
-			}
-			if got := ix.CellBytes(AppendKey(nil, c.Coords)); got != c {
-				t.Fatalf("%s: CellBytes != CellAt(%d)", label, ci)
-			}
 			if got := ix.Find(c.Coords); got != ci {
 				t.Fatalf("%s: Find(%v) = %d, want %d", label, c.Coords, got, ci)
 			}
 		}
 		// Probes that must miss: perturbed coords, out-of-range coords,
-		// malformed keys.
+		// wrong-dimension coords.
 		for ci := 0; ci < ix.Cells(); ci += 3 {
 			probe := slices.Clone(ix.CellAt(ci).Coords)
 			probe[0] += 1
 			if i := ix.Find(probe); i >= 0 {
-				if Key(ix.CellAt(i).Coords) != Key(probe) {
+				if keyOf(ix.CellAt(i).Coords) != keyOf(probe) {
 					t.Fatalf("%s: Find(%v) resolved wrong cell %v", label, probe, ix.CellAt(i).Coords)
 				}
-				if _, ok := oracle[Key(probe)]; !ok {
+				if _, ok := oracle[keyOf(probe)]; !ok {
 					t.Fatalf("%s: Find(%v) hit a cell the oracle lacks", label, probe)
 				}
-			} else if _, ok := oracle[Key(probe)]; ok {
+			} else if _, ok := oracle[keyOf(probe)]; ok {
 				t.Fatalf("%s: Find(%v) missed an occupied cell", label, probe)
 			}
 		}
-		if ix.Find([]int{-1}) != -1 || ix.Cell("short") != nil {
+		if ix.Find([]int{-1}) != -1 || ix.Find(nil) != -1 {
 			t.Fatalf("%s: malformed probes must miss", label)
 		}
 	}
@@ -224,7 +218,7 @@ func TestFlatMatchesMapPairWalk(t *testing.T) {
 				got := map[[2]string]bool{}
 				for s := 0; s < nshards; s++ {
 					walk.Shard(s, nshards, func(a, b int) {
-						ka, kb := Key(cells[a].Coords), Key(cells[b].Coords)
+						ka, kb := keyOf(cells[a].Coords), keyOf(cells[b].Coords)
 						if ka > kb {
 							ka, kb = kb, ka
 						}

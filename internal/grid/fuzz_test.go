@@ -49,10 +49,10 @@ func FuzzPackedKeyOrder(f *testing.F) {
 		if sign(got) != sign(want) {
 			t.Fatalf("res=%d dim=%d: packed order %d, coord order %d (%v vs %v)", res, dim, got, want, ca, cb)
 		}
-		// The packed keys must also order like the legacy byte encoding.
-		sa, sb := Key(ca), Key(cb)
+		// The packed keys must also order like the AppendKey encoding.
+		sa, sb := keyOf(ca), keyOf(cb)
 		if sign(got) != sign(compareStrings(sa, sb)) {
-			t.Fatalf("res=%d dim=%d: packed order disagrees with Key order", res, dim)
+			t.Fatalf("res=%d dim=%d: packed order disagrees with AppendKey order", res, dim)
 		}
 	})
 }

@@ -97,11 +97,6 @@ func AppendKey(dst []byte, coords []int) []byte {
 	return dst
 }
 
-// Key returns the collision-free string encoding of a coordinate
-// vector. Use AppendKey with map[string(buf)] lookups on hot paths to
-// avoid the allocation.
-func Key(coords []int) string { return string(AppendKey(nil, coords)) }
-
 // NeighborCells returns (2*reach+1)^dim — the cells a reach-wide
 // neighbourhood walk visits — saturating at cap+1 so high dimensions
 // cannot overflow. Callers compare the result against their own
@@ -422,14 +417,6 @@ func (ix *Index) buildGeneral(ids []int) {
 	ix.cells[ci].Ids = ix.idArena[start:m:m]
 }
 
-// State returns the indexed state.
-func (ix *Index) State() *space.State { return ix.state }
-
-// CellOf returns the position (into CellAt / SortedCells order) of the
-// occupied cell holding the i-th indexed id — the inverse of the cell
-// membership lists, recorded for free during the build.
-func (ix *Index) CellOf(i int) int { return int(ix.idCell[i]) }
-
 // CellIndexes returns the whole id-position → cell-position record
 // (aligned with the ids New indexed). The slab is the index's own storage — free to
 // obtain, read-only to use.
@@ -481,44 +468,6 @@ func (ix *Index) Find(coords []int) int {
 	}
 	var kbuf [space.MaxDim]uint64
 	return ix.findKey(ix.kc.appendKey(kbuf[:0], coords))
-}
-
-// cellByEncoded resolves the legacy 8-bytes-per-axis encoding (AppendKey)
-// to a cell via Find.
-func (ix *Index) cellByEncoded(key []byte) *Cell {
-	if ix.dim == 0 || len(key) != 8*ix.dim {
-		return nil
-	}
-	var cbuf [space.MaxDim]int
-	coords := cbuf[:ix.dim]
-	for i := range coords {
-		v := binary.BigEndian.Uint64(key[i*8:])
-		if v >= 1<<63 {
-			return nil
-		}
-		coords[i] = int(v)
-	}
-	if i := ix.Find(coords); i >= 0 {
-		return &ix.cells[i]
-	}
-	return nil
-}
-
-// Cell returns the occupied cell with the given key (the Key encoding of
-// its coordinate vector), or nil — a binary search over the packed-key
-// slab. The cell aliases the index; treat it as read-only.
-func (ix *Index) Cell(key string) *Cell { return ix.cellByEncoded([]byte(key)) }
-
-// CellBytes is Cell for a key held in a byte buffer (as produced by
-// AppendKey); the probe does not allocate.
-func (ix *Index) CellBytes(key []byte) *Cell { return ix.cellByEncoded(key) }
-
-// ForEachCell calls fn for every occupied cell in key-sorted order.
-// Cells alias the index; treat them as read-only.
-func (ix *Index) ForEachCell(fn func(c *Cell)) {
-	for i := range ix.cells {
-		fn(&ix.cells[i])
-	}
 }
 
 // SortedCells returns the occupied cells sorted by key (equivalently, by

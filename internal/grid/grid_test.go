@@ -64,6 +64,10 @@ func TestCoordsClamped(t *testing.T) {
 	}
 }
 
+// keyOf is the AppendKey encoding of coords as a string, comparable
+// and usable as a map key.
+func keyOf(coords []int) string { return string(AppendKey(nil, coords)) }
+
 // TestKeyCollisionFreeAndOrdered: distinct coordinate vectors of the
 // same dimension get distinct keys, and key order matches lexicographic
 // coordinate order (the property the fixed-width big-endian packing is
@@ -77,12 +81,12 @@ func TestKeyCollisionFreeAndOrdered(t *testing.T) {
 	}
 	for i := range vecs {
 		for j := range vecs {
-			ki, kj := Key(vecs[i]), Key(vecs[j])
+			ki, kj := keyOf(vecs[i]), keyOf(vecs[j])
 			if (i == j) != (ki == kj) {
-				t.Errorf("Key(%v) vs Key(%v): collision mismatch", vecs[i], vecs[j])
+				t.Errorf("key of %v vs key of %v: collision mismatch", vecs[i], vecs[j])
 			}
 			if i < j && !(ki < kj) {
-				t.Errorf("Key(%v) !< Key(%v): ordering broken", vecs[i], vecs[j])
+				t.Errorf("key of %v !< key of %v: ordering broken", vecs[i], vecs[j])
 			}
 		}
 	}
@@ -117,9 +121,9 @@ func TestIndexCellsSorted(t *testing.T) {
 	ix := New(st, ids, ForRadius(0.03))
 
 	seen := make(map[int]bool)
-	ix.ForEachCell(func(c *Cell) {
-		if got := ix.Cell(Key(c.Coords)); got != c {
-			t.Errorf("Cell(Key(%v)) = %v, want the cell itself", c.Coords, got)
+	for ci, c := range ix.SortedCells() {
+		if got := ix.Find(c.Coords); got != ci {
+			t.Errorf("Find(%v) = %d, want the cell itself at %d", c.Coords, got, ci)
 		}
 		for i, id := range c.Ids {
 			if seen[id] {
@@ -130,7 +134,7 @@ func TestIndexCellsSorted(t *testing.T) {
 				t.Errorf("cell %v ids not sorted: %v", c.Coords, c.Ids)
 			}
 		}
-	})
+	}
 	if len(seen) != len(ids) {
 		t.Errorf("indexed %d devices, want %d", len(seen), len(ids))
 	}
@@ -252,10 +256,10 @@ func TestPositiveOffsets(t *testing.T) {
 				for i, x := range o {
 					neg[i] = -x
 				}
-				if seen[Key(o)] || seen[Key(neg)] {
+				if seen[keyOf(o)] || seen[keyOf(neg)] {
 					t.Fatalf("offset %v or its negation enumerated twice", o)
 				}
-				seen[Key(o)] = true
+				seen[keyOf(o)] = true
 			}
 		}
 	}
@@ -348,7 +352,7 @@ func TestSortedCellsDeterministic(t *testing.T) {
 		t.Fatalf("SortedCells returned %d cells, index has %d", len(cells), ix.Cells())
 	}
 	for i := 1; i < len(cells); i++ {
-		if Key(cells[i-1].Coords) >= Key(cells[i].Coords) {
+		if keyOf(cells[i-1].Coords) >= keyOf(cells[i].Coords) {
 			t.Fatalf("cells %d and %d out of key order", i-1, i)
 		}
 	}
@@ -369,7 +373,7 @@ func TestForEachNeighborWarmAllocs(t *testing.T) {
 		ids[j] = j
 	}
 	ix := New(st, ids, ForRadius(0.05))
-	center := ix.CellAt(ix.CellOf(0)).Coords
+	center := ix.CellAt(int(ix.CellIndexes()[0])).Coords
 	visited := 0
 	count := func(int, *Cell) { visited++ }
 	for _, reach := range []int{2, 1, 2} {
@@ -407,7 +411,7 @@ func TestForEachNeighborConcurrent(t *testing.T) {
 		ids[j] = j
 	}
 	ix := New(st, ids, ForRadius(0.05))
-	center := ix.CellAt(ix.CellOf(0)).Coords
+	center := ix.CellAt(int(ix.CellIndexes()[0])).Coords
 	want := map[int]int{}
 	for _, reach := range []int{1, 2, 3} {
 		for _, c := range ix.SortedCells() {

@@ -416,7 +416,7 @@ func (m *Monitor) HealthStats() HealthStats {
 // change between windows, so consecutive abnormal sets barely overlap
 // and nothing is worth keeping from one window to the next. With
 // WithDirectory the directory lives behind the wire instead: the
-// client syncs the shard fleet and merges its decision slices, and any
+// client sends each shard its slice and merges the decisions, and any
 // failure past the deadline/retry/breaker budget degrades this one
 // window to the centralized branch — same verdicts, one DirStats
 // degradation — so shard unavailability never surfaces as an Observe
@@ -453,7 +453,7 @@ func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcom
 		// Whatever failed — unreachable shards, a mid-window crash, a
 		// deterministic server rejection — the centralized path is the
 		// oracle the networked one is pinned to, so fall back for this
-		// window; the client re-syncs shards on the next abnormal window.
+		// window; the next abnormal window is sent afresh.
 		m.dirDegraded.Add(1)
 	}
 	char, err := core.New(pair, abnormal, cfg)
@@ -496,7 +496,7 @@ func (m *Monitor) DirStats() DirStats {
 // Reset clears the detectors, the snapshot history, the per-device
 // health state and the churn baseline of the metrics feed, keeping the
 // configuration. A networked directory client drops its connections
-// and forgets shard sync and breaker state, but the lifetime DirStats
+// and forgets shard breaker state, but the lifetime DirStats
 // counters survive — the wire ledger spans resets the way a process's
 // traffic counters span reconnects.
 func (m *Monitor) Reset() {

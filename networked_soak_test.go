@@ -38,8 +38,7 @@ import (
 
 // soakWire is the faulty transport between the client and its shard
 // fleet: per-window wire faults from a netsim.WireInjector decide, per
-// shard, whether dials succeed, stall, or the shard is gone — and
-// whether its directory state survived.
+// shard, whether dials succeed, stall, or the shard is gone.
 type soakWire struct {
 	mu      sync.Mutex
 	servers []*dirnet.Server
@@ -71,8 +70,8 @@ func (w *soakWire) addrs() []string {
 }
 
 // apply moves the wire to the next window's fault vector: a shard
-// entering Down crashed — its directory state is lost — while a
-// partitioned shard keeps state; any shard that is unreachable or
+// entering Down crashed and comes back as a fresh server, while a
+// partitioned shard keeps running; any shard that is unreachable or
 // dropping this window also has its established connections severed
 // (a partition cuts live flows, not just new dials).
 func (w *soakWire) apply(faults []netsim.WireFault) {

@@ -215,8 +215,8 @@ func TestRatioGatesPairRepetitions(t *testing.T) {
 		"BenchmarkTickObservePartial1M / " + quietTick + " ns/op":                    1.260140,
 		"BenchmarkTickObservePartialLossy1M / " + quietTick + " ns/op":               1.120780,
 		"BenchmarkTickObserve1M/sharded / BenchmarkTickBare1M ns/op":                 0.936466,
-		"BenchmarkDecideWindow/n=100k/wire / BenchmarkDecideWindow/n=10k/wire B/op":  1.001928,
-		"BenchmarkDecideWindow/n=10k/wire / BenchmarkDecideWindow/n=10k/inproc B/op": 1.795578,
+		"BenchmarkDecideWindow/n=100k/wire / BenchmarkDecideWindow/n=10k/wire B/op":  1.021811,
+		"BenchmarkDecideWindow/n=10k/wire / BenchmarkDecideWindow/n=10k/inproc B/op": 1.855337,
 	}
 	fx := parse(fixture(t))
 	for _, r := range table {

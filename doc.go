@@ -299,8 +299,11 @@
 //     pivot scan — it stops at the first vertex adjacent to all other
 //     candidates, since none can do better, and takes that vertex's
 //     single branch in place. An s-clique then costs s intersection
-//     counts instead of O(s^2). The Theorem 7 probe sizes its bitsets
-//     to the component too, not to the window.
+//     counts instead of O(s^2). This is the only clique search: the
+//     Theorem 7 search tests relation (4) on j's dense family W̄_k(j)
+//     (some member keeps more than τ devices outside the candidate
+//     collection), and the partition oracle's C1 check asks the same of
+//     the window's maximal motions.
 //   - Clique enumeration over a CSR component never widens to the
 //     component: each vertex's neighbourhood is densified into a
 //     Δ-sized subgraph, with Δ the maximum degree, so enumeration
@@ -325,11 +328,12 @@
 //     one per member, and its members' Results share the family's
 //     Dense, J and L slices read-only. Only the exact Theorem 7 /
 //     Corollary 8 search runs per device. CI gates the m = 50k
-//     all-abnormal fleet characterization. A parity suite pins
-//     verdicts, sets and cost counters bit-identical to the
-//     whole-graph-universe reference across placement families,
-//     adjacency representations and exact modes, and a transcription
-//     of the earlier per-neighbour split pins the family path to it.
+//     all-abnormal fleet characterization. A metamorphic suite and a
+//     fuzz target pin the locality: deciding each component as a
+//     window of its own gives byte-identical verdicts, sets and cost
+//     counters to the whole window, across placement families,
+//     adjacency representations and exact modes; a transcription of
+//     the earlier per-neighbour split pins the family path to it.
 //   - Monitor recycles the displaced snapshot as the next window's
 //     buffer and reuses the abnormal-id slice, so steady-state
 //     observation does not grow the heap per snapshot; the detector

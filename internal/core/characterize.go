@@ -45,7 +45,7 @@ func (c *Characterizer) Characterize(j int) (Result, error) {
 
 	// Algorithms 4/5: exhaustive collection search deciding between
 	// Theorem 7 (massive) and Corollary 8 (unresolved).
-	violating, tested, err := c.searchViolating(j, f.dk, f.l, c.blockerMotions(f))
+	violating, tested, err := c.searchViolating(j, f.ids, f.l, c.blockerMotions(f))
 	res.Cost.CollectionsTested = tested
 	if err != nil {
 		return res, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"anomalia/internal/motion"
@@ -19,6 +20,10 @@ import (
 //	boundary   — positions snapped to the 2r grid used by the graph
 //	             build's cells, exercising cell-edge adjacency
 //	coincident — heavy ties: many devices share exact positions
+//	crowded    — nine groups on a 3×3 grid, each device within 1.5r
+//	             of its group's centre on each axis at both times, so
+//	             every group is a component of overlapping cliques
+//	             (needs r < 0.06)
 func parityPair(t testing.TB, rng *stats.RNG, kind string, n int, r float64) *motion.Pair {
 	t.Helper()
 	prev, err := space.NewState(n, 2)
@@ -67,6 +72,13 @@ func parityPair(t testing.TB, rng *stats.RNG, kind string, n int, r float64) *mo
 			set(prev, i, a[0], a[1])
 			set(cur, i, b[0], b[1])
 		}
+	case "crowded":
+		for i := 0; i < n; i++ {
+			cx, cy := 0.2+0.3*float64(i%3), 0.2+0.3*float64(i/3%3)
+			off := func() float64 { return (rng.Float64() - 0.5) * 3 * r }
+			set(prev, i, cx+off(), cy+off())
+			set(cur, i, cx+off(), cy+off())
+		}
 	default:
 		t.Fatalf("unknown placement %q", kind)
 	}
@@ -92,100 +104,172 @@ func subsetIds(rng *stats.RNG, n int, fraction float64) []int {
 	return ids
 }
 
-// runParity characterizes the window two ways over one shared graph —
-// component-local, and the whole-graph-component reference oracle (the
-// identity decomposition running the identical code path with
-// full-graph universes, i.e. the pre-component behaviour) — and
-// requires bytewise-identical results.
-func runParity(t *testing.T, label string, pair *motion.Pair, ids []int, cfg Config) {
+// runComponents checks the Components relation on one window: deciding
+// each connected component of the motion graph as a window of its own
+// (New over the component's ids) must give every member byte-identical
+// verdicts to the whole window — class, rule, dense motions, J, L and
+// Cost — or the same error. Every set a decision reads lies inside the
+// device's component, so nothing outside it may show in a Result. It
+// returns the whole window's verdicts counted by rule.
+func runComponents(t testing.TB, label string, pair *motion.Pair, ids []int, cfg Config) map[Rule]int {
 	t.Helper()
-	g := motion.NewGraph(pair, ids, cfg.R)
-
-	ref := newCharacterizerComps(pair, ids, cfg, g, g.WholeGraphComponent())
-	want, err := ref.CharacterizeAll()
+	whole, err := New(pair, ids, cfg)
 	if err != nil {
-		t.Fatalf("%s: reference: %v", label, err)
+		t.Fatalf("%s: whole window: %v", label, err)
 	}
-
-	serial := newCharacterizerComps(pair, ids, cfg, g, g.Components())
-	got, err := serial.CharacterizeAll()
-	if err != nil {
-		t.Fatalf("%s: component-local: %v", label, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("%s: device %d diverged:\ncomponent-local %+v\nreference       %+v",
-					label, want[i].Device, got[i], want[i])
-			}
+	g, cs := whole.graph, whole.comps
+	rules := map[Rule]int{}
+	for comp := 0; comp < cs.Count(); comp++ {
+		members := make([]int, 0, cs.Size(comp))
+		for _, v := range cs.Verts(comp) {
+			members = append(members, g.IDOf(int(v)))
 		}
-		t.Fatalf("%s: results diverged", label)
+		part, err := New(pair, members, cfg)
+		if err != nil {
+			t.Fatalf("%s: component of %d: %v", label, members[0], err)
+		}
+		for _, j := range members {
+			want, wantErr := whole.Characterize(j)
+			got, gotErr := part.Characterize(j)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: device %d: component error %v, whole-window error %v", label, j, gotErr, wantErr)
+			}
+			if !sameResult(got, want) {
+				t.Fatalf("%s: device %d diverged:\ncomponent    %+v\nwhole window %+v", label, j, got, want)
+			}
+			rules[want.Rule]++
+		}
 	}
+	compared := 0
+	for _, k := range rules {
+		compared += k
+	}
+	if compared != len(whole.Abnormal()) {
+		t.Fatalf("%s: components cover %d of %d devices", label, compared, len(whole.Abnormal()))
+	}
+	return rules
 }
 
-// TestComponentLocalParity pins the tentpole's correctness contract:
-// across placement families, abnormal-set shapes and exact-mode
-// settings, component-local characterization must reproduce the
-// full-graph-scratch reference bit for bit — verdicts, rules, Dense/J/L
-// sets and cost counters alike.
-func TestComponentLocalParity(t *testing.T) {
+// sameResult is reflect.DeepEqual on Results, with the id slices
+// compared directly: a mass event's members each carry its whole
+// membership in Dense, J and L, which reflection walks slowly.
+func sameResult(a, b Result) bool {
+	if !slices.EqualFunc(a.Dense, b.Dense, slices.Equal) || !slices.Equal(a.J, b.J) || !slices.Equal(a.L, b.L) {
+		return false
+	}
+	a.Dense, a.J, a.L = nil, nil, nil
+	b.Dense, b.J, b.L = nil, nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+// TestComponentsRelation runs the Components relation across placement
+// families, abnormal-set shapes and exact-mode settings.
+func TestComponentsRelation(t *testing.T) {
 	t.Parallel()
 
 	rng := stats.NewRNG(777)
-	for _, kind := range []string{"uniform", "clustered", "boundary", "coincident"} {
+	rules := map[Rule]int{}
+	for _, kind := range []string{"uniform", "clustered", "boundary", "coincident", "crowded"} {
 		for _, exact := range []bool{false, true} {
 			n := 90 + rng.Intn(60)
 			r := 0.015 + 0.02*rng.Float64()
 			pair := parityPair(t, rng, kind, n, r)
 			cfg := Config{R: r, Tau: 2, Exact: exact}
 			label := fmt.Sprintf("%s/exact=%v", kind, exact)
-			runParity(t, label+"/all-abnormal", pair, allIds(n), cfg)
-			runParity(t, label+"/subset", pair, subsetIds(rng, n, 0.3), cfg)
+			for _, ids := range [][]int{allIds(n), subsetIds(rng, n, 0.3)} {
+				for rule, k := range runComponents(t, label, pair, ids, cfg) {
+					rules[rule] += k
+				}
+			}
+		}
+	}
+	if rules[RuleCorollary8] == 0 || rules[RuleNone] == 0 {
+		t.Fatalf("no fixture left Theorem 6 undecided (verdicts by rule: %v)", rules)
+	}
+}
+
+// TestComponentsRelationCSR runs the relation on a window whose largest
+// component keeps CSR rows: a chain of devices, each adjacent only to
+// its neighbours, longer than motion's dense-block limit (4,096), beside
+// mass-event clusters and lone devices in dense blocks. With τ = 1 every
+// chain device's two pairs are dense and Theorem 6 cannot decide it, so
+// exact mode runs the Theorem 7 search along the whole chain.
+func TestComponentsRelationCSR(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("the chain component is thousands of devices")
+	}
+
+	const (
+		r     = 0.00002
+		chain = 4200
+	)
+	rng := stats.NewRNG(5150)
+	var pts [][]float64
+	for i := 0; i < chain; i++ {
+		pts = append(pts, []float64{0.1 + 1.5*r*float64(i), 0.5})
+	}
+	for c := 0; c < 4; c++ {
+		for i := 0; i < 12; i++ {
+			pts = append(pts, []float64{0.3 + 0.01*float64(c) + r/2*rng.Float64(), 0.3 + r/2*rng.Float64()})
+		}
+	}
+	for i := 0; i < 20; i++ {
+		pts = append(pts, []float64{0.1 + 0.8*rng.Float64(), 0.8 + 0.1*rng.Float64()})
+	}
+	st, err := space.StateFromPoints(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := motion.NewPair(st, st.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := allIds(len(pts))
+	if g := motion.NewGraph(pair, ids, r); !g.Sparse() {
+		t.Fatal("the chain component must keep CSR rows")
+	}
+	for _, exact := range []bool{false, true} {
+		rules := runComponents(t, fmt.Sprintf("csr/exact=%v", exact), pair, ids, Config{R: r, Tau: 1, Exact: exact})
+		if exact && rules[RuleCorollary8] < chain-2 {
+			t.Fatalf("exact mode decided %d chain devices by Corollary 8, want %d", rules[RuleCorollary8], chain-2)
 		}
 	}
 }
 
-// TestComponentLocalParitySparse runs the parity triangle over a window
-// large enough for CSR adjacency (sparse mode) with a ~4% mass-event
-// abnormal subset and with every device abnormal, so the densified
-// enumeration, projection and component partitioning are all exercised
-// in the representation used at scale.
-func TestComponentLocalParitySparse(t *testing.T) {
+// TestComponentsRelationLarge runs the relation on windows of thousands
+// of devices: uniform with every device abnormal, and clustered with
+// every device or a ~4% mass-event subset abnormal. The clustered
+// windows run in cheap mode: their overlapping cliques drive the
+// exponential Theorem 7 search past its node budget.
+func TestComponentsRelationLarge(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
-		t.Skip("sparse-mode windows are thousands of devices")
+		t.Skip("windows of thousands of devices")
 	}
 
 	rng := stats.NewRNG(4242)
-	n := 4500 // >= motion's sparse crossover (4096)
-	pair := parityPair(t, rng, "uniform", n, 0.004)
-	cfg := Config{R: 0.004, Tau: 2, Exact: true}
-	runParity(t, "sparse/all-abnormal", pair, allIds(n), cfg)
+	const n, r = 4500, 0.004
+	pair := parityPair(t, rng, "uniform", n, r)
+	runComponents(t, "uniform/all-abnormal", pair, allIds(n), Config{R: r, Tau: 2, Exact: true})
 
-	// The clustered windows run in cheap mode: their overlapping cliques
-	// drive the (tentpole-unchanged) exponential Theorem-7 search past
-	// its node budget in reference and component-local paths alike, and
-	// the dense-mode suite already covers exact-mode parity.
-	clustered := parityPair(t, rng, "clustered", n, 0.004)
-	cheap := Config{R: 0.004, Tau: 2}
-	runParity(t, "sparse/clustered", clustered, allIds(n), cheap)
-	runParity(t, "sparse/subset", clustered, subsetIds(rng, n, 0.04), cheap)
+	clustered := parityPair(t, rng, "clustered", n, r)
+	cheap := Config{R: r, Tau: 2}
+	runComponents(t, "clustered/all-abnormal", clustered, allIds(n), cheap)
+	runComponents(t, "clustered/subset", clustered, subsetIds(rng, n, 0.04), cheap)
 }
 
-// TestComponentLocalParityDenseOversized pins the dense-mode oversized-
-// component regression end-to-end: an edge-dense mass event whose
-// density-adaptive graph keeps dense bitset rows (denseWorthwhile edge
-// count above motion's sparse crossover) while its single connected
-// component exceeds the component-densify threshold. Characterizing
-// such a window used to panic in the component enumeration's CSR-only
-// anchored fallback before the fallback was gated to sparse mode.
-func TestComponentLocalParityDenseOversized(t *testing.T) {
+// TestComponentsRelationDenseOversized runs the relation on an
+// edge-dense mass event whose single component exceeds motion's
+// dense-block limit yet keeps a dense block (its edge count makes the
+// block no larger than CSR rows would be).
+func TestComponentsRelationDenseOversized(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("dense oversized component is thousands of devices")
 	}
 
-	const n = 4500 // > motion's component-densify threshold (4096)
+	const n = 4500 // > motion's dense-block limit (4096)
 	const r = 0.002
 	prev, err := space.NewState(n, 2)
 	if err != nil {
@@ -220,7 +304,9 @@ func TestComponentLocalParityDenseOversized(t *testing.T) {
 	if cs := g.Components(); cs.Count() != 1 {
 		t.Fatalf("mass-event fixture split into %d components", cs.Count())
 	}
-	runParity(t, "dense-oversized/all-abnormal", pair, allIds(n), Config{R: r, Tau: 2})
+	for _, exact := range []bool{false, true} {
+		runComponents(t, fmt.Sprintf("dense-oversized/exact=%v", exact), pair, allIds(n), Config{R: r, Tau: 2, Exact: exact})
+	}
 }
 
 // TestMixedWindowAllocFootprint is the alloc-footprint regression test

@@ -207,10 +207,8 @@ type family struct {
 	ids  [][]int
 	bits []*sets.Bits
 	idx  []int
-	// j and l are J_k and L_k as sorted device ids. dk is D_k, kept only
-	// when the exact search can run (Config.Exact, Theorem 6
-	// inconclusive).
-	j, l, dk []int
+	// j and l are J_k and L_k as sorted device ids; D_k is their union.
+	j, l []int
 	// massive is the Theorem 6 outcome.
 	massive bool
 }
@@ -244,20 +242,12 @@ func New(pair *motion.Pair, abnormal []int, cfg Config) (*Characterizer, error) 
 // graph of the abnormal set (benchmarks reuse one read-only graph across
 // fresh characterizers; New builds it fresh).
 func newCharacterizer(pair *motion.Pair, ids []int, cfg Config, g *motion.Graph) *Characterizer {
-	return newCharacterizerComps(pair, ids, cfg, g, g.Components())
-}
-
-// newCharacterizerComps additionally injects the component decomposition.
-// Production always passes g.Components(); the parity suite passes
-// g.WholeGraphComponent() to run the identical code path with full-graph
-// universes — the pre-component reference behaviour.
-func newCharacterizerComps(pair *motion.Pair, ids []int, cfg Config, g *motion.Graph, cs *motion.Components) *Characterizer {
 	return &Characterizer{
 		pair:     pair,
 		abnormal: ids,
 		cfg:      cfg,
 		graph:    g,
-		comps:    cs,
+		comps:    g.Components(),
 		memo:     make([]memoEntry, len(ids)),
 	}
 }
@@ -400,9 +390,6 @@ func (c *Characterizer) splitFamilies(comp int, fams []family, famOf func(ri int
 				f.massive = true
 				break
 			}
-		}
-		if c.cfg.Exact && !f.massive {
-			f.dk = c.comps.AppendIds(dk, comp, make([]int, 0, dk.Len()))
 		}
 	}
 }

@@ -23,7 +23,8 @@ const maxSubsetGround = 20
 // for which relation (4) fails — no dense motion containing j survives in
 // D_k(j) \ ∪C — and relation (5) fails — no B ∈ C extends to a dense
 // motion with j. Such a C certifies j ∈ U_k (Corollary 8); exhausting the
-// space without finding one certifies j ∈ M_k (Theorem 7).
+// space without finding one certifies j ∈ M_k (Theorem 7). dense is
+// W̄_k(j), which relation (4) is read off (see survives).
 //
 // Every member of a violating collection must contain a device of L_k(j),
 // have more than τ members, and include at least one device non-adjacent
@@ -31,7 +32,7 @@ const maxSubsetGround = 20
 // hold). Every such B is a subset of some maximal dense motion M ∈ W̄_k(ℓ)
 // with ℓ ∈ L_k(j) and j ∉ M, so the search enumerates subsets of that
 // maximal family, passed as ms (see blockerMotions).
-func (c *Characterizer) searchViolating(j int, dk, L []int, ms [][]int) (bool, int, error) {
+func (c *Characterizer) searchViolating(j int, dense [][]int, L []int, ms [][]int) (bool, int, error) {
 	budget := c.cfg.Budget
 	if budget <= 0 {
 		budget = DefaultBudget
@@ -39,7 +40,7 @@ func (c *Characterizer) searchViolating(j int, dk, L []int, ms [][]int) (bool, i
 	s := &violSearch{
 		c:      c,
 		j:      j,
-		dk:     dk,
+		dense:  dense,
 		L:      L,
 		ms:     ms,
 		budget: budget,
@@ -90,17 +91,16 @@ func (c *Characterizer) blockerMotions(f *family) [][]int {
 type violSearch struct {
 	c      *Characterizer
 	j      int
-	dk     []int
+	dense  [][]int
 	L      []int
 	ms     [][]int
 	budget int
 	tested int
-	// allowedBuf and availBuf are scratch buffers for the per-node set
-	// differences. Sharing them across the recursion is safe because each
-	// dfs node fully consumes its difference (the relation-(4) test, the
-	// subsets enumeration) before any child node recomputes it.
-	allowedBuf []int
-	availBuf   []int
+	// availBuf is scratch for the per-node set differences. Sharing it
+	// across the recursion is safe because each use fully consumes its
+	// difference (a length test, the subsets enumeration) before the
+	// next recomputes it.
+	availBuf []int
 }
 
 // dfs extends the current collection (whose union is `used`, sorted) with
@@ -112,12 +112,9 @@ func (s *violSearch) dfs(idx int, used []int) (bool, error) {
 	if s.budget < 0 {
 		return false, fmt.Errorf("device %d: %w", s.j, ErrBudget)
 	}
-	// Relation (4) for the current collection: does any dense motion
-	// containing j survive within D_k(j) \ used? Relation (5) fails by
-	// construction of every added subset, so failure of (4) certifies a
-	// violating collection.
-	s.allowedBuf = sets.DiffIntsInto(s.allowedBuf[:0], s.dk, used)
-	if !s.c.graph.HasDenseMotionContaining(s.j, s.allowedBuf, s.c.cfg.Tau) {
+	// Relation (5) fails by construction of every added subset, so
+	// failure of (4) certifies a violating collection.
+	if !s.survives(used) {
 		return true, nil
 	}
 
@@ -144,6 +141,23 @@ func (s *violSearch) dfs(idx int, used []int) (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// survives tests relation (4) for a collection whose union is used
+// (sorted, without j): does some τ-dense motion containing j lie within
+// D_k(j) \ used? It does iff some M ∈ W̄_k(j) keeps more than τ members
+// outside used. Such a motion extends to a maximal dense one, which
+// contains j and so belongs to W̄_k(j); conversely M \ used is a subset
+// of a clique, hence a motion, it holds j (blockers exclude j), and it
+// lies in D_k(j), the union of W̄_k(j).
+func (s *violSearch) survives(used []int) bool {
+	for _, m := range s.dense {
+		s.availBuf = sets.DiffIntsInto(s.availBuf[:0], m, used)
+		if len(s.availBuf) > s.c.cfg.Tau {
+			return true
+		}
+	}
+	return false
 }
 
 // subsets enumerates the admissible blocker subsets of avail, in

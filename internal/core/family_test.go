@@ -17,10 +17,10 @@ import (
 // perNeighbourCharacterizeAll is a test-only transcription of the
 // per-device decision procedure that families replaced: every device
 // builds its own D_k, probes each neighbour's dense motions for the J/L
-// split, and tests Theorem 6 on its own J. W̄_k comes from the per-device
-// enumeration (MaximalMotionsContainingIn), and the exact search's
-// blocker family is assembled with a content-keyed dedupe. It mirrors
-// CharacterizeAll's contract, first error included.
+// split, and tests Theorem 6 on its own J. W̄_k of every device is read
+// off its component's enumeration, indexed by member once, and the
+// exact search's blocker family is assembled with a content-keyed
+// dedupe. It mirrors CharacterizeAll's contract, first error included.
 func perNeighbourCharacterizeAll(c *Characterizer) ([]Result, error) {
 	g, cs, tau := c.graph, c.comps, c.cfg.Tau
 	type entry struct {
@@ -33,16 +33,24 @@ func perNeighbourCharacterizeAll(c *Characterizer) ([]Result, error) {
 		if e, ok := memo[l]; ok {
 			return e
 		}
-		ids, bits := g.MaximalMotionsContainingIn(l, cs)
-		e := entry{total: len(ids)}
-		for i, m := range ids {
-			if len(m) > tau {
-				e.ids = append(e.ids, m)
-				e.bits = append(e.bits, bits[i])
-			}
+		ll, _ := g.Local(l)
+		comp := cs.Of(ll)
+		verts := cs.Verts(comp)
+		ids, bits := g.MaximalMotionsOfComponent(comp, cs)
+		for mi, b := range bits {
+			b.ForEach(func(ri int) bool {
+				id := g.IDOf(int(verts[ri]))
+				e := memo[id]
+				e.total++
+				if len(ids[mi]) > tau {
+					e.ids = append(e.ids, ids[mi])
+					e.bits = append(e.bits, b)
+				}
+				memo[id] = e
+				return true
+			})
 		}
-		memo[l] = e
-		return e
+		return memo[l]
 	}
 
 	var out []Result
@@ -60,7 +68,6 @@ func perNeighbourCharacterizeAll(c *Characterizer) ([]Result, error) {
 		lj, _ := g.Local(j)
 		comp := cs.Of(lj)
 		verts := cs.Verts(comp)
-		rj := cs.Rank(lj)
 		dkB, jB, lB := sets.NewBits(len(verts)), sets.NewBits(len(verts)), sets.NewBits(len(verts))
 		for _, mo := range ent.bits {
 			dkB.Or(mo)
@@ -71,8 +78,8 @@ func perNeighbourCharacterizeAll(c *Characterizer) ([]Result, error) {
 				res.Cost.NeighborsScanned++
 			}
 			inL := false
-			for _, mo := range denseOf(l).bits {
-				if !mo.Has(rj) {
+			for _, mo := range denseOf(l).ids {
+				if !sets.ContainsInt(mo, j) {
 					inL = true
 					break
 				}
@@ -113,7 +120,7 @@ func perNeighbourCharacterizeAll(c *Characterizer) ([]Result, error) {
 				}
 			}
 			sets.SortSets(ms)
-			violating, tested, err := c.searchViolating(j, cs.AppendIds(dkB, comp, nil), res.L, ms)
+			violating, tested, err := c.searchViolating(j, ent.ids, res.L, ms)
 			if err != nil {
 				return nil, fmt.Errorf("characterizing device %d: %w", j, err)
 			}
@@ -207,8 +214,8 @@ func TestFamiliesMatchPerNeighbourSplit(t *testing.T) {
 
 // TestFamilyLemma checks the identity families rest on: ℓ ∈ J_k(j) iff
 // W̄_k(ℓ) ⊆ W̄_k(j), for every device j and every ℓ ∈ D_k(j), with W̄_k
-// enumerated independently per device. J_k and L_k must also partition
-// D_k.
+// filtered per device from the window's maximal motions. J_k and L_k
+// must also partition D_k.
 func TestFamilyLemma(t *testing.T) {
 	t.Parallel()
 
@@ -229,12 +236,14 @@ func TestFamilyLemma(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := motion.NewGraph(pair, ids, r)
-		cs := g.Components()
-		dense := func(x int) [][]int {
-			all, _ := g.MaximalMotionsContainingIn(x, cs)
-			return motion.DenseOf(all, tau)
+		// W̄_k of every device, indexed by member from one enumeration.
+		denseBy := map[int][][]int{}
+		for _, m := range motion.DenseOf(motion.NewGraph(pair, ids, r).MaximalMotions(), tau) {
+			for _, x := range m {
+				denseBy[x] = append(denseBy[x], m)
+			}
 		}
+		dense := func(x int) [][]int { return denseBy[x] }
 		has := func(family [][]int, m []int) bool {
 			for _, f := range family {
 				if sets.EqualInts(f, m) {

@@ -47,12 +47,37 @@ func referenceClassify(pair *motion.Pair, abnormal []int, j int, r float64, tau 
 	}
 
 	// Theorem 6 literal form: ∃B ∈ W_k(j) (any dense motion containing j)
-	// with B ⊆ J_k(j). Equivalent to a dense motion containing j inside
-	// J_k(j).
-	if g.HasDenseMotionContaining(j, jSet, tau) {
+	// with B ⊆ J_k(j).
+	if denseSubsetWith(pair, r, tau, j, jSet) {
 		return ClassMassive, RuleTheorem6
 	}
 	return ClassUnresolved, RuleNone
+}
+
+// denseSubsetWith reports, by brute force over Pair.ConsistentMotion,
+// whether some (τ+1)-subset of within ∪ {j} that contains j is an
+// r-consistent motion. Motions are closed under subsets, so that is
+// exactly whether a τ-dense motion containing j lies inside within ∪
+// {j}.
+func denseSubsetWith(pair *motion.Pair, r float64, tau, j int, within []int) bool {
+	others := sets.DiffInts(within, []int{j})
+	pick := make([]int, 0, tau+1)
+	var choose func(from int) bool
+	choose = func(from int) bool {
+		if len(pick) == tau {
+			return pair.ConsistentMotion(append(pick, j), r)
+		}
+		for i := from; i <= len(others)-(tau-len(pick)); i++ {
+			pick = append(pick, others[i])
+			found := choose(i + 1)
+			pick = pick[:len(pick)-1]
+			if found {
+				return true
+			}
+		}
+		return false
+	}
+	return choose(0)
 }
 
 // TestDifferentialAgainstReference compares the optimized cheap-mode
@@ -99,7 +124,6 @@ func TestDifferentialTheorem6Equivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := motion.NewGraph(pair, allIds(n), r)
 		for _, j := range allIds(n) {
 			res, err := c.Characterize(j)
 			if err != nil {
@@ -109,7 +133,7 @@ func TestDifferentialTheorem6Equivalence(t *testing.T) {
 				continue
 			}
 			// Direct subset search within J.
-			direct := g.HasDenseMotionContaining(j, res.J, tau)
+			direct := denseSubsetWith(pair, r, tau, j, res.J)
 			viaIntersection := res.Rule == RuleTheorem6
 			if direct != viaIntersection {
 				t.Fatalf("trial %d device %d: subset form %v, intersection form %v (J=%v dense=%v)",

@@ -306,16 +306,17 @@ func TestDeviceComposite(t *testing.T) {
 	if !ab {
 		t.Error("a_k(j) must be true when any service is abnormal")
 	}
-	flags := dev.ServiceFlags()
-	if flags[0] || !flags[1] {
-		t.Errorf("ServiceFlags = %v, want [false true]", flags)
+	// Service 0 drops hard: the detector after it must still see its
+	// sample.
+	if ab, err = dev.Update([]float64{0.2, 0.35}); err != nil || !ab {
+		t.Fatalf("service 0 drop: ab=%v err=%v", ab, err)
 	}
-	if p := dev.Predict(); len(p) != 2 {
-		t.Errorf("Predict len = %d", len(p))
+	if p := dev.Predict(); len(p) != 2 || p[0] != 0.2 || p[1] != 0.35 {
+		t.Errorf("Predict = %v, want [0.2 0.35]: every detector consumes its sample", p)
 	}
 	dev.Reset()
-	if f := dev.ServiceFlags(); f[0] || f[1] {
-		t.Error("Reset must clear flags")
+	if ab, err := dev.Update([]float64{0.9, 0.9}); err != nil || ab {
+		t.Errorf("first sample after Reset: ab=%v err=%v", ab, err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 // service's QoS variation is abnormal.
 type Device struct {
 	detectors []Detector
-	flags     []bool
 }
 
 // NewDevice builds a composite for d services, constructing one detector
@@ -18,10 +17,7 @@ func NewDevice(d int, factory func(service int) (Detector, error)) (*Device, err
 	if d <= 0 {
 		return nil, fmt.Errorf("d = %d services: %w", d, ErrDetectorConfig)
 	}
-	dev := &Device{
-		detectors: make([]Detector, d),
-		flags:     make([]bool, d),
-	}
+	dev := &Device{detectors: make([]Detector, d)}
 	for i := 0; i < d; i++ {
 		det, err := factory(i)
 		if err != nil {
@@ -46,20 +42,14 @@ func (dev *Device) Update(sample []float64) (bool, error) {
 		return false, fmt.Errorf("sample has %d coords, want %d: %w",
 			len(sample), len(dev.detectors), ErrDetectorConfig)
 	}
+	// Every detector must see its sample, so no short-circuit.
 	abnormal := false
 	for i, det := range dev.detectors {
-		dev.flags[i] = det.Update(sample[i])
-		abnormal = abnormal || dev.flags[i]
+		if det.Update(sample[i]) {
+			abnormal = true
+		}
 	}
 	return abnormal, nil
-}
-
-// ServiceFlags returns which services were abnormal at the last Update.
-// The returned slice is a copy.
-func (dev *Device) ServiceFlags() []bool {
-	out := make([]bool, len(dev.flags))
-	copy(out, dev.flags)
-	return out
 }
 
 // Predict returns the per-service predictions as a fresh vector.
@@ -73,8 +63,7 @@ func (dev *Device) Predict() []float64 {
 
 // Reset resets every per-service detector.
 func (dev *Device) Reset() {
-	for i, det := range dev.detectors {
+	for _, det := range dev.detectors {
 		det.Reset()
-		dev.flags[i] = false
 	}
 }

@@ -38,31 +38,6 @@ type Components struct {
 // graph: the labelling its build produced, shared by every caller.
 func (g *Graph) Components() *Components { return g.cs }
 
-// WholeGraphComponent returns the degenerate decomposition that places
-// every vertex in one component — the identity renumbering, under which
-// every projected bitset spans the full graph universe. It reproduces
-// the pre-component full-graph scratch behaviour exactly and serves as
-// the reference oracle the component-local parity suites compare
-// against.
-func (g *Graph) WholeGraphComponent() *Components {
-	m := len(g.ids)
-	cs := &Components{
-		g:     g,
-		comp:  make([]int32, m),
-		rank:  make([]int32, m),
-		verts: make([]int32, m),
-		off:   []int32{0, int32(m)},
-	}
-	for v := 0; v < m; v++ {
-		cs.rank[v] = int32(v)
-		cs.verts[v] = int32(v)
-	}
-	if m == 0 {
-		cs.off = []int32{0}
-	}
-	return cs
-}
-
 // Count returns the number of components.
 func (cs *Components) Count() int { return len(cs.off) - 1 }
 
@@ -71,12 +46,6 @@ func (cs *Components) Of(li int) int { return int(cs.comp[li]) }
 
 // Size returns the vertex count of component c.
 func (cs *Components) Size(c int) int { return int(cs.off[c+1] - cs.off[c]) }
-
-// Rank returns the component-local index of graph-local vertex li: its
-// position within the sorted member list of its component. Ranks are
-// monotone in graph-local index (and therefore in device id) within a
-// component.
-func (cs *Components) Rank(li int) int { return int(cs.rank[li]) }
 
 // Verts returns component c's members as sorted graph-local indices.
 // The slice views the decomposition's slab — read-only.
@@ -282,38 +251,48 @@ func (g *Graph) fillDense(col *collected) {
 
 // MaximalMotionsOfComponent enumerates every maximal motion among the
 // devices of component c — each exactly once — as sorted device-id sets
-// plus bitsets over the component-local universe, in the id sets'
-// lexicographic order (the per-device order of
-// MaximalMotionsContainingIn). One call serves the whole component: the
-// maximal motions containing any member are exactly the reported
-// motions that include it, because a motion containing a vertex never
-// leaves the vertex's component. cs is the graph's Components, whose
-// components Bron–Kerbosch enumerates on their blocks in place, or a
-// coarsening of it such as WholeGraphComponent, whose component c is
-// enumerated one of the graph's components at a time.
+// plus bitsets over the component's ranks, in the id sets'
+// lexicographic order. One call serves the whole component: the maximal
+// motions containing any member are exactly the reported motions that
+// include it, because a motion containing a vertex never leaves the
+// vertex's component. cs must be the graph's own decomposition,
+// g.Components(); a dense component is enumerated on its block in place,
+// a CSR component one anchored neighbourhood at a time.
 func (g *Graph) MaximalMotionsOfComponent(c int, cs *Components) ([][]int, []*sets.Bits) {
 	var out motionFamily
 	sc := g.getScratch()
-	if cs == g.cs {
-		g.componentMotions(sc, c, cs, &out)
-	} else {
-		for _, v := range cs.Verts(c) {
-			// Each of the graph's components, at its smallest member.
-			if own := int(g.cs.comp[v]); g.cs.Verts(own)[0] == v {
-				g.componentMotions(sc, own, cs, &out)
-			}
-		}
-	}
+	g.componentMotions(sc, c, &out)
 	g.putScratch(sc)
 	sortMotionFamily(&out)
 	return out.ids, out.cliques
 }
 
-// componentMotions appends the maximal motions of the graph's component
-// c to out, their bitsets over c's component under cs.
-func (g *Graph) componentMotions(sc *bkScratch, c int, cs *Components, out *motionFamily) {
+// componentMotions appends the maximal motions of component c to out.
+func (g *Graph) componentMotions(sc *bkScratch, c int, out *motionFamily) {
 	verts := g.cs.Verts(c)
 	s := len(verts)
+	// report appends a clique given over the positions of sub (sorted
+	// ranks), or over the ranks themselves when sub is nil. Ranks and ids
+	// both follow local order, so ids come out sorted.
+	report := func(sub sets.Sorted) func(*sets.Bits) {
+		return func(clique *sets.Bits) {
+			ids := make([]int, 0, clique.Len())
+			bits := clique
+			if sub != nil {
+				bits = sets.NewBits(s)
+			}
+			clique.ForEach(func(i int) bool {
+				if sub != nil {
+					i = int(sub[i])
+					bits.Add(i)
+				}
+				ids = append(ids, g.ids[verts[i]])
+				return true
+			})
+			out.ids = append(out.ids, ids)
+			out.cliques = append(out.cliques, bits)
+		}
+	}
 	if !g.isCSR(c) {
 		rows := g.blockRows(sc, c)
 		r := sc.lease(s)
@@ -322,21 +301,7 @@ func (g *Graph) componentMotions(sc *bkScratch, c int, cs *Components, out *moti
 			p.Add(i)
 		}
 		x := sc.lease(s)
-		bkOver(rows, r, p, x, sc, func(clique *sets.Bits) {
-			if cs != g.cs {
-				ids, wide := g.widen(clique, c, nil, cs)
-				out.ids = append(out.ids, ids)
-				out.cliques = append(out.cliques, wide)
-				return
-			}
-			ids := make([]int, 0, clique.Len())
-			clique.ForEach(func(i int) bool {
-				ids = append(ids, g.ids[verts[i]])
-				return true
-			})
-			out.ids = append(out.ids, ids)
-			out.cliques = append(out.cliques, clique)
-		})
+		bkOver(rows, r, p, x, sc, report(nil))
 		sc.put(x)
 		sc.put(p)
 		sc.put(r)
@@ -362,11 +327,7 @@ func (g *Graph) componentMotions(sc *bkScratch, c int, cs *Components, out *moti
 				x.Add(i)
 			}
 		}
-		bkOver(sub, r, p, x, sc, func(clique *sets.Bits) {
-			ids, wide := g.widen(clique, c, nverts, cs)
-			out.ids = append(out.ids, ids)
-			out.cliques = append(out.cliques, wide)
-		})
+		bkOver(sub, r, p, x, sc, report(nverts))
 		sc.put(x)
 		sc.put(p)
 		sc.put(r)

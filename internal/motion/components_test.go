@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"anomalia/internal/sets"
 	"anomalia/internal/space"
 	"anomalia/internal/stats"
 )
@@ -68,7 +67,7 @@ func TestComponentsDecomposition(t *testing.T) {
 				if i > 0 && verts[i-1] >= v {
 					t.Fatalf("trial %d: component %d members not sorted", trial, c)
 				}
-				if cs.Of(int(v)) != c || cs.Rank(int(v)) != i || covered[v] {
+				if cs.Of(int(v)) != c || int(cs.rank[v]) != i || covered[v] {
 					t.Fatalf("trial %d: vertex %d misfiled", trial, v)
 				}
 				covered[v] = true
@@ -80,34 +79,11 @@ func TestComponentsDecomposition(t *testing.T) {
 	}
 }
 
-// TestWholeGraphComponent: the identity decomposition must be a single
-// component with identity ranks — the reference-oracle contract.
-func TestWholeGraphComponent(t *testing.T) {
-	t.Parallel()
-
-	rng := stats.NewRNG(11)
-	pair := randomPair(t, rng, 25, 2, 0.4)
-	g := NewGraph(pair, allIds(25), 0.05)
-	cs := g.WholeGraphComponent()
-	if cs.Count() != 1 || cs.Size(0) != 25 {
-		t.Fatalf("Count/Size = %d/%d", cs.Count(), cs.Size(0))
-	}
-	for v := 0; v < 25; v++ {
-		if cs.Of(v) != 0 || cs.Rank(v) != v || int(cs.Verts(0)[v]) != v {
-			t.Fatalf("vertex %d not identity-mapped", v)
-		}
-	}
-
-	empty := NewGraph(pair, nil, 0.05)
-	if got := empty.WholeGraphComponent().Count(); got != 0 {
-		t.Fatalf("empty graph Count = %d", got)
-	}
-}
-
 // TestMaximalMotionsOfComponentMatchesPerDevice: the one-shot component
-// enumeration must serve every member exactly the family the per-device
-// enumeration reports — same id sets, same order, same projected
-// bitsets.
+// enumeration must serve every member exactly the family the paper's
+// Algorithm 2 builds for it (the sliding-window oracle), in
+// lexicographic order, with bitsets that spell the same motions over
+// the component's ranks; MaximalMotionsContaining must be that filter.
 func TestMaximalMotionsOfComponentMatchesPerDevice(t *testing.T) {
 	t.Parallel()
 
@@ -120,30 +96,31 @@ func TestMaximalMotionsOfComponentMatchesPerDevice(t *testing.T) {
 		cs := g.Components()
 		for c := 0; c < cs.Count(); c++ {
 			moIds, moBits := g.MaximalMotionsOfComponent(c, cs)
-			for _, mo := range moIds {
+			for mi, mo := range moIds {
 				if !g.IsClique(mo) {
 					t.Fatalf("trial %d: reported non-clique %v", trial, mo)
+				}
+				b := moBits[mi]
+				if b.Universe() != cs.Size(c) || !reflect.DeepEqual(cs.AppendIds(b, c, nil), mo) {
+					t.Fatalf("trial %d: motion %v has bitset %v", trial, mo, b)
 				}
 			}
 			for i, v := range cs.Verts(c) {
 				id := g.IDOf(int(v))
-				wantIds, wantBits := g.MaximalMotionsContainingIn(id, cs)
-				var gotIds [][]int
-				var gotBits []*sets.Bits
+				var got [][]int
 				for mi := range moIds {
 					if moBits[mi].Has(i) {
-						gotIds = append(gotIds, moIds[mi])
-						gotBits = append(gotBits, moBits[mi])
+						got = append(got, moIds[mi])
 					}
 				}
-				if !reflect.DeepEqual(gotIds, wantIds) {
-					t.Fatalf("trial %d device %d: component family %v != per-device %v",
-						trial, id, gotIds, wantIds)
+				want := SlidingWindowMotionsContaining(pair, allIds(n), r, id)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d device %d: component family %v != Algorithm 2 %v",
+						trial, id, got, want)
 				}
-				for mi := range gotBits {
-					if !gotBits[mi].Equal(wantBits[mi]) || gotBits[mi].Universe() != wantBits[mi].Universe() {
-						t.Fatalf("trial %d device %d: motion bitset %d differs", trial, id, mi)
-					}
+				if fam := g.MaximalMotionsContaining(id); !reflect.DeepEqual(fam, want) {
+					t.Fatalf("trial %d device %d: MaximalMotionsContaining %v != Algorithm 2 %v",
+						trial, id, fam, want)
 				}
 			}
 		}
@@ -215,27 +192,22 @@ func TestMaximalMotionsOfComponentDenseOversized(t *testing.T) {
 			t.Fatalf("motion %d bitset malformed", mi)
 		}
 	}
-	// The component family must serve each member exactly its per-device
-	// family: a group-0 device (first motion only), a shared group-1
-	// device (both), and a group-2 device (second only).
-	for _, id := range []int{0, n / 2, n - 1} {
-		wantIds, wantBits := g.MaximalMotionsContainingIn(id, cs)
-		var gotIds [][]int
-		var gotBits []*sets.Bits
-		li, _ := g.Local(id)
+	// The component family must serve each member exactly its own
+	// motions: a group-0 device the first motion only, a shared group-1
+	// device both, and a group-2 device the second only.
+	for _, tc := range []struct {
+		id   int
+		want [][]int
+	}{{0, moIds[:1]}, {n / 2, moIds}, {n - 1, moIds[1:]}} {
+		li, _ := g.Local(tc.id)
+		var got [][]int
 		for mi := range moIds {
-			if moBits[mi].Has(cs.Rank(li)) {
-				gotIds = append(gotIds, moIds[mi])
-				gotBits = append(gotBits, moBits[mi])
+			if moBits[mi].Has(int(cs.rank[li])) {
+				got = append(got, moIds[mi])
 			}
 		}
-		if !reflect.DeepEqual(gotIds, wantIds) {
-			t.Fatalf("device %d: component family differs from per-device family", id)
-		}
-		for mi := range gotBits {
-			if !gotBits[mi].Equal(wantBits[mi]) || gotBits[mi].Universe() != wantBits[mi].Universe() {
-				t.Fatalf("device %d: motion bitset %d differs", id, mi)
-			}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("device %d: component family has %d motions, want %d", tc.id, len(got), len(tc.want))
 		}
 	}
 }

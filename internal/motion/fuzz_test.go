@@ -204,8 +204,7 @@ func cliqueOracle(adj [][]bool, ids []int, verts []int) [][]int {
 
 // checkAgainstOracle pins g — built by any path over pair, ids and r —
 // to the all-pairs oracle: every edge, the component numbering and
-// ranks, and every component's maximal motions with their bitsets, under
-// the graph's own decomposition and under WholeGraphComponent.
+// ranks, and every component's maximal motions with their bitsets.
 func checkAgainstOracle(t *testing.T, label string, g *Graph, pair *Pair, ids []int, r float64) {
 	t.Helper()
 	vs := g.Ids()
@@ -225,14 +224,12 @@ func checkAgainstOracle(t *testing.T, label string, g *Graph, pair *Pair, ids []
 	}
 	cs := g.Components()
 	sameComponents(t, label, cs, allPairsComponents(pair, ids, r))
-	var all [][]int
 	for c := 0; c < cs.Count(); c++ {
 		verts := make([]int, 0, cs.Size(c))
 		for _, v := range cs.Verts(c) {
 			verts = append(verts, int(v))
 		}
 		want := cliqueOracle(adj, vs, verts)
-		all = append(all, want...)
 		got, bits := g.MaximalMotionsOfComponent(c, cs)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: component %d motions %v, oracle %v", label, c, got, want)
@@ -241,20 +238,6 @@ func checkAgainstOracle(t *testing.T, label string, g *Graph, pair *Pair, ids []
 			if b.Universe() != cs.Size(c) || !reflect.DeepEqual(cs.AppendIds(b, c, nil), got[i]) {
 				t.Fatalf("%s: component %d motion %d bitset disagrees with %v", label, c, i, got[i])
 			}
-		}
-	}
-	if len(vs) == 0 {
-		return
-	}
-	sets.SortSets(all)
-	whole := g.WholeGraphComponent()
-	got, bits := g.MaximalMotionsOfComponent(0, whole)
-	if !reflect.DeepEqual(got, all) {
-		t.Fatalf("%s: whole-graph motions %v, oracle %v", label, got, all)
-	}
-	for i, b := range bits {
-		if b.Universe() != len(vs) || !reflect.DeepEqual(whole.AppendIds(b, 0, nil), got[i]) {
-			t.Fatalf("%s: whole-graph motion %d bitset disagrees with %v", label, i, got[i])
 		}
 	}
 }

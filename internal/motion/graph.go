@@ -30,6 +30,11 @@ import (
 // memory — what makes million-device windows constructible at all. Both
 // are read-only after construction, and every enumeration result is
 // identical across them (TestSparseMatchesDense*).
+//
+// Bron–Kerbosch over one component (MaximalMotionsOfComponent) is the
+// graph's only clique search: every motion question — M(j), W̄_k(j),
+// whether a dense motion survives in a set — is answered from the
+// maximal motions of the component that holds the devices asked about.
 type Graph struct {
 	ids []int // local index -> device id, sorted
 	// contiguous marks the common full-population case ids[i] == i, where
@@ -51,9 +56,9 @@ type Graph struct {
 	off   []int64
 	nbr   []int32
 
-	// bkPool recycles enumeration scratch across the many per-device
-	// clique enumerations of a fleet pass; sync.Pool keeps concurrent
-	// enumerations over one graph safe.
+	// bkPool recycles enumeration scratch across the component
+	// enumerations of a window; sync.Pool keeps concurrent enumerations
+	// over one graph safe.
 	bkPool sync.Pool
 }
 
@@ -311,123 +316,27 @@ func (g *Graph) MaximalMotions() [][]int {
 	return out
 }
 
-// MaximalMotionsContaining enumerates the maximal r-consistent motions
+// MaximalMotionsContaining returns the maximal r-consistent motions
 // that include device j — the family M(j) built by the paper's
-// Algorithm 2. A motion containing j only involves devices within 2r of j
-// at both times, so maximality within the graph restricted to j's closed
-// neighbourhood coincides with maximality in the full graph. Returns nil
-// when j is not a vertex.
+// Algorithm 2 — in lexicographic order. A motion containing j never
+// leaves j's connected component, so M(j) is the enumeration of that
+// component filtered by membership of j; each call enumerates the whole
+// component, so a caller that needs every member's family should call
+// MaximalMotionsOfComponent once instead. Returns nil when j is not a
+// vertex.
 func (g *Graph) MaximalMotionsContaining(j int) [][]int {
-	ids, _ := g.MaximalMotionsContainingSets(j)
-	return ids
-}
-
-// MaximalMotionsContainingSets is MaximalMotionsContaining returning
-// each motion in both representations: sorted device ids and a bitset
-// over graph-local indices 0..Len()-1. Element i of both slices
-// describes the same motion.
-func (g *Graph) MaximalMotionsContainingSets(j int) ([][]int, []*sets.Bits) {
 	lj, ok := g.Local(j)
 	if !ok {
-		return nil, nil
+		return nil
 	}
-	return g.motionsContaining(lj, nil)
-}
-
-// MaximalMotionsContainingIn is MaximalMotionsContainingSets with the
-// bitsets projected into the component-local index space of j's
-// connected component under cs: bit i of a motion is rank i within the
-// component's sorted member list, and the universe is the component
-// size. Every member of a motion containing j shares j's component, so
-// the projection loses nothing — it shrinks each bitset from O(Len/64)
-// words to O(|component|/64), which is what keeps adversarial
-// all-abnormal windows linear in total component mass instead of
-// quadratic in the vertex count. cs is the graph's Components or a
-// coarsening of it such as WholeGraphComponent.
-func (g *Graph) MaximalMotionsContainingIn(j int, cs *Components) ([][]int, []*sets.Bits) {
-	lj, ok := g.Local(j)
-	if !ok {
-		return nil, nil
-	}
-	return g.motionsContaining(lj, cs)
-}
-
-// motionsContaining enumerates the maximal motions containing local
-// vertex lj inside its component, reported through widen into cs (nil
-// for graph-local indices).
-func (g *Graph) motionsContaining(lj int, cs *Components) ([][]int, []*sets.Bits) {
-	c, rj := int(g.cs.comp[lj]), int(g.cs.rank[lj])
-	var out motionFamily
-	sc := g.getScratch()
-	report := func(sub sets.Sorted) func(*sets.Bits) {
-		return func(clique *sets.Bits) {
-			ids, wide := g.widen(clique, c, sub, cs)
-			out.ids = append(out.ids, ids)
-			out.cliques = append(out.cliques, wide)
+	ids, bits := g.MaximalMotionsOfComponent(g.cs.Of(lj), g.cs)
+	var out [][]int
+	for i, b := range bits {
+		if b.Has(int(g.cs.rank[lj])) {
+			out = append(out, ids[i])
 		}
 	}
-	if g.isCSR(c) {
-		verts := g.csrRow(c, rj).InsertInto(int32(rj), sc.verts[:0])
-		sub := g.densify(sc, c, verts)
-		pos := searchSorted(verts, int32(rj))
-		s := len(verts)
-		r := sc.lease(s)
-		r.Add(pos)
-		p := sc.lease(s)
-		p.CopyFrom(sub[pos])
-		x := sc.lease(s)
-		bkOver(sub, r, p, x, sc, report(verts))
-		sc.put(x)
-		sc.put(p)
-		sc.put(r)
-		sc.verts = verts[:0]
-	} else {
-		rows := g.blockRows(sc, c)
-		s := len(rows)
-		r := sc.lease(s)
-		r.Add(rj)
-		p := sc.lease(s)
-		p.CopyFrom(rows[rj])
-		x := sc.lease(s)
-		bkOver(rows, r, p, x, sc, report(nil))
-		sc.put(x)
-		sc.put(p)
-		sc.put(r)
-	}
-	g.putScratch(sc)
-	sortMotionFamily(&out)
-	return out.ids, out.cliques
-}
-
-// widen re-expresses a clique of component c — a bitset over its ranks,
-// or over the positions of sub (sorted ranks) when sub is non-nil — as
-// sorted device ids plus a bitset over the clique's component under cs,
-// indexed by cs's ranks; with a nil cs the bitset is over graph-local
-// indices. Ranks and ids both follow local order, so ids come out
-// sorted.
-func (g *Graph) widen(clique *sets.Bits, c int, sub sets.Sorted, cs *Components) ([]int, *sets.Bits) {
-	verts := g.cs.Verts(c)
-	var wide *sets.Bits
-	if cs == nil {
-		wide = sets.NewBits(len(g.ids))
-	} else {
-		wide = sets.NewBits(cs.Size(cs.Of(int(verts[0]))))
-	}
-	ids := make([]int, 0, clique.Len())
-	clique.ForEach(func(i int) bool {
-		if sub != nil {
-			i = int(sub[i])
-		}
-		v := int(verts[i])
-		ids = append(ids, g.ids[v])
-		if cs == nil {
-			wide.Add(v)
-		} else {
-			wide.Add(int(cs.rank[v]))
-		}
-		return true
-	})
-	return ids, wide
+	return out
 }
 
 // sortMotionFamily sorts both motion representations together, in the id
@@ -487,90 +396,6 @@ func (f *motionFamily) Swap(i, j int) {
 	f.cliques[i], f.cliques[j] = f.cliques[j], f.cliques[i]
 }
 
-// HasDenseMotionContaining reports whether some τ-dense motion containing
-// j lies entirely within the allowed device set (relation (4) of
-// Theorem 7 asks this with allowed = D_k(j) minus the union of a candidate
-// collection). allowed need not contain j; j is added implicitly. The
-// search runs inside j's component, so its bitsets are sized to the
-// component, not to the window.
-func (g *Graph) HasDenseMotionContaining(j int, allowed []int, tau int) bool {
-	lj, ok := g.Local(j)
-	if !ok {
-		return false
-	}
-	c, rj := int(g.cs.comp[lj]), int(g.cs.rank[lj])
-	sc := g.getScratch()
-	defer g.putScratch(sc)
-	// Ranks of the allowed devices in j's component other than j: no
-	// motion containing j leaves it.
-	locs := sc.locs[:0]
-	for _, id := range allowed {
-		if li, ok := g.Local(id); ok && li != lj && int(g.cs.comp[li]) == c {
-			locs = append(locs, g.cs.rank[li])
-		}
-	}
-	defer func() { sc.locs = locs[:0] }()
-	if g.isCSR(c) {
-		// Densify N(j) ∩ allowed; a clique of size tau+1 through j is a
-		// clique of size tau inside that subgraph.
-		sortInt32s(locs)
-		verts := g.csrRow(c, rj).IntersectInto(locs, sc.verts[:0])
-		defer func() { sc.verts = verts[:0] }()
-		if len(verts) < tau {
-			return tau <= 0
-		}
-		sub := g.densify(sc, c, verts)
-		p := sc.lease(len(verts))
-		for i := range verts {
-			p.Add(i)
-		}
-		ok := extendCliqueOver(sub, p, 1, tau+1, sc)
-		sc.put(p)
-		return ok
-	}
-	rows := g.blockRows(sc, c)
-	p := sc.lease(len(rows))
-	for _, r := range locs {
-		p.Add(int(r))
-	}
-	p.And(rows[rj])
-	// Need a clique of size tau+1 total, i.e. tau more vertices from p.
-	ok = extendCliqueOver(rows, p, 1, tau+1, sc)
-	sc.put(p)
-	return ok
-}
-
-// extendCliqueOver performs a branch-and-bound search for a clique of
-// size at least want that contains the current clique (implicitly
-// represented by the candidate set p already restricted to common
-// neighbours) in the graph described by adj.
-func extendCliqueOver(adj []*sets.Bits, p *sets.Bits, have, want int, sc *bkScratch) bool {
-	if have >= want {
-		return true
-	}
-	if have+p.Len() < want {
-		return false
-	}
-	// Iterate candidates; standard inclusion/exclusion search.
-	members := p.Members(sc.getInts())
-	for _, v := range members {
-		p2 := sc.get(p)
-		p2.And(adj[v])
-		ok := extendCliqueOver(adj, p2, have+1, want, sc)
-		sc.put(p2)
-		if ok {
-			sc.putInts(members)
-			return true
-		}
-		p.Remove(v) // exclude v from further consideration on this branch
-		if have+p.Len() < want {
-			break
-		}
-	}
-	sc.putInts(members)
-	return false
-}
-
 // bkScratch recycles the candidate/excluded bitsets and the member
 // buffers of one enumeration's recursion — the dominant garbage of the
 // characterization hot path before pooling. Each top-level enumeration
@@ -582,10 +407,9 @@ func extendCliqueOver(adj []*sets.Bits, p *sets.Bits, have, want int, sc *bkScra
 type bkScratch struct {
 	free []*sets.Bits
 	ints [][]int
-	// verts/locs buffer the sub-universe vertex lists of the CSR
+	// verts buffers the sub-universe vertex list of the CSR
 	// enumeration; sub holds its densified bitset rows.
 	verts sets.Sorted
-	locs  sets.Sorted
 	sub   []*sets.Bits
 	// hdr/rows hold the views blockRows puts over a dense block. They
 	// alias the graph's slab, so they never enter the free list.

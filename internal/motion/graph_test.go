@@ -126,28 +126,6 @@ func TestGraphOnSubset(t *testing.T) {
 	}
 }
 
-func TestHasDenseMotionContaining(t *testing.T) {
-	t.Parallel()
-
-	pair, r := figure3Pair(t)
-	g := NewGraph(pair, allIds(pair.N()), r)
-	// τ=3: dense motions containing device 0 need 4 members: {0,1,2,3}.
-	if !g.HasDenseMotionContaining(0, []int{1, 2, 3, 4}, 3) {
-		t.Error("device 0 has a dense motion within {1,2,3,4}")
-	}
-	// Without device 3 there are only 3 candidates adjacent to 0.
-	if g.HasDenseMotionContaining(0, []int{1, 2, 4}, 3) {
-		t.Error("no dense motion for device 0 within {1,2,4}")
-	}
-	// τ=2 only needs 3 members.
-	if !g.HasDenseMotionContaining(0, []int{1, 2}, 2) {
-		t.Error("device 0 has a 2-dense motion within {1,2}")
-	}
-	if g.HasDenseMotionContaining(42, []int{1, 2}, 1) {
-		t.Error("missing vertex cannot have dense motions")
-	}
-}
-
 // TestBronKerboschAgainstBruteForce compares maximal cliques with a brute
 // force subset enumeration on small random graphs.
 func TestBronKerboschAgainstBruteForce(t *testing.T) {
@@ -183,8 +161,9 @@ func TestBronKerboschAgainstBruteForce(t *testing.T) {
 
 	// Cliques and cliques less one edge, whose maximal motions are known
 	// in closed form (the brute force cross-checks the smallest): the
-	// whole-graph, per-vertex and per-component enumerations must all
-	// find them, with the clique at word-aligned and unaligned offsets.
+	// whole-graph enumeration, its per-vertex filter and the
+	// per-component enumeration must all find them, with the clique at
+	// word-aligned and unaligned offsets.
 	for _, s := range cliqueSizes {
 		for _, lead := range []int{0, 3} {
 			for _, minusOne := range []bool{false, true} {

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"anomalia/internal/grid"
-	"anomalia/internal/sets"
 )
 
 // This file holds the reference builds and read-side helpers the parity
@@ -114,16 +113,6 @@ func (g *Graph) IsClique(ids []int) bool {
 		}
 	}
 	return true
-}
-
-// toIds converts a local-index bitset into sorted device ids.
-func (g *Graph) toIds(b *sets.Bits) []int {
-	out := make([]int, 0, b.Len())
-	b.ForEach(func(li int) bool {
-		out = append(out, g.ids[li])
-		return true
-	})
-	return out
 }
 
 // allPairsComponents is the reference labelling of the window's motion

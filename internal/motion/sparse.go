@@ -242,9 +242,6 @@ func (g *Graph) fillCSR(col *collected, slots, workers int) {
 	g.off, g.nbr = off, nbr
 }
 
-// sortInt32s sorts a neighbour-list buffer in place.
-func sortInt32s(s sets.Sorted) { slices.Sort(s) }
-
 // densify materializes the subgraph of CSR component c induced on verts
 // (sorted ranks) as dense bitset rows over sub-indices
 // 0..len(verts)-1, reusing the scratch's row bitsets. This is the

@@ -2,6 +2,7 @@ package motion
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -95,21 +96,20 @@ func TestSparseEnumerationConcurrent(t *testing.T) {
 		t.Fatal("graph is not in sparse mode")
 	}
 	oracle := newGraphAllPairs(pair, allIds(n), 0.04)
+	cs, ocs := g.Components(), oracle.Components()
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for j := w; j < n; j += 8 {
-				got := g.MaximalMotionsContaining(j)
-				want := oracle.MaximalMotionsContaining(j)
-				if !sameFamily(got, want) {
-					t.Errorf("device %d: concurrent enumeration diverged", j)
-					return
-				}
-				if g.HasDenseMotionContaining(j, g.Ids(), 2) != oracle.HasDenseMotionContaining(j, oracle.Ids(), 2) {
-					t.Errorf("device %d: HasDenseMotionContaining diverged", j)
+			// Every worker enumerates every component, starting at its own.
+			for i := 0; i < cs.Count(); i++ {
+				c := (w + i) % cs.Count()
+				got, _ := g.MaximalMotionsOfComponent(c, cs)
+				want, _ := oracle.MaximalMotionsOfComponent(c, ocs)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("component %d: concurrent enumeration diverged", c)
 					return
 				}
 			}

@@ -3,6 +3,7 @@ package motion
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"anomalia/internal/stats"
@@ -41,10 +42,11 @@ func sameGraph(t *testing.T, label string, rng *stats.RNG, got, want *Graph) {
 	}
 }
 
-// sameMotionFamilies fails unless every motion-enumeration entry point
-// agrees between the two graphs, including the bitset representation of
-// MaximalMotionsContainingSets (which must be over graph-local indices
-// in both adjacency modes).
+// sameMotionFamilies fails unless every motion enumeration agrees
+// between the two graphs: the whole-window families (pivoting and
+// degeneracy-ordered) and each component's motions, whose bitsets must
+// spell the same ids over the component's ranks in both adjacency
+// modes.
 func sameMotionFamilies(t *testing.T, label string, got, want *Graph) {
 	t.Helper()
 	gm, wm := got.MaximalMotions(), want.MaximalMotions()
@@ -55,21 +57,16 @@ func sameMotionFamilies(t *testing.T, label string, got, want *Graph) {
 	if !sameFamily(gd, wm) {
 		t.Fatalf("%s: MaximalMotionsDegeneracy disagrees:\n got %v\nwant %v", label, gd, wm)
 	}
-	for _, j := range want.Ids() {
-		gids, gbits := got.MaximalMotionsContainingSets(j)
-		wids, _ := want.MaximalMotionsContainingSets(j)
-		if !sameFamily(gids, wids) {
-			t.Fatalf("%s: MaximalMotionsContaining(%d) disagree:\n got %v\nwant %v", label, j, gids, wids)
+	gcs, wcs := got.Components(), want.Components()
+	for c := 0; c < wcs.Count(); c++ {
+		gids, gbits := got.MaximalMotionsOfComponent(c, gcs)
+		wids, _ := want.MaximalMotionsOfComponent(c, wcs)
+		if !reflect.DeepEqual(gids, wids) {
+			t.Fatalf("%s: component %d motions disagree:\n got %v\nwant %v", label, c, gids, wids)
 		}
 		for i, mo := range gids {
-			back := got.toIds(gbits[i])
-			if len(back) != len(mo) {
-				t.Fatalf("%s: device %d motion %d: bitset has %d members, ids %d", label, j, i, len(back), len(mo))
-			}
-			for k := range mo {
-				if back[k] != mo[k] {
-					t.Fatalf("%s: device %d motion %d: bitset %v != ids %v", label, j, i, back, mo)
-				}
+			if b := gbits[i]; b.Universe() != gcs.Size(c) || !reflect.DeepEqual(gcs.AppendIds(b, c, nil), mo) {
+				t.Fatalf("%s: component %d motion %d: bitset %v != ids %v", label, c, i, b, mo)
 			}
 		}
 	}
@@ -175,38 +172,6 @@ func TestSparseMatchesDenseHighDimension(t *testing.T) {
 	}
 }
 
-// TestSparseHasDenseMotionContaining: parity of the Theorem-7 primitive
-// across representations, over random allowed sets and thresholds.
-func TestSparseHasDenseMotionContaining(t *testing.T) {
-	t.Parallel()
-
-	rng := stats.NewRNG(4242)
-	for trial := 0; trial < 12; trial++ {
-		n := 260 + rng.Intn(100)
-		r := []float64{0.02, 0.05, 0.1}[trial%3]
-		pair := randomPair(t, rng, n, 2, math.Max(6*r, 0.2))
-		ids := allIds(n)
-		oracle := newGraphAllPairs(pair, ids, r)
-		sparse := newGraphSparse(pair, ids, r, 1+trial%4)
-		for probe := 0; probe < 30; probe++ {
-			j := rng.Intn(n)
-			allowed := make([]int, 0, n/3)
-			for v := 0; v < n; v++ {
-				if rng.Float64() < 0.3 {
-					allowed = append(allowed, v)
-				}
-			}
-			tau := 1 + rng.Intn(4)
-			g := sparse.HasDenseMotionContaining(j, allowed, tau)
-			w := oracle.HasDenseMotionContaining(j, allowed, tau)
-			if g != w {
-				t.Fatalf("trial %d: HasDenseMotionContaining(%d, |allowed|=%d, tau=%d) = %v, want %v",
-					trial, j, len(allowed), tau, g, w)
-			}
-		}
-	}
-}
-
 // TestNewGraphCrossoverBoundary pins the representation at the
 // component crossover: a chain component of componentDenseMax vertices
 // keeps a dense block, one vertex more keeps CSR rows (a chain is far
@@ -230,12 +195,8 @@ func TestNewGraphCrossoverBoundary(t *testing.T) {
 		}
 		oracle := newGraphAllPairs(pair, allIds(n), r)
 		sameAdjacency(t, label, g, oracle)
-		for _, id := range []int{0, 1, n / 2, n - 1} {
-			gm := g.MaximalMotionsContaining(id)
-			wm := oracle.MaximalMotionsContaining(id)
-			if !sameFamily(gm, wm) {
-				t.Fatalf("%s: MaximalMotionsContaining(%d) disagree", label, id)
-			}
+		if gm, wm := g.MaximalMotions(), oracle.MaximalMotions(); !reflect.DeepEqual(gm, wm) {
+			t.Fatalf("%s: MaximalMotions disagree", label)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"anomalia/internal/stats"
 )
@@ -152,24 +151,4 @@ func (in *Injector) corrupt(row []float64, p float64) []float64 {
 		bad[victim] = math.Inf(-1)
 	}
 	return bad
-}
-
-// OutageSpan reports the union of devices any outage silences at the
-// given tick, as a sorted list — the ground truth a soak test checks
-// quarantine coverage against.
-func (in *Injector) OutageSpan(tick int) []int {
-	seen := map[int]bool{}
-	for _, o := range in.cfg.Outages {
-		if tick >= o.Start && tick < o.End {
-			for d := o.From; d < o.To; d++ {
-				seen[d] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
 }

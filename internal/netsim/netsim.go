@@ -195,13 +195,6 @@ func (n *Network) Clear(id int) error {
 	return nil
 }
 
-// ClearAll removes every active fault.
-func (n *Network) ClearAll() {
-	for id := range n.faults {
-		delete(n.faults, id)
-	}
-}
-
 // ActiveFaults returns the number of live faults.
 func (n *Network) ActiveFaults() int { return len(n.faults) }
 

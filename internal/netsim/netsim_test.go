@@ -149,7 +149,8 @@ func TestCoreAndBackendFaults(t *testing.T) {
 	t.Parallel()
 
 	n := baseNet(t)
-	if _, err := n.Inject(Fault{Component: Component{LevelCore, 0}, Severity: 0.2}); err != nil {
+	coreFault, err := n.Inject(Fault{Component: Component{LevelCore, 0}, Severity: 0.2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	st, err := n.Sample()
@@ -161,9 +162,8 @@ func TestCoreAndBackendFaults(t *testing.T) {
 			t.Fatalf("core fault: gateway %d = %v", gw, got)
 		}
 	}
-	n.ClearAll()
-	if n.ActiveFaults() != 0 {
-		t.Fatal("ClearAll left faults")
+	if err := n.Clear(coreFault); err != nil || n.ActiveFaults() != 0 {
+		t.Fatalf("Clear left %d faults (err %v)", n.ActiveFaults(), err)
 	}
 
 	// Backend fault hits only its service.

@@ -162,9 +162,3 @@ func (w *WireInjector) Step() []WireFault {
 	w.window++
 	return w.faults
 }
-
-// CrashedAt reports whether the shard is inside a crash window — the
-// ground truth a soak harness uses to drop and rebuild server state.
-func (w *WireInjector) CrashedAt(window, shard int) bool {
-	return scheduled(w.cfg.Crashes, window, shard)
-}

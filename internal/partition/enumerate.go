@@ -36,13 +36,14 @@ func ForEachPartition(pair *motion.Pair, abnormal []int, r float64, tau int, bud
 	g := motion.NewGraph(pair, ids, r)
 
 	e := &enumerator{
-		pair:   pair,
-		g:      g,
-		ids:    ids,
-		r:      r,
-		tau:    tau,
-		budget: budget,
-		fn:     fn,
+		pair:    pair,
+		g:       g,
+		motions: g.MaximalMotions(),
+		ids:     ids,
+		r:       r,
+		tau:     tau,
+		budget:  budget,
+		fn:      fn,
 	}
 	e.recurse(0)
 	if e.exceeded {
@@ -52,8 +53,11 @@ func ForEachPartition(pair *motion.Pair, abnormal []int, r float64, tau int, bud
 }
 
 type enumerator struct {
-	pair     *motion.Pair
-	g        *motion.Graph
+	pair *motion.Pair
+	g    *motion.Graph
+	// motions are the graph's maximal motions, enumerated once for every
+	// candidate partition's C1 check.
+	motions  [][]int
 	ids      []int
 	r        float64
 	tau      int
@@ -126,11 +130,12 @@ func (e *enumerator) checkC1C2(p Partition) bool {
 		}
 	}
 	sparseUnion = sets.Canon(sparseUnion)
-	if len(sparseUnion) > e.tau {
-		for _, j := range sparseUnion {
-			if e.g.HasDenseMotionContaining(j, sparseUnion, e.tau) {
-				return false
-			}
+	// C1: a dense motion inside the sparse union extends to a maximal
+	// motion keeping more than τ members there, and a maximal motion's
+	// members there form a motion.
+	for _, m := range e.motions {
+		if motion.Dense(len(sets.IntersectInts(m, sparseUnion)), e.tau) {
+			return false
 		}
 	}
 	for _, db := range dense {

@@ -41,16 +41,6 @@ var (
 	ErrEmptyAbnormal = errors.New("partition: empty abnormal set")
 )
 
-// BlockOf returns the block of p containing device j, or nil.
-func (p Partition) BlockOf(j int) []int {
-	for _, b := range p {
-		if sets.ContainsInt(b, j) {
-			return b
-		}
-	}
-	return nil
-}
-
 // Canonical sorts each block and orders blocks deterministically,
 // returning p for chaining.
 func (p Partition) Canonical() Partition {
@@ -126,12 +116,13 @@ func Validate(pair *motion.Pair, p Partition, abnormal []int, r float64, tau int
 	}
 	sparseUnion = sets.Canon(sparseUnion)
 
-	// C1: no dense motion within the union of sparse blocks.
+	// C1: no dense motion within the union of sparse blocks, i.e. no
+	// maximal motion of their graph is dense. The smallest device in a
+	// dense motion leads the first dense one in lexicographic order.
 	if len(sparseUnion) > tau {
-		g := motion.NewGraph(pair, sparseUnion, r)
-		for _, j := range sparseUnion {
-			if g.HasDenseMotionContaining(j, sparseUnion, tau) {
-				return fmt.Errorf("device %d lies in a dense motion of sparse blocks: %w", j, ErrC1)
+		for _, m := range motion.NewGraph(pair, sparseUnion, r).MaximalMotions() {
+			if motion.Dense(len(m), tau) {
+				return fmt.Errorf("device %d lies in a dense motion of sparse blocks: %w", m[0], ErrC1)
 			}
 		}
 	}

@@ -285,12 +285,6 @@ func TestPartitionHelpers(t *testing.T) {
 	if !sets.EqualInts(p[0], []int{1, 3}) && !sets.EqualInts(p[0], []int{2}) {
 		t.Errorf("Canonical() = %v", p)
 	}
-	if b := p.BlockOf(2); !sets.EqualInts(b, []int{2}) {
-		t.Errorf("BlockOf(2) = %v", b)
-	}
-	if p.BlockOf(9) != nil {
-		t.Error("BlockOf(missing) must be nil")
-	}
 	q := Partition{{1, 3}, {2}}.Canonical()
 	if !p.Equal(q) {
 		t.Errorf("%v must equal %v", p, q)

@@ -195,20 +195,6 @@ func (b *Bits) AndNot(o *Bits) {
 	}
 }
 
-// Intersects reports whether b ∩ o is non-empty.
-func (b *Bits) Intersects(o *Bits) bool {
-	n := len(b.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		if b.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // IntersectionLen returns |b ∩ o| without allocating.
 func (b *Bits) IntersectionLen(o *Bits) int {
 	n := len(b.words)

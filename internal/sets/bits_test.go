@@ -115,12 +115,8 @@ func TestBitsIntersection(t *testing.T) {
 	if got, want := a.IntersectionLen(b), 2; got != want {
 		t.Errorf("IntersectionLen = %d, want %d", got, want)
 	}
-	if !a.Intersects(b) {
-		t.Error("Intersects must be true")
-	}
-	c := BitsOf(200, 1, 2)
-	if a.Intersects(c) {
-		t.Error("Intersects must be false for disjoint sets")
+	if got := a.IntersectionLen(BitsOf(200, 1, 2)); got != 0 {
+		t.Errorf("IntersectionLen of disjoint sets = %d", got)
 	}
 }
 
@@ -216,10 +212,7 @@ func TestBitsQuickAgainstMap(t *testing.T) {
 		if u.Len() != len(am)+len(bm)-wantInter {
 			return false
 		}
-		if diff.Len() != len(am)-wantInter {
-			return false
-		}
-		return a.Intersects(b) == (wantInter > 0)
+		return diff.Len() == len(am)-wantInter
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -39,25 +39,6 @@ func (s Sorted) ForEach(fn func(v int32) bool) {
 	}
 }
 
-// IntersectInto appends the intersection s ∩ o to dst and returns the
-// extended slice. dst must not alias s or o.
-func (s Sorted) IntersectInto(o, dst Sorted) Sorted {
-	i, j := 0, 0
-	for i < len(s) && j < len(o) {
-		switch {
-		case s[i] < o[j]:
-			i++
-		case s[i] > o[j]:
-			j++
-		default:
-			dst = append(dst, s[i])
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
 // IntersectPositions calls fn with the position (index into verts) of
 // every element of verts that is also an element of s, in increasing
 // order — the densification primitive of the sparse clique enumeration:

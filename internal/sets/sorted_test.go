@@ -44,29 +44,6 @@ func TestSortedForEach(t *testing.T) {
 	}
 }
 
-func TestSortedIntersectInto(t *testing.T) {
-	a := sortedOf(1, 2, 5, 9, 12)
-	b := sortedOf(0, 2, 9, 12, 40)
-	got := a.IntersectInto(b, nil)
-	want := sortedOf(2, 9, 12)
-	if len(got) != len(want) {
-		t.Fatalf("intersection %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("intersection %v, want %v", got, want)
-		}
-	}
-	if out := a.IntersectInto(nil, nil); len(out) != 0 {
-		t.Errorf("intersection with empty = %v", out)
-	}
-	// Duplicates in the second operand must not duplicate output (the
-	// receiver is strictly increasing).
-	if out := a.IntersectInto(sortedOf(2, 2, 2), nil); len(out) != 1 || out[0] != 2 {
-		t.Errorf("intersection with duplicates = %v", out)
-	}
-}
-
 func TestSortedIntersectPositions(t *testing.T) {
 	s := sortedOf(3, 5, 8)
 	verts := sortedOf(1, 3, 5, 7, 8)
@@ -159,7 +136,8 @@ func TestSortedAgainstBitsOracle(t *testing.T) {
 				t.Fatalf("trial %d: Has(%d) disagrees with bitset", trial, v)
 			}
 		}
-		inter := as.IntersectInto(bs, nil)
+		var inter Sorted
+		as.IntersectPositions(bs, func(pos int) { inter = append(inter, bs[pos]) })
 		ib := ab.Clone()
 		ib.And(bb)
 		if len(inter) != ib.Len() {

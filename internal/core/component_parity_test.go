@@ -162,9 +162,9 @@ func sameResult(a, b Result) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestComponentsRelation runs the Components relation across placement
+// TestComponentLocalParity runs the Components relation across placement
 // families, abnormal-set shapes and exact-mode settings.
-func TestComponentsRelation(t *testing.T) {
+func TestComponentLocalParity(t *testing.T) {
 	t.Parallel()
 
 	rng := stats.NewRNG(777)
@@ -237,12 +237,12 @@ func TestComponentsRelationCSR(t *testing.T) {
 	}
 }
 
-// TestComponentsRelationLarge runs the relation on windows of thousands
+// TestComponentLocalParitySparse runs the relation on windows of thousands
 // of devices: uniform with every device abnormal, and clustered with
 // every device or a ~4% mass-event subset abnormal. The clustered
 // windows run in cheap mode: their overlapping cliques drive the
 // exponential Theorem 7 search past its node budget.
-func TestComponentsRelationLarge(t *testing.T) {
+func TestComponentLocalParitySparse(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("windows of thousands of devices")
@@ -259,11 +259,11 @@ func TestComponentsRelationLarge(t *testing.T) {
 	runComponents(t, "clustered/subset", clustered, subsetIds(rng, n, 0.04), cheap)
 }
 
-// TestComponentsRelationDenseOversized runs the relation on an
+// TestComponentLocalParityDenseOversized runs the relation on an
 // edge-dense mass event whose single component exceeds motion's
 // dense-block limit yet keeps a dense block (its edge count makes the
 // block no larger than CSR rows would be).
-func TestComponentsRelationDenseOversized(t *testing.T) {
+func TestComponentLocalParityDenseOversized(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("dense oversized component is thousands of devices")

@@ -35,6 +35,23 @@ func VicinityProb(radius float64, d int) (float64, error) {
 	return math.Pow(2*radius, float64(d)), nil
 }
 
+// VicinityProbBoundary returns E[q_j] for a uniformly placed device j,
+// accounting for clipping of the vicinity at the borders of [0,1]^d:
+// per axis the expected covered length is 2·radius − radius², so
+// q = (2·radius − radius²)^d... with window half-width w = radius the
+// expected clipped length of [x−w, x+w] ∩ [0,1] over uniform x is
+// 2w − w². Use this variant for boundary-sensitive populations.
+func VicinityProbBoundary(radius float64, d int) (float64, error) {
+	if radius < 0 || radius > 0.5 {
+		return 0, fmt.Errorf("radius = %v: %w", radius, ErrParam)
+	}
+	if d < 1 {
+		return 0, fmt.Errorf("d = %d: %w", d, ErrParam)
+	}
+	per := 2*radius - radius*radius
+	return math.Pow(per, float64(d)), nil
+}
+
 // NeighborhoodCDF returns P{N_r(j) <= m}: the probability that at most m
 // of the other n-1 uniformly placed devices lie in j's vicinity of the
 // given radius (Figure 6(a) uses radius = 2r). N_r(j) ~ Binomial(n-1, q).

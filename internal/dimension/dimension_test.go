@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"anomalia/internal/space"
 	"anomalia/internal/stats"
 )
 
@@ -39,6 +40,58 @@ func TestVicinityProb(t *testing.T) {
 	}
 	if _, err := VicinityProb(0.1, 0); !errors.Is(err, ErrParam) {
 		t.Error("d=0 must error")
+	}
+}
+
+func TestVicinityProbBoundary(t *testing.T) {
+	t.Parallel()
+
+	got, err := VicinityProbBoundary(0.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 0.19; math.Abs(got-want) > 1e-12 {
+		t.Errorf("boundary-corrected q = %v, want %v", got, want)
+	}
+	interior, err := VicinityProb(0.1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrected, err := VicinityProbBoundary(0.1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corrected >= interior {
+		t.Error("boundary correction must shrink q")
+	}
+	if _, err := VicinityProbBoundary(0.9, 2); !errors.Is(err, ErrParam) {
+		t.Error("radius beyond 0.5 must error")
+	}
+}
+
+// TestVicinityProbBoundaryMonteCarlo validates the boundary-averaged q
+// against direct simulation of uniform pairs.
+func TestVicinityProbBoundaryMonteCarlo(t *testing.T) {
+	t.Parallel()
+
+	const radius = 0.12
+	rng := stats.NewRNG(2718)
+	const samples = 200000
+	hits := 0
+	for i := 0; i < samples; i++ {
+		a := space.Point{rng.Float64(), rng.Float64()}
+		b := space.Point{rng.Float64(), rng.Float64()}
+		if space.Dist(a, b) <= radius {
+			hits++
+		}
+	}
+	mc := float64(hits) / samples
+	exact, err := VicinityProbBoundary(radius, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(mc-exact) > 0.002 {
+		t.Errorf("MC q = %v, boundary-corrected q = %v", mc, exact)
 	}
 }
 

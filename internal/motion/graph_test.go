@@ -2,6 +2,7 @@ package motion
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"anomalia/internal/sets"
@@ -123,6 +124,56 @@ func TestGraphOnSubset(t *testing.T) {
 	want := [][]int{{0, 1, 2, 4, 5}}
 	if !sameFamily(got, want) {
 		t.Errorf("subset maximal motions = %v, want %v", got, want)
+	}
+}
+
+// hasDenseMotionContaining answers the Theorem 7 question from the
+// maximal family: a τ-dense motion containing j lies within allowed ∪
+// {j} iff some maximal motion containing j keeps more than τ members
+// there (a dense motion extends to a maximal one; a maximal one cut
+// down to allowed ∪ {j} is still a motion and still holds j).
+func hasDenseMotionContaining(g *Graph, j int, allowed []int, tau int) bool {
+	return denseWithin(g.MaximalMotionsContaining(j), j, allowed, tau)
+}
+
+// denseWithin reports whether some motion of fam keeps more than τ
+// members inside allowed ∪ {j}.
+func denseWithin(fam [][]int, j int, allowed []int, tau int) bool {
+	for _, m := range fam {
+		kept := 0
+		for _, id := range m {
+			if id == j || slices.Contains(allowed, id) {
+				kept++
+			}
+		}
+		if kept > tau {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHasDenseMotionContaining pins the family form of the Theorem 7
+// question on Figure 3, whose answers are known by hand.
+func TestHasDenseMotionContaining(t *testing.T) {
+	t.Parallel()
+
+	pair, r := figure3Pair(t)
+	g := NewGraph(pair, allIds(pair.N()), r)
+	// τ=3: dense motions containing device 0 need 4 members: {0,1,2,3}.
+	if !hasDenseMotionContaining(g, 0, []int{1, 2, 3, 4}, 3) {
+		t.Error("device 0 has a dense motion within {1,2,3,4}")
+	}
+	// Without device 3 there are only 3 candidates adjacent to 0.
+	if hasDenseMotionContaining(g, 0, []int{1, 2, 4}, 3) {
+		t.Error("no dense motion for device 0 within {1,2,4}")
+	}
+	// τ=2 only needs 3 members.
+	if !hasDenseMotionContaining(g, 0, []int{1, 2}, 2) {
+		t.Error("device 0 has a 2-dense motion within {1,2}")
+	}
+	if hasDenseMotionContaining(g, 42, []int{1, 2}, 1) {
+		t.Error("missing vertex cannot have dense motions")
 	}
 }
 

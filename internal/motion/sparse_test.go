@@ -3,6 +3,7 @@ package motion
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -170,6 +171,95 @@ func TestSparseMatchesDenseHighDimension(t *testing.T) {
 		sameGraph(t, fmt.Sprintf("high-dim workers=%d", workers), rng, sparse, oracle)
 		sameMotionFamilies(t, fmt.Sprintf("high-dim workers=%d", workers), sparse, oracle)
 	}
+}
+
+// TestSparseHasDenseMotionContaining: the family form of the Theorem 7
+// question must agree across representations over random allowed sets
+// and thresholds, and with a brute force over (τ+1)-cliques through j
+// wherever j has few allowed neighbours. Each graph's motions are
+// indexed by member once per window.
+func TestSparseHasDenseMotionContaining(t *testing.T) {
+	t.Parallel()
+
+	byMember := func(g *Graph) map[int][][]int {
+		out := map[int][][]int{}
+		for _, m := range g.MaximalMotions() {
+			for _, id := range m {
+				out[id] = append(out[id], m)
+			}
+		}
+		return out
+	}
+	rng := stats.NewRNG(4242)
+	bruteForced := 0
+	for trial := 0; trial < 12; trial++ {
+		n := 260 + rng.Intn(100)
+		r := []float64{0.02, 0.05, 0.1}[trial%3]
+		pair := randomPair(t, rng, n, 2, math.Max(6*r, 0.2))
+		ids := allIds(n)
+		oracle := newGraphAllPairs(pair, ids, r)
+		sparse := newGraphSparse(pair, ids, r, 1+trial%4)
+		oFam, sFam := byMember(oracle), byMember(sparse)
+		for probe := 0; probe < 30; probe++ {
+			j := rng.Intn(n)
+			if !reflect.DeepEqual(sFam[j], oFam[j]) {
+				t.Fatalf("trial %d: device %d: families differ:\n got %v\nwant %v", trial, j, sFam[j], oFam[j])
+			}
+			allowed := make([]int, 0, n/3)
+			for v := 0; v < n; v++ {
+				if rng.Float64() < 0.3 {
+					allowed = append(allowed, v)
+				}
+			}
+			tau := 1 + rng.Intn(4)
+			g := denseWithin(sFam[j], j, allowed, tau)
+			w := denseWithin(oFam[j], j, allowed, tau)
+			if g != w {
+				t.Fatalf("trial %d: denseWithin(%d, |allowed|=%d, tau=%d) = %v, want %v",
+					trial, j, len(allowed), tau, g, w)
+			}
+			var cand []int
+			for _, v := range allowed {
+				if v != j && oracle.Adjacent(j, v) {
+					cand = append(cand, v)
+				}
+			}
+			if len(cand) > 12 {
+				continue
+			}
+			bruteForced++
+			if b := denseCliqueThrough(oracle, j, cand, tau); b != w {
+				t.Fatalf("trial %d: device %d, tau=%d, allowed neighbours %v: family says %v, brute force %v",
+					trial, j, tau, cand, w, b)
+			}
+		}
+	}
+	if bruteForced == 0 {
+		t.Fatal("no probe was small enough to brute force")
+	}
+}
+
+// denseCliqueThrough reports whether some τ members of cand form a
+// clique together with j, by trying every τ-subset.
+func denseCliqueThrough(g *Graph, j int, cand []int, tau int) bool {
+	if len(cand) < tau {
+		return false
+	}
+	for mask := 0; mask < 1<<len(cand); mask++ {
+		if bits.OnesCount(uint(mask)) != tau {
+			continue
+		}
+		m := []int{j}
+		for i, v := range cand {
+			if mask&(1<<i) != 0 {
+				m = append(m, v)
+			}
+		}
+		if g.IsClique(m) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestNewGraphCrossoverBoundary pins the representation at the

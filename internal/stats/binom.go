@@ -77,3 +77,34 @@ func BinomialCDF(n, k int, p float64) (float64, error) {
 	}
 	return math.Max(0, 1-sum), nil
 }
+
+// BinomialSurvival returns P{X > k} = 1 - CDF(k).
+func BinomialSurvival(n, k int, p float64) (float64, error) {
+	cdf, err := BinomialCDF(n, k, p)
+	if err != nil {
+		return 0, err
+	}
+	return 1 - cdf, nil
+}
+
+// LogSumExp returns log(sum exp(xs)) with the usual max-shift trick.
+// It returns -Inf for an empty input.
+func LogSumExp(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.Inf(-1)
+	}
+	max := xs[0]
+	for _, x := range xs[1:] {
+		if x > max {
+			max = x
+		}
+	}
+	if math.IsInf(max, -1) {
+		return max
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += math.Exp(x - max)
+	}
+	return max + math.Log(sum)
+}

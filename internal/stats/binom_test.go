@@ -132,6 +132,18 @@ func TestBinomialCDFMonotone(t *testing.T) {
 	}
 }
 
+func TestBinomialSurvival(t *testing.T) {
+	t.Parallel()
+
+	s, err := BinomialSurvival(4, 1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almostEqual(s, 11.0/16, 1e-12) {
+		t.Errorf("Survival(4,1,0.5) = %v, want %v", s, 11.0/16)
+	}
+}
+
 // TestBinomialLargeN exercises the n=15000 regime of Figure 6b.
 func TestBinomialLargeN(t *testing.T) {
 	t.Parallel()
@@ -142,6 +154,26 @@ func TestBinomialLargeN(t *testing.T) {
 	}
 	if c < 0.999 || c > 1 {
 		t.Errorf("CDF(15000,5,q*b) = %v, want in (0.999, 1]", c)
+	}
+}
+
+func TestLogSumExp(t *testing.T) {
+	t.Parallel()
+
+	if !math.IsInf(LogSumExp(nil), -1) {
+		t.Error("LogSumExp(nil) must be -Inf")
+	}
+	got := LogSumExp([]float64{math.Log(1), math.Log(2), math.Log(3)})
+	if !almostEqual(got, math.Log(6), 1e-12) {
+		t.Errorf("LogSumExp = %v, want log 6", got)
+	}
+	// Huge offsets must not overflow.
+	got = LogSumExp([]float64{1000, 1000})
+	if !almostEqual(got, 1000+math.Log(2), 1e-9) {
+		t.Errorf("LogSumExp with large inputs = %v", got)
+	}
+	if !math.IsInf(LogSumExp([]float64{math.Inf(-1), math.Inf(-1)}), -1) {
+		t.Error("LogSumExp of -Inf inputs must be -Inf")
 	}
 }
 

@@ -35,6 +35,23 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
+// MinMax returns the extrema of xs; ok is false for an empty slice.
+func MinMax(xs []float64) (min, max float64, ok bool) {
+	if len(xs) == 0 {
+		return 0, 0, false
+	}
+	min, max = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if x < min {
+			min = x
+		}
+		if x > max {
+			max = x
+		}
+	}
+	return min, max, true
+}
+
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It returns 0 for empty input.
 func Quantile(xs []float64, q float64) float64 {
@@ -91,3 +108,49 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the running standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
+
+// Histogram counts samples into equal-width bins over [lo, hi); samples
+// outside the range are clamped into the first/last bin.
+type Histogram struct {
+	lo, hi float64
+	counts []int
+	total  int
+}
+
+// NewHistogram returns a histogram with bins equal-width bins over
+// [lo, hi). bins must be positive and hi > lo; otherwise nil is returned.
+func NewHistogram(lo, hi float64, bins int) *Histogram {
+	if bins <= 0 || hi <= lo {
+		return nil
+	}
+	return &Histogram{lo: lo, hi: hi, counts: make([]int, bins)}
+}
+
+// Observe adds a sample.
+func (h *Histogram) Observe(x float64) {
+	idx := int(float64(len(h.counts)) * (x - h.lo) / (h.hi - h.lo))
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(h.counts) {
+		idx = len(h.counts) - 1
+	}
+	h.counts[idx]++
+	h.total++
+}
+
+// Counts returns a copy of the per-bin counts.
+func (h *Histogram) Counts() []int {
+	out := make([]int, len(h.counts))
+	copy(out, h.counts)
+	return out
+}
+
+// Total returns the number of observed samples.
+func (h *Histogram) Total() int { return h.total }
+
+// BinCenter returns the midpoint of bin i.
+func (h *Histogram) BinCenter(i int) float64 {
+	width := (h.hi - h.lo) / float64(len(h.counts))
+	return h.lo + width*(float64(i)+0.5)
+}

@@ -23,6 +23,18 @@ func TestMeanVariance(t *testing.T) {
 	}
 }
 
+func TestMinMax(t *testing.T) {
+	t.Parallel()
+
+	min, max, ok := MinMax([]float64{3, -1, 7, 2})
+	if !ok || min != -1 || max != 7 {
+		t.Errorf("MinMax = %v,%v,%v", min, max, ok)
+	}
+	if _, _, ok := MinMax(nil); ok {
+		t.Error("MinMax(nil) must report !ok")
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	t.Parallel()
 
@@ -71,5 +83,34 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	var empty Welford
 	if empty.Mean() != 0 || empty.Variance() != 0 || empty.StdDev() != 0 {
 		t.Error("zero-value Welford must report zeros")
+	}
+}
+
+func TestHistogram(t *testing.T) {
+	t.Parallel()
+
+	h := NewHistogram(0, 10, 5)
+	if h == nil {
+		t.Fatal("NewHistogram returned nil for valid args")
+	}
+	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -5, 42} {
+		h.Observe(x)
+	}
+	counts := h.Counts()
+	// -5 clamps to bin 0, 42 clamps to bin 4.
+	want := []int{3, 1, 1, 0, 2}
+	for i := range want {
+		if counts[i] != want[i] {
+			t.Errorf("bin %d = %d, want %d (all: %v)", i, counts[i], want[i], counts)
+		}
+	}
+	if h.Total() != 7 {
+		t.Errorf("Total = %d, want 7", h.Total())
+	}
+	if c := h.BinCenter(0); !almostEqual(c, 1, 1e-12) {
+		t.Errorf("BinCenter(0) = %v, want 1", c)
+	}
+	if NewHistogram(0, 0, 5) != nil || NewHistogram(0, 1, 0) != nil {
+		t.Error("invalid histogram construction must return nil")
 	}
 }

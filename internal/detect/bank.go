@@ -16,6 +16,15 @@ import (
 // Threshold's first-sample rule — and a flag set once every device is
 // trained, after which the bytes are not read.
 //
+// Step runs one kernel whatever d is. Each shard takes its range of
+// cur's and prev's coordinate slabs as flat spans (space.State.Span)
+// and, for each device, one inner loop over the row's d values: it
+// sums v−v, which is NaN exactly when a value is not finite, clamps
+// each value into the device's slot of cur and keeps the largest jump
+// from prev. A clean row detected on is then flagged by one comparison
+// of that jump against delta; held, parked, untrained and malformed
+// rows fall to a slower path that rewrites the slot.
+//
 // A strict Step (nil tracker) writes nothing but the caller's cur, so a
 // tick rejected after its Step leaves the bank as it was; the caller
 // reports an accepted strict tick, which fed every device, with
@@ -99,34 +108,46 @@ func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *h
 	d, delta, all, trained := b.d, b.delta, b.all, b.trained
 	// Only a partial Step, which cannot be rejected, trains devices.
 	train := t != nil && !all
+	dst := cur.Span(lo, hi)
+	// With no committed state no jump is tested, so each row's jump is
+	// taken against its own slot and the kernel needs no branch for it.
+	last := dst
+	if prev != nil {
+		last = prev.Span(lo, hi)
+	}
+	clean = clean[lo:hi]
 	n := 0
 	// The shard's health delta stays local until the range is done:
 	// the workers' slots share cache lines.
 	var hd health.Delta
-	for dev := lo; dev < hi; dev++ {
-		row, dst := rows[dev], cur.At(dev)
-		ok := cleanRow(row, d)
-		clean[dev] = ok
+	for i, row := range rows[lo:hi] {
+		dev := lo + i
+		out, p := dst[i*d:(i+1)*d], last[i*d:(i+1)*d]
+		ok, jump := false, 0.0
+		if len(row) == d {
+			var nan float64
+			nan, jump = detectRow(out, row, p)
+			ok = nan == 0
+		}
+		clean[i] = ok
 		if ok {
 			n++
 		}
+		disp := health.Consume
 		if t != nil {
-			row = pick(t.Transition(dev, ok, &hd), row, dev, prev)
-			ok = row != nil
+			disp = t.Transition(dev, ok, &hd)
 		}
-		if !ok {
-			park(dst, prev, dev)
+		switch {
+		case ok && disp == health.Consume:
+			// out holds the clamped row, jump its largest move.
+		case disp == health.Hold && prev != nil:
+			// A held device detects on its committed position.
+			_, jump = detectRow(out, p, p)
+		default:
+			// Unclean with no tracker, Skip, or Hold with no committed
+			// state: nothing to detect on.
+			park(out, prev, dev)
 			continue
-		}
-		for i, x := range row {
-			// space.Point.Clamp, for a finite x.
-			switch {
-			case x < 0:
-				x = 0
-			case x > 1:
-				x = 1
-			}
-			dst[i] = x
 		}
 		if prev == nil || !all && trained[dev] == 0 {
 			if train {
@@ -134,16 +155,33 @@ func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *h
 			}
 			continue
 		}
-		last := prev.At(dev)
-		abnormal := false
-		for i, x := range dst {
-			abnormal = abnormal || math.Abs(x-last[i]) > delta
-		}
-		if abnormal {
+		if jump > delta {
 			flagged = append(flagged, dev)
 		}
 	}
 	return flagged, n, hd
+}
+
+// detectRow clamps src into out as space.Point.Clamp clamps a finite
+// value and returns the sum of v−v over src, which is NaN exactly when
+// some coordinate is not finite, with the largest |out[k] − p[k]|.
+// len(out) and len(p) must be len(src).
+func detectRow(out, src, p []float64) (nan, jump float64) {
+	out, p = out[:len(src)], p[:len(src)]
+	for k, x := range src {
+		nan += x - x
+		switch {
+		case x < 0:
+			x = 0
+		case x > 1:
+			x = 1
+		}
+		out[k] = x
+		if j := math.Abs(x - p[k]); j > jump {
+			jump = j
+		}
+	}
+	return nan, jump
 }
 
 // pick returns the row device dev detects on under its health

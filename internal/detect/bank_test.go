@@ -1,8 +1,11 @@
 package detect
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -63,12 +66,24 @@ func bankTrained(b *ThresholdBank) []bool {
 // Step must read what the last accepted one left.
 func TestThresholdBankParity(t *testing.T) {
 	t.Parallel()
+	for _, d := range bankDims {
+		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
+			t.Parallel()
+			thresholdBankParity(t, d)
+		})
+	}
+}
 
-	const n, d, ticks = 8192, 2, 8
+// bankDims are the widths the bank's parity suites run at: one
+// service, the benchmark's two, an odd width and the widest space.
+var bankDims = []int{1, 2, 3, space.MaxDim}
+
+func thresholdBankParity(t *testing.T, d int) {
+	const n, ticks = 8192, 8
 	raw := walkStream(n, d, ticks, 31)
 	for k, snap := range raw {
 		snap[k*97][0] = 1.3
-		snap[k*89+5][1] = -0.2
+		snap[k*89+5][d-1] = -0.2
 	}
 	stream, truth := degradeStream(raw, 32)
 	// Even ticks are clean and accepted, odd ones degraded and rejected.
@@ -166,8 +181,16 @@ func TestThresholdBankParity(t *testing.T) {
 // device's committed position.
 func TestThresholdBankParityHealth(t *testing.T) {
 	t.Parallel()
+	for _, d := range bankDims {
+		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
+			t.Parallel()
+			thresholdBankParityHealth(t, d)
+		})
+	}
+}
 
-	const n, d, ticks = 8192, 2, 8
+func thresholdBankParityHealth(t *testing.T, d int) {
+	const n, ticks = 8192, 8
 	raw := walkStream(n, d, ticks, 41)
 	for _, snap := range raw {
 		for j := 0; j < n; j += 7 {
@@ -586,5 +609,333 @@ func TestDeviceBankStrictReject(t *testing.T) {
 	bank.Step(snap, nil, cur, nil, clean, nil)
 	if reflect.DeepEqual(predict(), before) {
 		t.Fatal("a clean Step left every prediction as it was")
+	}
+}
+
+// oracleBank runs a ThresholdBank's Step with the per-device loop the
+// fused kernel replaced: two State.At slots per device, cleanRow, pick
+// and park, then a clamp loop and a short-circuit jump test per
+// service. FuzzThresholdBankStep pins the kernel to it.
+type oracleBank struct{ *ThresholdBank }
+
+func (o oracleBank) Step(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int) {
+	return o.w.step(o, rows, prev, cur, t, clean, out)
+}
+
+func (o oracleBank) stepRange(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, lo, hi int, flagged []int) ([]int, int, health.Delta) {
+	d, delta, all, trained := o.d, o.delta, o.all, o.trained
+	train := t != nil && !all
+	n := 0
+	var hd health.Delta
+	for dev := lo; dev < hi; dev++ {
+		row, dst := rows[dev], cur.At(dev)
+		ok := cleanRow(row, d)
+		clean[dev] = ok
+		if ok {
+			n++
+		}
+		if t != nil {
+			row = pick(t.Transition(dev, ok, &hd), row, dev, prev)
+			ok = row != nil
+		}
+		if !ok {
+			park(dst, prev, dev)
+			continue
+		}
+		for i, x := range row {
+			switch {
+			case x < 0:
+				x = 0
+			case x > 1:
+				x = 1
+			}
+			dst[i] = x
+		}
+		if prev == nil || !all && trained[dev] == 0 {
+			if train {
+				trained[dev] = 1
+			}
+			continue
+		}
+		last := prev.At(dev)
+		abnormal := false
+		for i, x := range dst {
+			abnormal = abnormal || math.Abs(x-last[i]) > delta
+		}
+		if abnormal {
+			flagged = append(flagged, dev)
+		}
+	}
+	return flagged, n, hd
+}
+
+// Bank fuzz stream layout: per tick an op byte, a spec count byte, then
+// that many row specs of a kind byte and d value bytes each. Device j
+// takes spec j mod count, so every shard of a wide fleet sees them.
+const (
+	bankFuzzReset  = 1 << 0 // Reset the bank (and tracker) before the tick
+	bankFuzzDrop   = 1 << 1 // never promote the tick's state
+	bankFuzzMaxRow = 16     // most specs per tick
+	bankFuzzDelta  = 0.05
+
+	bankKindNil   = 0
+	bankKindShort = 1
+	bankKindLong  = 2
+)
+
+// bankFuzzValue maps a byte to a QoS value: the first nine are NaN,
+// ±Inf, −0, out-of-range values, the interval's ends and the bank's
+// delta, a jump of exactly delta from 0; the rest spread over [0,1] in
+// steps well under delta.
+func bankFuzzValue(b byte) float64 {
+	special := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), -0.25, 1.5, 0, 1, bankFuzzDelta}
+	if int(b) < len(special) {
+		return special[b]
+	}
+	return float64(int(b)-len(special)) / float64(255-len(special))
+}
+
+// bankFuzzTick encodes one tick of the fuzz stream; each spec is a
+// kind byte followed by the row's value bytes.
+func bankFuzzTick(op byte, specs ...[]byte) []byte {
+	out := []byte{op, byte(len(specs) - 1)}
+	for _, s := range specs {
+		out = append(out, s...)
+	}
+	return out
+}
+
+// FuzzThresholdBankStep is a differential between the fused kernel and
+// oracleBank over arbitrary streams of strict or partial Steps at d in
+// {1, 2, 3, MaxDim}, on one worker or three: nil, short and long rows,
+// NaN, ±Inf, −0 and out-of-range values, a tracker driven stale and
+// into quarantine, Steps whose state is never promoted, and Resets.
+// After every Step both banks must have written the same bits into
+// cur, graded and flagged the same rows, trained the same devices and
+// left their trackers in the same states and counters.
+func FuzzThresholdBankStep(f *testing.F) {
+	clean := func(d int, b byte) []byte { return append([]byte{7}, bytes.Repeat([]byte{b}, d)...) }
+	for cfg := range 16 {
+		d := bankDims[cfg&3]
+		nilRow := append([]byte{bankKindNil}, make([]byte, d)...)
+		odd := append([]byte{7, 3}, bytes.Repeat([]byte{5}, d-1)...) // −0, then 1.5s
+		var s []byte
+		for k := range 8 {
+			// Spec 0 drops out (partial: a stale run, a quarantine and
+			// a re-admission), spec 1 jumps every other tick, spec 2
+			// carries non-finite values on even ticks and −0 or
+			// out-of-range ones on odd ticks, which strict Steps
+			// accept, and spec 4 moves by exactly delta every tick.
+			row0 := clean(d, 200)
+			if k == 1 || cfg&8 != 0 && k <= 3 {
+				row0 = nilRow
+			}
+			row2 := []byte{byte(3 + k%5)}
+			for i := range d {
+				v := byte(k+i) % 8
+				if k%2 == 1 {
+					v = 3 + byte(k+i)%5
+				}
+				row2 = append(row2, v)
+			}
+			var op byte
+			switch k {
+			case 0, 3:
+				op = bankFuzzDrop
+			case 7:
+				op = bankFuzzReset
+			}
+			s = append(s, bankFuzzTick(op, row0, clean(d, byte(100+20*(k/2%2))), row2, odd, clean(d, byte(6+2*(k%2))))...)
+		}
+		f.Add(uint8(cfg|0x30), s)
+	}
+	f.Fuzz(func(t *testing.T, cfg uint8, raw []byte) {
+		d := bankDims[cfg&3]
+		workers, n := 1, 1+int(cfg>>4)
+		if cfg&4 != 0 {
+			workers, n = 3, 3*minShard+int(cfg>>4)
+		}
+		partial := cfg&8 != 0
+		kernel := NewUniformThresholdBank(n, d, bankFuzzDelta, workers)
+		oracle := oracleBank{NewUniformThresholdBank(n, d, bankFuzzDelta, workers)}
+		var kt, ot *health.Tracker
+		if partial {
+			policy := health.Policy{HoldTicks: 1, ReadmitTicks: 2}
+			kt, _ = health.New(n, policy)
+			ot, _ = health.New(n, policy)
+		}
+		var kprev, oprev *space.State
+		kclean, oclean := make([]bool, n), make([]bool, n)
+		var kout, oout []int
+		for tick := 0; len(raw) >= 2 && tick < 8; tick++ {
+			op, count := raw[0], 1+int(raw[1])%bankFuzzMaxRow
+			raw = raw[2:]
+			var specs [][]float64
+			for ; len(specs) < count && len(raw) >= 1+d; raw = raw[1+d:] {
+				row := make([]float64, d, d+1)
+				for s := range row {
+					row[s] = bankFuzzValue(raw[1+s])
+				}
+				switch raw[0] % 8 {
+				case bankKindNil:
+					row = nil
+				case bankKindShort:
+					row = row[:d-1]
+				case bankKindLong:
+					row = append(row, 0.5)
+				}
+				specs = append(specs, row)
+			}
+			if len(specs) == 0 {
+				break
+			}
+			rows := make([][]float64, n)
+			for j := range rows {
+				rows[j] = specs[j%len(specs)]
+			}
+			if op&bankFuzzReset != 0 {
+				kernel.Reset()
+				oracle.Reset()
+				if partial {
+					kt.Reset()
+					ot.Reset()
+				}
+			}
+			// Both states start as garbage, so a slot either bank
+			// leaves unwritten shows.
+			kcur, _ := space.NewState(n, d)
+			ocur, _ := space.NewState(n, d)
+			for j := range n {
+				for s := range d {
+					kcur.At(j)[s], ocur.At(j)[s] = 7, 7
+				}
+			}
+			var kn, on int
+			kout, kn = kernel.Step(rows, kprev, kcur, kt, kclean, kout)
+			oout, on = oracle.Step(rows, oprev, ocur, ot, oclean, oout)
+
+			if kn != on || !slices.Equal(kclean, oclean) {
+				t.Fatalf("tick %d: kernel graded %d clean, oracle %d", tick, kn, on)
+			}
+			if !slices.Equal(kout, oout) {
+				t.Fatalf("tick %d: kernel flagged %v, oracle %v", tick, kout, oout)
+			}
+			for j := range n {
+				for s, x := range kcur.At(j) {
+					if y := ocur.At(j)[s]; math.Float64bits(x) != math.Float64bits(y) {
+						t.Fatalf("tick %d device %d service %d: kernel wrote %v, oracle %v", tick, j, s, x, y)
+					}
+				}
+			}
+			if !slices.Equal(kernel.trained, oracle.trained) || kernel.all != oracle.all {
+				t.Fatalf("tick %d: kernel and oracle trained different devices", tick)
+			}
+			if partial {
+				kl, ks, kq := kt.Counts()
+				ol, os, oq := ot.Counts()
+				if kl != ol || ks != os || kq != oq || kt.Stats() != ot.Stats() {
+					t.Fatalf("tick %d: kernel tracker %d/%d/%d %+v, oracle %d/%d/%d %+v",
+						tick, kl, ks, kq, kt.Stats(), ol, os, oq, ot.Stats())
+				}
+				for j := range n {
+					if kt.State(j) != ot.State(j) {
+						t.Fatalf("tick %d device %d: kernel tracker %v, oracle %v", tick, j, kt.State(j), ot.State(j))
+					}
+				}
+			}
+			if op&bankFuzzDrop != 0 || !partial && kn < n {
+				continue
+			}
+			if !partial {
+				kernel.TrainAll()
+				oracle.TrainAll()
+			}
+			kprev, oprev = kcur, ocur
+		}
+	})
+}
+
+// BenchmarkThresholdBankStep times the bank's Step alone over n = 1M
+// two-service devices fed one quiet snapshot every tick, double
+// buffering its states as the Monitor does, and reports ns/device.
+// strict is the Observe pass (no tracker, TrainAll after each Step),
+// partial the ObservePartial pass over an all-live fleet, lossy the
+// partial pass with a hundredth of the reports lost each tick and a
+// 500-device block quarantined. workers=0 shards over GOMAXPROCS.
+func BenchmarkThresholdBankStep(b *testing.B) {
+	const n, d, stride, block = 1_000_000, 2, 100, 500
+	rng := rand.New(rand.NewSource(5))
+	flat := make([]float64, n*d)
+	for i := range flat {
+		flat[i] = rng.Float64()
+	}
+	snap := make([][]float64, n)
+	for j := range snap {
+		snap[j] = flat[j*d : (j+1)*d : (j+1)*d]
+	}
+	for _, mode := range []string{"strict", "partial", "lossy"} {
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
+				bank := NewUniformThresholdBank(n, d, 0.05, workers)
+				var tr *health.Tracker
+				if mode != "strict" {
+					var err error
+					if tr, err = health.New(n, health.Policy{HoldTicks: 2, ReadmitTicks: 2}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				rows := slices.Clone(snap)
+				// lose restores the rows the last tick lost and drops
+				// this tick's.
+				lost := -1
+				lose := func(tick int) {
+					if mode != "lossy" {
+						return
+					}
+					clear(rows[:block])
+					for dev := block + lost; lost >= 0 && dev < n; dev += stride {
+						rows[dev] = snap[dev]
+					}
+					lost = tick % stride
+					for dev := block + lost; dev < n; dev += stride {
+						rows[dev] = nil
+					}
+				}
+				var prev *space.State
+				cur, _ := space.NewState(n, d)
+				spare, _ := space.NewState(n, d)
+				clean := make([]bool, n)
+				var out []int
+				step := func(tick int) {
+					lose(tick)
+					out, _ = bank.Step(rows, prev, cur, tr, clean, out)
+					if tr == nil {
+						bank.TrainAll()
+					}
+					prev, cur, spare = cur, spare, prev
+					if cur == nil {
+						cur = spare
+					}
+				}
+				// Warm-up: the first tick trains, the lossy block is
+				// quarantined by the fourth.
+				for i := range 4 {
+					step(i)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := range b.N {
+					step(i)
+				}
+				b.StopTimer()
+				if len(out) != 0 {
+					b.Fatalf("quiet tick flagged %d devices", len(out))
+				}
+				if _, _, q := tr.Counts(); mode == "lossy" && q != block {
+					b.Fatalf("%d devices quarantined, want the %d-device block", q, block)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/device")
+			})
+		}
 	}
 }

@@ -26,7 +26,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"runtime"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -234,23 +234,47 @@ func (r *Registry) OnScrape(f func()) {
 
 // RegisterRuntime registers the anomalia_go_* families — live heap,
 // cumulative allocated bytes and objects, GC cycles and stop-the-world
-// pause — and fills them from one runtime.ReadMemStats per scrape, the
-// only time anyone reads them.
+// pause — and fills them on every scrape, the only time anyone reads
+// them, from one runtime/metrics read into a sample slice allocated
+// here. Unlike runtime.ReadMemStats, the read does not stop the world.
+// runtime/metrics keeps GC pauses only as a histogram, so the pause
+// counter sums each bucket's count times its lower bound: a lower
+// bound on the total pause that never decreases.
 func RegisterRuntime(r *Registry) {
 	heap := r.Gauge("anomalia_go_heap_alloc_bytes", "Live heap bytes, sampled on scrape.")
 	allocBytes := r.Counter("anomalia_go_alloc_bytes_total", "Cumulative heap bytes allocated, sampled on scrape.")
 	mallocs := r.Counter("anomalia_go_mallocs_total", "Cumulative heap objects allocated, sampled on scrape.")
 	gcCycles := r.Counter("anomalia_go_gc_cycles_total", "Completed GC cycles, sampled on scrape.")
-	gcPause := r.Counter("anomalia_go_gc_pause_ns_total", "Cumulative GC stop-the-world pause, sampled on scrape.")
+	gcPause := r.Counter("anomalia_go_gc_pause_ns_total", "Cumulative GC stop-the-world pause, sampled on scrape: a monotone lower bound summed over the runtime's pause histogram at each bucket's lower edge.")
+	samples := []rtmetrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/sched/pauses/total/gc:seconds"},
+	}
+	// Scrape hooks run under the registry lock, so one slice serves
+	// every scrape.
 	r.OnScrape(func() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		heap.Set(float64(ms.HeapAlloc))
-		allocBytes.Set(int64(ms.TotalAlloc))
-		mallocs.Set(int64(ms.Mallocs))
-		gcCycles.Set(int64(ms.NumGC))
-		gcPause.Set(int64(ms.PauseTotalNs))
+		rtmetrics.Read(samples)
+		heap.Set(float64(samples[0].Value.Uint64()))
+		allocBytes.Set(int64(samples[1].Value.Uint64()))
+		mallocs.Set(int64(samples[2].Value.Uint64()))
+		gcCycles.Set(int64(samples[3].Value.Uint64()))
+		gcPause.Set(int64(pauseLowerBound(samples[4].Value.Float64Histogram()) * 1e9))
 	})
+}
+
+// pauseLowerBound returns the sum of h's counts, each at its bucket's
+// lower edge, with an edge below zero taken as zero.
+func pauseLowerBound(h *rtmetrics.Float64Histogram) float64 {
+	total := 0.0
+	for i, c := range h.Counts {
+		if lo := h.Buckets[i]; lo > 0 {
+			total += float64(c) * lo
+		}
+	}
+	return total
 }
 
 // validateName panics on names outside the Prometheus grammar —

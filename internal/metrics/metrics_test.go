@@ -1,8 +1,11 @@
 package metrics
 
 import (
+	"io"
 	"math"
 	"net/http/httptest"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -247,5 +250,57 @@ func BenchmarkRecord(b *testing.B) {
 	}
 	if b.N > 0 { // keep holders live
 		_ = c.Value()
+	}
+}
+
+// allocSink keeps TestRuntimeCountersGrowAcrossGC's allocations on the
+// heap.
+var allocSink [][]byte
+
+// TestRuntimeCountersGrowAcrossGC: across allocations and a forced
+// runtime.GC, two scrapes of the runtime families read more allocated
+// bytes and objects, more completed cycles and no less pause.
+func TestRuntimeCountersGrowAcrossGC(t *testing.T) {
+	r := NewRegistry()
+	RegisterRuntime(r)
+	names := []string{"anomalia_go_alloc_bytes_total", "anomalia_go_mallocs_total", "anomalia_go_gc_cycles_total", "anomalia_go_gc_pause_ns_total"}
+	read := func() []int64 {
+		r.WritePrometheus(io.Discard)
+		v := make([]int64, len(names))
+		for i, name := range names {
+			v[i] = r.Counter(name, "").Value()
+		}
+		return v
+	}
+	before := read()
+	for range 64 {
+		allocSink = append(allocSink, make([]byte, 4096))
+	}
+	runtime.GC()
+	after := read()
+	allocSink = nil
+	for i, name := range names[:3] {
+		if after[i] <= before[i] {
+			t.Errorf("%s = %d after a GC, %d before", name, after[i], before[i])
+		}
+	}
+	if after[3] < before[3] {
+		t.Errorf("%s fell from %d to %d", names[3], before[3], after[3])
+	}
+	if heap := r.Gauge("anomalia_go_heap_alloc_bytes", "").Value(); heap <= 0 {
+		t.Errorf("heap gauge = %v, want > 0", heap)
+	}
+}
+
+// TestPauseLowerBound: each bucket's count weighs in at its lower
+// edge, and the underflow bucket below zero counts for nothing.
+func TestPauseLowerBound(t *testing.T) {
+	t.Parallel()
+	h := &rtmetrics.Float64Histogram{
+		Counts:  []uint64{5, 2, 3, 1},
+		Buckets: []float64{math.Inf(-1), 0, 1e-6, 1e-3, math.Inf(1)},
+	}
+	if got, want := pauseLowerBound(h), 3e-6+1e-3; math.Abs(got-want) > 1e-15 {
+		t.Fatalf("pauseLowerBound = %v, want %v", got, want)
 	}
 }

@@ -96,6 +96,15 @@ func (s *State) At(j int) Point {
 	return s.coords[lo:hi:hi]
 }
 
+// Span returns the positions of devices [lo, hi) as one row-major
+// slice of (hi-lo)*d coordinates: device lo+i owns span[i*d : (i+1)*d].
+// Like At, it aliases the state and its capacity is capped, so an
+// append can never spill into device hi.
+func (s *State) Span(lo, hi int) []float64 {
+	a, b := lo*s.dim, hi*s.dim
+	return s.coords[a:b:b]
+}
+
 // AtClone returns an independent copy of the position of device j.
 func (s *State) AtClone(j int) Point { return s.At(j).Clone() }
 

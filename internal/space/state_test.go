@@ -150,6 +150,33 @@ func TestAtClone(t *testing.T) {
 	}
 }
 
+// TestStateSpan: a span holds devices [lo, hi) row-major, aliases the
+// state, and its capacity stops at device hi, so an append cannot
+// overwrite it.
+func TestStateSpan(t *testing.T) {
+	t.Parallel()
+
+	s, err := StateFromPoints([][]float64{{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := s.Span(1, 2)
+	if len(span) != 2 || cap(span) != 2 || span[0] != 0.3 || span[1] != 0.4 {
+		t.Fatalf("Span(1, 2) = %v (cap %d), want [0.3 0.4] (cap 2)", span, cap(span))
+	}
+	span[1] = 0.9
+	if s.At(1)[1] != 0.9 {
+		t.Error("Span must alias the state")
+	}
+	_ = append(span, 0.7)
+	if s.At(2)[0] != 0.5 {
+		t.Error("append to a span spilled into the next device")
+	}
+	if all := s.Span(0, s.Len()); len(all) != 6 || all[4] != 0.5 {
+		t.Errorf("Span(0, n) = %v", all)
+	}
+}
+
 // TestStateRejectsNonFinite: NaN and ±Inf coordinates must be refused by
 // name — Clamp would silently rewrite NaN to 0 and an interval test
 // cannot see it — and a refused Set must leave the position untouched.

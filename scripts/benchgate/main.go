@@ -55,6 +55,7 @@ const (
 	stormDir  = "BenchmarkDirectoryBuild/storm/m=3000"
 	stormDist = "BenchmarkDistDecide/storm/m=3000"
 	allAbn50k = "BenchmarkCharacterizeAllAbnormal/m=50k"
+	bankStep  = "BenchmarkThresholdBankStep"
 )
 
 var table = []run{
@@ -95,18 +96,28 @@ var table = []run{
 	{"./internal/dist", []string{"-benchtime=100x"}, 3, []gate{
 		{bench: stormDist, unit: nsOp, op: "/", base: "BenchmarkCentralDecide/storm/m=3000", bound: 2},
 	}},
+	// The Threshold bank's Step over n=1M devices on one worker: the
+	// kernel allocates nothing, and the 2 allocs/op are the Walker's
+	// two dispatch closures, which escape through par.Do. An
+	// allocation per device or per row reads ~1M.
+	{"./internal/detect", []string{"-benchtime=10x"}, 1, []gate{
+		{bench: bankStep + "/strict/workers=1", unit: allocsOp, bound: 2},
+		{bench: bankStep + "/partial/workers=1", unit: allocsOp, bound: 2},
+		{bench: bankStep + "/lossy/workers=1", unit: allocsOp, bound: 2},
+	}},
 	// Quiet n=1M ticks: the double-buffered steady state allocates a
 	// handful of times (5 allocs/op against a bound of 16), and the
 	// idle health layer, a breaker-closed directory client and metrics
 	// recording must each be free on it.
 	// allocs/op counts every goroutine's allocations; the median of three
 	// repetitions keeps a stray one from tripping the one-allocation gates.
-	// The default detectors run as the Threshold bank at ~0.4x the time
-	// of the same detectors run one heap object at a time in the
-	// per-device bank, so a silent fallback to it trips the 0.6 ratio.
-	// A lossy partial tick runs every device's health transition inside
-	// the bank's one pass at ~1.1-1.3x the quiet tick; a second pass
-	// over the fleet took ~2.0-2.4x and trips the 1.8 ratio.
+	// The default detectors run as the Threshold bank at 0.32-0.47x
+	// the time of the same detectors run one heap object at a time in
+	// the per-device bank (per-repetition readings over three full
+	// runs), so a silent fallback to it trips the 0.6 ratio. A lossy
+	// partial tick runs every device's health transition inside the
+	// bank's one pass at 0.94-1.69x the quiet tick; a second pass over
+	// the fleet took ~2.0-2.4x and trips the 1.8 ratio.
 	{".", []string{"-benchtime=3x"}, 3, []gate{
 		{bench: quietTick, unit: allocsOp, bound: 16},
 		{bench: quietTick, unit: nsOp, op: "/", base: "BenchmarkTickIngestDetectGeneric1M", bound: 0.6},

@@ -258,8 +258,8 @@ type DirectoryConfig struct {
 // WithDirectory routes the distributed decision path over the wire to
 // the given directory shard fleet; it implies WithDistributed(true).
 // See DirectoryConfig for the fault-tolerance contract. Ignored by
-// Characterize and CharacterizeDevice, which are one-shot calls with
-// no cross-window directory to keep warm.
+// Characterize and CharacterizeDevice, which are one-shot calls that
+// decide in process.
 func WithDirectory(dc DirectoryConfig) Option {
 	return func(c *config) {
 		c.distributed = true

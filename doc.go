@@ -38,9 +38,9 @@
 // trajectories within uniform-norm distance 4r of its own, fetched from
 // a directory service. WithDistributed enables that deployment model:
 // the window's abnormal trajectories are indexed in a sharded,
-// concurrency-safe directory (grid cells of side 2r, block-cached so
-// co-located devices share neighbourhood fetches) and each abnormal
-// device characterizes itself on its fetched 4r view. Verdicts are
+// read-only directory (grid cells of side 2r, one candidate block per
+// cell so co-located devices share neighbourhood fetches) and each
+// abnormal device characterizes itself on its fetched 4r view. Verdicts are
 // provably identical to the in-process path; Outcome.Dist reports the
 // directory traffic — messages, trajectories shipped, and view sizes —
 // the quantities the DistCost study of cmd/anomalia-experiments bills
@@ -369,10 +369,10 @@
 //   - The distributed directory rides the same flat index: occupied
 //     cells live in the index's key-sorted slab annotated with their
 //     owning shard and their members' bounding box at k-1 and k, and
-//     the 4r block cache is one atomic pointer per cell. A cell's block
-//     applies the motion graph's box test at view scale. Against the
-//     cell's member box, a candidate within 4r of both corners on every
-//     axis at both times is accepted: it is in every member's view. One
+//     a directory is read-only once built. A cell's block applies the
+//     motion graph's box test at view scale. Against the cell's member
+//     box, a candidate within 4r of both corners on every axis at both
+//     times is accepted: it is in every member's view. One
 //     more than 4r beyond the box at either time is rejected: it is in
 //     no member's view. Whole neighbour cells are placed by their own
 //     boxes first, so a mass event's cells are accepted or rejected
@@ -382,10 +382,11 @@
 //     same monotonicity reason, and are property-tested against
 //     brute-force views, with fixtures exactly 4r and one ulp beyond
 //     from a box corner. The batched DecideRange — DecideAll's whole
-//     window, or one networked shard's slice — builds its cold blocks
-//     in parallel. A cell with no remainder gives all its members the
-//     block's accepted slice as their view, so it is grouped once, not
-//     once per device, and equal views still share one characterizer
+//     window, or one networked shard's slice — builds the blocks of
+//     its range's cells in parallel, into one slab of its own. A cell
+//     with no remainder gives all its members the block's accepted
+//     slice as their view, so it is grouped once, not once per device,
+//     and equal views still share one characterizer
 //     wherever they sit. CI holds the storm-shaped window's distributed
 //     decision under 2x the centralized one (BenchmarkDistDecide and
 //     BenchmarkCentralDecide, storm/m=3000).

@@ -253,9 +253,9 @@ func newCharacterizer(pair *motion.Pair, ids []int, cfg Config, g *motion.Graph)
 }
 
 // Abnormal returns the sorted abnormal set the characterizer covers.
-// Ownership rule (shared with motion.Graph.Ids and dist.Directory.
-// Abnormal): the slice aliases the characterizer's internal state —
-// callers must treat it as read-only and copy before modifying.
+// Ownership rule (shared with motion.Graph.Ids): the slice aliases the
+// characterizer's internal state — callers must treat it as read-only
+// and copy before modifying.
 func (c *Characterizer) Abnormal() []int { return c.abnormal }
 
 // trieNode is a node of enumerateComponent's family trie. The path from

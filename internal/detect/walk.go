@@ -42,19 +42,34 @@ type Walker struct {
 	// Step that runs the health transitions.
 	deltas []health.Delta
 	clean  []bool
+	// job is the Step in flight, which stepShard reads. NewWalker binds
+	// stepShard once, so a Step allocates no closure to fan out.
+	job       stepJob
+	stepShard func(i, lo, hi int)
+}
+
+// stepJob holds the arguments of one bank Step for its shards.
+type stepJob struct {
+	b         ranger
+	rows      [][]float64
+	prev, cur *space.State
+	t         *health.Tracker
+	clean     []bool
 }
 
 // NewWalker returns a walker with the given pool size; workers <= 0
 // selects GOMAXPROCS.
 func NewWalker(workers int) *Walker {
 	workers = par.Workers(workers, math.MaxInt)
-	return &Walker{
+	w := &Walker{
 		workers: workers,
 		flags:   make([][]int, workers),
 		errs:    make([]error, workers),
 		counts:  make([]int, workers),
 		deltas:  make([]health.Delta, workers),
 	}
+	w.stepShard = w.runStep
+	return w
 }
 
 // Walk feeds row j of samples to device j — exactly one Update per
@@ -112,7 +127,7 @@ func rejectRow(samples [][]float64, clean []bool, width func(dev int) int) error
 // reporting an error. Returns the number of clean rows. len(samples)
 // and len(clean) must equal len(devs).
 func (w *Walker) Classify(devs []*Device, samples [][]float64, clean []bool) int {
-	_, n, _ := w.fan(len(devs), nil, func(_, lo, hi int, flagged []int) ([]int, int, error) {
+	_, n, _ := w.fan(len(devs), nil, func(lo, hi int, flagged []int) ([]int, int, error) {
 		c := 0
 		for dev := lo; dev < hi; dev++ {
 			clean[dev] = cleanRow(samples[dev], len(devs[dev].detectors))
@@ -144,25 +159,37 @@ func cleanRow(row []float64, want int) bool {
 // recycled buffer and returns a count. The buffers merge into out in
 // range order and the counts sum, so the result is byte-identical to
 // one serial pass over [0, n); the error is the lowest range's.
-func (w *Walker) fan(n int, out []int, f func(i, lo, hi int, flagged []int) ([]int, int, error)) ([]int, int, error) {
+func (w *Walker) fan(n int, out []int, f func(lo, hi int, flagged []int) ([]int, int, error)) ([]int, int, error) {
 	workers := par.Ranges(n, w.workers, minShard, func(i, lo, hi int) {
-		buf := w.flags[i]
-		if buf == nil {
-			buf = make([]int, 0, (hi-lo)/8+16)
-		}
-		w.flags[i], w.counts[i], w.errs[i] = f(i, lo, hi, buf[:0])
+		w.flags[i], w.counts[i], w.errs[i] = f(lo, hi, w.flagBuf(i, lo, hi))
 	})
-	total := 0
-	for i := range workers {
-		out = append(out, w.flags[i]...)
-		total += w.counts[i]
-	}
+	out, total := w.merge(workers, out)
 	for _, err := range w.errs[:workers] {
 		if err != nil {
 			return out, total, err
 		}
 	}
 	return out, total, nil
+}
+
+// flagBuf returns worker i's recycled flag buffer, emptied, for the
+// range [lo, hi).
+func (w *Walker) flagBuf(i, lo, hi int) []int {
+	if w.flags[i] == nil {
+		return make([]int, 0, (hi-lo)/8+16)
+	}
+	return w.flags[i][:0]
+}
+
+// merge appends the first workers flag buffers to out in range order
+// and sums their counts.
+func (w *Walker) merge(workers int, out []int) ([]int, int) {
+	total := 0
+	for i := range workers {
+		out = append(out, w.flags[i]...)
+		total += w.counts[i]
+	}
+	return out, total
 }
 
 // ranger is a bank's Step over one device range [lo, hi): it appends
@@ -176,11 +203,10 @@ type ranger interface {
 // health delta in its worker's slot until the pass is done, then folds
 // the deltas into t when it is set.
 func (w *Walker) step(b ranger, rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int) {
-	out, total, _ := w.fan(len(rows), out[:0], func(i, lo, hi int, flagged []int) ([]int, int, error) {
-		var c int
-		flagged, c, w.deltas[i] = b.stepRange(rows, prev, cur, t, clean, lo, hi, flagged)
-		return flagged, c, nil
-	})
+	w.job = stepJob{b: b, rows: rows, prev: prev, cur: cur, t: t, clean: clean}
+	workers := par.Ranges(len(rows), w.workers, minShard, w.stepShard)
+	w.job = stepJob{} // hold no caller rows or states between Steps
+	out, total := w.merge(workers, out[:0])
 	if t != nil {
 		for i := range w.deltas {
 			t.Apply(&w.deltas[i])
@@ -188,6 +214,13 @@ func (w *Walker) step(b ranger, rows [][]float64, prev, cur *space.State, t *hea
 		clear(w.deltas)
 	}
 	return out, total
+}
+
+// runStep is stepShard: it runs range i, [lo, hi), of the Step in w.job
+// into worker i's slots.
+func (w *Walker) runStep(i, lo, hi int) {
+	j := &w.job
+	w.flags[i], w.counts[i], w.deltas[i] = j.b.stepRange(j.rows, j.prev, j.cur, j.t, j.clean, lo, hi, w.flagBuf(i, lo, hi))
 }
 
 // WalkSkip runs the detector walk of one pre-classified partial
@@ -207,7 +240,7 @@ func (w *Walker) WalkSkip(devs []*Device, rows [][]float64, visit func(dev int, 
 	if len(rows) != n {
 		return out, fmt.Errorf("snapshot has %d rows, want %d: %w", len(rows), n, ErrSample)
 	}
-	out, _, err := w.fan(n, out, func(_, lo, hi int, flagged []int) ([]int, int, error) {
+	out, _, err := w.fan(n, out, func(lo, hi int, flagged []int) ([]int, int, error) {
 		flagged, err := walkSkipRange(devs, rows, visit, lo, hi, flagged)
 		return flagged, 0, err
 	})

@@ -14,9 +14,11 @@ import (
 // after the first window — next to the in-process batch
 // (dist.DecideAll, the BenchmarkDistDecide path) on the same clustered
 // window: ten faulty 100-device clusters, the radius dimensioned to n.
-// The decision work is the same at both n, so the wire/inproc gap is
-// the wire's own cost: codec, transport and the server's compact
-// m-row window build. None of it grows with n; a benchmark gate holds
+// The in-process case indexes its directory once, outside the loop, and
+// each DecideAll builds the window's blocks, as each shard does for its
+// slice. The decision work is the same at both n, so the wire/inproc
+// gap is the wire's own cost: codec, transport and the server's compact
+// m-row window and index build. None of it grows with n; a benchmark gate holds
 // the n=100k/n=10k wire B/op ratio near 1.
 func BenchmarkDecideWindow(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {

@@ -18,19 +18,17 @@ import (
 // and its Stats, whole DecideAll batches — from a Directory built fresh
 // by NewDirectory on the same window. Sequences cover uniform,
 // clustered, boundary-snapped and coincident movement, id churn from 0%
-// to 100%, blocks warmed in the previous window, and scrambled old
-// states (the Monitor recycles its snapshot buffers, so nothing may read
-// the previous window's positions).
+// to 100%, and scrambled old states (the Monitor recycles its snapshot
+// buffers, so nothing may read the previous window's positions).
 
-// assertDirsEqual compares the current windows of two directories piece
-// by piece, then behaviourally through View.
+// assertDirsEqual compares the windows of two directories piece by
+// piece, then behaviourally through View.
 func assertDirsEqual(t *testing.T, label string, got, want *Directory) {
 	t.Helper()
-	gw, ww := got.win.Load(), want.win.Load()
-	if !sets.EqualInts(gw.abnormal, ww.abnormal) {
-		t.Fatalf("%s: abnormal %v, want %v", label, gw.abnormal, ww.abnormal)
+	if !sets.EqualInts(got.abnormal, want.abnormal) {
+		t.Fatalf("%s: abnormal %v, want %v", label, got.abnormal, want.abnormal)
 	}
-	gc, wc := gw.index.SortedCells(), ww.index.SortedCells()
+	gc, wc := got.index.SortedCells(), want.index.SortedCells()
 	if len(gc) != len(wc) {
 		t.Fatalf("%s: %d cells, want %d", label, len(gc), len(wc))
 	}
@@ -42,13 +40,13 @@ func assertDirsEqual(t *testing.T, label string, got, want *Directory) {
 			t.Fatalf("%s: cell %d ids %v, want %v", label, ci, gc[ci].Ids, wc[ci].Ids)
 		}
 	}
-	if !slices.Equal(gw.cellShard, ww.cellShard) {
+	if !slices.Equal(got.cellShard, want.cellShard) {
 		t.Fatalf("%s: shard annotations differ", label)
 	}
-	if !slices.Equal(gw.cellOf, ww.cellOf) {
+	if !slices.Equal(got.cellOf, want.cellOf) {
 		t.Fatalf("%s: id->cell records differ", label)
 	}
-	for _, j := range ww.abnormal {
+	for _, j := range want.abnormal {
 		gv, gst, gerr := got.View(j)
 		wv, wst, werr := want.View(j)
 		if gerr != nil || werr != nil {
@@ -176,9 +174,8 @@ func (s *windowSeq) advance(t *testing.T, moveFrac, churnFrac float64) (AdvanceS
 }
 
 // TestAdvanceMatchesFreshDirectory: across movement distributions and
-// churn fractions including 0% and 100%, warm and cold caches, the
-// advanced directory must match a fresh build cell for cell, view for
-// view, stat for stat.
+// churn fractions including 0% and 100%, the advanced directory must
+// match a fresh build cell for cell, view for view, stat for stat.
 func TestAdvanceMatchesFreshDirectory(t *testing.T) {
 	t.Parallel()
 
@@ -189,15 +186,6 @@ func TestAdvanceMatchesFreshDirectory(t *testing.T) {
 	for _, mode := range []string{"uniform", "clustered", "boundary", "coincident"} {
 		s := newWindowSeq(t, rng, 300, 0.03, mode)
 		for step, ch := range churns {
-			// Warm some block caches before every other advance: none may
-			// leak into the next window.
-			if step%2 == 1 {
-				for _, j := range s.dir.Abnormal() {
-					if _, _, err := s.dir.View(j); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
 			st, fresh := s.advance(t, ch.move, ch.churn)
 			label := fmt.Sprintf("%s step %d (move=%v churn=%v rebuilt=%v)",
 				mode, step, ch.move, ch.churn, st.Rebuilt)
@@ -262,22 +250,23 @@ func TestAdvanceErrors(t *testing.T) {
 
 	rng := stats.NewRNG(123)
 	s := newWindowSeq(t, rng, 50, 0.06, "uniform")
-	before := s.dir.win.Load()
+	before := *s.dir
 	if _, err := s.dir.Advance(nil, []int{1}, nil); err == nil {
 		t.Error("nil pair must fail")
 	}
-	pair := s.dir.win.Load().pair
+	pair := s.dir.pair
 	if _, err := s.dir.Advance(pair, []int{-1}, nil); err == nil {
 		t.Error("negative id must fail")
 	}
 	if _, err := s.dir.Advance(pair, []int{s.n + 5}, nil); err == nil {
 		t.Error("out-of-range id must fail")
 	}
-	if s.dir.win.Load() != before {
+	if s.dir.pair != before.pair || s.dir.index != before.index ||
+		!slices.Equal(s.dir.abnormal, before.abnormal) || s.dir.r != before.r {
 		t.Error("failed Advance must leave the current window untouched")
 	}
 	// A failed advance must leave the directory fully serviceable.
-	if _, _, err := s.dir.View(s.dir.Abnormal()[0]); err != nil {
+	if _, _, err := s.dir.View(s.dir.abnormal[0]); err != nil {
 		t.Errorf("View after failed Advance: %v", err)
 	}
 }

@@ -56,12 +56,11 @@ func BenchmarkDirectoryBuild(b *testing.B) {
 }
 
 // BenchmarkDistDecide measures the distributed hot path: every abnormal
-// device of a window deciding on its fetched 4r view. The scenario
-// cases run batched on a warm block cache after the first iteration —
-// the steady serving state. The storm case indexes a fresh directory
-// every iteration, as the Monitor does per abnormal window, so it pays
-// the cold block splits and compares with BenchmarkCentralDecide on the
-// same window.
+// device of a window deciding on its fetched 4r view. Every iteration
+// builds the window's blocks and decides in one DecideAll; the scenario
+// cases reuse one directory, while the storm case indexes a fresh one
+// every iteration, as the Monitor does per abnormal window, and
+// compares with BenchmarkCentralDecide on the same window.
 func BenchmarkDistDecide(b *testing.B) {
 	for _, bc := range benchConfigs {
 		b.Run(bc.name, func(b *testing.B) {

@@ -10,34 +10,6 @@ import (
 	"anomalia/internal/par"
 )
 
-// Decide runs the local characterization for abnormal device j against
-// the directory: fetch the 4r view, run core's decision procedures
-// (Theorems 5-7 / Corollary 8) over that view alone, and report the
-// communication bill. The verdict is identical to the omniscient one by
-// the paper's locality result. The current window is snapshotted once
-// at entry, so a concurrent Advance cannot tear the decision across two
-// windows.
-func Decide(d *Directory, j int, cfg core.Config) (core.Result, Stats, error) {
-	if err := d.checkRadius(cfg); err != nil {
-		return core.Result{}, Stats{}, err
-	}
-	w := d.win.Load()
-	pos, ok := slices.BinarySearch(w.abnormal, j)
-	if !ok {
-		return core.Result{}, Stats{}, fmt.Errorf("device %d: %w", j, ErrUnknownDevice)
-	}
-	view, st := d.view(w, j, pos)
-	c, err := core.New(w.pair, view, cfg)
-	if err != nil {
-		return core.Result{}, Stats{}, err
-	}
-	res, err := c.Characterize(j)
-	if err != nil {
-		return core.Result{}, Stats{}, err
-	}
-	return res, st, nil
-}
-
 // checkRadius rejects decision configs whose locality requirement the
 // directory cannot serve: a verdict at radius R needs the full 4R
 // neighbourhood, so the directory must have been built for a radius at
@@ -56,45 +28,36 @@ type Decision struct {
 	Stats  Stats
 }
 
-// DecideAll characterizes every indexed abnormal device of the current
+// DecideAll characterizes every indexed abnormal device of the
 // window: DecideRange over the whole sorted abnormal set.
 func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
-	w := d.win.Load()
-	return d.decideRange(w, cfg, 0, len(w.abnormal))
+	return DecideRange(d, cfg, 0, len(d.abnormal))
 }
 
-// DecideRange characterizes positions [from, to) of the current
-// window's sorted abnormal set — the contiguous slice one directory
-// shard serves — batching the work: the range's cold blocks are built
-// on parallel workers; a cell whose block has no remainder is keyed
-// once and all its members take the block's accepted slice as their
-// view, while the members of other cells assemble theirs in one
-// recycled scratch buffer (a view only materializes when it opens a
-// new group); devices with identical views (the common case for a
-// compact massive event) share one characterizer so each neighbourhood
-// is enumerated once; and the view groups run on parallel workers
-// writing disjoint slots of the result slice. Slot
+// DecideRange characterizes positions [from, to) of the window's
+// sorted abnormal set — the contiguous slice one directory shard
+// serves — batching the work: the blocks of the range's cells are built
+// on parallel workers into one slab the call owns; a cell whose block
+// has no remainder is keyed once and all its members take the block's
+// accepted slice as their view, while the members of other cells
+// assemble theirs in one recycled scratch buffer (a view only
+// materializes when it opens a new group); devices with identical views
+// (the common case for a compact massive event) share one characterizer
+// so each neighbourhood is enumerated once; and the view groups run on
+// parallel workers writing disjoint slots of the result slice. Slot
 // pos-from holds the decision for device abnormal[pos], so decisions
-// come back in device order, with the range's summed Stats; every
-// per-device Result and Stats is identical to a standalone Decide call,
-// so the outputs of contiguous ranges concatenate to DecideAll's. The
-// whole batch runs against one window snapshot taken at entry: a
-// concurrent Advance never mixes two windows into one batch. When
-// devices fail to characterize, the error is the lowest failing
-// position's, whatever the worker count or schedule.
+// come back in device order, with the range's summed Stats; contiguous
+// ranges concatenate to DecideAll's output. When devices fail to
+// characterize, the error is the lowest failing position's, whatever
+// the worker count or schedule.
 func DecideRange(d *Directory, cfg core.Config, from, to int) ([]Decision, Stats, error) {
-	w := d.win.Load()
-	if from < 0 || to < from || to > len(w.abnormal) {
-		return nil, Stats{}, fmt.Errorf("decide range [%d, %d) over %d abnormal devices", from, to, len(w.abnormal))
+	if from < 0 || to < from || to > len(d.abnormal) {
+		return nil, Stats{}, fmt.Errorf("decide range [%d, %d) over %d abnormal devices", from, to, len(d.abnormal))
 	}
-	return d.decideRange(w, cfg, from, to)
-}
-
-func (d *Directory) decideRange(w *window, cfg core.Config, from, to int) ([]Decision, Stats, error) {
 	// Validate the configuration up front: the per-group characterizers
 	// only exist when there are devices to decide, and an empty range
 	// must reject a bad config exactly like the centralized path does.
-	if _, err := core.New(w.pair, nil, cfg); err != nil {
+	if _, err := core.New(d.pair, nil, cfg); err != nil {
 		return nil, Stats{}, err
 	}
 	if err := d.checkRadius(cfg); err != nil {
@@ -105,6 +68,20 @@ func (d *Directory) decideRange(w *window, cfg core.Config, from, to int) ([]Dec
 		slots []int32 // result slots (position - from), ascending
 		stats []Stats
 	}
+	// The range's cells, each once in first-use order: local[ci] is
+	// cell ci's slot in cells, plus one (0 for a cell outside the
+	// range). Blocks are independent, so they are built on parallel
+	// workers up front and the grouping loop only reads them.
+	local := make([]int32, len(d.cellShard))
+	var cells []int32
+	for _, ci := range d.cellOf[from:to] {
+		if local[ci] == 0 {
+			cells = append(cells, ci)
+			local[ci] = int32(len(cells))
+		}
+	}
+	blocks := make([]block, len(cells))
+	par.Each(len(cells), 0, func(k int) { d.buildBlock(int(cells[k]), &blocks[k]) })
 	// A cell whose block has no remainder gives all its members one
 	// view, so its group and bill are found once, by its first member
 	// in the range, and reused by the rest.
@@ -112,34 +89,23 @@ func (d *Directory) decideRange(w *window, cfg core.Config, from, to int) ([]Dec
 		g  *group
 		st Stats
 	}
-	picks := make([]cellPick, len(w.blocks))
-	// Blocks are independent, so the range's cold ones are built on
-	// parallel workers up front and the grouping loop only reads them.
-	seen := make([]bool, len(w.blocks))
-	var cold []int32
-	for _, ci := range w.cellOf[from:to] {
-		if !seen[ci] && w.blocks[ci].Load() == nil {
-			seen[ci] = true
-			cold = append(cold, ci)
-		}
-	}
-	par.Each(len(cold), 0, func(k int) { d.blockFor(w, int(cold[k])) })
+	picks := make([]cellPick, len(cells))
 	groups := make(map[string]*group)
 	order := make([]*group, 0)
 	var scratch []int
 	var keyBuf []byte
 	for pos := from; pos < to; pos++ {
 		slot := int32(pos - from)
-		ci := int(w.cellOf[pos])
-		if p := picks[ci]; p.g != nil {
+		k := local[d.cellOf[pos]] - 1
+		if p := picks[k]; p.g != nil {
 			p.g.slots = append(p.g.slots, slot)
 			p.g.stats = append(p.g.stats, p.st)
 			continue
 		}
-		b := d.blockFor(w, ci)
+		b := &blocks[k]
 		view := b.cands
 		if len(b.rest) > 0 {
-			scratch = b.appendView(scratch[:0], w.pair, w.abnormal[pos], d.viewR)
+			scratch = b.appendView(scratch[:0], d.pair, d.abnormal[pos], d.viewR)
 			view = scratch
 		}
 		st := viewStats(b, len(view))
@@ -158,7 +124,7 @@ func (d *Directory) decideRange(w *window, cfg core.Config, from, to int) ([]Dec
 			order = append(order, g)
 		}
 		if len(b.rest) == 0 {
-			picks[ci] = cellPick{g: g, st: st}
+			picks[k] = cellPick{g: g, st: st}
 		}
 		g.slots = append(g.slots, slot)
 		g.stats = append(g.stats, st)
@@ -180,13 +146,13 @@ func (d *Directory) decideRange(w *window, cfg core.Config, from, to int) ([]Dec
 	}
 	par.Each(len(order), 0, func(gi int) {
 		g := order[gi]
-		c, err := core.New(w.pair, g.view, cfg)
+		c, err := core.New(d.pair, g.view, cfg)
 		if err != nil {
 			fail(g.slots[0], err)
 			return
 		}
 		for i, slot := range g.slots {
-			j := w.abnormal[from+int(slot)]
+			j := d.abnormal[from+int(slot)]
 			res, err := c.Characterize(j)
 			if err != nil {
 				fail(slot, fmt.Errorf("device %d: %w", j, err))

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"anomalia/internal/grid"
 	"anomalia/internal/motion"
@@ -18,11 +17,11 @@ import (
 // on every machine for a given window — the cost tables must reproduce.
 const numShards = 16
 
-// block is the cached answer to "which abnormal devices are in the 4r
-// view of a device sitting in this cell". Its candidates are the
-// devices of the occupied cells at Chebyshev cell distance <= reach,
-// and fill places each against the member box of the cell's own
-// devices at k-1 and at k, as one of three kinds:
+// block is the answer to "which abnormal devices are in the 4r view of
+// a device sitting in this cell". Its candidates are the devices of the
+// occupied cells at Chebyshev cell distance <= reach, and fill places
+// each against the member box of the cell's own devices at k-1 and at
+// k, as one of three kinds:
 //
 //   - accepted: within 4r of both box corners on every axis at both
 //     times, so in every member's view;
@@ -38,24 +37,30 @@ type block struct {
 	rest   []int32 // positions in cands of the remainder candidates, ascending
 }
 
-// window is the immutable per-window snapshot a Directory serves: the
-// state pair, the sorted abnormal set, the spatial index of the abnormal
-// k-1 positions, and the per-cell annotations aligned with the index's
-// key-sorted cell order. Everything but the block-cache pointers is
-// read-only after construction, and each pointer is written once (first
-// writer wins), so a window is safe for any number of concurrent
-// readers; Advance publishes a freshly built window with a single
-// pointer swap, leaving in-flight readers on the old one.
-type window struct {
+// Directory is the directory service of one observation window: the
+// state pair, the sorted abnormal set A_k, a spatial index of the
+// abnormal k-1 positions, and per-cell annotations aligned with the
+// index's key-sorted cell order. It is read-only once built, so any
+// number of decisions may read it concurrently; each DecideRange call
+// builds the 4r blocks of its range's cells for itself.
+//
+// The cell geometry (side 2r from the shared grid package) is fixed at
+// construction, so shard assignment — FNV over cell coordinates — and
+// hence Stats stay a pure function of the window's content.
+type Directory struct {
+	r     float64     // consistency impact radius the index serves
+	geom  grid.Params // shared cell geometry: side 2r (one spanning cell when r = 0)
+	viewR float64     // view radius 4r
+	reach int         // cells per axis a view can span: ceil(viewR/side)+1
+
 	pair     *motion.Pair
 	abnormal []int       // sorted; membership and positions by binary search
-	index    *grid.Index // shared spatial index of the abnormal k-1 positions
-	// cellShard and blocks are aligned with the index's key-sorted cell
+	index    *grid.Index // spatial index of the abnormal k-1 positions
+	// cellShard and boxes are aligned with the index's key-sorted cell
 	// order; cellOf (the index's own id→cell record) with the sorted
 	// abnormal set, so a view query never recomputes coordinates or keys.
 	cellShard []uint8
 	cellOf    []int32
-	blocks    []atomic.Pointer[block]
 	// boxes holds each cell's member box, 4·dim floats per cell: the
 	// low then the high corner of its devices at k-1, then the same at
 	// k. A NaN coordinate poisons its axis of the box.
@@ -63,29 +68,9 @@ type window struct {
 }
 
 // box returns occupied cell ci's member box.
-func (w *window) box(ci int) []float64 {
-	n := 4 * w.pair.Dim()
-	return w.boxes[ci*n : (ci+1)*n]
-}
-
-// Directory is the directory service of one observation window: it
-// indexes the window's abnormal trajectories by grid cell and serves
-// 4r-view queries against them. The window lives in an immutable
-// snapshot behind one atomic pointer: readers (Decide, DecideAll, View)
-// load it once per operation and therefore always see one coherent
-// window, never a torn mix of two, while Advance swaps in a successor.
-//
-// The cell geometry (side 2r from the shared grid package) is fixed at
-// construction, so shard assignment — FNV over cell coordinates — and
-// hence Stats stay a pure function of each window's content.
-type Directory struct {
-	r     float64     // consistency impact radius the index serves
-	geom  grid.Params // shared cell geometry: side 2r (one spanning cell when r = 0)
-	viewR float64     // view radius 4r
-	reach int         // cells per axis a view can span: ceil(viewR/side)+1
-	win   atomic.Pointer[window]
-	built atomic.Int64
-	hits  atomic.Int64
+func (d *Directory) box(ci int) []float64 {
+	n := 4 * d.pair.Dim()
+	return d.boxes[ci*n : (ci+1)*n]
 }
 
 // AdvanceStats reports how one Advance transitioned the directory.
@@ -95,15 +80,15 @@ type AdvanceStats struct {
 	Rebuilt bool
 }
 
-// NewDirectory builds the directory service and indexes one window: pair holds the two snapshots, abnormal is A_k, and r is the
-// consistency impact radius the index serves (the paper's r in
-// [0, 1/4)). The cell geometry comes from the shared grid package —
-// side 2r, so a 4r view spans two cells per axis; the degenerate r = 0
-// keeps one cell spanning E and views shrink to exactly-coincident
-// devices. Shards own occupied cells by key hash, so the shard fan-out
-// (and hence Stats) is a pure function of the window. Build one
-// directory per abnormal window: consecutive abnormal sets barely
-// overlap, because a_k(j) flags a change between windows, not a
+// NewDirectory indexes one window: pair holds the two snapshots,
+// abnormal is A_k, and r is the consistency impact radius the index
+// serves (the paper's r in [0, 1/4)). The cell geometry comes from the
+// shared grid package — side 2r, so a 4r view spans two cells per axis;
+// the degenerate r = 0 keeps one cell spanning E and views shrink to
+// exactly-coincident devices. Shards own occupied cells by key hash, so
+// the shard fan-out (and hence Stats) is a pure function of the window.
+// Build one directory per abnormal window: consecutive abnormal sets
+// barely overlap, because a_k(j) flags a change between windows, not a
 // standing state.
 func NewDirectory(pair *motion.Pair, abnormal []int, r float64) (*Directory, error) {
 	if pair == nil {
@@ -117,6 +102,8 @@ func NewDirectory(pair *motion.Pair, abnormal []int, r float64) (*Directory, err
 		return nil, err
 	}
 	geom := grid.ForRadius(r)
+	ix := grid.New(pair.Prev, ids, geom)
+	cells := ix.SortedCells()
 	d := &Directory{
 		r:     r,
 		geom:  geom,
@@ -126,9 +113,17 @@ func NewDirectory(pair *motion.Pair, abnormal []int, r float64) (*Directory, err
 		// boundary can shift a computed cell by one, and a view member
 		// silently dropped here would break the verdict-identity
 		// guarantee the agreement tests check.
-		reach: int(math.Ceil(4*r/geom.Side)) + 1,
+		reach:     int(math.Ceil(4*r/geom.Side)) + 1,
+		pair:      pair,
+		abnormal:  ids,
+		index:     ix,
+		cellShard: make([]uint8, len(cells)),
+		cellOf:    ix.CellIndexes(),
+		boxes:     cellBoxes(pair, cells),
 	}
-	d.win.Store(d.freshWindow(pair, ids))
+	for ci := range cells {
+		d.cellShard[ci] = uint8(shardOfCoords(cells[ci].Coords))
+	}
 	return d, nil
 }
 
@@ -156,29 +151,8 @@ func canonAbnormal(pair *motion.Pair, abnormal []int) ([]int, error) {
 	return ids, nil
 }
 
-// freshWindow indexes the abnormal k-1 positions of a window and
-// assembles it around the index: every cell's shard is hashed and its
-// member box computed, and the block cache starts cold.
-func (d *Directory) freshWindow(pair *motion.Pair, ids []int) *window {
-	ix := grid.New(pair.Prev, ids, d.geom)
-	cells := ix.SortedCells()
-	w := &window{
-		pair:      pair,
-		abnormal:  ids,
-		index:     ix,
-		cellShard: make([]uint8, len(cells)),
-		cellOf:    ix.CellIndexes(),
-		blocks:    make([]atomic.Pointer[block], len(cells)),
-		boxes:     cellBoxes(pair, cells),
-	}
-	for ci := range cells {
-		w.cellShard[ci] = uint8(shardOfCoords(cells[ci].Coords))
-	}
-	return w
-}
-
 // cellBoxes computes the member box of every occupied cell, in the
-// layout window.boxes documents.
+// layout Directory.boxes documents.
 func cellBoxes(pair *motion.Pair, cells []grid.Cell) []float64 {
 	d := pair.Dim()
 	boxes := make([]float64, 4*d*len(cells))
@@ -203,40 +177,17 @@ func cellBoxes(pair *motion.Pair, cells []grid.Cell) []float64 {
 	return boxes
 }
 
-// Advance indexes the next observation window from scratch and
-// publishes it with one atomic swap: concurrent Decide / DecideAll /
-// View calls observe either the previous window or the new one in full,
-// never a torn mix. It is NewDirectory on the directory's radius, kept
-// with its three-argument signature only because benchmark/trace.go
-// calls it; moved is ignored. Advance is not safe to call concurrently
-// with another Advance, and callers who advance while decisions are in
-// flight must keep the previous window's states intact until those
-// decisions drain.
+// Advance replaces d with a directory indexing the next window at d's
+// radius: NewDirectory, kept with its three-argument signature only
+// because benchmark/trace.go calls it; moved is ignored. On error d is
+// left as it was.
 func (d *Directory) Advance(pair *motion.Pair, abnormal []int, moved []int) (AdvanceStats, error) {
-	if pair == nil {
-		return AdvanceStats{}, fmt.Errorf("nil pair: %w", ErrConfig)
-	}
-	ids, err := canonAbnormal(pair, abnormal)
+	nd, err := NewDirectory(pair, abnormal, d.r)
 	if err != nil {
 		return AdvanceStats{}, err
 	}
-	d.win.Store(d.freshWindow(pair, ids))
+	*d = *nd
 	return AdvanceStats{Rebuilt: true}, nil
-}
-
-// Abnormal returns the sorted abnormal set of the directory's current
-// window. Ownership rule (shared with motion.Graph.Ids and
-// core.Characterizer.Abnormal): the slice aliases the directory's
-// internal state — callers must treat it as read-only.
-func (d *Directory) Abnormal() []int { return d.win.Load().abnormal }
-
-// CacheStats reports the block cache behaviour across the directory's
-// lifetime: blocks computed (misses) and lookups answered from cache
-// (hits). Co-located deciding devices share blocks, so built stays
-// bounded by the number of occupied cells no matter how many devices a
-// massive event touches.
-func (d *Directory) CacheStats() (built, hits int64) {
-	return d.built.Load(), d.hits.Load()
 }
 
 // shardOfCoords assigns a cell to its owning shard: FNV-1a over the
@@ -260,59 +211,46 @@ func shardOfCoords(coords []int) int {
 	return int(h % numShards)
 }
 
-// blockFor returns the candidate block centered on the ci-th occupied
-// cell of window w, computing and caching it on first use (first writer
-// wins; every other caller counts a hit, like the sync.Map LoadOrStore
-// it replaced). A device within viewR = 2*side of the center cell's
+// buildBlock builds into b the candidate block centered on the ci-th
+// occupied cell. A device within viewR = 2*side of the center cell's
 // occupants sits at most 2 cells away per axis in exact arithmetic
 // (reach adds one cell of floating-point margin), so the block is the
-// occupied cells at Chebyshev distance <= reach. Both computation
-// strategies visit exactly those cells, so the candidates and the shard
-// fan-out — hence Stats — are identical.
-func (d *Directory) blockFor(w *window, ci int) *block {
-	if cached := w.blocks[ci].Load(); cached != nil {
-		d.hits.Add(1)
-		return cached
-	}
-	b := &block{}
-	cell := w.index.CellAt(ci)
-	occupied := w.index.Cells()
+// occupied cells at Chebyshev distance <= reach. Both strategies visit
+// exactly those cells, so the candidates and the shard fan-out — hence
+// Stats — are identical.
+func (d *Directory) buildBlock(ci int, b *block) {
+	cell := d.index.CellAt(ci)
+	occupied := d.index.Cells()
 	if grid.NeighborCells(len(cell.Coords), d.reach, occupied) <= occupied {
-		d.lookupBlock(w, cell.Coords, b)
+		d.lookupBlock(cell.Coords, b)
 	} else {
-		d.scanBlock(w, cell.Coords, b)
+		d.scanBlock(cell.Coords, b)
 	}
-	if w.blocks[ci].CompareAndSwap(nil, b) {
-		d.built.Add(1)
-		return b
-	}
-	d.hits.Add(1)
-	return w.blocks[ci].Load()
 }
 
 // lookupBlock builds a block by probing the neighbour cells of the
 // center coordinates directly — O((2*reach+1)^d) binary searches,
 // independent of how many cells the window occupies. Preferred whenever
 // the block is smaller than the occupied-cell population.
-func (d *Directory) lookupBlock(w *window, center []int, b *block) {
+func (d *Directory) lookupBlock(center []int, b *block) {
 	var cells []int32
-	w.index.ForEachNeighbor(center, d.reach, func(ci int, _ *grid.Cell) {
+	d.index.ForEachNeighbor(center, d.reach, func(ci int, _ *grid.Cell) {
 		cells = append(cells, int32(ci))
 	})
-	d.fill(w, w.index.Find(center), cells, b)
+	d.fill(d.index.Find(center), cells, b)
 }
 
 // scanBlock builds a block by scanning every occupied cell — the
 // fallback when the neighbour-cell count explodes combinatorially with
 // the dimension.
-func (d *Directory) scanBlock(w *window, center []int, b *block) {
+func (d *Directory) scanBlock(center []int, b *block) {
 	var cells []int32
-	for ci, c := range w.index.SortedCells() {
+	for ci, c := range d.index.SortedCells() {
 		if grid.Chebyshev(c.Coords, center) <= d.reach {
 			cells = append(cells, int32(ci))
 		}
 	}
-	d.fill(w, w.index.Find(center), cells, b)
+	d.fill(d.index.Find(center), cells, b)
 }
 
 // candKind is where a block puts a candidate, or a whole cell of them.
@@ -365,20 +303,20 @@ func kindAt(plo, phi, qlo, qhi, own []float64, viewR float64) candKind {
 // a mixed one has each member placed on its own. The surviving lists,
 // each ascending, merge into the sorted cands, where the remainder
 // candidates are then located.
-func (d *Directory) fill(w *window, own int, cells []int32, b *block) {
-	dim := w.pair.Dim()
-	ownBox := w.box(own)
+func (d *Directory) fill(own int, cells []int32, b *block) {
+	dim := d.pair.Dim()
+	ownBox := d.box(own)
 	var hit [numShards]bool
 	bound := 0
 	kept := cells[:0]
 	for _, ci := range cells {
-		hit[w.cellShard[ci]] = true
-		nb := w.box(int(ci))
+		hit[d.cellShard[ci]] = true
+		nb := d.box(int(ci))
 		kind := kindAt(nb[:dim], nb[dim:2*dim], nb[2*dim:3*dim], nb[3*dim:], ownBox, d.viewR)
 		if kind == rejected {
 			continue
 		}
-		bound += len(w.index.CellAt(int(ci)).Ids)
+		bound += len(d.index.CellAt(int(ci)).Ids)
 		if kind == remainder {
 			ci = ^ci // mixed: place its members one by one
 		}
@@ -404,10 +342,10 @@ func (d *Directory) fill(w *window, own int, cells []int32, b *block) {
 	var restIds []int
 	for ri, ci := range kept {
 		if ci >= 0 {
-			n += copy(src[n:], w.index.CellAt(int(ci)).Ids)
+			n += copy(src[n:], d.index.CellAt(int(ci)).Ids)
 		} else {
-			for _, i := range w.index.CellAt(int(^ci)).Ids {
-				p, q := w.pair.Prev.At(i), w.pair.Cur.At(i)
+			for _, i := range d.index.CellAt(int(^ci)).Ids {
+				p, q := d.pair.Prev.At(i), d.pair.Cur.At(i)
 				switch kindAt(p, p, q, q, ownBox, d.viewR) {
 				case rejected:
 					continue
@@ -457,31 +395,13 @@ func mergeRuns(src, dst []int, ends []int32) {
 				break
 			}
 			mid, hi := int(ends[i]), int(ends[i+1])
-			mergeInts(dst[lo:hi], src[lo:mid], src[mid:hi])
+			sets.UnionIntsInto(dst[lo:lo], src[lo:mid], src[mid:hi])
 			next = append(next, ends[i+1])
 			lo = hi
 		}
 		ends = next
 		src, dst = dst, src
 	}
-}
-
-// mergeInts merges the ascending, disjoint x and y into dst, which has
-// length len(x)+len(y).
-func mergeInts(dst, x, y []int) {
-	i, j, k := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		if y[j] < x[i] {
-			dst[k] = y[j]
-			j++
-		} else {
-			dst[k] = x[i]
-			i++
-		}
-		k++
-	}
-	k += copy(dst[k:], x[i:])
-	copy(dst[k:], y[j:])
 }
 
 // appendView appends to dst the view of member j of the block's cell:
@@ -518,27 +438,4 @@ func within(a, b []float64, lim float64) bool {
 // one request plus one response per shard owning part of the block.
 func viewStats(b *block, size int) Stats {
 	return Stats{Messages: 1 + b.shards, Trajectories: size - 1, ViewSize: size}
-}
-
-// View returns the 4r view of abnormal device j in the current window:
-// every indexed device within uniform-norm distance 4r of j at both
-// window endpoints (j included), plus the communication bill of
-// fetching it. The paper's locality result guarantees this view
-// suffices to characterize j.
-func (d *Directory) View(j int) ([]int, Stats, error) {
-	w := d.win.Load()
-	pos, ok := slices.BinarySearch(w.abnormal, j)
-	if !ok {
-		return nil, Stats{}, fmt.Errorf("device %d: %w", j, ErrUnknownDevice)
-	}
-	view, st := d.view(w, j, pos)
-	return view, st, nil
-}
-
-// view returns a fresh copy of the 4r view of abnormal device j, known
-// to sit at position pos of window w's sorted abnormal set.
-func (d *Directory) view(w *window, j, pos int) ([]int, Stats) {
-	b := d.blockFor(w, int(w.cellOf[pos]))
-	view := b.appendView(make([]int, 0, len(b.cands)), w.pair, j, d.viewR)
-	return view, viewStats(b, len(view))
 }

@@ -3,9 +3,11 @@ package dist
 import (
 	"errors"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"testing"
 
+	"anomalia/internal/core"
 	"anomalia/internal/grid"
 	"anomalia/internal/motion"
 	"anomalia/internal/scenario"
@@ -49,7 +51,7 @@ func pairOf(t *testing.T, prev, cur [][]float64) *motion.Pair {
 	return pair
 }
 
-// TestViewMatchesBruteForce: the sharded, cached lookup must return
+// TestViewMatchesBruteForce: the sharded block lookup must return
 // exactly the devices within 4r at both window endpoints — the set the
 // brute-force scan finds.
 func TestViewMatchesBruteForce(t *testing.T) {
@@ -89,8 +91,8 @@ func TestViewMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestViewStatsStable: refetching the same view (cache hit) must bill
-// the same logical cost — stats never depend on cache state.
+// TestViewStatsStable: refetching the same view must bill the same
+// logical cost — stats are a pure function of the window.
 func TestViewStatsStable(t *testing.T) {
 	t.Parallel()
 
@@ -118,8 +120,9 @@ func TestViewStatsStable(t *testing.T) {
 	}
 }
 
-// TestBlockCacheShared: devices in the same cell share one cached block,
-// so a compact massive event costs one block build, not one per device.
+// TestBlockCacheShared: the members of a compact massive event share
+// one cell, hence one block with no remainder, so DecideAll bills every
+// member the same and every member's view is the whole event.
 func TestBlockCacheShared(t *testing.T) {
 	t.Parallel()
 
@@ -142,17 +145,30 @@ func TestBlockCacheShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if dir.cellOf[0] != dir.cellOf[n-1] {
+		t.Fatalf("fixture: devices span cells %v, want one", dir.cellOf)
+	}
+	var b block
+	dir.buildBlock(int(dir.cellOf[0]), &b)
+	if len(b.rest) != 0 {
+		t.Errorf("the event's block has remainder %v, want none", b.rest)
+	}
+	decs, _, err := DecideAll(dir, core.Config{R: 0.06, Tau: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Messages: decs[0].Stats.Messages, Trajectories: n - 1, ViewSize: n}
 	for _, j := range abnormal {
-		if _, _, err := dir.View(j); err != nil {
+		view, st, err := dir.View(j)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	built, hits := dir.CacheStats()
-	if built > 2 {
-		t.Errorf("co-located devices built %d blocks, want <= 2", built)
-	}
-	if hits < int64(n)-built {
-		t.Errorf("expected >= %d cache hits, got %d", int64(n)-built, hits)
+		if !slices.Equal(view, abnormal) {
+			t.Errorf("device %d: view %v, want the whole event", j, view)
+		}
+		if st != want || decs[j].Stats != want {
+			t.Errorf("device %d: View bills %+v, DecideAll %+v, want %+v", j, st, decs[j].Stats, want)
+		}
 	}
 }
 
@@ -171,12 +187,11 @@ func TestBlockStrategiesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := dir.win.Load()
 	for _, j := range step.Abnormal {
 		center := dir.geom.Coords(step.Pair.Prev.At(j), nil)
 		var lookup, scan block
-		dir.lookupBlock(w, center, &lookup)
-		dir.scanBlock(w, center, &scan)
+		dir.lookupBlock(center, &lookup)
+		dir.scanBlock(center, &scan)
 		sort.Ints(lookup.cands)
 		sort.Ints(scan.cands)
 		if !sets.EqualInts(lookup.cands, scan.cands) {
@@ -218,8 +233,8 @@ func TestDirectoryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dir.View(1); !errors.Is(err, ErrUnknownDevice) {
-		t.Errorf("unindexed device: got %v, want ErrUnknownDevice", err)
+	if _, _, err := dir.View(1); !errors.Is(err, errUnknownDevice) {
+		t.Errorf("unindexed device: got %v, want errUnknownDevice", err)
 	}
 }
 
@@ -233,7 +248,7 @@ func TestEmptyDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dir.Abnormal(); len(got) != 0 {
+	if got := dir.abnormal; len(got) != 0 {
 		t.Errorf("empty directory indexes %v", got)
 	}
 }

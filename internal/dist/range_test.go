@@ -18,7 +18,7 @@ import (
 func groupCut(t *testing.T, dir *Directory) int {
 	t.Helper()
 	first := make(map[string]int)
-	for pos, j := range dir.Abnormal() {
+	for pos, j := range dir.abnormal {
 		view, _, err := dir.View(j)
 		if err != nil {
 			t.Fatal(err)

@@ -184,12 +184,12 @@ func TestViewBoundaries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				w := dir.win.Load()
-				if w.cellOf[0] != w.cellOf[1] || w.cellOf[2] == w.cellOf[0] ||
-					(withCompanion && w.cellOf[3] != w.cellOf[2]) {
-					t.Fatalf("%s: fixture cells %v: members must share a cell, the candidate and companion another", label, w.cellOf)
+				if dir.cellOf[0] != dir.cellOf[1] || dir.cellOf[2] == dir.cellOf[0] ||
+					(withCompanion && dir.cellOf[3] != dir.cellOf[2]) {
+					t.Fatalf("%s: fixture cells %v: members must share a cell, the candidate and companion another", label, dir.cellOf)
 				}
-				b := dir.blockFor(w, int(w.cellOf[0]))
+				var b block
+				dir.buildBlock(int(dir.cellOf[0]), &b)
 				p, in := slices.BinarySearch(b.cands, 2)
 				got := rejected
 				if in {

@@ -111,14 +111,14 @@ func DistCost(cfg DistCostConfig) (*Table, error) {
 			wireWindows++
 
 			abnormal.Add(float64(len(step.Abnormal)))
-			for _, j := range step.Abnormal {
-				_, st, err := dist.Decide(dir, j, coreCfg)
-				if err != nil {
-					return nil, fmt.Errorf("A=%d device %d: %w", a, j, err)
-				}
-				msgs.Add(float64(st.Messages))
-				trajs.Add(float64(st.Trajectories))
-				views.Add(float64(st.ViewSize))
+			decisions, _, err := dist.DecideAll(dir, coreCfg)
+			if err != nil {
+				return nil, fmt.Errorf("A=%d window %d: %w", a, s, err)
+			}
+			for _, dec := range decisions {
+				msgs.Add(float64(dec.Stats.Messages))
+				trajs.Add(float64(dec.Stats.Trajectories))
+				views.Add(float64(dec.Stats.ViewSize))
 			}
 		}
 		wireStats := wireClient.Stats()

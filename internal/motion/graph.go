@@ -251,9 +251,9 @@ func resolveCellLocals(idx *grid.Index) *cellLocals {
 }
 
 // Ids returns the sorted device ids the graph covers. Ownership rule
-// (shared with Characterizer.Abnormal and Directory.Abnormal in their
-// packages): the slice aliases the graph's internal state — callers must
-// treat it as read-only and copy before modifying.
+// (shared with core's Characterizer.Abnormal): the slice aliases the
+// graph's internal state — callers must treat it as read-only and copy
+// before modifying.
 func (g *Graph) Ids() []int { return g.ids }
 
 // Len returns the number of vertices.

@@ -97,6 +97,12 @@ type DistStats struct {
 // form is the window record of MarshalJSON and UnmarshalJSON: reports
 // refer to a window-level table of dense motions, so a motion shared by
 // many devices is written once.
+//
+// An Outcome owns its memory. The working memory its window was decided
+// in is recycled for later windows once the window is decided, but the
+// Reports, the id lists and the dense motions are allocated for the
+// Outcome and never recycled, so an Outcome stays valid however many
+// windows follow it.
 type Outcome struct {
 	// Reports holds one entry per abnormal device, in device order.
 	Reports []Report `json:"reports"`
@@ -473,19 +479,28 @@ func Characterize(prev, cur [][]float64, abnormal []int, opts ...Option) (*Outco
 	return (&Monitor{cfg: cfg}).characterizeWindow(pair, abnormal)
 }
 
-// addReport appends one device's result, folding its verdict into the
-// M_k / I_k / U_k sets.
-func (o *Outcome) addReport(res core.Result) {
-	rep := toReport(res)
-	o.Reports = append(o.Reports, rep)
-	switch rep.Class {
-	case Massive:
-		o.Massive = append(o.Massive, rep.Device)
-	case Isolated:
-		o.Isolated = append(o.Isolated, rep.Device)
-	default:
-		o.Unresolved = append(o.Unresolved, rep.Device)
+// classify folds the Reports' verdicts into the M_k / I_k / U_k sets,
+// in report order. The three sets share one array sized to the Reports,
+// each capped at its own length; a class no device reached stays nil.
+func (o *Outcome) classify() {
+	var n [Unresolved + 1]int
+	for i := range o.Reports {
+		n[o.Reports[i].Class]++
 	}
+	ids := make([]int, len(o.Reports))
+	var byClass [Unresolved + 1][]int
+	at := 0
+	for c, k := range n {
+		if k > 0 {
+			byClass[c] = ids[at : at : at+k]
+			at += k
+		}
+	}
+	for i := range o.Reports {
+		c := o.Reports[i].Class
+		byClass[c] = append(byClass[c], o.Reports[i].Device)
+	}
+	o.Massive, o.Isolated, o.Unresolved = byClass[Massive], byClass[Isolated], byClass[Unresolved]
 }
 
 // outcomeFromDecisions folds one window's decisions — computed
@@ -493,16 +508,17 @@ func (o *Outcome) addReport(res core.Result) {
 // an Outcome with the summed directory traffic.
 func outcomeFromDecisions(decisions []dist.Decision, total dist.Stats) *Outcome {
 	out := &Outcome{
-		Reports: make([]Report, 0, len(decisions)),
+		Reports: make([]Report, len(decisions)),
 		Dist: &DistStats{
 			Messages:     total.Messages,
 			Trajectories: total.Trajectories,
 			ViewSize:     total.ViewSize,
 		},
 	}
-	for _, dec := range decisions {
-		out.addReport(dec.Result)
+	for i := range decisions {
+		out.Reports[i] = toReport(decisions[i].Result)
 	}
+	out.classify()
 	return out
 }
 
@@ -522,6 +538,7 @@ func CharacterizeDevice(prev, cur [][]float64, abnormal []int, device int, opts 
 	if err != nil {
 		return Report{}, err
 	}
+	defer char.Release()
 	res, err := char.Characterize(device)
 	if err != nil {
 		return Report{}, err

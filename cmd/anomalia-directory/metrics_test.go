@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"anomalia"
 	"anomalia/internal/dirnet"
@@ -76,6 +77,11 @@ func TestDirectoryMetricsEndpoint(t *testing.T) {
 	}
 	if out == nil {
 		t.Fatal("shaken window produced no abnormal outcome — no wire traffic to count")
+	}
+	// The server counts a response's bytes once its write returns, which
+	// may be after the client has read them: wait for that count.
+	for deadline := time.Now().Add(2 * time.Second); b.srv.Counters().BytesWritten == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 
 	resp, err := http.Get(url)

@@ -150,11 +150,10 @@
 // inner loop per row that checks finiteness (a running sum of v−v,
 // NaN exactly when a value is not), clamps and keeps the row's largest
 // jump, so a clean row detected on is flagged by one comparison with
-// delta; no width gets a loop of its own. On a 2-core x86-64 box,
-// three benchgate runs read the quiet n = 1M, d = 2 bank tick
-// (BenchmarkTickIngestDetect1M) at 9.7–12.7 ms, 0.32–0.47x the same
-// tick on the per-device bank; with a per-device loop over State.At
-// slots it read 13.1–19.1 ms, 0.43–0.67x. The bank holds one trained
+// delta; no width gets a loop of its own. On a shared 2-core x86-64
+// box, nine benchgate repetitions read the quiet n = 1M, d = 2 bank
+// tick (BenchmarkTickIngestDetect1M) at 5.6–12.3 ms, 0.38–0.67x (median
+// 0.45x) the same tick on the per-device bank. The bank holds one trained
 // byte per device, read until a tick has fed every device. A strict
 // pass writes nothing but the next state, which a rejected tick never
 // promotes. Every tick is
@@ -344,10 +343,29 @@
 //     counters to the whole window, across placement families,
 //     adjacency representations and exact modes; a transcription of
 //     the earlier per-neighbour split pins the family path to it.
-//   - Monitor recycles the displaced snapshot as the next window's
-//     buffer and reuses the abnormal-id slice, so steady-state
-//     observation does not grow the heap per snapshot; the detector
-//     pass reuses its per-shard flag buffers the same way, so a quiet
+//   - A window allocates little beyond the Outcome it returns. The
+//     Monitor characterizes each abnormal device straight into the
+//     Outcome's Reports and sizes the M_k / I_k / U_k lists once. The
+//     working memory a window is decided in — the characterizer's
+//     tables, the motion graph's slabs and labelling, a directory's
+//     index, a shard request's decoded rows — goes back to package
+//     sync.Pools once the window is decided: by the Monitor, by each
+//     view group of a directory decision and by each shard request.
+//     The graph build's own memory, its flattened window, cell lists
+//     and grid index, goes back as soon as the graph is built, so a
+//     graph holds only what it serves. The pools return idle
+//     memory to the heap at GC, so the retained heap does not grow,
+//     and nothing an Outcome, a core.Result or a dist.Decision holds
+//     is recycled (TestOutcomeOwnsItsMemory; the motion-graph and
+//     characterization fuzz targets rebuild every input on dirty
+//     recycled memory). Over ten interleaved pairs of benchmark runs,
+//     a storm-200k tick allocates 1.12 MB against 2.13 MB before
+//     (medians), and BenchmarkCentralDecide's storm window 0.48 MB
+//     against 1.01 MB, of which 0.39 MB is the []Result that
+//     CharacterizeAll returns and the Monitor no longer builds. The
+//     Monitor also recycles the displaced snapshot as the next
+//     window's buffer and reuses the abnormal-id slice, and the
+//     detector pass reuses its per-shard flag buffers, so a quiet
 //     tick allocates nothing per device (BenchmarkTickIngestDetect1M).
 //   - The default Threshold detectors are a column bank, not 2M heap
 //     detectors behind 1M Devices: a detector's previous sample is its

@@ -21,9 +21,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"anomalia/internal/motion"
 	"anomalia/internal/sets"
+	"anomalia/internal/slab"
 )
 
 // Class is the verdict a device reaches about the anomaly that hit it.
@@ -119,6 +121,17 @@ type Config struct {
 // DefaultBudget bounds the exact-search effort per device.
 const DefaultBudget = 10_000_000
 
+// Validate reports the error New returns for cfg whatever the window.
+func (cfg Config) Validate() error {
+	if err := motion.ValidateRadius(cfg.R); err != nil {
+		return err
+	}
+	if cfg.Tau < 1 {
+		return fmt.Errorf("tau = %d must be >= 1: %w", cfg.Tau, ErrConfig)
+	}
+	return nil
+}
+
 // Cost records the work a device spent deciding, mirroring the counters
 // of Table III.
 type Cost struct {
@@ -138,7 +151,9 @@ type Cost struct {
 //
 // Dense, J and L are shared read-only with every device of the same
 // family — the devices whose W̄_k coincide (see Characterizer) — so
-// callers must copy them before modifying.
+// callers must copy them before modifying. They are allocated for the
+// window and never recycled: a Result outlives its Characterizer's
+// Release.
 type Result struct {
 	// Device is the device id.
 	Device int
@@ -169,11 +184,18 @@ type Result struct {
 // exact Theorem 7 / Corollary 8 search runs per device, because it
 // depends on j itself (adjacency to j, j ∉ B). The Results of one
 // family share their Dense, J and L slices read-only.
+//
+// A characterizer decides on one goroutine. Its working memory — the
+// motion graph New built, the per-device tables and the enumeration
+// scratch — goes back to package pools on Release, once the window is
+// decided; the Results stay valid.
 type Characterizer struct {
 	pair     *motion.Pair
 	abnormal []int
 	cfg      Config
 	graph    *motion.Graph
+	// ownGraph is set when New built the graph, so Release recycles it.
+	ownGraph bool
 	// comps is the connected-component decomposition of the motion graph.
 	// Every set a decision for device j consults lives inside j's
 	// component, so the motion and split bitsets are sized to the
@@ -184,7 +206,15 @@ type Characterizer struct {
 	// component is not enumerated yet: every vertex lies in at least one
 	// maximal motion, so a filled slot has total >= 1.
 	memo []memoEntry
+	// at, trie and split are enumerateComponent's scratch, reused from
+	// one component to the next.
+	at    []int32
+	trie  []trieNode
+	split []*sets.Bits
 }
+
+// charPool holds the characterizers handed back by Release.
+var charPool = sync.Pool{New: func() any { return new(Characterizer) }}
 
 // memoEntry is the memoized enumeration of one device ℓ: its family
 // W̄_k(ℓ) and |M(ℓ)|, the maximal motions containing ℓ before density
@@ -223,39 +253,48 @@ func New(pair *motion.Pair, abnormal []int, cfg Config) (*Characterizer, error) 
 	if pair == nil {
 		return nil, fmt.Errorf("nil pair: %w", ErrConfig)
 	}
-	if err := motion.ValidateRadius(cfg.R); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Tau < 1 {
-		return nil, fmt.Errorf("tau = %d must be >= 1: %w", cfg.Tau, ErrConfig)
-	}
-	ids := sets.Canon(sets.CloneInts(abnormal))
-	for _, id := range ids {
+	for _, id := range abnormal {
 		if id < 0 || id >= pair.N() {
 			return nil, fmt.Errorf("abnormal device %d outside population of %d: %w", id, pair.N(), ErrConfig)
 		}
 	}
-	return newCharacterizer(pair, ids, cfg, motion.NewGraph(pair, ids, cfg.R)), nil
+	g := motion.NewGraph(pair, abnormal, cfg.R)
+	c := newCharacterizer(pair, g.Ids(), cfg, g)
+	c.ownGraph = true
+	return c, nil
 }
 
 // newCharacterizer wires a characterizer over an already-built motion
 // graph of the abnormal set (benchmarks reuse one read-only graph across
 // fresh characterizers; New builds it fresh).
 func newCharacterizer(pair *motion.Pair, ids []int, cfg Config, g *motion.Graph) *Characterizer {
-	return &Characterizer{
-		pair:     pair,
-		abnormal: ids,
-		cfg:      cfg,
-		graph:    g,
-		comps:    g.Components(),
-		memo:     make([]memoEntry, len(ids)),
+	c := charPool.Get().(*Characterizer)
+	c.pair, c.abnormal, c.cfg, c.graph, c.ownGraph = pair, ids, cfg, g, false
+	c.comps = g.Components()
+	c.memo = slab.Zeroed(c.memo, len(ids))
+	return c
+}
+
+// Release hands the characterizer's working memory back for later
+// windows: its tables and scratch, and the motion graph when New built
+// it. The characterizer and the slice Abnormal returned must not be
+// used after; every Result it returned stays valid.
+func (c *Characterizer) Release() {
+	if c.ownGraph {
+		c.graph.Release()
 	}
+	clear(c.memo) // drop the families, which Results may still share
+	c.pair, c.abnormal, c.graph, c.comps = nil, nil, nil, nil
+	charPool.Put(c)
 }
 
 // Abnormal returns the sorted abnormal set the characterizer covers.
 // Ownership rule (shared with motion.Graph.Ids): the slice aliases the
-// characterizer's internal state — callers must treat it as read-only
-// and copy before modifying.
+// characterizer's internal state — callers must treat it as read-only,
+// copy before modifying, and not keep it past Release.
 func (c *Characterizer) Abnormal() []int { return c.abnormal }
 
 // trieNode is a node of enumerateComponent's family trie. The path from
@@ -276,9 +315,9 @@ type trieNode struct {
 // D_k/J_k/L_k split and Theorem 6 outcome, and fills every member's memo
 // slot. One Bron–Kerbosch run serves the whole component, and each split
 // is computed once however many members share the family. Motion slices
-// and families are shared across the members (all read-only). Only the
-// members' own memo slots are written, so distinct components may be
-// enumerated concurrently.
+// and families are shared across the members (all read-only). It works
+// in the characterizer's shared scratch (the trie, at and split), so
+// components are enumerated one at a time, on one goroutine.
 func (c *Characterizer) enumerateComponent(comp int) {
 	verts := c.comps.Verts(comp)
 	if len(verts) == 1 {
@@ -293,8 +332,9 @@ func (c *Characterizer) enumerateComponent(comp int) {
 	// Each dense motion, in index order, moves its members one step down
 	// to the child for that motion, so members that end on one node have
 	// the same W̄_k.
-	at := make([]int32, len(verts))
-	trie := []trieNode{{}}
+	c.at = slab.Zeroed(c.at, len(verts))
+	at := c.at
+	trie := append(slab.Of(c.trie, 0), trieNode{})
 	for mi, mo := range moIds {
 		dense := motion.Dense(len(mo), c.cfg.Tau)
 		moBits[mi].ForEach(func(ri int) bool {
@@ -310,6 +350,7 @@ func (c *Characterizer) enumerateComponent(comp int) {
 			return true
 		})
 	}
+	c.trie = trie
 
 	// Number the families and lay their motion lists out in shared
 	// arenas, read back along each family node's path.
@@ -360,8 +401,13 @@ func (c *Characterizer) enumerateComponent(comp int) {
 // over component ranks, which follow sorted device ids, so the id slices
 // come out sorted.
 func (c *Characterizer) splitFamilies(comp int, fams []family, famOf func(ri int) *family) {
-	scratch := sets.NewBitsRows(3, c.comps.Size(comp))
-	dk, jb, lb := scratch[0], scratch[1], scratch[2]
+	if c.split == nil {
+		c.split = []*sets.Bits{sets.NewBits(0), sets.NewBits(0), sets.NewBits(0)}
+	}
+	dk, jb, lb := c.split[0], c.split[1], c.split[2]
+	for _, b := range c.split {
+		b.Resize(c.comps.Size(comp))
+	}
 	for fi := range fams {
 		f := &fams[fi]
 		dk.Clear()

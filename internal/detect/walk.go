@@ -42,10 +42,21 @@ type Walker struct {
 	// Step that runs the health transitions.
 	deltas []health.Delta
 	clean  []bool
-	// job is the Step in flight, which stepShard reads. NewWalker binds
-	// stepShard once, so a Step allocates no closure to fan out.
-	job       stepJob
-	stepShard func(i, lo, hi int)
+	// job is the Step in flight, which stepShard reads, and cls the
+	// Classify in flight, which classifyShard reads. NewWalker binds
+	// both shard functions once, so neither fans out through a closure
+	// allocated per call.
+	job           stepJob
+	stepShard     func(i, lo, hi int)
+	cls           classifyJob
+	classifyShard func(i, lo, hi int)
+}
+
+// classifyJob holds the arguments of one Classify for its shards.
+type classifyJob struct {
+	devs    []*Device
+	samples [][]float64
+	clean   []bool
 }
 
 // stepJob holds the arguments of one bank Step for its shards.
@@ -69,6 +80,7 @@ func NewWalker(workers int) *Walker {
 		deltas:  make([]health.Delta, workers),
 	}
 	w.stepShard = w.runStep
+	w.classifyShard = w.runClassify
 	return w
 }
 
@@ -127,17 +139,28 @@ func rejectRow(samples [][]float64, clean []bool, width func(dev int) int) error
 // reporting an error. Returns the number of clean rows. len(samples)
 // and len(clean) must equal len(devs).
 func (w *Walker) Classify(devs []*Device, samples [][]float64, clean []bool) int {
-	_, n, _ := w.fan(len(devs), nil, func(lo, hi int, flagged []int) ([]int, int, error) {
-		c := 0
-		for dev := lo; dev < hi; dev++ {
-			clean[dev] = cleanRow(samples[dev], len(devs[dev].detectors))
-			if clean[dev] {
-				c++
-			}
-		}
-		return flagged, c, nil
-	})
+	w.cls = classifyJob{devs: devs, samples: samples, clean: clean}
+	workers := par.Ranges(len(devs), w.workers, minShard, w.classifyShard)
+	w.cls = classifyJob{} // hold no caller rows between calls
+	n := 0
+	for _, c := range w.counts[:workers] {
+		n += c
+	}
 	return n
+}
+
+// runClassify is classifyShard: it grades range i, [lo, hi), of the
+// Classify in w.cls and counts its clean rows into worker i's slot.
+func (w *Walker) runClassify(i, lo, hi int) {
+	j := &w.cls
+	c := 0
+	for dev := lo; dev < hi; dev++ {
+		j.clean[dev] = cleanRow(j.samples[dev], len(j.devs[dev].detectors))
+		if j.clean[dev] {
+			c++
+		}
+	}
+	w.counts[i] = c
 }
 
 // cleanRow reports whether row is present, want wide and finite in

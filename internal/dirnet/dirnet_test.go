@@ -546,8 +546,8 @@ func TestWindowCodecRoundTrip(t *testing.T) {
 	}
 	setRange(b, 1, 3)
 	w.from, w.to = 1, 3
-	got, err := decodeWindow(&cursor{b: b, off: 1})
-	if err != nil {
+	var got windowMsg
+	if err := decodeWindow(&cursor{b: b, off: 1}, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, w) {
@@ -555,7 +555,7 @@ func TestWindowCodecRoundTrip(t *testing.T) {
 	}
 	// Truncations at every prefix must error, never panic or hang.
 	for cut := 1; cut < len(b); cut++ {
-		if _, err := decodeWindow(&cursor{b: b[:cut], off: 1}); err == nil {
+		if err := decodeWindow(&cursor{b: b[:cut], off: 1}, new(windowMsg)); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"anomalia/internal/dist"
 	"anomalia/internal/motion"
+	"anomalia/internal/slab"
 	"anomalia/internal/space"
 )
 
@@ -170,9 +171,20 @@ func (s *Server) Close() {
 	clear(s.conns)
 }
 
+// request is the decoded window of one request and its local id list,
+// recycled through requestPool: nothing read from them outlives the
+// response, which is encoded before respond returns.
+type request struct {
+	w     windowMsg
+	local []int
+}
+
+var requestPool = sync.Pool{New: func() any { return new(request) }}
+
 // respond serves one request payload and appends the response to out:
 // decode the window, build its compact state pair and a directory over
-// it, and decide the requested slice.
+// it, and decide the requested slice. The decoded window and the
+// directory's index go back to their pools once the response is encoded.
 func (s *Server) respond(out, payload []byte) []byte {
 	if len(payload) == 0 {
 		return appendErr(out, errors.New("empty request"))
@@ -180,22 +192,25 @@ func (s *Server) respond(out, payload []byte) []byte {
 	if payload[0] != msgDecideWindow {
 		return appendErr(out, fmt.Errorf("unknown message type %#x", payload[0]))
 	}
-	w, err := decodeWindow(&cursor{b: payload, off: 1})
+	req := requestPool.Get().(*request)
+	defer requestPool.Put(req)
+	w := &req.w
+	if err := decodeWindow(&cursor{b: payload, off: 1}, w); err != nil {
+		return appendErr(out, err)
+	}
+	pair, err := compactPair(*w)
 	if err != nil {
 		return appendErr(out, err)
 	}
-	pair, err := compactPair(w)
+	req.local = slab.Of(req.local, len(w.ids))
+	for i := range req.local {
+		req.local[i] = i
+	}
+	dir, err := dist.NewDirectory(pair, req.local, w.cfg.R)
 	if err != nil {
 		return appendErr(out, err)
 	}
-	local := make([]int, len(w.ids))
-	for i := range local {
-		local[i] = i
-	}
-	dir, err := dist.NewDirectory(pair, local, w.cfg.R)
-	if err != nil {
-		return appendErr(out, err)
-	}
+	defer dir.Release()
 	decs, _, err := dist.DecideRange(dir, w.cfg, w.from, w.to)
 	if err != nil {
 		return appendErr(out, err)

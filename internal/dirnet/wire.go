@@ -11,6 +11,7 @@ import (
 	"anomalia/internal/core"
 	"anomalia/internal/dist"
 	"anomalia/internal/motiontable"
+	"anomalia/internal/slab"
 )
 
 // MaxFrame caps a frame's payload length in both directions (the same
@@ -219,32 +220,35 @@ func setRange(req []byte, from, to int) {
 	binary.LittleEndian.PutUint32(req[rangeOffset+4:], uint32(to))
 }
 
-// decodeWindow decodes a request body (type byte already consumed).
-// Every allocation is bounded by the payload length, never by the
-// declared n or d.
-func decodeWindow(c *cursor) (windowMsg, error) {
-	var w windowMsg
+// decodeWindow decodes a request body (type byte already consumed) into
+// w, reusing the arrays of w's ids and rows. Every allocation is bounded
+// by the payload length, never by the declared n or d.
+func decodeWindow(c *cursor, w *windowMsg) error {
 	w.cfg = decodeConfig(c)
 	w.from = int(c.u32())
 	w.to = int(c.u32())
 	w.n = int(c.u32())
 	w.d = int(c.u32())
 	m := c.count(4)
-	w.ids = c.ids(m)
+	w.ids = slab.Of(w.ids, m)
+	for i := range w.ids {
+		w.ids[i] = int(c.u32())
+	}
 	if w.d > 0 && m > (len(c.b)-c.off)/(16*w.d) {
 		c.bad = true
 	}
+	w.prev, w.cur = w.prev[:0], w.cur[:0]
 	if !c.bad {
-		w.prev = make([]float64, m*w.d)
+		w.prev = slab.Of(w.prev, m*w.d)
 		for i := range w.prev {
 			w.prev[i] = c.f64()
 		}
-		w.cur = make([]float64, m*w.d)
+		w.cur = slab.Of(w.cur, m*w.d)
 		for i := range w.cur {
 			w.cur[i] = c.f64()
 		}
 	}
-	return w, c.err()
+	return c.err()
 }
 
 func appendConfig(b []byte, cfg core.Config) []byte {

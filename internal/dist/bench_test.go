@@ -96,7 +96,8 @@ func BenchmarkDistDecide(b *testing.B) {
 
 // BenchmarkCentralDecide is the centralized twin of BenchmarkDistDecide's
 // storm case: one characterizer over the whole abnormal set of the same
-// window deciding every device.
+// window deciding every device, then handing its working memory back as
+// the Monitor does (DecideAll's view groups hand theirs back too).
 func BenchmarkCentralDecide(b *testing.B) {
 	b.Run("storm/m=3000", func(b *testing.B) {
 		pair, ids, r := stormWindow(b)
@@ -110,6 +111,7 @@ func BenchmarkCentralDecide(b *testing.B) {
 			if _, err := c.CharacterizeAll(); err != nil {
 				b.Fatal(err)
 			}
+			c.Release()
 		}
 	})
 }

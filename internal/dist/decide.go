@@ -57,7 +57,7 @@ func DecideRange(d *Directory, cfg core.Config, from, to int) ([]Decision, Stats
 	// Validate the configuration up front: the per-group characterizers
 	// only exist when there are devices to decide, and an empty range
 	// must reject a bad config exactly like the centralized path does.
-	if _, err := core.New(d.pair, nil, cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
 	if err := d.checkRadius(cfg); err != nil {
@@ -151,6 +151,9 @@ func DecideRange(d *Directory, cfg core.Config, from, to int) ([]Decision, Stats
 			fail(g.slots[0], err)
 			return
 		}
+		// The group's Results own their memory, so its characterizer
+		// goes back to the pool for the next group as soon as it is done.
+		defer c.Release()
 		for i, slot := range g.slots {
 			j := d.abnormal[from+int(slot)]
 			res, err := c.Characterize(j)

@@ -127,6 +127,14 @@ func NewDirectory(pair *motion.Pair, abnormal []int, r float64) (*Directory, err
 	return d, nil
 }
 
+// Release hands the directory's cell index back for later windows. The
+// directory must not be used after; the Decisions it returned stay
+// valid, for they alias none of its memory.
+func (d *Directory) Release() {
+	d.index.Release()
+	d.index, d.cellOf = nil, nil
+}
+
 // canonAbnormal clones the abnormal set into canonical form and
 // validates it against the pair's population — one fused pass when the
 // input is already canonical (every production caller's case), so a

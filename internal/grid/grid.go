@@ -27,9 +27,11 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"anomalia/internal/par"
+	"anomalia/internal/slab"
 	"anomalia/internal/space"
 )
 
@@ -258,7 +260,13 @@ type Index struct {
 	// fan holds ForEachNeighbor's offset fan for the reach it was last
 	// asked for.
 	fan atomic.Pointer[neighborFan]
+	// com is buildPacked32's composite key-and-position word per id,
+	// kept only so a recycled index reuses it.
+	com []uint64
 }
+
+// indexPool recycles the indexes handed back by Release, slabs and all.
+var indexPool = sync.Pool{New: func() any { return new(Index) }}
 
 // neighborFan is the offset fan of one reach.
 type neighborFan struct {
@@ -281,12 +289,16 @@ func (ix *Index) neighborOffsets(reach int) [][]int {
 // New indexes the given device ids (typically the abnormal set, sorted)
 // by the cell of their position in state. Construction is a handful of
 // allocations regardless of the occupied-cell count: keys are computed
-// in parallel shards, sorted, and the slabs filled in one pass.
+// in parallel shards, sorted, and the slabs filled in one pass. An
+// index handed back by Release lends its slabs to the next New.
 func New(state *space.State, ids []int, p Params) *Index {
 	dim := state.Dim()
-	ix := &Index{Params: p, state: state, dim: dim, kc: newKeyCodec(dim, p.Res)}
+	ix := indexPool.Get().(*Index)
+	ix.Params, ix.state, ix.dim, ix.kc = p, state, dim, newKeyCodec(dim, p.Res)
+	ix.fan.Store(nil)
 	m := len(ids)
 	if m == 0 {
+		ix.alloc(0, 0)
 		return ix
 	}
 	if ix.kc.stride == 1 && ix.kc.shift*uint(dim) <= 32 && m < 1<<31 {
@@ -297,13 +309,23 @@ func New(state *space.State, ids []int, p Params) *Index {
 	return ix
 }
 
-// alloc sizes the slabs for n occupied cells over m indexed ids.
+// Release hands the index's memory back for a later New. The index and
+// everything read from it — cells, their coordinates and ids, the
+// CellIndexes record — must not be used after.
+func (ix *Index) Release() {
+	ix.state = nil
+	ix.fan.Store(nil)
+	indexPool.Put(ix)
+}
+
+// alloc sizes the slabs for n occupied cells over m indexed ids; every
+// element is written by the build.
 func (ix *Index) alloc(n, m int) {
-	ix.keys = make([]uint64, 0, n*ix.kc.stride)
-	ix.cells = make([]Cell, n)
-	ix.coords = make([]int, 0, n*ix.dim)
-	ix.idArena = make([]int, m)
-	ix.idCell = make([]int32, m)
+	ix.keys = slab.Of(ix.keys, n*ix.kc.stride)[:0]
+	ix.cells = slab.Of(ix.cells, n)
+	ix.coords = slab.Of(ix.coords, n*ix.dim)[:0]
+	ix.idArena = slab.Of(ix.idArena, m)
+	ix.idCell = slab.Of(ix.idCell, m)
 }
 
 // openCell appends cell ci's key and coordinates to the slabs, deriving
@@ -328,7 +350,8 @@ const minPerWorker = 1 << 14
 // array.
 func (ix *Index) buildPacked32(ids []int) {
 	m := len(ids)
-	com := make([]uint64, m)
+	ix.com = slab.Of(ix.com, m)
+	com := ix.com
 	par.Ranges(m, 0, minPerWorker, func(_, lo, hi int) {
 		var cbuf [space.MaxDim]int
 		var kbuf [1]uint64

@@ -1,6 +1,10 @@
 package motion
 
-import "math"
+import (
+	"math"
+
+	"anomalia/internal/slab"
+)
 
 // This file holds what every production build shares: the window's
 // flattened coordinates, and the block accept of the grid builds.
@@ -38,13 +42,14 @@ type flatWindow struct {
 	lim   float64 // the 2r adjacency threshold
 	prevF []float64
 	curF  []float64
+	slab  []float64 // prevF then curF
 }
 
-// newFlatWindow flattens the positions of g's vertices.
-func newFlatWindow(g *Graph) *flatWindow {
+// flatten flattens the positions of g's vertices into w's slab.
+func (w *flatWindow) flatten(g *Graph) *flatWindow {
 	m, d := len(g.ids), g.pair.Dim()
-	slab := make([]float64, 2*m*d)
-	w := &flatWindow{dim: d, lim: 2 * g.r, prevF: slab[: m*d : m*d], curF: slab[m*d:]}
+	w.slab = slab.Of(w.slab, 2*m*d)
+	w.dim, w.lim, w.prevF, w.curF = d, 2*g.r, w.slab[:m*d:m*d], w.slab[m*d:]
 	for li, id := range g.ids {
 		copy(w.prevF[li*d:(li+1)*d], g.pair.Prev.At(id))
 		copy(w.curF[li*d:(li+1)*d], g.pair.Cur.At(id))
@@ -87,23 +92,24 @@ type cellBlocks struct {
 	w      *flatWindow
 	locals *cellLocals
 	// boxAt[c] is crowded cell c's slot in box, -1 for any other cell;
-	// nil when no cell is crowded.
+	// empty when no cell is crowded.
 	boxAt []int32
 	// box holds 4·dim floats per slot: the low then the high corner of
 	// the members' box at k-1, then the same at k. NaN coordinates are
 	// left out, exactly as the per-pair test never rejects on them.
 	box []float64
 	// maskOff[c] is the offset of cell c's member mask in masks (-1
-	// until built); the mask covers the words from the cell's first to
-	// its last member.
+	// until built; empty until the first mask); the mask covers the
+	// words from the cell's first to its last member.
 	maskOff []int32
 	masks   []uint64
 }
 
-// newCellBlocks prepares the blocks of the walk whose cells locals
-// lists: a box per crowded cell.
-func newCellBlocks(w *flatWindow, locals *cellLocals) *cellBlocks {
-	cb := &cellBlocks{w: w, locals: locals}
+// init prepares cb, over its recycled arrays, for the blocks of the
+// walk whose cells locals lists: a box per crowded cell.
+func (cb *cellBlocks) init(w *flatWindow, locals *cellLocals) *cellBlocks {
+	cb.w, cb.locals = w, locals
+	cb.boxAt, cb.maskOff, cb.masks = cb.boxAt[:0], cb.maskOff[:0], slab.Of(cb.masks, 0)
 	cells := len(locals.off) - 1
 	crowded := 0
 	for c := 0; c < cells; c++ {
@@ -114,8 +120,8 @@ func newCellBlocks(w *flatWindow, locals *cellLocals) *cellBlocks {
 	if crowded == 0 {
 		return cb
 	}
-	cb.boxAt = make([]int32, cells)
-	cb.box = make([]float64, crowded*4*w.dim)
+	cb.boxAt = slab.Of(cb.boxAt, cells)
+	cb.box = slab.Of(cb.box, crowded*4*w.dim)
 	slot := int32(0)
 	for c := range cb.boxAt {
 		cb.boxAt[c] = -1
@@ -161,7 +167,7 @@ func (cb *cellBlocks) boxCell(c, s int) {
 // axis at both times — the Definition 1 test, which makes every pair of
 // the block an edge.
 func (cb *cellBlocks) accept(a, c int) bool {
-	if cb.boxAt == nil {
+	if len(cb.boxAt) == 0 {
 		return false
 	}
 	sa, sc := int(cb.boxAt[a]), int(cb.boxAt[c])
@@ -269,8 +275,8 @@ func (cb *cellBlocks) orInto(g *Graph, k int, rows []int32, c int) {
 // mask returns cell c's rank mask over words [w0, w0+span), building it
 // on first use.
 func (cb *cellBlocks) mask(rank []int32, c, w0, span int) []uint64 {
-	if cb.maskOff == nil {
-		cb.maskOff = make([]int32, len(cb.locals.off)-1)
+	if len(cb.maskOff) == 0 {
+		cb.maskOff = slab.Of(cb.maskOff, len(cb.locals.off)-1)
 		for i := range cb.maskOff {
 			cb.maskOff[i] = -1
 		}

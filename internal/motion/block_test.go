@@ -238,7 +238,7 @@ func TestBlockAcceptUlp(t *testing.T) {
 		ids := allIds(fx.pair.N())
 		g := newGraphVertices(fx.pair, ids, r2Radius)
 		idx := grid.New(fx.pair.Prev, g.ids, grid.ForRadius(r2Radius))
-		cb := newCellBlocks(newFlatWindow(g), resolveCellLocals(idx))
+		cb := new(cellBlocks).init(new(flatWindow).flatten(g), new(cellLocals).resolve(idx))
 		ca, cc := int(idx.CellIndexes()[fx.probeA]), int(idx.CellIndexes()[fx.probeB])
 		if ca == cc {
 			t.Fatalf("%s: probes share cell %d; the fixture must straddle two cells", fx.name, ca)

@@ -1,6 +1,9 @@
 package motion
 
-import "anomalia/internal/sets"
+import (
+	"anomalia/internal/sets"
+	"anomalia/internal/slab"
+)
 
 // Components is the connected-component decomposition of a Graph, with a
 // compact per-component renumbering: every vertex carries a rank — its
@@ -124,7 +127,7 @@ func (g *Graph) layout(col *collected, workers int, forceCSR bool) {
 	if !forceCSR && maxSize > componentDenseMax {
 		edges = col.componentEdges(cs)
 	}
-	g.base = make([]int64, count)
+	g.base = slab.Of(g.base, count)
 	words, slots := 0, 0
 	for c := 0; c < count; c++ {
 		s := cs.Size(c)
@@ -136,7 +139,9 @@ func (g *Graph) layout(col *collected, workers int, forceCSR bool) {
 			slots += s
 		}
 	}
-	g.words = make([]uint64, words)
+	// Recycled words must be cleared: fillDense only sets bits.
+	g.words = slab.Zeroed(g.words, words)
+	g.off, g.nbr = g.off[:0], g.nbr[:0]
 	if slots > 0 {
 		g.fillCSR(col, slots, workers)
 	}
@@ -152,7 +157,8 @@ func (g *Graph) layout(col *collected, workers int, forceCSR bool) {
 // ascending order and gives every vertex its rank.
 func (col *collected) label(g *Graph) *Components {
 	m := len(g.ids)
-	uf := make(unionFind, m)
+	cs := &g.comps
+	uf := unionFind(slab.Of(cs.verts, m))
 	for i := range uf {
 		uf[i] = int32(i)
 	}
@@ -164,7 +170,8 @@ func (col *collected) label(g *Graph) *Components {
 	if len(col.blocks) > 0 {
 		// An accepted block's members are pairwise adjacent: unite each
 		// cell's members once, then the two cells.
-		united := make([]bool, len(col.cb.locals.off)-1)
+		g.mem.united = slab.Zeroed(g.mem.united, len(col.cb.locals.off)-1)
+		united := g.mem.united
 		for _, bl := range col.blocks {
 			a, c := unpack(bl)
 			for _, k := range [2]int32{a, c} {
@@ -179,7 +186,7 @@ func (col *collected) label(g *Graph) *Components {
 			uf.union(col.cb.locals.row(int(a))[0], col.cb.locals.row(int(c))[0])
 		}
 	}
-	cs := &Components{g: g, comp: make([]int32, m), rank: make([]int32, m)}
+	cs.g, cs.comp, cs.rank = g, slab.Of(cs.comp, m), slab.Of(cs.rank, m)
 	next := int32(0)
 	for v := range uf {
 		if root := uf.find(int32(v)); root == int32(v) {
@@ -191,14 +198,15 @@ func (col *collected) label(g *Graph) *Components {
 	}
 	// The forest is spent; its slab becomes the member list.
 	cs.verts = uf
-	cs.off = make([]int32, int(next)+1)
+	cs.off = slab.Zeroed(cs.off, int(next)+1)
 	for _, c := range cs.comp {
 		cs.off[c+1]++
 	}
 	for c := 0; c < int(next); c++ {
 		cs.off[c+1] += cs.off[c]
 	}
-	cur := make([]int32, next)
+	g.mem.cur = slab.Of(g.mem.cur, int(next))
+	cur := g.mem.cur
 	copy(cur, cs.off[:next])
 	for v := 0; v < m; v++ {
 		c := cs.comp[v]
@@ -260,9 +268,9 @@ func (g *Graph) fillDense(col *collected) {
 // a CSR component one anchored neighbourhood at a time.
 func (g *Graph) MaximalMotionsOfComponent(c int, cs *Components) ([][]int, []*sets.Bits) {
 	var out motionFamily
-	sc := g.getScratch()
+	sc := getScratch()
 	g.componentMotions(sc, c, &out)
-	g.putScratch(sc)
+	putScratch(sc)
 	sortMotionFamily(&out)
 	return out.ids, out.cliques
 }

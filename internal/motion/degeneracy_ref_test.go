@@ -14,8 +14,8 @@ import (
 // suites; results are identical to MaximalMotions.
 func (g *Graph) MaximalMotionsDegeneracy() [][]int {
 	var out [][]int
-	sc := g.getScratch()
-	defer g.putScratch(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	for c := 0; c < g.cs.Count(); c++ {
 		verts := g.cs.Verts(c)
 		s := len(verts)

@@ -242,10 +242,42 @@ func checkAgainstOracle(t *testing.T, label string, g *Graph, pair *Pair, ids []
 	}
 }
 
+// dirtyGraph returns a graph and build memory that a window larger and
+// shaped unlike any fuzz window has left dirty: 100 coincident 3-d
+// devices, one complete component, laid out as a dense block and then
+// with CSR rows, so the words slab is full of set bits and the flat
+// window, cell lists, labelling, CSR arena and its counters are longer
+// than a fuzz window needs.
+func dirtyGraph(t *testing.T) (*Graph, *buildMem) {
+	t.Helper()
+	pts := make([][]float64, 100)
+	for i := range pts {
+		pts[i] = []float64{0.5, 0.5, 0.5}
+	}
+	st, err := space.StateFromPoints(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := NewPair(st, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := new(buildMem)
+	g := new(Graph).fill(pair, allIds(len(pts)), 0.01, mem)
+	g.fillSparse(pair, allIds(len(pts)), 0.01, 2, mem)
+	if !g.Sparse() || len(g.words) != 0 || cap(g.words) < 100 {
+		t.Fatalf("dirty graph: want CSR rows over a spent words slab")
+	}
+	return g, mem
+}
+
 // FuzzMotionGraph decodes bytes into a small clustered window and pins
 // NewGraph, the single-worker grid walk (which takes the block accept
 // on crowded cells at any size) and the forced-CSR layout to the
-// all-pairs oracle.
+// all-pairs oracle. NewGraph's build and the forced-CSR layout run
+// twice: on fresh memory, and on the memory a larger window handed back
+// (dirtyGraph), so a recycled slab that is not cleared or not resized
+// shows as a wrong edge, label or motion.
 func FuzzMotionGraph(f *testing.F) {
 	f.Add(stormSeed())
 	for _, over := range []bool{false, true} {
@@ -260,9 +292,14 @@ func FuzzMotionGraph(f *testing.F) {
 		if !ok {
 			return
 		}
-		checkAgainstOracle(t, "NewGraph", NewGraph(pair, ids, r), pair, ids, r)
+		workers := 1 + int(data[1])%3
+		checkAgainstOracle(t, "NewGraph", new(Graph).fill(pair, ids, r, new(buildMem)), pair, ids, r)
+		g, mem := dirtyGraph(t)
+		checkAgainstOracle(t, "NewGraph on recycled memory", g.fill(pair, ids, r, mem), pair, ids, r)
 		checkAgainstOracle(t, "grid", newGraphGrid(pair, ids, r), pair, ids, r)
-		checkAgainstOracle(t, "csr", newGraphSparse(pair, ids, r, 1+int(data[1])%3), pair, ids, r)
+		checkAgainstOracle(t, "csr", newGraphSparse(pair, ids, r, workers), pair, ids, r)
+		g, mem = dirtyGraph(t)
+		checkAgainstOracle(t, "csr on recycled memory", g.fillSparse(pair, ids, r, workers, mem), pair, ids, r)
 	})
 }
 

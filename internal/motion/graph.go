@@ -8,6 +8,7 @@ import (
 	"anomalia/internal/grid"
 	"anomalia/internal/par"
 	"anomalia/internal/sets"
+	"anomalia/internal/slab"
 )
 
 // Graph is the motion graph restricted to a subset of devices (typically
@@ -35,6 +36,12 @@ import (
 // graph's only clique search: every motion question — M(j), W̄_k(j),
 // whether a dense motion survives in a set — is answered from the
 // maximal motions of the component that holds the devices asked about.
+//
+// A graph's memory is recycled once its window is decided: Release
+// hands the vertex ids, the adjacency slabs and the labelling to the
+// next NewGraph. The build's own working memory goes back as soon as the
+// build returns, so a graph holds only what it serves. The motions an
+// enumeration returns are always fresh, so they outlive the graph.
 type Graph struct {
 	ids []int // local index -> device id, sorted
 	// contiguous marks the common full-population case ids[i] == i, where
@@ -56,10 +63,41 @@ type Graph struct {
 	off   []int64
 	nbr   []int32
 
-	// bkPool recycles enumeration scratch across the component
-	// enumerations of a window; sync.Pool keeps concurrent enumerations
-	// over one graph safe.
-	bkPool sync.Pool
+	// comps is the labelling cs points at.
+	comps Components
+	// mem is the working memory of the build in progress; nil outside
+	// build.
+	mem *buildMem
+}
+
+// buildMem is the working memory of one graph build: the flattened
+// window, the grid walk's cell lists and blocks, and the counters of
+// the labelling and the CSR fill.
+type buildMem struct {
+	win    flatWindow
+	locals cellLocals
+	cb     cellBlocks
+	united []bool
+	cur    []int32
+	csrCur []int64
+}
+
+// graphPool holds the graphs handed back by Release, memPool the build
+// memory each build hands back, and bkPool the enumeration scratch, for
+// the windows after them. sync.Pool keeps concurrent builds and
+// enumerations safe and lets the GC reclaim idle memory.
+var (
+	graphPool = sync.Pool{New: func() any { return new(Graph) }}
+	memPool   = sync.Pool{New: func() any { return new(buildMem) }}
+	bkPool    = sync.Pool{New: func() any { return new(bkScratch) }}
+)
+
+// Release hands the graph's memory back for a later NewGraph. The
+// graph, its Components and every slice read from either (Ids, Verts)
+// must not be used after; the motions it enumerated stay valid.
+func (g *Graph) Release() {
+	g.pair = nil
+	graphPool.Put(g)
 }
 
 // gridBuildMinVertices is the vertex count at which NewGraph switches
@@ -108,7 +146,15 @@ const gridBuildMaxRes = 1 << 25
 // flattened copy of the window's positions, and the adjacency relation is
 // identical on every path.
 func NewGraph(p *Pair, ids []int, r float64) *Graph {
-	g := newGraphVertices(p, ids, r)
+	mem := memPool.Get().(*buildMem)
+	g := graphPool.Get().(*Graph).fill(p, ids, r, mem)
+	memPool.Put(mem)
+	return g
+}
+
+// fill builds NewGraph's graph over g's memory, working in mem.
+func (g *Graph) fill(p *Pair, ids []int, r float64, mem *buildMem) *Graph {
+	g.setVertices(p, ids, r)
 	m := len(g.ids)
 	prm := grid.ForRadius(r)
 	useGrid := m >= gridBuildMinVertices && prm.Res <= gridBuildMaxRes && gridBuildWorthwhile(p.Dim(), m)
@@ -116,15 +162,19 @@ func NewGraph(p *Pair, ids []int, r float64) *Graph {
 	if m >= collectParallelMin {
 		workers = 0
 	}
-	g.build(newFlatWindow(g), prm, useGrid, workers, false)
+	g.build(mem, prm, useGrid, workers, false)
 	return g
 }
 
 // build runs the collect pass — the grid walk when useGrid, the striped
 // all-pairs scan otherwise — on workers workers (<= 0 selects
-// GOMAXPROCS) and lays the collected edge set out per component;
-// forceCSR gives every component CSR rows (testing hook).
-func (g *Graph) build(w *flatWindow, prm grid.Params, useGrid bool, workers int, forceCSR bool) {
+// GOMAXPROCS) over the window flattened into mem, and lays the collected
+// edge set out per component; forceCSR gives every component CSR rows
+// (testing hook). mem is the build's working memory, which the graph
+// does not keep.
+func (g *Graph) build(mem *buildMem, prm grid.Params, useGrid bool, workers int, forceCSR bool) {
+	g.mem = mem
+	w := mem.win.flatten(g)
 	workers = par.Workers(workers, len(g.ids))
 	var col collected
 	if useGrid {
@@ -133,6 +183,7 @@ func (g *Graph) build(w *flatWindow, prm grid.Params, useGrid bool, workers int,
 		col.bufs = collectAllPairs(w, len(g.ids), workers)
 	}
 	g.layout(&col, workers, forceCSR)
+	g.mem = nil
 }
 
 // gridBuildWorthwhile reports whether the cell-pair walk can beat the
@@ -144,31 +195,32 @@ func gridBuildWorthwhile(dim, m int) bool {
 	return grid.NeighborCells(dim, gridBuildReach, m) <= m
 }
 
-// newGraphVertices sets up the vertex bookkeeping shared by all builds.
+// newGraphVertices sets up the vertex bookkeeping shared by all builds,
+// on a recycled graph when one was handed back.
 func newGraphVertices(p *Pair, ids []int, r float64) *Graph {
-	clean := make([]int, 0, len(ids))
+	return graphPool.Get().(*Graph).setVertices(p, ids, r)
+}
+
+// setVertices sets up g's vertex bookkeeping over its memory.
+func (g *Graph) setVertices(p *Pair, ids []int, r float64) *Graph {
+	clean := slab.Of(g.ids, len(ids))[:0]
 	for _, id := range ids {
 		if id >= 0 && id < p.N() {
 			clean = append(clean, id)
 		}
 	}
 	clean = sets.Canon(clean)
-	g := &Graph{
-		ids:  clean,
-		r:    r,
-		pair: p,
-	}
+	g.ids, g.r, g.pair = clean, r, p
 	// clean is sorted, duplicate-free and non-negative, so its last
 	// element equals m-1 exactly when it is 0..m-1.
 	m := len(clean)
 	g.contiguous = m == 0 || clean[m-1] == m-1
-	g.bkPool.New = func() any { return &bkScratch{} }
 	return g
 }
 
 // Sparse reports whether any component stores its adjacency as CSR
 // neighbour lists rather than a dense bitset block.
-func (g *Graph) Sparse() bool { return g.off != nil }
+func (g *Graph) Sparse() bool { return len(g.off) > 0 }
 
 // isCSR reports whether component c keeps CSR rows.
 func (g *Graph) isCSR(c int) bool { return g.base[c] < 0 }
@@ -214,46 +266,48 @@ func (g *Graph) adjacentLocal(a, b int) bool {
 }
 
 // getScratch leases enumeration scratch; return it with putScratch.
-func (g *Graph) getScratch() *bkScratch   { return g.bkPool.Get().(*bkScratch) }
-func (g *Graph) putScratch(sc *bkScratch) { g.bkPool.Put(sc) }
+func getScratch() *bkScratch   { return bkPool.Get().(*bkScratch) }
+func putScratch(sc *bkScratch) { bkPool.Put(sc) }
 
 // cellLocals holds the local-index lists of a walk's cells in one arena,
 // aligned with PairWalk.Cells.
 type cellLocals struct {
 	off []int32
 	loc []int32
+	cur []int32 // resolve's write cursors
 }
 
 func (c *cellLocals) row(i int) []int32 { return c.loc[c.off[i]:c.off[i+1]:c.off[i+1]] }
 
-// resolveCellLocals lists the members of each of idx's cells as local
-// indices, in one arena aligned with its cells. idx indexes the graph's
-// ids in local order and records each one's cell, so a counting sort
-// over those records lists every cell's members in ascending order
-// without resolving a single id.
-func resolveCellLocals(idx *grid.Index) *cellLocals {
+// resolve lists the members of each of idx's cells as local indices, in
+// one arena aligned with its cells, over c's recycled arrays. idx
+// indexes the graph's ids in local order and records each one's cell,
+// so a counting sort over those records lists every cell's members in
+// ascending order without resolving a single id.
+func (c *cellLocals) resolve(idx *grid.Index) *cellLocals {
 	idCell := idx.CellIndexes()
 	cells := idx.Cells()
-	out := &cellLocals{off: make([]int32, cells+1), loc: make([]int32, len(idCell))}
-	for _, c := range idCell {
-		out.off[c+1]++
+	c.off = slab.Zeroed(c.off, cells+1)
+	c.loc = slab.Of(c.loc, len(idCell))
+	for _, ci := range idCell {
+		c.off[ci+1]++
 	}
-	for c := 0; c < cells; c++ {
-		out.off[c+1] += out.off[c]
+	for ci := 0; ci < cells; ci++ {
+		c.off[ci+1] += c.off[ci]
 	}
-	cur := make([]int32, cells)
-	copy(cur, out.off)
-	for v, c := range idCell {
-		out.loc[cur[c]] = int32(v)
-		cur[c]++
+	c.cur = slab.Of(c.cur, cells)
+	copy(c.cur, c.off)
+	for v, ci := range idCell {
+		c.loc[c.cur[ci]] = int32(v)
+		c.cur[ci]++
 	}
-	return out
+	return c
 }
 
 // Ids returns the sorted device ids the graph covers. Ownership rule
 // (shared with core's Characterizer.Abnormal): the slice aliases the
-// graph's internal state — callers must treat it as read-only and copy
-// before modifying.
+// graph's internal state — callers must treat it as read-only, copy
+// before modifying, and not keep it past Release.
 func (g *Graph) Ids() []int { return g.ids }
 
 // Len returns the number of vertices.

@@ -26,7 +26,9 @@ func newGraphAllPairs(p *Pair, ids []int, r float64) *Graph {
 			}
 		}
 	}
+	g.mem = new(buildMem)
 	g.layout(&collected{bufs: sink.done()}, 1, false)
+	g.mem = nil
 	return g
 }
 
@@ -34,17 +36,22 @@ func newGraphAllPairs(p *Pair, ids []int, r float64) *Graph {
 // of size.
 func newGraphGrid(p *Pair, ids []int, r float64) *Graph {
 	g := newGraphVertices(p, ids, r)
-	g.build(newFlatWindow(g), grid.ForRadius(r), true, 1, false)
+	g.build(new(buildMem), grid.ForRadius(r), true, 1, false)
 	return g
 }
 
 // newGraphSparse builds the graph with CSR rows for every component,
 // however small or dense; workers <= 0 selects GOMAXPROCS.
 func newGraphSparse(p *Pair, ids []int, r float64, workers int) *Graph {
-	g := newGraphVertices(p, ids, r)
+	return new(Graph).fillSparse(p, ids, r, workers, new(buildMem))
+}
+
+// fillSparse is newGraphSparse over g's memory, working in mem.
+func (g *Graph) fillSparse(p *Pair, ids []int, r float64, workers int, mem *buildMem) *Graph {
+	g.setVertices(p, ids, r)
 	prm := grid.ForRadius(r)
 	useGrid := prm.Res <= gridBuildMaxRes && gridBuildWorthwhile(p.Dim(), len(g.ids))
-	g.build(newFlatWindow(g), prm, useGrid, workers, true)
+	g.build(mem, prm, useGrid, workers, true)
 	return g
 }
 

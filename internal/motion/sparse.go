@@ -6,6 +6,7 @@ import (
 	"anomalia/internal/grid"
 	"anomalia/internal/par"
 	"anomalia/internal/sets"
+	"anomalia/internal/slab"
 )
 
 // This file is the collect pass every build runs, and the CSR rows of
@@ -90,8 +91,9 @@ func (s *edgeSink) done() [][]uint64 {
 // order.
 func collectGrid(g *Graph, w *flatWindow, prm grid.Params, workers int) collected {
 	idx := grid.New(g.pair.Prev, g.ids, prm)
+	defer idx.Release()
 	walk := idx.NewPairWalk(gridBuildReach)
-	cb := newCellBlocks(w, resolveCellLocals(idx))
+	cb := g.mem.cb.init(w, g.mem.locals.resolve(idx))
 	workers = par.Workers(workers, len(walk.Cells()))
 	bufs := make([][][]uint64, workers)
 	blocks := make([][]uint64, workers)
@@ -156,7 +158,8 @@ func (g *Graph) fillCSR(col *collected, slots, workers int) {
 	csr := func(v int32) bool { return g.base[cs.comp[v]] < 0 }
 	// cur[v] counts local vertex v's neighbours, then becomes its write
 	// cursor into nbr.
-	cur := make([]int64, len(g.ids))
+	g.mem.csrCur = slab.Zeroed(g.mem.csrCur, len(g.ids))
+	cur := g.mem.csrCur
 	for _, buf := range col.bufs {
 		for _, e := range buf {
 			if a, c := unpack(e); csr(a) {
@@ -186,7 +189,8 @@ func (g *Graph) fillCSR(col *collected, slots, workers int) {
 	}
 	// Slots follow component then rank order, which is the order of the
 	// member slab.
-	off := make([]int64, slots+1)
+	off := slab.Of(g.off, slots+1)
+	off[0] = 0
 	s := 0
 	for c := 0; c < cs.Count(); c++ {
 		if !g.isCSR(c) {
@@ -198,7 +202,7 @@ func (g *Graph) fillCSR(col *collected, slots, workers int) {
 			s++
 		}
 	}
-	nbr := make([]int32, off[slots])
+	nbr := slab.Of(g.nbr, int(off[slots]))
 	rank := cs.rank
 	for _, buf := range col.bufs {
 		for _, e := range buf {

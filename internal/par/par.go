@@ -39,7 +39,16 @@ func Ranges(n, workers, grain int, f func(i, lo, hi int)) int {
 		f(0, 0, n)
 		return 1
 	}
-	Do(k, func(i int) { f(i, i*n/k, (i+1)*n/k) })
+	var wg sync.WaitGroup
+	wg.Add(k - 1)
+	for i := 1; i < k; i++ {
+		go func() {
+			defer wg.Done()
+			f(i, i*n/k, (i+1)*n/k)
+		}()
+	}
+	f(0, 0, n/k)
+	wg.Wait()
 	return k
 }
 
@@ -63,17 +72,7 @@ func Each(n, workers int, f func(i int)) {
 // returns once all have returned. f(0) runs on the caller's goroutine,
 // so k = 1 spawns nothing; k <= 0 calls nothing.
 func Do(k int, f func(i int)) {
-	if k <= 0 {
-		return
+	if k > 0 {
+		Ranges(k, k, 1, func(i, _, _ int) { f(i) })
 	}
-	var wg sync.WaitGroup
-	wg.Add(k - 1)
-	for i := 1; i < k; i++ {
-		go func() {
-			defer wg.Done()
-			f(i)
-		}()
-	}
-	f(0)
-	wg.Wait()
 }

@@ -411,23 +411,26 @@ func (m *Monitor) HealthStats() HealthStats {
 
 // characterizeWindow decides one abnormal window; it is the one
 // decision path of every deployment model. Centralized, it runs
-// core.New and CharacterizeAll. Distributed in-process, it indexes the
-// window in a fresh directory service and decides on it: a_k(j) flags a
-// change between windows, so consecutive abnormal sets barely overlap
-// and nothing is worth keeping from one window to the next. With
-// WithDirectory the directory lives behind the wire instead: the
-// client sends each shard its slice and merges the decisions, and any
-// failure past the deadline/retry/breaker budget degrades this one
-// window to the centralized branch — same verdicts, one DirStats
-// degradation — so shard unavailability never surfaces as an Observe
-// error.
+// core.New and characterizes each device straight into the Outcome's
+// Reports. Distributed in-process, it indexes the window in a fresh
+// directory service and decides on it: a_k(j) flags a change between
+// windows, so consecutive abnormal sets barely overlap and no verdict
+// is worth keeping from one window to the next. The working memory a
+// window is decided in — characterizer, motion graph, directory index —
+// goes back to its package pool once the window is decided, and the
+// Outcome aliases none of it. With WithDirectory the directory lives
+// behind the wire instead: the client sends each shard its slice and
+// merges the decisions, and any failure past the
+// deadline/retry/breaker budget degrades this one window to the
+// centralized branch — same verdicts, one DirStats degradation — so
+// shard unavailability never surfaces as an Observe error.
 func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcome, error) {
 	cfg := m.cfg.core()
 	if m.cfg.distributed {
 		// Validate the characterization config first, so a bad radius or
 		// tau surfaces as the error the centralized path reports, not as
 		// a grid-parameter complaint from the directory build.
-		if _, err := core.New(pair, nil, cfg); err != nil {
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
 		if m.dirClient == nil {
@@ -435,6 +438,7 @@ func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcom
 			if err != nil {
 				return nil, err
 			}
+			defer dir.Release()
 			if m.mx != nil {
 				m.mx.dirBuilds.Inc()
 			}
@@ -460,14 +464,17 @@ func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcom
 	if err != nil {
 		return nil, err
 	}
-	results, err := char.CharacterizeAll()
-	if err != nil {
-		return nil, err
+	defer char.Release()
+	ids := char.Abnormal()
+	out := &Outcome{Reports: make([]Report, len(ids))}
+	for i, j := range ids {
+		res, err := char.Characterize(j)
+		if err != nil {
+			return nil, fmt.Errorf("characterizing device %d: %w", j, err)
+		}
+		out.Reports[i] = toReport(res)
 	}
-	out := &Outcome{Reports: make([]Report, 0, len(results))}
-	for _, res := range results {
-		out.addReport(res)
-	}
+	out.classify()
 	return out, nil
 }
 

@@ -54,16 +54,20 @@ const (
 	quietTick = "BenchmarkTickIngestDetect1M"
 	stormDir  = "BenchmarkDirectoryBuild/storm/m=3000"
 	stormDist = "BenchmarkDistDecide/storm/m=3000"
+	stormCtrl = "BenchmarkCentralDecide/storm/m=3000"
+	genTick   = "BenchmarkTickIngestDetectGeneric1M"
 	allAbn50k = "BenchmarkCharacterizeAllAbnormal/m=50k"
 	bankStep  = "BenchmarkThresholdBankStep"
 )
 
 var table = []run{
-	// The window hot path: 585 allocs/op since the motion graph is laid
-	// out per component (635 before, 1735 when first gated, 4046 before
-	// that).
+	// The window hot path: 421 allocs/op since the working memory a
+	// window is decided in is recycled (585 before, 635 before the motion
+	// graph was laid out per component, 1735 when first gated, 4046
+	// before that). Clique enumeration scratch drawn fresh per
+	// enumeration instead of from its pool reads 750.
 	{".", []string{"-benchtime=20x"}, 1, []gate{
-		{bench: "BenchmarkCharacterizeWindow", unit: allocsOp, bound: 1200},
+		{bench: "BenchmarkCharacterizeWindow", unit: allocsOp, bound: 640},
 	}},
 	// The sparse CSR build of a 100k-vertex window allocates ~100 MB;
 	// the dense rows it replaced took 1.37 GB, so a slide back toward
@@ -92,9 +96,15 @@ var table = []run{
 	// fresh directory, its cold block splits and every device's decision
 	// on its 4r view — within 2x of the centralized characterizer over
 	// the whole abnormal set (~1.4x when gated; ~30x before views were
-	// decided per cell block).
+	// decided per cell block). Both sides hand their working memory back
+	// to the pools once decided: the centralized window allocates ~477 KB
+	// (its []Result is 388 KB of it), the distributed one ~998 KB (its
+	// []Decision 462 KB). Handing nothing back reads 942 KB and 1.52 MB,
+	// a words slab made per window 672 KB and 1.20 MB.
 	{"./internal/dist", []string{"-benchtime=100x"}, 3, []gate{
-		{bench: stormDist, unit: nsOp, op: "/", base: "BenchmarkCentralDecide/storm/m=3000", bound: 2},
+		{bench: stormDist, unit: nsOp, op: "/", base: stormCtrl, bound: 2},
+		{bench: stormCtrl, unit: bytesOp, bound: 560e3},
+		{bench: stormDist, unit: bytesOp, bound: 1.12e6},
 	}},
 	// The Threshold bank's Step over n=1M devices on one worker
 	// allocates nothing: the kernel works in place and the Walker's
@@ -107,9 +117,12 @@ var table = []run{
 		{bench: bankStep + "/lossy/workers=1", unit: allocsOp, bound: 0},
 	}},
 	// Quiet n=1M ticks: the double-buffered steady state allocates a
-	// handful of times (3 allocs/op at GOMAXPROCS 2 against a bound of
-	// 16), and the idle health layer, a breaker-closed directory client
-	// and metrics recording must each be free on it.
+	// handful of times (2 allocs/op at GOMAXPROCS 2, one fan-out's
+	// WaitGroup and goroutine, against a bound of 16), and the idle
+	// health layer, a breaker-closed directory client and metrics
+	// recording must each be free on it. The per-device bank's strict
+	// tick fans out twice, to classify and to step, and reads 4; a
+	// closure allocated per fan-out reads 6 to 10 and trips its bound.
 	// allocs/op counts every goroutine's allocations; the median of three
 	// repetitions keeps a stray one from tripping the one-allocation gates.
 	// The default detectors run as the Threshold bank at 0.32-0.47x
@@ -121,7 +134,8 @@ var table = []run{
 	// the fleet took ~2.0-2.4x and trips the 1.8 ratio.
 	{".", []string{"-benchtime=3x"}, 3, []gate{
 		{bench: quietTick, unit: allocsOp, bound: 16},
-		{bench: quietTick, unit: nsOp, op: "/", base: "BenchmarkTickIngestDetectGeneric1M", bound: 0.6},
+		{bench: genTick, unit: allocsOp, bound: 6},
+		{bench: quietTick, unit: nsOp, op: "/", base: genTick, bound: 0.6},
 		{bench: "BenchmarkTickObservePartial1M", unit: allocsOp, bound: 16},
 		{bench: "BenchmarkTickObservePartial1M", unit: nsOp, op: "/", base: quietTick, bound: 1.5},
 		{bench: "BenchmarkTickObservePartialLossy1M", unit: nsOp, op: "/", base: quietTick, bound: 1.8},
@@ -148,11 +162,13 @@ var table = []run{
 	}},
 	// The component-local characterizer decides the adversarial m=50k
 	// all-abnormal window far inside these ceilings; the full-universe
-	// path it replaced took ~6.2 s and ~696k allocs. 1x for the same GC
-	// reason as the mass-event tick.
+	// path it replaced took ~6.2 s and ~696k allocs. It allocates ~8,600
+	// times with pooled clique enumeration scratch and ~20,500 with
+	// scratch drawn fresh per enumeration. 1x for the same GC reason as
+	// the mass-event tick.
 	{"./internal/core", []string{"-benchtime=1x"}, 3, []gate{
 		{bench: allAbn50k, unit: nsOp, bound: 2e9},
-		{bench: allAbn50k, unit: allocsOp, bound: 300000},
+		{bench: allAbn50k, unit: allocsOp, bound: 17000},
 	}},
 }
 

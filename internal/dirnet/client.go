@@ -12,6 +12,7 @@ import (
 	"anomalia/internal/core"
 	"anomalia/internal/dist"
 	"anomalia/internal/motion"
+	"anomalia/internal/slab"
 	"anomalia/internal/stats"
 )
 
@@ -73,9 +74,10 @@ type Client struct {
 	// the client keeps the single-caller contract.
 	stMu sync.Mutex
 	st   Stats
-	enc  []byte    // the window's encoded request
-	in   []byte    // response scratch
-	rows []float64 // window row scratch
+	enc  []byte          // the window's encoded request
+	in   []byte          // response scratch
+	rows []float64       // window row scratch
+	decs []dist.Decision // the last window's decisions, which DecideWindow returned
 }
 
 // NewClient validates the configuration, applies defaults, and returns
@@ -177,6 +179,12 @@ func (c *Client) dropConn(s *shard) {
 // decision set exists and the caller must fall back centralized; the
 // shards hold nothing from the window, and the breakers recover on
 // later windows without operator action.
+//
+// The returned slice is the client's own and is valid until its next
+// DecideWindow, which decodes into the same array: a caller keeps the
+// decisions by copying them out. Their Results are decoded into new
+// memory the client never reuses, so the Results themselves stay
+// valid.
 func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config) ([]dist.Decision, dist.Stats, error) {
 	for i, id := range abnormal {
 		if i > 0 && id <= abnormal[i-1] {
@@ -203,7 +211,8 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 	// order, matching dist.DecideAll. A half-open shard's slice is its
 	// probe: one attempt, and on failure the slice waits in orphans for
 	// a shard that answered.
-	out := make([]dist.Decision, len(abnormal))
+	c.decs = slab.Of(c.decs, len(abnormal))
+	out := c.decs
 	m := len(abnormal)
 	base, rem := m/len(participants), m%len(participants)
 	var orphans [][2]int

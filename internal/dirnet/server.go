@@ -171,20 +171,23 @@ func (s *Server) Close() {
 	clear(s.conns)
 }
 
-// request is the decoded window of one request and its local id list,
-// recycled through requestPool: nothing read from them outlives the
-// response, which is encoded before respond returns.
+// request is the decoded window of one request, its local id list and
+// the decisions of its slice, recycled through requestPool: nothing
+// read from them outlives the response, which is encoded before respond
+// returns.
 type request struct {
 	w     windowMsg
 	local []int
+	decs  []dist.Decision
 }
 
 var requestPool = sync.Pool{New: func() any { return new(request) }}
 
 // respond serves one request payload and appends the response to out:
 // decode the window, build its compact state pair and a directory over
-// it, and decide the requested slice. The decoded window and the
-// directory's index go back to their pools once the response is encoded.
+// it, and decide the requested slice into the request's decisions. The
+// request and the directory go back to their pools once the response is
+// encoded.
 func (s *Server) respond(out, payload []byte) []byte {
 	if len(payload) == 0 {
 		return appendErr(out, errors.New("empty request"))
@@ -193,7 +196,10 @@ func (s *Server) respond(out, payload []byte) []byte {
 		return appendErr(out, fmt.Errorf("unknown message type %#x", payload[0]))
 	}
 	req := requestPool.Get().(*request)
-	defer requestPool.Put(req)
+	defer func() {
+		clear(req.decs) // drop the Results, which the pool must not keep alive
+		requestPool.Put(req)
+	}()
 	w := &req.w
 	if err := decodeWindow(&cursor{b: payload, off: 1}, w); err != nil {
 		return appendErr(out, err)
@@ -211,10 +217,11 @@ func (s *Server) respond(out, payload []byte) []byte {
 		return appendErr(out, err)
 	}
 	defer dir.Release()
-	decs, _, err := dist.DecideRange(dir, w.cfg, w.from, w.to)
+	decs, _, err := dist.DecideRange(req.decs, dir, w.cfg, w.from, w.to)
 	if err != nil {
 		return appendErr(out, err)
 	}
+	req.decs = decs
 	return appendDecisions(append(out, statusOK), decs, w.ids)
 }
 

@@ -109,14 +109,17 @@ func TestDecisionsIndependentOfPopulation(t *testing.T) {
 	}
 }
 
-// FuzzServerRespond sends a Server one request payload. It may not
-// panic, the response starts with a known status, and building the
-// window allocates in proportion to the frame, never to the population
-// it declares: the same request with an empty range builds the window
-// and decides nothing. The seeds are a valid request, one whose range
-// words are cut off, one with from > to, one with to > m, each retired
-// request type, an empty payload, and one-row windows declaring huge
-// populations.
+// FuzzServerRespond sends a Server one request payload twice. It may
+// not panic, the response starts with a known status, and the second
+// response, decided in the request, directory and decide memory the
+// first handed back to their pools, is byte-identical to the first.
+// Building the window allocates in proportion to the frame, never to
+// the population it declares: the same request with an empty range
+// builds the window and decides nothing. The seeds are a valid request,
+// one whose range words are cut off, one with from > to, one with
+// to > m, each retired request type, an empty payload, one-row windows
+// declaring huge populations, and a window of eight 10-device clusters,
+// whole and cut mid-cluster.
 func FuzzServerRespond(f *testing.F) {
 	valid := appendWindow(nil, windowMsg{
 		cfg: testCfg, from: 0, to: 3,
@@ -142,11 +145,21 @@ func FuzzServerRespond(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(oneRowWindow(math.MaxUint32, 7))
 	f.Add(oneRowWindow(1<<28, 0))
+	pair, abnormal := clusteredWindow(f, 120, 10, 8, testCfg.R, 7)
+	clustered := windowOf(pair, abnormal, testCfg, nil)
+	clustered.to = len(abnormal)
+	f.Add(appendWindow(nil, clustered))
+	clustered.from, clustered.to = 15, 55
+	f.Add(appendWindow(nil, clustered))
 
 	const perByte, slack = 64, 1 << 20
 	f.Fuzz(func(t *testing.T, req []byte) {
 		srv := NewServer()
-		checkStatus(t, srv.respond(nil, req))
+		first := srv.respond(nil, req)
+		checkStatus(t, first)
+		if again := srv.respond(nil, req); !bytes.Equal(again, first) {
+			t.Fatalf("the same request answered twice:\n%q\n%q", first, again)
+		}
 		if len(req) < rangeOffset+8 {
 			return
 		}

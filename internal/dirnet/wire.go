@@ -351,6 +351,7 @@ func decodeDecisions(body []byte, dst []dist.Decision) (table [][]int, err error
 	families := map[string][][]int{}
 	for i := 0; i < count && !c.bad; i++ {
 		dec := &dst[i]
+		*dec = dist.Decision{} // dst may be recycled; J and L are not on the wire
 		dec.Result.Device = int(c.u32())
 		dec.Result.Class = core.Class(c.u8())
 		dec.Result.Rule = core.Rule(c.u8())

@@ -58,9 +58,10 @@ func BenchmarkDirectoryBuild(b *testing.B) {
 // BenchmarkDistDecide measures the distributed hot path: every abnormal
 // device of a window deciding on its fetched 4r view. Every iteration
 // builds the window's blocks and decides in one DecideAll; the scenario
-// cases reuse one directory, while the storm case indexes a fresh one
-// every iteration, as the Monitor does per abnormal window, and
-// compares with BenchmarkCentralDecide on the same window.
+// cases reuse one directory, while the storm case decides as the
+// Monitor does per abnormal window — a fresh directory, the decisions
+// written into the previous window's slice, the directory released —
+// and compares with BenchmarkCentralDecide on the same window.
 func BenchmarkDistDecide(b *testing.B) {
 	for _, bc := range benchConfigs {
 		b.Run(bc.name, func(b *testing.B) {
@@ -81,15 +82,18 @@ func BenchmarkDistDecide(b *testing.B) {
 	b.Run("storm/m=3000", func(b *testing.B) {
 		pair, ids, r := stormWindow(b)
 		coreCfg := core.Config{R: r, Tau: 3, Exact: true}
+		var decs []Decision
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			dir, err := NewDirectory(pair, ids, r)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := DecideAll(dir, coreCfg); err != nil {
+			if decs, _, err = DecideRange(decs, dir, coreCfg, 0, dir.Len()); err != nil {
 				b.Fatal(err)
 			}
+			clear(decs)
+			dir.Release()
 		}
 	})
 }

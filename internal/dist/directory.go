@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"anomalia/internal/grid"
 	"anomalia/internal/motion"
 	"anomalia/internal/sets"
+	"anomalia/internal/slab"
 	"anomalia/internal/space"
 )
 
@@ -31,10 +33,18 @@ const numShards = 16
 //     on the state's flat coordinates.
 //
 // A block with no remainder is its members' shared view: cands as is.
+//
+// The other slices are the build's working memory. A block lives in the
+// recycled scratch of one DecideRange call, so a later call that builds
+// a block in the same slot reuses all of it.
 type block struct {
 	cands  []int   // sorted ids of the accepted and remainder candidates
 	shards int     // shards owning >= 1 occupied cell of the block, rejected ones included
 	rest   []int32 // positions in cands of the remainder candidates, ascending
+
+	nbrs    []int32 // the neighbourhood's occupied cells, then the kept runs' ends
+	merge   []int   // the merge's second buffer
+	restIds []int   // the remainder candidates' ids
 }
 
 // Directory is the directory service of one observation window: the
@@ -42,7 +52,8 @@ type block struct {
 // abnormal k-1 positions, and per-cell annotations aligned with the
 // index's key-sorted cell order. It is read-only once built, so any
 // number of decisions may read it concurrently; each DecideRange call
-// builds the 4r blocks of its range's cells for itself.
+// builds the 4r blocks of its range's cells for itself. Its slabs and
+// index go back to package pools on Release.
 //
 // The cell geometry (side 2r from the shared grid package) is fixed at
 // construction, so shard assignment — FNV over cell coordinates — and
@@ -66,6 +77,13 @@ type Directory struct {
 	// k. A NaN coordinate poisons its axis of the box.
 	boxes []float64
 }
+
+// dirPool holds the directories handed back by Release, slabs and all.
+var dirPool = sync.Pool{New: func() any { return new(Directory) }}
+
+// Len returns the number of indexed abnormal devices: the positions
+// DecideRange takes are [0, Len()).
+func (d *Directory) Len() int { return len(d.abnormal) }
 
 // box returns occupied cell ci's member box.
 func (d *Directory) box(ci int) []float64 {
@@ -97,14 +115,16 @@ func NewDirectory(pair *motion.Pair, abnormal []int, r float64) (*Directory, err
 	if err := motion.ValidateRadius(r); err != nil {
 		return nil, fmt.Errorf("%v: %w", err, ErrConfig)
 	}
-	ids, err := canonAbnormal(pair, abnormal)
+	d := dirPool.Get().(*Directory)
+	ids, err := canonAbnormal(pair, abnormal, d.abnormal)
 	if err != nil {
+		dirPool.Put(d)
 		return nil, err
 	}
 	geom := grid.ForRadius(r)
 	ix := grid.New(pair.Prev, ids, geom)
 	cells := ix.SortedCells()
-	d := &Directory{
+	*d = Directory{
 		r:     r,
 		geom:  geom,
 		viewR: 4 * r,
@@ -117,9 +137,9 @@ func NewDirectory(pair *motion.Pair, abnormal []int, r float64) (*Directory, err
 		pair:      pair,
 		abnormal:  ids,
 		index:     ix,
-		cellShard: make([]uint8, len(cells)),
+		cellShard: slab.Of(d.cellShard, len(cells)),
 		cellOf:    ix.CellIndexes(),
-		boxes:     cellBoxes(pair, cells),
+		boxes:     cellBoxes(pair, cells, d.boxes),
 	}
 	for ci := range cells {
 		d.cellShard[ci] = uint8(shardOfCoords(cells[ci].Coords))
@@ -127,20 +147,26 @@ func NewDirectory(pair *motion.Pair, abnormal []int, r float64) (*Directory, err
 	return d, nil
 }
 
-// Release hands the directory's cell index back for later windows. The
-// directory must not be used after; the Decisions it returned stay
-// valid, for they alias none of its memory.
+// Release hands the directory's memory — its cell index, abnormal set,
+// shard table and member boxes — back for later windows. The directory
+// must not be used after, so every DecideRange on it must have
+// returned. The decisions it returned stay valid: their Results alias
+// none of its memory, and the slices they were written into belong to
+// the callers that passed them.
 func (d *Directory) Release() {
 	d.index.Release()
-	d.index, d.cellOf = nil, nil
+	d.pair, d.index, d.cellOf = nil, nil, nil
+	dirPool.Put(d)
 }
 
-// canonAbnormal clones the abnormal set into canonical form and
-// validates it against the pair's population — one fused pass when the
-// input is already canonical (every production caller's case), so a
-// per-window build pays a clone and a scan, not a sort.
-func canonAbnormal(pair *motion.Pair, abnormal []int) ([]int, error) {
-	ids := sets.CloneInts(abnormal)
+// canonAbnormal copies the abnormal set into buf's array (a new one when
+// it is too small) in canonical form and validates it against the
+// pair's population — one fused pass when the input is already
+// canonical (every production caller's case), so a per-window build
+// pays a copy and a scan, not a sort.
+func canonAbnormal(pair *motion.Pair, abnormal, buf []int) ([]int, error) {
+	ids := slab.Of(buf, len(abnormal))
+	copy(ids, abnormal)
 	n := pair.N()
 	canonical := true
 	prev := -1
@@ -160,10 +186,11 @@ func canonAbnormal(pair *motion.Pair, abnormal []int) ([]int, error) {
 }
 
 // cellBoxes computes the member box of every occupied cell, in the
-// layout Directory.boxes documents.
-func cellBoxes(pair *motion.Pair, cells []grid.Cell) []float64 {
+// layout Directory.boxes documents, into buf's array when it is large
+// enough. Every element is written.
+func cellBoxes(pair *motion.Pair, cells []grid.Cell, buf []float64) []float64 {
 	d := pair.Dim()
-	boxes := make([]float64, 4*d*len(cells))
+	boxes := slab.Of(buf, 4*d*len(cells))
 	for ci := range cells {
 		box := boxes[4*d*ci : 4*d*(ci+1)]
 		for mi, j := range cells[ci].Ids {
@@ -220,12 +247,13 @@ func shardOfCoords(coords []int) int {
 }
 
 // buildBlock builds into b the candidate block centered on the ci-th
-// occupied cell. A device within viewR = 2*side of the center cell's
-// occupants sits at most 2 cells away per axis in exact arithmetic
-// (reach adds one cell of floating-point margin), so the block is the
-// occupied cells at Chebyshev distance <= reach. Both strategies visit
-// exactly those cells, so the candidates and the shard fan-out — hence
-// Stats — are identical.
+// occupied cell, reusing whatever memory b holds. A device within
+// viewR = 2*side of the center cell's occupants sits at most 2 cells
+// away per axis in exact arithmetic (reach adds one cell of
+// floating-point margin), so the block is the occupied cells at
+// Chebyshev distance <= reach. Both strategies visit exactly those
+// cells, so the candidates and the shard fan-out — hence Stats — are
+// identical.
 func (d *Directory) buildBlock(ci int, b *block) {
 	cell := d.index.CellAt(ci)
 	occupied := d.index.Cells()
@@ -241,10 +269,11 @@ func (d *Directory) buildBlock(ci int, b *block) {
 // independent of how many cells the window occupies. Preferred whenever
 // the block is smaller than the occupied-cell population.
 func (d *Directory) lookupBlock(center []int, b *block) {
-	var cells []int32
+	cells := b.nbrs[:0]
 	d.index.ForEachNeighbor(center, d.reach, func(ci int, _ *grid.Cell) {
 		cells = append(cells, int32(ci))
 	})
+	b.nbrs = cells
 	d.fill(d.index.Find(center), cells, b)
 }
 
@@ -252,12 +281,13 @@ func (d *Directory) lookupBlock(center []int, b *block) {
 // fallback when the neighbour-cell count explodes combinatorially with
 // the dimension.
 func (d *Directory) scanBlock(center []int, b *block) {
-	var cells []int32
+	cells := b.nbrs[:0]
 	for ci, c := range d.index.SortedCells() {
 		if grid.Chebyshev(c.Coords, center) <= d.reach {
 			cells = append(cells, int32(ci))
 		}
 	}
+	b.nbrs = cells
 	d.fill(d.index.Find(center), cells, b)
 }
 
@@ -315,6 +345,7 @@ func (d *Directory) fill(own int, cells []int32, b *block) {
 	dim := d.pair.Dim()
 	ownBox := d.box(own)
 	var hit [numShards]bool
+	b.shards = 0
 	bound := 0
 	kept := cells[:0]
 	for _, ci := range cells {
@@ -338,16 +369,17 @@ func (d *Directory) fill(own int, cells []int32, b *block) {
 
 	// The merge alternates between two buffers; the gather starts in the
 	// one that leaves the result in out.
-	out := make([]int, bound)
+	out := slab.Of(b.cands[:0], bound)
 	src, dst := out, []int(nil)
 	if len(kept) > 1 {
-		dst = make([]int, bound)
+		b.merge = slab.Of(b.merge, bound)
+		dst = b.merge
 		if mergeRounds(len(kept))%2 == 1 {
 			src, dst = dst, src
 		}
 	}
 	n := 0
-	var restIds []int
+	restIds := b.restIds[:0]
 	for ri, ci := range kept {
 		if ci >= 0 {
 			n += copy(src[n:], d.index.CellAt(int(ci)).Ids)
@@ -369,13 +401,13 @@ func (d *Directory) fill(own int, cells []int32, b *block) {
 	if len(kept) > 1 {
 		mergeRuns(src[:n], dst[:n], kept)
 	}
-	b.cands = out[:n:n]
-
+	b.cands = out[:n]
+	b.restIds = restIds
+	b.rest = b.rest[:0]
 	if len(restIds) == 0 {
 		return
 	}
 	slices.Sort(restIds)
-	b.rest = make([]int32, 0, len(restIds))
 	for p, i := range b.cands {
 		if len(b.rest) < len(restIds) && i == restIds[len(b.rest)] {
 			b.rest = append(b.rest, int32(p))

@@ -65,17 +65,21 @@ func TestDecideRangeParity(t *testing.T) {
 				}
 				cutSets = append(cutSets, cuts)
 			}
+			// Every range is decided into the previous range's slice, as a
+			// caller recycling its decisions does.
+			var buf []Decision
 			for _, cuts := range cutSets {
 				slices.Sort(cuts)
 				var got []Decision
 				var total Stats
 				from := 0
 				for _, to := range append(slices.Clone(cuts), m) {
-					decs, st, err := DecideRange(dir, coreCfg, from, to)
+					decs, st, err := DecideRange(buf, dir, coreCfg, from, to)
 					if err != nil {
 						t.Fatalf("cuts %v: range [%d, %d): %v", cuts, from, to, err)
 					}
 					got = append(got, decs...)
+					buf = decs
 					total.Add(st)
 					from = to
 				}
@@ -87,7 +91,7 @@ func TestDecideRangeParity(t *testing.T) {
 				}
 			}
 			for _, bad := range [][2]int{{-1, 1}, {2, 1}, {0, m + 1}, {m + 1, m + 1}} {
-				if _, _, err := DecideRange(dir, coreCfg, bad[0], bad[1]); err == nil {
+				if _, _, err := DecideRange(nil, dir, coreCfg, bad[0], bad[1]); err == nil {
 					t.Errorf("range [%d, %d) over %d devices decided", bad[0], bad[1], m)
 				}
 			}

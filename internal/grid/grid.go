@@ -24,6 +24,7 @@ package grid
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -116,9 +117,9 @@ func NeighborCells(dim, reach, cap int) int {
 
 // offsetFan enumerates every coordinate offset in [-reach, reach]^dim in
 // odometer order (axis 0 fastest), with all vectors backed by a single
-// flat array — 2 allocations for the whole fan. The fan is the shared
-// construction behind PositiveOffsets and ForEachNeighbor; callers must
-// bound (2*reach+1)^dim (NeighborCells) before materializing it.
+// flat array — 2 allocations for the whole fan. fanOf builds each fan
+// once; callers must bound (2*reach+1)^dim (NeighborCells) before
+// asking for it.
 func offsetFan(dim, reach int) [][]int {
 	span := 2*reach + 1
 	total := 1
@@ -151,26 +152,71 @@ func offsetFan(dim, reach int) [][]int {
 	return out
 }
 
-// PositiveOffsets enumerates the coordinate offsets in [-reach, reach]^dim
-// whose first non-zero component is positive — exactly one of {o, -o} for
-// every non-zero offset, so walking them from every cell visits each
-// unordered cell pair once. It is the offset set of PairWalk, exported for
-// callers that roll their own walk. The vectors are views into one flat
-// backing array (the shared fan of offsetFan), not per-offset allocations.
-func PositiveOffsets(dim, reach int) [][]int {
-	fan := offsetFan(dim, reach)
-	out := make([][]int, 0, (len(fan)-1)/2)
-	for _, off := range fan {
+// fan is the offset fan of one (dim, reach): every offset in odometer
+// order, and the lexicographically positive half of them, views into
+// the same vectors.
+type fan struct {
+	all, positive [][]int
+}
+
+type fanKey struct{ dim, reach int }
+
+// fans maps each (dim, reach) asked for to its fan. The map and the fans
+// are immutable once published: a new fan is added to a copy of the map
+// under fansMu, so a lookup is one atomic load and allocates nothing.
+// The module asks for a handful of reaches (the graph build's, the
+// directory's 4r view and the scenario's r query), so the table stays
+// small.
+var (
+	fansMu sync.Mutex
+	fans   atomic.Pointer[map[fanKey]*fan]
+)
+
+// fanOf returns the shared fan of (dim, reach), building it on the first
+// request. Its vectors are read-only.
+func fanOf(dim, reach int) *fan {
+	k := fanKey{dim, reach}
+	if m := fans.Load(); m != nil {
+		if f := (*m)[k]; f != nil {
+			return f
+		}
+	}
+	fansMu.Lock()
+	defer fansMu.Unlock()
+	old := fans.Load()
+	if old != nil && (*old)[k] != nil {
+		return (*old)[k]
+	}
+	all := offsetFan(dim, reach)
+	f := &fan{all: all, positive: make([][]int, 0, (len(all)-1)/2)}
+	for _, off := range all {
 		for _, x := range off {
 			if x != 0 {
 				if x > 0 {
-					out = append(out, off)
+					f.positive = append(f.positive, off)
 				}
 				break
 			}
 		}
 	}
-	return out
+	m := map[fanKey]*fan{}
+	if old != nil {
+		m = maps.Clone(*old)
+	}
+	m[k] = f
+	fans.Store(&m)
+	return f
+}
+
+// PositiveOffsets enumerates the coordinate offsets in [-reach, reach]^dim
+// whose first non-zero component is positive — exactly one of {o, -o} for
+// every non-zero offset, so walking them from every cell visits each
+// unordered cell pair once. It is the offset set of PairWalk, exported for
+// callers that roll their own walk. The table is built once per
+// (dim, reach) and shared by every caller: it and its vectors are
+// read-only.
+func PositiveOffsets(dim, reach int) [][]int {
+	return fanOf(dim, reach).positive
 }
 
 // Chebyshev returns the Chebyshev (max-axis) distance between two cell
@@ -257,9 +303,6 @@ type Index struct {
 	// filled for free during the build, so a caller that answers queries
 	// per id never recomputes coordinates or keys.
 	idCell []int32
-	// fan holds ForEachNeighbor's offset fan for the reach it was last
-	// asked for.
-	fan atomic.Pointer[neighborFan]
 	// com is buildPacked32's composite key-and-position word per id,
 	// kept only so a recycled index reuses it.
 	com []uint64
@@ -267,24 +310,6 @@ type Index struct {
 
 // indexPool recycles the indexes handed back by Release, slabs and all.
 var indexPool = sync.Pool{New: func() any { return new(Index) }}
-
-// neighborFan is the offset fan of one reach.
-type neighborFan struct {
-	reach int
-	offs  [][]int
-}
-
-// neighborOffsets returns the offset fan of reach, built once per index
-// and reach. Concurrent first callers may each build it; the last store
-// wins, and every fan built is the same.
-func (ix *Index) neighborOffsets(reach int) [][]int {
-	if f := ix.fan.Load(); f != nil && f.reach == reach {
-		return f.offs
-	}
-	f := &neighborFan{reach: reach, offs: offsetFan(ix.dim, reach)}
-	ix.fan.Store(f)
-	return f.offs
-}
 
 // New indexes the given device ids (typically the abnormal set, sorted)
 // by the cell of their position in state. Construction is a handful of
@@ -295,7 +320,6 @@ func New(state *space.State, ids []int, p Params) *Index {
 	dim := state.Dim()
 	ix := indexPool.Get().(*Index)
 	ix.Params, ix.state, ix.dim, ix.kc = p, state, dim, newKeyCodec(dim, p.Res)
-	ix.fan.Store(nil)
 	m := len(ids)
 	if m == 0 {
 		ix.alloc(0, 0)
@@ -314,7 +338,6 @@ func New(state *space.State, ids []int, p Params) *Index {
 // CellIndexes record — must not be used after.
 func (ix *Index) Release() {
 	ix.state = nil
-	ix.fan.Store(nil)
 	indexPool.Put(ix)
 }
 
@@ -570,13 +593,14 @@ func (w *PairWalk) Shard(shard, nshards int, fn func(a, b int)) {
 // occupied), in the fan's odometer order. It probes the (2*reach+1)^d
 // neighbour keys directly, skipping coordinates outside [0, Res);
 // callers must bound the fan (NeighborCells) first. The fan is built on
-// the first call for a reach, so a warm call allocates nothing.
+// the first call for a (dim, reach) and shared from then on, so a warm
+// call allocates nothing.
 func (ix *Index) ForEachNeighbor(center []int, reach int, fn func(i int, c *Cell)) {
 	dim := ix.dim
 	var cbuf [space.MaxDim]int
 	var kbuf [space.MaxDim]uint64
 	coords := cbuf[:dim]
-	for _, off := range ix.neighborOffsets(reach) {
+	for _, off := range fanOf(dim, reach).all {
 		ok := true
 		for i := 0; i < dim; i++ {
 			c := center[i] + off[i]

@@ -235,7 +235,8 @@ func TestWithinMatchesScan(t *testing.T) {
 
 // TestPositiveOffsets: exactly one of {o, -o} for every non-zero offset
 // in [-reach, reach]^dim, so a walk over them visits each unordered cell
-// pair once.
+// pair once; the table is built once per (dim, reach), so asking again
+// allocates nothing.
 func TestPositiveOffsets(t *testing.T) {
 	for dim := 1; dim <= 3; dim++ {
 		for reach := 1; reach <= 2; reach++ {
@@ -260,6 +261,9 @@ func TestPositiveOffsets(t *testing.T) {
 					t.Fatalf("offset %v or its negation enumerated twice", o)
 				}
 				seen[keyOf(o)] = true
+			}
+			if got := testing.AllocsPerRun(10, func() { PositiveOffsets(dim, reach) }); got != 0 {
+				t.Fatalf("dim=%d reach=%d: PositiveOffsets allocates %.0f times on a built table", dim, reach, got)
 			}
 		}
 	}
@@ -358,9 +362,9 @@ func TestSortedCellsDeterministic(t *testing.T) {
 	}
 }
 
-// TestForEachNeighborWarmAllocs: the offset fan is built once per index
-// and reach, so a warm neighbour walk allocates nothing, and switching
-// reach rebuilds a fan that visits the right cells.
+// TestForEachNeighborWarmAllocs: the offset fan is built once per
+// (dim, reach) and shared, so a warm neighbour walk allocates nothing,
+// and switching reach picks a fan that visits the right cells.
 func TestForEachNeighborWarmAllocs(t *testing.T) {
 	rng := stats.NewRNG(5)
 	st, err := space.NewState(400, 2)
@@ -395,7 +399,7 @@ func TestForEachNeighborWarmAllocs(t *testing.T) {
 }
 
 // TestForEachNeighborConcurrent: goroutines walking one index at
-// different reaches share its fan cache; each walk still visits exactly
+// different reaches share the fan table; each walk still visits exactly
 // the cells within its own reach.
 func TestForEachNeighborConcurrent(t *testing.T) {
 	t.Parallel()

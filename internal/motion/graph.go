@@ -71,12 +71,15 @@ type Graph struct {
 }
 
 // buildMem is the working memory of one graph build: the flattened
-// window, the grid walk's cell lists and blocks, and the counters of
-// the labelling and the CSR fill.
+// window, the grid walk's cell lists and blocks, the collect pass's
+// per-worker edge sinks, and the counters of the labelling and the CSR
+// fill.
 type buildMem struct {
 	win    flatWindow
 	locals cellLocals
 	cb     cellBlocks
+	sinks  []edgeSink
+	chunks [][]uint64 // every sink's chunks, when more than one worker collected
 	united []bool
 	cur    []int32
 	csrCur []int64
@@ -180,7 +183,7 @@ func (g *Graph) build(mem *buildMem, prm grid.Params, useGrid bool, workers int,
 	if useGrid {
 		col = collectGrid(g, w, prm, workers)
 	} else {
-		col.bufs = collectAllPairs(w, len(g.ids), workers)
+		col.bufs = collectAllPairs(mem, w, len(g.ids), workers)
 	}
 	g.layout(&col, workers, forceCSR)
 	g.mem = nil

@@ -58,11 +58,23 @@ const edgeChunkLen = 1 << 15
 // large one's total allocation stays within twice its edge count — a
 // single growing slice would reallocate-and-copy its way to ~5x that (Go
 // grows large slices by 1.25x), and edge-dense clustered windows put
-// tens of millions of edges through here.
+// tens of millions of edges through here. A sink recycled with the
+// build memory fills the chunks of its earlier builds before it makes
+// a new one.
 type edgeSink struct {
 	first  int
 	cur    []uint64
 	chunks [][]uint64
+	spare  [][]uint64 // emptied chunks of earlier builds
+}
+
+// reset empties the sink for a build whose share is first, keeping its
+// chunks as spares.
+func (s *edgeSink) reset(first int) {
+	for _, c := range s.chunks {
+		s.spare = append(s.spare, c[:0])
+	}
+	s.first, s.cur, s.chunks = first, nil, s.chunks[:0]
 }
 
 func (s *edgeSink) add(e uint64) {
@@ -70,7 +82,11 @@ func (s *edgeSink) add(e uint64) {
 		if s.cur != nil {
 			s.chunks = append(s.chunks, s.cur)
 		}
-		s.cur = make([]uint64, 0, min(max(2*cap(s.cur), s.first, 1), edgeChunkLen))
+		if n := len(s.spare); n > 0 {
+			s.cur, s.spare = s.spare[n-1], s.spare[:n-1]
+		} else {
+			s.cur = make([]uint64, 0, min(max(2*cap(s.cur), s.first, 1), edgeChunkLen))
+		}
 	}
 	s.cur = append(s.cur, e)
 }
@@ -79,8 +95,37 @@ func (s *edgeSink) add(e uint64) {
 func (s *edgeSink) done() [][]uint64 {
 	if len(s.cur) > 0 {
 		s.chunks = append(s.chunks, s.cur)
+		s.cur = nil
 	}
 	return s.chunks
+}
+
+// edgeSinks returns workers sinks of mem, each reset to an equal share
+// of m vertices. Sinks past the old length keep their spares when the
+// slab grows.
+func (mem *buildMem) edgeSinks(workers, m int) []edgeSink {
+	if workers > cap(mem.sinks) {
+		mem.sinks = append(mem.sinks[:cap(mem.sinks)], make([]edgeSink, workers-cap(mem.sinks))...)
+	}
+	sinks := mem.sinks[:workers]
+	for i := range sinks {
+		sinks[i].reset(m / workers)
+	}
+	return sinks
+}
+
+// chunksOf returns the chunks the sinks collected (chunk order is
+// irrelevant: labelling is order-free and the CSR fill sorts every row).
+func (mem *buildMem) chunksOf(sinks []edgeSink) [][]uint64 {
+	if len(sinks) == 1 {
+		return sinks[0].done()
+	}
+	out := mem.chunks[:0]
+	for i := range sinks {
+		out = append(out, sinks[i].done()...)
+	}
+	mem.chunks = out
+	return out
 }
 
 // collectGrid runs the sharded cell-pair walk: every unordered candidate
@@ -95,10 +140,10 @@ func collectGrid(g *Graph, w *flatWindow, prm grid.Params, workers int) collecte
 	walk := idx.NewPairWalk(gridBuildReach)
 	cb := g.mem.cb.init(w, g.mem.locals.resolve(idx))
 	workers = par.Workers(workers, len(walk.Cells()))
-	bufs := make([][][]uint64, workers)
+	sinks := g.mem.edgeSinks(workers, len(g.ids))
 	blocks := make([][]uint64, workers)
 	par.Do(workers, func(wk int) {
-		sink := edgeSink{first: len(g.ids) / workers}
+		sink := &sinks[wk]
 		var accepted []uint64
 		edge := func(va, vc int32) { sink.add(pack(va, vc)) }
 		walk.Shard(wk, workers, func(a, c int) {
@@ -108,31 +153,17 @@ func collectGrid(g *Graph, w *flatWindow, prm grid.Params, workers int) collecte
 				cb.testBlock(a, c, edge)
 			}
 		})
-		bufs[wk] = sink.done()
 		blocks[wk] = accepted
 	})
-	return collected{bufs: flattenChunks(bufs), cb: cb, blocks: slices.Concat(blocks...)}
-}
-
-// flattenChunks concatenates the workers' chunk lists (chunk order is
-// irrelevant: labelling is order-free and the CSR fill sorts every row).
-func flattenChunks(bufs [][][]uint64) [][]uint64 {
-	if len(bufs) == 1 {
-		return bufs[0]
-	}
-	var out [][]uint64
-	for _, chunks := range bufs {
-		out = append(out, chunks...)
-	}
-	return out
+	return collected{bufs: g.mem.chunksOf(sinks), cb: cb, blocks: slices.Concat(blocks...)}
 }
 
 // collectAllPairs stripes the quadratic scan across workers (vertex a of
 // every pair (a, c), a < c, belongs to exactly one stripe).
-func collectAllPairs(w *flatWindow, m, workers int) [][]uint64 {
-	bufs := make([][][]uint64, workers)
+func collectAllPairs(mem *buildMem, w *flatWindow, m, workers int) [][]uint64 {
+	sinks := mem.edgeSinks(workers, m)
 	par.Do(workers, func(wk int) {
-		sink := edgeSink{first: m / workers}
+		sink := &sinks[wk]
 		for a := wk; a < m; a += workers {
 			for c := a + 1; c < m; c++ {
 				if w.adjacent(int32(a), int32(c)) {
@@ -140,9 +171,8 @@ func collectAllPairs(w *flatWindow, m, workers int) [][]uint64 {
 				}
 			}
 		}
-		bufs[wk] = sink.done()
 	})
-	return flattenChunks(bufs)
+	return mem.chunksOf(sinks)
 }
 
 // fillCSR folds the edges and accepted blocks of the CSR components into

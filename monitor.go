@@ -48,6 +48,10 @@ type Monitor struct {
 	// for reuse once Observe returns.
 	spare  *space.State
 	abnBuf []int
+	// decs recycles the in-process directory's decisions from one
+	// distributed window to the next: they are copied into the
+	// Outcome's Reports and cleared before characterizeWindow returns.
+	decs []dist.Decision
 	// dirClient replaces the in-process directory when WithDirectory is
 	// configured: abnormal windows are decided over the wire by a shard
 	// fleet, and a window the fleet cannot serve degrades to centralized
@@ -416,9 +420,10 @@ func (m *Monitor) HealthStats() HealthStats {
 // directory service and decides on it: a_k(j) flags a change between
 // windows, so consecutive abnormal sets barely overlap and no verdict
 // is worth keeping from one window to the next. The working memory a
-// window is decided in — characterizer, motion graph, directory index —
-// goes back to its package pool once the window is decided, and the
-// Outcome aliases none of it. With WithDirectory the directory lives
+// window is decided in — characterizer, motion graph, directory and its
+// decide scratch, the decisions themselves — goes back to its package
+// pool or to the Monitor once the window is decided, and the Outcome
+// aliases none of it. With WithDirectory the directory lives
 // behind the wire instead: the client sends each shard its slice and
 // merges the decisions, and any failure past the
 // deadline/retry/breaker budget degrades this one window to the
@@ -442,11 +447,14 @@ func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcom
 			if m.mx != nil {
 				m.mx.dirBuilds.Inc()
 			}
-			decisions, total, err := dist.DecideAll(dir, cfg)
+			decisions, total, err := dist.DecideRange(m.decs, dir, cfg, 0, dir.Len())
 			if err != nil {
 				return nil, err
 			}
-			return outcomeFromDecisions(decisions, total), nil
+			out := outcomeFromDecisions(decisions, total)
+			clear(decisions) // drop the Results, which the Outcome now holds
+			m.decs = decisions
+			return out, nil
 		}
 		m.dirWindows.Add(1)
 		decisions, total, err := m.dirClient.DecideWindow(pair, abnormal, cfg)

@@ -84,12 +84,17 @@ func cloneOutcome(o *Outcome) *Outcome {
 }
 
 // TestOutcomeOwnsItsMemory: the working memory a window is decided in
-// — characterizer, motion graph, grid index — is recycled once the
-// window is decided, so an Outcome must alias none of it. Every
-// deployment model decides a stream of windows of changing sizes and
-// shapes, keeping each Outcome and a deep copy taken when it was
-// returned; after the last window every Outcome, with its Reports, id
-// lists and dense motions, must still equal its copy.
+// — characterizer, motion graph, grid index, directory, decide scratch
+// and decisions — is recycled once the window is decided, so an Outcome
+// must alias none of it. Every deployment model decides a stream of
+// windows of changing sizes and shapes, keeping each Outcome and a deep
+// copy taken when it was returned; after the last window every Outcome,
+// with its Reports, id lists and dense motions, must still equal its
+// copy. Then an in-process distributed monitor and a directory monitor
+// take turns, the second on the stream reversed, so consecutive windows
+// differ in size and each decides in the memory the other just handed
+// back: the in-process directory and the shard servers draw on the
+// same pools.
 func TestOutcomeOwnsItsMemory(t *testing.T) {
 	t.Parallel()
 
@@ -161,6 +166,47 @@ func TestOutcomeOwnsItsMemory(t *testing.T) {
 		kept, copies = append(kept, out), append(copies, cloneOutcome(out))
 	}
 	checkOwned(t, "Characterize", kept, copies)
+
+	reversed := slices.Clone(snaps)
+	slices.Reverse(reversed)
+	turns := []struct {
+		name         string
+		m            *Monitor
+		snaps        [][][]float64
+		kept, copies []*Outcome
+	}{
+		{name: "interleaved distributed", snaps: snaps},
+		{name: "interleaved directory", snaps: reversed},
+	}
+	for i, opts := range [][]Option{models[1].opts, models[2].opts} {
+		m, err := NewMonitor(n, 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		turns[i].m = m
+	}
+	for i := range snaps {
+		for k := range turns {
+			tn := &turns[k]
+			out, err := tn.m.Observe(tn.snaps[i])
+			if err != nil {
+				t.Fatalf("%s: snapshot %d: %v", tn.name, i, err)
+			}
+			if i == 0 {
+				continue
+			}
+			if out == nil {
+				t.Fatalf("%s: snapshot %d: no abnormal window", tn.name, i)
+			}
+			tn.kept, tn.copies = append(tn.kept, out), append(tn.copies, cloneOutcome(out))
+		}
+	}
+	for _, tn := range turns {
+		checkOwned(t, tn.name, tn.kept, tn.copies)
+	}
+	if ds := turns[1].m.DirStats(); ds.Networked != int64(len(turns[1].kept)) {
+		t.Fatalf("interleaved directory: %d of %d windows decided over the wire", ds.Networked, len(turns[1].kept))
+	}
 }
 
 // checkOwned requires at least six windows of distinct sizes, at least

@@ -61,8 +61,10 @@ const (
 )
 
 var table = []run{
-	// The window hot path: 421 allocs/op since the working memory a
-	// window is decided in is recycled (585 before, 635 before the motion
+	// The window hot path: 408 allocs/op since the grid's offset fans are
+	// shared and the collect pass's edge chunks recycled (421 before, 585
+	// before the working memory a window is decided in was recycled, 635
+	// before the motion
 	// graph was laid out per component, 1735 when first gated, 4046
 	// before that). Clique enumeration scratch drawn fresh per
 	// enumeration instead of from its pool reads 750.
@@ -73,7 +75,8 @@ var table = []run{
 	// the dense rows it replaced took 1.37 GB, so a slide back toward
 	// quadratic storage trips the gate. The storm window (six 500-device
 	// clusters plus lone gateways) lays out one dense block per
-	// component in ~0.44 MB; a whole-window m×m bit matrix took 1.5 MB.
+	// component in ~0.34 MB (~0.44 MB while its edge chunks were made
+	// per build); a whole-window m×m bit matrix took 1.5 MB.
 	// -short skips the set-up of the n=1M window.
 	{"./internal/motion", []string{"-short", "-benchtime=1x"}, 1, []gate{
 		{bench: "BenchmarkNewGraph/grid/sparse/n=100000", unit: bytesOp, bound: 150e6},
@@ -97,14 +100,20 @@ var table = []run{
 	// on its 4r view — within 2x of the centralized characterizer over
 	// the whole abnormal set (~1.4x when gated; ~30x before views were
 	// decided per cell block). Both sides hand their working memory back
-	// to the pools once decided: the centralized window allocates ~477 KB
-	// (its []Result is 388 KB of it), the distributed one ~998 KB (its
-	// []Decision 462 KB). Handing nothing back reads 942 KB and 1.52 MB,
-	// a words slab made per window 672 KB and 1.20 MB.
+	// once decided, the distributed one as the Monitor does: directory
+	// released, decisions written into the previous window's slice. The
+	// centralized window allocates ~470 KB (its []Result is 388 KB of
+	// it), the distributed one ~66 KB in ~226 allocations, all of it the
+	// Results' motions and families (~1.00 MB and ~790 while DecideRange
+	// made its scratch and []Decision per call). A decide scratch never
+	// handed back reads 233 KB and 409 allocations, a directory whose
+	// slabs are never handed back 93 KB, and a []Decision made per call
+	// 530 KB. Handing nothing back on the centralized side reads 942 KB.
 	{"./internal/dist", []string{"-benchtime=100x"}, 3, []gate{
 		{bench: stormDist, unit: nsOp, op: "/", base: stormCtrl, bound: 2},
 		{bench: stormCtrl, unit: bytesOp, bound: 560e3},
-		{bench: stormDist, unit: bytesOp, bound: 1.12e6},
+		{bench: stormDist, unit: bytesOp, bound: 84e3},
+		{bench: stormDist, unit: allocsOp, bound: 285},
 	}},
 	// The Threshold bank's Step over n=1M devices on one worker
 	// allocates nothing: the kernel works in place and the Walker's
@@ -123,7 +132,7 @@ var table = []run{
 	// recording must each be free on it. The per-device bank's strict
 	// tick fans out twice, to classify and to step, and reads 4; a
 	// closure allocated per fan-out reads 6 to 10 and trips its bound.
-	// allocs/op counts every goroutine's allocations; the median of three
+	// allocs/op counts every goroutine's allocations; the median of five
 	// repetitions keeps a stray one from tripping the one-allocation gates.
 	// The default detectors run as the Threshold bank at 0.32-0.47x
 	// the time of the same detectors run one heap object at a time in
@@ -132,7 +141,7 @@ var table = []run{
 	// partial tick runs every device's health transition inside the
 	// bank's one pass at 0.94-1.69x the quiet tick; a second pass over
 	// the fleet took ~2.0-2.4x and trips the 1.8 ratio.
-	{".", []string{"-benchtime=3x"}, 3, []gate{
+	{".", []string{"-benchtime=3x"}, 5, []gate{
 		{bench: quietTick, unit: allocsOp, bound: 16},
 		{bench: genTick, unit: allocsOp, bound: 6},
 		{bench: quietTick, unit: nsOp, op: "/", base: genTick, bound: 0.6},
@@ -152,10 +161,12 @@ var table = []run{
 	// A networked window costs memory in its m abnormal rows, not in
 	// the population n: at the same m, the n=100k wire window allocates
 	// ~1.0x the n=10k one. A shard server that sizes its states by n
-	// allocates ~3x here and trips the bound. The wire's own memory —
-	// codec, transport, the shards' window builds — keeps the wire
-	// window at ~1.8x the in-process batch; decisions that each carry
-	// their family's motions inline took ~4.2x.
+	// allocates ~3x here and trips the bound. The shards and the client
+	// decide and decode into recycled memory, so the wire window
+	// allocates ~0.54x the in-process DecideAll, which makes its
+	// []Decision per call (~1.8x while the wire side did too);
+	// decisions that each carry their family's motions inline took
+	// ~4.2x.
 	{"./internal/dirnet", []string{"-benchtime=20x"}, 3, []gate{
 		{bench: "BenchmarkDecideWindow/n=100k/wire", unit: bytesOp, op: "/", base: "BenchmarkDecideWindow/n=10k/wire", bound: 1.25},
 		{bench: "BenchmarkDecideWindow/n=10k/wire", unit: bytesOp, op: "/", base: "BenchmarkDecideWindow/n=10k/inproc", bound: 2},

@@ -207,16 +207,16 @@ func TestRatioGatesPairRepetitions(t *testing.T) {
 
 	// Every ratio gate's reading on the fixture, to the fixture's
 	// precision. The two quiet-tick ratios of the partial ticks read
-	// 0.9901 and 1.1509 as ratios of medians: the medians came from
+	// 1.1248 and 1.1754 as ratios of medians: the medians came from
 	// different invocations.
 	want := map[string]float64{
-		stormDist + " / BenchmarkCentralDecide/storm/m=3000 ns/op":                   1.482657,
-		quietTick + " / BenchmarkTickIngestDetectGeneric1M ns/op":                    0.385151,
-		"BenchmarkTickObservePartial1M / " + quietTick + " ns/op":                    1.096104,
-		"BenchmarkTickObservePartialLossy1M / " + quietTick + " ns/op":               1.206408,
-		"BenchmarkTickObserve1M/sharded / BenchmarkTickBare1M ns/op":                 1.004742,
-		"BenchmarkDecideWindow/n=100k/wire / BenchmarkDecideWindow/n=10k/wire B/op":  1.029477,
-		"BenchmarkDecideWindow/n=10k/wire / BenchmarkDecideWindow/n=10k/inproc B/op": 1.767073,
+		stormDist + " / BenchmarkCentralDecide/storm/m=3000 ns/op":                   1.189943,
+		quietTick + " / BenchmarkTickIngestDetectGeneric1M ns/op":                    0.396360,
+		"BenchmarkTickObservePartial1M / " + quietTick + " ns/op":                    1.092066,
+		"BenchmarkTickObservePartialLossy1M / " + quietTick + " ns/op":               1.235125,
+		"BenchmarkTickObserve1M/sharded / BenchmarkTickBare1M ns/op":                 0.945191,
+		"BenchmarkDecideWindow/n=100k/wire / BenchmarkDecideWindow/n=10k/wire B/op":  0.999120,
+		"BenchmarkDecideWindow/n=10k/wire / BenchmarkDecideWindow/n=10k/inproc B/op": 0.537732,
 	}
 	fx := parse(fixture(t))
 	for _, r := range table {

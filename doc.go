@@ -145,23 +145,31 @@
 // all: a Threshold detector's previous sample is its device's position
 // in the committed state, so one fused pass per shard classifies each
 // row, clamps it into the next state and tests its jump against the
-// committed one. The pass is one kernel for every d: it reads the
-// shard's range of both states as flat coordinate slabs, and runs one
-// inner loop per row that checks finiteness (a running sum of v−v,
-// NaN exactly when a value is not), clamps and keeps the row's largest
-// jump, so a clean row detected on is flagged by one comparison with
-// delta; no width gets a loop of its own. On a shared 2-core x86-64
-// box, nine benchgate repetitions read the quiet n = 1M, d = 2 bank
-// tick (BenchmarkTickIngestDetect1M) at 5.6–12.3 ms, 0.38–0.67x (median
-// 0.45x) the same tick on the per-device bank. The bank holds one trained
-// byte per device, read until a tick has fed every device. A strict
-// pass writes nothing but the next state, which a rejected tick never
-// promotes. Every tick is
-// that one pass. On a partial tick each device's health transition
-// runs inside it, between the classification and the detector test,
-// and picks what the device detects on — its own report, its held
-// position, or nothing — with each shard's counter changes folded into
-// the tracker after the pass.
+// committed one. The pass is one kernel for every d over the shard's
+// range of both states as flat coordinate slabs, and no width gets a
+// loop of its own. Its tight loop takes the common row: d wide, every
+// value's bits at most those of 1.0 — one integer compare per value,
+// true exactly for +0 through 1, so the clamp is the identity — from a
+// live, trained device, and every value within delta of the committed
+// one (x − p > delta || x − p < −delta flags). It copies such a row
+// into the next state without calling the health tracker or reading
+// its fields: the tracker hands each shard its state bytes, or none
+// while the fleet is all live, and its last-known marks, or none once
+// every device has one. The first row the loop does not take — a
+// jump, a fault, −0, a value out of range, an impaired or untrained
+// device — runs the general path alone: a running sum of v−v, NaN
+// exactly when a value is not finite, the clamp, the row's largest
+// jump and the device's health transition. Then the loop resumes. On a
+// shared 2-core x86-64 box, ten benchgate repetitions read the quiet
+// n = 1M, d = 2 bank tick (BenchmarkTickIngestDetect1M) at 6.3–8.6 ms,
+// 0.13–0.27x (median 0.23x) the same tick on the per-device bank. The
+// bank holds one trained byte per device, read until a tick has fed
+// every device. A strict pass writes nothing but the next state, which
+// a rejected tick never promotes. Every tick is that one pass. On a
+// partial tick each device's health transition runs inside it, between
+// the classification and the detector test, and picks what the device
+// detects on — its own report, its held position, or nothing — with
+// each shard's counter changes folded into the tracker after the pass.
 // Any other factory output — another detector family, mixed deltas, a
 // pre-trained or custom detector — runs a per-device bank under the
 // same Step contract: a heap Device per device, and on a partial tick

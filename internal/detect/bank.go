@@ -18,12 +18,16 @@ import (
 //
 // Step runs one kernel whatever d is. Each shard takes its range of
 // cur's and prev's coordinate slabs as flat spans (space.State.Span)
-// and, for each device, one inner loop over the row's d values: it
-// sums v−v, which is NaN exactly when a value is not finite, clamps
-// each value into the device's slot of cur and keeps the largest jump
-// from prev. A clean row detected on is then flagged by one comparison
-// of that jump against delta; held, parked, untrained and malformed
-// rows fall to a slower path that rewrites the slot.
+// and runs a tight loop over the common row: d wide, every value in
+// [+0, 1] by one integer test of its bits, from a live, trained device
+// and within delta of its committed position in every service. The
+// loop copies such a row into cur with no tracker call. The first row
+// it does not take — a jump, a fault, an impaired or untrained device,
+// or any row before a state is committed — runs the general path for
+// that row alone: one inner loop sums v−v, which is NaN exactly when a
+// value is not finite, clamps each value into the device's slot of cur
+// and keeps the largest jump from prev, and the device's health
+// transition picks what it detects on. The tight loop then resumes.
 //
 // A strict Step (nil tracker) writes nothing but the caller's cur, so a
 // tick rejected after its Step leaves the bank as it was; the caller
@@ -105,9 +109,9 @@ func (b *ThresholdBank) Step(rows [][]float64, prev, cur *space.State, t *health
 }
 
 func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, lo, hi int, flagged []int) ([]int, int, health.Delta) {
-	d, delta, all, trained := b.d, b.delta, b.all, b.trained
+	d, delta := b.d, b.delta
 	// Only a partial Step, which cannot be rejected, trains devices.
-	train := t != nil && !all
+	train := t != nil && !b.all
 	dst := cur.Span(lo, hi)
 	// With no committed state no jump is tested, so each row's jump is
 	// taken against its own slot and the kernel needs no branch for it.
@@ -115,16 +119,34 @@ func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *h
 	if prev != nil {
 		last = prev.Span(lo, hi)
 	}
-	clean = clean[lo:hi]
+	rows, clean = rows[lo:hi], clean[lo:hi]
+	// The range's trained bytes, and its tracker states and last-known
+	// marks, are nil when every device is trained, live or marked.
+	var trained []byte
+	if !b.all {
+		trained = b.trained[lo:hi:hi]
+	}
+	var states []health.State
+	var seen []bool
+	if t != nil {
+		states, seen = t.Shard(lo, hi)
+	}
 	n := 0
 	// The shard's health delta stays local until the range is done:
 	// the workers' slots share cache lines.
 	var hd health.Delta
-	for i, row := range rows[lo:hi] {
+	for i := 0; i < len(rows); i++ {
+		if prev != nil {
+			j := quiet(rows, dst, last, d, delta, states, seen, trained, clean, i)
+			if n += j - i; j == len(rows) {
+				break
+			}
+			i = j
+		}
 		dev := lo + i
 		out, p := dst[i*d:(i+1)*d], last[i*d:(i+1)*d]
 		ok, jump := false, 0.0
-		if len(row) == d {
+		if row := rows[i]; len(row) == d {
 			var nan float64
 			nan, jump = detectRow(out, row, p)
 			ok = nan == 0
@@ -149,9 +171,9 @@ func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *h
 			park(out, prev, dev)
 			continue
 		}
-		if prev == nil || !all && trained[dev] == 0 {
+		if prev == nil || trained != nil && trained[i] == 0 {
 			if train {
-				trained[dev] = 1
+				trained[i] = 1
 			}
 			continue
 		}
@@ -160,6 +182,41 @@ func (b *ThresholdBank) stepRange(rows [][]float64, prev, cur *space.State, t *h
 		}
 	}
 	return flagged, n, hd
+}
+
+// quiet is the kernel's tight loop over rows from i on. It takes the
+// common row: d wide, every value's bits at most those of 1.0 — one
+// integer test that holds exactly for +0 through 1, so the clamp is the
+// identity — from a live, trained device whose every value lies within
+// delta of its position in last. It copies such a row into dst, grades
+// it clean, sets its device's last-known mark and moves on, and returns
+// the first row it does not take, which stepRange runs. A nil states,
+// seen or trained stands for devices all live, all marked or all
+// trained. The loop calls nothing and reads no field of the bank or
+// the tracker, which keeps its live values few.
+func quiet(rows [][]float64, dst, last []float64, d int, delta float64, states []health.State, seen []bool, trained []byte, clean []bool, i int) int {
+	const one = 0x3ff0000000000000 // math.Float64bits(1)
+	below := -delta
+	clean = clean[:len(rows)]
+	for ; i < len(rows); i++ {
+		row := rows[i]
+		if len(row) != d || states != nil && states[i] != health.Live || trained != nil && trained[i] == 0 {
+			return i
+		}
+		off := i * d
+		out, p := dst[off:off+len(row)], last[off:off+len(row)]
+		for k, x := range row {
+			if j := x - p[k]; math.Float64bits(x) > one || j > delta || j < below {
+				return i
+			}
+			out[k] = x
+		}
+		clean[i] = true
+		if seen != nil && !seen[i] {
+			seen[i] = true
+		}
+	}
+	return i
 }
 
 // detectRow clamps src into out as space.Point.Clamp clamps a finite

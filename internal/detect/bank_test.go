@@ -675,6 +675,7 @@ func (o oracleBank) stepRange(rows [][]float64, prev, cur *space.State, t *healt
 const (
 	bankFuzzReset  = 1 << 0 // Reset the bank (and tracker) before the tick
 	bankFuzzDrop   = 1 << 1 // never promote the tick's state
+	bankFuzzForget = 1 << 2 // Reset the trackers alone before the tick
 	bankFuzzMaxRow = 16     // most specs per tick
 	bankFuzzDelta  = 0.05
 
@@ -683,12 +684,15 @@ const (
 	bankKindLong  = 2
 )
 
-// bankFuzzValue maps a byte to a QoS value: the first nine are NaN,
-// ±Inf, −0, out-of-range values, the interval's ends and the bank's
-// delta, a jump of exactly delta from 0; the rest spread over [0,1] in
-// steps well under delta.
+// bankFuzzValue maps a byte to a QoS value: the first thirteen are NaN,
+// ±Inf, −0, out-of-range values, the interval's ends, the bank's delta
+// (a jump of exactly delta from 0), then the values either side of the
+// kernel's range test: the float just above 1, ± the smallest
+// subnormal and a NaN with its sign bit set. The rest spread over [0,1]
+// in steps of 1/242, well under delta.
 func bankFuzzValue(b byte) float64 {
-	special := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), -0.25, 1.5, 0, 1, bankFuzzDelta}
+	special := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), -0.25, 1.5, 0, 1, bankFuzzDelta,
+		math.Nextafter(1, 2), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Copysign(math.NaN(), -1)}
 	if int(b) < len(special) {
 		return special[b]
 	}
@@ -709,10 +713,12 @@ func bankFuzzTick(op byte, specs ...[]byte) []byte {
 // oracleBank over arbitrary streams of strict or partial Steps at d in
 // {1, 2, 3, MaxDim}, on one worker or three: nil, short and long rows,
 // NaN, ±Inf, −0 and out-of-range values, a tracker driven stale and
-// into quarantine, Steps whose state is never promoted, and Resets.
-// After every Step both banks must have written the same bits into
-// cur, graded and flagged the same rows, trained the same devices and
-// left their trackers in the same states and counters.
+// into quarantine, Steps whose state is never promoted, Resets, and
+// trackers reset alone, which leaves trained devices without their
+// last-known marks. A promoted Step trains the banks by Monitor.step's
+// rule. After every Step both banks must have written the same bits
+// into cur, graded and flagged the same rows, trained the same devices
+// and left their trackers in the same states and counters.
 func FuzzThresholdBankStep(f *testing.F) {
 	clean := func(d int, b byte) []byte { return append([]byte{7}, bytes.Repeat([]byte{b}, d)...) }
 	for cfg := range 16 {
@@ -748,6 +754,80 @@ func FuzzThresholdBankStep(f *testing.F) {
 			s = append(s, bankFuzzTick(op, row0, clean(d, byte(100+20*(k/2%2))), row2, odd, clean(d, byte(6+2*(k%2))))...)
 		}
 		f.Add(uint8(cfg|0x30), s)
+	}
+	// The kernel's range test at its boundary, on three workers over
+	// n = 3*minShard devices fed 16 specs, so specs 0 and 15 are the
+	// first and last row of every shard. Value bytes: 1 +Inf, 3 −0,
+	// 4 −0.25, 5 1.5, 6 +0, 7 1, 9 the float above 1, 10 and 11 ± the
+	// smallest subnormal, 12 a NaN with its sign bit set; 134 is 0.5.
+	for cfg := range 8 {
+		d := bankDims[cfg&3]
+		row := func(kind byte, v ...byte) []byte {
+			out := []byte{kind}
+			for i := range d {
+				out = append(out, v[min(i, len(v)-1)])
+			}
+			return out
+		}
+		tick := func(op byte, first, last []byte, mid func(spec int) []byte) []byte {
+			specs := [][]byte{first}
+			for spec := 1; spec < 15; spec++ {
+				specs = append(specs, mid(spec))
+			}
+			return bankFuzzTick(op, append(specs, last)...)
+		}
+		// Tick 0 commits −0 for spec 3; tick 1 moves spec 4 up by just
+		// under delta and the last service of spec 5 down by just over
+		// it, and puts slow rows at both ends of each shard.
+		start := func(spec int) []byte {
+			switch spec {
+			case 1:
+				return row(7, 7)
+			case 2:
+				return row(7, 10)
+			case 3:
+				return row(7, 3)
+			}
+			return row(7, 134)
+		}
+		moved := func(spec int) []byte {
+			switch spec {
+			case 1:
+				return row(7, 7)
+			case 2:
+				return row(7, 11)
+			case 3:
+				return row(7, 6)
+			case 4:
+				return row(7, 146)
+			case 5:
+				return append(row(7, 134)[:d], 121)
+			case 7:
+				return row(7, 5)
+			case 8:
+				return row(7, 4)
+			}
+			return row(7, 134)
+		}
+		// Spec 1 drops out on the tick after the trackers are reset
+		// alone: it is held only if the kernel marked it seen.
+		dropped := func(spec int) []byte {
+			if spec == 1 {
+				return row(bankKindNil, 0)
+			}
+			return moved(spec)
+		}
+		var s []byte
+		s = append(s, tick(0, row(7, 6), row(7, 7), start)...)
+		s = append(s, tick(0, row(7, 9), row(7, 3), moved)...)
+		s = append(s, tick(0, row(7, 12), row(7, 1), moved)...)
+		s = append(s, tick(0, row(7, 7), row(7, 7), moved)...)
+		s = append(s, tick(bankFuzzReset, row(7, 7), row(7, 7), moved)...)
+		s = append(s, tick(bankFuzzForget, row(bankKindNil, 0), row(7, 7), moved)...)
+		s = append(s, tick(0, row(7, 7), row(7, 7), dropped)...)
+		s = append(s, tick(0, row(7, 7), row(7, 7), moved)...)
+		// Three workers always; cfg's bit 4 picks partial (bit 8).
+		f.Add(uint8(cfg|4|(cfg&4)<<1), s)
 	}
 	f.Fuzz(func(t *testing.T, cfg uint8, raw []byte) {
 		d := bankDims[cfg&3]
@@ -796,11 +876,12 @@ func FuzzThresholdBankStep(f *testing.F) {
 			if op&bankFuzzReset != 0 {
 				kernel.Reset()
 				oracle.Reset()
-				if partial {
-					kt.Reset()
-					ot.Reset()
-				}
 			}
+			if partial && op&(bankFuzzReset|bankFuzzForget) != 0 {
+				kt.Reset()
+				ot.Reset()
+			}
+			allLive := partial && kt.AllLive()
 			// Both states start as garbage, so a slot either bank
 			// leaves unwritten shows.
 			kcur, _ := space.NewState(n, d)
@@ -846,7 +927,11 @@ func FuzzThresholdBankStep(f *testing.F) {
 			if op&bankFuzzDrop != 0 || !partial && kn < n {
 				continue
 			}
-			if !partial {
+			if !partial || allLive && kn == n {
+				if partial {
+					kt.ConsumeAll()
+					ot.ConsumeAll()
+				}
 				kernel.TrainAll()
 				oracle.TrainAll()
 			}
@@ -857,11 +942,13 @@ func FuzzThresholdBankStep(f *testing.F) {
 
 // BenchmarkThresholdBankStep times the bank's Step alone over n = 1M
 // two-service devices fed one quiet snapshot every tick, double
-// buffering its states as the Monitor does, and reports ns/device.
-// strict is the Observe pass (no tracker, TrainAll after each Step),
-// partial the ObservePartial pass over an all-live fleet, lossy the
-// partial pass with a hundredth of the reports lost each tick and a
-// 500-device block quarantined. workers=0 shards over GOMAXPROCS.
+// buffering its states and training the bank as the Monitor does, and
+// reports ns/device. strict is the Observe pass (no tracker, TrainAll
+// after each Step), partial the ObservePartial pass over an all-live
+// fleet (trained after its first tick), lossy the partial pass with a
+// hundredth of the reports lost each tick and a 500-device block
+// quarantined, which never trains the whole bank. workers=0 shards
+// over GOMAXPROCS.
 func BenchmarkThresholdBankStep(b *testing.B) {
 	const n, d, stride, block = 1_000_000, 2, 100, 500
 	rng := rand.New(rand.NewSource(5))
@@ -908,8 +995,16 @@ func BenchmarkThresholdBankStep(b *testing.B) {
 				var out []int
 				step := func(tick int) {
 					lose(tick)
-					out, _ = bank.Step(rows, prev, cur, tr, clean, out)
-					if tr == nil {
+					allLive := tr != nil && tr.AllLive()
+					var nClean int
+					out, nClean = bank.Step(rows, prev, cur, tr, clean, out)
+					// Monitor.step's rule: a strict tick, or a fully
+					// clean one over a fleet all live at its start,
+					// trains the bank and marks every device seen.
+					if tr == nil || allLive && nClean == n {
+						if tr != nil {
+							tr.ConsumeAll()
+						}
 						bank.TrainAll()
 					}
 					prev, cur, spare = cur, spare, prev

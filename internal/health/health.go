@@ -22,9 +22,9 @@
 // a degraded stream reproducible against an oracle fed only the clean
 // subset.
 //
-// A Tracker is not safe for concurrent use, except that Transition may
-// run on disjoint devices at once (see Transition); it is owned by the
-// monitor that owns the ingest clock.
+// A Tracker is not safe for concurrent use, except that Transition and
+// Shard may run on disjoint devices at once (see Transition); it is
+// owned by the monitor that owns the ingest clock.
 package health
 
 import (
@@ -217,6 +217,24 @@ func (t *Tracker) Transition(dev int, clean bool, d *Delta) Disposition {
 		return Consume
 	}
 	return t.transition(dev, clean, d)
+}
+
+// Shard returns what a sharded pass over devices [lo, hi) needs to fold
+// a clean report of a live device without Transition: the devices'
+// states, nil when every device is live, and their last-known marks,
+// nil once ConsumeAll has marked the whole fleet. Folding such a report
+// sets the device's mark, when the marks are not nil, and changes
+// nothing else. Like Transition, Shard may run on disjoint ranges at
+// once; what it returns holds for the pass until its deltas are
+// applied.
+func (t *Tracker) Shard(lo, hi int) (states []State, seen []bool) {
+	if t.impaired != 0 {
+		states = t.states[lo:hi:hi]
+	}
+	if !t.allSeen {
+		seen = t.seen[lo:hi:hi]
+	}
+	return states, seen
 }
 
 // transition is Transition for a fault or an impaired device.

@@ -243,6 +243,28 @@ func TestConsumeAllGivesHoldSemantics(t *testing.T) {
 	expect(t, tr, 2, false, Skip)
 }
 
+// TestShardViews: Shard hands out a range's states only while some
+// device is impaired and its last-known marks only until ConsumeAll,
+// and the slices it returns alias the tracker's own.
+func TestShardViews(t *testing.T) {
+	tr := mustNew(t, 4, DefaultPolicy())
+	if states, seen := tr.Shard(1, 3); states != nil || len(seen) != 2 {
+		t.Fatalf("fresh tracker: Shard = %v, %v; want nil states and 2 marks", states, seen)
+	}
+	expect(t, tr, 1, true, Consume)
+	expect(t, tr, 2, false, Skip)
+	states, seen := tr.Shard(1, 3)
+	if !slices.Equal(states, []State{Live, Stale}) || !slices.Equal(seen, []bool{true, false}) {
+		t.Fatalf("one stale device: Shard = %v, %v", states, seen)
+	}
+	seen[1] = true
+	expect(t, tr, 2, false, Hold)
+	tr.ConsumeAll()
+	if _, seen := tr.Shard(0, 4); seen != nil {
+		t.Fatalf("after ConsumeAll: marks %v, want nil", seen)
+	}
+}
+
 // TestTransitionShardParity runs one random clean/fault stream through
 // serial Report and through Transition split over contiguous device
 // ranges, each range on its own goroutine with its own Delta, the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"anomalia/internal/scenario"
@@ -257,5 +258,55 @@ func TestClassTextMarshalling(t *testing.T) {
 	var c Class
 	if err := c.UnmarshalText([]byte("nonsense")); err == nil {
 		t.Error("unknown class text must error")
+	}
+}
+
+// stormOutcome is a storm-sized window's Outcome: six 500-device
+// massive families, each sharing one dense motion, then 20 isolated
+// gateways — about 0.3 MB of window record.
+func stormOutcome() Outcome {
+	const families, size, lone = 6, 500, 20
+	var o Outcome
+	for f := range families {
+		motion := make([]int, size)
+		for i := range motion {
+			motion[i] = f*30_000 + i
+		}
+		dense := [][]int{motion}
+		for _, dev := range motion {
+			o.Reports = append(o.Reports, Report{Device: dev, Class: Massive, Rule: "theorem6", DenseMotions: dense,
+				Cost: Cost{MaximalMotions: 1, DenseMotions: 1, NeighborsScanned: size - 1}})
+			o.Massive = append(o.Massive, dev)
+		}
+	}
+	for i := range lone {
+		dev := 190_000 + 500*i
+		o.Reports = append(o.Reports, Report{Device: dev, Class: Isolated, Rule: "theorem5", Cost: Cost{MaximalMotions: 1}})
+		o.Isolated = append(o.Isolated, dev)
+	}
+	return o
+}
+
+// TestMarshalJSONPoolMiss: a MarshalJSON that finds the record pool
+// empty, as it is after two collections, starts its buffer at the
+// longest record written so far, so a storm-sized record costs its
+// scratch, one buffer, the motion table's maps and slices and the
+// returned copy: 27 allocations. A buffer grown from empty through
+// appends takes 59.
+func TestMarshalJSONPoolMiss(t *testing.T) {
+	o := stormOutcome()
+	want, err := o.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		runtime.GC()
+		runtime.GC()
+		if got, err := o.MarshalJSON(); err != nil || len(got) != len(want) {
+			t.Fatalf("MarshalJSON wrote %d bytes (%v), want %d", len(got), err, len(want))
+		}
+	})
+	if allocs > 40 {
+		t.Fatalf("MarshalJSON on an emptied pool: %v allocations, want at most 40", allocs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"anomalia/internal/motiontable"
@@ -42,7 +43,17 @@ type recordScratch struct {
 	buf   []byte
 }
 
-var recordPool = sync.Pool{New: func() any { return new(recordScratch) }}
+// recordPool holds the scratch of past encodings. A pool drops its
+// scratch at GC and, when the encoding goroutine moves to another P,
+// misses a private slot it cannot steal, so a fresh scratch starts its
+// buffer at recordHint, the longest record MarshalJSON has written:
+// a miss costs one allocation, not a chain of append growths.
+var (
+	recordPool = sync.Pool{New: func() any {
+		return &recordScratch{buf: make([]byte, 0, recordHint.Load())}
+	}}
+	recordHint atomic.Int64
+)
 
 // MarshalJSON writes the Outcome as a window record, the bytes
 // AppendJSON appends. It encodes into pooled scratch and returns one
@@ -54,6 +65,11 @@ func (o Outcome) MarshalJSON() ([]byte, error) {
 	copy(out, s.buf)
 	s.table.Reset()
 	recordPool.Put(s)
+	for n := int64(len(out)); ; {
+		if h := recordHint.Load(); n <= h || recordHint.CompareAndSwap(h, n) {
+			break
+		}
+	}
 	return out, nil
 }
 

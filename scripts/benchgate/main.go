@@ -134,13 +134,17 @@ var table = []run{
 	// closure allocated per fan-out reads 6 to 10 and trips its bound.
 	// allocs/op counts every goroutine's allocations; the median of five
 	// repetitions keeps a stray one from tripping the one-allocation gates.
-	// The default detectors run as the Threshold bank at 0.32-0.47x
+	// The default detectors run as the Threshold bank at 0.13-0.34x
 	// the time of the same detectors run one heap object at a time in
 	// the per-device bank (per-repetition readings over three full
-	// runs), so a silent fallback to it trips the 0.6 ratio. A lossy
-	// partial tick runs every device's health transition inside the
-	// bank's one pass at 0.94-1.69x the quiet tick; a second pass over
-	// the fleet took ~2.0-2.4x and trips the 1.8 ratio.
+	// runs, medians 0.23-0.24; 0.24-0.54x before the bank's tight loop
+	// for the common row), so a silent fallback to it trips the 0.6
+	// ratio. A lossy partial tick runs every device's health transition
+	// inside the bank's one pass at 1.04-1.83x the quiet tick (medians
+	// 1.39-1.45): the tight loop gains less there, since a lossy tick
+	// reads states and trained bytes and writes last-known marks. A
+	// second pass over the fleet took ~2.0-2.4x the slower quiet tick
+	// before that loop and trips the 1.8 ratio.
 	{".", []string{"-benchtime=3x"}, 5, []gate{
 		{bench: quietTick, unit: allocsOp, bound: 16},
 		{bench: genTick, unit: allocsOp, bound: 6},

@@ -50,7 +50,7 @@ func TestDistributedWindowErrorRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.characterizeWindow(pair, []int{n + 3}); err == nil {
+	if _, err := m.characterizeWindow(pair, []int{n + 3}, nil); err == nil {
 		t.Fatal("out-of-range abnormal id must fail the window")
 	}
 

@@ -476,7 +476,7 @@ func Characterize(prev, cur [][]float64, abnormal []int, opts ...Option) (*Outco
 	}
 	// A one-shot window is the Monitor's decision with no directory
 	// client.
-	return (&Monitor{cfg: cfg}).characterizeWindow(pair, abnormal)
+	return (&Monitor{cfg: cfg}).characterizeWindow(pair, abnormal, nil)
 }
 
 // classify folds the Reports' verdicts into the M_k / I_k / U_k sets,
@@ -505,7 +505,7 @@ func (o *Outcome) classify() {
 
 // outcomeFromDecisions folds one window's decisions — computed
 // in-process or decoded off the wire, the shapes are identical — into
-// an Outcome with the summed directory traffic.
+// an unclassified Outcome with the summed directory traffic.
 func outcomeFromDecisions(decisions []dist.Decision, total dist.Stats) *Outcome {
 	out := &Outcome{
 		Reports: make([]Report, len(decisions)),
@@ -518,7 +518,6 @@ func outcomeFromDecisions(decisions []dist.Decision, total dist.Stats) *Outcome 
 	for i := range decisions {
 		out.Reports[i] = toReport(decisions[i].Result)
 	}
-	out.classify()
 	return out
 }
 

@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"testing"
 
 	"anomalia/internal/dirnet"
@@ -433,7 +435,7 @@ func BenchmarkTickBare1M(b *testing.B) {
 	cfg.exact = false
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (&Monitor{cfg: cfg}).characterizeWindow(pair, faulty); err != nil {
+		if _, err := (&Monitor{cfg: cfg}).characterizeWindow(pair, faulty, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -475,9 +477,9 @@ func BenchmarkTickObserve1M(b *testing.B) {
 
 // BenchmarkTickIngestDetect1M isolates the ingest front-end: a quiet
 // steady-state tick (classify, clamp and detect a million devices in
-// the Threshold bank's one fused pass, nothing abnormal). The
-// double-buffered monitor allocates only a handful of times per tick
-// after warm-up, which the bench gate pins.
+// the Threshold bank's one fused pass, nothing abnormal). The monitor
+// detects in place over its one position slab and allocates only a
+// handful of times per tick after warm-up, which the bench gate pins.
 func BenchmarkTickIngestDetect1M(b *testing.B) {
 	benchQuietTick(b)
 }
@@ -526,6 +528,53 @@ func benchQuietTick(b *testing.B, opts ...Option) {
 			b.Fatal("quiet tick produced an outcome")
 		}
 	}
+}
+
+// BenchmarkMonitorFootprint reports the heap a Monitor retains between
+// ticks, per device: the n=1M, d=2 fleet after NewMonitor, a training
+// Observe and one ObservePartial that loses a hundredth of the
+// reports, so the health tracker is built and some devices are stale.
+// The heap is read settled — two collections, then
+// /gc/heap/live:bytes — before the Monitor is built and after its
+// second tick, with the snapshots live at both reads. One n×d position
+// slab is 16 B/device and the health tracker 6; the bench gate bounds
+// the total, so a second n×d state (16 more) trips it.
+func BenchmarkMonitorFootprint(b *testing.B) {
+	snapA, _, _ := benchSnap1M(b)
+	lossy := append([][]float64(nil), snapA...)
+	for dev := 0; dev < bench1MN; dev += 100 {
+		lossy[dev] = nil
+	}
+	settled := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		sample := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		rtmetrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	var retained uint64
+	for i := 0; i < b.N; i++ {
+		before := settled()
+		m, err := NewMonitor(bench1MN, 2, WithRadius(bench1MR))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Observe(snapA); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.ObservePartial(lossy); err != nil {
+			b.Fatal(err)
+		}
+		if after := settled(); after > before {
+			retained += after - before
+		}
+		if st := m.HealthStats(); st.Stale != bench1MN/100 {
+			b.Fatalf("health split %+v, want a stale hundredth", st)
+		}
+		runtime.KeepAlive(m)
+	}
+	runtime.KeepAlive(lossy)
+	b.ReportMetric(float64(retained)/float64(b.N)/bench1MN, "B/device")
 }
 
 // BenchmarkTickObservePartial1M is the degraded-mode counterpart of

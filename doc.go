@@ -125,12 +125,41 @@
 // worker count (pinned by a parity suite run under the race detector).
 // Each row is classified clean or not — present, the right width, and
 // finite, since v < 0 || v > 1 is false for NaN — before any detector
-// state it would feed is committed. Observe's strict policy rejects the
-// snapshot on the lowest unclean row, so a rejected snapshot leaves the
-// monitor exactly as it was, while an error after acceptance (e.g. an
-// exact-search budget) reports a consumed observation whose clock and
-// buffers advanced coherently; ObservePartial hands the verdicts to the
-// health state machine instead (see Degraded operation).
+// state it would feed is committed. Observe's strict policy grades the
+// whole snapshot before its pass writes anything (each shard grades
+// its rows, then waits for the others) and rejects it on the lowest
+// unclean row, so a rejected snapshot leaves the monitor exactly as it
+// was: positions, clock, detectors and health. An error after
+// acceptance (e.g. an exact-search budget) reports a consumed
+// observation whose clock and positions advanced coherently;
+// ObservePartial hands the verdicts to the health state machine
+// instead (see Degraded operation).
+//
+// The Monitor holds one n×d position slab, written in place: device
+// j's slot holds its committed position S_{k−1}(j) as tick k starts
+// and S_k(j) when it ends. Its retained footprint is that slab plus
+// the per-device health bytes, once a partial tick has built the
+// tracker: at d = 2, 16 + 6 bytes per device, 22.0 B/device measured
+// at n = 1M (BenchmarkMonitorFootprint, which CI bounds at 24; it read
+// 41.1 while the Monitor kept a second n×d state, a per-row clean mask,
+// the trained bytes after every device was trained and flag buffers
+// sized to an eighth of each shard). A held device keeps its slot, a
+// parked one keeps its slot too (the origin until the first tick), and
+// Reset clears the slab. Detecting on a row reads the device's
+// committed position from the slot it then overwrites, so a row is
+// written only after every value in it has passed. For each flagged
+// device the pass copies the slot before and after the write into its
+// shard's window buffer, and the buffers merge in shard order, so the
+// detector pass hands back the abnormal ids with their compact rows at
+// k−1 and k. Every decision path — centralized, in-process directory,
+// networked directory and its degraded fallback — runs unchanged on a
+// compact m-row state pair over window-local ids 0..m−1, which the
+// paper permits: characterization reads only the trajectories of the
+// abnormal set, and every tie-break orders devices by id, an order the
+// increasing local-to-fleet table keeps. The table is applied once, as
+// the Outcome is built: each Report's device and each distinct dense
+// motion, renamed in place and keyed by slice identity, and a
+// characterization error's device.
 //
 // A report is clamped into [0,1]^d once, at ingest, and every consumer
 // — the device's detectors, the window's positions, the wire — sees
@@ -142,43 +171,46 @@
 //
 // The default detectors — the factory's untrained Threshold detectors,
 // all with one delta — run as a column bank that keeps no sample at
-// all: a Threshold detector's previous sample is its device's position
-// in the committed state, so one fused pass per shard classifies each
-// row, clamps it into the next state and tests its jump against the
-// committed one. The pass is one kernel for every d over the shard's
-// range of both states as flat coordinate slabs, and no width gets a
-// loop of its own. Its tight loop takes the common row: d wide, every
-// value's bits at most those of 1.0 — one integer compare per value,
-// true exactly for +0 through 1, so the clamp is the identity — from a
+// all: a Threshold detector's previous sample is its device's
+// committed position, so one fused pass per shard classifies each row,
+// tests its jump against the committed position and clamps it over
+// that position. The pass is one kernel for every d over the shard's
+// range of the slab as flat coordinates, and no width gets a loop of
+// its own. Its tight loop takes the common row: d wide, every value's
+// bits at most those of 1.0 — one integer compare per value, true
+// exactly for +0 through 1, so the clamp is the identity — from a
 // live, trained device, and every value within delta of the committed
-// one (x − p > delta || x − p < −delta flags). It copies such a row
-// into the next state without calling the health tracker or reading
-// its fields: the tracker hands each shard its state bytes, or none
-// while the fleet is all live, and its last-known marks, or none once
-// every device has one. The first row the loop does not take — a
+// one (|x − p| > delta flags). Once every value has passed it copies
+// the row over the position without calling the health tracker or
+// reading its fields: the tracker hands each shard its state bytes, or
+// none while the fleet is all live, and its last-known marks, or none
+// once every device has one. The first row the loop does not take — a
 // jump, a fault, −0, a value out of range, an impaired or untrained
-// device — runs the general path alone: a running sum of v−v, NaN
-// exactly when a value is not finite, the clamp, the row's largest
-// jump and the device's health transition. Then the loop resumes. On a
-// shared 2-core x86-64 box, ten benchgate repetitions read the quiet
-// n = 1M, d = 2 bank tick (BenchmarkTickIngestDetect1M) at 6.3–8.6 ms,
-// 0.13–0.27x (median 0.23x) the same tick on the per-device bank. The
-// bank holds one trained byte per device, read until a tick has fed
-// every device. A strict pass writes nothing but the next state, which
-// a rejected tick never promotes. Every tick is that one pass. On a
-// partial tick each device's health transition runs inside it, between
-// the classification and the detector test, and picks what the device
-// detects on — its own report, its held position, or nothing — with
-// each shard's counter changes folded into the tracker after the pass.
-// Any other factory output — another detector family, mixed deltas, a
-// pre-trained or custom detector — runs a per-device bank under the
-// same Step contract: a heap Device per device, and on a partial tick
-// the same one sharded pass, which classifies each row, runs its health
-// transition and feeds the picked row to the device's detectors with
-// one interface call per service. A heap detector's state cannot be
-// staged, so a strict tick classifies every row first and updates no
-// detector unless all are clean. A differential fuzz target pins the
-// two banks to the same outcomes, errors, states and health.
+// device — runs the general path alone: a read-only pass takes a
+// running sum of v−v, NaN exactly when a value is not finite, and the
+// row's largest clamped jump; the device's health transition picks
+// what it detects on; only then is the clamped row written. Then the
+// loop resumes. On a shared 2-core x86-64 box, thirty benchgate
+// repetitions read the quiet n = 1M, d = 2 strict tick
+// (BenchmarkTickIngestDetect1M), whose grading phase reads every row
+// once more, at 7.2–11.5 ms (median 9.6), 0.22–0.50x the same tick on
+// the per-device bank, and the quiet partial tick, which grades each
+// row inside the one pass, at 4.4–7.8 ms (median 6.3). The bank holds
+// one trained byte per device until a tick has fed every device, and
+// then drops them. A strict pass trains no device; the caller records
+// an accepted strict tick with TrainAll. Every tick is that one pass.
+// On a partial tick each device's health transition runs inside it,
+// between the classification and the detector test, and picks what
+// the device detects on — its own report, its held position, or
+// nothing — with each shard's counter changes folded into the tracker
+// after the pass. Any other factory output — another detector family,
+// mixed deltas, a pre-trained or custom detector — runs a per-device
+// bank under the same Step contract: a heap Device per device, and the
+// same one sharded pass, which classifies each row, runs its health
+// transition on a partial tick and feeds the picked row to the
+// device's detectors with one interface call per service. A
+// differential fuzz target pins the two banks to the same outcomes,
+// errors, states and health.
 //
 // Feeding snapshots in, cmd/anomalia-gateway reads either CSV (one row
 // per discrete time, parsed into reused buffers) or the binary stream
@@ -385,10 +417,11 @@
 //     (medians), and BenchmarkCentralDecide's storm window 0.48 MB
 //     against 1.01 MB, of which 0.39 MB is the []Result that
 //     CharacterizeAll returns and the Monitor no longer builds. The
-//     Monitor also recycles the displaced snapshot as the next
-//     window's buffer and reuses the abnormal-id slice, and the
-//     detector pass reuses its per-shard flag buffers, so a quiet
-//     tick allocates nothing per device (BenchmarkTickIngestDetect1M).
+//     Monitor detects in place over its one position slab and reuses
+//     its abnormal window — ids, compact rows and local ids — and the
+//     detector pass reuses its per-shard window buffers, which start
+//     empty and keep the capacity they grow to, so a quiet tick
+//     allocates nothing per device (BenchmarkTickIngestDetect1M).
 //   - The default Threshold detectors are a column bank, not 2M heap
 //     detectors behind 1M Devices: a detector's previous sample is its
 //     device's position in the Monitor's committed state, so the bank

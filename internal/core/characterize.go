@@ -9,7 +9,7 @@ import "fmt"
 func (c *Characterizer) Characterize(j int) (Result, error) {
 	lj, ok := c.graph.Local(j)
 	if !ok {
-		return Result{}, fmt.Errorf("device %d: %w", j, ErrNotAbnormal)
+		return Result{}, &DeviceError{Device: j, Err: ErrNotAbnormal}
 	}
 
 	// Line 2-3 of Algorithm 3: maximal motions of j, then W̄_k(j).

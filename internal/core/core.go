@@ -101,6 +101,19 @@ var (
 	ErrConfig = errors.New("core: invalid configuration")
 )
 
+// DeviceError is the failure of one device's characterization: the
+// device, by its id in the pair it was decided on, and the cause. A
+// caller that decided a window over its own ids can rename Device.
+type DeviceError struct {
+	Device int
+	Err    error
+}
+
+func (e *DeviceError) Error() string { return fmt.Sprintf("device %d: %v", e.Device, e.Err) }
+
+// Unwrap returns the cause.
+func (e *DeviceError) Unwrap() error { return e.Err }
+
 // Config parameterizes a characterizer.
 type Config struct {
 	// R is the consistency impact radius, in [0, 1/4).

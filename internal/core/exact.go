@@ -110,7 +110,7 @@ func (s *violSearch) dfs(idx int, used []int) (bool, error) {
 	s.tested++
 	s.budget--
 	if s.budget < 0 {
-		return false, fmt.Errorf("device %d: %w", s.j, ErrBudget)
+		return false, &DeviceError{Device: s.j, Err: ErrBudget}
 	}
 	// Relation (5) fails by construction of every added subset, so
 	// failure of (4) certifies a violating collection.
@@ -166,7 +166,7 @@ func (s *violSearch) survives(used []int) bool {
 func (s *violSearch) subsets(avail []int) ([][]int, error) {
 	n := len(avail)
 	if n > maxSubsetGround {
-		return nil, fmt.Errorf("ground set of %d devices for device %d: %w", n, s.j, ErrBudget)
+		return nil, &DeviceError{Device: s.j, Err: fmt.Errorf("ground set of %d devices: %w", n, ErrBudget)}
 	}
 	var lMask, nonAdjMask uint32
 	for i, id := range avail {

@@ -50,20 +50,51 @@ func checkThresholdState(t *testing.T, devs []*Device, st *space.State) []bool {
 
 // bankTrained returns which devices b has trained.
 func bankTrained(b *ThresholdBank) []bool {
-	trained := make([]bool, len(b.trained))
-	for j, tr := range b.trained {
-		trained[j] = b.all || tr != 0
+	trained := make([]bool, b.n)
+	for j := range trained {
+		trained[j] = b.all || b.trained[j] != 0
 	}
 	return trained
 }
 
+// checkWindow fails unless win lists exactly abnormal and carries,
+// row i for device abnormal[i], the position before[j] the Step
+// replaced and after[j] the one it wrote, bit for bit.
+func checkWindow(t *testing.T, win *Window, d int, abnormal []int, before, after [][]float64) {
+	t.Helper()
+	if !slices.Equal(win.Abnormal, abnormal) {
+		t.Fatalf("window flags %v, want %v", win.Abnormal, abnormal)
+	}
+	if len(win.Prev) != len(abnormal)*d || len(win.Cur) != len(abnormal)*d {
+		t.Fatalf("window rows %d/%d for %d devices × %d", len(win.Prev), len(win.Cur), len(abnormal), d)
+	}
+	for i, j := range abnormal {
+		for s := range d {
+			if math.Float64bits(win.Prev[i*d+s]) != math.Float64bits(before[j][s]) || math.Float64bits(win.Cur[i*d+s]) != math.Float64bits(after[j][s]) {
+				t.Fatalf("device %d service %d: window rows %v → %v, want %v → %v",
+					j, s, win.Prev[i*d:(i+1)*d], win.Cur[i*d:(i+1)*d], before[j], after[j])
+			}
+		}
+	}
+}
+
+// stateRows copies every position of st.
+func stateRows(st *space.State) [][]float64 {
+	rows := make([][]float64, st.Len())
+	for j := range rows {
+		rows[j] = st.AtClone(j)
+	}
+	return rows
+}
+
 // TestThresholdBankParity: over a stream of clean ticks carrying
 // out-of-range values and degraded ticks that the strict policy
-// rejects, the bank's Step must grade every tick, and flag and clamp
-// every accepted one, exactly as the serial Walker does with Classify
-// and WalkSkip over heap Threshold detectors fed the clamped rows, for
-// every worker count. A rejected Step is never promoted, so the next
-// Step must read what the last accepted one left.
+// rejects, the bank's strict in-place Step must reject every degraded
+// tick with Walk's error and write nothing, and flag and clamp every
+// accepted one exactly as the serial Walker does with WalkSkip over
+// heap Threshold detectors fed the clamped rows, for every worker
+// count, and hand back each flagged device's positions before and
+// after the tick. The next Step reads what the last accepted one left.
 func TestThresholdBankParity(t *testing.T) {
 	t.Parallel()
 	for _, d := range bankDims {
@@ -103,7 +134,6 @@ func thresholdBankParity(t *testing.T, d int) {
 	wantClean := make([]bool, n)
 	type tick struct {
 		abnormal []int
-		nClean   int
 		coords   [][]float64
 		reject   string
 	}
@@ -118,7 +148,7 @@ func thresholdBankParity(t *testing.T, d int) {
 			if err == nil {
 				t.Fatalf("tick %d: Walk accepted %d of %d clean rows", k, nClean, n)
 			}
-			ref = append(ref, tick{nClean: nClean, reject: err.Error()})
+			ref = append(ref, tick{reject: err.Error()})
 			continue
 		}
 		abn, err := walker.WalkSkip(devs, clampRows(snap), func(dev int, row []float64) {
@@ -128,11 +158,7 @@ func thresholdBankParity(t *testing.T, d int) {
 			t.Fatal(err)
 		}
 		checkThresholdState(t, devs, want)
-		coords := make([][]float64, n)
-		for j := range coords {
-			coords[j] = want.AtClone(j)
-		}
-		ref = append(ref, tick{abnormal: abn, nClean: nClean, coords: coords})
+		ref = append(ref, tick{abnormal: abn, coords: stateRows(want)})
 	}
 
 	for _, workers := range []int{1, 3, 8} {
@@ -140,45 +166,43 @@ func thresholdBankParity(t *testing.T, d int) {
 		if bank == nil {
 			t.Fatal("uniform untrained Threshold fleet got no bank")
 		}
-		var prev *space.State
-		clean := make([]bool, n)
-		var out []int
+		pos, _ := space.NewState(n, d)
+		committed := stateRows(pos)
+		var win Window
 		for k, snap := range stream {
-			cur, _ := space.NewState(n, d)
-			var nClean int
-			out, nClean = bank.Step(snap, prev, cur, nil, clean, out)
-			if nClean != ref[k].nClean || !reflect.DeepEqual(clean, truth[k]) {
-				t.Fatalf("workers=%d tick %d: %d clean, walker %d", workers, k, nClean, ref[k].nClean)
-			}
-			if nClean < n {
-				if err := bank.Reject(snap, clean); err == nil || err.Error() != ref[k].reject {
-					t.Fatalf("workers=%d tick %d: Reject = %v, Walk = %s", workers, k, err, ref[k].reject)
+			nClean, err := bank.Step(snap, pos, k > 0, nil, &win)
+			if ref[k].reject != "" {
+				if err == nil || err.Error() != ref[k].reject {
+					t.Fatalf("workers=%d tick %d: Step = %v, Walk = %s", workers, k, err, ref[k].reject)
+				}
+				if !reflect.DeepEqual(stateRows(pos), committed) || len(win.Abnormal)+len(win.Prev)+len(win.Cur) != 0 {
+					t.Fatalf("workers=%d tick %d: a rejected Step wrote", workers, k)
 				}
 				continue
 			}
+			if err != nil || nClean != n {
+				t.Fatalf("workers=%d tick %d: %d clean rows, want %d (%v)", workers, k, nClean, n, err)
+			}
 			bank.TrainAll()
-			if !slices.Equal(out, ref[k].abnormal) {
-				t.Fatalf("workers=%d tick %d: abnormal %v, walker %v", workers, k, out, ref[k].abnormal)
+			if !reflect.DeepEqual(stateRows(pos), ref[k].coords) {
+				t.Fatalf("workers=%d tick %d: state diverges from the walker's", workers, k)
 			}
-			for j := range ref[k].coords {
-				if !reflect.DeepEqual([]float64(cur.At(j)), ref[k].coords[j]) {
-					t.Fatalf("workers=%d tick %d device %d: state %v, walker %v", workers, k, j, cur.At(j), ref[k].coords[j])
-				}
-			}
-			prev = cur
+			checkWindow(t, &win, d, ref[k].abnormal, committed, ref[k].coords)
+			committed = ref[k].coords
 		}
 	}
 }
 
 // TestThresholdBankParityHealth: with a health tracker, the bank's
-// Step must flag, clamp and park exactly what the serial reference
-// does — Report every device in order, then WalkSkip each device's own
-// row clamped, its held position or nothing — train the devices the
-// reference trains, and leave the tracker's states and counters as the
-// reference does, for every worker count. Out-of-range reports would
-// make a held position (clamped) differ from the last raw sample; fed
-// clamped, every trained reference detector's last sample is its
-// device's committed position.
+// in-place Step must flag, clamp and park exactly what the serial
+// reference does — Report every device in order, then WalkSkip each
+// device's own row clamped, its held position or nothing — hand back
+// each flagged device's positions before and after the tick, train
+// the devices the reference trains, and leave the tracker's states and
+// counters as the reference does, for every worker count. Out-of-range
+// reports would make a held position (clamped) differ from the last
+// raw sample; fed clamped, every trained reference detector's last
+// sample is its device's committed position.
 func TestThresholdBankParityHealth(t *testing.T) {
 	t.Parallel()
 	for _, d := range bankDims {
@@ -207,9 +231,9 @@ func thresholdBankParityHealth(t *testing.T, d int) {
 		stats    health.Stats
 	}
 	snapshot := func(tr *health.Tracker, abn []int, st *space.State, trained []bool) tick {
-		k := tick{abnormal: abn, coords: make([][]float64, n), trained: trained, states: make([]health.State, n), stats: tr.Stats()}
+		k := tick{abnormal: append([]int{}, abn...), coords: stateRows(st), trained: trained, states: make([]health.State, n), stats: tr.Stats()}
 		for j := range n {
-			k.coords[j], k.states[j] = st.AtClone(j), tr.State(j)
+			k.states[j] = tr.State(j)
 		}
 		return k
 	}
@@ -258,57 +282,65 @@ func thresholdBankParityHealth(t *testing.T, d int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var prev *space.State
-		clean := make([]bool, n)
-		var out []int
+		pos, _ := space.NewState(n, d)
+		committed := stateRows(pos)
+		var win Window
 		for k, snap := range stream {
-			cur, _ := space.NewState(n, d)
-			out, _ = bank.Step(snap, prev, cur, tr, clean, out)
-			if got := snapshot(tr, out, cur, bankTrained(bank)); !reflect.DeepEqual(got, ref[k]) {
+			bank.Step(snap, pos, k > 0, tr, &win)
+			if got := snapshot(tr, win.Abnormal, pos, bankTrained(bank)); !reflect.DeepEqual(got, ref[k]) {
 				t.Fatalf("workers=%d tick %d: bank diverges from the serial reference", workers, k)
 			}
-			prev = cur
+			checkWindow(t, &win, d, ref[k].abnormal, committed, ref[k].coords)
+			committed = ref[k].coords
 		}
 	}
 }
 
-// TestThresholdBankStepWithoutCommit: a strict Step writes nothing but
-// its cur, so a Step whose cur is not promoted to the next prev — a
-// rejected tick — changes nothing the next Step reads, and only
-// TrainAll or a partial Step trains a device.
+// TestThresholdBankStepWithoutCommit: a strict Step commits no
+// training — only TrainAll, which the caller runs on an accepted strict
+// tick, or a partial Step trains a device — a rejected strict Step
+// commits nothing at all, and Reset forgets training and makes the
+// trained bytes again.
 func TestThresholdBankStepWithoutCommit(t *testing.T) {
 	t.Parallel()
 
 	const n = 4
 	bank := NewThresholdBank(walkFleet(t, n, 1, "threshold"), 1)
-	state := func() *space.State {
-		st, err := space.NewState(n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
+	pos, err := space.NewState(n, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	prev, cur := state(), state()
-	clean := make([]bool, n)
+	var win Window
 	flat := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
 	jump := [][]float64{{0.9}, {0.5}, {0.1}, {0.5}}
+	bad := [][]float64{{0.9}, {math.NaN()}, {0.1}, {0.5}}
 
-	bank.Step(flat, nil, prev, nil, clean, nil) // rejected: never promoted, no TrainAll
-	if got, _ := bank.Step(jump, prev, cur, nil, clean, nil); len(got) != 0 {
-		t.Fatalf("a rejected first Step trained the detectors: flagged %v", got)
+	bank.Step(flat, pos, false, nil, &win) // no TrainAll
+	if bank.Step(jump, pos, true, nil, &win); len(win.Abnormal) != 0 {
+		t.Fatalf("a strict Step trained the detectors: flagged %v", win.Abnormal)
 	}
-	bank.Step(flat, nil, prev, nil, clean, nil)
 	bank.TrainAll()
-	bank.Step(jump, prev, cur, nil, clean, nil) // rejected: cur never promoted
-	if got, _ := bank.Step(flat, prev, cur, nil, clean, nil); len(got) != 0 {
-		t.Fatalf("an unpromoted jump leaked into the next Step: flagged %v", got)
+	if bank.trained != nil {
+		t.Fatal("TrainAll kept the trained bytes")
 	}
-	if got, _ := bank.Step(jump, prev, cur, nil, clean, nil); !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Fatalf("flagged %v, want [0 2]", got)
+	if _, err := bank.Step(bad, pos, true, nil, &win); err == nil || !errors.Is(err, ErrSample) {
+		t.Fatalf("Step = %v, want ErrSample", err)
+	}
+	if got := stateRows(pos); !reflect.DeepEqual(got, jump) || len(win.Abnormal) != 0 {
+		t.Fatalf("state %v, flagged %v after a rejected Step, want %v", got, win.Abnormal, jump)
+	}
+	if bank.Step(flat, pos, true, nil, &win); !reflect.DeepEqual(win.Abnormal, []int{0, 2}) {
+		t.Fatalf("flagged %v, want [0 2]", win.Abnormal)
+	}
+	if !reflect.DeepEqual(win.Prev, []float64{0.9, 0.1}) || !reflect.DeepEqual(win.Cur, []float64{0.5, 0.5}) {
+		t.Fatalf("window rows %v → %v, want [0.9 0.1] → [0.5 0.5]", win.Prev, win.Cur)
 	}
 	bank.Reset()
-	if got, _ := bank.Step(jump, prev, cur, nil, clean, nil); len(got) != 0 {
-		t.Fatalf("first sample after Reset flagged %v", got)
+	if len(bank.trained) != n {
+		t.Fatalf("Reset made %d trained bytes, want %d", len(bank.trained), n)
+	}
+	if bank.Step(jump, pos, true, nil, &win); len(win.Abnormal) != 0 {
+		t.Fatalf("first sample after Reset flagged %v", win.Abnormal)
 	}
 
 	// A partial Step cannot be rejected: it trains what it detects on.
@@ -316,14 +348,15 @@ func TestThresholdBankStepWithoutCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bank.Step(flat, nil, prev, tr, clean, nil)
-	if got, _ := bank.Step(jump, prev, cur, tr, clean, nil); !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Fatalf("after a partial Step flagged %v, want [0 2]", got)
+	bank.Step(flat, pos, true, tr, &win)
+	if bank.Step(jump, pos, true, tr, &win); !reflect.DeepEqual(win.Abnormal, []int{0, 2}) {
+		t.Fatalf("after a partial Step flagged %v, want [0 2]", win.Abnormal)
 	}
 }
 
-// TestThresholdBankReject: Reject names the lowest unclean row with
-// Walk's error.
+// TestThresholdBankReject: a strict Step names the lowest unclean row
+// with Walk's error, whatever the shard it falls in, and writes
+// nothing.
 func TestThresholdBankReject(t *testing.T) {
 	t.Parallel()
 
@@ -334,14 +367,17 @@ func TestThresholdBankReject(t *testing.T) {
 	devs := walkFleet(t, n, 2, "threshold")
 	_, walkErr := NewWalker(3).Walk(devs, snap, nil, nil)
 	bank := NewThresholdBank(walkFleet(t, n, 2, "threshold"), 3)
-	cur, _ := space.NewState(n, 2)
-	clean := make([]bool, n)
-	if _, nClean := bank.Step(snap, nil, cur, nil, clean, nil); nClean != n-2 {
-		t.Fatalf("%d clean rows, want %d", nClean, n-2)
-	}
-	err := bank.Reject(snap, clean)
+	pos, _ := space.NewState(n, 2)
+	var win Window
+	_, err := bank.Step(snap, pos, false, nil, &win)
 	if !errors.Is(err, ErrSample) || walkErr == nil || err.Error() != walkErr.Error() {
-		t.Fatalf("Reject = %v, Walk = %v", err, walkErr)
+		t.Fatalf("Step = %v, Walk = %v", err, walkErr)
+	}
+	if origin, _ := space.NewState(n, 2); !reflect.DeepEqual(pos, origin) {
+		t.Fatal("a rejected Step wrote positions")
+	}
+	if _, err := bank.Step(walkStream(n, 2, 1, 34)[0], pos, false, nil, &win); err != nil {
+		t.Fatalf("Step of a clean snapshot = %v", err)
 	}
 }
 
@@ -426,14 +462,15 @@ func mixedFleet(t testing.TB, n, d int) []*Device {
 
 // TestDeviceBankParity: over a stream of strict and degraded partial
 // ticks through a fleet mixing EWMA and Shewhart detectors, the
-// per-device bank's Step must flag, grade, clamp and park exactly what
-// the serial reference does — Walker.Walk on a strict tick; Classify,
-// Tracker.Report and WalkSkip on a partial one, both over the clamped
-// rows — and leave every
-// detector's prediction, and the tracker's states and counters, as the
-// reference does, for one worker and for four over ranges of several
-// minShard devices each. A strict tick with an unclean row is rejected
-// by both and commits nothing.
+// per-device bank's Check and in-place Step must flag, clamp and park
+// exactly what the serial reference does — Walker.Walk on a strict
+// tick; Classify, Tracker.Report and WalkSkip on a partial one, both
+// over the clamped rows — hand back each flagged device's positions
+// before and after the tick, and leave every detector's prediction,
+// and the tracker's states and counters, as the reference does, for
+// one worker and for four over ranges of several minShard devices
+// each. A strict tick with an unclean row is rejected by both, and the
+// bank's Check leaves its state as it was.
 func TestDeviceBankParity(t *testing.T) {
 	t.Parallel()
 
@@ -455,30 +492,23 @@ func TestDeviceBankParity(t *testing.T) {
 
 	type tick struct {
 		abnormal []int
-		nClean   int
-		clean    []bool
+		nClean   int // −1 on a rejected tick
 		coords   [][]float64
 		preds    [][]float64
 		states   []health.State
 		stats    health.Stats
 	}
-	snapshot := func(devs []*Device, tr *health.Tracker, abn []int, nClean int, clean []bool, cur *space.State) tick {
+	snapshot := func(devs []*Device, tr *health.Tracker, abn []int, nClean int, st *space.State) tick {
 		k := tick{
 			abnormal: append([]int{}, abn...),
 			nClean:   nClean,
-			clean:    slices.Clone(clean),
+			coords:   stateRows(st),
 			preds:    make([][]float64, n),
 			states:   make([]health.State, n),
 			stats:    tr.Stats(),
 		}
-		if cur != nil {
-			k.coords = make([][]float64, n)
-		}
 		for j := range n {
 			k.preds[j], k.states[j] = devs[j].Predict(), tr.State(j)
-			if cur != nil {
-				k.coords[j] = cur.AtClone(j)
-			}
 		}
 		return k
 	}
@@ -489,17 +519,14 @@ func TestDeviceBankParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prev *space.State
+	prev, _ := space.NewState(n, d)
 	var ref []tick
 	rejected := 0
 	for k, snap := range stream {
-		cur, _ := space.NewState(n, d)
+		cur := prev.Clone()
 		visit := func(dev int, row []float64) {
-			switch {
-			case row != nil:
+			if row != nil {
 				copy(cur.At(dev), row)
-			case prev != nil:
-				copy(cur.At(dev), prev.At(dev))
 			}
 		}
 		clean := make([]bool, n)
@@ -511,7 +538,7 @@ func TestDeviceBankParity(t *testing.T) {
 				t.Fatalf("tick %d: Walk error %v with %d of %d rows clean", k, err, nClean, n)
 			}
 			if err != nil {
-				cur = nil
+				cur, nClean = prev, -1
 				rejected++
 			}
 		} else {
@@ -529,10 +556,8 @@ func TestDeviceBankParity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ref = append(ref, snapshot(devs, tr, abn, nClean, clean, cur))
-		if cur != nil {
-			prev = cur
-		}
+		ref = append(ref, snapshot(devs, tr, abn, nClean, cur))
+		prev = cur
 	}
 	if st := tr.Stats(); st.HeldTicks == 0 || st.Quarantines == 0 || st.Readmissions == 0 || st.DroppedReports == 0 || rejected != 1 {
 		t.Fatalf("stream misses a transition or the rejected tick: %+v, %d rejected", st, rejected)
@@ -544,43 +569,39 @@ func TestDeviceBankParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var prev *space.State
-		clean := make([]bool, n)
-		var out []int
+		pos, _ := space.NewState(n, d)
+		committed := stateRows(pos)
+		var win Window
 		for k, snap := range stream {
-			cur, _ := space.NewState(n, d)
 			var stepTracker *health.Tracker
 			if !strict[k] {
 				stepTracker = tr
 			}
-			var nClean int
-			out, nClean = bank.Step(snap, prev, cur, stepTracker, clean, out)
-			if strict[k] && nClean < n {
-				cur = nil
+			nClean, err := bank.Step(snap, pos, k > 0, stepTracker, &win)
+			if err != nil {
+				nClean = -1
 			}
-			if got := snapshot(bank.devs, tr, out, nClean, clean, cur); !reflect.DeepEqual(got, ref[k]) {
+			if got := snapshot(bank.devs, tr, win.Abnormal, nClean, pos); !reflect.DeepEqual(got, ref[k]) {
 				t.Fatalf("workers=%d tick %d: bank diverges from the serial reference", workers, k)
 			}
-			if cur != nil {
-				prev = cur
-			}
+			checkWindow(t, &win, d, ref[k].abnormal, committed, ref[k].coords)
+			committed = ref[k].coords
 		}
 	}
 }
 
-// TestDeviceBankStrictReject: a strict Step over a snapshot with one
-// unclean row updates no detector, and Reject names the row with
-// Walk's error.
+// TestDeviceBankStrictReject: a strict Step names a snapshot's one
+// unclean row with Walk's error and updates no detector.
 func TestDeviceBankStrictReject(t *testing.T) {
 	t.Parallel()
 
 	const n, d = 3 * minShard, 2
 	stream := walkStream(n, d, 2, 53)
 	bank := NewDeviceBank(mixedFleet(t, n, d), 3)
-	cur, _ := space.NewState(n, d)
-	clean := make([]bool, n)
-	if _, nClean := bank.Step(stream[0], nil, cur, nil, clean, nil); nClean != n {
-		t.Fatalf("%d clean rows of a clean snapshot, want %d", nClean, n)
+	pos, _ := space.NewState(n, d)
+	var win Window
+	if nClean, err := bank.Step(stream[0], pos, false, nil, &win); nClean != n || err != nil {
+		t.Fatalf("%d clean rows of a clean snapshot, want %d (%v)", nClean, n, err)
 	}
 	predict := func() [][]float64 {
 		preds := make([][]float64, n)
@@ -592,54 +613,67 @@ func TestDeviceBankStrictReject(t *testing.T) {
 	before := predict()
 	snap := slices.Clone(stream[1])
 	snap[2*minShard+5] = []float64{0.5, math.NaN()}
-	out, nClean := bank.Step(snap, nil, cur, nil, clean, nil)
-	if nClean != n-1 || len(out) != 0 {
-		t.Fatalf("rejected Step: %d clean rows, flagged %v", nClean, out)
-	}
-	if !reflect.DeepEqual(predict(), before) {
-		t.Fatal("a rejected strict Step updated detectors")
+	committed := stateRows(pos)
+	_, err := bank.Step(snap, pos, true, nil, &win)
+	if !reflect.DeepEqual(predict(), before) || !reflect.DeepEqual(stateRows(pos), committed) {
+		t.Fatal("a rejected strict Step updated detectors or positions")
 	}
 	_, walkErr := NewWalker(3).Walk(mixedFleet(t, n, d), snap, nil, nil)
-	if err := bank.Reject(snap, clean); !errors.Is(err, ErrSample) || walkErr == nil || err.Error() != walkErr.Error() {
-		t.Fatalf("Reject = %v, Walk = %v", err, walkErr)
+	if !errors.Is(err, ErrSample) || walkErr == nil || err.Error() != walkErr.Error() {
+		t.Fatalf("Check = %v, Walk = %v", err, walkErr)
 	}
 	// The same rows, all clean, move the predictions: the check above
 	// has teeth.
 	snap[2*minShard+5] = stream[1][2*minShard+5]
-	bank.Step(snap, nil, cur, nil, clean, nil)
+	if _, err := bank.Step(snap, pos, true, nil, &win); err != nil {
+		t.Fatal(err)
+	}
 	if reflect.DeepEqual(predict(), before) {
 		t.Fatal("a clean Step left every prediction as it was")
 	}
 }
 
-// oracleBank runs a ThresholdBank's Step with the per-device loop the
-// fused kernel replaced: two State.At slots per device, cleanRow, pick
-// and park, then a clamp loop and a short-circuit jump test per
-// service. FuzzThresholdBankStep pins the kernel to it.
+// oracleBank runs a ThresholdBank's Step with the per-device loops the
+// fused kernel replaced: a serial grading of every row first when the
+// Step is strict, then one State.At slot per device, saved, cleanRow,
+// the health transition, a clamp loop over the whole row and a
+// short-circuit jump test per service against the saved position.
+// FuzzThresholdBankStep pins the kernel to it.
 type oracleBank struct{ *ThresholdBank }
 
-func (o oracleBank) Step(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int) {
-	return o.w.step(o, rows, prev, cur, t, clean, out)
+func (o oracleBank) Step(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, win *Window) (int, error) {
+	for dev, row := range rows {
+		if t == nil && !cleanRow(row, o.d) {
+			win.reset()
+			return 0, rejectRow(row, dev, o.d)
+		}
+	}
+	return o.w.step(o, rows, pos, committed, t, checkJob{d: o.d}, win)
 }
 
-func (o oracleBank) stepRange(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, lo, hi int, flagged []int) ([]int, int, health.Delta) {
+func (o oracleBank) stepRange(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, lo, hi int, win *Window) (int, health.Delta) {
 	d, delta, all, trained := o.d, o.delta, o.all, o.trained
 	train := t != nil && !all
 	n := 0
 	var hd health.Delta
 	for dev := lo; dev < hi; dev++ {
-		row, dst := rows[dev], cur.At(dev)
+		row, p := rows[dev], pos.At(dev)
+		var old [space.MaxDim]float64
+		copy(old[:], p)
 		ok := cleanRow(row, d)
-		clean[dev] = ok
 		if ok {
 			n++
 		}
 		if t != nil {
-			row = pick(t.Transition(dev, ok, &hd), row, dev, prev)
-			ok = row != nil
+			switch t.Transition(dev, ok, &hd) {
+			case health.Consume:
+			case health.Hold:
+				row, ok = old[:d], committed
+			default:
+				ok = false
+			}
 		}
 		if !ok {
-			park(dst, prev, dev)
 			continue
 		}
 		for i, x := range row {
@@ -649,24 +683,25 @@ func (o oracleBank) stepRange(rows [][]float64, prev, cur *space.State, t *healt
 			case x > 1:
 				x = 1
 			}
-			dst[i] = x
+			p[i] = x
 		}
-		if prev == nil || !all && trained[dev] == 0 {
+		if !committed || !all && trained[dev] == 0 {
 			if train {
 				trained[dev] = 1
 			}
 			continue
 		}
-		last := prev.At(dev)
 		abnormal := false
-		for i, x := range dst {
-			abnormal = abnormal || math.Abs(x-last[i]) > delta
+		for i, x := range p {
+			abnormal = abnormal || math.Abs(x-old[i]) > delta
 		}
 		if abnormal {
-			flagged = append(flagged, dev)
+			win.Abnormal = append(win.Abnormal, dev)
+			win.Prev = append(win.Prev, old[:d]...)
+			win.Cur = append(win.Cur, p...)
 		}
 	}
-	return flagged, n, hd
+	return n, hd
 }
 
 // Bank fuzz stream layout: per tick an op byte, a spec count byte, then
@@ -674,7 +709,7 @@ func (o oracleBank) stepRange(rows [][]float64, prev, cur *space.State, t *healt
 // takes spec j mod count, so every shard of a wide fleet sees them.
 const (
 	bankFuzzReset  = 1 << 0 // Reset the bank (and tracker) before the tick
-	bankFuzzDrop   = 1 << 1 // never promote the tick's state
+	bankFuzzStrict = 1 << 1 // step the tick under the strict policy
 	bankFuzzForget = 1 << 2 // Reset the trackers alone before the tick
 	bankFuzzMaxRow = 16     // most specs per tick
 	bankFuzzDelta  = 0.05
@@ -709,16 +744,19 @@ func bankFuzzTick(op byte, specs ...[]byte) []byte {
 	return out
 }
 
-// FuzzThresholdBankStep is a differential between the fused kernel and
-// oracleBank over arbitrary streams of strict or partial Steps at d in
-// {1, 2, 3, MaxDim}, on one worker or three: nil, short and long rows,
-// NaN, ±Inf, −0 and out-of-range values, a tracker driven stale and
-// into quarantine, Steps whose state is never promoted, Resets, and
+// FuzzThresholdBankStep is a differential between the fused in-place
+// kernel and oracleBank over arbitrary streams of strict or partial
+// ticks at d in {1, 2, 3, MaxDim}, on one worker or three: nil, short
+// and long rows, NaN, ±Inf, −0 and out-of-range values, rows that fail
+// on a later service after earlier ones passed, a tracker driven stale
+// and into quarantine, strict ticks among partial ones, Resets, and
 // trackers reset alone, which leaves trained devices without their
-// last-known marks. A promoted Step trains the banks by Monitor.step's
-// rule. After every Step both banks must have written the same bits
-// into cur, graded and flagged the same rows, trained the same devices
-// and left their trackers in the same states and counters.
+// last-known marks. An accepted tick trains the banks by Monitor.step's
+// rule. After every tick both banks must have rejected with the same
+// error or graded the same clean count, left the same bits in their
+// slabs, flagged the same devices with the same bits of their
+// positions before and after the tick, trained the same devices and
+// left their trackers in the same states and counters.
 func FuzzThresholdBankStep(f *testing.F) {
 	clean := func(d int, b byte) []byte { return append([]byte{7}, bytes.Repeat([]byte{b}, d)...) }
 	for cfg := range 16 {
@@ -747,7 +785,7 @@ func FuzzThresholdBankStep(f *testing.F) {
 			var op byte
 			switch k {
 			case 0, 3:
-				op = bankFuzzDrop
+				op = bankFuzzStrict
 			case 7:
 				op = bankFuzzReset
 			}
@@ -829,6 +867,28 @@ func FuzzThresholdBankStep(f *testing.F) {
 		// Three workers always; cfg's bit 4 picks partial (bit 8).
 		f.Add(uint8(cfg|4|(cfg&4)<<1), s)
 	}
+	// Rows that pass the kernel's tests on their first services and
+	// fail on the last, over positions committed at 0.5 (byte 134):
+	// spec 1 sends 140s (≈0.525, within delta) then a NaN twice, so a
+	// partial tick holds it and then quarantines it (Skip), and spec 2
+	// sends 140s then a jump to byte 200, which every policy flags. A
+	// kernel that wrote a value before testing the rest would move the
+	// held or parked position, or save a half-written k−1 row.
+	for cfg := range 6 {
+		d := bankDims[1+cfg%3]
+		row := func(last byte) []byte {
+			return append(append([]byte{7}, bytes.Repeat([]byte{140}, d-1)...), last)
+		}
+		rest := append([]byte{7}, bytes.Repeat([]byte{134}, d)...)
+		var s []byte
+		s = append(s, bankFuzzTick(0, rest, rest, rest, rest)...)
+		s = append(s, bankFuzzTick(0, rest, row(0), row(200), rest)...)
+		s = append(s, bankFuzzTick(0, rest, row(0), row(134), rest)...)
+		s = append(s, bankFuzzTick(0, rest, row(140), row(200), rest)...)
+		s = append(s, bankFuzzTick(0, rest, row(140), row(134), rest)...)
+		// Three workers; cfg's bit 8 picks partial from the second half.
+		f.Add(uint8(cfg%3+1|4|cfg/3<<3), s)
+	}
 	f.Fuzz(func(t *testing.T, cfg uint8, raw []byte) {
 		d := bankDims[cfg&3]
 		workers, n := 1, 1+int(cfg>>4)
@@ -844,9 +904,10 @@ func FuzzThresholdBankStep(f *testing.F) {
 			kt, _ = health.New(n, policy)
 			ot, _ = health.New(n, policy)
 		}
-		var kprev, oprev *space.State
-		kclean, oclean := make([]bool, n), make([]bool, n)
-		var kout, oout []int
+		kpos, _ := space.NewState(n, d)
+		opos, _ := space.NewState(n, d)
+		committed := false
+		var kwin, owin Window
 		for tick := 0; len(raw) >= 2 && tick < 8; tick++ {
 			op, count := raw[0], 1+int(raw[1])%bankFuzzMaxRow
 			raw = raw[2:]
@@ -874,37 +935,40 @@ func FuzzThresholdBankStep(f *testing.F) {
 				rows[j] = specs[j%len(specs)]
 			}
 			if op&bankFuzzReset != 0 {
+				// Monitor.Reset's order: the banks, then the slab.
 				kernel.Reset()
 				oracle.Reset()
+				clear(kpos.Span(0, n))
+				clear(opos.Span(0, n))
+				committed = false
 			}
 			if partial && op&(bankFuzzReset|bankFuzzForget) != 0 {
 				kt.Reset()
 				ot.Reset()
 			}
 			allLive := partial && kt.AllLive()
-			// Both states start as garbage, so a slot either bank
-			// leaves unwritten shows.
-			kcur, _ := space.NewState(n, d)
-			ocur, _ := space.NewState(n, d)
-			for j := range n {
-				for s := range d {
-					kcur.At(j)[s], ocur.At(j)[s] = 7, 7
-				}
+			strict := !partial || op&bankFuzzStrict != 0
+			skt, sot := kt, ot
+			if strict {
+				skt, sot = nil, nil
 			}
-			var kn, on int
-			kout, kn = kernel.Step(rows, kprev, kcur, kt, kclean, kout)
-			oout, on = oracle.Step(rows, oprev, ocur, ot, oclean, oout)
+			kn, kerr := kernel.Step(rows, kpos, committed, skt, &kwin)
+			on, oerr := oracle.Step(rows, opos, committed, sot, &owin)
 
-			if kn != on || !slices.Equal(kclean, oclean) {
-				t.Fatalf("tick %d: kernel graded %d clean, oracle %d", tick, kn, on)
+			if kn != on || fmt.Sprint(kerr) != fmt.Sprint(oerr) {
+				t.Fatalf("tick %d: kernel graded %d clean (%v), oracle %d (%v)", tick, kn, kerr, on, oerr)
 			}
-			if !slices.Equal(kout, oout) {
-				t.Fatalf("tick %d: kernel flagged %v, oracle %v", tick, kout, oout)
+			if !slices.Equal(kwin.Abnormal, owin.Abnormal) {
+				t.Fatalf("tick %d: kernel flagged %v, oracle %v", tick, kwin.Abnormal, owin.Abnormal)
 			}
-			for j := range n {
-				for s, x := range kcur.At(j) {
-					if y := ocur.At(j)[s]; math.Float64bits(x) != math.Float64bits(y) {
-						t.Fatalf("tick %d device %d service %d: kernel wrote %v, oracle %v", tick, j, s, x, y)
+			for _, pair := range [][2][]float64{{kpos.Span(0, n), opos.Span(0, n)}, {kwin.Prev, owin.Prev}, {kwin.Cur, owin.Cur}} {
+				k, o := pair[0], pair[1]
+				if len(k) != len(o) {
+					t.Fatalf("tick %d: kernel wrote %d values, oracle %d", tick, len(k), len(o))
+				}
+				for i, x := range k {
+					if y := o[i]; math.Float64bits(x) != math.Float64bits(y) {
+						t.Fatalf("tick %d device %d service %d: kernel wrote %v, oracle %v", tick, i/d, i%d, x, y)
 					}
 				}
 			}
@@ -924,10 +988,11 @@ func FuzzThresholdBankStep(f *testing.F) {
 					}
 				}
 			}
-			if op&bankFuzzDrop != 0 || !partial && kn < n {
+			if kerr != nil {
 				continue
 			}
-			if !partial || allLive && kn == n {
+			committed = true
+			if strict || allLive && kn == n {
 				if partial {
 					kt.ConsumeAll()
 					ot.ConsumeAll()
@@ -935,14 +1000,13 @@ func FuzzThresholdBankStep(f *testing.F) {
 				kernel.TrainAll()
 				oracle.TrainAll()
 			}
-			kprev, oprev = kcur, ocur
 		}
 	})
 }
 
 // BenchmarkThresholdBankStep times the bank's Step alone over n = 1M
-// two-service devices fed one quiet snapshot every tick, double
-// buffering its states and training the bank as the Monitor does, and
+// two-service devices fed one quiet snapshot every tick, in place over
+// one position slab, training the bank as the Monitor does, and
 // reports ns/device. strict is the Observe pass (no tracker, TrainAll
 // after each Step), partial the ObservePartial pass over an all-live
 // fleet (trained after its first tick), lossy the partial pass with a
@@ -988,16 +1052,14 @@ func BenchmarkThresholdBankStep(b *testing.B) {
 						rows[dev] = nil
 					}
 				}
-				var prev *space.State
-				cur, _ := space.NewState(n, d)
-				spare, _ := space.NewState(n, d)
-				clean := make([]bool, n)
-				var out []int
+				pos, _ := space.NewState(n, d)
+				var win Window
+				committed := false
 				step := func(tick int) {
 					lose(tick)
 					allLive := tr != nil && tr.AllLive()
-					var nClean int
-					out, nClean = bank.Step(rows, prev, cur, tr, clean, out)
+					nClean, _ := bank.Step(rows, pos, committed, tr, &win)
+					committed = true
 					// Monitor.step's rule: a strict tick, or a fully
 					// clean one over a fleet all live at its start,
 					// trains the bank and marks every device seen.
@@ -1006,10 +1068,6 @@ func BenchmarkThresholdBankStep(b *testing.B) {
 							tr.ConsumeAll()
 						}
 						bank.TrainAll()
-					}
-					prev, cur, spare = cur, spare, prev
-					if cur == nil {
-						cur = spare
 					}
 				}
 				// Warm-up: the first tick trains, the lossy block is
@@ -1023,8 +1081,8 @@ func BenchmarkThresholdBankStep(b *testing.B) {
 					step(i)
 				}
 				b.StopTimer()
-				if len(out) != 0 {
-					b.Fatalf("quiet tick flagged %d devices", len(out))
+				if len(win.Abnormal) != 0 {
+					b.Fatalf("quiet tick flagged %d devices", len(win.Abnormal))
 				}
 				if _, _, q := tr.Counts(); mode == "lossy" && q != block {
 					b.Fatalf("%d devices quarantined, want the %d-device block", q, block)

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
+	"sync"
 
 	"anomalia/internal/health"
 	"anomalia/internal/par"
@@ -35,21 +35,45 @@ const minShard = 2048
 // concurrent use.
 type Walker struct {
 	workers int
-	flags   [][]int
-	errs    []error
-	counts  []int
+	// bufs are the per-worker abnormal windows: the flagged ids, and a
+	// bank Step's rows of them. Each starts empty and keeps the capacity
+	// it grows to, so a quiet tick holds a few dozen ids per worker, not
+	// a share of the fleet.
+	bufs   []Window
+	errs   []error
+	counts []int
 	// deltas are the per-worker health counter changes of a bank's
 	// Step that runs the health transitions.
 	deltas []health.Delta
-	clean  []bool
-	// job is the Step in flight, which stepShard reads, and cls the
-	// Classify in flight, which classifyShard reads. NewWalker binds
-	// both shard functions once, so neither fans out through a closure
-	// allocated per call.
+	// bad holds each range's lowest unclean row, or −1, of a check or
+	// a strict Step. A strict Step's ranges meet at graded, so none
+	// writes before every range is graded.
+	bad    []int
+	graded sync.WaitGroup
+	// job is the Step in flight, which stepShard reads, cls the
+	// Classify and chk the check in flight, which classifyShard and
+	// checkShard read. NewWalker binds the shard functions once, so
+	// none fans out through a closure allocated per call.
 	job           stepJob
 	stepShard     func(i, lo, hi int)
 	cls           classifyJob
 	classifyShard func(i, lo, hi int)
+	chk           checkJob
+	checkShard    func(i, lo, hi int)
+}
+
+// Window is the abnormal part of one bank Step: the flagged devices in
+// ascending order and, row i for device Abnormal[i], its committed
+// position before the Step (Prev) and after it (Cur), row-major and d
+// wide. Its slices are recycled by the next Step that writes it.
+type Window struct {
+	Abnormal  []int
+	Prev, Cur []float64
+}
+
+// reset empties w, keeping its capacity.
+func (w *Window) reset() {
+	w.Abnormal, w.Prev, w.Cur = w.Abnormal[:0], w.Prev[:0], w.Cur[:0]
 }
 
 // classifyJob holds the arguments of one Classify for its shards.
@@ -59,13 +83,24 @@ type classifyJob struct {
 	clean   []bool
 }
 
-// stepJob holds the arguments of one bank Step for its shards.
+// checkJob holds the arguments of one check for its shards: rows are
+// d wide, or each device's width when devs is set.
+type checkJob struct {
+	rows [][]float64
+	d    int
+	devs []*Device
+}
+
+// stepJob holds the arguments of one bank Step for its shards; a
+// strict Step (nil t) grades its rows as chk describes them first.
 type stepJob struct {
 	b         ranger
 	rows      [][]float64
-	prev, cur *space.State
+	pos       *space.State
+	committed bool
 	t         *health.Tracker
-	clean     []bool
+	chk       checkJob
+	ranges    int
 }
 
 // NewWalker returns a walker with the given pool size; workers <= 0
@@ -74,13 +109,15 @@ func NewWalker(workers int) *Walker {
 	workers = par.Workers(workers, math.MaxInt)
 	w := &Walker{
 		workers: workers,
-		flags:   make([][]int, workers),
+		bufs:    make([]Window, workers),
 		errs:    make([]error, workers),
 		counts:  make([]int, workers),
 		deltas:  make([]health.Delta, workers),
+		bad:     make([]int, workers),
 	}
 	w.stepShard = w.runStep
 	w.classifyShard = w.runClassify
+	w.checkShard = w.runCheck
 	return w
 }
 
@@ -104,21 +141,71 @@ func (w *Walker) Walk(devs []*Device, samples [][]float64, visit func(dev int, r
 	if len(samples) != n {
 		return out[:0], fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), n, ErrSample)
 	}
-	if len(w.clean) < n {
-		w.clean = make([]bool, n)
-	}
-	if w.Classify(devs, samples, w.clean[:n]) < n {
-		return out[:0], rejectRow(samples, w.clean[:n], func(dev int) int { return len(devs[dev].detectors) })
+	if err := w.check(samples, 0, devs); err != nil {
+		return out[:0], err
 	}
 	return w.WalkSkip(devs, samples, visit, out)
 }
 
-// rejectRow explains the lowest unclean row — the error a serial
-// validation pass would report first, whatever the worker count.
-// width gives a device's service count.
-func rejectRow(samples [][]float64, clean []bool, width func(dev int) int) error {
-	dev := slices.Index(clean, false)
-	row, want := samples[dev], width(dev)
+// check grades every row like Classify, sharded, and explains the
+// lowest unclean one — the error a serial validation pass would report
+// first, whatever the worker count — or returns nil when every row is
+// clean. A row must be d wide, or as wide as its device when devs is
+// set. check reads the rows and writes nothing else.
+func (w *Walker) check(rows [][]float64, d int, devs []*Device) error {
+	w.chk = checkJob{rows: rows, d: d, devs: devs}
+	workers := par.Ranges(len(rows), w.workers, minShard, w.checkShard)
+	w.chk = checkJob{} // hold no caller rows between calls
+	return reject(rows, w.bad[:workers], d, devs)
+}
+
+// runCheck is checkShard: it grades range i, [lo, hi), of the check in
+// w.chk into worker i's slot of bad.
+func (w *Walker) runCheck(i, lo, hi int) {
+	w.bad[i] = w.chk.unclean(lo, hi)
+}
+
+// unclean returns the lowest row of [lo, hi) that is not clean, or −1.
+// Rows of one width are graded by summing v−v, which is NaN exactly
+// when a value is not finite.
+func (j *checkJob) unclean(lo, hi int) int {
+	for dev := lo; dev < hi; dev++ {
+		row := j.rows[dev]
+		if j.devs != nil {
+			if !cleanRow(row, len(j.devs[dev].detectors)) {
+				return dev
+			}
+			continue
+		}
+		var nan float64
+		for _, x := range row {
+			nan += x - x
+		}
+		if len(row) != j.d || nan != 0 {
+			return dev
+		}
+	}
+	return -1
+}
+
+// reject explains the lowest unclean row that bad, the ranges' lowest
+// unclean rows in range order, names, or returns nil when it names
+// none.
+func reject(rows [][]float64, bad []int, d int, devs []*Device) error {
+	for _, dev := range bad {
+		if dev >= 0 {
+			if devs != nil {
+				d = len(devs[dev].detectors)
+			}
+			return rejectRow(rows[dev], dev, d)
+		}
+	}
+	return nil
+}
+
+// rejectRow explains why row, device dev's, is not clean against its
+// width of want services.
+func rejectRow(row []float64, dev, want int) error {
 	if len(row) == want {
 		for svc, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -184,66 +271,91 @@ func cleanRow(row []float64, want int) bool {
 // one serial pass over [0, n); the error is the lowest range's.
 func (w *Walker) fan(n int, out []int, f func(lo, hi int, flagged []int) ([]int, int, error)) ([]int, int, error) {
 	workers := par.Ranges(n, w.workers, minShard, func(i, lo, hi int) {
-		w.flags[i], w.counts[i], w.errs[i] = f(lo, hi, w.flagBuf(i, lo, hi))
+		b := &w.bufs[i]
+		b.reset()
+		b.Abnormal, w.counts[i], w.errs[i] = f(lo, hi, b.Abnormal)
 	})
-	out, total := w.merge(workers, out)
+	win := Window{Abnormal: out}
+	total := w.merge(workers, &win)
 	for _, err := range w.errs[:workers] {
 		if err != nil {
-			return out, total, err
+			return win.Abnormal, total, err
 		}
 	}
-	return out, total, nil
+	return win.Abnormal, total, nil
 }
 
-// flagBuf returns worker i's recycled flag buffer, emptied, for the
-// range [lo, hi).
-func (w *Walker) flagBuf(i, lo, hi int) []int {
-	if w.flags[i] == nil {
-		return make([]int, 0, (hi-lo)/8+16)
-	}
-	return w.flags[i][:0]
-}
-
-// merge appends the first workers flag buffers to out in range order
-// and sums their counts.
-func (w *Walker) merge(workers int, out []int) ([]int, int) {
+// merge writes the first workers per-worker windows into win in range
+// order and sums their counts.
+func (w *Walker) merge(workers int, win *Window) int {
+	win.reset()
 	total := 0
 	for i := range workers {
-		out = append(out, w.flags[i]...)
+		b := &w.bufs[i]
+		win.Abnormal = append(win.Abnormal, b.Abnormal...)
+		win.Prev = append(win.Prev, b.Prev...)
+		win.Cur = append(win.Cur, b.Cur...)
 		total += w.counts[i]
 	}
-	return out, total
+	return total
 }
 
 // ranger is a bank's Step over one device range [lo, hi): it appends
-// the range's abnormal ids to flagged and returns them with the range's
-// clean-row count and health delta.
+// the range's abnormal devices and their rows to win and returns the
+// range's clean-row count and health delta.
 type ranger interface {
-	stepRange(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, lo, hi int, flagged []int) ([]int, int, health.Delta)
+	stepRange(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, lo, hi int, win *Window) (int, health.Delta)
 }
 
 // step runs b's Step over every row like fan, keeping each range's
-// health delta in its worker's slot until the pass is done, then folds
-// the deltas into t when it is set.
-func (w *Walker) step(b ranger, rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int) {
-	w.job = stepJob{b: b, rows: rows, prev: prev, cur: cur, t: t, clean: clean}
+// window and health delta in its worker's slots until the pass is
+// done, then merges the windows into win and folds the deltas into t
+// when it is set. A strict Step (nil t) grades the rows as chk
+// describes them first, in the same pass: each range grades its own
+// rows, waits until every range has, and steps only if all are clean;
+// otherwise step writes nothing and explains the lowest unclean row.
+func (w *Walker) step(b ranger, rows [][]float64, pos *space.State, committed bool, t *health.Tracker, chk checkJob, win *Window) (int, error) {
+	w.job = stepJob{b: b, rows: rows, pos: pos, committed: committed, t: t}
+	if t == nil {
+		chk.rows = rows
+		w.job.chk = chk
+		w.job.ranges = par.RangeCount(len(rows), w.workers, minShard)
+		w.graded.Add(w.job.ranges)
+	}
 	workers := par.Ranges(len(rows), w.workers, minShard, w.stepShard)
 	w.job = stepJob{} // hold no caller rows or states between Steps
-	out, total := w.merge(workers, out[:0])
-	if t != nil {
-		for i := range w.deltas {
-			t.Apply(&w.deltas[i])
+	total := w.merge(workers, win)
+	if t == nil {
+		if err := reject(rows, w.bad[:workers], chk.d, chk.devs); err != nil {
+			return 0, err
 		}
-		clear(w.deltas)
+		return total, nil
 	}
-	return out, total
+	for i := range w.deltas {
+		t.Apply(&w.deltas[i])
+	}
+	clear(w.deltas)
+	return total, nil
 }
 
 // runStep is stepShard: it runs range i, [lo, hi), of the Step in w.job
-// into worker i's slots.
+// into worker i's slots, once every range is graded clean if the Step
+// is strict.
 func (w *Walker) runStep(i, lo, hi int) {
-	j := &w.job
-	w.flags[i], w.counts[i], w.deltas[i] = j.b.stepRange(j.rows, j.prev, j.cur, j.t, j.clean, lo, hi, w.flagBuf(i, lo, hi))
+	j, b := &w.job, &w.bufs[i]
+	b.reset()
+	w.counts[i] = 0
+	if j.t == nil {
+		w.bad[i] = j.chk.unclean(lo, hi)
+		w.graded.Done()
+		w.graded.Wait()
+		for _, bad := range w.bad[:j.ranges] {
+			if bad >= 0 {
+				return
+			}
+		}
+	}
+	w.counts[i], w.deltas[i] = j.b.stepRange(j.rows, j.pos, j.committed, j.t, lo, hi, b)
 }
 
 // WalkSkip runs the detector walk of one pre-classified partial

@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkDecideWindow measures one abnormal window decided over the
-// wire — two pipe shards, one request per shard slice, steady state
-// after the first window — next to the in-process batch
+// wire — two pipe shards, one request per shard slice, in the steady
+// state — next to the in-process batch
 // (dist.DecideAll, the BenchmarkDistDecide path) on the same clustered
 // window: ten faulty 100-device clusters, the radius dimensioned to n.
 // The in-process case indexes its directory once, outside the loop, and
@@ -19,8 +19,12 @@ import (
 // slice. The decision work is the same at both n, so the wire/inproc
 // gap is the wire's own cost: codec, transport and the server's compact
 // m-row window and index build. None of it grows with n; a benchmark gate holds
-// the n=100k/n=10k wire B/op ratio near 1.
+// the n=100k/n=10k wire B/op ratio near 1. Each case decides warmUp
+// windows before its timer starts, so its package pools hold what a
+// window takes from them whatever they held when it began, and the
+// timed windows' bytes do not depend on the cases run before.
 func BenchmarkDecideWindow(b *testing.B) {
+	const warmUp = 2
 	for _, n := range []int{10_000, 100_000} {
 		r := 0.03 * math.Sqrt(1000/float64(n))
 		cfg := core.Config{R: r, Tau: 3, Exact: true}
@@ -34,6 +38,11 @@ func BenchmarkDecideWindow(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer c.Close()
+			for range warmUp {
+				if _, _, err := c.DecideWindow(pair, abnormal, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -46,6 +55,11 @@ func BenchmarkDecideWindow(b *testing.B) {
 			dir, err := dist.NewDirectory(pair, abnormal, r)
 			if err != nil {
 				b.Fatal(err)
+			}
+			for range warmUp {
+				if _, _, err := dist.DecideAll(dir, cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

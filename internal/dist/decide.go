@@ -145,7 +145,7 @@ func DecideRange(dst []Decision, d *Directory, cfg core.Config, from, to int) ([
 			j := d.abnormal[from+int(slot)]
 			res, err := c.Characterize(j)
 			if err != nil {
-				fail(slot, fmt.Errorf("device %d: %w", j, err))
+				fail(slot, &core.DeviceError{Device: j, Err: err})
 				return
 			}
 			out[slot].Result = res

@@ -27,14 +27,21 @@ func Workers(workers, n int) int {
 	return max(1, min(workers, n))
 }
 
+// RangeCount returns the number of ranges Ranges cuts [0, n) into:
+// Workers(workers, n/grain), a grain below 1 counting as 1. A pass
+// whose ranges meet at a barrier sizes it with RangeCount.
+func RangeCount(n, workers, grain int) int {
+	return Workers(workers, n/max(grain, 1))
+}
+
 // Ranges splits [0, n) into k contiguous ranges, range i being
 // [i*n/k, (i+1)*n/k), runs f(i, lo, hi) on each concurrently and
-// returns k. k is Workers(workers, n/grain), so every range holds at
-// least grain items when n >= grain; a grain below 1 counts as 1. With
-// one range — including n < 2*grain and n = 0 — f runs inline on the
-// caller's goroutine and nothing is spawned.
+// returns k. k is RangeCount(n, workers, grain), so every range holds
+// at least grain items when n >= grain. With one range — including
+// n < 2*grain and n = 0 — f runs inline on the caller's goroutine and
+// nothing is spawned.
 func Ranges(n, workers, grain int, f func(i, lo, hi int)) int {
-	k := Workers(workers, n/max(grain, 1))
+	k := RangeCount(n, workers, grain)
 	if k == 1 {
 		f(0, 0, n)
 		return 1

@@ -82,6 +82,15 @@ func StateFromFlat(d int, coords []float64) (*State, error) {
 	return &State{dim: d, n: len(coords) / d, coords: coords}, nil
 }
 
+// Adopt points s at coords, len(coords)/d devices row-major, without
+// copying or checking them: s aliases coords from here on, and the
+// caller vouches that d is a valid dimension and every coordinate is
+// finite and in [0,1]. It lets one State header be pointed at a
+// recycled slab window after window.
+func (s *State) Adopt(d int, coords []float64) {
+	*s = State{dim: d, n: len(coords) / d, coords: coords}
+}
+
 // Len returns the number of devices n.
 func (s *State) Len() int { return s.n }
 

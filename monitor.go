@@ -1,6 +1,7 @@
 package anomalia
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -34,20 +35,33 @@ type Monitor struct {
 	// bank runs the detectors, stepped by one sharded pass per tick:
 	// the default detectors — the factory's untrained Threshold
 	// detectors with one shared delta — as a ThresholdBank that reads
-	// each device's previous sample from prev, any other factory
-	// output as a DeviceBank of heap Devices. Both shard across
-	// WithIngestWorkers workers (default GOMAXPROCS), and the merged
-	// abnormal set is byte-identical to a serial walk.
+	// each device's previous sample from its committed position, any
+	// other factory output as a DeviceBank of heap Devices. Both shard
+	// across WithIngestWorkers workers (default GOMAXPROCS), and the
+	// merged abnormal set is byte-identical to a serial walk.
 	bank bank
+	// prev is the Monitor's one n×d position slab: the state S_{k−1}
+	// the last accepted tick committed — device j's slot holds its
+	// position then, the origin before the first tick — which tick k's
+	// Step reads and overwrites in place with S_k. A tick rejected by
+	// the strict policy is graded before any write, so it leaves the
+	// slab as it was.
 	prev *space.State
 	time atomic.Int64
-	// spare recycles the state displaced by the previous Observe as the
-	// next snapshot buffer (a double buffer: Observe fully overwrites
-	// every row before reading it), and abnBuf recycles the abnormal-id
-	// slice — characterization clones the ids it keeps, so both are free
-	// for reuse once Observe returns.
-	spare  *space.State
-	abnBuf []int
+	// win is the last Step's abnormal window: the flagged ids and their
+	// rows at k−1 and k, which the Step saves as it overwrites them.
+	// winPrev and winCur are the compact states over those rows and
+	// pair the window's state pair over them: device i of the pair is
+	// abnormal device win.Abnormal[i]. local holds the window-local ids
+	// 0..m−1 of the largest window so far, and renamed the dense
+	// motions an Outcome has already renamed to fleet ids. All of it is
+	// recycled from window to window: the decision paths clone what
+	// they keep.
+	win             detect.Window
+	winPrev, winCur space.State
+	pair            motion.Pair
+	local           []int
+	renamed         map[*int]struct{}
 	// decs recycles the in-process directory's decisions from one
 	// distributed window to the next: they are copied into the
 	// Outcome's Reports and cleared before characterizeWindow returns.
@@ -65,17 +79,15 @@ type Monitor struct {
 	dirDegraded  atomic.Int64
 	// health is the per-device state machine of the degraded ingest path
 	// (ObservePartial), created on the first partial tick so Observe-only
-	// monitors pay nothing for it; cleanBuf is the recycled per-tick
-	// classification mask the bank's Step writes. The pointer is atomic
-	// so a concurrent stats snapshot sees either no tracker or a fully
-	// built one; statsMu serializes the tracker's mutations against
+	// monitors pay nothing for it. The pointer is atomic so a concurrent
+	// stats snapshot sees either no tracker or a fully built one;
+	// statsMu serializes the tracker's mutations against
 	// HealthStats/DeviceHealth readers. Every partial tick, on either
 	// bank, runs the health transitions inside its sharded pass, and the
 	// whole pass holds statsMu: a reader never sees a torn state, but a
 	// scrape may wait for up to one pass. Reset takes the mutex too.
-	health   atomic.Pointer[health.Tracker]
-	statsMu  sync.Mutex
-	cleanBuf []bool
+	health  atomic.Pointer[health.Tracker]
+	statsMu sync.Mutex
 	// mx is the per-tick metrics feed (WithMetrics): latencies, the
 	// abnormal ledger and directory builds. The health, wire and
 	// runtime families are filled on scrape. nil when the monitor is
@@ -87,9 +99,8 @@ type Monitor struct {
 // bank is the fleet's detector pass: detect.ThresholdBank or
 // detect.DeviceBank.
 type bank interface {
-	Step(rows [][]float64, prev, cur *space.State, t *health.Tracker, clean []bool, out []int) ([]int, int)
+	Step(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, win *detect.Window) (int, error)
 	TrainAll()
-	Reject(samples [][]float64, clean []bool) error
 	Reset()
 }
 
@@ -117,12 +128,17 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 	if err := cfg.health.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
+	prev, err := space.NewState(devices, services)
+	if err != nil {
+		return nil, err
+	}
 	m := &Monitor{
 		devices:  devices,
 		services: services,
 		cfg:      cfg,
-		cleanBuf: make([]bool, devices),
+		prev:     prev,
 	}
+	m.pair = motion.Pair{Prev: &m.winPrev, Cur: &m.winCur}
 	if cfg.directory != nil {
 		client, err := dirnet.NewClient(dirnet.Config(*cfg.directory))
 		if err != nil {
@@ -200,12 +216,12 @@ func (m *Monitor) Time() int { return int(m.time.Load()) }
 // Error behavior: a rejected snapshot — wrong row count or width, or a
 // non-finite QoS value (NaN would pass an interval test and poison
 // detector state, so it is rejected by name) — leaves the monitor
-// exactly as it was: no detector consumed a sample, the clock did not
-// advance, and the recycled buffers are intact. An error from the
-// characterization of an accepted snapshot reports a consumed
-// observation: the detectors have already folded the snapshot in, so
-// the clock and the previous-state buffer advance with them, the
-// displaced state is recycled, and the next Observe proceeds cleanly.
+// exactly as it was: the snapshot is graded whole before anything is
+// written, so no detector consumed a sample, no position moved and the
+// clock did not advance. An error from the characterization of an
+// accepted snapshot reports a consumed observation: the detectors have
+// already folded the snapshot in, so the clock and the committed
+// positions advance with them, and the next Observe proceeds cleanly.
 func (m *Monitor) Observe(samples [][]float64) (*Outcome, error) {
 	return m.tick(samples, true)
 }
@@ -235,8 +251,8 @@ func (m *Monitor) Observe(samples [][]float64) (*Outcome, error) {
 // state machine: neither carries a usable measurement, and collapsing
 // them makes a degraded stream reproducible against an oracle fed only
 // the delivered clean subset. A fully clean snapshot over an all-live
-// fleet is consumed exactly as Observe consumes it — same recycled
-// buffers, same verdicts.
+// fleet is consumed exactly as Observe consumes it — same positions,
+// same verdicts.
 //
 // Membership churn flows through: quarantined devices leave the
 // abnormal set (and so the distributed directory's index) and
@@ -250,7 +266,7 @@ func (m *Monitor) Observe(samples [][]float64) (*Outcome, error) {
 // returns no error, and every row it is fed is clean or a held
 // position. What can still fail is the characterization of an abnormal
 // window, which reports a consumed observation as Observe's does: the
-// detectors, the health state, the clock and the previous-state buffer
+// detectors, the health state, the clock and the committed positions
 // have all advanced, and the next tick proceeds cleanly. Re-feeding
 // the same snapshot would charge the health machine twice; treat the
 // tick as lost instead.
@@ -270,7 +286,7 @@ func (m *Monitor) tracker() (*health.Tracker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
-	if m.prev != nil {
+	if m.time.Load() > 0 {
 		t.ConsumeAll()
 	}
 	m.health.Store(t)
@@ -278,8 +294,8 @@ func (m *Monitor) tracker() (*health.Tracker, error) {
 }
 
 // tick is the one body of Observe (strict) and ObservePartial: ingest
-// and detect by policy into the current state with one bank step, then
-// the tick commits, and an abnormal window is characterized.
+// and detect by policy in place with one bank step, then the tick
+// commits, and an abnormal window is characterized on its own rows.
 func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 	if len(samples) != m.devices {
 		return nil, fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), m.devices, ErrInvalidInput)
@@ -288,72 +304,63 @@ func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 	if m.mx != nil {
 		start = time.Now()
 	}
-	cur := m.spare
-	m.spare = nil
-	if cur == nil {
-		var err error
-		if cur, err = space.NewState(m.devices, m.services); err != nil {
-			return nil, err
-		}
-	}
-	abnormal, err := m.step(samples, cur, strict)
-	m.abnBuf = abnormal
-	if err != nil {
-		// A rejection consumed nothing: keep the double buffer intact.
-		m.spare = cur
+	committed := m.time.Load() > 0
+	if err := m.step(samples, committed, strict); err != nil {
 		return nil, err
 	}
 	var walked time.Time
 	if m.mx != nil {
 		walked = time.Now()
 	}
-	// The displaced snapshot is dead from here on whatever happens next
-	// — outcomes carry device ids, never state references, and the
-	// characterization below only reads it — so recycle it now; that
-	// keeps the double buffer intact on every error path too.
-	prev := m.prev
-	m.prev, m.spare = cur, prev
 	m.time.Add(1)
-	if prev == nil || len(abnormal) == 0 {
+	abnormal := m.win.Abnormal
+	if !committed || len(abnormal) == 0 {
 		if m.mx != nil {
 			m.tickDone(start, walked, nil)
 		}
 		return nil, nil
 	}
-	pair, err := motion.NewPair(prev, cur)
-	if err != nil {
-		return nil, err
-	}
-	out, err := m.characterizeWindow(pair, abnormal)
+	m.winPrev.Adopt(m.services, m.win.Prev)
+	m.winCur.Adopt(m.services, m.win.Cur)
+	out, err := m.characterizeWindow(&m.pair, m.localIDs(len(abnormal)), abnormal)
 	if m.mx != nil {
 		m.tickDone(start, walked, abnormal)
 	}
 	return out, err
 }
 
+// localIDs returns the window-local ids 0..k−1.
+func (m *Monitor) localIDs(k int) []int {
+	for i := len(m.local); i < k; i++ {
+		m.local = append(m.local, i)
+	}
+	return m.local[:k:k]
+}
+
 // step ingests one snapshot into the bank with one Step, unless the
-// strict policy rejects it on the lowest unclean row. A partial tick
-// hands the Step the health tracker, so every device's health
-// transition runs inside the sharded pass and picks what it detects
-// on; the pass holds statsMu. A tick that fed every device its own row
-// — an accepted strict tick, or a partial one that found every row
-// clean over a fleet all-live at its start — trains the whole bank and
-// gives every device a last-known value in the tracker, if there is
-// one, with ConsumeAll.
-func (m *Monitor) step(samples [][]float64, cur *space.State, strict bool) ([]int, error) {
+// strict policy rejects it: a strict Step grades the whole snapshot
+// before it writes anything and reports the lowest unclean row. A
+// partial tick hands the Step the health tracker, so every device's
+// health transition runs inside the sharded pass and picks what it
+// detects on; the pass holds statsMu. A tick that fed every device its
+// own row — an accepted strict tick, or a partial one that found every
+// row clean over a fleet all-live at its start — trains the whole bank
+// and gives every device a last-known value in the tracker, if there
+// is one, with ConsumeAll.
+func (m *Monitor) step(samples [][]float64, committed, strict bool) error {
 	var tracker *health.Tracker
 	if !strict {
 		var err error
 		if tracker, err = m.tracker(); err != nil {
-			return m.abnBuf, err
+			return err
 		}
 		m.statsMu.Lock()
 		defer m.statsMu.Unlock()
 	}
 	allLive := tracker != nil && tracker.AllLive()
-	abnormal, nClean := m.bank.Step(samples, m.prev, cur, tracker, m.cleanBuf, m.abnBuf)
-	if strict && nClean < m.devices {
-		return abnormal, fmt.Errorf("%w: %w", ErrInvalidInput, m.bank.Reject(samples, m.cleanBuf))
+	nClean, err := m.bank.Step(samples, m.prev, committed, tracker, &m.win)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
 	if strict || allLive && nClean == m.devices {
 		// Only the observing goroutine reads the tracker's last-known
@@ -363,7 +370,7 @@ func (m *Monitor) step(samples [][]float64, cur *space.State, strict bool) ([]in
 		}
 		m.bank.TrainAll()
 	}
-	return abnormal, nil
+	return nil
 }
 
 // DeviceHealth returns device dev's current health state. Devices are
@@ -414,22 +421,81 @@ func (m *Monitor) HealthStats() HealthStats {
 }
 
 // characterizeWindow decides one abnormal window; it is the one
-// decision path of every deployment model. Centralized, it runs
-// core.New and characterizes each device straight into the Outcome's
-// Reports. Distributed in-process, it indexes the window in a fresh
-// directory service and decides on it: a_k(j) flags a change between
-// windows, so consecutive abnormal sets barely overlap and no verdict
-// is worth keeping from one window to the next. The working memory a
-// window is decided in — characterizer, motion graph, directory and its
-// decide scratch, the decisions themselves — goes back to its package
-// pool or to the Monitor once the window is decided, and the Outcome
-// aliases none of it. With WithDirectory the directory lives
-// behind the wire instead: the client sends each shard its slice and
-// merges the decisions, and any failure past the
-// deadline/retry/breaker budget degrades this one window to the
-// centralized branch — same verdicts, one DirStats degradation — so
-// shard unavailability never surfaces as an Observe error.
-func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcome, error) {
+// decision path of every deployment model. pair holds the window's
+// trajectories under ids of its own, and global maps each to its fleet
+// id, ascending, or is nil when they are fleet ids already: the
+// Monitor decides on its compact pair over local ids 0..m−1, which
+// every path reads exactly as it reads the fleet's full states, since
+// a verdict reads abnormal rows only and orders devices by id, an
+// order the table keeps. The ids are renamed once, as the Outcome is
+// built, and so is a characterization error's device.
+func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal, global []int) (*Outcome, error) {
+	out, err := m.decideWindow(pair, abnormal)
+	if err != nil {
+		for e := err; global != nil && e != nil; e = errors.Unwrap(e) {
+			if de, ok := e.(*core.DeviceError); ok {
+				de.Device = global[de.Device]
+			}
+		}
+		return nil, err
+	}
+	if global != nil {
+		m.rename(out, global)
+	}
+	out.classify()
+	return out, nil
+}
+
+// rename maps an Outcome decided over window-local ids to fleet ids in
+// place: each Report's device, and each distinct dense motion once. A
+// family's motions are shared by every Report in it and made for this
+// window alone (each is its own allocation, in process or decoded off
+// the wire), so m.renamed keys them by identity; it is emptied again
+// before rename returns and keeps its storage. Reports of one family
+// share its slice of motions too and mostly sit next to each other, so
+// a Report whose slice is the previous one's is skipped whole.
+func (m *Monitor) rename(out *Outcome, global []int) {
+	if m.renamed == nil {
+		m.renamed = map[*int]struct{}{}
+	}
+	var family [][]int
+	for i := range out.Reports {
+		r := &out.Reports[i]
+		r.Device = global[r.Device]
+		if len(r.DenseMotions) == 0 || len(r.DenseMotions) == len(family) && &r.DenseMotions[0] == &family[0] {
+			continue
+		}
+		family = r.DenseMotions
+		for _, mo := range r.DenseMotions {
+			if _, done := m.renamed[&mo[0]]; done {
+				continue
+			}
+			m.renamed[&mo[0]] = struct{}{}
+			for k, id := range mo {
+				mo[k] = global[id]
+			}
+		}
+	}
+	clear(m.renamed)
+}
+
+// decideWindow decides one window's devices in its own ids and returns
+// the unclassified Outcome. Centralized, it runs core.New and
+// characterizes each device straight into the Outcome's Reports.
+// Distributed in-process, it indexes the window in a fresh directory
+// service and decides on it: a_k(j) flags a change between windows, so
+// consecutive abnormal sets barely overlap and no verdict is worth
+// keeping from one window to the next. The working memory a window is
+// decided in — characterizer, motion graph, directory and its decide
+// scratch, the decisions themselves — goes back to its package pool or
+// to the Monitor once the window is decided, and the Outcome aliases
+// none of it. With WithDirectory the directory lives behind the wire
+// instead: the client sends each shard its slice and merges the
+// decisions, and any failure past the deadline/retry/breaker budget
+// degrades this one window to the centralized branch — same verdicts,
+// one DirStats degradation — so shard unavailability never surfaces as
+// an Observe error.
+func (m *Monitor) decideWindow(pair *motion.Pair, abnormal []int) (*Outcome, error) {
 	cfg := m.cfg.core()
 	if m.cfg.distributed {
 		// Validate the characterization config first, so a bad radius or
@@ -476,13 +542,13 @@ func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcom
 	ids := char.Abnormal()
 	out := &Outcome{Reports: make([]Report, len(ids))}
 	for i, j := range ids {
+		// A failure is a core.DeviceError, which names j.
 		res, err := char.Characterize(j)
 		if err != nil {
-			return nil, fmt.Errorf("characterizing device %d: %w", j, err)
+			return nil, err
 		}
 		out.Reports[i] = toReport(res)
 	}
-	out.classify()
 	return out, nil
 }
 
@@ -516,8 +582,7 @@ func (m *Monitor) DirStats() DirStats {
 // traffic counters span reconnects.
 func (m *Monitor) Reset() {
 	m.bank.Reset()
-	m.prev = nil
-	m.spare = nil
+	clear(m.prev.Span(0, m.devices)) // every slot back at the origin
 	m.time.Store(0)
 	if m.mx != nil {
 		// The next abnormal window's churn scores against the empty set.

@@ -66,10 +66,10 @@ func TestMonitorShardedParity(t *testing.T) {
 // — v < 0 || v > 1 is false for NaN, so an interval test alone would
 // let it poison detector and space state — as must nil and wrong-width
 // rows, and the refused snapshot must leave the monitor exactly as it
-// was: same clock, same recycled buffers, and detector state identical
-// to a twin monitor that never saw the bad snapshot. Exercised on both
-// the serial and sharded walks, with offenders mid-fleet and at the
-// last device (the final shard).
+// was: same clock, the same position slab holding the same positions,
+// and detector state identical to a twin monitor that never saw the
+// bad snapshot. Exercised on both the serial and sharded walks, with
+// offenders mid-fleet and at the last device (the final shard).
 func TestMonitorRejectsNonFinite(t *testing.T) {
 	t.Parallel()
 
@@ -101,7 +101,7 @@ func TestMonitorRejectsNonFinite(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			prevPtr, sparePtr := m.prev, m.spare
+			prevPtr, committed := m.prev, m.prev.Clone()
 
 			for name, corrupt := range map[string]func(s [][]float64){
 				"nan":       func(s [][]float64) { s[tc.n/2][0] = math.NaN() },
@@ -122,10 +122,10 @@ func TestMonitorRejectsNonFinite(t *testing.T) {
 					t.Errorf("clock advanced to %d on a rejected snapshot", m.Time())
 				}
 				if m.prev != prevPtr {
-					t.Error("rejected snapshot swapped the previous state")
+					t.Error("rejected snapshot swapped the position slab")
 				}
-				if m.spare != sparePtr {
-					t.Error("rejected snapshot leaked the recycled buffer")
+				if !reflect.DeepEqual(m.prev, committed) {
+					t.Error("rejected snapshot wrote the position slab")
 				}
 			}
 
@@ -168,9 +168,9 @@ func stateRows(st *space.State) [][]float64 {
 // snapshot's characterization fails (here: the Theorem-7 exact search
 // exceeds a budget of 1 on the paper's Figure 5 window), the monitor
 // must stay coherent — the snapshot was consumed by the detectors, so
-// the clock and previous state advance with them, and the displaced
-// state is recycled into the spare buffer instead of leaking. The next
-// Observe proceeds from that state as if the window had characterized.
+// the clock and the committed positions advance with them, in the one
+// position slab. The next Observe proceeds from that state as if the
+// window had characterized.
 func TestMonitorCharacterizationErrorKeepsInvariants(t *testing.T) {
 	t.Parallel()
 
@@ -203,15 +203,16 @@ func TestMonitorCharacterizationErrorKeepsInvariants(t *testing.T) {
 	if m.Time() != 2 {
 		t.Errorf("Time = %d after a consumed-but-failed window, want 2", m.Time())
 	}
-	if m.prev == firstState {
-		t.Error("failed characterization rolled back the consumed snapshot")
+	if m.prev != firstState {
+		t.Error("failed characterization replaced the position slab")
 	}
-	if m.spare != firstState {
-		t.Error("failed characterization leaked the displaced state instead of recycling it")
+	for j, row := range curRows {
+		if !reflect.DeepEqual([]float64(m.prev.At(j)), row) {
+			t.Fatalf("device %d committed at %v after a consumed-but-failed window, want %v", j, m.prev.At(j), row)
+		}
 	}
 
-	// The monitor keeps streaming: a quiet tick is accepted and the
-	// recycled buffer is the one that was just returned.
+	// The monitor keeps streaming: a quiet tick is accepted.
 	fire = false
 	out, err := m.Observe(curRows)
 	if err != nil {
@@ -339,13 +340,14 @@ func TestMonitorClampOncePolicy(t *testing.T) {
 }
 
 // TestMonitorRetainedHeap bounds what a monitor keeps alive per device
-// once it has run partial ticks: its two position states (the
-// committed one and the recycled spare), the classification mask, the
-// Threshold bank's trained bytes and the health tracker — 16+16+1+1+6
-// bytes at d = 2. A bank that kept its own copy of every sample would
-// add 8d bytes per copy. Not parallel: it reads the process's live heap.
+// once it has run partial ticks: its one position slab and the health
+// tracker — 16+6 bytes at d = 2; it reads 22.0. A second n×d state
+// adds 16 bytes and trips the bound (the monitor read 41.1 while it
+// kept one, a classification mask and the trained bytes), as would a
+// bank that kept its own copy of every sample. Not parallel: it reads
+// the process's live heap.
 func TestMonitorRetainedHeap(t *testing.T) {
-	const n, d, bound = 1 << 18, 2, 48
+	const n, d, bound = 1 << 18, 2, 30
 	flat := make([]float64, n*d)
 	for i := range flat {
 		flat[i] = 0.5

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"anomalia/internal/health"
+	"anomalia/internal/space"
 )
 
 // degradedRow marks one device's report for a test stream.
@@ -302,11 +303,11 @@ func TestObservePartialGeometryRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prevPtr, sparePtr := mon.prev, mon.spare
+	prevPtr, committed := mon.prev, mon.prev.Clone()
 	if _, err := mon.ObservePartial(fleetSnapshot(n-1, 0.95, nil)); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("short snapshot error = %v, want ErrInvalidInput", err)
 	}
-	if mon.Time() != 2 || mon.prev != prevPtr || mon.spare != sparePtr {
+	if mon.Time() != 2 || mon.prev != prevPtr || !reflect.DeepEqual(mon.prev, committed) {
 		t.Fatal("rejected snapshot mutated the monitor")
 	}
 	if hs := mon.HealthStats(); hs.FaultyTicks != 0 {
@@ -314,10 +315,11 @@ func TestObservePartialGeometryRejected(t *testing.T) {
 	}
 }
 
-// TestObservePartialBufferInvariants: the double buffer and abnormal-id
-// slice must recycle across clean, degraded, quarantining and rejected
-// ticks exactly as they do on the full path, and Reset must clear the
-// health state with the buffers still reusable afterwards.
+// TestObservePartialBufferInvariants: the one position slab and the
+// abnormal window's buffers must be kept across clean, degraded,
+// quarantining and rejected ticks exactly as they are on the full
+// path, and Reset must clear the health state and the slab with the
+// buffers still reusable afterwards.
 func TestObservePartialBufferInvariants(t *testing.T) {
 	t.Parallel()
 
@@ -326,6 +328,7 @@ func TestObservePartialBufferInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	slab := mon.prev
 	clean := fleetSnapshot(n, 0.95, nil)
 	if _, err := mon.ObservePartial(clean); err != nil {
 		t.Fatal(err)
@@ -333,13 +336,9 @@ func TestObservePartialBufferInvariants(t *testing.T) {
 	if _, err := mon.ObservePartial(clean); err != nil {
 		t.Fatal(err)
 	}
-	first, second := mon.spare, mon.prev
-	if first == nil || second == nil || first == second {
-		t.Fatal("double buffer not established")
-	}
 
-	// From here the two states must alternate roles forever, whatever
-	// the tick's degradation.
+	// From here the slab must stay the one the monitor was built with,
+	// whatever the tick's degradation.
 	ticks := [][][]float64{
 		fleetSnapshot(n, 0.95, map[int]float64{4: 0.2}), // abnormal
 		fleetSnapshot(n, 0.95, nil),
@@ -353,28 +352,24 @@ func TestObservePartialBufferInvariants(t *testing.T) {
 		if _, err := mon.ObservePartial(snap); err != nil {
 			t.Fatalf("tick %d: %v", i, err)
 		}
-		wantPrev, wantSpare := first, second
-		if i%2 == 1 {
-			wantPrev, wantSpare = second, first
-		}
-		if mon.prev != wantPrev || mon.spare != wantSpare {
-			t.Fatalf("tick %d: double buffer broke rotation", i)
+		if mon.prev != slab {
+			t.Fatalf("tick %d: position slab replaced", i)
 		}
 	}
 	if st, _ := mon.DeviceHealth(3); st != HealthQuarantined {
 		t.Fatalf("device 3 health %v, want quarantined", st)
 	}
 
-	// A rejected tick must not disturb the rotation...
+	// A rejected tick must not disturb the slab...
 	if _, err := mon.ObservePartial(fleetSnapshot(n+1, 0.95, nil)); !errors.Is(err, ErrInvalidInput) {
 		t.Fatal("oversized snapshot accepted")
 	}
-	if mon.prev == nil || mon.spare == nil {
-		t.Fatal("rejection dropped a buffer")
+	if mon.prev != slab {
+		t.Fatal("rejection replaced the position slab")
 	}
-	// ...and the abnormal-id buffer keeps recycling: an abnormal tick
-	// after all of the above reuses the slice grown earlier.
-	buf := mon.abnBuf
+	// ...and the window buffers keep recycling: an abnormal tick after
+	// all of the above reuses the slices grown earlier.
+	ids, rows := mon.win.Abnormal, mon.win.Cur
 	out, err := mon.ObservePartial(fleetSnapshot(n, 0.95, map[int]float64{8: 0.2}))
 	if err != nil {
 		t.Fatal(err)
@@ -382,8 +377,8 @@ func TestObservePartialBufferInvariants(t *testing.T) {
 	if out == nil || len(out.Isolated) != 1 || out.Isolated[0] != 8 {
 		t.Fatalf("outcome %+v, want isolated [8]", out)
 	}
-	if cap(buf) > 0 && &mon.abnBuf[:1][0] != &buf[:1][0] {
-		t.Fatal("abnormal-id buffer was reallocated instead of recycled")
+	if cap(ids) == 0 || &mon.win.Abnormal[:1][0] != &ids[:1][0] || &mon.win.Cur[:1][0] != &rows[:1][0] {
+		t.Fatal("abnormal window buffers were reallocated instead of recycled")
 	}
 
 	// Reset clears health and history; the monitor then streams again
@@ -397,6 +392,9 @@ func TestObservePartialBufferInvariants(t *testing.T) {
 	}
 	if hs := mon.HealthStats(); hs.Quarantines != 0 || hs.FaultyTicks != 0 || hs.Live != n {
 		t.Fatalf("stats %+v after Reset", hs)
+	}
+	if origin, _ := space.NewState(n, 1); mon.prev != slab || !reflect.DeepEqual(mon.prev, origin) {
+		t.Fatal("Reset left positions in the slab")
 	}
 	if _, err := mon.Observe(clean); err != nil {
 		t.Fatal(err)
@@ -413,8 +411,8 @@ func TestObservePartialBufferInvariants(t *testing.T) {
 // no committed previous state — a tracker that has consumed reports
 // while no tick committed, injected here since a partial tick's
 // detector pass cannot fail — must park the device for the window
-// instead of dereferencing the state that never materialized. The
-// guard lives in the banks' shared row pick.
+// instead of detecting on a position that was never committed. The
+// guard is the committed flag each bank's Step is handed.
 func TestObservePartialHoldWithoutCommittedState(t *testing.T) {
 	t.Parallel()
 

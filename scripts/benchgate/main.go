@@ -125,26 +125,30 @@ var table = []run{
 		{bench: bankStep + "/partial/workers=1", unit: allocsOp, bound: 0},
 		{bench: bankStep + "/lossy/workers=1", unit: allocsOp, bound: 0},
 	}},
-	// Quiet n=1M ticks: the double-buffered steady state allocates a
+	// Quiet n=1M ticks: the in-place steady state allocates a
 	// handful of times (2 allocs/op at GOMAXPROCS 2, one fan-out's
 	// WaitGroup and goroutine, against a bound of 16), and the idle
 	// health layer, a breaker-closed directory client and metrics
 	// recording must each be free on it. The per-device bank's strict
-	// tick fans out twice, to classify and to step, and reads 4; a
-	// closure allocated per fan-out reads 6 to 10 and trips its bound.
-	// allocs/op counts every goroutine's allocations; the median of five
-	// repetitions keeps a stray one from tripping the one-allocation gates.
-	// The default detectors run as the Threshold bank at 0.13-0.34x
-	// the time of the same detectors run one heap object at a time in
-	// the per-device bank (per-repetition readings over three full
-	// runs, medians 0.23-0.24; 0.24-0.54x before the bank's tight loop
-	// for the common row), so a silent fallback to it trips the 0.6
-	// ratio. A lossy partial tick runs every device's health transition
-	// inside the bank's one pass at 1.04-1.83x the quiet tick (medians
-	// 1.39-1.45): the tight loop gains less there, since a lossy tick
-	// reads states and trained bytes and writes last-known marks. A
-	// second pass over the fleet took ~2.0-2.4x the slower quiet tick
-	// before that loop and trips the 1.8 ratio.
+	// tick also fans out once, grading and then stepping in the same
+	// pass, and reads 2-3 (4-6 while it classified in a pass of its
+	// own); a closure allocated per fan-out reads 6 to 10 and trips its
+	// bound. allocs/op counts every goroutine's allocations; the median
+	// of five repetitions keeps a stray one from tripping the
+	// one-allocation gates. The default detectors run as the Threshold
+	// bank at 0.22-0.50x the time of the same detectors run one heap
+	// object at a time in the per-device bank (per-repetition readings
+	// over six full runs, medians 0.30-0.44; 0.14-0.34x, medians
+	// 0.18-0.24, before the strict tick graded the whole snapshot
+	// before its first write), so a silent fallback to it trips the 0.6
+	// ratio. The strict quiet tick is the denominator of the two partial
+	// ratios, and its grading phase reads every row once more: the
+	// partial tick reads 0.44-0.92x it (medians 0.59-0.74; 0.77-0.99
+	// before) and the lossy one 0.44-1.06x (medians 0.63-0.88; 1.25-1.45
+	// before). A second sharded pass over the fleet on every partial
+	// tick (a scratch mutation) reads medians 1.07 and 1.19, inside both
+	// bounds, so these two gates no longer catch it; they still catch a
+	// partial tick that falls off the bank's tight loop.
 	{".", []string{"-benchtime=3x"}, 5, []gate{
 		{bench: quietTick, unit: allocsOp, bound: 16},
 		{bench: genTick, unit: allocsOp, bound: 6},
@@ -154,6 +158,16 @@ var table = []run{
 		{bench: "BenchmarkTickObservePartialLossy1M", unit: nsOp, op: "/", base: quietTick, bound: 1.8},
 		{bench: "BenchmarkTickObserveNetworked1M", unit: allocsOp, op: "-", base: quietTick, bound: 1},
 		{bench: "BenchmarkTickObserveMetrics1M", unit: allocsOp, op: "-", base: quietTick, bound: 1},
+	}},
+	// A Monitor retains one n×d position slab (16 B/device at d=2) and
+	// its health tracker's 6 B/device once a partial tick has built it:
+	// 22.0 B/device at n=1M, the same in every repetition. A second n×d
+	// state brought back reads ~38; the Monitor read 41.1 while it kept
+	// one, with a per-row clean mask, its trained bytes after TrainAll
+	// and flag buffers sized to an eighth of each shard. One repetition
+	// is one Monitor: -benchtime=1x.
+	{".", []string{"-benchtime=1x"}, 3, []gate{
+		{bench: "BenchmarkMonitorFootprint", unit: "B/device", bound: 24},
 	}},
 	// The n=1M mass-event tick stays within 2x of characterizing its
 	// window alone. -benchtime=1x: go test forces no GC between
@@ -167,10 +181,14 @@ var table = []run{
 	// ~1.0x the n=10k one. A shard server that sizes its states by n
 	// allocates ~3x here and trips the bound. The shards and the client
 	// decide and decode into recycled memory, so the wire window
-	// allocates ~0.54x the in-process DecideAll, which makes its
-	// []Decision per call (~1.8x while the wire side did too);
-	// decisions that each carry their family's motions inline took
-	// ~4.2x.
+	// allocates ~0.21x the in-process DecideAll, which makes its
+	// []Decision per call (~0.49x while the timed windows included the
+	// first one's pool fills, ~1.8x while the wire side made its
+	// decisions per call too); decisions that each carry their family's
+	// motions inline took ~4.2x. Both cases warm the pools before their
+	// timers, so the n=100k/n=10k ratio read 0.977-1.005 in seven
+	// full runs (0.988-1.004 in three runs without the warm-up, and
+	// once 1.086).
 	{"./internal/dirnet", []string{"-benchtime=20x"}, 3, []gate{
 		{bench: "BenchmarkDecideWindow/n=100k/wire", unit: bytesOp, op: "/", base: "BenchmarkDecideWindow/n=10k/wire", bound: 1.25},
 		{bench: "BenchmarkDecideWindow/n=10k/wire", unit: bytesOp, op: "/", base: "BenchmarkDecideWindow/n=10k/inproc", bound: 2},

@@ -99,9 +99,9 @@ type DistStats struct {
 // many devices is written once.
 //
 // An Outcome owns its memory. The working memory its window was decided
-// in is recycled for later windows once the window is decided, but the
+// in is refilled by later windows once the window is decided, but the
 // Reports, the id lists and the dense motions are allocated for the
-// Outcome and never recycled, so an Outcome stays valid however many
+// Outcome and never reused, so an Outcome stays valid however many
 // windows follow it.
 type Outcome struct {
 	// Reports holds one entry per abnormal device, in device order.
@@ -537,7 +537,6 @@ func CharacterizeDevice(prev, cur [][]float64, abnormal []int, device int, opts 
 	if err != nil {
 		return Report{}, err
 	}
-	defer char.Release()
 	res, err := char.Characterize(device)
 	if err != nil {
 		return Report{}, err

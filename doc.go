@@ -356,7 +356,7 @@
 //   - Clique enumeration over a CSR component never widens to the
 //     component: each vertex's neighbourhood is densified into a
 //     Δ-sized subgraph, with Δ the maximum degree, so enumeration
-//     scratch is O(Δ^2/64) bits from the same recycled pool, and
+//     scratch is O(Δ^2/64) bits from the enumeration scratch pool, and
 //     results are property-tested identical to dense blocks.
 //   - Characterization is component-local and decides once per dense
 //     family. The motion graph is decomposed into connected components
@@ -386,42 +386,42 @@
 //   - A window allocates little beyond the Outcome it returns. The
 //     Monitor characterizes each abnormal device straight into the
 //     Outcome's Reports and sizes the M_k / I_k / U_k lists once. The
-//     working memory a window is decided in — the characterizer's
-//     tables, the motion graph's slabs and labelling, a directory's
-//     index, abnormal set, shard table and member boxes, a
-//     DecideRange call's cell list, blocks and view groups, a shard
-//     request's decoded rows — goes back to package sync.Pools once
-//     the window is decided: by the Monitor, by each view group and
-//     each DecideRange call of a directory decision and by each shard
-//     request. The decisions themselves are written into slices their
-//     callers recycle: the Monitor's in-process directory path copies
-//     them into Reports and keeps the slice for its next window, a
-//     shard server decides into its pooled request, and the directory
-//     client decodes into a slice it owns until its next window. The
-//     graph build's own memory, its flattened window, cell lists, edge
-//     chunks and grid index, goes back as soon as the graph is built,
-//     so a graph holds only what it serves, and the grid's offset fans
-//     are immutable tables shared per dimension and reach. The pools
-//     return idle memory to the heap at GC, so the retained heap does
-//     not grow, and nothing an Outcome, a core.Result or a decoded
-//     wire motion holds is recycled (TestOutcomeOwnsItsMemory, whose
-//     in-process and networked monitors also decide in each other's
-//     handed-back memory; FuzzServerRespond answers every request twice
-//     on one server; the motion-graph and characterization fuzz
-//     targets rebuild every input on dirty recycled memory). A
-//     networked-100k tick allocates ~0.10 MB against 0.22 MB while the
-//     distributed paths built their scratch per window, and
-//     BenchmarkDistDecide's storm window ~66 KB in ~226 allocations
-//     against 1.00 MB in ~790. Over ten interleaved pairs of benchmark runs,
-//     a storm-200k tick allocates 1.12 MB against 2.13 MB before
-//     (medians), and BenchmarkCentralDecide's storm window 0.48 MB
-//     against 1.01 MB, of which 0.39 MB is the []Result that
-//     CharacterizeAll returns and the Monitor no longer builds. The
-//     Monitor detects in place over its one position slab and reuses
-//     its abnormal window — ids, compact rows and local ids — and the
-//     detector pass reuses its per-shard window buffers, which start
-//     empty and keep the capacity they grow to, so a quiet tick
-//     allocates nothing per device (BenchmarkTickIngestDetect1M).
+//     working memory a window is decided in has one owner, which
+//     refills it in place window after window: the Monitor owns its
+//     characterizer (with the motion graph, build memory and grid index
+//     it refills), its in-process directory, and its decide memory with
+//     one characterizer per view-group worker; a directory server
+//     connection owns its decoded request, directory, decide memory and
+//     motion table; the directory client owns the slice it decodes
+//     decisions into. Callers without an owner — Characterize,
+//     core.New, motion.NewGraph, dist.NewDirectory, DecideAll — get
+//     fresh memory through the same code, so DecideAll stays safe to
+//     call concurrently on one directory. Only the clique enumeration
+//     scratch (any number of enumerations may read one graph at once)
+//     and the JSON record scratch (MarshalJSON runs on any goroutine)
+//     come from sync.Pools. Owned memory keeps its high-water mark
+//     under one fixed rule (internal/slab): memory more than 4x the
+//     current need and larger than 256 KB is dropped. Per-worker
+//     memory (detector windows, edge chunks) is budgeted as one, so a
+//     huge mass window does not stay resident in a gateway whatever
+//     GOMAXPROCS is (TestMonitorShedsLargeWindow). The rule runs at an
+//     owner's next refill: an owner that goes idle — a Monitor after
+//     its last abnormal window, a directory connection after its last
+//     request, a view-group characterizer its window did not need —
+//     keeps what its last window used. An owner holds no pointer
+//     into a returned Outcome, and nothing an Outcome, a core.Result
+//     or a decoded wire motion holds is reused
+//     (TestOutcomeOwnsItsMemory; FuzzServerRespond and the motion-graph
+//     and characterization fuzz targets decide every input again on
+//     memory a larger window left). BenchmarkCentralDecide's storm
+//     window allocates ~0.45 MB, 0.39 MB of it the []Result that
+//     CharacterizeAll returns and the Monitor does not build, and
+//     BenchmarkDistDecide's ~66 KB in ~225 allocations. The Monitor
+//     detects in place over its one position slab and reuses its
+//     abnormal window — ids, compact rows and local ids — and the
+//     detector pass its per-shard window buffers, under the same rule,
+//     so a quiet tick allocates nothing per device
+//     (BenchmarkTickIngestDetect1M).
 //   - The default Threshold detectors are a column bank, not 2M heap
 //     detectors behind 1M Devices: a detector's previous sample is its
 //     device's position in the Monitor's committed state, so the bank
@@ -456,7 +456,7 @@
 //     brute-force views, with fixtures exactly 4r and one ulp beyond
 //     from a box corner. The batched DecideRange — DecideAll's whole
 //     window, or one networked shard's slice — builds the blocks of
-//     its range's cells in parallel, into a recycled slab. A cell
+//     its range's cells in parallel, into a slab of its decide memory. A cell
 //     with no remainder gives all its members the block's accepted
 //     slice as their view, so it is grouped once, not once per device,
 //     and equal views still share one characterizer
@@ -473,8 +473,7 @@
 //     CI holds the wire window's allocated bytes under 2x the
 //     in-process batch on the same window (scripts/benchgate, the
 //     BenchmarkDecideWindow wire and inproc pair in internal/dirnet);
-//     it reads ~0.54x, the shards and the client working in recycled
-//     memory.
+//     it reads ~1.5x, both sides deciding in memory they own.
 //   - Every parallel pass — the detector pass, the grid's key passes
 //     and sort, the collected graph build and the directory's per-view
 //     decisions — fans out through one internal helper (internal/par).

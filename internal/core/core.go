@@ -21,7 +21,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"anomalia/internal/motion"
 	"anomalia/internal/sets"
@@ -165,8 +164,8 @@ type Cost struct {
 // Dense, J and L are shared read-only with every device of the same
 // family — the devices whose W̄_k coincide (see Characterizer) — so
 // callers must copy them before modifying. They are allocated for the
-// window and never recycled: a Result outlives its Characterizer's
-// Release.
+// window and never reused: a Result outlives its Characterizer's next
+// Refill.
 type Result struct {
 	// Device is the device id.
 	Device int
@@ -198,17 +197,19 @@ type Result struct {
 // depends on j itself (adjacency to j, j ∉ B). The Results of one
 // family share their Dense, J and L slices read-only.
 //
-// A characterizer decides on one goroutine. Its working memory — the
-// motion graph New built, the per-device tables and the enumeration
-// scratch — goes back to package pools on Release, once the window is
-// decided; the Results stay valid.
+// A characterizer decides on one goroutine. It owns its working memory
+// — the motion graph it builds, the per-device tables and the
+// enumeration scratch — and Refill decides the next window in it. An
+// owner that keeps a characterizer between windows calls Clear once a
+// window is decided, so it holds no memory of the Results it returned.
 type Characterizer struct {
 	pair     *motion.Pair
 	abnormal []int
 	cfg      Config
 	graph    *motion.Graph
-	// ownGraph is set when New built the graph, so Release recycles it.
-	ownGraph bool
+	// own is the motion graph Refill builds; graph points at it, or at
+	// a graph the caller built.
+	own motion.Graph
 	// comps is the connected-component decomposition of the motion graph.
 	// Every set a decision for device j consults lives inside j's
 	// component, so the motion and split bitsets are sized to the
@@ -225,9 +226,6 @@ type Characterizer struct {
 	trie  []trieNode
 	split []*sets.Bits
 }
-
-// charPool holds the characterizers handed back by Release.
-var charPool = sync.Pool{New: func() any { return new(Characterizer) }}
 
 // memoEntry is the memoized enumeration of one device ℓ: its family
 // W̄_k(ℓ) and |M(ℓ)|, the maximal motions containing ℓ before density
@@ -261,53 +259,44 @@ type family struct {
 var isolatedFamily = &family{}
 
 // New builds a characterizer for the window described by pair, the
-// abnormal set A_k, and the configuration.
+// abnormal set A_k, and the configuration, in new memory.
 func New(pair *motion.Pair, abnormal []int, cfg Config) (*Characterizer, error) {
-	if pair == nil {
-		return nil, fmt.Errorf("nil pair: %w", ErrConfig)
-	}
-	if err := cfg.Validate(); err != nil {
+	c := new(Characterizer)
+	if err := c.Refill(pair, abnormal, cfg); err != nil {
 		return nil, err
 	}
-	for _, id := range abnormal {
-		if id < 0 || id >= pair.N() {
-			return nil, fmt.Errorf("abnormal device %d outside population of %d: %w", id, pair.N(), ErrConfig)
-		}
-	}
-	g := motion.NewGraph(pair, abnormal, cfg.R)
-	c := newCharacterizer(pair, g.Ids(), cfg, g)
-	c.ownGraph = true
 	return c, nil
 }
 
-// newCharacterizer wires a characterizer over an already-built motion
-// graph of the abnormal set (benchmarks reuse one read-only graph across
-// fresh characterizers; New builds it fresh).
-func newCharacterizer(pair *motion.Pair, ids []int, cfg Config, g *motion.Graph) *Characterizer {
-	c := charPool.Get().(*Characterizer)
-	c.pair, c.abnormal, c.cfg, c.graph, c.ownGraph = pair, ids, cfg, g, false
-	c.comps = g.Components()
-	c.memo = slab.Zeroed(c.memo, len(ids))
-	return c
+// Refill readies c for the window New would characterize, in c's own
+// memory; on error c is left as it was. Results stay valid.
+func (c *Characterizer) Refill(pair *motion.Pair, abnormal []int, cfg Config) error {
+	if pair == nil {
+		return fmt.Errorf("nil pair: %w", ErrConfig)
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	for _, id := range abnormal {
+		if id < 0 || id >= pair.N() {
+			return fmt.Errorf("abnormal device %d outside population of %d: %w", id, pair.N(), ErrConfig)
+		}
+	}
+	g := c.own.Refill(pair, abnormal, cfg.R)
+	c.pair, c.abnormal, c.cfg, c.graph, c.comps = pair, g.Ids(), cfg, g, g.Components()
+	c.memo = slab.Zeroed(c.memo, len(c.abnormal))
+	return nil
 }
 
-// Release hands the characterizer's working memory back for later
-// windows: its tables and scratch, and the motion graph when New built
-// it. The characterizer and the slice Abnormal returned must not be
-// used after; every Result it returned stays valid.
-func (c *Characterizer) Release() {
-	if c.ownGraph {
-		c.graph.Release()
-	}
-	clear(c.memo) // drop the families, which Results may still share
-	c.pair, c.abnormal, c.graph, c.comps = nil, nil, nil, nil
-	charPool.Put(c)
-}
+// Clear drops c's references to the families its Results share, so an
+// owner that keeps c between windows keeps none of a decided window's
+// Results alive; c's memory stays for its next Refill.
+func (c *Characterizer) Clear() { clear(c.memo) }
 
 // Abnormal returns the sorted abnormal set the characterizer covers.
 // Ownership rule (shared with motion.Graph.Ids): the slice aliases the
 // characterizer's internal state — callers must treat it as read-only,
-// copy before modifying, and not keep it past Release.
+// copy before modifying, and not keep it past the owner's next refill.
 func (c *Characterizer) Abnormal() []int { return c.abnormal }
 
 // trieNode is a node of enumerateComponent's family trie. The path from
@@ -347,7 +336,8 @@ func (c *Characterizer) enumerateComponent(comp int) {
 	// the same W̄_k.
 	c.at = slab.Zeroed(c.at, len(verts))
 	at := c.at
-	trie := append(slab.Of(c.trie, 0), trieNode{})
+	// The trie grows by appends: its need is the last component's.
+	trie := append(slab.Of(c.trie, len(c.trie))[:0], trieNode{})
 	for mi, mo := range moIds {
 		dense := motion.Dense(len(mo), c.cfg.Tau)
 		moBits[mi].ForEach(func(ri int) bool {

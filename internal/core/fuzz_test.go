@@ -64,15 +64,13 @@ func fuzzComponentsWindow(data []byte) (pair *motion.Pair, ids []int, cfg Config
 	return pair, ids, cfg, true
 }
 
-// recycledNew characterizes a window on the memory a larger, unlike
-// window handed back: 60 devices in five groups, each strung along the
-// first axis at r = 0.04 and τ = 1 so that its maximal motions overlap,
-// whose enumeration leaves the characterizer's tables, trie and split
-// bitsets, and its motion graph's slabs, dirty and longer than a fuzz
-// window needs. The memory returns through the pools, so the
-// attempt repeats until New draws both the big window's characterizer
-// and its graph.
-func recycledNew(t *testing.T, pair *motion.Pair, ids []int, cfg Config) (*Characterizer, error) {
+// refilledNew characterizes a window as a refill of a characterizer
+// that a larger, unlike window left dirty: 60 devices in five groups,
+// each strung along the first axis at r = 0.04 and τ = 1 so that its
+// maximal motions overlap, whose enumeration leaves the characterizer's
+// tables, trie and split bitsets, and its motion graph's slabs, dirty
+// and longer than a fuzz window needs.
+func refilledNew(t *testing.T, pair *motion.Pair, ids []int, cfg Config) (*Characterizer, error) {
 	t.Helper()
 	pts := make([][]float64, 60)
 	for i := range pts {
@@ -90,34 +88,24 @@ func recycledNew(t *testing.T, pair *motion.Pair, ids []int, cfg Config) (*Chara
 	for i := range bigIds {
 		bigIds[i] = i
 	}
-	for range 20 {
-		c0, err := New(big, bigIds, Config{R: 0.04, Tau: 1, Exact: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c0.CharacterizeAll(); err != nil {
-			t.Fatal(err)
-		}
-		g0 := c0.graph
-		c0.Release()
-		c, err := New(pair, ids, cfg)
-		if err != nil || c == c0 && c.graph == g0 {
-			return c, err
-		}
-		c.Release()
+	c, err := New(big, bigIds, Config{R: 0.04, Tau: 1, Exact: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("the pools never handed the big window's memory back")
-	return nil, nil
+	if _, err := c.CharacterizeAll(); err != nil {
+		t.Fatal(err)
+	}
+	c.Clear()
+	return c, c.Refill(pair, ids, cfg)
 }
 
 // FuzzCharacterizeComponents decodes bytes into a small clustered window
 // and checks the Components relation on it in exact mode: deciding each
 // connected component of the motion graph as its own window gives every
 // device the whole window's Result, or the same error. The whole window
-// is also decided on memory a larger window handed back (recycledNew),
-// and every device's Result and error must match the ones decided on
-// fresh memory. Nothing in the target releases a characterizer it keeps,
-// so the pools hold no memory when a fresh window is built.
+// is also decided as a refill of a characterizer a larger window used
+// (refilledNew), and every device's Result and error must match the
+// ones decided on fresh memory.
 func FuzzCharacterizeComponents(f *testing.F) {
 	// Two crowded groups at τ = 2, r = 0.02: one standing still, one
 	// shifting, each device on its own offsets.
@@ -141,15 +129,15 @@ func FuzzCharacterizeComponents(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recycled, err := recycledNew(t, pair, ids, cfg)
+		refilled, err := refilledNew(t, pair, ids, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, j := range fresh.Abnormal() {
 			want, wantErr := fresh.Characterize(j)
-			got, gotErr := recycled.Characterize(j)
+			got, gotErr := refilled.Characterize(j)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !sameResult(got, want) {
-				t.Fatalf("device %d on recycled memory: %+v, %v; on fresh memory: %+v, %v", j, got, gotErr, want, wantErr)
+				t.Fatalf("device %d on refilled memory: %+v, %v; on fresh memory: %+v, %v", j, got, gotErr, want, wantErr)
 			}
 		}
 	})

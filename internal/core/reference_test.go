@@ -142,3 +142,10 @@ func TestDifferentialTheorem6Equivalence(t *testing.T) {
 		}
 	}
 }
+
+// newCharacterizer wires a characterizer over an already-built motion
+// graph of the abnormal set, as Refill does over the graph it builds:
+// benchmarks reuse one read-only graph across fresh characterizers.
+func newCharacterizer(pair *motion.Pair, ids []int, cfg Config, g *motion.Graph) *Characterizer {
+	return &Characterizer{pair: pair, abnormal: ids, cfg: cfg, graph: g, comps: g.Components(), memo: make([]memoEntry, len(ids))}
+}

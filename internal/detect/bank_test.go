@@ -1092,3 +1092,46 @@ func BenchmarkThresholdBankStep(b *testing.B) {
 		}
 	}
 }
+
+// TestThresholdBankShedsWideStep pins the shrink rule of package slab
+// on the per-worker windows: after a Step that flags all 32,768 devices
+// on 8 workers, a share of ~160 KB each and every one under the floor,
+// and three Steps that flag one device, the workers' windows hold at
+// most one floor's worth between them.
+func TestThresholdBankShedsWideStep(t *testing.T) {
+	t.Parallel()
+
+	const n, d, workers = 32768, 2, 8
+	bank := NewThresholdBank(walkFleet(t, n, d, "threshold"), workers)
+	pos, err := space.NewState(n, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := func(v float64) [][]float64 {
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = []float64{v, v}
+		}
+		return rows
+	}
+	var win Window
+	bank.Step(snap(0.5), pos, false, nil, &win)
+	bank.TrainAll()
+	rows := snap(0.9)
+	if bank.Step(rows, pos, true, nil, &win); len(win.Abnormal) != n {
+		t.Fatalf("the wide Step flagged %d devices, want %d", len(win.Abnormal), n)
+	}
+	for k := 0; k < 3; k++ {
+		rows[0][0] = 0.5 + 0.4*float64(k%2)
+		if bank.Step(rows, pos, true, nil, &win); len(win.Abnormal) != 1 {
+			t.Fatalf("small Step %d flagged %d devices, want 1", k, len(win.Abnormal))
+		}
+	}
+	words := 0
+	for _, b := range bank.w.bufs {
+		words += cap(b.Abnormal) + cap(b.Prev) + cap(b.Cur)
+	}
+	if words*8 > 256<<10 {
+		t.Errorf("the workers' windows hold %d words after the small Steps, want at most 256 KB", words)
+	}
+}

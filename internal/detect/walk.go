@@ -8,6 +8,7 @@ import (
 
 	"anomalia/internal/health"
 	"anomalia/internal/par"
+	"anomalia/internal/slab"
 	"anomalia/internal/space"
 )
 
@@ -71,9 +72,11 @@ type Window struct {
 	Prev, Cur []float64
 }
 
-// reset empties w, keeping its capacity.
+// reset empties w, keeping its capacity under the shrink rule of
+// package slab; the need is what the last window used.
 func (w *Window) reset() {
-	w.Abnormal, w.Prev, w.Cur = w.Abnormal[:0], w.Prev[:0], w.Cur[:0]
+	w.Abnormal = slab.Of(w.Abnormal, len(w.Abnormal))[:0]
+	w.Prev, w.Cur = slab.Of(w.Prev, len(w.Prev))[:0], slab.Of(w.Cur, len(w.Cur))[:0]
 }
 
 // classifyJob holds the arguments of one Classify for its shards.
@@ -286,16 +289,25 @@ func (w *Walker) fan(n int, out []int, f func(lo, hi int, flagged []int) ([]int,
 }
 
 // merge writes the first workers per-worker windows into win in range
-// order and sums their counts.
+// order and sums their counts. The per-worker windows are one slab
+// under the shrink rule of package slab, whose need is win's: past it
+// all of them are dropped, so a huge window's shares do not stay
+// resident one per worker.
 func (w *Walker) merge(workers int, win *Window) int {
 	win.reset()
-	total := 0
+	total, have := 0, 0
 	for i := range workers {
 		b := &w.bufs[i]
 		win.Abnormal = append(win.Abnormal, b.Abnormal...)
 		win.Prev = append(win.Prev, b.Prev...)
 		win.Cur = append(win.Cur, b.Cur...)
 		total += w.counts[i]
+	}
+	for _, b := range w.bufs {
+		have += cap(b.Abnormal) + cap(b.Prev) + cap(b.Cur)
+	}
+	if !slab.Keep(8*uintptr(have), 8*uintptr(len(win.Abnormal)+len(win.Prev)+len(win.Cur))) {
+		clear(w.bufs)
 	}
 	return total
 }

@@ -11,20 +11,20 @@ import (
 
 // BenchmarkDecideWindow measures one abnormal window decided over the
 // wire — two pipe shards, one request per shard slice, in the steady
-// state — next to the in-process batch
-// (dist.DecideAll, the BenchmarkDistDecide path) on the same clustered
-// window: ten faulty 100-device clusters, the radius dimensioned to n.
-// The in-process case indexes its directory once, outside the loop, and
-// each DecideAll builds the window's blocks, as each shard does for its
-// slice. The decision work is the same at both n, so the wire/inproc
-// gap is the wire's own cost: codec, transport and the server's compact
-// m-row window and index build. None of it grows with n; a benchmark gate holds
-// the n=100k/n=10k wire B/op ratio near 1. Each case decides warmUp
-// windows before its timer starts, so its package pools hold what a
-// window takes from them whatever they held when it began, and the
-// timed windows' bytes do not depend on the cases run before.
+// state — next to the in-process batch (dist.Decider.DecideRange, the
+// BenchmarkDistDecide path) on the same clustered window: ten faulty
+// 100-device clusters, the radius dimensioned to n. The in-process case
+// indexes its directory once, outside the loop, and each window builds
+// its blocks in decide memory it refills, as each shard connection does
+// for its slice. The decision work is the same at both n, so the
+// wire/inproc gap is the wire's own cost: codec, transport and the
+// server's compact m-row window and index build. None of it grows with
+// n; a benchmark gate holds the n=100k/n=10k wire B/op ratio near 1.
+// Every side decides in memory it owns. Each case decides one window
+// before its timer starts, which dials the shards and sizes every
+// owner's memory, so the timed windows are the steady state a Monitor
+// sees and their bytes do not depend on the cases run before.
 func BenchmarkDecideWindow(b *testing.B) {
-	const warmUp = 2
 	for _, n := range []int{10_000, 100_000} {
 		r := 0.03 * math.Sqrt(1000/float64(n))
 		cfg := core.Config{R: r, Tau: 3, Exact: true}
@@ -38,10 +38,8 @@ func BenchmarkDecideWindow(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer c.Close()
-			for range warmUp {
-				if _, _, err := c.DecideWindow(pair, abnormal, cfg); err != nil {
-					b.Fatal(err)
-				}
+			if _, _, err := c.DecideWindow(pair, abnormal, cfg); err != nil {
+				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -56,17 +54,18 @@ func BenchmarkDecideWindow(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for range warmUp {
-				if _, _, err := dist.DecideAll(dir, cfg); err != nil {
-					b.Fatal(err)
-				}
+			var dm dist.Decider
+			decs, _, err := dm.DecideRange(nil, dir, cfg, 0, dir.Len())
+			if err != nil {
+				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := dist.DecideAll(dir, cfg); err != nil {
+				if decs, _, err = dm.DecideRange(decs, dir, cfg, 0, dir.Len()); err != nil {
 					b.Fatal(err)
 				}
+				clear(decs)
 			}
 		})
 	}

@@ -12,6 +12,7 @@ import (
 	"anomalia/internal/core"
 	"anomalia/internal/dist"
 	"anomalia/internal/motion"
+	"anomalia/internal/motiontable"
 )
 
 // decisionWindow is a window whose decisions carry dense motions: two
@@ -28,7 +29,7 @@ func realResponse(tb testing.TB, pair *motion.Pair, abnormal []int, cfg core.Con
 	tb.Helper()
 	w := windowOf(pair, abnormal, cfg, nil)
 	w.from, w.to = from, to
-	resp := NewServer().respond(nil, appendWindow(nil, w))
+	resp := new(session).respond(nil, appendWindow(nil, w))
 	if resp[0] != statusOK {
 		tb.Fatalf("decide rejected: %q", resp)
 	}
@@ -68,7 +69,7 @@ func encodeResponse(decs []dist.Decision) []byte {
 	for i := range identity {
 		identity[i] = i
 	}
-	return appendDecisions([]byte{statusOK}, decs, identity)
+	return appendDecisions([]byte{statusOK}, new(motiontable.Table), decs, identity)
 }
 
 // wireResponse is a decide response payload in its wire parts: the
@@ -344,19 +345,19 @@ func TestHostileShardDegradesWindow(t *testing.T) {
 		bad := encodeResponse(tm.edit(decs, massiveSlot(t, decs), abnormal))
 		// The shard answers the one request a single-shard client sends
 		// with the tampered copy.
-		srv := NewServer()
 		dial := func(string) (net.Conn, error) {
 			c1, c2 := net.Pipe()
 			go func() {
 				defer c2.Close()
 				var buf []byte
+				var ss session
 				for {
 					req, _, err := readFrame(c2, buf)
 					if err != nil {
 						return
 					}
 					buf = req
-					out := srv.respond(nil, req)
+					out := ss.respond(nil, req)
 					if req[0] == msgDecideWindow {
 						out = bad
 					}

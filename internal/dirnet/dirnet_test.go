@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"anomalia/internal/core"
 	"anomalia/internal/dist"
 	"anomalia/internal/motion"
+	"anomalia/internal/motiontable"
 	"anomalia/internal/space"
 	"anomalia/internal/stats"
 )
@@ -585,7 +587,7 @@ func TestDecisionCodecRoundTrip(t *testing.T) {
 		dec(2, [][]int{{0, 1, 2}}), // family[0]'s content in another slice
 		dec(3, nil),
 	}
-	b := appendDecisions(nil, decs, ids)
+	b := appendDecisions(nil, new(motiontable.Table), decs, ids)
 	got := make([]dist.Decision, len(decs))
 	table, err := decodeDecisions(b, got)
 	if err != nil {
@@ -706,5 +708,56 @@ func TestSteadyWindowsOneConnection(t *testing.T) {
 	}
 	if got := pn.servers["s0"].Counters().Requests; got != 5 {
 		t.Fatalf("server answered %d requests, want 5", got)
+	}
+}
+
+// TestConnectionsDecideConcurrently: two clients, each on its own
+// connection to one server, decide windows of different sizes at the
+// same time, each connection refilling its own session. Every decision
+// equals the in-process oracle's, so neither connection decides in
+// memory the other is using. CI repeats it under the race detector.
+func TestConnectionsDecideConcurrently(t *testing.T) {
+	addrs := []string{"s0"}
+	pn := newPipeNet(addrs...)
+	const windows = 6
+	type window struct {
+		pair     *motion.Pair
+		abnormal []int
+		got      []dist.Decision
+		total    dist.Stats
+		err      error
+	}
+	var runs [2][windows]window
+	for ci, g := range []*windowGen{newWindowGen(t, 300, 2, 11), newWindowGen(t, 120, 3, 17)} {
+		for w := range runs[ci] {
+			runs[ci][w].pair, runs[ci][w].abnormal = g.next()
+		}
+	}
+	var wg sync.WaitGroup
+	for ci := range runs {
+		c := testClient(t, pn, addrs, nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for w := range runs[ci] {
+				win := &runs[ci][w]
+				var got []dist.Decision
+				got, win.total, win.err = c.DecideWindow(win.pair, win.abnormal, testCfg)
+				win.got = slices.Clone(got)
+			}
+		}()
+	}
+	wg.Wait()
+	for ci := range runs {
+		for w, win := range runs[ci] {
+			if win.err != nil {
+				t.Fatalf("client %d window %d: %v", ci, w, win.err)
+			}
+			want, wantTotal := oracleDecide(t, win.pair, win.abnormal, testCfg)
+			sameDecisions(t, win.got, want, wantTotal, win.total)
+		}
+	}
+	if got := pn.servers["s0"].Counters().Connections; got != 2 {
+		t.Fatalf("server accepted %d connections, want 2", got)
 	}
 }

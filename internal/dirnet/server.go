@@ -11,6 +11,7 @@ import (
 
 	"anomalia/internal/dist"
 	"anomalia/internal/motion"
+	"anomalia/internal/motiontable"
 	"anomalia/internal/slab"
 	"anomalia/internal/space"
 )
@@ -19,8 +20,8 @@ import (
 // observation window's m abnormal trajectories and the slice of it to
 // decide; the server builds a compact m-row state pair over
 // window-local ids 0..m-1 (local id i is the i-th abnormal device) and
-// a fresh dist.Directory over it, so a window costs memory in m, never
-// in the declared population n. The local-to-global id table is
+// a dist.Directory over it, so a window costs memory in m, never in the
+// declared population n. The local-to-global id table is
 // applied only when the response is encoded: the table is monotone, so
 // sorted motions and every id-order tie-break come out exactly as the
 // in-process directory's. The slice — positions [from, to) of the
@@ -30,9 +31,10 @@ import (
 // characterizer on the server too. Error texts from the decision
 // procedures name local ids.
 //
-// Nothing outlives a request: a server that restarts loses nothing the
-// next window does not resend. Serve/HandleConn may run for many
-// connections concurrently.
+// No window outlives its request: a server that restarts loses nothing
+// the next window does not resend. Serve/HandleConn may run for many
+// connections concurrently; each connection owns the memory its
+// requests are decided in, which every request refills.
 type Server struct {
 	// IOTimeout bounds one frame body read or response write, so a
 	// stalled peer cannot wedge a handler goroutine forever. The wait
@@ -110,6 +112,7 @@ func (s *Server) HandleConn(conn net.Conn) {
 		timeout = DefaultRequestTimeout
 	}
 	var in, out []byte
+	var ss session
 	for {
 		// Block for the next request header indefinitely, then bound the
 		// rest of the exchange.
@@ -121,7 +124,7 @@ func (s *Server) HandleConn(conn net.Conn) {
 		}
 		s.nRequests.Add(1)
 		s.nBytesRead.Add(int64(rcvd))
-		out = s.respond(out[:0], payload)
+		out = ss.respond(out[:0], payload)
 		if len(out) > 0 && out[0] == statusErr {
 			s.nReqErrors.Add(1)
 		}
@@ -171,36 +174,31 @@ func (s *Server) Close() {
 	clear(s.conns)
 }
 
-// request is the decoded window of one request, its local id list and
-// the decisions of its slice, recycled through requestPool: nothing
-// read from them outlives the response, which is encoded before respond
-// returns.
-type request struct {
+// session is one connection's working memory: the decoded window, its
+// local ids, directory, decide memory and decisions, and the response's
+// motion table. HandleConn serves a connection's requests one at a
+// time, each refilling the session; nothing read from it outlives the
+// response, which is encoded before respond returns.
+type session struct {
 	w     windowMsg
 	local []int
+	dir   dist.Directory
+	dm    dist.Decider
 	decs  []dist.Decision
+	table motiontable.Table
 }
-
-var requestPool = sync.Pool{New: func() any { return new(request) }}
 
 // respond serves one request payload and appends the response to out:
 // decode the window, build its compact state pair and a directory over
-// it, and decide the requested slice into the request's decisions. The
-// request and the directory go back to their pools once the response is
-// encoded.
-func (s *Server) respond(out, payload []byte) []byte {
+// it, and decide the requested slice, all in ss.
+func (ss *session) respond(out, payload []byte) []byte {
 	if len(payload) == 0 {
 		return appendErr(out, errors.New("empty request"))
 	}
 	if payload[0] != msgDecideWindow {
 		return appendErr(out, fmt.Errorf("unknown message type %#x", payload[0]))
 	}
-	req := requestPool.Get().(*request)
-	defer func() {
-		clear(req.decs) // drop the Results, which the pool must not keep alive
-		requestPool.Put(req)
-	}()
-	w := &req.w
+	w := &ss.w
 	if err := decodeWindow(&cursor{b: payload, off: 1}, w); err != nil {
 		return appendErr(out, err)
 	}
@@ -208,21 +206,21 @@ func (s *Server) respond(out, payload []byte) []byte {
 	if err != nil {
 		return appendErr(out, err)
 	}
-	req.local = slab.Of(req.local, len(w.ids))
-	for i := range req.local {
-		req.local[i] = i
+	ss.local = slab.Of(ss.local, len(w.ids))
+	for i := range ss.local {
+		ss.local[i] = i
 	}
-	dir, err := dist.NewDirectory(pair, req.local, w.cfg.R)
+	if err := ss.dir.Refill(pair, ss.local, w.cfg.R); err != nil {
+		return appendErr(out, err)
+	}
+	decs, _, err := ss.dm.DecideRange(ss.decs, &ss.dir, w.cfg, w.from, w.to)
 	if err != nil {
 		return appendErr(out, err)
 	}
-	defer dir.Release()
-	decs, _, err := dist.DecideRange(req.decs, dir, w.cfg, w.from, w.to)
-	if err != nil {
-		return appendErr(out, err)
-	}
-	req.decs = decs
-	return appendDecisions(append(out, statusOK), decs, w.ids)
+	ss.decs = decs
+	out = appendDecisions(append(out, statusOK), &ss.table, decs, w.ids)
+	clear(decs) // drop the Results, which the session must not keep alive
+	return out
 }
 
 // compactPair builds the window's state pair over local ids: row i

@@ -9,6 +9,7 @@ import (
 
 	"anomalia/internal/core"
 	"anomalia/internal/dist"
+	"anomalia/internal/motiontable"
 )
 
 // allocated returns the bytes f allocates, process-wide.
@@ -37,10 +38,9 @@ func oneRowWindow(n, id int) []byte {
 // by its one row. A server that sized states by n would ask for
 // ~128 GiB here.
 func TestWindowMemoryIgnoresDeclaredPopulation(t *testing.T) {
-	srv := NewServer()
 	frame := oneRowWindow(math.MaxUint32, math.MaxUint32-1)
 	var resp []byte
-	if got := allocated(func() { resp = srv.respond(nil, frame) }); got >= 1<<20 {
+	if got := allocated(func() { resp = new(session).respond(nil, frame) }); got >= 1<<20 {
 		t.Fatalf("window of one row allocated %d bytes", got)
 	}
 	if resp[0] != statusOK {
@@ -62,13 +62,12 @@ func TestWindowIdsMustIncrease(t *testing.T) {
 		"outside":   {3, 10},
 	} {
 		t.Run(name, func(t *testing.T) {
-			srv := NewServer()
 			frame := appendWindow(nil, windowMsg{
 				cfg: testCfg, from: 0, to: 2,
 				n: 10, d: 1, ids: ids,
 				prev: []float64{0.1, 0.2}, cur: []float64{0.3, 0.4},
 			})
-			if resp := srv.respond(nil, frame); resp[0] != statusErr {
+			if resp := new(session).respond(nil, frame); resp[0] != statusErr {
 				t.Fatalf("response %#x (%q), want statusErr", resp[0], resp)
 			}
 		})
@@ -97,29 +96,31 @@ func TestDecisionsIndependentOfPopulation(t *testing.T) {
 	for i := range identity {
 		identity[i] = i
 	}
-	want := appendDecisions([]byte{statusOK}, decs, identity)
+	want := appendDecisions([]byte{statusOK}, new(motiontable.Table), decs, identity)
 
 	for _, declared := range []int{n, 1000 * n} {
 		w := windowOf(pair, abnormal, cfg, nil)
 		w.n = declared
 		w.to = len(abnormal)
-		if got := NewServer().respond(nil, appendWindow(nil, w)); !bytes.Equal(got, want) {
+		if got := new(session).respond(nil, appendWindow(nil, w)); !bytes.Equal(got, want) {
 			t.Fatalf("n=%d: response differs from the in-process decisions (%d vs %d bytes)", declared, len(got), len(want))
 		}
 	}
 }
 
-// FuzzServerRespond sends a Server one request payload twice. It may
-// not panic, the response starts with a known status, and the second
-// response, decided in the request, directory and decide memory the
-// first handed back to their pools, is byte-identical to the first.
-// Building the window allocates in proportion to the frame, never to
-// the population it declares: the same request with an empty range
-// builds the window and decides nothing. The seeds are a valid request,
-// one whose range words are cut off, one with from > to, one with
-// to > m, each retired request type, an empty payload, one-row windows
-// declaring huge populations, and a window of eight 10-device clusters,
-// whole and cut mid-cluster.
+// FuzzServerRespond sends a connection's session one request payload.
+// It may not panic, and the response starts with a known status. The
+// same request is answered again by a session that a larger window
+// left dirty — the clustered seed window, whose directory, decide
+// memory and motion table are longer than a fuzz window needs — and
+// then once more by that session; both answers are byte-identical to
+// the fresh session's. Building the window allocates in proportion to
+// the frame, never to the population it declares: the same request
+// with an empty range builds the window and decides nothing. The seeds
+// are a valid request, one whose range words are cut off, one with
+// from > to, one with to > m, each retired request type, an empty
+// payload, one-row windows declaring huge populations, and a window of
+// eight 10-device clusters, whole and cut mid-cluster.
 func FuzzServerRespond(f *testing.F) {
 	valid := appendWindow(nil, windowMsg{
 		cfg: testCfg, from: 0, to: 3,
@@ -149,16 +150,23 @@ func FuzzServerRespond(f *testing.F) {
 	clustered := windowOf(pair, abnormal, testCfg, nil)
 	clustered.to = len(abnormal)
 	f.Add(appendWindow(nil, clustered))
+	big := appendWindow(nil, clustered)
+	f.Add(big)
 	clustered.from, clustered.to = 15, 55
 	f.Add(appendWindow(nil, clustered))
 
 	const perByte, slack = 64, 1 << 20
 	f.Fuzz(func(t *testing.T, req []byte) {
-		srv := NewServer()
-		first := srv.respond(nil, req)
+		first := new(session).respond(nil, req)
 		checkStatus(t, first)
-		if again := srv.respond(nil, req); !bytes.Equal(again, first) {
-			t.Fatalf("the same request answered twice:\n%q\n%q", first, again)
+		var ss session
+		if resp := ss.respond(nil, big); resp[0] != statusOK {
+			t.Fatalf("large window: %q", resp)
+		}
+		for _, leg := range []string{"after a larger window", "again"} {
+			if again := ss.respond(nil, req); !bytes.Equal(again, first) {
+				t.Fatalf("the request answered %s:\n%q\nfresh:\n%q", leg, again, first)
+			}
 		}
 		if len(req) < rangeOffset+8 {
 			return
@@ -166,7 +174,7 @@ func FuzzServerRespond(f *testing.F) {
 		empty := slices.Clone(req)
 		setRange(empty, 0, 0)
 		var resp []byte
-		if got := allocated(func() { resp = srv.respond(nil, empty) }); got > perByte*uint64(len(req))+slack {
+		if got := allocated(func() { resp = ss.respond(nil, empty) }); got > perByte*uint64(len(req))+slack {
 			t.Fatalf("window of %d bytes allocated %d", len(req), got)
 		}
 		checkStatus(t, resp)
@@ -179,14 +187,14 @@ func FuzzServerRespond(f *testing.F) {
 // unknown-type statusErr, so a peer on any of them degrades its window
 // instead of misreading a response.
 func TestRetiredDecideTypesRejected(t *testing.T) {
-	srv := NewServer()
+	var ss session
 	req := oneRowWindow(10, 3)
-	if resp := srv.respond(nil, req); resp[0] != statusOK {
+	if resp := ss.respond(nil, req); resp[0] != statusOK {
 		t.Fatalf("type %d: response %q", req[0], resp)
 	}
 	for typ := byte(1); typ <= 6; typ++ {
 		req[0] = typ
-		resp := srv.respond(nil, req)
+		resp := ss.respond(nil, req)
 		if _, err := decodeStatus(resp); !isAppError(err) || !bytes.Contains(resp, []byte("unknown message type")) {
 			t.Fatalf("retired type %d: response %q (%v), want an unknown-type statusErr", typ, resp, err)
 		}

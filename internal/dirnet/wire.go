@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 
 	"anomalia/internal/core"
 	"anomalia/internal/dist"
@@ -271,9 +270,6 @@ func decodeConfig(c *cursor) core.Config {
 	}
 }
 
-// tablePool recycles the motion tables of decide responses.
-var tablePool = sync.Pool{New: func() any { return new(motiontable.Table) }}
-
 // appendDecisions encodes a decide response body: the motion table,
 // then the decisions. The table lists each distinct dense motion once,
 // in first-appearance order, mapped through ids once per motion; a
@@ -281,13 +277,10 @@ var tablePool = sync.Pool{New: func() any { return new(motiontable.Table) }}
 // of its motions, and its billed traffic stats. The J/L diagnostic
 // split of core.Result is deliberately not carried. ids maps the
 // server's window-local device ids to global ones; the map is monotone,
-// so sorted motions stay sorted.
-func appendDecisions(b []byte, decs []dist.Decision, ids []int) []byte {
-	t := tablePool.Get().(*motiontable.Table)
-	defer func() {
-		t.Reset()
-		tablePool.Put(t)
-	}()
+// so sorted motions stay sorted. The motions are interned in t, which
+// is left empty.
+func appendDecisions(b []byte, t *motiontable.Table, decs []dist.Decision, ids []int) []byte {
+	defer t.Reset()
 	// Intern every decision's motions first: the table precedes the
 	// decisions, and a second Refs call on the same slice is a lookup.
 	for i := range decs {

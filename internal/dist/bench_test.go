@@ -59,8 +59,8 @@ func BenchmarkDirectoryBuild(b *testing.B) {
 // device of a window deciding on its fetched 4r view. Every iteration
 // builds the window's blocks and decides in one DecideAll; the scenario
 // cases reuse one directory, while the storm case decides as the
-// Monitor does per abnormal window — a fresh directory, the decisions
-// written into the previous window's slice, the directory released —
+// Monitor does per abnormal window — its directory and decide memory
+// refilled, the decisions written into the previous window's slice —
 // and compares with BenchmarkCentralDecide on the same window.
 func BenchmarkDistDecide(b *testing.B) {
 	for _, bc := range benchConfigs {
@@ -82,40 +82,43 @@ func BenchmarkDistDecide(b *testing.B) {
 	b.Run("storm/m=3000", func(b *testing.B) {
 		pair, ids, r := stormWindow(b)
 		coreCfg := core.Config{R: r, Tau: 3, Exact: true}
-		var decs []Decision
+		var (
+			dir  Directory
+			dm   Decider
+			decs []Decision
+		)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dir, err := NewDirectory(pair, ids, r)
-			if err != nil {
+			if err := dir.Refill(pair, ids, r); err != nil {
 				b.Fatal(err)
 			}
-			if decs, _, err = DecideRange(decs, dir, coreCfg, 0, dir.Len()); err != nil {
+			var err error
+			if decs, _, err = dm.DecideRange(decs, &dir, coreCfg, 0, dir.Len()); err != nil {
 				b.Fatal(err)
 			}
 			clear(decs)
-			dir.Release()
 		}
 	})
 }
 
 // BenchmarkCentralDecide is the centralized twin of BenchmarkDistDecide's
 // storm case: one characterizer over the whole abnormal set of the same
-// window deciding every device, then handing its working memory back as
-// the Monitor does (DecideAll's view groups hand theirs back too).
+// window deciding every device, refilled window after window and
+// cleared once the window is decided, as the Monitor's is.
 func BenchmarkCentralDecide(b *testing.B) {
 	b.Run("storm/m=3000", func(b *testing.B) {
 		pair, ids, r := stormWindow(b)
 		coreCfg := core.Config{R: r, Tau: 3, Exact: true}
+		var c core.Characterizer
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c, err := core.New(pair, ids, coreCfg)
-			if err != nil {
+			if err := c.Refill(pair, ids, coreCfg); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := c.CharacterizeAll(); err != nil {
 				b.Fatal(err)
 			}
-			c.Release()
+			c.Clear()
 		}
 	})
 }

@@ -23,8 +23,8 @@ func (d *Directory) checkRadius(cfg core.Config) error {
 }
 
 // Decision pairs one device's verdict with its communication bill. The
-// Result owns its memory: no directory, pool or later decision writes
-// to it. A []Decision belongs to whoever supplied it to DecideRange (a
+// Result owns its memory: no directory, Decider or later decision
+// writes to it. A []Decision belongs to whoever supplied it to DecideRange (a
 // new one from DecideAll belongs to its caller).
 type Decision struct {
 	Result core.Result
@@ -33,9 +33,14 @@ type Decision struct {
 
 // DecideAll characterizes every indexed abnormal device of the
 // window: DecideRange over the whole sorted abnormal set, into a new
-// slice the caller owns.
+// slice the caller owns. Concurrent calls on one Directory are safe.
 func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
 	return DecideRange(nil, d, cfg, 0, len(d.abnormal))
+}
+
+// DecideRange is Decider.DecideRange in new decide memory.
+func DecideRange(dst []Decision, d *Directory, cfg core.Config, from, to int) ([]Decision, Stats, error) {
+	return new(Decider).DecideRange(dst, d, cfg, from, to)
 }
 
 // group is one distinct view of a DecideRange call.
@@ -52,9 +57,11 @@ type cellPick struct {
 	st Stats
 }
 
-// decideMem is the working memory of one DecideRange call, recycled
-// through decidePool: nothing in it outlives the call.
-type decideMem struct {
+// Decider is the working memory of DecideRange calls: one call's cell
+// list, blocks and grouping, and one characterizer per view-group
+// worker. Its owner runs one call at a time and each call refills it;
+// the zero value is ready. Between calls it holds no Result.
+type Decider struct {
 	local  []int32 // per directory cell: its slot in cells plus one, 0 outside the range
 	cells  []int32 // the range's cells in first-use order
 	blocks []block // blocks[k] is cells[k]'s block
@@ -68,23 +75,21 @@ type decideMem struct {
 	of     []int32 // per slot: its group
 	start  []int32 // group g's slots are slots[start[g]:start[g+1]]
 	slots  []int32 // slots grouped by group, ascending within each
+	chars  []core.Characterizer
 }
-
-var decidePool = sync.Pool{New: func() any {
-	return &decideMem{byHash: make(map[uint64]int32)}
-}}
 
 // DecideRange characterizes positions [from, to) of the window's
 // sorted abnormal set — the contiguous slice one directory shard
 // serves — batching the work: the blocks of the range's cells are built
-// on parallel workers into one recycled slab; a cell whose block
+// on parallel workers into one slab of dm's; a cell whose block
 // has no remainder is grouped once and all its members take the block's
 // accepted slice as their view, while the members of other cells
 // assemble theirs in one scratch buffer (a view is only kept when it
 // opens a new group); devices with identical views (the common case for
-// a compact massive event) share one characterizer so each
+// a compact massive event) share one characterization so each
 // neighbourhood is enumerated once; and the view groups run on parallel
-// workers writing disjoint slots of the result slice. Slot pos-from
+// workers, each refilling a characterizer of its own, writing disjoint
+// slots of the result slice. Slot pos-from
 // holds the decision for device abnormal[pos], so decisions come back
 // in device order, with the range's summed Stats; contiguous ranges
 // concatenate to DecideAll's output. When devices fail to characterize,
@@ -94,12 +99,11 @@ var decidePool = sync.Pool{New: func() any {
 // The decisions are written into dst's array when its capacity holds
 // to-from of them, else into a new one, and the returned slice is that
 // array, owned by the caller: a caller that decides window after window
-// passes the previous window's slice back in. The call's working
-// memory — the cell list, the blocks, the grouping — goes back to a
-// package pool before it returns, and every Result owns its memory.
-// Concurrent calls on one Directory are safe when their dst arrays are
-// distinct.
-func DecideRange(dst []Decision, d *Directory, cfg core.Config, from, to int) ([]Decision, Stats, error) {
+// passes the previous window's slice back in. The call works in dm,
+// which it leaves holding no Result, and every Result owns its memory.
+// Concurrent calls on one Directory are safe when their Deciders and dst
+// arrays are distinct.
+func (dm *Decider) DecideRange(dst []Decision, d *Directory, cfg core.Config, from, to int) ([]Decision, Stats, error) {
 	if from < 0 || to < from || to > len(d.abnormal) {
 		return nil, Stats{}, fmt.Errorf("decide range [%d, %d) over %d abnormal devices", from, to, len(d.abnormal))
 	}
@@ -112,11 +116,11 @@ func DecideRange(dst []Decision, d *Directory, cfg core.Config, from, to int) ([
 	if err := d.checkRadius(cfg); err != nil {
 		return nil, Stats{}, err
 	}
-	mem := decidePool.Get().(*decideMem)
-	defer mem.release()
+	defer dm.clear()
 	out := slab.Of(dst, to-from)
-	mem.group(d, from, to, out)
-	groups := mem.groups
+	dm.group(d, from, to, out)
+	groups := dm.groups
+	dm.chars = slab.Grow(dm.chars, par.Workers(0, len(groups)))
 
 	// A worker stops a group at its first failure, which is the group's
 	// lowest failing slot because slots ascend; keeping the minimum over
@@ -131,16 +135,13 @@ func DecideRange(dst []Decision, d *Directory, cfg core.Config, from, to int) ([
 		}
 		mu.Unlock()
 	}
-	par.Each(len(groups), 0, func(gi int) {
-		slots := mem.slots[mem.start[gi]:mem.start[gi+1]]
-		c, err := core.New(d.pair, groups[gi].view, cfg)
-		if err != nil {
+	par.Each(len(groups), 0, func(w, gi int) {
+		slots := dm.slots[dm.start[gi]:dm.start[gi+1]]
+		c := &dm.chars[w]
+		if err := c.Refill(d.pair, groups[gi].view, cfg); err != nil {
 			fail(slots[0], err)
 			return
 		}
-		// The group's Results own their memory, so its characterizer
-		// goes back to the pool for the next group as soon as it is done.
-		defer c.Release()
 		for _, slot := range slots {
 			j := d.abnormal[from+int(slot)]
 			res, err := c.Characterize(j)
@@ -165,39 +166,40 @@ func DecideRange(dst []Decision, d *Directory, cfg core.Config, from, to int) ([
 }
 
 // group builds the blocks of positions [from, to)'s cells and sorts the
-// positions into view groups: mem.groups in first-use order, each one's
-// slots (position - from) listed by mem.start and mem.slots. It writes
+// positions into view groups: dm.groups in first-use order, each one's
+// slots (position - from) listed by dm.start and dm.slots. It writes
 // each slot's bill into out[slot].Stats.
-func (mem *decideMem) group(d *Directory, from, to int, out []Decision) {
+func (dm *Decider) group(d *Directory, from, to int, out []Decision) {
 	// The range's cells, each once in first-use order: local[ci] is
 	// cell ci's slot in cells, plus one (0 for a cell outside the
 	// range). Blocks are independent, so they are built on parallel
 	// workers up front and the grouping loop only reads them.
-	mem.local = slab.Zeroed(mem.local, len(d.cellShard))
-	local, cells := mem.local, mem.cells[:0]
+	dm.local = slab.Zeroed(dm.local, len(d.cellShard))
+	local, cells := dm.local, slab.Of(dm.cells, to-from)[:0]
 	for _, ci := range d.cellOf[from:to] {
 		if local[ci] == 0 {
 			cells = append(cells, ci)
 			local[ci] = int32(len(cells))
 		}
 	}
-	mem.cells = cells
-	// Blocks keep the memory of the slot they were built in, so a grown
-	// slab carries the old blocks over.
-	if len(cells) > cap(mem.blocks) {
-		mem.blocks = append(mem.blocks[:cap(mem.blocks)], make([]block, len(cells)-cap(mem.blocks))...)
-	}
-	blocks := mem.blocks[:len(cells)]
-	par.Each(len(cells), 0, func(k int) { d.buildBlock(int(cells[k]), &blocks[k]) })
+	dm.cells = cells
+	// Blocks keep the memory of the slot they were built in.
+	dm.blocks = slab.Grow(dm.blocks, len(cells))
+	blocks := dm.blocks
+	par.Each(len(cells), 0, func(_, k int) { d.buildBlock(int(cells[k]), &blocks[k]) })
 
 	// A cell whose block has no remainder gives all its members one
 	// view, so its group and bill are found once, by its first member
 	// in the range, and reused by the rest.
-	picks := slab.Zeroed(mem.picks, len(cells))
-	mem.picks = picks
-	mem.groups, mem.views = mem.groups[:0], mem.views[:0]
-	of := slab.Of(mem.of, to-from)
-	mem.of = of
+	picks := slab.Zeroed(dm.picks, len(cells))
+	dm.picks = picks
+	// groups and views grow by appends: their need is the last call's.
+	dm.groups, dm.views = slab.Of(dm.groups, len(dm.groups))[:0], slab.Of(dm.views, len(dm.views))[:0]
+	if dm.byHash == nil {
+		dm.byHash = make(map[uint64]int32)
+	}
+	of := slab.Of(dm.of, to-from)
+	dm.of = of
 	for pos := from; pos < to; pos++ {
 		slot := pos - from
 		k := local[d.cellOf[pos]] - 1
@@ -208,29 +210,29 @@ func (mem *decideMem) group(d *Directory, from, to int, out []Decision) {
 		b := &blocks[k]
 		view := slices.Clip(b.cands)
 		if len(b.rest) > 0 {
-			mem.view = b.appendView(mem.view[:0], d.pair, d.abnormal[pos], d.viewR)
-			view = mem.view
+			dm.view = b.appendView(dm.view[:0], d.pair, d.abnormal[pos], d.viewR)
+			view = dm.view
 		}
 		st := viewStats(b, len(view))
 		// Views are sorted id sets: cells and devices with equal views
 		// share one group wherever they sit.
 		h := hashView(view)
-		g := mem.find(h, view)
+		g := dm.find(h, view)
 		if g < 0 {
-			g = int32(len(mem.groups))
+			g = int32(len(dm.groups))
 			if len(b.rest) > 0 {
 				// A view kept earlier stays on the array it was appended
 				// to, which later appends never write.
-				lo := len(mem.views)
-				mem.views = append(mem.views, view...)
-				view = mem.views[lo:len(mem.views):len(mem.views)]
+				lo := len(dm.views)
+				dm.views = append(dm.views, view...)
+				view = dm.views[lo:len(dm.views):len(dm.views)]
 			}
 			ng := group{view: view, next: -1}
-			if head, ok := mem.byHash[h]; ok {
+			if head, ok := dm.byHash[h]; ok {
 				ng.next = head
 			}
-			mem.byHash[h] = g
-			mem.groups = append(mem.groups, ng)
+			dm.byHash[h] = g
+			dm.groups = append(dm.groups, ng)
 		}
 		if len(b.rest) == 0 {
 			picks[k] = cellPick{g: g + 1, st: st}
@@ -240,33 +242,33 @@ func (mem *decideMem) group(d *Directory, from, to int, out []Decision) {
 
 	// Counting sort of the slots by group; slots ascend within a group
 	// because the fill runs over them in order.
-	start := slab.Zeroed(mem.start, len(mem.groups)+1)
-	mem.start = start
+	start := slab.Zeroed(dm.start, len(dm.groups)+1)
+	dm.start = start
 	for _, g := range of {
 		start[g+1]++
 	}
-	for g := range mem.groups {
+	for g := range dm.groups {
 		start[g+1] += start[g]
 	}
-	slots := slab.Of(mem.slots, len(of))
-	mem.slots = slots
+	slots := slab.Of(dm.slots, len(of))
+	dm.slots = slots
 	for slot, g := range of {
 		slots[start[g]] = int32(slot)
 		start[g]++
 	}
 	// The fill advanced each start to the next group's; shift back.
-	copy(start[1:], start[:len(mem.groups)])
+	copy(start[1:], start[:len(dm.groups)])
 	start[0] = 0
 }
 
 // find returns the group whose view equals view, whose hash is h, or -1.
-func (mem *decideMem) find(h uint64, view []int) int32 {
-	g, ok := mem.byHash[h]
+func (dm *Decider) find(h uint64, view []int) int32 {
+	g, ok := dm.byHash[h]
 	if !ok {
 		return -1
 	}
-	for ; g >= 0; g = mem.groups[g].next {
-		if slices.Equal(mem.groups[g].view, view) {
+	for ; g >= 0; g = dm.groups[g].next {
+		if slices.Equal(dm.groups[g].view, view) {
 			return g
 		}
 	}
@@ -284,10 +286,12 @@ func hashView(view []int) uint64 {
 	return h
 }
 
-// release empties the grouping and hands the memory back to
-// decidePool.
-func (mem *decideMem) release() {
-	clear(mem.byHash)
-	clear(mem.groups) // drop the views, which may pin arrays the views slab outgrew
-	decidePool.Put(mem)
+// clear empties the grouping and the characterizers' memos, so dm holds
+// no view or Result of the call between calls.
+func (dm *Decider) clear() {
+	dm.byHash = slab.Clear(dm.byHash)
+	clear(dm.groups) // drop the views, which may pin arrays the views slab outgrew
+	for i := range dm.chars {
+		dm.chars[i].Clear()
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"anomalia/internal/grid"
 	"anomalia/internal/motion"
@@ -35,8 +34,8 @@ const numShards = 16
 // A block with no remainder is its members' shared view: cands as is.
 //
 // The other slices are the build's working memory. A block lives in the
-// recycled scratch of one DecideRange call, so a later call that builds
-// a block in the same slot reuses all of it.
+// decide memory of a Decider, so a later call that builds a block in the
+// same slot reuses all of it.
 type block struct {
 	cands  []int   // sorted ids of the accepted and remainder candidates
 	shards int     // shards owning >= 1 occupied cell of the block, rejected ones included
@@ -53,7 +52,8 @@ type block struct {
 // index's key-sorted cell order. It is read-only once built, so any
 // number of decisions may read it concurrently; each DecideRange call
 // builds the 4r blocks of its range's cells for itself. Its slabs and
-// index go back to package pools on Release.
+// index are the directory's own, and Refill indexes the next window in
+// them; the Decisions a directory served stay valid across it.
 //
 // The cell geometry (side 2r from the shared grid package) is fixed at
 // construction, so shard assignment — FNV over cell coordinates — and
@@ -66,7 +66,7 @@ type Directory struct {
 
 	pair     *motion.Pair
 	abnormal []int       // sorted; membership and positions by binary search
-	index    *grid.Index // spatial index of the abnormal k-1 positions
+	index    *grid.Index // spatial index of the abnormal k-1 positions, the directory's own
 	// cellShard and boxes are aligned with the index's key-sorted cell
 	// order; cellOf (the index's own id→cell record) with the sorted
 	// abnormal set, so a view query never recomputes coordinates or keys.
@@ -77,9 +77,6 @@ type Directory struct {
 	// k. A NaN coordinate poisons its axis of the box.
 	boxes []float64
 }
-
-// dirPool holds the directories handed back by Release, slabs and all.
-var dirPool = sync.Pool{New: func() any { return new(Directory) }}
 
 // Len returns the number of indexed abnormal devices: the positions
 // DecideRange takes are [0, Len()).
@@ -109,20 +106,35 @@ type AdvanceStats struct {
 // barely overlap, because a_k(j) flags a change between windows, not a
 // standing state.
 func NewDirectory(pair *motion.Pair, abnormal []int, r float64) (*Directory, error) {
-	if pair == nil {
-		return nil, fmt.Errorf("nil pair: %w", ErrConfig)
-	}
-	if err := motion.ValidateRadius(r); err != nil {
-		return nil, fmt.Errorf("%v: %w", err, ErrConfig)
-	}
-	d := dirPool.Get().(*Directory)
-	ids, err := canonAbnormal(pair, abnormal, d.abnormal)
-	if err != nil {
-		dirPool.Put(d)
+	d := new(Directory)
+	if err := d.Refill(pair, abnormal, r); err != nil {
 		return nil, err
 	}
+	return d, nil
+}
+
+// Refill indexes the window NewDirectory would in d's own memory. It
+// validates before it writes: on error d is left as it was. No
+// DecideRange on d may run during it; earlier decisions stay valid.
+func (d *Directory) Refill(pair *motion.Pair, abnormal []int, r float64) error {
+	if pair == nil {
+		return fmt.Errorf("nil pair: %w", ErrConfig)
+	}
+	if err := motion.ValidateRadius(r); err != nil {
+		return fmt.Errorf("%v: %w", err, ErrConfig)
+	}
+	n := pair.N()
+	for _, id := range abnormal {
+		if id < 0 || id >= n {
+			return fmt.Errorf("abnormal device %d outside population of %d: %w", id, n, ErrConfig)
+		}
+	}
+	ids := canon(abnormal, d.abnormal)
 	geom := grid.ForRadius(r)
-	ix := grid.New(pair.Prev, ids, geom)
+	if d.index == nil {
+		d.index = new(grid.Index)
+	}
+	ix := d.index.Refill(pair.Prev, ids, geom)
 	cells := ix.SortedCells()
 	*d = Directory{
 		r:     r,
@@ -144,45 +156,22 @@ func NewDirectory(pair *motion.Pair, abnormal []int, r float64) (*Directory, err
 	for ci := range cells {
 		d.cellShard[ci] = uint8(shardOfCoords(cells[ci].Coords))
 	}
-	return d, nil
+	return nil
 }
 
-// Release hands the directory's memory — its cell index, abnormal set,
-// shard table and member boxes — back for later windows. The directory
-// must not be used after, so every DecideRange on it must have
-// returned. The decisions it returned stay valid: their Results alias
-// none of its memory, and the slices they were written into belong to
-// the callers that passed them.
-func (d *Directory) Release() {
-	d.index.Release()
-	d.pair, d.index, d.cellOf = nil, nil, nil
-	dirPool.Put(d)
-}
-
-// canonAbnormal copies the abnormal set into buf's array (a new one when
-// it is too small) in canonical form and validates it against the
-// pair's population — one fused pass when the input is already
-// canonical (every production caller's case), so a per-window build
-// pays a copy and a scan, not a sort.
-func canonAbnormal(pair *motion.Pair, abnormal, buf []int) ([]int, error) {
+// canon copies the abnormal set, validated already, into buf's array
+// (a new one when it does not fit) in canonical form: a copy and a scan
+// when the input is canonical, as every production caller's is, and a
+// sort otherwise.
+func canon(abnormal, buf []int) []int {
 	ids := slab.Of(buf, len(abnormal))
 	copy(ids, abnormal)
-	n := pair.N()
-	canonical := true
-	prev := -1
-	for _, id := range ids {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("abnormal device %d outside population of %d: %w", id, n, ErrConfig)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return sets.Canon(ids)
 		}
-		if id <= prev {
-			canonical = false
-		}
-		prev = id
 	}
-	if !canonical {
-		ids = sets.Canon(ids)
-	}
-	return ids, nil
+	return ids
 }
 
 // cellBoxes computes the member box of every occupied cell, in the
@@ -212,16 +201,13 @@ func cellBoxes(pair *motion.Pair, cells []grid.Cell, buf []float64) []float64 {
 	return boxes
 }
 
-// Advance replaces d with a directory indexing the next window at d's
-// radius: NewDirectory, kept with its three-argument signature only
-// because benchmark/trace.go calls it; moved is ignored. On error d is
-// left as it was.
+// Advance refills d with the next window at d's radius: Refill, kept
+// with its three-argument signature only because benchmark/trace.go
+// calls it; moved is ignored. On error d is left as it was.
 func (d *Directory) Advance(pair *motion.Pair, abnormal []int, moved []int) (AdvanceStats, error) {
-	nd, err := NewDirectory(pair, abnormal, d.r)
-	if err != nil {
+	if err := d.Refill(pair, abnormal, d.r); err != nil {
 		return AdvanceStats{}, err
 	}
-	*d = *nd
 	return AdvanceStats{Rebuilt: true}, nil
 }
 

@@ -64,7 +64,7 @@ func sweep(cfg SweepConfig, title string, enforceR3 bool, metric func(SimStats) 
 		cells[ai] = make([]string, len(cfg.Gs))
 	}
 	errs := make([]error, len(cfg.As)*len(cfg.Gs))
-	par.Each(len(errs), 0, func(job int) {
+	par.Each(len(errs), 0, func(_, job int) {
 		ai, gi := job/len(cfg.Gs), job%len(cfg.Gs)
 		a, g := cfg.As[ai], cfg.Gs[gi]
 		st, err := RunSim(SimConfig{

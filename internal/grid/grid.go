@@ -304,21 +304,25 @@ type Index struct {
 	// per id never recomputes coordinates or keys.
 	idCell []int32
 	// com is buildPacked32's composite key-and-position word per id,
-	// kept only so a recycled index reuses it.
+	// kept only so a refill reuses it.
 	com []uint64
 }
 
-// indexPool recycles the indexes handed back by Release, slabs and all.
-var indexPool = sync.Pool{New: func() any { return new(Index) }}
-
 // New indexes the given device ids (typically the abnormal set, sorted)
-// by the cell of their position in state. Construction is a handful of
-// allocations regardless of the occupied-cell count: keys are computed
-// in parallel shards, sorted, and the slabs filled in one pass. An
-// index handed back by Release lends its slabs to the next New.
+// by the cell of their position in state, in a new index.
 func New(state *space.State, ids []int, p Params) *Index {
+	return new(Index).Refill(state, ids, p)
+}
+
+// Refill indexes ids by the cell of their position in state over ix's
+// own slabs, replacing whatever ix indexed before, and returns ix.
+// Construction is a handful of allocations regardless of the
+// occupied-cell count — none once the slabs fit: keys are computed in
+// parallel shards, sorted, and the slabs filled in one pass. Everything
+// read from the index before — cells, their coordinates and ids, the
+// CellIndexes record — is valid until the next Refill.
+func (ix *Index) Refill(state *space.State, ids []int, p Params) *Index {
 	dim := state.Dim()
-	ix := indexPool.Get().(*Index)
 	ix.Params, ix.state, ix.dim, ix.kc = p, state, dim, newKeyCodec(dim, p.Res)
 	m := len(ids)
 	if m == 0 {
@@ -331,14 +335,6 @@ func New(state *space.State, ids []int, p Params) *Index {
 		ix.buildGeneral(ids)
 	}
 	return ix
-}
-
-// Release hands the index's memory back for a later New. The index and
-// everything read from it — cells, their coordinates and ids, the
-// CellIndexes record — must not be used after.
-func (ix *Index) Release() {
-	ix.state = nil
-	indexPool.Put(ix)
 }
 
 // alloc sizes the slabs for n occupied cells over m indexed ids; every

@@ -105,11 +105,12 @@ type cellBlocks struct {
 	masks   []uint64
 }
 
-// init prepares cb, over its recycled arrays, for the blocks of the
+// init prepares cb, over its own arrays, for the blocks of the
 // walk whose cells locals lists: a box per crowded cell.
 func (cb *cellBlocks) init(w *flatWindow, locals *cellLocals) *cellBlocks {
 	cb.w, cb.locals = w, locals
-	cb.boxAt, cb.maskOff, cb.masks = cb.boxAt[:0], cb.maskOff[:0], slab.Of(cb.masks, 0)
+	// masks grows by appends, so its need is what the last build used.
+	cb.boxAt, cb.maskOff, cb.masks = cb.boxAt[:0], cb.maskOff[:0], slab.Of(cb.masks, len(cb.masks))[:0]
 	cells := len(locals.off) - 1
 	crowded := 0
 	for c := 0; c < cells; c++ {

@@ -236,7 +236,7 @@ func TestBlockAcceptUlp(t *testing.T) {
 			continue
 		}
 		ids := allIds(fx.pair.N())
-		g := newGraphVertices(fx.pair, ids, r2Radius)
+		g := new(Graph).setVertices(fx.pair, ids, r2Radius)
 		idx := grid.New(fx.pair.Prev, g.ids, grid.ForRadius(r2Radius))
 		cb := new(cellBlocks).init(new(flatWindow).flatten(g), new(cellLocals).resolve(idx))
 		ca, cc := int(idx.CellIndexes()[fx.probeA]), int(idx.CellIndexes()[fx.probeB])

@@ -141,7 +141,7 @@ func (g *Graph) layout(col *collected, workers int, forceCSR bool) {
 	}
 	// Recycled words must be cleared: fillDense only sets bits.
 	g.words = slab.Zeroed(g.words, words)
-	g.off, g.nbr = g.off[:0], g.nbr[:0]
+	g.off, g.nbr = slab.Of(g.off, 0), slab.Of(g.nbr, 0)
 	if slots > 0 {
 		g.fillCSR(col, slots, workers)
 	}

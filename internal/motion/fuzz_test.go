@@ -242,13 +242,13 @@ func checkAgainstOracle(t *testing.T, label string, g *Graph, pair *Pair, ids []
 	}
 }
 
-// dirtyGraph returns a graph and build memory that a window larger and
-// shaped unlike any fuzz window has left dirty: 100 coincident 3-d
-// devices, one complete component, laid out as a dense block and then
-// with CSR rows, so the words slab is full of set bits and the flat
-// window, cell lists, labelling, CSR arena and its counters are longer
+// dirtyGraph returns a graph whose memory a window larger and shaped
+// unlike any fuzz window has left dirty: 100 coincident 3-d devices, one
+// complete component, laid out as a dense block and then with CSR rows,
+// so the words slab is full of set bits and the flat window, grid
+// index, cell lists, labelling, CSR arena and its counters are longer
 // than a fuzz window needs.
-func dirtyGraph(t *testing.T) (*Graph, *buildMem) {
+func dirtyGraph(t *testing.T) *Graph {
 	t.Helper()
 	pts := make([][]float64, 100)
 	for i := range pts {
@@ -262,22 +262,21 @@ func dirtyGraph(t *testing.T) (*Graph, *buildMem) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := new(buildMem)
-	g := new(Graph).fill(pair, allIds(len(pts)), 0.01, mem)
-	g.fillSparse(pair, allIds(len(pts)), 0.01, 2, mem)
+	g := new(Graph).Refill(pair, allIds(len(pts)), 0.01)
+	g.refillSparse(pair, allIds(len(pts)), 0.01, 2)
 	if !g.Sparse() || len(g.words) != 0 || cap(g.words) < 100 {
 		t.Fatalf("dirty graph: want CSR rows over a spent words slab")
 	}
-	return g, mem
+	return g
 }
 
 // FuzzMotionGraph decodes bytes into a small clustered window and pins
 // NewGraph, the single-worker grid walk (which takes the block accept
 // on crowded cells at any size) and the forced-CSR layout to the
 // all-pairs oracle. NewGraph's build and the forced-CSR layout run
-// twice: on fresh memory, and on the memory a larger window handed back
-// (dirtyGraph), so a recycled slab that is not cleared or not resized
-// shows as a wrong edge, label or motion.
+// twice: on fresh memory, and as a refill of a graph a larger window
+// left dirty (dirtyGraph), so a slab that the refill does not clear or
+// resize shows as a wrong edge, label or motion.
 func FuzzMotionGraph(f *testing.F) {
 	f.Add(stormSeed())
 	for _, over := range []bool{false, true} {
@@ -293,13 +292,11 @@ func FuzzMotionGraph(f *testing.F) {
 			return
 		}
 		workers := 1 + int(data[1])%3
-		checkAgainstOracle(t, "NewGraph", new(Graph).fill(pair, ids, r, new(buildMem)), pair, ids, r)
-		g, mem := dirtyGraph(t)
-		checkAgainstOracle(t, "NewGraph on recycled memory", g.fill(pair, ids, r, mem), pair, ids, r)
+		checkAgainstOracle(t, "NewGraph", NewGraph(pair, ids, r), pair, ids, r)
+		checkAgainstOracle(t, "NewGraph refilled", dirtyGraph(t).Refill(pair, ids, r), pair, ids, r)
 		checkAgainstOracle(t, "grid", newGraphGrid(pair, ids, r), pair, ids, r)
 		checkAgainstOracle(t, "csr", newGraphSparse(pair, ids, r, workers), pair, ids, r)
-		g, mem = dirtyGraph(t)
-		checkAgainstOracle(t, "csr on recycled memory", g.fillSparse(pair, ids, r, workers, mem), pair, ids, r)
+		checkAgainstOracle(t, "csr refilled", dirtyGraph(t).refillSparse(pair, ids, r, workers), pair, ids, r)
 	})
 }
 

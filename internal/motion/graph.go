@@ -37,11 +37,9 @@ import (
 // whether a dense motion survives in a set — is answered from the
 // maximal motions of the component that holds the devices asked about.
 //
-// A graph's memory is recycled once its window is decided: Release
-// hands the vertex ids, the adjacency slabs and the labelling to the
-// next NewGraph. The build's own working memory goes back as soon as the
-// build returns, so a graph holds only what it serves. The motions an
-// enumeration returns are always fresh, so they outlive the graph.
+// A graph owns its memory — vertex ids, adjacency slabs, labelling and
+// build memory — and Refill rebuilds it in place for the next window.
+// The motions an enumeration returns are fresh and outlive the Refill.
 type Graph struct {
 	ids []int // local index -> device id, sorted
 	// contiguous marks the common full-population case ids[i] == i, where
@@ -65,17 +63,17 @@ type Graph struct {
 
 	// comps is the labelling cs points at.
 	comps Components
-	// mem is the working memory of the build in progress; nil outside
-	// build.
-	mem *buildMem
+	// mem is the working memory of the builds, refilled by each.
+	mem buildMem
 }
 
 // buildMem is the working memory of one graph build: the flattened
-// window, the grid walk's cell lists and blocks, the collect pass's
-// per-worker edge sinks, and the counters of the labelling and the CSR
-// fill.
+// window, the grid index and the walk's cell lists and blocks, the
+// collect pass's per-worker edge sinks, and the counters of the
+// labelling and the CSR fill.
 type buildMem struct {
 	win    flatWindow
+	idx    grid.Index
 	locals cellLocals
 	cb     cellBlocks
 	sinks  []edgeSink
@@ -85,23 +83,9 @@ type buildMem struct {
 	csrCur []int64
 }
 
-// graphPool holds the graphs handed back by Release, memPool the build
-// memory each build hands back, and bkPool the enumeration scratch, for
-// the windows after them. sync.Pool keeps concurrent builds and
-// enumerations safe and lets the GC reclaim idle memory.
-var (
-	graphPool = sync.Pool{New: func() any { return new(Graph) }}
-	memPool   = sync.Pool{New: func() any { return new(buildMem) }}
-	bkPool    = sync.Pool{New: func() any { return new(bkScratch) }}
-)
-
-// Release hands the graph's memory back for a later NewGraph. The
-// graph, its Components and every slice read from either (Ids, Verts)
-// must not be used after; the motions it enumerated stay valid.
-func (g *Graph) Release() {
-	g.pair = nil
-	graphPool.Put(g)
-}
+// bkPool holds enumeration scratch, which has no owner: any number of
+// goroutines may enumerate one read-only Graph at once.
+var bkPool = sync.Pool{New: func() any { return new(bkScratch) }}
 
 // gridBuildMinVertices is the vertex count at which NewGraph switches
 // from the all-pairs scan to the grid-indexed walk. Below it the
@@ -149,14 +133,14 @@ const gridBuildMaxRes = 1 << 25
 // flattened copy of the window's positions, and the adjacency relation is
 // identical on every path.
 func NewGraph(p *Pair, ids []int, r float64) *Graph {
-	mem := memPool.Get().(*buildMem)
-	g := graphPool.Get().(*Graph).fill(p, ids, r, mem)
-	memPool.Put(mem)
-	return g
+	return new(Graph).Refill(p, ids, r)
 }
 
-// fill builds NewGraph's graph over g's memory, working in mem.
-func (g *Graph) fill(p *Pair, ids []int, r float64, mem *buildMem) *Graph {
+// Refill builds NewGraph's graph over g's own memory, replacing the
+// graph g held, and returns g. Everything read from g before — Ids,
+// Components, Verts — is valid until the next Refill; the motions it
+// enumerated stay valid.
+func (g *Graph) Refill(p *Pair, ids []int, r float64) *Graph {
 	g.setVertices(p, ids, r)
 	m := len(g.ids)
 	prm := grid.ForRadius(r)
@@ -165,28 +149,29 @@ func (g *Graph) fill(p *Pair, ids []int, r float64, mem *buildMem) *Graph {
 	if m >= collectParallelMin {
 		workers = 0
 	}
-	g.build(mem, prm, useGrid, workers, false)
+	g.build(prm, useGrid, workers, false)
 	return g
 }
 
 // build runs the collect pass — the grid walk when useGrid, the striped
 // all-pairs scan otherwise — on workers workers (<= 0 selects
-// GOMAXPROCS) over the window flattened into mem, and lays the collected
-// edge set out per component; forceCSR gives every component CSR rows
-// (testing hook). mem is the build's working memory, which the graph
-// does not keep.
-func (g *Graph) build(mem *buildMem, prm grid.Params, useGrid bool, workers int, forceCSR bool) {
-	g.mem = mem
-	w := mem.win.flatten(g)
+// GOMAXPROCS) over the window flattened into g's build memory, and lays
+// the collected edge set out per component; forceCSR gives every
+// component CSR rows (testing hook).
+func (g *Graph) build(prm grid.Params, useGrid bool, workers int, forceCSR bool) {
+	w := g.mem.win.flatten(g)
 	workers = par.Workers(workers, len(g.ids))
 	var col collected
 	if useGrid {
 		col = collectGrid(g, w, prm, workers)
 	} else {
-		col.bufs = collectAllPairs(mem, w, len(g.ids), workers)
+		col.bufs = collectAllPairs(&g.mem, w, len(g.ids), workers)
+		// An all-pairs build needs no grid memory (some 64 bytes a vertex).
+		if !slab.Keep(64*uintptr(cap(g.mem.locals.loc)), 0) {
+			g.mem.idx, g.mem.locals, g.mem.cb = grid.Index{}, cellLocals{}, cellBlocks{}
+		}
 	}
 	g.layout(&col, workers, forceCSR)
-	g.mem = nil
 }
 
 // gridBuildWorthwhile reports whether the cell-pair walk can beat the
@@ -196,12 +181,6 @@ func (g *Graph) build(mem *buildMem, prm grid.Params, useGrid bool, workers int,
 // build's undoing).
 func gridBuildWorthwhile(dim, m int) bool {
 	return grid.NeighborCells(dim, gridBuildReach, m) <= m
-}
-
-// newGraphVertices sets up the vertex bookkeeping shared by all builds,
-// on a recycled graph when one was handed back.
-func newGraphVertices(p *Pair, ids []int, r float64) *Graph {
-	return graphPool.Get().(*Graph).setVertices(p, ids, r)
 }
 
 // setVertices sets up g's vertex bookkeeping over its memory.
@@ -283,7 +262,7 @@ type cellLocals struct {
 func (c *cellLocals) row(i int) []int32 { return c.loc[c.off[i]:c.off[i+1]:c.off[i+1]] }
 
 // resolve lists the members of each of idx's cells as local indices, in
-// one arena aligned with its cells, over c's recycled arrays. idx
+// one arena aligned with its cells, over c's own arrays. idx
 // indexes the graph's ids in local order and records each one's cell,
 // so a counting sort over those records lists every cell's members in
 // ascending order without resolving a single id.
@@ -310,7 +289,7 @@ func (c *cellLocals) resolve(idx *grid.Index) *cellLocals {
 // Ids returns the sorted device ids the graph covers. Ownership rule
 // (shared with core's Characterizer.Abnormal): the slice aliases the
 // graph's internal state — callers must treat it as read-only, copy
-// before modifying, and not keep it past Release.
+// before modifying, and not keep it past the owner's next refill.
 func (g *Graph) Ids() []int { return g.ids }
 
 // Len returns the number of vertices.

@@ -181,3 +181,46 @@ func TestNewGraphHighDimension(t *testing.T) {
 	pair := randomPair(t, rng, n, space.MaxDim, 0.2)
 	sameAdjacency(t, "high-dim", NewGraph(pair, allIds(n), 0.05), newGraphAllPairs(pair, allIds(n), 0.05))
 }
+
+// edgeWords is the capacity, in edges, of every chunk g's build memory
+// still reaches: each sink's open, collected and spare chunks, and the
+// chunk list of a multi-worker build.
+func edgeWords(g *Graph) int {
+	n := 0
+	for _, c := range g.mem.chunks[:cap(g.mem.chunks)] {
+		n += cap(c)
+	}
+	for _, s := range g.mem.sinks[:cap(g.mem.sinks)] {
+		n += cap(s.cur)
+		for _, c := range append(s.chunks[:cap(s.chunks)], s.spare[:cap(s.spare)]...) {
+			n += cap(c)
+		}
+	}
+	return n
+}
+
+// TestBuildShedsWideBuild pins the shrink rule of package slab on the
+// edge memory of a multi-worker build: after an edge-dense window
+// collected on 4 workers (~450k edges) and three small windows built on
+// one, the sinks — the ones the small builds leave idle too — keep at
+// most one floor's worth of chunks between them, and the wide build's
+// chunk list is gone.
+func TestBuildShedsWideBuild(t *testing.T) {
+	const workers, r = 4, 0.01
+	big := clusterCliquePair(t, stats.NewRNG(3), 3000, 300, r)
+	g := new(Graph).setVertices(big, allIds(3000), r)
+	g.build(grid.ForRadius(r), false, workers, false)
+	wide := edgeWords(g)
+	if wide <= 2*workers*edgeChunkLen {
+		t.Fatalf("the wide build reaches %d edge words, want a window denser than %d", wide, 2*workers*edgeChunkLen)
+	}
+	small := clusterCliquePair(t, stats.NewRNG(4), 20, 5, r)
+	for k := 0; k < 3; k++ {
+		g.Refill(small, allIds(20), r)
+	}
+	held := edgeWords(g)
+	t.Logf("the build memory reaches %d edge words after the small windows, %d after the wide one", held, wide)
+	if held > edgeChunkLen {
+		t.Errorf("after three small windows the build memory reaches %d of the wide build's %d edge words, want at most %d", held, wide, edgeChunkLen)
+	}
+}

@@ -16,7 +16,7 @@ import (
 // and the recorded baseline BenchmarkNewGraph compares the grid build
 // against.
 func newGraphAllPairs(p *Pair, ids []int, r float64) *Graph {
-	g := newGraphVertices(p, ids, r)
+	g := new(Graph).setVertices(p, ids, r)
 	var sink edgeSink
 	m := len(g.ids)
 	for a := 0; a < m; a++ {
@@ -26,32 +26,30 @@ func newGraphAllPairs(p *Pair, ids []int, r float64) *Graph {
 			}
 		}
 	}
-	g.mem = new(buildMem)
 	g.layout(&collected{bufs: sink.done()}, 1, false)
-	g.mem = nil
 	return g
 }
 
 // newGraphGrid builds the graph with one worker's grid walk regardless
 // of size.
 func newGraphGrid(p *Pair, ids []int, r float64) *Graph {
-	g := newGraphVertices(p, ids, r)
-	g.build(new(buildMem), grid.ForRadius(r), true, 1, false)
+	g := new(Graph).setVertices(p, ids, r)
+	g.build(grid.ForRadius(r), true, 1, false)
 	return g
 }
 
 // newGraphSparse builds the graph with CSR rows for every component,
 // however small or dense; workers <= 0 selects GOMAXPROCS.
 func newGraphSparse(p *Pair, ids []int, r float64, workers int) *Graph {
-	return new(Graph).fillSparse(p, ids, r, workers, new(buildMem))
+	return new(Graph).refillSparse(p, ids, r, workers)
 }
 
-// fillSparse is newGraphSparse over g's memory, working in mem.
-func (g *Graph) fillSparse(p *Pair, ids []int, r float64, workers int, mem *buildMem) *Graph {
+// refillSparse is newGraphSparse over g's own memory.
+func (g *Graph) refillSparse(p *Pair, ids []int, r float64, workers int) *Graph {
 	g.setVertices(p, ids, r)
 	prm := grid.ForRadius(r)
 	useGrid := prm.Res <= gridBuildMaxRes && gridBuildWorthwhile(p.Dim(), len(g.ids))
-	g.build(mem, prm, useGrid, workers, true)
+	g.build(prm, useGrid, workers, true)
 	return g
 }
 
@@ -127,7 +125,7 @@ func (g *Graph) IsClique(ids []int) bool {
 // vertex in ascending order, then members and ranks in ascending order
 // — no code shared with the build's union-find.
 func allPairsComponents(p *Pair, ids []int, r float64) *Components {
-	g := newGraphVertices(p, ids, r)
+	g := new(Graph).setVertices(p, ids, r)
 	m := len(g.ids)
 	cs := &Components{g: g, comp: make([]int32, m), rank: make([]int32, m), off: []int32{0}}
 	for v := range cs.comp {

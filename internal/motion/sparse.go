@@ -58,9 +58,10 @@ const edgeChunkLen = 1 << 15
 // large one's total allocation stays within twice its edge count — a
 // single growing slice would reallocate-and-copy its way to ~5x that (Go
 // grows large slices by 1.25x), and edge-dense clustered windows put
-// tens of millions of edges through here. A sink recycled with the
-// build memory fills the chunks of its earlier builds before it makes
-// a new one.
+// tens of millions of edges through here. A sink fills the chunks of
+// its earlier builds before it makes a new one; edgeSinks keeps them
+// under the shrink rule of package slab, so one edge-dense window does
+// not stay resident.
 type edgeSink struct {
 	first  int
 	cur    []uint64
@@ -68,13 +69,22 @@ type edgeSink struct {
 	spare  [][]uint64 // emptied chunks of earlier builds
 }
 
-// reset empties the sink for a build whose share is first, keeping its
-// chunks as spares.
-func (s *edgeSink) reset(first int) {
-	for _, c := range s.chunks {
-		s.spare = append(s.spare, c[:0])
+// reset empties the sink for a build whose share is first. Its chunks
+// become spares while the rule keeps have plus their capacity for a
+// need of need edges; it returns have plus what it kept.
+func (s *edgeSink) reset(first, need, have int) int {
+	all := append(s.spare, s.chunks...)
+	kept := all[:0]
+	for _, c := range all {
+		if slab.Keep(8*uintptr(have+cap(c)), 8*uintptr(need)) {
+			kept = append(kept, c[:0])
+			have += cap(c)
+		}
 	}
-	s.first, s.cur, s.chunks = first, nil, s.chunks[:0]
+	clear(all[len(kept):])
+	clear(s.chunks)
+	s.first, s.cur, s.chunks, s.spare = first, nil, s.chunks[:0], kept
+	return have
 }
 
 func (s *edgeSink) add(e uint64) {
@@ -83,7 +93,7 @@ func (s *edgeSink) add(e uint64) {
 			s.chunks = append(s.chunks, s.cur)
 		}
 		if n := len(s.spare); n > 0 {
-			s.cur, s.spare = s.spare[n-1], s.spare[:n-1]
+			s.cur, s.spare[n-1], s.spare = s.spare[n-1], nil, s.spare[:n-1]
 		} else {
 			s.cur = make([]uint64, 0, min(max(2*cap(s.cur), s.first, 1), edgeChunkLen))
 		}
@@ -101,22 +111,29 @@ func (s *edgeSink) done() [][]uint64 {
 }
 
 // edgeSinks returns workers sinks of mem, each reset to an equal share
-// of m vertices. Sinks past the old length keep their spares when the
-// slab grows.
+// of m vertices. Every sink, the ones a wider build used and this one
+// leaves idle too, keeps its chunks from one budget: the rule's for the
+// edges the last build collected.
 func (mem *buildMem) edgeSinks(workers, m int) []edgeSink {
-	if workers > cap(mem.sinks) {
-		mem.sinks = append(mem.sinks[:cap(mem.sinks)], make([]edgeSink, workers-cap(mem.sinks))...)
+	if workers > len(mem.sinks) {
+		mem.sinks = append(mem.sinks, make([]edgeSink, workers-len(mem.sinks))...)
 	}
-	sinks := mem.sinks[:workers]
-	for i := range sinks {
-		sinks[i].reset(m / workers)
+	need, have := 0, 0
+	for i := range mem.sinks {
+		for _, c := range mem.sinks[i].chunks {
+			need += len(c)
+		}
 	}
-	return sinks
+	for i := range mem.sinks {
+		have = mem.sinks[i].reset(m/workers, need, have)
+	}
+	return mem.sinks[:workers]
 }
 
 // chunksOf returns the chunks the sinks collected (chunk order is
 // irrelevant: labelling is order-free and the CSR fill sorts every row).
 func (mem *buildMem) chunksOf(sinks []edgeSink) [][]uint64 {
+	clear(mem.chunks[:cap(mem.chunks)]) // an earlier build's, which their sinks may have dropped
 	if len(sinks) == 1 {
 		return sinks[0].done()
 	}
@@ -135,8 +152,7 @@ func (mem *buildMem) chunksOf(sinks []edgeSink) [][]uint64 {
 // accepted block. The blocks are packed cell-index pairs into cb's walk
 // order.
 func collectGrid(g *Graph, w *flatWindow, prm grid.Params, workers int) collected {
-	idx := grid.New(g.pair.Prev, g.ids, prm)
-	defer idx.Release()
+	idx := g.mem.idx.Refill(g.pair.Prev, g.ids, prm)
 	walk := idx.NewPairWalk(gridBuildReach)
 	cb := g.mem.cb.init(w, g.mem.locals.resolve(idx))
 	workers = par.Workers(workers, len(walk.Cells()))

@@ -82,9 +82,11 @@ func TestSparseBuildConcurrent(t *testing.T) {
 }
 
 // TestSparseEnumerationConcurrent runs concurrent clique enumerations
-// over one shared sparse-mode graph under the race detector. The
-// sync.Pool-leased scratch (including the densified neighbourhood rows)
-// must keep workers isolated.
+// over one shared sparse-mode graph under the race detector. A graph's
+// own memory is refilled by one owner at a time, but a built graph is
+// read-only, so enumerations share it; the enumeration scratch
+// (including the densified neighbourhood rows) has no owner and comes
+// from bkPool, which must keep workers isolated.
 func TestSparseEnumerationConcurrent(t *testing.T) {
 	t.Parallel()
 

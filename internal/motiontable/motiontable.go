@@ -5,7 +5,11 @@
 // encode through it.
 package motiontable
 
-import "slices"
+import (
+	"slices"
+
+	"anomalia/internal/slab"
+)
 
 // sliceKey identifies a non-empty slice by its first element and its
 // length: two slices with the same key hold the same elements.
@@ -21,7 +25,7 @@ type sliceKey[T any] struct {
 // the encoding, depend on the motions' values alone.
 //
 // The zero value is an empty table. Reset empties it and keeps its
-// capacity, so a pooled table costs nothing per window once warm.
+// capacity, so a reused table costs nothing per window once warm.
 type Table struct {
 	motions  [][]int        // the table, in first-appearance order
 	refs     []int          // every family's refs, back to back
@@ -88,13 +92,16 @@ func (t *Table) index(m []int) int {
 }
 
 // Reset drops every reference into the encoded window and keeps the
-// table's capacity.
+// table's memory, unless the shrink rule of package slab drops its hash
+// index: then the whole table, sized alike, goes.
 func (t *Table) Reset() {
+	if t.byHash = slab.Clear(t.byHash); t.byHash == nil {
+		*t = Table{}
+	}
 	clear(t.motions)
 	t.motions = t.motions[:0]
 	t.refs = t.refs[:0]
 	t.next = t.next[:0]
-	clear(t.byHash)
 	clear(t.byMotion)
 	clear(t.byFamily)
 }

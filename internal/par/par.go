@@ -59,18 +59,20 @@ func Ranges(n, workers, grain int, f func(i, lo, hi int)) int {
 	return k
 }
 
-// Each calls f(i) exactly once for every i in [0, n), on a pool of
-// Workers(workers, n) goroutines. Workers claim indices in ascending
-// order from a shared counter, so items of uneven cost balance across
-// the pool. n <= 0 calls nothing.
-func Each(n, workers int, f func(i int)) {
+// Each calls f(worker, i) exactly once for every i in [0, n), on a pool
+// of Workers(workers, n) goroutines numbered from 0; worker is the
+// number of the goroutine making the call, so a caller may keep one
+// piece of scratch per worker. Workers claim indices in ascending order
+// from a shared counter, so items of uneven cost balance across the
+// pool. n <= 0 calls nothing.
+func Each(n, workers int, f func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
 	var next atomic.Int64
-	Do(Workers(workers, n), func(int) {
+	Do(Workers(workers, n), func(w int) {
 		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-			f(i)
+			f(w, i)
 		}
 	})
 }

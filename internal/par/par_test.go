@@ -97,18 +97,29 @@ func TestRangesClamp(t *testing.T) {
 }
 
 // TestEachCallsEveryIndexOnce: every index in [0, n) is called exactly
-// once whatever the pool size, and n = 0 calls nothing.
+// once whatever the pool size, and n = 0 calls nothing. The worker
+// number lies in [0, Workers(workers, n)), and no two calls with one
+// worker number overlap, so per-worker scratch is never shared.
 func TestEachCallsEveryIndexOnce(t *testing.T) {
 	t.Parallel()
 
 	for _, n := range []int{0, 1, 2, 5, 100, 1000} {
 		for _, workers := range []int{-1, 0, 1, 2, 3, 8, 2000} {
 			counts := make([]atomic.Int32, n)
-			var calls atomic.Int32
-			Each(n, workers, func(i int) {
+			busy := make([]atomic.Bool, Workers(workers, max(n, 1)))
+			var calls, bad atomic.Int32
+			Each(n, workers, func(w, i int) {
+				if w < 0 || w >= len(busy) || busy[w].Swap(true) {
+					bad.Add(1)
+					return
+				}
 				calls.Add(1)
 				counts[i].Add(1)
+				busy[w].Store(false)
 			})
+			if bad.Load() != 0 {
+				t.Fatalf("n=%d workers=%d: %d calls with a worker number out of range or in use", n, workers, bad.Load())
+			}
 			if int(calls.Load()) != n {
 				t.Fatalf("n=%d workers=%d: %d calls", n, workers, calls.Load())
 			}

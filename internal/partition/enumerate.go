@@ -154,21 +154,3 @@ func (e *enumerator) checkC1C2(p Partition) bool {
 	}
 	return true
 }
-
-// EnumerateAll collects every anomaly partition of abnormal in
-// deterministic order. Intended for tests and the oracle only.
-func EnumerateAll(pair *motion.Pair, abnormal []int, r float64, tau int, budget int) ([]Partition, error) {
-	var out []Partition
-	err := ForEachPartition(pair, abnormal, r, tau, budget, func(p Partition) bool {
-		cp := make(Partition, len(p))
-		for i, b := range p {
-			cp[i] = sets.CloneInts(b)
-		}
-		out = append(out, cp.Canonical())
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -18,8 +18,8 @@ import (
 // anomaly partition, but its induction only rules out extensions of a
 // dense block by devices still present when the block was extracted. A
 // sparse block extracted *before* a dense one can violate C2 (see
-// TestGreedyCounterexample). GreedyValidated retries with fresh randomness
-// until Validate accepts.
+// TestGreedyCounterexample); the tests' GreedyValidated retries with
+// fresh randomness until Validate accepts.
 func Greedy(pair *motion.Pair, abnormal []int, r float64, tau int, rng *stats.RNG) (Partition, error) {
 	_ = tau // Algorithm 1 itself never consults τ; kept for symmetry.
 	remaining := sets.Canon(sets.CloneInts(abnormal))
@@ -50,31 +50,4 @@ func Greedy(pair *motion.Pair, abnormal []int, r float64, tau int, rng *stats.RN
 		remaining = sets.DiffInts(remaining, block)
 	}
 	return out.Canonical(), nil
-}
-
-// GreedyValidated runs Greedy until the result passes Validate, up to
-// maxTries attempts (deterministic first try when rng is nil, then random
-// retries). It returns ErrSearchSpace when no valid partition was found
-// within the budget; Lemma 2 guarantees one exists, so a handful of tries
-// almost always suffices.
-func GreedyValidated(pair *motion.Pair, abnormal []int, r float64, tau int, rng *stats.RNG, maxTries int) (Partition, error) {
-	if maxTries <= 0 {
-		maxTries = 1
-	}
-	if rng == nil {
-		rng = stats.NewRNG(0)
-	}
-	var lastErr error
-	for try := 0; try < maxTries; try++ {
-		p, err := Greedy(pair, abnormal, r, tau, rng)
-		if err != nil {
-			return nil, err
-		}
-		if err := Validate(pair, p, abnormal, r, tau); err == nil {
-			return p, nil
-		} else {
-			lastErr = err
-		}
-	}
-	return nil, fmt.Errorf("no valid partition in %d tries (last: %v): %w", maxTries, lastErr, ErrSearchSpace)
 }

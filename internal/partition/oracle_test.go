@@ -2,6 +2,7 @@ package partition
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"anomalia/internal/motion"
@@ -232,4 +233,49 @@ func pairFromCoords(t testing.TB, coords [][]float64) *motion.Pair {
 		t.Fatal(err)
 	}
 	return pair
+}
+
+// GreedyValidated runs Greedy until the result passes Validate, up to
+// maxTries attempts (deterministic first try when rng is nil, then random
+// retries). It returns ErrSearchSpace when no valid partition was found
+// within the budget; Lemma 2 guarantees one exists, so a handful of tries
+// almost always suffices.
+func GreedyValidated(pair *motion.Pair, abnormal []int, r float64, tau int, rng *stats.RNG, maxTries int) (Partition, error) {
+	if maxTries <= 0 {
+		maxTries = 1
+	}
+	if rng == nil {
+		rng = stats.NewRNG(0)
+	}
+	var lastErr error
+	for try := 0; try < maxTries; try++ {
+		p, err := Greedy(pair, abnormal, r, tau, rng)
+		if err != nil {
+			return nil, err
+		}
+		if err := Validate(pair, p, abnormal, r, tau); err == nil {
+			return p, nil
+		} else {
+			lastErr = err
+		}
+	}
+	return nil, fmt.Errorf("no valid partition in %d tries (last: %v): %w", maxTries, lastErr, ErrSearchSpace)
+}
+
+// EnumerateAll collects every anomaly partition of abnormal in
+// deterministic order. Intended for tests and the oracle only.
+func EnumerateAll(pair *motion.Pair, abnormal []int, r float64, tau int, budget int) ([]Partition, error) {
+	var out []Partition
+	err := ForEachPartition(pair, abnormal, r, tau, budget, func(p Partition) bool {
+		cp := make(Partition, len(p))
+		for i, b := range p {
+			cp[i] = sets.CloneInts(b)
+		}
+		out = append(out, cp.Canonical())
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

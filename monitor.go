@@ -13,6 +13,7 @@ import (
 	"anomalia/internal/dist"
 	"anomalia/internal/health"
 	"anomalia/internal/motion"
+	"anomalia/internal/slab"
 	"anomalia/internal/space"
 )
 
@@ -53,18 +54,22 @@ type Monitor struct {
 	// winPrev and winCur are the compact states over those rows and
 	// pair the window's state pair over them: device i of the pair is
 	// abnormal device win.Abnormal[i]. local holds the window-local ids
-	// 0..m−1 of the largest window so far, and renamed the dense
-	// motions an Outcome has already renamed to fleet ids. All of it is
-	// recycled from window to window: the decision paths clone what
-	// they keep.
+	// 0..m−1, and renamed the dense motions an Outcome has already
+	// renamed to fleet ids. All of it is refilled from window to window:
+	// the decision paths clone what they keep.
 	win             detect.Window
 	winPrev, winCur space.State
 	pair            motion.Pair
 	local           []int
 	renamed         map[*int]struct{}
-	// decs recycles the in-process directory's decisions from one
-	// distributed window to the next: they are copied into the
-	// Outcome's Reports and cleared before characterizeWindow returns.
+	// char, dir, dm and decs are the working memory each window refills:
+	// the centralized characterizer (motion graph, build memory, grid
+	// index), the in-process directory, the decide memory (one
+	// characterizer per view-group worker) and the directory's
+	// decisions. None holds a Result once characterizeWindow returns.
+	char core.Characterizer
+	dir  dist.Directory
+	dm   dist.Decider
 	decs []dist.Decision
 	// dirClient replaces the in-process directory when WithDirectory is
 	// configured: abnormal windows are decided over the wire by a shard
@@ -331,8 +336,9 @@ func (m *Monitor) tick(samples [][]float64, strict bool) (*Outcome, error) {
 
 // localIDs returns the window-local ids 0..k−1.
 func (m *Monitor) localIDs(k int) []int {
-	for i := len(m.local); i < k; i++ {
-		m.local = append(m.local, i)
+	m.local = slab.Of(m.local, k)
+	for i := range m.local {
+		m.local[i] = i
 	}
 	return m.local[:k:k]
 }
@@ -476,25 +482,25 @@ func (m *Monitor) rename(out *Outcome, global []int) {
 			}
 		}
 	}
-	clear(m.renamed)
+	m.renamed = slab.Clear(m.renamed)
 }
 
 // decideWindow decides one window's devices in its own ids and returns
-// the unclassified Outcome. Centralized, it runs core.New and
-// characterizes each device straight into the Outcome's Reports.
-// Distributed in-process, it indexes the window in a fresh directory
-// service and decides on it: a_k(j) flags a change between windows, so
-// consecutive abnormal sets barely overlap and no verdict is worth
-// keeping from one window to the next. The working memory a window is
-// decided in — characterizer, motion graph, directory and its decide
-// scratch, the decisions themselves — goes back to its package pool or
-// to the Monitor once the window is decided, and the Outcome aliases
-// none of it. With WithDirectory the directory lives behind the wire
-// instead: the client sends each shard its slice and merges the
-// decisions, and any failure past the deadline/retry/breaker budget
-// degrades this one window to the centralized branch — same verdicts,
-// one DirStats degradation — so shard unavailability never surfaces as
-// an Observe error.
+// the unclassified Outcome. Centralized, it refills the Monitor's
+// characterizer and characterizes each device straight into the
+// Outcome's Reports. Distributed in-process, it refills the Monitor's
+// directory with the window and decides on it: a_k(j) flags a change
+// between windows, so consecutive abnormal sets barely overlap and no
+// verdict is worth keeping from one window to the next. The working
+// memory a window is decided in — characterizer, motion graph,
+// directory and decide memory, the decisions themselves — is the
+// Monitor's, refilled by each window, and the Outcome aliases none of
+// it. With WithDirectory the directory lives behind the wire instead:
+// the client sends each shard its slice and merges the decisions, and
+// any failure past the deadline/retry/breaker budget degrades this one
+// window to the centralized branch — same verdicts, one DirStats
+// degradation — so shard unavailability never surfaces as an Observe
+// error.
 func (m *Monitor) decideWindow(pair *motion.Pair, abnormal []int) (*Outcome, error) {
 	cfg := m.cfg.core()
 	if m.cfg.distributed {
@@ -505,15 +511,13 @@ func (m *Monitor) decideWindow(pair *motion.Pair, abnormal []int) (*Outcome, err
 			return nil, err
 		}
 		if m.dirClient == nil {
-			dir, err := dist.NewDirectory(pair, abnormal, m.cfg.radius)
-			if err != nil {
+			if err := m.dir.Refill(pair, abnormal, m.cfg.radius); err != nil {
 				return nil, err
 			}
-			defer dir.Release()
 			if m.mx != nil {
 				m.mx.dirBuilds.Inc()
 			}
-			decisions, total, err := dist.DecideRange(m.decs, dir, cfg, 0, dir.Len())
+			decisions, total, err := m.dm.DecideRange(m.decs, &m.dir, cfg, 0, m.dir.Len())
 			if err != nil {
 				return nil, err
 			}
@@ -534,16 +538,15 @@ func (m *Monitor) decideWindow(pair *motion.Pair, abnormal []int) (*Outcome, err
 		// window; the next abnormal window is sent afresh.
 		m.dirDegraded.Add(1)
 	}
-	char, err := core.New(pair, abnormal, cfg)
-	if err != nil {
+	if err := m.char.Refill(pair, abnormal, cfg); err != nil {
 		return nil, err
 	}
-	defer char.Release()
-	ids := char.Abnormal()
+	defer m.char.Clear()
+	ids := m.char.Abnormal()
 	out := &Outcome{Reports: make([]Report, len(ids))}
 	for i, j := range ids {
 		// A failure is a core.DeviceError, which names j.
-		res, err := char.Characterize(j)
+		res, err := m.char.Characterize(j)
 		if err != nil {
 			return nil, err
 		}

@@ -43,11 +43,13 @@ type recordScratch struct {
 	buf   []byte
 }
 
-// recordPool holds the scratch of past encodings. A pool drops its
-// scratch at GC and, when the encoding goroutine moves to another P,
-// misses a private slot it cannot steal, so a fresh scratch starts its
-// buffer at recordHint, the longest record MarshalJSON has written:
-// a miss costs one allocation, not a chain of append growths.
+// recordPool holds the scratch of past encodings. It has no owner to
+// replace it: MarshalJSON and AppendJSON run on an Outcome value, on any
+// goroutine, any number at once. A pool drops its scratch at GC and,
+// when the encoding goroutine moves to another P, misses a private slot
+// it cannot steal, so a fresh scratch starts its buffer at recordHint,
+// the longest record MarshalJSON has written: a miss costs one
+// allocation, not a chain of append growths.
 var (
 	recordPool = sync.Pool{New: func() any {
 		return &recordScratch{buf: make([]byte, 0, recordHint.Load())}

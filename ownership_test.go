@@ -84,17 +84,16 @@ func cloneOutcome(o *Outcome) *Outcome {
 }
 
 // TestOutcomeOwnsItsMemory: the working memory a window is decided in
-// — characterizer, motion graph, grid index, directory, decide scratch
-// and decisions — is recycled once the window is decided, so an Outcome
-// must alias none of it. Every deployment model decides a stream of
+// — characterizer, motion graph, grid index, directory, decide memory
+// and decisions — is refilled by the next window, so an Outcome must
+// alias none of it. Every deployment model decides a stream of
 // windows of changing sizes and shapes, keeping each Outcome and a deep
 // copy taken when it was returned; after the last window every Outcome,
 // with its Reports, id lists and dense motions, must still equal its
 // copy. Then an in-process distributed monitor and a directory monitor
 // take turns, the second on the stream reversed, so consecutive windows
-// differ in size and each decides in the memory the other just handed
-// back: the in-process directory and the shard servers draw on the
-// same pools.
+// differ in size: each monitor, and each shard connection, refills
+// memory a window of another size left.
 func TestOutcomeOwnsItsMemory(t *testing.T) {
 	t.Parallel()
 

@@ -61,10 +61,10 @@ const (
 )
 
 var table = []run{
-	// The window hot path: 408 allocs/op since the grid's offset fans are
-	// shared and the collect pass's edge chunks recycled (421 before, 585
-	// before the working memory a window is decided in was recycled, 635
-	// before the motion
+	// The window hot path, a one-shot Characterize in fresh memory: ~447
+	// allocs/op (408 while package pools lent it the memory earlier
+	// windows left, 585 before the grid's offset fans were shared and
+	// the Monitor stopped building a []Result, 635 before the motion
 	// graph was laid out per component, 1735 when first gated, 4046
 	// before that). Clique enumeration scratch drawn fresh per
 	// enumeration instead of from its pool reads 750.
@@ -74,13 +74,14 @@ var table = []run{
 	// The sparse CSR build of a 100k-vertex window allocates ~100 MB;
 	// the dense rows it replaced took 1.37 GB, so a slide back toward
 	// quadratic storage trips the gate. The storm window (six 500-device
-	// clusters plus lone gateways) lays out one dense block per
-	// component in ~0.34 MB (~0.44 MB while its edge chunks were made
-	// per build); a whole-window m×m bit matrix took 1.5 MB.
-	// -short skips the set-up of the n=1M window.
+	// clusters plus lone gateways) builds in fresh memory, one dense
+	// block per component, in 440,840 B/op in every run (it read 336,424
+	// or 441,680 while package pools lent it memory); a whole-window m×m
+	// bit matrix took 1.5 MB. -short skips the set-up of the n=1M
+	// window.
 	{"./internal/motion", []string{"-short", "-benchtime=1x"}, 1, []gate{
 		{bench: "BenchmarkNewGraph/grid/sparse/n=100000", unit: bytesOp, bound: 150e6},
-		{bench: "BenchmarkNewGraph/storm/m=3000", unit: bytesOp, bound: 750e3},
+		{bench: "BenchmarkNewGraph/storm/m=3000", unit: bytesOp, bound: 550e3},
 	}},
 	// The flat slab-allocated grid index builds a 1M-vertex window in a
 	// few hundred allocations; the ceiling trips on any per-cell or
@@ -95,23 +96,25 @@ var table = []run{
 	{"./internal/dist", []string{"-benchtime=20x"}, 3, []gate{
 		{bench: stormDir, unit: allocsOp, bound: 32},
 	}},
-	// The paper's distributed path decides the same storm window — a
-	// fresh directory, its cold block splits and every device's decision
-	// on its 4r view — within 2x of the centralized characterizer over
-	// the whole abnormal set (~1.4x when gated; ~30x before views were
-	// decided per cell block). Both sides hand their working memory back
-	// once decided, the distributed one as the Monitor does: directory
-	// released, decisions written into the previous window's slice. The
-	// centralized window allocates ~470 KB (its []Result is 388 KB of
-	// it), the distributed one ~66 KB in ~226 allocations, all of it the
-	// Results' motions and families (~1.00 MB and ~790 while DecideRange
-	// made its scratch and []Decision per call). A decide scratch never
-	// handed back reads 233 KB and 409 allocations, a directory whose
-	// slabs are never handed back 93 KB, and a []Decision made per call
-	// 530 KB. Handing nothing back on the centralized side reads 942 KB.
+	// The paper's distributed path decides the same storm window — the
+	// window indexed anew, its cold block splits and every device's
+	// decision on its 4r view — within 2x of the centralized
+	// characterizer over the whole abnormal set (~1.4x when gated; ~30x
+	// before views were decided per cell block). Both sides refill
+	// memory they own, as the Monitor does: a characterizer, or a
+	// directory and decide memory with decisions written into the
+	// previous window's slice. The centralized window allocates ~451 KB
+	// (its []Result is 388 KB of it; ~470 KB while it drew on package
+	// pools), the distributed one ~66 KB in ~225 allocations, all of it
+	// the Results' motions and families (~1.00 MB and ~790 while
+	// DecideRange made its scratch and []Decision per call). Decide
+	// memory made per call reads ~403 KB and ~484 allocations, a
+	// directory made per window ~160 KB, and a []Decision made per call
+	// ~529 KB. A characterizer made per window reads ~940 KB. The time
+	// ratio reads 0.96-1.13.
 	{"./internal/dist", []string{"-benchtime=100x"}, 3, []gate{
 		{bench: stormDist, unit: nsOp, op: "/", base: stormCtrl, bound: 2},
-		{bench: stormCtrl, unit: bytesOp, bound: 560e3},
+		{bench: stormCtrl, unit: bytesOp, bound: 540e3},
 		{bench: stormDist, unit: bytesOp, bound: 84e3},
 		{bench: stormDist, unit: allocsOp, bound: 285},
 	}},
@@ -179,16 +182,14 @@ var table = []run{
 	// A networked window costs memory in its m abnormal rows, not in
 	// the population n: at the same m, the n=100k wire window allocates
 	// ~1.0x the n=10k one. A shard server that sizes its states by n
-	// allocates ~3x here and trips the bound. The shards and the client
-	// decide and decode into recycled memory, so the wire window
-	// allocates ~0.21x the in-process DecideAll, which makes its
-	// []Decision per call (~0.49x while the timed windows included the
-	// first one's pool fills, ~1.8x while the wire side made its
-	// decisions per call too); decisions that each carry their family's
-	// motions inline took ~4.2x. Both cases warm the pools before their
-	// timers, so the n=100k/n=10k ratio read 0.977-1.005 in seven
-	// full runs (0.988-1.004 in three runs without the warm-up, and
-	// once 1.086).
+	// allocates ~3x here and trips the bound. Every side decides in
+	// memory it owns — each shard connection its session, the client
+	// its decode slab, the in-process side its decide memory and
+	// decisions — so the wire window allocates ~1.5x the in-process one:
+	// the codec's bytes and the decoded Results. Decisions that each
+	// carry their family's motions inline took ~4.2x the in-process
+	// DecideAll of that time. The n=100k/n=10k ratio read 0.986-1.086
+	// while the bytes depended on what package pools held.
 	{"./internal/dirnet", []string{"-benchtime=20x"}, 3, []gate{
 		{bench: "BenchmarkDecideWindow/n=100k/wire", unit: bytesOp, op: "/", base: "BenchmarkDecideWindow/n=10k/wire", bound: 1.25},
 		{bench: "BenchmarkDecideWindow/n=10k/wire", unit: bytesOp, op: "/", base: "BenchmarkDecideWindow/n=10k/inproc", bound: 2},

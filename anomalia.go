@@ -209,8 +209,7 @@ func WithBudget(budget int) Option {
 // fetches from it — the same code path the DistCost study bills. The
 // verdicts are identical to the in-process path (the paper's locality
 // result); Outcome.Dist additionally reports the directory traffic.
-// Ignored by CharacterizeDevice, which already is the strictly local
-// per-device operation.
+// Ignored by CharacterizeDevice, which decides in process.
 func WithDistributed(distributed bool) Option {
 	return func(c *config) { c.distributed = distributed }
 }
@@ -521,9 +520,14 @@ func outcomeFromDecisions(decisions []dist.Decision, total dist.Stats) *Outcome 
 	return out
 }
 
-// CharacterizeDevice classifies a single abnormal device — the strictly
-// local operation a monitored device runs on its own: it only reads
-// trajectories within distance 4r of its own.
+// CharacterizeDevice classifies a single abnormal device and returns the
+// Report Characterize gives it, cost included. Like Characterize, it
+// builds the motion graph of the whole abnormal set and decides the
+// device from its connected component, which may reach well beyond
+// distance 4r of the device. By the paper's locality result, which
+// internal/core's TestLocality4r checks, the verdict equals the one
+// decided on the trajectories within 4r alone: the strictly local
+// operation a monitored device runs on its own.
 func CharacterizeDevice(prev, cur [][]float64, abnormal []int, device int, opts ...Option) (Report, error) {
 	cfg := defaultConfig()
 	for _, opt := range opts {

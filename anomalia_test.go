@@ -2,7 +2,10 @@ package anomalia
 
 import (
 	"errors"
+	"reflect"
 	"testing"
+
+	"anomalia/internal/paperfig"
 )
 
 // fleetWindow builds the canonical example: four devices drop together
@@ -64,6 +67,59 @@ func TestCharacterizeDevice(t *testing.T) {
 	}
 	if len(rep.DenseMotions) == 0 || rep.Cost.MaximalMotions < 1 {
 		t.Error("massive report must carry its dense motions and cost")
+	}
+}
+
+// TestCharacterizeDeviceMatchesCharacterize pins CharacterizeDevice(j)
+// to the Report Characterize gives device j, cost included, for every
+// abnormal j: on the paper's Figure 5 ring, which only Theorem 7
+// decides, and on a chain of abnormal devices much longer than 4r, one
+// connected component of massive and isolated devices.
+func TestCharacterizeDeviceMatchesCharacterize(t *testing.T) {
+	t.Parallel()
+
+	fig, err := paperfig.Figure5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The chain moves as one along one axis, its gaps cycling through
+	// 0.011, 0.02, 0.029 and 0.038, so its dense motions overlap and
+	// differ in size; it spans ~0.7, over 20r at the default r = 0.03.
+	var chainPrev, chainCur [][]float64
+	x := 0.05
+	for i := range 30 {
+		chainPrev = append(chainPrev, []float64{x, 0.5})
+		chainCur = append(chainCur, []float64{x, 0.6})
+		x += 0.011 + 0.009*float64(i%4)
+	}
+	for _, tc := range []struct {
+		name      string
+		prev, cur [][]float64
+		opts      []Option
+	}{
+		{"figure5", stateRows(fig.Pair.Prev), stateRows(fig.Pair.Cur), []Option{WithRadius(fig.R), WithTau(fig.Tau)}},
+		{"chain", chainPrev, chainCur, nil},
+	} {
+		abnormal := make([]int, len(tc.prev))
+		for j := range abnormal {
+			abnormal[j] = j
+		}
+		out, err := Characterize(tc.prev, tc.cur, abnormal, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Reports) != len(abnormal) {
+			t.Fatalf("%s: %d Reports for %d abnormal devices", tc.name, len(out.Reports), len(abnormal))
+		}
+		for _, want := range out.Reports {
+			got, err := CharacterizeDevice(tc.prev, tc.cur, abnormal, want.Device, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s device %d: CharacterizeDevice %+v, Characterize %+v", tc.name, want.Device, got, want)
+			}
+		}
 	}
 }
 

@@ -123,10 +123,12 @@
 // buffers concatenated in shard order, so the abnormal set handed to
 // characterization is byte-identical to a serial walk whatever the
 // worker count (pinned by a parity suite run under the race detector).
-// Each row is classified clean or not — present, the right width, and
-// finite, since v < 0 || v > 1 is false for NaN — before any detector
-// state it would feed is committed. Observe's strict policy grades the
-// whole snapshot before its pass writes anything (each shard grades
+// Each row is graded clean or not by one grader — present, the fleet's
+// one width (every device is built services wide), and finite by a
+// sum of v−v, which is NaN exactly when a value is not, since
+// v < 0 || v > 1 is false for NaN — before any detector state it would
+// feed is committed. Observe's strict policy grades the whole
+// snapshot before its pass writes anything (each shard grades
 // its rows, then waits for the others) and rejects it on the lowest
 // unclean row, so a rejected snapshot leaves the monitor exactly as it
 // was: positions, clock, detectors and health. An error after
@@ -170,35 +172,41 @@
 // the clamp governs callers that feed the Monitor directly.
 //
 // The default detectors — the factory's untrained Threshold detectors,
-// all with one delta — run as a column bank that keeps no sample at
-// all: a Threshold detector's previous sample is its device's
-// committed position, so one fused pass per shard classifies each row,
-// tests its jump against the committed position and clamps it over
-// that position. The pass is one kernel for every d over the shard's
-// range of the slab as flat coordinates, and no width gets a loop of
-// its own. Its tight loop takes the common row: d wide, every value's
+// all with one delta — run as a column bank that keeps no state per
+// device at all. A Threshold detector's previous sample is its
+// device's committed position, and its first-sample rule is the
+// health tracker's last-known mark: a device is trained once a tick
+// has consumed its report, which marks it, and a Monitor fed only
+// through Observe, which has no tracker, counts every device trained
+// once a tick has committed. So one fused pass per shard grades each
+// row, tests its jump against the committed position and clamps it
+// over that position. The pass is one kernel for every d over the
+// shard's range of the slab as flat coordinates, and no width gets a
+// loop of its own. Its tight loop takes the common row: d wide, every value's
 // bits at most those of 1.0 — one integer compare per value, true
 // exactly for +0 through 1, so the clamp is the identity — from a
-// live, trained device, and every value within delta of the committed
+// live, marked device, and every value within delta of the committed
 // one (|x − p| > delta flags). Once every value has passed it copies
 // the row over the position without calling the health tracker or
 // reading its fields: the tracker hands each shard its state bytes, or
 // none while the fleet is all live, and its last-known marks, or none
 // once every device has one. The first row the loop does not take — a
-// jump, a fault, −0, a value out of range, an impaired or untrained
-// device — runs the general path alone: a read-only pass takes a
-// running sum of v−v, NaN exactly when a value is not finite, and the
-// row's largest clamped jump; the device's health transition picks
-// what it detects on; only then is the clamped row written. Then the
-// loop resumes. On a shared 2-core x86-64 box, thirty benchgate
-// repetitions read the quiet n = 1M, d = 2 strict tick
+// jump, a fault, −0, a value out of range, an impaired or unmarked
+// device — runs the general path alone: the row is graded; the
+// device's mark is read before its health transition picks what it
+// detects on, since the transition marks a device it consumes and a
+// first sample only trains; only then is the clamped row written,
+// flagged when the device was marked and its largest clamped jump
+// exceeds delta. Then the loop resumes. On a shared 2-core x86-64
+// box, the five repetitions in scripts/benchgate/testdata/bench.txt
+// read the quiet n = 1M, d = 2 strict tick
 // (BenchmarkTickIngestDetect1M), whose grading phase reads every row
-// once more, at 7.2–11.5 ms (median 9.6), 0.22–0.50x the same tick on
+// once more, at 7.1–10.5 ms (median 9.9), 0.26–0.46x the same tick on
 // the per-device bank, and the quiet partial tick, which grades each
-// row inside the one pass, at 4.4–7.8 ms (median 6.3). The bank holds
-// one trained byte per device until a tick has fed every device, and
-// then drops them. A strict pass trains no device; the caller records
-// an accepted strict tick with TrainAll. Every tick is that one pass.
+// row inside the one pass, at 4.6–6.8 ms (median 6.1). A strict pass
+// reads the marks but runs no transition and sets no mark; the
+// Monitor marks the whole fleet after an accepted strict tick. Every
+// tick is that one pass.
 // On a partial tick each device's health transition runs inside it,
 // between the classification and the detector test, and picks what
 // the device detects on — its own report, its held position, or
@@ -269,10 +277,12 @@
 // state and the fleet split with its lifetime quarantine/re-admission
 // counters. The health layer rides the detector pass, so it adds no
 // pass over the fleet: the quiet n = 1M ObservePartial tick matches
-// the plain quiet tick's allocations and stays within 1.5x of its
-// latency (BenchmarkTickObservePartial1M), and a tick that loses 1% of
-// the reports over an impaired fleet stays within 1.8x
-// (BenchmarkTickObservePartialLossy1M; both gated in CI).
+// the plain quiet tick's allocations and, since the plain strict tick
+// grades every row once more, stays within 0.8x of its latency
+// (BenchmarkTickObservePartial1M), and a tick that loses 1% of the
+// reports over an impaired fleet within 0.95x
+// (BenchmarkTickObservePartialLossy1M; both gated in CI, and a second
+// pass over the fleet trips both).
 //
 // cmd/anomalia-gateway applies the same discipline to the wire: by
 // default a malformed CSV cell or binary value quarantines the
@@ -425,8 +435,9 @@
 //   - The default Threshold detectors are a column bank, not 2M heap
 //     detectors behind 1M Devices: a detector's previous sample is its
 //     device's position in the Monitor's committed state, so the bank
-//     keeps no sample of its own, only one trained byte per device,
-//     and NewMonitor builds it directly without building the detectors
+//     keeps no sample of its own, nor any other state per device — the
+//     first-sample rule is the health tracker's last-known mark — and
+//     NewMonitor builds it directly without building the detectors
 //     it stands for. A quiet n = 1M tick is one fused pass with no
 //     interface call: CI holds it under 0.6x the same tick on the
 //     per-device bank (BenchmarkTickIngestDetectGeneric1M), which

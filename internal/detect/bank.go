@@ -12,40 +12,39 @@ import (
 // no copy of any sample. A detector's previous sample is its device's
 // committed position, so Step reads it from the one position slab it
 // then overwrites: under the clamp-once policy that position is exactly
-// the last sample the device detected on. The bank keeps one trained
-// byte per device — Threshold's first-sample rule — until TrainAll
-// records that every device is trained; then it drops the bytes, and
-// Reset makes them again.
+// the last sample the device detected on. The bank keeps no state per
+// device at all. Threshold's first-sample rule reads the health
+// tracker's last-known marks: a device is trained once it has a mark,
+// since the tick that first consumed its report marked it. With no
+// tracker, every device is trained once a Step has committed.
 //
 // Step runs one kernel whatever d is. Each shard takes its range of
 // the slab as one flat span (space.State.Span) and runs a tight loop
 // over the common row: d wide, every value in [+0, 1] by one integer
-// test of its bits, from a live, trained device and within delta of
-// its committed position in every service. The loop tests every value
-// of such a row before it copies the row over the position, with no
+// test of its bits, from a live, marked device and within delta of its
+// committed position in every service. The loop tests every value of
+// such a row before it copies the row over the position, with no
 // tracker call. The first row it does not take — a jump, a fault, an
-// impaired or untrained device, or any row before a position is
-// committed — runs the general path for that row alone: one read-only
-// loop sums v−v, which is NaN exactly when a value is not finite, and
-// keeps the largest jump of the clamped values from the position; the
-// device's health transition picks what it detects on; only then is
-// the clamped row written. A flagged device's position is copied into
-// the shard's window before the write and after it. The tight loop
-// then resumes.
+// impaired or unmarked device, or any row before a position is
+// committed — runs the general path for that row alone: the row is
+// graded; the device's mark is read, and then its health transition
+// picks what it detects on, which marks a device it consumes; only
+// then is the clamped row written, and it is tested for a jump from
+// the position when the device was marked before the transition. A
+// flagged device's position is copied into the shard's window before
+// the write and after it. The tight loop then resumes.
 //
-// A strict Step (nil tracker) grades the whole snapshot before it
-// writes anything and trains no device; the caller reports an accepted
-// strict tick, which fed every device, with TrainAll. A partial Step,
-// which is never rejected, marks each device it detects on trained as
-// it goes.
+// A strict Step grades the whole snapshot before it writes anything
+// and runs no health transition, so it marks no device: it reads the
+// marks, and the caller marks every device after an accepted strict
+// tick. A partial Step, which is never rejected, marks each device it
+// consumes as it goes.
 //
 // A bank is not safe for concurrent use.
 type ThresholdBank struct {
-	n, d    int
-	delta   float64
-	trained []byte
-	all     bool
-	w       *Walker
+	d     int
+	delta float64
+	w     *Walker
 }
 
 // NewThresholdBank returns the bank equivalent of devs, sharded over a
@@ -71,63 +70,53 @@ func NewThresholdBank(devs []*Device, workers int) *ThresholdBank {
 			}
 		}
 	}
-	return NewUniformThresholdBank(len(devs), d, first.delta, workers)
+	return NewUniformThresholdBank(d, first.delta, workers)
 }
 
-// NewUniformThresholdBank returns the bank of n devices, each running d
+// NewUniformThresholdBank returns the bank of devices each running d
 // untrained Threshold detectors with one shared delta, sharded over a
 // pool of workers like NewWalker: the bank NewThresholdBank returns for
 // such devices, built without them. delta must be a valid Threshold
 // delta.
-func NewUniformThresholdBank(n, d int, delta float64, workers int) *ThresholdBank {
-	return &ThresholdBank{
-		n:       n,
-		d:       d,
-		delta:   delta,
-		trained: make([]byte, n),
-		w:       NewWalker(workers),
-	}
+func NewUniformThresholdBank(d int, delta float64, workers int) *ThresholdBank {
+	return &ThresholdBank{d: d, delta: delta, w: NewWalker(workers)}
 }
 
 // Step runs the fused detection pass over rows, one row per device,
 // sharded like Walker.WalkSkip, in place over pos: device dev's slot
 // of pos holds its committed position on entry and its new one on
 // return. A row is clean when it is present, d wide and finite. A
-// strict Step (nil tracker) grades every row before it writes
-// anything, in the same sharded pass: when a row is unclean it writes
-// nothing — no position, no window — and returns the error Walker.Walk
-// reports for the lowest such row; otherwise every device detects on
-// its row. With a tracker the clean bit first runs the device's health
-// transition, and the disposition picks what the device detects on:
-// its own row (Consume), its committed position (Hold), or nothing
-// (Skip, which parks it). The shards' counter changes reach the
-// tracker after the pass, in Walker's per-worker delta slots.
+// strict Step grades every row before it writes anything, in the same
+// sharded pass: when a row is unclean it writes nothing — no position,
+// no window — and returns the error Walker.Walk reports for the lowest
+// such row; otherwise every device detects on its row. A partial Step
+// first runs the device's health transition on t with the clean bit,
+// and the disposition picks what the device detects on: its own row
+// (Consume), its committed position (Hold), or nothing (Skip, which
+// parks it). The shards' counter changes reach the tracker after the
+// pass, in Walker's per-worker delta slots. A strict Step runs no
+// transition and reads t for its marks; t may be nil there, and then
+// every device is trained.
 //
 // committed says whether pos holds an accepted Step's positions; before
 // the first, no jump is tested, a held device is parked, and every slot
 // must hold the origin. Detecting on a row clamps it into [0,1]^d and
-// writes it over the device's slot and, once the device is trained,
+// writes it over the device's slot and, when the device is trained,
 // tests it against the position it replaces: abnormal when any service
 // jumped by more than delta. A held device detects on its own position
 // and so is never abnormal. A parked device keeps its slot. Step writes
 // the abnormal devices, ascending, and their positions before and after
 // it into win, and returns the number of clean rows.
-func (b *ThresholdBank) Step(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, win *Window) (int, error) {
-	return b.w.step(b, rows, pos, committed, t, checkJob{d: b.d}, win)
+func (b *ThresholdBank) Step(rows [][]float64, pos *space.State, committed, strict bool, t *health.Tracker, win *Window) (int, error) {
+	return b.w.step(b, rows, pos, committed, strict, t, b.d, win)
 }
 
-func (b *ThresholdBank) stepRange(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, lo, hi int, win *Window) (int, health.Delta) {
-	d, delta := b.d, b.delta
-	// Only a partial Step, which cannot be rejected, trains devices.
-	train := t != nil && !b.all
-	span := pos.Span(lo, hi)
-	rows = rows[lo:hi]
-	// The range's trained bytes, and its tracker states and last-known
-	// marks, are nil when every device is trained, live or marked.
-	var trained []byte
-	if !b.all {
-		trained = b.trained[lo:hi:hi]
-	}
+func (b *ThresholdBank) stepRange(j *stepJob, lo, hi int, win *Window) (int, health.Delta) {
+	d, delta, committed, strict, t := j.d, b.delta, j.committed, j.strict, j.t
+	span := j.pos.Span(lo, hi)
+	rows := j.rows[lo:hi]
+	// The range's tracker states and last-known marks are nil when
+	// every device is live or marked, or when there is no tracker.
 	var states []health.State
 	var seen []bool
 	if t != nil {
@@ -139,26 +128,25 @@ func (b *ThresholdBank) stepRange(rows [][]float64, pos *space.State, committed 
 	var hd health.Delta
 	for i := 0; i < len(rows); i++ {
 		if committed {
-			j := quiet(rows, span, d, delta, states, seen, trained, i)
-			if n += j - i; j == len(rows) {
+			k := quiet(rows, span, d, delta, states, seen, i)
+			if n += k - i; k == len(rows) {
 				break
 			}
-			i = j
+			i = k
 		}
 		dev := lo + i
 		p := span[i*d : (i+1)*d]
 		row := rows[i]
-		ok, jump := false, 0.0
-		if len(row) == d {
-			var nan float64
-			nan, jump = gradeRow(row, p)
-			ok = nan == 0
-		}
+		// A strict Step has graded every row clean already.
+		ok := strict || clean(row, d)
 		if ok {
 			n++
 		}
+		// The mark is read before the transition, which marks a
+		// device it consumes: a device's first sample only trains it.
+		trained := seen == nil || seen[i]
 		disp := health.Consume
-		if t != nil {
+		if !strict {
 			disp = t.Transition(dev, ok, &hd)
 		}
 		consume := ok && disp == health.Consume
@@ -168,7 +156,7 @@ func (b *ThresholdBank) stepRange(rows [][]float64, pos *space.State, committed 
 			// detects on its committed position, which is no jump.
 			continue
 		}
-		flag := consume && committed && jump > delta && (trained == nil || trained[i] != 0)
+		flag := consume && committed && trained && jump(row, p) > delta
 		if flag {
 			win.Abnormal = append(win.Abnormal, dev)
 			win.Prev = append(win.Prev, p...)
@@ -179,9 +167,6 @@ func (b *ThresholdBank) stepRange(rows [][]float64, pos *space.State, committed 
 		if flag {
 			win.Cur = append(win.Cur, p...)
 		}
-		if train {
-			trained[i] = 1
-		}
 	}
 	return n, hd
 }
@@ -189,20 +174,19 @@ func (b *ThresholdBank) stepRange(rows [][]float64, pos *space.State, committed 
 // quiet is the kernel's tight loop over rows from i on. It takes the
 // common row: d wide, every value's bits at most those of 1.0 — one
 // integer test that holds exactly for +0 through 1, so the clamp is the
-// identity — from a live, trained device whose every value lies within
+// identity — from a live, marked device whose every value lies within
 // delta of its position in span. Only once every value has passed does
 // it copy the row over the position, so a row that fails on a later
-// service leaves its position whole for the general path. It sets the
-// row's last-known mark and moves on, and returns the first row it does
-// not take, which stepRange runs. A nil states, seen or trained stands
-// for devices all live, all marked or all trained. The loop calls
-// nothing and reads no field of the bank or the tracker, which keeps
-// its live values few.
-func quiet(rows [][]float64, span []float64, d int, delta float64, states []health.State, seen []bool, trained []byte, i int) int {
+// service leaves its position whole for the general path. It returns
+// the first row it does not take, which stepRange runs. A nil states
+// or seen stands for devices all live or all marked. The loop calls
+// nothing, writes nothing but positions and reads no field of the bank
+// or the tracker, which keeps its live values few.
+func quiet(rows [][]float64, span []float64, d int, delta float64, states []health.State, seen []bool, i int) int {
 	const one = 0x3ff0000000000000 // math.Float64bits(1)
 	for ; i < len(rows); i++ {
 		row := rows[i]
-		if len(row) != d || states != nil && states[i] != health.Live || trained != nil && trained[i] == 0 {
+		if len(row) != d || states != nil && states[i] != health.Live || seen != nil && !seen[i] {
 			return i
 		}
 		off := i * d
@@ -215,26 +199,22 @@ func quiet(rows [][]float64, span []float64, d int, delta float64, states []heal
 		for k, x := range row {
 			p[k] = x
 		}
-		if seen != nil && !seen[i] {
-			seen[i] = true
-		}
 	}
 	return i
 }
 
-// gradeRow returns the sum of v−v over row, which is NaN exactly when
-// some value is not finite, and the largest |c − p[k]| over the values
-// c of row clamped as space.Point.Clamp clamps a finite value. It
-// writes nothing. len(p) must be len(row).
-func gradeRow(row, p []float64) (nan, jump float64) {
+// jump returns the largest |c − p[k]| over the values c of the clean
+// row clamped as space.Point.Clamp clamps a finite value. len(p) must
+// be len(row).
+func jump(row, p []float64) float64 {
 	p = p[:len(row)]
+	var largest float64
 	for k, x := range row {
-		nan += x - x
-		if j := math.Abs(clamp(x) - p[k]); j > jump {
-			jump = j
+		if j := math.Abs(clamp(x) - p[k]); j > largest {
+			largest = j
 		}
 	}
-	return nan, jump
+	return largest
 }
 
 // clampRow writes row, clamped into [0,1] value by value, into dst.
@@ -257,27 +237,14 @@ func clamp(x float64) float64 {
 	return x
 }
 
-// TrainAll records that the Step just accepted fed every device its
-// own row — a strict tick, or a fully clean partial tick over an
-// all-live fleet — so every detector is trained until Reset, and drops
-// the trained bytes.
-func (b *ThresholdBank) TrainAll() {
-	b.all = true
-	b.trained = nil
-}
-
-// Reset returns every detector to its untrained state.
-func (b *ThresholdBank) Reset() {
-	if b.all {
-		b.trained = make([]byte, b.n)
-	}
-	clear(b.trained)
-	b.all = false
-}
+// Reset does nothing: the bank's detectors are untrained again once
+// its caller resets the tracker's marks and the positions.
+func (b *ThresholdBank) Reset() {}
 
 // DeviceBank runs a fleet of heap Devices — any detector family, or a
-// mix — under ThresholdBank's Step contract. A Device updates its
-// detectors in place, and TrainAll has nothing to record.
+// mix, every device equally wide — under ThresholdBank's Step
+// contract. A Device trains its detectors in its own Update, so the
+// bank reads no mark.
 //
 // A DeviceBank is not safe for concurrent use.
 type DeviceBank struct {
@@ -295,26 +262,26 @@ func NewDeviceBank(devs []*Device, workers int) *DeviceBank {
 // clamps it over the device's slot of pos and feeds that clamped
 // position to the device's Update, so a held device's detectors see
 // the value they last consumed.
-func (b *DeviceBank) Step(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, win *Window) (int, error) {
-	return b.w.step(b, rows, pos, committed, t, checkJob{devs: b.devs}, win)
+func (b *DeviceBank) Step(rows [][]float64, pos *space.State, committed, strict bool, t *health.Tracker, win *Window) (int, error) {
+	return b.w.step(b, rows, pos, committed, strict, t, width(b.devs), win)
 }
 
-func (b *DeviceBank) stepRange(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, lo, hi int, win *Window) (int, health.Delta) {
+func (b *DeviceBank) stepRange(j *stepJob, lo, hi int, win *Window) (int, health.Delta) {
 	n := 0
 	var hd health.Delta
 	for dev := lo; dev < hi; dev++ {
-		row, p, dv := rows[dev], pos.At(dev), b.devs[dev]
+		row, p, dv := j.rows[dev], j.pos.At(dev), b.devs[dev]
 		// A strict Step has graded every row clean already.
-		ok := t == nil || cleanRow(row, len(dv.detectors))
+		ok := j.strict || clean(row, j.d)
 		if ok {
 			n++
 		}
-		if t != nil {
-			switch t.Transition(dev, ok, &hd) {
+		if !j.strict {
+			switch j.t.Transition(dev, ok, &hd) {
 			case health.Consume:
 			case health.Hold:
 				// A held device detects on its committed position.
-				row, ok = p, committed
+				row, ok = p, j.committed
 			default:
 				ok = false
 			}
@@ -339,9 +306,6 @@ func (b *DeviceBank) stepRange(rows [][]float64, pos *space.State, committed boo
 	}
 	return n, hd
 }
-
-// TrainAll does nothing: each Device trains in its own Update.
-func (b *DeviceBank) TrainAll() {}
 
 // Reset returns every detector to its untrained state.
 func (b *DeviceBank) Reset() {

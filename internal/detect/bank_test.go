@@ -22,11 +22,25 @@ func clampRows(rows [][]float64) [][]float64 {
 	out := make([][]float64, len(rows))
 	for j, row := range rows {
 		out[j] = row
-		if cleanRow(row, len(row)) {
+		if oracleClean(row, len(row)) {
 			out[j] = space.Point(slices.Clone(row)).Clamp()
 		}
 	}
 	return out
+}
+
+// oracleClean is the row grade of the per-device loops the bank's one
+// grader replaced: row is present, d wide and finite by name.
+func oracleClean(row []float64, d int) bool {
+	if row == nil || len(row) != d {
+		return false
+	}
+	for _, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkThresholdState fails unless every trained Threshold of devs
@@ -48,13 +62,17 @@ func checkThresholdState(t *testing.T, devs []*Device, st *space.State) []bool {
 	return trained
 }
 
-// bankTrained returns which devices b has trained.
-func bankTrained(b *ThresholdBank) []bool {
-	trained := make([]bool, b.n)
-	for j := range trained {
-		trained[j] = b.all || b.trained[j] != 0
+// marks returns which devices hold tr's last-known mark: the devices
+// the Threshold bank trained.
+func marks(tr *health.Tracker) []bool {
+	if _, seen := tr.Shard(0, tr.Len()); seen != nil {
+		return slices.Clone(seen)
 	}
-	return trained
+	all := make([]bool, tr.Len())
+	for j := range all {
+		all[j] = true
+	}
+	return all
 }
 
 // checkWindow fails unless win lists exactly abnormal and carries,
@@ -170,7 +188,7 @@ func thresholdBankParity(t *testing.T, d int) {
 		committed := stateRows(pos)
 		var win Window
 		for k, snap := range stream {
-			nClean, err := bank.Step(snap, pos, k > 0, nil, &win)
+			nClean, err := bank.Step(snap, pos, k > 0, true, nil, &win)
 			if ref[k].reject != "" {
 				if err == nil || err.Error() != ref[k].reject {
 					t.Fatalf("workers=%d tick %d: Step = %v, Walk = %s", workers, k, err, ref[k].reject)
@@ -183,7 +201,6 @@ func thresholdBankParity(t *testing.T, d int) {
 			if err != nil || nClean != n {
 				t.Fatalf("workers=%d tick %d: %d clean rows, want %d (%v)", workers, k, nClean, n, err)
 			}
-			bank.TrainAll()
 			if !reflect.DeepEqual(stateRows(pos), ref[k].coords) {
 				t.Fatalf("workers=%d tick %d: state diverges from the walker's", workers, k)
 			}
@@ -197,9 +214,10 @@ func thresholdBankParity(t *testing.T, d int) {
 // in-place Step must flag, clamp and park exactly what the serial
 // reference does — Report every device in order, then WalkSkip each
 // device's own row clamped, its held position or nothing — hand back
-// each flagged device's positions before and after the tick, train
-// the devices the reference trains, and leave the tracker's states and
-// counters as the reference does, for every worker count. Out-of-range
+// each flagged device's positions before and after the tick, mark in
+// the tracker the devices the reference trains, and leave the
+// tracker's states and counters as the reference does, for every
+// worker count. Out-of-range
 // reports would make a held position (clamped) differ from the last
 // raw sample; fed clamped, every trained reference detector's last
 // sample is its device's committed position.
@@ -286,8 +304,8 @@ func thresholdBankParityHealth(t *testing.T, d int) {
 		committed := stateRows(pos)
 		var win Window
 		for k, snap := range stream {
-			bank.Step(snap, pos, k > 0, tr, &win)
-			if got := snapshot(tr, win.Abnormal, pos, bankTrained(bank)); !reflect.DeepEqual(got, ref[k]) {
+			bank.Step(snap, pos, k > 0, false, tr, &win)
+			if got := snapshot(tr, win.Abnormal, pos, marks(tr)); !reflect.DeepEqual(got, ref[k]) {
 				t.Fatalf("workers=%d tick %d: bank diverges from the serial reference", workers, k)
 			}
 			checkWindow(t, &win, d, ref[k].abnormal, committed, ref[k].coords)
@@ -296,11 +314,12 @@ func thresholdBankParityHealth(t *testing.T, d int) {
 	}
 }
 
-// TestThresholdBankStepWithoutCommit: a strict Step commits no
-// training — only TrainAll, which the caller runs on an accepted strict
-// tick, or a partial Step trains a device — a rejected strict Step
-// commits nothing at all, and Reset forgets training and makes the
-// trained bytes again.
+// TestThresholdBankStepWithoutCommit: a device is trained exactly when
+// it holds the tracker's last-known mark, or, with no tracker, once a
+// Step has committed. A strict Step marks no device — only ConsumeAll,
+// which the caller runs on an accepted strict tick, or a partial Step
+// marks one — a rejected strict Step commits nothing at all, and
+// resetting the tracker forgets training.
 func TestThresholdBankStepWithoutCommit(t *testing.T) {
 	t.Parallel()
 
@@ -310,46 +329,54 @@ func TestThresholdBankStepWithoutCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr, err := health.New(n, health.Policy{HoldTicks: 1, ReadmitTicks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unmarked := make([]bool, n)
 	var win Window
 	flat := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
 	jump := [][]float64{{0.9}, {0.5}, {0.1}, {0.5}}
 	bad := [][]float64{{0.9}, {math.NaN()}, {0.1}, {0.5}}
 
-	bank.Step(flat, pos, false, nil, &win) // no TrainAll
-	if bank.Step(jump, pos, true, nil, &win); len(win.Abnormal) != 0 {
-		t.Fatalf("a strict Step trained the detectors: flagged %v", win.Abnormal)
+	bank.Step(flat, pos, false, true, tr, &win) // no ConsumeAll
+	if bank.Step(jump, pos, true, true, tr, &win); len(win.Abnormal) != 0 {
+		t.Fatalf("a strict Step over unmarked devices flagged %v", win.Abnormal)
 	}
-	bank.TrainAll()
-	if bank.trained != nil {
-		t.Fatal("TrainAll kept the trained bytes")
+	if !slices.Equal(marks(tr), unmarked) {
+		t.Fatalf("strict Steps marked %v", marks(tr))
 	}
-	if _, err := bank.Step(bad, pos, true, nil, &win); err == nil || !errors.Is(err, ErrSample) {
+	tr.ConsumeAll()
+	if _, err := bank.Step(bad, pos, true, true, tr, &win); err == nil || !errors.Is(err, ErrSample) {
 		t.Fatalf("Step = %v, want ErrSample", err)
 	}
 	if got := stateRows(pos); !reflect.DeepEqual(got, jump) || len(win.Abnormal) != 0 {
 		t.Fatalf("state %v, flagged %v after a rejected Step, want %v", got, win.Abnormal, jump)
 	}
-	if bank.Step(flat, pos, true, nil, &win); !reflect.DeepEqual(win.Abnormal, []int{0, 2}) {
+	if bank.Step(flat, pos, true, true, tr, &win); !reflect.DeepEqual(win.Abnormal, []int{0, 2}) {
 		t.Fatalf("flagged %v, want [0 2]", win.Abnormal)
 	}
 	if !reflect.DeepEqual(win.Prev, []float64{0.9, 0.1}) || !reflect.DeepEqual(win.Cur, []float64{0.5, 0.5}) {
 		t.Fatalf("window rows %v → %v, want [0.9 0.1] → [0.5 0.5]", win.Prev, win.Cur)
 	}
 	bank.Reset()
-	if len(bank.trained) != n {
-		t.Fatalf("Reset made %d trained bytes, want %d", len(bank.trained), n)
-	}
-	if bank.Step(jump, pos, true, nil, &win); len(win.Abnormal) != 0 {
+	tr.Reset()
+	if bank.Step(jump, pos, true, true, tr, &win); len(win.Abnormal) != 0 {
 		t.Fatalf("first sample after Reset flagged %v", win.Abnormal)
 	}
 
-	// A partial Step cannot be rejected: it trains what it detects on.
-	tr, err := health.New(n, health.Policy{HoldTicks: 1, ReadmitTicks: 1})
-	if err != nil {
-		t.Fatal(err)
+	// With no tracker, a committed position trains every device.
+	if bank.Step(flat, pos, true, true, nil, &win); !reflect.DeepEqual(win.Abnormal, []int{0, 2}) {
+		t.Fatalf("with no tracker flagged %v, want [0 2]", win.Abnormal)
 	}
-	bank.Step(flat, pos, true, tr, &win)
-	if bank.Step(jump, pos, true, tr, &win); !reflect.DeepEqual(win.Abnormal, []int{0, 2}) {
+
+	// A partial Step cannot be rejected: it marks what it consumes,
+	// and a device's first sample only trains it.
+	tr.Reset()
+	if bank.Step(jump, pos, true, false, tr, &win); len(win.Abnormal) != 0 {
+		t.Fatalf("a partial Step over unmarked devices flagged %v", win.Abnormal)
+	}
+	if bank.Step(flat, pos, true, false, tr, &win); !reflect.DeepEqual(win.Abnormal, []int{0, 2}) {
 		t.Fatalf("after a partial Step flagged %v, want [0 2]", win.Abnormal)
 	}
 }
@@ -369,14 +396,14 @@ func TestThresholdBankReject(t *testing.T) {
 	bank := NewThresholdBank(walkFleet(t, n, 2, "threshold"), 3)
 	pos, _ := space.NewState(n, 2)
 	var win Window
-	_, err := bank.Step(snap, pos, false, nil, &win)
+	_, err := bank.Step(snap, pos, false, true, nil, &win)
 	if !errors.Is(err, ErrSample) || walkErr == nil || err.Error() != walkErr.Error() {
 		t.Fatalf("Step = %v, Walk = %v", err, walkErr)
 	}
 	if origin, _ := space.NewState(n, 2); !reflect.DeepEqual(pos, origin) {
 		t.Fatal("a rejected Step wrote positions")
 	}
-	if _, err := bank.Step(walkStream(n, 2, 1, 34)[0], pos, false, nil, &win); err != nil {
+	if _, err := bank.Step(walkStream(n, 2, 1, 34)[0], pos, false, true, nil, &win); err != nil {
 		t.Fatalf("Step of a clean snapshot = %v", err)
 	}
 }
@@ -573,11 +600,7 @@ func TestDeviceBankParity(t *testing.T) {
 		committed := stateRows(pos)
 		var win Window
 		for k, snap := range stream {
-			var stepTracker *health.Tracker
-			if !strict[k] {
-				stepTracker = tr
-			}
-			nClean, err := bank.Step(snap, pos, k > 0, stepTracker, &win)
+			nClean, err := bank.Step(snap, pos, k > 0, strict[k], tr, &win)
 			if err != nil {
 				nClean = -1
 			}
@@ -600,7 +623,7 @@ func TestDeviceBankStrictReject(t *testing.T) {
 	bank := NewDeviceBank(mixedFleet(t, n, d), 3)
 	pos, _ := space.NewState(n, d)
 	var win Window
-	if nClean, err := bank.Step(stream[0], pos, false, nil, &win); nClean != n || err != nil {
+	if nClean, err := bank.Step(stream[0], pos, false, true, nil, &win); nClean != n || err != nil {
 		t.Fatalf("%d clean rows of a clean snapshot, want %d (%v)", nClean, n, err)
 	}
 	predict := func() [][]float64 {
@@ -614,7 +637,7 @@ func TestDeviceBankStrictReject(t *testing.T) {
 	snap := slices.Clone(stream[1])
 	snap[2*minShard+5] = []float64{0.5, math.NaN()}
 	committed := stateRows(pos)
-	_, err := bank.Step(snap, pos, true, nil, &win)
+	_, err := bank.Step(snap, pos, true, true, nil, &win)
 	if !reflect.DeepEqual(predict(), before) || !reflect.DeepEqual(stateRows(pos), committed) {
 		t.Fatal("a rejected strict Step updated detectors or positions")
 	}
@@ -625,7 +648,7 @@ func TestDeviceBankStrictReject(t *testing.T) {
 	// The same rows, all clean, move the predictions: the check above
 	// has teeth.
 	snap[2*minShard+5] = stream[1][2*minShard+5]
-	if _, err := bank.Step(snap, pos, true, nil, &win); err != nil {
+	if _, err := bank.Step(snap, pos, true, true, nil, &win); err != nil {
 		t.Fatal(err)
 	}
 	if reflect.DeepEqual(predict(), before) {
@@ -635,37 +658,68 @@ func TestDeviceBankStrictReject(t *testing.T) {
 
 // oracleBank runs a ThresholdBank's Step with the per-device loops the
 // fused kernel replaced: a serial grading of every row first when the
-// Step is strict, then one State.At slot per device, saved, cleanRow,
+// Step is strict, then one State.At slot per device, saved, oracleClean,
 // the health transition, a clamp loop over the whole row and a
-// short-circuit jump test per service against the saved position.
-// FuzzThresholdBankStep pins the kernel to it.
-type oracleBank struct{ *ThresholdBank }
+// short-circuit jump test per service against the saved position. It
+// keeps Threshold's first-sample rule in trained bytes of its own: a
+// partial Step trains each device it detects on, and its caller
+// trains them all by Monitor.step's rule. FuzzThresholdBankStep pins
+// the kernel, and the kernel tracker's marks, to it.
+type oracleBank struct {
+	d       int
+	delta   float64
+	trained []byte
+	all     bool
+	w       *Walker
+}
 
-func (o oracleBank) Step(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, win *Window) (int, error) {
+func newOracleBank(n, d int, delta float64, workers int) *oracleBank {
+	return &oracleBank{d: d, delta: delta, trained: make([]byte, n), w: NewWalker(workers)}
+}
+
+// trainAll records a tick that fed every device its own row.
+func (o *oracleBank) trainAll() { o.all = true }
+
+// reset forgets every device's training.
+func (o *oracleBank) reset() {
+	clear(o.trained)
+	o.all = false
+}
+
+// isTrained reports which devices o has trained.
+func (o *oracleBank) isTrained() []bool {
+	trained := make([]bool, len(o.trained))
+	for j := range trained {
+		trained[j] = o.all || o.trained[j] != 0
+	}
+	return trained
+}
+
+func (o *oracleBank) Step(rows [][]float64, pos *space.State, committed, strict bool, t *health.Tracker, win *Window) (int, error) {
 	for dev, row := range rows {
-		if t == nil && !cleanRow(row, o.d) {
+		if strict && !oracleClean(row, o.d) {
 			win.reset()
 			return 0, rejectRow(row, dev, o.d)
 		}
 	}
-	return o.w.step(o, rows, pos, committed, t, checkJob{d: o.d}, win)
+	return o.w.step(o, rows, pos, committed, strict, t, o.d, win)
 }
 
-func (o oracleBank) stepRange(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, lo, hi int, win *Window) (int, health.Delta) {
-	d, delta, all, trained := o.d, o.delta, o.all, o.trained
-	train := t != nil && !all
+func (o *oracleBank) stepRange(j *stepJob, lo, hi int, win *Window) (int, health.Delta) {
+	d, delta, all, trained, committed := o.d, o.delta, o.all, o.trained, j.committed
+	train := !j.strict && !all
 	n := 0
 	var hd health.Delta
 	for dev := lo; dev < hi; dev++ {
-		row, p := rows[dev], pos.At(dev)
+		row, p := j.rows[dev], j.pos.At(dev)
 		var old [space.MaxDim]float64
 		copy(old[:], p)
-		ok := cleanRow(row, d)
+		ok := oracleClean(row, d)
 		if ok {
 			n++
 		}
-		if t != nil {
-			switch t.Transition(dev, ok, &hd) {
+		if !j.strict {
+			switch j.t.Transition(dev, ok, &hd) {
 			case health.Consume:
 			case health.Hold:
 				row, ok = old[:d], committed
@@ -710,7 +764,7 @@ func (o oracleBank) stepRange(rows [][]float64, pos *space.State, committed bool
 const (
 	bankFuzzReset  = 1 << 0 // Reset the bank (and tracker) before the tick
 	bankFuzzStrict = 1 << 1 // step the tick under the strict policy
-	bankFuzzForget = 1 << 2 // Reset the trackers alone before the tick
+	bankFuzzForget = 1 << 2 // Reset the trackers, and so training, before the tick
 	bankFuzzMaxRow = 16     // most specs per tick
 	bankFuzzDelta  = 0.05
 
@@ -749,14 +803,16 @@ func bankFuzzTick(op byte, specs ...[]byte) []byte {
 // ticks at d in {1, 2, 3, MaxDim}, on one worker or three: nil, short
 // and long rows, NaN, ±Inf, −0 and out-of-range values, rows that fail
 // on a later service after earlier ones passed, a tracker driven stale
-// and into quarantine, strict ticks among partial ones, Resets, and
-// trackers reset alone, which leaves trained devices without their
-// last-known marks. An accepted tick trains the banks by Monitor.step's
-// rule. After every tick both banks must have rejected with the same
-// error or graded the same clean count, left the same bits in their
-// slabs, flagged the same devices with the same bits of their
-// positions before and after the tick, trained the same devices and
-// left their trackers in the same states and counters.
+// and into quarantine, strict ticks among partial ones, which read the
+// tracker's marks, Resets, and trackers reset alone, which forgets
+// training since the kernel's first-sample rule is the tracker's
+// marks. An accepted tick marks every device, and trains the oracle,
+// by Monitor.step's rule. After every tick both banks must have
+// rejected with the same error or graded the same clean count, left
+// the same bits in their slabs, flagged the same devices with the same
+// bits of their positions before and after the tick, and left their
+// trackers in the same states and counters, and the kernel tracker's
+// marks must be the devices the oracle trained.
 func FuzzThresholdBankStep(f *testing.F) {
 	clean := func(d int, b byte) []byte { return append([]byte{7}, bytes.Repeat([]byte{b}, d)...) }
 	for cfg := range 16 {
@@ -848,7 +904,8 @@ func FuzzThresholdBankStep(f *testing.F) {
 			return row(7, 134)
 		}
 		// Spec 1 drops out on the tick after the trackers are reset
-		// alone: it is held only if the kernel marked it seen.
+		// alone: it is held only if its transition marked it on the
+		// tick between.
 		dropped := func(spec int) []byte {
 			if spec == 1 {
 				return row(bankKindNil, 0)
@@ -896,8 +953,8 @@ func FuzzThresholdBankStep(f *testing.F) {
 			workers, n = 3, 3*minShard+int(cfg>>4)
 		}
 		partial := cfg&8 != 0
-		kernel := NewUniformThresholdBank(n, d, bankFuzzDelta, workers)
-		oracle := oracleBank{NewUniformThresholdBank(n, d, bankFuzzDelta, workers)}
+		kernel := NewUniformThresholdBank(d, bankFuzzDelta, workers)
+		oracle := newOracleBank(n, d, bankFuzzDelta, workers)
 		var kt, ot *health.Tracker
 		if partial {
 			policy := health.Policy{HoldTicks: 1, ReadmitTicks: 2}
@@ -937,23 +994,22 @@ func FuzzThresholdBankStep(f *testing.F) {
 			if op&bankFuzzReset != 0 {
 				// Monitor.Reset's order: the banks, then the slab.
 				kernel.Reset()
-				oracle.Reset()
+				oracle.reset()
 				clear(kpos.Span(0, n))
 				clear(opos.Span(0, n))
 				committed = false
 			}
 			if partial && op&(bankFuzzReset|bankFuzzForget) != 0 {
+				// The kernel's training is the tracker's marks, so
+				// forgetting them forgets it.
 				kt.Reset()
 				ot.Reset()
+				oracle.reset()
 			}
 			allLive := partial && kt.AllLive()
 			strict := !partial || op&bankFuzzStrict != 0
-			skt, sot := kt, ot
-			if strict {
-				skt, sot = nil, nil
-			}
-			kn, kerr := kernel.Step(rows, kpos, committed, skt, &kwin)
-			on, oerr := oracle.Step(rows, opos, committed, sot, &owin)
+			kn, kerr := kernel.Step(rows, kpos, committed, strict, kt, &kwin)
+			on, oerr := oracle.Step(rows, opos, committed, strict, ot, &owin)
 
 			if kn != on || fmt.Sprint(kerr) != fmt.Sprint(oerr) {
 				t.Fatalf("tick %d: kernel graded %d clean (%v), oracle %d (%v)", tick, kn, kerr, on, oerr)
@@ -972,10 +1028,10 @@ func FuzzThresholdBankStep(f *testing.F) {
 					}
 				}
 			}
-			if !slices.Equal(kernel.trained, oracle.trained) || kernel.all != oracle.all {
-				t.Fatalf("tick %d: kernel and oracle trained different devices", tick)
-			}
 			if partial {
+				if marked, trained := marks(kt), oracle.isTrained(); !slices.Equal(marked, trained) {
+					t.Fatalf("tick %d: kernel tracker marks %v, oracle trained %v", tick, marked, trained)
+				}
 				kl, ks, kq := kt.Counts()
 				ol, os, oq := ot.Counts()
 				if kl != ol || ks != os || kq != oq || kt.Stats() != ot.Stats() {
@@ -997,8 +1053,7 @@ func FuzzThresholdBankStep(f *testing.F) {
 					kt.ConsumeAll()
 					ot.ConsumeAll()
 				}
-				kernel.TrainAll()
-				oracle.TrainAll()
+				oracle.trainAll()
 			}
 		}
 	})
@@ -1006,13 +1061,14 @@ func FuzzThresholdBankStep(f *testing.F) {
 
 // BenchmarkThresholdBankStep times the bank's Step alone over n = 1M
 // two-service devices fed one quiet snapshot every tick, in place over
-// one position slab, training the bank as the Monitor does, and
-// reports ns/device. strict is the Observe pass (no tracker, TrainAll
-// after each Step), partial the ObservePartial pass over an all-live
-// fleet (trained after its first tick), lossy the partial pass with a
-// hundredth of the reports lost each tick and a 500-device block
-// quarantined, which never trains the whole bank. workers=0 shards
-// over GOMAXPROCS.
+// one position slab, marking the tracker as the Monitor does, and
+// reports ns/device. strict is the Observe pass (no tracker, so every
+// device is trained once a Step has committed), partial the
+// ObservePartial pass over an all-live fleet (every device marked after
+// its first tick), lossy the partial pass with a hundredth of the
+// reports lost each tick and a 500-device block quarantined, which
+// never marks the whole fleet at once. workers=0 shards over
+// GOMAXPROCS.
 func BenchmarkThresholdBankStep(b *testing.B) {
 	const n, d, stride, block = 1_000_000, 2, 100, 500
 	rng := rand.New(rand.NewSource(5))
@@ -1027,7 +1083,7 @@ func BenchmarkThresholdBankStep(b *testing.B) {
 	for _, mode := range []string{"strict", "partial", "lossy"} {
 		for _, workers := range []int{1, 0} {
 			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
-				bank := NewUniformThresholdBank(n, d, 0.05, workers)
+				bank := NewUniformThresholdBank(d, 0.05, workers)
 				var tr *health.Tracker
 				if mode != "strict" {
 					var err error
@@ -1058,16 +1114,13 @@ func BenchmarkThresholdBankStep(b *testing.B) {
 				step := func(tick int) {
 					lose(tick)
 					allLive := tr != nil && tr.AllLive()
-					nClean, _ := bank.Step(rows, pos, committed, tr, &win)
+					nClean, _ := bank.Step(rows, pos, committed, tr == nil, tr, &win)
 					committed = true
-					// Monitor.step's rule: a strict tick, or a fully
-					// clean one over a fleet all live at its start,
-					// trains the bank and marks every device seen.
-					if tr == nil || allLive && nClean == n {
-						if tr != nil {
-							tr.ConsumeAll()
-						}
-						bank.TrainAll()
+					// Monitor.step's rule: a fully clean partial tick
+					// over a fleet all live at its start marks every
+					// device.
+					if allLive && nClean == n {
+						tr.ConsumeAll()
 					}
 				}
 				// Warm-up: the first tick trains, the lossy block is
@@ -1115,15 +1168,14 @@ func TestThresholdBankShedsWideStep(t *testing.T) {
 		return rows
 	}
 	var win Window
-	bank.Step(snap(0.5), pos, false, nil, &win)
-	bank.TrainAll()
+	bank.Step(snap(0.5), pos, false, true, nil, &win)
 	rows := snap(0.9)
-	if bank.Step(rows, pos, true, nil, &win); len(win.Abnormal) != n {
+	if bank.Step(rows, pos, true, true, nil, &win); len(win.Abnormal) != n {
 		t.Fatalf("the wide Step flagged %d devices, want %d", len(win.Abnormal), n)
 	}
 	for k := 0; k < 3; k++ {
 		rows[0][0] = 0.5 + 0.4*float64(k%2)
-		if bank.Step(rows, pos, true, nil, &win); len(win.Abnormal) != 1 {
+		if bank.Step(rows, pos, true, true, nil, &win); len(win.Abnormal) != 1 {
 			t.Fatalf("small Step %d flagged %d devices, want 1", k, len(win.Abnormal))
 		}
 	}

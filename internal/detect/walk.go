@@ -79,30 +79,31 @@ func (w *Window) reset() {
 	w.Prev, w.Cur = slab.Of(w.Prev, len(w.Prev))[:0], slab.Of(w.Cur, len(w.Cur))[:0]
 }
 
-// classifyJob holds the arguments of one Classify for its shards.
+// classifyJob holds the arguments of one Classify for its shards:
+// samples graded d wide into mask.
 type classifyJob struct {
-	devs    []*Device
 	samples [][]float64
-	clean   []bool
+	d       int
+	mask    []bool
 }
 
-// checkJob holds the arguments of one check for its shards: rows are
-// d wide, or each device's width when devs is set.
+// checkJob holds the arguments of one check for its shards: rows
+// graded d wide.
 type checkJob struct {
 	rows [][]float64
 	d    int
-	devs []*Device
 }
 
-// stepJob holds the arguments of one bank Step for its shards; a
-// strict Step (nil t) grades its rows as chk describes them first.
+// stepJob holds the arguments of one bank Step for its shards: its
+// rows, which a strict Step grades d wide first and a partial one
+// grades as it goes, running each device's health transition on t.
 type stepJob struct {
+	checkJob
 	b         ranger
-	rows      [][]float64
 	pos       *space.State
 	committed bool
+	strict    bool
 	t         *health.Tracker
-	chk       checkJob
 	ranges    int
 }
 
@@ -127,8 +128,9 @@ func NewWalker(workers int) *Walker {
 // Walk feeds row j of samples to device j — exactly one Update per
 // device — and appends the ids whose abnormal flag a_k(j) fired to out
 // in ascending order, reusing out's storage. Every row is validated
-// (width and finiteness) before the first detector update, so a non-nil
-// error means no detector state changed.
+// (the fleet's width, and finiteness) before the first detector update,
+// so a non-nil error means no detector state changed. Every device of
+// devs must be equally wide.
 //
 // visit, when non-nil, runs once per device inside the same sharded
 // pass, before that device's Update. Shards are disjoint contiguous id
@@ -144,7 +146,7 @@ func (w *Walker) Walk(devs []*Device, samples [][]float64, visit func(dev int, r
 	if len(samples) != n {
 		return out[:0], fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), n, ErrSample)
 	}
-	if err := w.check(samples, 0, devs); err != nil {
+	if err := w.check(samples, width(devs)); err != nil {
 		return out[:0], err
 	}
 	return w.WalkSkip(devs, samples, visit, out)
@@ -153,13 +155,12 @@ func (w *Walker) Walk(devs []*Device, samples [][]float64, visit func(dev int, r
 // check grades every row like Classify, sharded, and explains the
 // lowest unclean one — the error a serial validation pass would report
 // first, whatever the worker count — or returns nil when every row is
-// clean. A row must be d wide, or as wide as its device when devs is
-// set. check reads the rows and writes nothing else.
-func (w *Walker) check(rows [][]float64, d int, devs []*Device) error {
-	w.chk = checkJob{rows: rows, d: d, devs: devs}
+// clean against width d. check reads the rows and writes nothing else.
+func (w *Walker) check(rows [][]float64, d int) error {
+	w.chk = checkJob{rows: rows, d: d}
 	workers := par.Ranges(len(rows), w.workers, minShard, w.checkShard)
 	w.chk = checkJob{} // hold no caller rows between calls
-	return reject(rows, w.bad[:workers], d, devs)
+	return reject(rows, w.bad[:workers], d)
 }
 
 // runCheck is checkShard: it grades range i, [lo, hi), of the check in
@@ -169,37 +170,45 @@ func (w *Walker) runCheck(i, lo, hi int) {
 }
 
 // unclean returns the lowest row of [lo, hi) that is not clean, or −1.
-// Rows of one width are graded by summing v−v, which is NaN exactly
-// when a value is not finite.
 func (j *checkJob) unclean(lo, hi int) int {
 	for dev := lo; dev < hi; dev++ {
-		row := j.rows[dev]
-		if j.devs != nil {
-			if !cleanRow(row, len(j.devs[dev].detectors)) {
-				return dev
-			}
-			continue
-		}
-		var nan float64
-		for _, x := range row {
-			nan += x - x
-		}
-		if len(row) != j.d || nan != 0 {
+		if !clean(j.rows[dev], j.d) {
 			return dev
 		}
 	}
 	return -1
 }
 
+// clean is the one row grader: it reports whether row is d wide and
+// finite in every value. The sum of v−v over the row is NaN exactly
+// when some value is not finite. A nil row is never clean: every
+// fleet is at least one service wide.
+func clean(row []float64, d int) bool {
+	if len(row) != d {
+		return false
+	}
+	var nan float64
+	for _, x := range row {
+		nan += x - x
+	}
+	return nan == 0
+}
+
+// width returns the one width of the fleet devs, whose devices are
+// all as wide as the first.
+func width(devs []*Device) int {
+	if len(devs) == 0 {
+		return 0
+	}
+	return devs[0].Services()
+}
+
 // reject explains the lowest unclean row that bad, the ranges' lowest
-// unclean rows in range order, names, or returns nil when it names
-// none.
-func reject(rows [][]float64, bad []int, d int, devs []*Device) error {
+// unclean rows in range order, names against width d, or returns nil
+// when it names none.
+func reject(rows [][]float64, bad []int, d int) error {
 	for _, dev := range bad {
 		if dev >= 0 {
-			if devs != nil {
-				d = len(devs[dev].detectors)
-			}
 			return rejectRow(rows[dev], dev, d)
 		}
 	}
@@ -222,14 +231,15 @@ func rejectRow(row []float64, dev, want int) error {
 
 // Classify grades every row of a possibly-degraded snapshot without
 // touching any detector, sharded like Walk: clean[dev] is set to
-// whether row dev is present (non-nil), matches device dev's width,
-// and is finite in every coordinate. The degraded ingest path treats
-// malformed and missing reports identically — neither carries a usable
-// measurement — so classification folds both into one bit instead of
-// reporting an error. Returns the number of clean rows. len(samples)
+// whether row dev is present (non-nil), matches the fleet's width —
+// every device of devs must be equally wide — and is finite in every
+// coordinate. The degraded ingest path treats malformed and missing
+// reports identically — neither carries a usable measurement — so
+// classification folds both into one bit instead of reporting an
+// error. Returns the number of clean rows. len(samples)
 // and len(clean) must equal len(devs).
 func (w *Walker) Classify(devs []*Device, samples [][]float64, clean []bool) int {
-	w.cls = classifyJob{devs: devs, samples: samples, clean: clean}
+	w.cls = classifyJob{samples: samples, d: width(devs), mask: clean}
 	workers := par.Ranges(len(devs), w.workers, minShard, w.classifyShard)
 	w.cls = classifyJob{} // hold no caller rows between calls
 	n := 0
@@ -245,26 +255,12 @@ func (w *Walker) runClassify(i, lo, hi int) {
 	j := &w.cls
 	c := 0
 	for dev := lo; dev < hi; dev++ {
-		j.clean[dev] = cleanRow(j.samples[dev], len(j.devs[dev].detectors))
-		if j.clean[dev] {
+		j.mask[dev] = clean(j.samples[dev], j.d)
+		if j.mask[dev] {
 			c++
 		}
 	}
 	w.counts[i] = c
-}
-
-// cleanRow reports whether row is present, want wide and finite in
-// every coordinate.
-func cleanRow(row []float64, want int) bool {
-	if row == nil || len(row) != want {
-		return false
-	}
-	for _, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // fan runs f over contiguous device ranges of [0, n), one per worker:
@@ -312,33 +308,31 @@ func (w *Walker) merge(workers int, win *Window) int {
 	return total
 }
 
-// ranger is a bank's Step over one device range [lo, hi): it appends
-// the range's abnormal devices and their rows to win and returns the
-// range's clean-row count and health delta.
+// ranger is a bank's Step over one device range [lo, hi) of the Step
+// j: it appends the range's abnormal devices and their rows to win and
+// returns the range's clean-row count and health delta.
 type ranger interface {
-	stepRange(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, lo, hi int, win *Window) (int, health.Delta)
+	stepRange(j *stepJob, lo, hi int, win *Window) (int, health.Delta)
 }
 
 // step runs b's Step over every row like fan, keeping each range's
 // window and health delta in its worker's slots until the pass is
-// done, then merges the windows into win and folds the deltas into t
-// when it is set. A strict Step (nil t) grades the rows as chk
-// describes them first, in the same pass: each range grades its own
-// rows, waits until every range has, and steps only if all are clean;
-// otherwise step writes nothing and explains the lowest unclean row.
-func (w *Walker) step(b ranger, rows [][]float64, pos *space.State, committed bool, t *health.Tracker, chk checkJob, win *Window) (int, error) {
-	w.job = stepJob{b: b, rows: rows, pos: pos, committed: committed, t: t}
-	if t == nil {
-		chk.rows = rows
-		w.job.chk = chk
+// done, then merges the windows into win and, unless the Step is
+// strict, folds the deltas into t. A strict Step grades the rows d
+// wide first, in the same pass: each range grades its own rows, waits
+// until every range has, and steps only if all are clean; otherwise
+// step writes nothing and explains the lowest unclean row.
+func (w *Walker) step(b ranger, rows [][]float64, pos *space.State, committed, strict bool, t *health.Tracker, d int, win *Window) (int, error) {
+	w.job = stepJob{checkJob: checkJob{rows: rows, d: d}, b: b, pos: pos, committed: committed, strict: strict, t: t}
+	if strict {
 		w.job.ranges = par.RangeCount(len(rows), w.workers, minShard)
 		w.graded.Add(w.job.ranges)
 	}
 	workers := par.Ranges(len(rows), w.workers, minShard, w.stepShard)
 	w.job = stepJob{} // hold no caller rows or states between Steps
 	total := w.merge(workers, win)
-	if t == nil {
-		if err := reject(rows, w.bad[:workers], chk.d, chk.devs); err != nil {
+	if strict {
+		if err := reject(rows, w.bad[:workers], d); err != nil {
 			return 0, err
 		}
 		return total, nil
@@ -357,8 +351,8 @@ func (w *Walker) runStep(i, lo, hi int) {
 	j, b := &w.job, &w.bufs[i]
 	b.reset()
 	w.counts[i] = 0
-	if j.t == nil {
-		w.bad[i] = j.chk.unclean(lo, hi)
+	if j.strict {
+		w.bad[i] = j.unclean(lo, hi)
 		w.graded.Done()
 		w.graded.Wait()
 		for _, bad := range w.bad[:j.ranges] {
@@ -367,7 +361,7 @@ func (w *Walker) runStep(i, lo, hi int) {
 			}
 		}
 	}
-	w.counts[i], w.deltas[i] = j.b.stepRange(j.rows, j.pos, j.committed, j.t, lo, hi, b)
+	w.counts[i], w.deltas[i] = j.b.stepRange(j, lo, hi, b)
 }
 
 // WalkSkip runs the detector walk of one pre-classified partial

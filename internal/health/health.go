@@ -131,7 +131,9 @@ type Tracker struct {
 	// live/stale devices, consecutive clean reports for quarantined ones.
 	run []int32
 	// seen marks devices that have delivered at least one consumed
-	// report — only they have a last-known value to hold. allSeen is the
+	// report — only they have a last-known value to hold, and only
+	// their detectors are trained: the detector bank reads the marks as
+	// its first-sample rule. allSeen is the
 	// whole-fleet form, set by ConsumeAll: a fully-clean all-live tick or
 	// a strict tick consumes every device's report without per-device
 	// Report calls, and one such tick gives the whole fleet a last-known
@@ -219,14 +221,13 @@ func (t *Tracker) Transition(dev int, clean bool, d *Delta) Disposition {
 	return t.transition(dev, clean, d)
 }
 
-// Shard returns what a sharded pass over devices [lo, hi) needs to fold
-// a clean report of a live device without Transition: the devices'
-// states, nil when every device is live, and their last-known marks,
-// nil once ConsumeAll has marked the whole fleet. Folding such a report
-// sets the device's mark, when the marks are not nil, and changes
-// nothing else. Like Transition, Shard may run on disjoint ranges at
-// once; what it returns holds for the pass until its deltas are
-// applied.
+// Shard returns what a sharded pass over devices [lo, hi) reads
+// without Transition: the devices' states, nil when every device is
+// live, and their last-known marks, nil once ConsumeAll has marked the
+// whole fleet. A clean report of a live, marked device folds into no
+// change at all, so such a pass may take it without Transition. Like
+// Transition, Shard may run on disjoint ranges at once; what it
+// returns holds for the pass until its deltas are applied.
 func (t *Tracker) Shard(lo, hi int) (states []State, seen []bool) {
 	if t.impaired != 0 {
 		states = t.states[lo:hi:hi]

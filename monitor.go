@@ -104,8 +104,7 @@ type Monitor struct {
 // bank is the fleet's detector pass: detect.ThresholdBank or
 // detect.DeviceBank.
 type bank interface {
-	Step(rows [][]float64, pos *space.State, committed bool, t *health.Tracker, win *detect.Window) (int, error)
-	TrainAll()
+	Step(rows [][]float64, pos *space.State, committed, strict bool, t *health.Tracker, win *detect.Window) (int, error)
 	Reset()
 }
 
@@ -153,7 +152,7 @@ func NewMonitor(devices, services int, opts ...Option) (*Monitor, error) {
 	}
 	if cfg.factory == nil {
 		// The default detectors are the Threshold bank's by construction.
-		m.bank = detect.NewUniformThresholdBank(devices, services, defaultThresholdDelta, cfg.ingestWorkers)
+		m.bank = detect.NewUniformThresholdBank(services, defaultThresholdDelta, cfg.ingestWorkers)
 	} else {
 		b, err := newBank(devices, services, cfg.factory, cfg.ingestWorkers)
 		if err != nil {
@@ -345,16 +344,18 @@ func (m *Monitor) localIDs(k int) []int {
 
 // step ingests one snapshot into the bank with one Step, unless the
 // strict policy rejects it: a strict Step grades the whole snapshot
-// before it writes anything and reports the lowest unclean row. A
-// partial tick hands the Step the health tracker, so every device's
-// health transition runs inside the sharded pass and picks what it
-// detects on; the pass holds statsMu. A tick that fed every device its
+// before it writes anything and reports the lowest unclean row. Every
+// Step reads the health tracker's last-known marks, if there is a
+// tracker, as its detectors' first-sample rule; with none, every
+// device is trained once a tick has committed. A partial tick also
+// runs every device's health transition inside the sharded pass,
+// which picks what the device detects on and marks it when it is
+// consumed; the pass holds statsMu. A tick that fed every device its
 // own row — an accepted strict tick, or a partial one that found every
-// row clean over a fleet all-live at its start — trains the whole bank
-// and gives every device a last-known value in the tracker, if there
-// is one, with ConsumeAll.
+// row clean over a fleet all-live at its start — marks the whole
+// fleet with ConsumeAll.
 func (m *Monitor) step(samples [][]float64, committed, strict bool) error {
-	var tracker *health.Tracker
+	tracker := m.health.Load()
 	if !strict {
 		var err error
 		if tracker, err = m.tracker(); err != nil {
@@ -363,18 +364,15 @@ func (m *Monitor) step(samples [][]float64, committed, strict bool) error {
 		m.statsMu.Lock()
 		defer m.statsMu.Unlock()
 	}
-	allLive := tracker != nil && tracker.AllLive()
-	nClean, err := m.bank.Step(samples, m.prev, committed, tracker, &m.win)
+	allLive := !strict && tracker.AllLive()
+	nClean, err := m.bank.Step(samples, m.prev, committed, strict, tracker, &m.win)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
-	if strict || allLive && nClean == m.devices {
+	if tracker != nil && (strict || allLive && nClean == m.devices) {
 		// Only the observing goroutine reads the tracker's last-known
-		// marks, so a strict tick marks them without statsMu.
-		if t := m.health.Load(); t != nil {
-			t.ConsumeAll()
-		}
-		m.bank.TrainAll()
+		// marks, so a strict tick reads and sets them without statsMu.
+		tracker.ConsumeAll()
 	}
 	return nil
 }

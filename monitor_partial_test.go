@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
+	"anomalia/internal/detect"
 	"anomalia/internal/health"
 	"anomalia/internal/space"
 )
@@ -583,4 +585,78 @@ func TestStrictThenPartialHoldsDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	held(t, mon, 1, []float64{0.3, 0.7})
+}
+
+// TestFirstSampleNeverJumps: a device's first sample only trains its
+// detectors, whichever tick delivers it, so it is never flagged, on
+// either bank. Device 5 is silent over several partial ticks, parked
+// at the origin, and then delivers 0.9, far from it: in a partial tick,
+// in a strict tick, and both again on a monitor whose tracker was built
+// lazily after strict ticks and then Reset. The tick after the first
+// sample returns it to 0.5, which is a jump: its detectors trained.
+// Every tick, the Threshold bank must give what the per-device bank
+// gives.
+func TestFirstSampleNeverJumps(t *testing.T) {
+	t.Parallel()
+
+	const n, dev = 16, 5
+	quiet := fleetSnapshot(n, 0.5, nil)
+	silent := fleetSnapshot(n, 0.5, nil)
+	silent[dev] = nil
+	first := fleetSnapshot(n, 0.5, map[int]float64{dev: 0.9})
+	type tick struct {
+		snap          [][]float64
+		strict, reset bool
+	}
+	lazy := []tick{{quiet, true, false}, {quiet, true, false}, {quiet, false, false}, {silent, false, true}}
+	for _, leg := range []struct {
+		name   string
+		before []tick
+		strict bool
+	}{
+		{"partial", nil, false},
+		{"strict", nil, true},
+		{"lazy tracker, partial", lazy, false},
+		{"lazy tracker, strict", lazy, true},
+	} {
+		ticks := append(slices.Clone(leg.before), tick{snap: silent}, tick{snap: silent}, tick{snap: silent},
+			tick{snap: first, strict: leg.strict}, tick{snap: quiet, strict: leg.strict})
+		policy := WithHealthPolicy(HealthPolicy{HoldTicks: 5, ReadmitTicks: 1})
+		bank, err := NewMonitor(n, 1, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		generic, err := NewMonitor(n, 1, policy, WithDetectorFactory(genericThreshold))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := bank.bank.(*detect.ThresholdBank); !ok {
+			t.Fatal("the default factory must run the Threshold bank")
+		}
+		for k, tk := range ticks {
+			observe := (*Monitor).ObservePartial
+			if tk.strict {
+				observe = (*Monitor).Observe
+			}
+			if tk.reset {
+				bank.Reset()
+				generic.Reset()
+			}
+			got, err := observe(bank, tk.snap)
+			if err != nil {
+				t.Fatalf("%s tick %d: %v", leg.name, k, err)
+			}
+			want, err := observe(generic, tk.snap)
+			if err != nil {
+				t.Fatalf("%s tick %d: %v", leg.name, k, err)
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(bank.prev, generic.prev) {
+				t.Fatalf("%s tick %d: Threshold bank %+v, per-device bank %+v", leg.name, k, got, want)
+			}
+			flagged := got != nil && slices.ContainsFunc(got.Reports, func(r Report) bool { return r.Device == dev })
+			if last := k == len(ticks)-1; flagged != last {
+				t.Fatalf("%s tick %d: device %d flagged %v, want %v", leg.name, k, dev, flagged, last)
+			}
+		}
+	}
 }

@@ -383,10 +383,10 @@ func DefaultHealthPolicy() HealthPolicy {
 }
 
 // WithHealthPolicy sets the degraded-ingestion policy applied by
-// Monitor.ObservePartial. Ignored by Observe, which rejects degraded
-// snapshots outright, and by Characterize, which takes the abnormal
-// set as input. NewMonitor rejects negative HoldTicks and
-// ReadmitTicks < 1.
+// Monitor.ObservePartial, and by Observe, which rejects degraded
+// snapshots outright, to the clean ones it accepts once partial ticks
+// have run. Ignored by Characterize, which takes the abnormal set as
+// input. NewMonitor rejects negative HoldTicks and ReadmitTicks < 1.
 func WithHealthPolicy(p HealthPolicy) Option {
 	return func(c *config) {
 		c.health = health.Policy{HoldTicks: p.HoldTicks, ReadmitTicks: p.ReadmitTicks}

@@ -7,9 +7,11 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"anomalia"
 	"anomalia/internal/snapio"
@@ -227,6 +229,108 @@ func TestGatewayDocSync(t *testing.T) {
 				t.Errorf("usage comment omits summary field %q (%s.%s)", tag, typ.Name(), typ.Field(i).Name)
 			}
 		}
+	}
+}
+
+// TestGatewayThresholdBuildsNoDetectors: -detector threshold, the
+// default, selects the Monitor's default detectors, so building the
+// gateway's monitor allocates nothing per device. A run over an empty
+// stream of 100,000 two-service devices allocates a few dozen times;
+// passing the threshold factory built a Device, its detector slice and
+// two Threshold detectors per device: four allocations each.
+func TestGatewayThresholdBuildsNoDetectors(t *testing.T) {
+	args := []string{"-devices", "100000", "-services", "2", "-detector", "threshold"}
+	allocs := testing.AllocsPerRun(1, func() {
+		if err := run(args, strings.NewReader(""), io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Fatalf("building the gateway's monitor allocated %.0f times, want at most 1000", allocs)
+	}
+}
+
+// TestGatewaySourcesMendHoles: a faulty tick nils its devices' rows,
+// and the next tick restores exactly those. On every tick a faulty
+// device's row is nil and every other row is present, carries its
+// values and views its slice of the one frame slab, the CSV source's
+// own: after a fault, on a clean tick, on a fault on another device
+// and, for CSV, after a lost record.
+func TestGatewaySourcesMendHoles(t *testing.T) {
+	t.Parallel()
+
+	const devices, services, lost = 6, 2, -2
+	frame := func(hole int) []float64 {
+		flat := make([]float64, devices*services)
+		for i := range flat {
+			flat[i] = 0.5 + 0.01*float64(i)
+		}
+		if hole >= 0 {
+			flat[hole*services+1] = math.NaN()
+		}
+		return flat
+	}
+	for _, tc := range []struct {
+		name  string
+		holes []int // the faulty device per tick: -1 none, lost the whole tick
+		src   func(holes []int) (tickSource, []float64)
+	}{
+		{"csv", []int{1, -1, 4, lost, -1, 4, -1}, func(holes []int) (tickSource, []float64) {
+			var sb strings.Builder
+			for _, hole := range holes {
+				if hole == lost {
+					sb.WriteString("0.5,0.5\n")
+					continue
+				}
+				sb.WriteString(buildCSVExact([][]float64{frame(hole)}))
+			}
+			src := newCSVSource(strings.NewReader(sb.String()), devices, services, false)
+			return src, src.flat
+		}},
+		{"bin", []int{1, -1, 4, -1, 4, -1}, func(holes []int) (tickSource, []float64) {
+			snaps := make([][]float64, len(holes))
+			for k, hole := range holes {
+				snaps[k] = frame(hole)
+			}
+			return newBinSource(bytes.NewReader(buildFrames(t, snaps)), devices, services, false), nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, slab := tc.src(tc.holes)
+			for k, hole := range tc.holes {
+				rows, faults, err := src.Next()
+				if err != nil {
+					t.Fatalf("tick %d: %v", k, err)
+				}
+				if len(rows) != devices || (hole == -1) != (len(faults) == 0) {
+					t.Fatalf("tick %d: %d rows, %d faults", k, len(rows), len(faults))
+				}
+				if hole == lost {
+					for dev, row := range rows {
+						if row != nil {
+							t.Fatalf("tick %d: device %d has a row on a lost tick", k, dev)
+						}
+					}
+					continue
+				}
+				if slab == nil {
+					slab = unsafe.Slice(&rows[0][0], devices*services)
+				}
+				want := frame(hole)
+				for dev, row := range rows {
+					if dev == hole {
+						if row != nil {
+							t.Fatalf("tick %d: faulty device %d has a row", k, dev)
+						}
+						continue
+					}
+					view := slab[dev*services : (dev+1)*services]
+					if len(row) != services || cap(row) != services || &row[0] != &view[0] || !slices.Equal(row, want[dev*services:(dev+1)*services]) {
+						t.Fatalf("tick %d: device %d row %v does not view its slice of the frame", k, dev, row)
+					}
+				}
+			}
+		})
 	}
 }
 

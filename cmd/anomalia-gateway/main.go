@@ -147,14 +147,14 @@ func main() {
 // detectorTable is the single source of truth for the -detector flag:
 // the selection switch, the flag help and the doc-sync test all derive
 // from it, so a detector cannot ship half-documented again (shewhart
-// once existed in the switch but not in the usage text).
+// once existed in the switch but not in the usage text). A nil factory
+// selects the Monitor's default detectors, Threshold with delta 0.05,
+// which run as a column bank without a detector per device.
 var detectorTable = []struct {
 	name    string
 	factory func(int, int) (anomalia.Detector, error)
 }{
-	{"threshold", func(int, int) (anomalia.Detector, error) {
-		return anomalia.NewThresholdDetector(0.05)
-	}},
+	{"threshold", nil},
 	{"ewma", func(int, int) (anomalia.Detector, error) {
 		return anomalia.NewEWMADetector(0.3, 5, 0.01, 3)
 	}},
@@ -181,7 +181,8 @@ func detectorNames() string {
 	return strings.Join(names, "|")
 }
 
-// detectorFactory resolves the per-service detector selected by name.
+// detectorFactory resolves the per-service detector selected by name;
+// nil selects the Monitor's default.
 func detectorFactory(name string) (func(int, int) (anomalia.Detector, error), error) {
 	for _, d := range detectorTable {
 		if d.name == name {
@@ -256,29 +257,45 @@ type csvSource struct {
 	strict   bool
 	r        *csv.Reader
 	flat     []float64
-	rows     [][]float64
-	faults   []fault
-	// dirty marks rows entries nil'd for a faulty tick: snapio.Rows'
-	// reuse check only inspects rows[0], so a later clean tick must
-	// rebuild the table itself or ship last tick's holes again.
-	dirty bool
+	// rows views flat, built once; faults are the last tick's, whose
+	// rows are nil until the next tick mends them.
+	rows   [][]float64
+	faults []fault
 }
 
 func newCSVSource(r io.Reader, devices, services int, strict bool) *csvSource {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = devices * services
 	cr.ReuseRecord = true
+	flat := make([]float64, devices*services)
 	return &csvSource{
 		devices:  devices,
 		services: services,
 		strict:   strict,
 		r:        cr,
-		flat:     make([]float64, devices*services),
-		rows:     make([][]float64, devices),
+		flat:     flat,
+		rows:     snapio.Rows(flat, nil, services),
+	}
+}
+
+// mend restores the rows of the table rows over flat that faults, the
+// last tick's, nil'd — every row after a lost tick — so a tick rewrites
+// only the holes, not the table.
+func mend(rows [][]float64, flat []float64, services int, faults []fault) {
+	for _, f := range faults {
+		lo, hi := f.device, f.device+1
+		if f.device < 0 {
+			lo, hi = 0, len(rows)
+		}
+		for dev := lo; dev < hi; dev++ {
+			rows[dev] = flat[dev*services : (dev+1)*services : (dev+1)*services]
+		}
 	}
 }
 
 func (s *csvSource) Next() ([][]float64, []fault, error) {
+	mend(s.rows, s.flat, s.services, s.faults)
+	s.faults = s.faults[:0]
 	record, err := s.r.Read()
 	if err != nil {
 		if err == io.EOF {
@@ -295,15 +312,11 @@ func (s *csvSource) Next() ([][]float64, []fault, error) {
 		if errors.As(err, &pe) {
 			line = pe.Line
 		}
-		for dev := range s.rows {
-			s.rows[dev] = nil
-		}
-		s.dirty = true
-		s.faults = append(s.faults[:0], fault{device: -1, frame: -1, line: line, reason: err.Error()})
+		clear(s.rows)
+		s.faults = append(s.faults, fault{device: -1, frame: -1, line: line, reason: err.Error()})
 		return s.rows, s.faults, nil
 	}
 
-	s.faults = s.faults[:0]
 	bad := func(dev int, field int, reason string) error {
 		line, col := s.r.FieldPos(field)
 		if s.strict {
@@ -346,19 +359,8 @@ func (s *csvSource) Next() ([][]float64, []fault, error) {
 			}
 		}
 	}
-	if len(s.faults) == 0 && !s.dirty {
-		s.rows = snapio.Rows(s.flat, s.rows, s.services)
-		return s.rows, nil, nil
-	}
-	for dev := 0; dev < s.devices; dev++ {
-		s.rows[dev] = s.flat[dev*s.services : (dev+1)*s.services : (dev+1)*s.services]
-	}
-	s.dirty = len(s.faults) > 0
 	for _, f := range s.faults {
 		s.rows[f.device] = nil
-	}
-	if len(s.faults) == 0 {
-		return s.rows, nil, nil
 	}
 	return s.rows, s.faults, nil
 }
@@ -373,10 +375,10 @@ type binSource struct {
 	services int
 	strict   bool
 	r        *snapio.FrameReader
-	rows     [][]float64
-	faults   []fault
-	// dirty: see csvSource.dirty.
-	dirty bool
+	// rows and faults: see csvSource. The frame reader hands back the
+	// same slab every tick, so the table is built on the first.
+	rows   [][]float64
+	faults []fault
 }
 
 func newBinSource(r io.Reader, devices, services int, strict bool) *binSource {
@@ -392,8 +394,10 @@ func (s *binSource) Next() ([][]float64, []fault, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	frame, start := s.r.Frames()-1, s.r.Offset()-int64(4+8*len(flat))
+	mend(s.rows, flat, s.services, s.faults)
 	s.faults = s.faults[:0]
+	s.rows = snapio.Rows(flat, s.rows, s.services)
+	frame, start := s.r.Frames()-1, s.r.Offset()-int64(4+8*len(flat))
 	for dev := 0; dev*s.services < len(flat); dev++ {
 		row := flat[dev*s.services : (dev+1)*s.services]
 		svc, reason := gradeRow(row)
@@ -410,18 +414,8 @@ func (s *binSource) Next() ([][]float64, []fault, error) {
 			reason: reason,
 		})
 	}
-	s.rows = snapio.Rows(flat, s.rows, s.services)
-	if s.dirty {
-		for dev := range s.rows {
-			s.rows[dev] = flat[dev*s.services : (dev+1)*s.services : (dev+1)*s.services]
-		}
-	}
-	s.dirty = len(s.faults) > 0
 	for _, f := range s.faults {
 		s.rows[f.device] = nil
-	}
-	if len(s.faults) == 0 {
-		return s.rows, nil, nil
 	}
 	return s.rows, s.faults, nil
 }
@@ -550,10 +544,12 @@ func run(args []string, stdin io.Reader, out, errOut io.Writer) error {
 	monOpts := []anomalia.Option{
 		anomalia.WithRadius(*radius),
 		anomalia.WithTau(*tau),
-		anomalia.WithDetectorFactory(factory),
 		anomalia.WithDistributed(*distMode),
 		anomalia.WithIngestWorkers(*workers),
 		anomalia.WithHealthPolicy(anomalia.HealthPolicy{HoldTicks: *holdTicks, ReadmitTicks: *readmit}),
+	}
+	if factory != nil {
+		monOpts = append(monOpts, anomalia.WithDetectorFactory(factory))
 	}
 	if *directory != "" {
 		monOpts = append(monOpts, anomalia.WithDirectory(anomalia.DirectoryConfig{

@@ -127,15 +127,17 @@
 // one width (every device is built services wide), and finite by a
 // sum of v−v, which is NaN exactly when a value is not, since
 // v < 0 || v > 1 is false for NaN — before any detector state it would
-// feed is committed. Observe's strict policy grades the whole
-// snapshot before its pass writes anything (each shard grades
-// its rows, then waits for the others) and rejects it on the lowest
-// unclean row, so a rejected snapshot leaves the monitor exactly as it
-// was: positions, clock, detectors and health. An error after
-// acceptance (e.g. an exact-search budget) reports a consumed
-// observation whose clock and positions advanced coherently;
-// ObservePartial hands the verdicts to the health state machine
-// instead (see Degraded operation).
+// feed is committed. Observe is ObservePartial behind a reject rule:
+// it grades the whole snapshot before its pass writes anything (each
+// shard grades its rows, then waits for the others) and rejects it on
+// the lowest unclean row, so a rejected snapshot leaves the monitor
+// exactly as it was: positions, clock, detectors and health. An
+// accepted snapshot is consumed exactly as ObservePartial consumes it,
+// health transitions included; ObservePartial never rejects a row and
+// hands its faults to the health state machine instead (see Degraded
+// operation). An error after acceptance (e.g. an exact-search budget)
+// reports a consumed observation whose clock and positions advanced
+// coherently.
 //
 // The Monitor holds one n×d position slab, written in place: device
 // j's slot holds its committed position S_{k−1}(j) as tick k starts
@@ -197,25 +199,23 @@
 // detects on, since the transition marks a device it consumes and a
 // first sample only trains; only then is the clamped row written,
 // flagged when the device was marked and its largest clamped jump
-// exceeds delta. Then the loop resumes. On a shared 2-core x86-64
-// box, the five repetitions in scripts/benchgate/testdata/bench.txt
-// read the quiet n = 1M, d = 2 strict tick
-// (BenchmarkTickIngestDetect1M), whose grading phase reads every row
-// once more, at 7.1–10.5 ms (median 9.9), 0.26–0.46x the same tick on
-// the per-device bank, and the quiet partial tick, which grades each
-// row inside the one pass, at 4.6–6.8 ms (median 6.1). A strict pass
-// reads the marks but runs no transition and sets no mark; the
-// Monitor marks the whole fleet after an accepted strict tick. Every
-// tick is that one pass.
-// On a partial tick each device's health transition runs inside it,
-// between the classification and the detector test, and picks what
-// the device detects on — its own report, its held position, or
-// nothing — with each shard's counter changes folded into the tracker
-// after the pass. Any other factory output — another detector family,
-// mixed deltas, a pre-trained or custom detector — runs a per-device
-// bank under the same Step contract: a heap Device per device, and the
-// same one sharded pass, which classifies each row, runs its health
-// transition on a partial tick and feeds the picked row to the
+// exceeds delta. Then the loop resumes. The quiet n = 1M, d = 2
+// strict tick (BenchmarkTickIngestDetect1M), whose grading phase
+// reads every row once more, and the quiet partial tick, which grades
+// each row inside the one pass, are timed in
+// scripts/benchgate/testdata/bench.txt. Every tick is that one pass.
+// Once the Monitor has a health tracker, each device's health
+// transition runs inside it on every accepted tick, strict or
+// partial, between the classification and the detector test, and
+// picks what the device detects on — its own report, its held
+// position, or nothing — with each shard's counter changes folded into
+// the tracker after the pass. A Monitor fed only through Observe
+// builds no tracker: its fleet is all live, where the tracker's rule
+// is to consume every clean row. Any other factory output — another
+// detector family, mixed deltas, a pre-trained or custom detector —
+// runs a per-device bank under the same Step contract: a heap Device
+// per device, and the same one sharded pass, which classifies each
+// row, runs its health transition and feeds the picked row to the
 // device's detectors with one interface call per service. A
 // differential fuzz target pins the two banks to the same outcomes,
 // errors, states and health.

@@ -146,10 +146,12 @@ func fuzzTick(seed []byte, d int, op byte, dev int, kind, value byte) []byte {
 // partial ticks long enough to quarantine and re-admit the device,
 // around a dip that makes a window abnormal and a Reset; the
 // clamp-once stream of TestMonitorClampOncePolicy: a partial fuzzHigh
-// report, a lost one, and fuzzHigh again; and the stream of
+// report, a lost one, and fuzzHigh again; the stream of
 // TestStrictThenPartialHoldsDevice: two strict ticks, a partial one
 // missing a device, the same after a Reset, then a strict tick and the
-// missing device again.
+// missing device again; and strict ticks over an impaired device: a
+// dip from a stale device, then clean reports after its quarantine,
+// which the first drops and the second re-admits.
 func monitorFuzzSeeds() [][]byte {
 	type fault struct {
 		driven int // index into fuzzDriven
@@ -194,6 +196,15 @@ func monitorFuzzSeeds() [][]byte {
 		seed = fuzzTick(seed, d, 0, -1, 0, 0)
 		seed = fuzzTick(seed, d, fuzzPartial, 3, fuzzKindNil, fuzzHealthy)
 		seeds = append(seeds, seed)
+		seed = fuzzTick([]byte{cfg}, d, fuzzPartial, -1, 0, 0)
+		seed = fuzzTick(seed, d, fuzzPartial, 2, fuzzKindNil, fuzzHealthy)
+		seed = fuzzTick(seed, d, 0, 2, 0, fuzzDip)
+		for range 3 {
+			seed = fuzzTick(seed, d, fuzzPartial, 2, fuzzKindNil, fuzzHealthy)
+		}
+		seed = fuzzTick(seed, d, 0, -1, 0, 0)
+		seed = fuzzTick(seed, d, 0, -1, 0, 0)
+		seeds = append(seeds, seed)
 	}
 	return seeds
 }
@@ -204,7 +215,8 @@ func monitorFuzzSeeds() [][]byte {
 // every tick of an arbitrary stream of strict and partial snapshots,
 // Resets, malformed rows and out-of-range values, both must return the
 // same Outcome and error text, commit the same state and report the
-// same clock and health.
+// same clock and health, and every device an Outcome reports must read
+// live after its tick.
 func FuzzMonitorObserve(f *testing.F) {
 	for _, seed := range monitorFuzzSeeds() {
 		f.Add(seed)
@@ -293,6 +305,16 @@ func FuzzMonitorObserve(f *testing.F) {
 				gh, _ := generic.DeviceHealth(dev)
 				if bh != gh {
 					t.Fatalf("tick %d device %d: bank %v, generic %v", tick, dev, bh, gh)
+				}
+			}
+			// Only a device that detected on its own report can be
+			// abnormal, and that report left it live, whichever way
+			// the tick came in.
+			if got != nil {
+				for _, r := range got.Reports {
+					if h, _ := bank.DeviceHealth(r.Device); h != HealthLive {
+						t.Fatalf("tick %d: device %d reported while %v", tick, r.Device, h)
+					}
 				}
 			}
 		}

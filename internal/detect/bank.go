@@ -35,10 +35,9 @@ import (
 // the write and after it. The tight loop then resumes.
 //
 // A strict Step grades the whole snapshot before it writes anything
-// and runs no health transition, so it marks no device: it reads the
-// marks, and the caller marks every device after an accepted strict
-// tick. A partial Step, which is never rejected, marks each device it
-// consumes as it goes.
+// and rejects it on any unclean row; that is all strict means. An
+// accepted Step, strict or partial, runs the health transitions when
+// there is a tracker, which marks each device it consumes as it goes.
 //
 // A bank is not safe for concurrent use.
 type ThresholdBank struct {
@@ -89,14 +88,14 @@ func NewUniformThresholdBank(d int, delta float64, workers int) *ThresholdBank {
 // strict Step grades every row before it writes anything, in the same
 // sharded pass: when a row is unclean it writes nothing — no position,
 // no window — and returns the error Walker.Walk reports for the lowest
-// such row; otherwise every device detects on its row. A partial Step
-// first runs the device's health transition on t with the clean bit,
-// and the disposition picks what the device detects on: its own row
-// (Consume), its committed position (Hold), or nothing (Skip, which
-// parks it). The shards' counter changes reach the tracker after the
-// pass, in Walker's per-worker delta slots. A strict Step runs no
-// transition and reads t for its marks; t may be nil there, and then
-// every device is trained.
+// such row. Otherwise the Step runs as a partial one does: each
+// device's health transition runs on t with the clean bit, and the
+// disposition picks what the device detects on: its own row (Consume),
+// its committed position (Hold), or nothing (Skip, which parks it).
+// The shards' counter changes reach the tracker after the pass, in
+// Walker's per-worker delta slots. t may be nil: the fleet is then all
+// live, a clean row is consumed and an unclean one parks its device,
+// and every device is trained.
 //
 // committed says whether pos holds an accepted Step's positions; before
 // the first, no jump is tested, a held device is parked, and every slot
@@ -146,7 +145,7 @@ func (b *ThresholdBank) stepRange(j *stepJob, lo, hi int, win *Window) (int, hea
 		// device it consumes: a device's first sample only trains it.
 		trained := seen == nil || seen[i]
 		disp := health.Consume
-		if !strict {
+		if t != nil {
 			disp = t.Transition(dev, ok, &hd)
 		}
 		consume := ok && disp == health.Consume
@@ -276,7 +275,7 @@ func (b *DeviceBank) stepRange(j *stepJob, lo, hi int, win *Window) (int, health
 		if ok {
 			n++
 		}
-		if !j.strict {
+		if j.t != nil {
 			switch j.t.Transition(dev, ok, &hd) {
 			case health.Consume:
 			case health.Hold:

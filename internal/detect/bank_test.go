@@ -316,10 +316,9 @@ func thresholdBankParityHealth(t *testing.T, d int) {
 
 // TestThresholdBankStepWithoutCommit: a device is trained exactly when
 // it holds the tracker's last-known mark, or, with no tracker, once a
-// Step has committed. A strict Step marks no device — only ConsumeAll,
-// which the caller runs on an accepted strict tick, or a partial Step
-// marks one — a rejected strict Step commits nothing at all, and
-// resetting the tracker forgets training.
+// Step has committed. A Step with a tracker, strict or partial, marks
+// each device it consumes, a rejected strict Step commits nothing at
+// all, and resetting the tracker forgets training.
 func TestThresholdBankStepWithoutCommit(t *testing.T) {
 	t.Parallel()
 
@@ -333,25 +332,24 @@ func TestThresholdBankStepWithoutCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unmarked := make([]bool, n)
+	every := []bool{true, true, true, true}
 	var win Window
 	flat := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
 	jump := [][]float64{{0.9}, {0.5}, {0.1}, {0.5}}
 	bad := [][]float64{{0.9}, {math.NaN()}, {0.1}, {0.5}}
 
 	bank.Step(flat, pos, false, true, tr, &win) // no ConsumeAll
-	if bank.Step(jump, pos, true, true, tr, &win); len(win.Abnormal) != 0 {
-		t.Fatalf("a strict Step over unmarked devices flagged %v", win.Abnormal)
+	if !slices.Equal(marks(tr), every) {
+		t.Fatalf("a strict Step marked %v, want every device it consumed", marks(tr))
 	}
-	if !slices.Equal(marks(tr), unmarked) {
-		t.Fatalf("strict Steps marked %v", marks(tr))
+	if bank.Step(jump, pos, true, true, tr, &win); !reflect.DeepEqual(win.Abnormal, []int{0, 2}) {
+		t.Fatalf("after a strict Step flagged %v, want [0 2]", win.Abnormal)
 	}
-	tr.ConsumeAll()
 	if _, err := bank.Step(bad, pos, true, true, tr, &win); err == nil || !errors.Is(err, ErrSample) {
 		t.Fatalf("Step = %v, want ErrSample", err)
 	}
-	if got := stateRows(pos); !reflect.DeepEqual(got, jump) || len(win.Abnormal) != 0 {
-		t.Fatalf("state %v, flagged %v after a rejected Step, want %v", got, win.Abnormal, jump)
+	if got := stateRows(pos); !reflect.DeepEqual(got, jump) || len(win.Abnormal) != 0 || tr.Stats() != (health.Stats{}) {
+		t.Fatalf("state %v, flagged %v, health %+v after a rejected Step, want %v", got, win.Abnormal, tr.Stats(), jump)
 	}
 	if bank.Step(flat, pos, true, true, tr, &win); !reflect.DeepEqual(win.Abnormal, []int{0, 2}) {
 		t.Fatalf("flagged %v, want [0 2]", win.Abnormal)
@@ -490,14 +488,14 @@ func mixedFleet(t testing.TB, n, d int) []*Device {
 // TestDeviceBankParity: over a stream of strict and degraded partial
 // ticks through a fleet mixing EWMA and Shewhart detectors, the
 // per-device bank's Check and in-place Step must flag, clamp and park
-// exactly what the serial reference does — Walker.Walk on a strict
-// tick; Classify, Tracker.Report and WalkSkip on a partial one, both
-// over the clamped rows — hand back each flagged device's positions
-// before and after the tick, and leave every detector's prediction,
-// and the tracker's states and counters, as the reference does, for
-// one worker and for four over ranges of several minShard devices
-// each. A strict tick with an unclean row is rejected by both, and the
-// bank's Check leaves its state as it was.
+// exactly what the serial reference does — Classify, Tracker.Report
+// and WalkSkip over the clamped rows on every accepted tick, strict or
+// partial — hand back each flagged device's positions before and
+// after the tick, and leave every detector's prediction, and the
+// tracker's states and counters, as the reference does, for one worker
+// and for four over ranges of several minShard devices each. A strict
+// tick with an unclean row is rejected by both, and the bank's Check
+// leaves its state as it was.
 func TestDeviceBankParity(t *testing.T) {
 	t.Parallel()
 
@@ -559,16 +557,15 @@ func TestDeviceBankParity(t *testing.T) {
 		clean := make([]bool, n)
 		nClean := walker.Classify(devs, snap, clean)
 		var abn []int
-		if strict[k] {
-			abn, err = walker.Walk(devs, clampRows(snap), visit, nil)
-			if (err != nil) != (nClean < n) {
-				t.Fatalf("tick %d: Walk error %v with %d of %d rows clean", k, err, nClean, n)
+		if strict[k] && nClean < n {
+			if _, err := walker.Walk(devs, clampRows(snap), visit, nil); err == nil {
+				t.Fatalf("tick %d: Walk accepted %d of %d rows clean", k, nClean, n)
 			}
-			if err != nil {
-				cur, nClean = prev, -1
-				rejected++
-			}
+			cur, nClean = prev, -1
+			rejected++
 		} else {
+			// An accepted tick, strict or partial, runs every
+			// device's health transition.
 			rows := clampRows(snap)
 			for j := range rows {
 				switch tr.Report(j, clean[j]) {
@@ -662,7 +659,7 @@ func TestDeviceBankStrictReject(t *testing.T) {
 // the health transition, a clamp loop over the whole row and a
 // short-circuit jump test per service against the saved position. It
 // keeps Threshold's first-sample rule in trained bytes of its own: a
-// partial Step trains each device it detects on, and its caller
+// Step with a tracker trains each device it detects on, and its caller
 // trains them all by Monitor.step's rule. FuzzThresholdBankStep pins
 // the kernel, and the kernel tracker's marks, to it.
 type oracleBank struct {
@@ -707,7 +704,7 @@ func (o *oracleBank) Step(rows [][]float64, pos *space.State, committed, strict 
 
 func (o *oracleBank) stepRange(j *stepJob, lo, hi int, win *Window) (int, health.Delta) {
 	d, delta, all, trained, committed := o.d, o.delta, o.all, o.trained, j.committed
-	train := !j.strict && !all
+	train := j.t != nil && !all
 	n := 0
 	var hd health.Delta
 	for dev := lo; dev < hi; dev++ {
@@ -718,7 +715,7 @@ func (o *oracleBank) stepRange(j *stepJob, lo, hi int, win *Window) (int, health
 		if ok {
 			n++
 		}
-		if !j.strict {
+		if j.t != nil {
 			switch j.t.Transition(dev, ok, &hd) {
 			case health.Consume:
 			case health.Hold:
@@ -803,11 +800,12 @@ func bankFuzzTick(op byte, specs ...[]byte) []byte {
 // ticks at d in {1, 2, 3, MaxDim}, on one worker or three: nil, short
 // and long rows, NaN, ±Inf, −0 and out-of-range values, rows that fail
 // on a later service after earlier ones passed, a tracker driven stale
-// and into quarantine, strict ticks among partial ones, which read the
-// tracker's marks, Resets, and trackers reset alone, which forgets
-// training since the kernel's first-sample rule is the tracker's
-// marks. An accepted tick marks every device, and trains the oracle,
-// by Monitor.step's rule. After every tick both banks must have
+// and into quarantine, strict ticks among partial ones, which run the
+// same health transitions, Resets, and trackers reset alone, which
+// forgets training since the kernel's first-sample rule is the
+// tracker's marks. An accepted tick that found every row clean over a
+// fleet all live at its start marks every device, and trains the
+// oracle, by Monitor.step's rule. After every tick both banks must have
 // rejected with the same error or graded the same clean count, left
 // the same bits in their slabs, flagged the same devices with the same
 // bits of their positions before and after the tick, and left their
@@ -946,6 +944,25 @@ func FuzzThresholdBankStep(f *testing.F) {
 		// Three workers; cfg's bit 8 picks partial from the second half.
 		f.Add(uint8(cfg%3+1|4|cfg/3<<3), s)
 	}
+	// Strict ticks accepted over an impaired fleet, which run the
+	// health transitions: spec 1 misses a partial tick, so it is stale,
+	// returns with a jump in a strict tick, misses two more, so it is
+	// quarantined, and reports clean in two strict ticks, which drop
+	// the first report and re-admit it on the second. Partial, on one
+	// worker over two devices or on three.
+	for cfg := range 8 {
+		d := bankDims[cfg&3]
+		rest, missing := clean(d, 134), append([]byte{bankKindNil}, make([]byte, d)...)
+		var s []byte
+		s = append(s, bankFuzzTick(0, rest, rest)...)
+		s = append(s, bankFuzzTick(0, rest, missing)...)
+		s = append(s, bankFuzzTick(bankFuzzStrict, rest, clean(d, 200))...)
+		s = append(s, bankFuzzTick(0, rest, missing)...)
+		s = append(s, bankFuzzTick(0, rest, missing)...)
+		s = append(s, bankFuzzTick(bankFuzzStrict, rest, rest)...)
+		s = append(s, bankFuzzTick(bankFuzzStrict, rest, rest)...)
+		f.Add(uint8(cfg|0x18), s)
+	}
 	f.Fuzz(func(t *testing.T, cfg uint8, raw []byte) {
 		d := bankDims[cfg&3]
 		workers, n := 1, 1+int(cfg>>4)
@@ -1006,7 +1023,8 @@ func FuzzThresholdBankStep(f *testing.F) {
 				ot.Reset()
 				oracle.reset()
 			}
-			allLive := partial && kt.AllLive()
+			// With no tracker the fleet is all live.
+			allLive := !partial || kt.AllLive()
 			strict := !partial || op&bankFuzzStrict != 0
 			kn, kerr := kernel.Step(rows, kpos, committed, strict, kt, &kwin)
 			on, oerr := oracle.Step(rows, opos, committed, strict, ot, &owin)
@@ -1048,7 +1066,7 @@ func FuzzThresholdBankStep(f *testing.F) {
 				continue
 			}
 			committed = true
-			if strict || allLive && kn == n {
+			if allLive && kn == n {
 				if partial {
 					kt.ConsumeAll()
 					ot.ConsumeAll()

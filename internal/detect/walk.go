@@ -95,8 +95,9 @@ type checkJob struct {
 }
 
 // stepJob holds the arguments of one bank Step for its shards: its
-// rows, which a strict Step grades d wide first and a partial one
-// grades as it goes, running each device's health transition on t.
+// rows, which a strict Step grades d wide first and a partial one as
+// it goes, and the tracker t, if any, whose health transition each
+// device then runs.
 type stepJob struct {
 	checkJob
 	b         ranger
@@ -317,8 +318,8 @@ type ranger interface {
 
 // step runs b's Step over every row like fan, keeping each range's
 // window and health delta in its worker's slots until the pass is
-// done, then merges the windows into win and, unless the Step is
-// strict, folds the deltas into t. A strict Step grades the rows d
+// done, then merges the windows into win and, when there is a
+// tracker, folds the deltas into t. A strict Step grades the rows d
 // wide first, in the same pass: each range grades its own rows, waits
 // until every range has, and steps only if all are clean; otherwise
 // step writes nothing and explains the lowest unclean row.
@@ -335,12 +336,13 @@ func (w *Walker) step(b ranger, rows [][]float64, pos *space.State, committed, s
 		if err := reject(rows, w.bad[:workers], d); err != nil {
 			return 0, err
 		}
-		return total, nil
 	}
-	for i := range w.deltas {
-		t.Apply(&w.deltas[i])
+	if t != nil {
+		for i := range w.deltas {
+			t.Apply(&w.deltas[i])
+		}
+		clear(w.deltas)
 	}
-	clear(w.deltas)
 	return total, nil
 }
 

@@ -133,12 +133,11 @@ type Tracker struct {
 	// seen marks devices that have delivered at least one consumed
 	// report — only they have a last-known value to hold, and only
 	// their detectors are trained: the detector bank reads the marks as
-	// its first-sample rule. allSeen is the
-	// whole-fleet form, set by ConsumeAll: a fully-clean all-live tick or
-	// a strict tick consumes every device's report without per-device
-	// Report calls, and one such tick gives the whole fleet a last-known
-	// value at once (seen is monotone until Reset, so a single flag is
-	// exact).
+	// its first-sample rule. allSeen is the whole-fleet form, set by
+	// ConsumeAll: a fully-clean tick over an all-live fleet consumes
+	// every device's report, so one such tick gives the whole fleet a
+	// last-known value at once (seen is monotone until Reset, so a
+	// single flag is exact).
 	seen    []bool
 	allSeen bool
 	// impaired counts devices not Live, so an all-clean tick over an
@@ -259,12 +258,11 @@ func (t *Tracker) Apply(d *Delta) {
 	t.stats.FaultyTicks += d.stats.FaultyTicks
 }
 
-// ConsumeAll records a tick that gave every device a last-known value
-// without per-device Report calls: the fully-clean fast path over an
-// all-live fleet (the caller's guard; no state transitions can be
-// pending), or a strict tick, which consumes every device's report
-// outside the state machine. After one such tick a device's first fault
-// is held, not skipped. It touches no state, streak or counter.
+// ConsumeAll records a tick that gave every device a last-known value:
+// a fully-clean tick over a fleet all live at its start (the caller's
+// guard; no state transition can be pending). After one such tick a
+// device's first fault is held, not skipped. It touches no state,
+// streak or counter.
 func (t *Tracker) ConsumeAll() { t.allSeen = true }
 
 // reportCleanImpaired folds a clean report of a stale or quarantined

@@ -84,13 +84,14 @@ type Monitor struct {
 	dirDegraded  atomic.Int64
 	// health is the per-device state machine of the degraded ingest path
 	// (ObservePartial), created on the first partial tick so Observe-only
-	// monitors pay nothing for it. The pointer is atomic so a concurrent
-	// stats snapshot sees either no tracker or a fully built one;
-	// statsMu serializes the tracker's mutations against
-	// HealthStats/DeviceHealth readers. Every partial tick, on either
-	// bank, runs the health transitions inside its sharded pass, and the
-	// whole pass holds statsMu: a reader never sees a torn state, but a
-	// scrape may wait for up to one pass. Reset takes the mutex too.
+	// monitors, whose fleet is all live, pay nothing for it. The pointer
+	// is atomic so a concurrent stats snapshot sees either no tracker or
+	// a fully built one; statsMu serializes the tracker's mutations
+	// against HealthStats/DeviceHealth readers. Once it exists, every
+	// accepted tick, strict or partial, on either bank, runs the health
+	// transitions inside its sharded pass, and the whole pass holds
+	// statsMu: a reader never sees a torn state, but a scrape may wait
+	// for up to one pass. Reset takes the mutex too.
 	health  atomic.Pointer[health.Tracker]
 	statsMu sync.Mutex
 	// mx is the per-tick metrics feed (WithMetrics): latencies, the
@@ -208,6 +209,10 @@ func (m *Monitor) Time() int { return int(m.time.Load()) }
 // only trains the detectors); otherwise it returns the characterization
 // of the abnormal set.
 //
+// Observe is ObservePartial behind a reject rule: it rejects a snapshot
+// with any unclean row and otherwise consumes it exactly as
+// ObservePartial does, health transitions included.
+//
 // Row classification and the per-device detector pass are sharded
 // across WithIngestWorkers workers; the abnormal set is identical to a
 // serial walk whatever the count.
@@ -254,9 +259,9 @@ func (m *Monitor) Observe(samples [][]float64) (*Outcome, error) {
 // Malformed and missing are deliberately indistinguishable to the
 // state machine: neither carries a usable measurement, and collapsing
 // them makes a degraded stream reproducible against an oracle fed only
-// the delivered clean subset. A fully clean snapshot over an all-live
-// fleet is consumed exactly as Observe consumes it — same positions,
-// same verdicts.
+// the delivered clean subset. A fully clean snapshot is consumed
+// exactly as Observe consumes it — same positions, same verdicts, same
+// health.
 //
 // Membership churn flows through: quarantined devices leave the
 // abnormal set (and so the distributed directory's index) and
@@ -344,16 +349,15 @@ func (m *Monitor) localIDs(k int) []int {
 
 // step ingests one snapshot into the bank with one Step, unless the
 // strict policy rejects it: a strict Step grades the whole snapshot
-// before it writes anything and reports the lowest unclean row. Every
-// Step reads the health tracker's last-known marks, if there is a
-// tracker, as its detectors' first-sample rule; with none, every
-// device is trained once a tick has committed. A partial tick also
-// runs every device's health transition inside the sharded pass,
+// before it writes anything and reports the lowest unclean row. An
+// accepted tick, strict or partial, runs every device's health
+// transition inside the sharded pass whenever there is a tracker,
 // which picks what the device detects on and marks it when it is
-// consumed; the pass holds statsMu. A tick that fed every device its
-// own row — an accepted strict tick, or a partial one that found every
-// row clean over a fleet all-live at its start — marks the whole
-// fleet with ConsumeAll.
+// consumed; the pass holds statsMu. With no tracker the fleet is all
+// live, and every device is trained once a tick has committed. A tick
+// that found every row clean over a fleet all live at its start fed
+// every device its own row, so it marks the whole fleet with
+// ConsumeAll.
 func (m *Monitor) step(samples [][]float64, committed, strict bool) error {
 	tracker := m.health.Load()
 	if !strict {
@@ -361,17 +365,17 @@ func (m *Monitor) step(samples [][]float64, committed, strict bool) error {
 		if tracker, err = m.tracker(); err != nil {
 			return err
 		}
+	}
+	if tracker != nil {
 		m.statsMu.Lock()
 		defer m.statsMu.Unlock()
 	}
-	allLive := !strict && tracker.AllLive()
+	allLive := tracker != nil && tracker.AllLive()
 	nClean, err := m.bank.Step(samples, m.prev, committed, strict, tracker, &m.win)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
-	if tracker != nil && (strict || allLive && nClean == m.devices) {
-		// Only the observing goroutine reads the tracker's last-known
-		// marks, so a strict tick reads and sets them without statsMu.
+	if allLive && nClean == m.devices {
 		tracker.ConsumeAll()
 	}
 	return nil

@@ -660,3 +660,201 @@ func TestFirstSampleNeverJumps(t *testing.T) {
 		}
 	}
 }
+
+// observeTwinSnapshot is tick k of the twin test's stream over n
+// devices of two services. Every device drifts by at most 0.02.
+// Devices 1, 2, n/2 and n−1 miss the ticks k ≡ 1, 2 (mod 4), and with
+// devices 3 and 4 alternate between 0.5 and 0.8 each tick; device 5
+// misses the ticks k ≡ 2 and jumps to 0.8 on the ticks k ≡ 3.
+func observeTwinSnapshot(n, k int) [][]float64 {
+	impaired := []int{1, 2, n / 2, n - 1}
+	rows := make([][]float64, n)
+	for j := range rows {
+		v := 0.5 + 0.01*float64(k%3)
+		switch {
+		case j == 5:
+			if k%4 == 3 {
+				v = 0.8
+			}
+		case j == 3 || j == 4 || slices.Contains(impaired, j):
+			v = 0.5 + 0.3*float64(k%2)
+		}
+		rows[j] = []float64{v, 1 - v}
+	}
+	if k%4 == 1 || k%4 == 2 {
+		for _, j := range impaired {
+			rows[j] = nil
+		}
+	}
+	if k%4 == 2 {
+		rows[5] = nil
+	}
+	return rows
+}
+
+// TestObserveMatchesObservePartialOnCleanTicks: Observe is
+// ObservePartial behind a reject rule. Twin monitors share a partial
+// history in which devices miss two ticks of every four (HoldTicks 1,
+// ReadmitTicks 2): they turn stale, are quarantined, have a clean
+// report dropped and are re-admitted, while another device is stale
+// for one tick and jumps on its return. Every clean snapshot goes
+// through Observe on one twin and ObservePartial on the other, and the
+// twins must return the same Outcome, commit the same positions and
+// report the same health for every device and the same HealthStats,
+// tick after tick, on both banks, serial and sharded.
+func TestObserveMatchesObservePartialOnCleanTicks(t *testing.T) {
+	t.Parallel()
+
+	for _, tc := range []struct {
+		name       string
+		n, workers int
+		generic    bool
+	}{
+		{"threshold bank/serial", 16, 1, false},
+		{"threshold bank/sharded", 4 * 2048, 4, false},
+		{"per-device bank/serial", 16, 1, true},
+		{"per-device bank/sharded", 4 * 2048, 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			opts := []Option{WithIngestWorkers(tc.workers), WithHealthPolicy(HealthPolicy{HoldTicks: 1, ReadmitTicks: 2})}
+			if tc.generic {
+				opts = append(opts, WithDetectorFactory(genericThreshold))
+			}
+			strict, err := NewMonitor(tc.n, 2, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			partial, err := NewMonitor(tc.n, 2, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			strictTicks, flagged := 0, 0
+			for k := range 16 {
+				snap := observeTwinSnapshot(tc.n, k)
+				observe := (*Monitor).ObservePartial
+				if !slices.ContainsFunc(snap, func(row []float64) bool { return row == nil }) {
+					observe = (*Monitor).Observe
+					strictTicks++
+				}
+				got, err := observe(strict, snap)
+				if err != nil {
+					t.Fatalf("tick %d: %v", k, err)
+				}
+				want, err := partial.ObservePartial(snap)
+				if err != nil {
+					t.Fatalf("tick %d: %v", k, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("tick %d: Observe %+v, ObservePartial %+v", k, got, want)
+				}
+				if !reflect.DeepEqual(strict.prev, partial.prev) {
+					t.Fatalf("tick %d: the twins committed different positions", k)
+				}
+				if gs, ws := strict.HealthStats(), partial.HealthStats(); gs != ws {
+					t.Fatalf("tick %d: health %+v, want %+v", k, gs, ws)
+				}
+				for dev := range tc.n {
+					gh, _ := strict.DeviceHealth(dev)
+					wh, _ := partial.DeviceHealth(dev)
+					if gh != wh {
+						t.Fatalf("tick %d device %d: health %v, want %v", k, dev, gh, wh)
+					}
+				}
+				if got != nil {
+					flagged++
+				}
+			}
+			hs := partial.HealthStats()
+			if strictTicks != 8 || flagged < 8 || hs.Quarantines == 0 || hs.Readmissions == 0 || hs.DroppedReports == 0 || hs.HeldTicks == 0 {
+				t.Fatalf("stream misses a transition: %d strict ticks, %d flagged, %+v", strictTicks, flagged, hs)
+			}
+		})
+	}
+}
+
+// TestObserveNeverFlagsQuarantinedDevice: a quarantined device is
+// never abnormal, whichever way its report arrives. Device 0 misses
+// three partial ticks (HoldTicks 1), so it is quarantined; a strict
+// tick then carries its jump to 0.9, which the quarantine drops. The
+// next one re-admits it and consumes the report.
+func TestObserveNeverFlagsQuarantinedDevice(t *testing.T) {
+	t.Parallel()
+
+	const n = 8
+	mon, err := NewMonitor(n, 1, WithHealthPolicy(HealthPolicy{HoldTicks: 1, ReadmitTicks: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mon.ObservePartial(fleetSnapshot(n, 0.5, nil)); err != nil {
+		t.Fatal(err)
+	}
+	missing := fleetSnapshot(n, 0.5, nil)
+	missing[0] = nil
+	for range 3 {
+		if _, err := mon.ObservePartial(missing); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, _ := mon.DeviceHealth(0); st != HealthQuarantined {
+		t.Fatalf("device 0 health %v after three missed ticks, want quarantined", st)
+	}
+	jump := fleetSnapshot(n, 0.5, map[int]float64{0: 0.9})
+	out, err := mon.Observe(jump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != nil {
+		t.Fatalf("a strict tick flagged %+v from a quarantined device", out)
+	}
+	if st, _ := mon.DeviceHealth(0); st != HealthQuarantined {
+		t.Fatalf("device 0 health %v after one clean report, want quarantined", st)
+	}
+	if got := mon.prev.At(0); got[0] != 0.5 {
+		t.Fatalf("quarantined device 0 moved to %v, want parked at 0.5", got)
+	}
+	if out, err = mon.Observe(jump); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := mon.DeviceHealth(0); st != HealthLive || out == nil || !slices.Equal(out.Isolated, []int{0}) {
+		t.Fatalf("after re-admission device 0 is %v and the outcome %+v, want live and isolated", st, out)
+	}
+	if hs := mon.HealthStats(); hs.Quarantines != 1 || hs.Readmissions != 1 || hs.DroppedReports != 1 {
+		t.Fatalf("health %+v, want one quarantine, one drop, one re-admission", hs)
+	}
+}
+
+// TestObserveBreaksFaultStreak: a clean report breaks a device's run
+// of faults, whichever way it arrives. With HoldTicks 2, a fault, a
+// clean strict tick and two more faults leave device 0 stale, not
+// quarantined.
+func TestObserveBreaksFaultStreak(t *testing.T) {
+	t.Parallel()
+
+	const n = 8
+	mon, err := NewMonitor(n, 1, WithHealthPolicy(HealthPolicy{HoldTicks: 2, ReadmitTicks: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := fleetSnapshot(n, 0.5, nil)
+	missing := fleetSnapshot(n, 0.5, nil)
+	missing[0] = nil
+	for k, tk := range []struct {
+		snap   [][]float64
+		strict bool
+	}{{clean, false}, {missing, false}, {clean, true}, {missing, false}, {missing, false}} {
+		observe := (*Monitor).ObservePartial
+		if tk.strict {
+			observe = (*Monitor).Observe
+		}
+		if _, err := observe(mon, tk.snap); err != nil {
+			t.Fatalf("tick %d: %v", k, err)
+		}
+	}
+	if st, _ := mon.DeviceHealth(0); st != HealthStale {
+		t.Fatalf("device 0 health %v, want stale: the strict tick's clean report broke its streak", st)
+	}
+	if hs := mon.HealthStats(); hs.Quarantines != 0 || hs.Stale != 1 || hs.HeldTicks != 3 {
+		t.Fatalf("health %+v, want device 0 stale, never quarantined, three held ticks", hs)
+	}
+}
